@@ -1,22 +1,16 @@
 //! Sharded-arena vs global-vec bundle formation (PR 4 tentpole bench).
 //!
-//! Three arms form the identical set of connection bundles:
+//! Two arms form the identical set of connection bundles:
 //!
-//! * `global` — the pre-sharding pathway, reproduced exactly: every
-//!   connection formed in global transmission-time order (the event-loop
-//!   runner's schedule) against one flat `Vec<HistoryProfile>`. Each
-//!   connection lands in a different pair's region of the overlay, so at
-//!   N = 10k it keeps re-touching a cold slice of the profile vector and
-//!   its heap-scattered per-bundle SipHash indexes.
-//! * `global_grouped` — same flat storage, but bundle-at-a-time (the new
-//!   executor's schedule, sequential). Isolates how much of the win is
-//!   the schedule alone.
+//! * `global_grouped` — one flat `Vec<HistoryProfile>`, bundles formed
+//!   one at a time on a single thread: the reference the sharded
+//!   executor must reproduce.
 //! * `sharded_s8` — the sharded executor: 8-shard arena, pool workers
 //!   over disjoint initiator groups, every selectivity read served from
 //!   the worker's bundle-local cache-resident `BundleMirror`, shard
 //!   locks only at commit (ascending order).
 //!
-//! All arms are asserted bit-identical — at several shard/thread
+//! Both arms are asserted bit-identical — at several shard/thread
 //! combinations — *before* any timing, so the ratio measures schedule
 //! and layout, never behavioral drift.
 //!
@@ -29,9 +23,7 @@ use idpa_core::HistoryArena;
 use idpa_desim::pool::default_threads;
 use idpa_overlay::NodeId;
 use idpa_sim::experiments::model_two;
-use idpa_sim::{
-    form_bundles_global, form_bundles_interleaved, form_bundles_sharded, ScenarioConfig, World,
-};
+use idpa_sim::{form_bundles_global, form_bundles_sharded, ScenarioConfig, World};
 
 /// A formation-dominated scenario: every pair re-forms its bundle from
 /// scratch, so history writes and per-hop selectivity reads are the
@@ -62,18 +54,12 @@ fn fresh_profiles(cfg: &ScenarioConfig) -> Vec<HistoryProfile> {
 /// at several `(shards, threads)` combinations before anything is timed.
 fn assert_arms_agree(world: &World, cfg: &ScenarioConfig) {
     let mut profiles = fresh_profiles(cfg);
-    let interleaved = form_bundles_interleaved(world, cfg, &mut profiles);
-    let mut profiles = fresh_profiles(cfg);
     let grouped = form_bundles_global(world, cfg, &mut profiles);
-    assert_eq!(
-        interleaved, grouped,
-        "grouped formation diverged from the event-order baseline"
-    );
     for (shards, threads) in [(1usize, 1usize), (8, 1), (8, 8)] {
         let arena = HistoryArena::new(cfg.n_nodes, shards);
         let sharded = form_bundles_sharded(world, cfg, &arena, threads);
         assert_eq!(
-            interleaved, sharded,
+            grouped, sharded,
             "sharded formation diverged at shards={shards} threads={threads}"
         );
     }
@@ -87,10 +73,6 @@ fn bench_scale(h: &mut Harness, tag: &str, cfg: &ScenarioConfig) {
         cfg.n_pairs, cfg.total_transmissions
     );
 
-    h.bench(&format!("history_shard/form_{tag}_global"), || {
-        let mut profiles = fresh_profiles(cfg);
-        form_bundles_interleaved(&world, cfg, &mut profiles)
-    });
     h.bench(&format!("history_shard/form_{tag}_global_grouped"), || {
         let mut profiles = fresh_profiles(cfg);
         form_bundles_global(&world, cfg, &mut profiles)

@@ -291,11 +291,11 @@ fn bench_path_formation(h: &mut Harness) {
 
 fn bench_probing(h: &mut Harness) {
     let mut est = ProbeEstimator::new(NodeId(0), 5.0, (1..=5).map(NodeId).collect());
-    let mut rng = Xoshiro256StarStar::seed_from_u64(4);
+    let streams = idpa_desim::rng::StreamFactory::new(4);
     let mut round = 0u64;
     h.bench("overlay/probe_round_d5", || {
         round += 1;
-        est.probe_round(|v| !(v.index() as u64 + round).is_multiple_of(3), &mut rng);
+        est.probe_round_seeded(&streams, |v| !(v.index() as u64 + round).is_multiple_of(3));
         est.availability(NodeId(1))
     });
 }
@@ -439,16 +439,8 @@ fn bench_crypto(h: &mut Harness) {
         h.bench("crypto/rsa512_verify_plain_modpow", || sig.modpow(&e, &n));
     }
     {
-        // Batch vs individual verification of one settlement-sized batch.
-        // The batch kernel runs the squared (QR-subgroup, up-to-sign)
-        // combined equation — the sound form of the small-exponents test
-        // over (Z/n)*. For e = 65537 it costs ~64 Montgomery multiplies per
-        // item (64-bit coefficients, two interleaved accumulators) against
-        // ~18 for a cached individual verify, so the batch is expected to
-        // LOSE here — it beats only the uncached plain path above, which is
-        // why the bank deposits with strict individual verification. These
-        // two kernels keep that trade-off measured; the settlement win
-        // comes from netting, not from this equation.
+        // Strict individual verification of one settlement-sized batch —
+        // what `Bank::deposit_batch` does per token.
         let items: Vec<(BigUint, BigUint)> = (0..256u64)
             .map(|i| {
                 let m = BigUint::from_bytes_be(&Sha256::digest(&i.to_be_bytes()))
@@ -456,10 +448,6 @@ fn bench_crypto(h: &mut Harness) {
                 (keys.raw_sign(&m), m)
             })
             .collect();
-        let mut coeff_rng = Xoshiro256StarStar::seed_from_u64(6);
-        h.bench("crypto/rsa512_batch_verify_256", || {
-            idpa_crypto::batch_verify(keys.public(), &items, |_| coeff_rng.next()).is_all_valid()
-        });
         h.bench("crypto/rsa512_individual_verify_256", || {
             items
                 .iter()

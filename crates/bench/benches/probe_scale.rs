@@ -4,8 +4,8 @@
 //! set at every tick whether or not anyone reads the estimates; the lazy
 //! estimator materializes probe state on demand from the analytic churn
 //! schedule, so its cost scales with reads and replacement events instead
-//! of N·d·ticks. Both modes run in compat mode (per-node RNG streams) and
-//! produce bit-identical results — asserted here before timing.
+//! of N·d·ticks. Both modes draw probe randomness from position-keyed
+//! streams and produce bit-identical results — asserted here before timing.
 
 use idpa_bench::harness::Harness;
 use idpa_sim::{ProbeMode, ScenarioConfig, SimulationRun};
@@ -37,7 +37,7 @@ fn main() {
     let lazy = probe_dominated(ProbeMode::Lazy);
 
     // The speedup must not come from computing something different: the
-    // two modes are bit-identical in compat mode.
+    // two modes are bit-identical.
     let a = SimulationRun::execute(eager);
     let b = SimulationRun::execute(lazy);
     assert_eq!(a, b, "lazy run diverged from eager run");

@@ -15,13 +15,11 @@
 //! Honesty notes:
 //!
 //! * Both arms verify each token signature individually through the cached
-//!   Montgomery context — at `e = 65537` that beats any combined batch
-//!   equation (see `idpa_crypto::batch` and the `kernels` bench), so the
-//!   measured epoch speedup is pure transfer netting, and it is a lower
-//!   bound on the improvement over the division-based `modpow` deposits
-//!   the seed shipped. The crypto-primitive deltas (plain modpow vs cached
-//!   Montgomery vs squared batch equation) are measured separately in the
-//!   `kernels` bench.
+//!   Montgomery context, so the measured epoch speedup is pure transfer
+//!   netting, and it is a lower bound on the improvement over the
+//!   division-based `modpow` deposits the seed shipped. The
+//!   crypto-primitive deltas (plain modpow vs cached Montgomery) are
+//!   measured separately in the `kernels` bench.
 //! * Receipt MAC validation is identical in both settlement modes (the
 //!   evidence layer verifies each receipt exactly once either way), so it
 //!   is excluded from both arms.

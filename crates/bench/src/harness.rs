@@ -13,8 +13,10 @@
 //! prove each bench binary still runs without paying for measurement.
 
 use std::collections::BTreeMap;
+use std::ffi::OsStr;
 use std::hint::black_box;
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 pub use std::hint::black_box as bb;
@@ -145,8 +147,9 @@ impl Harness {
     }
 
     /// Merges into the default report location: `$IDPA_BENCH_OUT`, or
-    /// `BENCH_pr2.json` at the workspace root. A no-op under
-    /// `IDPA_BENCH_SMOKE=1` (smoke numbers are not measurements).
+    /// [`default_report_path`] for the running bench target — never a
+    /// committed `BENCH_*.json`. A no-op under `IDPA_BENCH_SMOKE=1` (smoke
+    /// numbers are not measurements).
     ///
     /// # Errors
     /// Propagates I/O failures from [`Harness::write_json`].
@@ -155,12 +158,42 @@ impl Harness {
             println!("bench report skipped (IDPA_BENCH_SMOKE=1)");
             return Ok(());
         }
-        let path = std::env::var("IDPA_BENCH_OUT").unwrap_or_else(|_| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr2.json").to_string()
-        });
+        let path = match std::env::var("IDPA_BENCH_OUT") {
+            Ok(p) => PathBuf::from(p),
+            Err(_) => {
+                let exe = std::env::current_exe()?;
+                let stem = exe.file_stem().and_then(OsStr::to_str).unwrap_or("bench");
+                let path = default_report_path(bench_name(stem));
+                if let Some(dir) = path.parent() {
+                    std::fs::create_dir_all(dir)?;
+                }
+                path
+            }
+        };
+        let path = path.to_string_lossy();
         self.write_json(&path)?;
         println!("bench report merged into {path}");
         Ok(())
+    }
+}
+
+/// `target/bench/<bench>.json` under the workspace root: where a bench
+/// target's report goes unless `IDPA_BENCH_OUT` says otherwise.
+#[must_use]
+pub fn default_report_path(bench: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target/bench")
+        .join(format!("{bench}.json"))
+}
+
+/// A bench executable's target name: its file stem without the
+/// `-<16 hex digits>` suffix cargo appends.
+fn bench_name(stem: &str) -> &str {
+    match stem.rsplit_once('-') {
+        Some((name, hash)) if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) => {
+            name
+        }
+        _ => stem,
     }
 }
 
@@ -243,6 +276,20 @@ mod tests {
         let merged = parse_flat_json(&std::fs::read_to_string(path).unwrap());
         assert!(merged.contains_key("a/one") && merged.contains_key("b/two"));
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn default_report_lands_under_target_not_on_a_committed_file() {
+        let path = default_report_path(bench_name("history_shard-0123456789abcdef"));
+        assert!(
+            path.ends_with("target/bench/history_shard.json"),
+            "{path:?}"
+        );
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(path.parent().unwrap(), root.join("target/bench"));
+        // A stem without cargo's hash suffix is already the name.
+        assert_eq!(bench_name("kernels"), "kernels");
+        assert_eq!(bench_name("node-lifecycle"), "node-lifecycle");
     }
 
     #[test]

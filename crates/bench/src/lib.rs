@@ -6,7 +6,8 @@
 //! Bench-scale runs use a reduced workload so `cargo bench --workspace`
 //! completes in minutes while stressing the same kernels. Timing is done
 //! by the in-tree median-of-N harness in [`harness`] (no external
-//! dependencies; results accumulate into `BENCH_pr1.json`).
+//! dependencies; each target's results merge into
+//! `target/bench/<target>.json`, or `$IDPA_BENCH_OUT`).
 
 #![deny(clippy::unwrap_used)]
 

@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]
 
-pub mod batch;
 pub mod bigint;
 pub mod blind;
 pub mod chacha20;
@@ -36,7 +35,6 @@ pub mod prime;
 pub mod rsa;
 pub mod sha256;
 
-pub use batch::{batch_verify, BatchOutcome};
 pub use bigint::BigUint;
 pub use blind::BlindingFactor;
 pub use chacha20::ChaCha20;

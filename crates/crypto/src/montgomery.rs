@@ -183,20 +183,6 @@ impl MontgomeryCtx {
         }
         self.decode_mont(&acc)
     }
-
-    /// `base^exponent` staying in Montgomery form: `base_m` is a Montgomery
-    /// residue and so is the result. Used by the batch verifier, which
-    /// builds products in Montgomery form and only decodes once.
-    pub(crate) fn pow_mont(&self, base_m: &[u64], exponent: &BigUint) -> Vec<u64> {
-        let mut acc = self.one_mont();
-        for i in (0..exponent.bits()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exponent.bit(i) {
-                acc = self.mont_mul(&acc, base_m);
-            }
-        }
-        acc
-    }
 }
 
 /// `a < b` over equal-length little-endian limb slices.
@@ -318,18 +304,6 @@ mod tests {
             ctx.modpow_window(&BigUint::from_u64(5), &BigUint::zero()),
             BigUint::one()
         );
-    }
-
-    #[test]
-    fn pow_mont_stays_in_montgomery_form() {
-        let mut r = rng(5);
-        let p = generate_prime(96, &mut r);
-        let ctx = MontgomeryCtx::new(&p);
-        let base = random_bits(90, &mut r);
-        let exp = random_bits(80, &mut r);
-        let base_m = ctx.to_mont(&base);
-        let out = ctx.decode_mont(&ctx.pow_mont(&base_m, &exp));
-        assert_eq!(out, base.modpow(&exp, &p));
     }
 
     #[test]

@@ -178,103 +178,3 @@ fn chacha_round_trip() {
         assert_eq!(ChaCha20::decrypt(&key, &nonce, &ct), msg);
     }
 }
-
-/// Batch verify ≡ individual up-to-sign verify: over random batches under
-/// a pool of RSA keys, `batch_verify` accepts exactly when every item
-/// satisfies `sig^e ≡ ±m (mod n)` — the relation the squared combined
-/// equation decides (strict verification is a caller concern; see the
-/// module docs on Boyd–Pavlovski). Negated signatures (`sig → n - sig`)
-/// are accepted by contract; additive corruptions — signature or message,
-/// including the adversarial single-forgery-in-k case and mixed batches
-/// where negations ride along with real forgeries — are listed exactly.
-#[test]
-fn batch_verify_equals_individual_up_to_sign_verify() {
-    use idpa_crypto::batch::{batch_verify, BatchOutcome};
-    use idpa_crypto::rsa::RsaKeyPair;
-
-    // A small key pool keeps 256 cases fast; the property is per-batch.
-    let keys: Vec<RsaKeyPair> = (0..4)
-        .map(|i| RsaKeyPair::generate(256, &mut rng(0x3000 + i)))
-        .collect();
-
-    let mut gen = rng(0x3001);
-    for case in 0..CASES {
-        let mut r = rng(gen.next());
-        let kp = &keys[(r.next() % keys.len() as u64) as usize];
-        let n = kp.public().modulus().clone();
-        let k = 1 + (r.next() % 12) as usize;
-
-        let mut items: Vec<(BigUint, BigUint)> = (0..k)
-            .map(|i| {
-                let m = BigUint::from_bytes_be(&Sha256::digest(
-                    format!("case-{case}-tok-{i}").as_bytes(),
-                ))
-                .rem(&n);
-                (kp.raw_sign(&m), m)
-            })
-            .collect();
-
-        // 0 = clean batch; 1 = exactly one corruption; 2 = random
-        // corruption count (possibly several, possibly whole batch).
-        let n_corrupt = match r.next() % 3 {
-            0 => 0,
-            1 => 1,
-            _ => 1 + (r.next() as usize % k),
-        };
-        let mut victims: Vec<usize> = (0..k).collect();
-        // Partial shuffle picks n_corrupt distinct victim indices.
-        for i in 0..n_corrupt {
-            let j = i + (r.next() as usize) % (k - i);
-            victims.swap(i, j);
-        }
-        victims.truncate(n_corrupt);
-        victims.sort_unstable();
-        // Each victim gets an additive forgery (invalid even up to sign)
-        // or a negation (invalid strictly, valid up to sign).
-        let mut forged: Vec<usize> = Vec::new();
-        for &i in &victims {
-            match r.next() % 3 {
-                0 => {
-                    items[i].0 = items[i].0.add(&BigUint::one()).rem(&n);
-                    forged.push(i);
-                }
-                1 => {
-                    items[i].1 = items[i].1.add(&BigUint::one()).rem(&n);
-                    forged.push(i);
-                }
-                _ => items[i].0 = n.sub(&items[i].0), // negation
-            }
-        }
-
-        let up_to_sign_bad: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .filter(|(_, (sig, m))| {
-                let v = kp.public().raw_verify(sig);
-                let mr = m.rem(&n);
-                v != mr && v != n.sub(&mr).rem(&n)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        // Corrupting by +1 can never produce another valid pair by
-        // accident at these sizes, but derive the oracle from the
-        // individual primitive anyway — that is the equivalence claim.
-        assert_eq!(up_to_sign_bad, forged, "case {case}: oracle setup");
-
-        let outcome = batch_verify(kp.public(), &items, |_| r.next());
-        match (&outcome, up_to_sign_bad.is_empty()) {
-            (BatchOutcome::AllValid, true) => {}
-            (BatchOutcome::Rejected(bad), false) => {
-                assert_eq!(bad, &up_to_sign_bad, "case {case}: isolated set");
-            }
-            _ => panic!("case {case}: batch/individual verdicts diverge: {outcome:?}"),
-        }
-        if forged.len() == 1 {
-            assert_eq!(
-                outcome,
-                BatchOutcome::Rejected(forged.clone()),
-                "case {case}: single forgery in a batch of {k} must be isolated"
-            );
-        }
-    }
-}

@@ -113,35 +113,11 @@ impl ProbeEstimator {
     }
 
     /// Executes one probing round. `is_alive(v)` reports neighbor liveness
-    /// at probe time; `rng` supplies the `rand(0, T)` initialisation for a
-    /// neighbor seen alive for the first time.
-    pub fn probe_round(
-        &mut self,
-        mut is_alive: impl FnMut(NodeId) -> bool,
-        rng: &mut Xoshiro256StarStar,
-    ) {
-        self.rounds += 1;
-        for (i, &v) in self.neighbors.iter().enumerate() {
-            if !is_alive(v) {
-                continue;
-            }
-            self.last_alive_round[i] = self.rounds;
-            if self.ever_seen[i] {
-                self.live_rounds[i] += 1;
-            } else {
-                // First sighting: the neighbor has been up for an unknown
-                // fraction of the period — initialise uniformly in (0, T).
-                self.ever_seen[i] = true;
-                self.init_time[i] = rng.random_range(0.0..self.period);
-            }
-        }
-    }
-
-    /// [`Self::probe_round`] with the first-sighting draw keyed by
-    /// (owner, slot, round) through `streams` instead of consumed from a
-    /// shared sequential generator. Estimators advanced this way are
-    /// independent across nodes — the order in which nodes probe (or
-    /// whether rounds are replayed lazily) cannot shift anyone's draws.
+    /// at probe time. The `rand(0, T)` initialisation for a neighbor seen
+    /// alive for the first time is keyed by (owner, slot, round) through
+    /// `streams`, so estimators are independent across nodes — the order
+    /// in which nodes probe (or whether rounds are replayed lazily) cannot
+    /// shift anyone's draws.
     pub fn probe_round_seeded(
         &mut self,
         streams: &StreamFactory,
@@ -156,6 +132,8 @@ impl ProbeEstimator {
             if self.ever_seen[i] {
                 self.live_rounds[i] += 1;
             } else {
+                // First sighting: the neighbor has been up for an unknown
+                // fraction of the period — initialise uniformly in (0, T).
                 self.ever_seen[i] = true;
                 self.init_time[i] =
                     init_session_draw(streams, self.owner, i, self.rounds, self.period);
@@ -167,7 +145,9 @@ impl ProbeEstimator {
     /// random peer (not self, not already a neighbor; up to 16 candidate
     /// draws each). Candidates come from the per-(owner, round)
     /// [`maintenance_stream`], so the decision sequence is a pure function
-    /// of (master seed, owner, round, current estimator state).
+    /// of (master seed, owner, round, current estimator state). A
+    /// replacement restarts the paper's "new neighbor found" state: session
+    /// time is zero until the next sighting draws `rand(0, T)`.
     pub fn maintain_seeded(&mut self, streams: &StreamFactory, threshold: u64, n_nodes: usize) {
         let mut rng: Option<Xoshiro256StarStar> = None;
         for i in 0..self.neighbors.len() {
@@ -248,25 +228,6 @@ impl ProbeEstimator {
         Some(self.rounds - self.last_alive_round[i])
     }
 
-    /// Replaces neighbor `old` with `new`, resetting the paper's "new
-    /// neighbor found" state: session time restarts at zero and the next
-    /// sighting re-initialises it to `rand(0, T)`. Returns `false` (no
-    /// change) if `old` is not a neighbor or `new` already is.
-    pub fn replace_neighbor(&mut self, old: NodeId, new: NodeId) -> bool {
-        if self.neighbors.contains(&new) {
-            return false;
-        }
-        let Some(i) = self.neighbors.iter().position(|&u| u == old) else {
-            return false;
-        };
-        self.neighbors[i] = new;
-        self.init_time[i] = 0.0;
-        self.live_rounds[i] = 0;
-        self.ever_seen[i] = false;
-        self.last_alive_round[i] = self.rounds;
-        true
-    }
-
     /// The current neighbor set (it changes under replacement).
     #[must_use]
     pub fn neighbors(&self) -> &[NodeId] {
@@ -332,10 +293,6 @@ pub struct ProbeEstimatorState {
 mod tests {
     use super::*;
 
-    fn rng(seed: u64) -> Xoshiro256StarStar {
-        Xoshiro256StarStar::seed_from_u64(seed)
-    }
-
     fn estimator() -> ProbeEstimator {
         ProbeEstimator::new(NodeId(0), 5.0, vec![NodeId(1), NodeId(2), NodeId(3)])
     }
@@ -350,8 +307,8 @@ mod tests {
     #[test]
     fn first_sighting_initialises_in_zero_period() {
         let mut est = estimator();
-        let mut r = rng(1);
-        est.probe_round(|v| v == NodeId(1), &mut r);
+        let s = StreamFactory::new(1);
+        est.probe_round_seeded(&s, |v| v == NodeId(1));
         let t = est.session_time(NodeId(1));
         assert!((0.0..5.0).contains(&t), "t={t}");
         assert_eq!(est.session_time(NodeId(2)), 0.0);
@@ -360,21 +317,21 @@ mod tests {
     #[test]
     fn subsequent_sightings_add_full_period() {
         let mut est = estimator();
-        let mut r = rng(2);
-        est.probe_round(|v| v == NodeId(1), &mut r);
+        let s = StreamFactory::new(2);
+        est.probe_round_seeded(&s, |v| v == NodeId(1));
         let t0 = est.session_time(NodeId(1));
-        est.probe_round(|v| v == NodeId(1), &mut r);
-        est.probe_round(|v| v == NodeId(1), &mut r);
+        est.probe_round_seeded(&s, |v| v == NodeId(1));
+        est.probe_round_seeded(&s, |v| v == NodeId(1));
         assert!((est.session_time(NodeId(1)) - (t0 + 10.0)).abs() < 1e-12);
     }
 
     #[test]
     fn availability_is_share_of_total() {
         let mut est = estimator();
-        let mut r = rng(3);
+        let s = StreamFactory::new(3);
         // Node 1 alive for 4 rounds, node 2 for 2 rounds, node 3 never.
         for round in 0..4 {
-            est.probe_round(|v| v == NodeId(1) || (v == NodeId(2) && round < 2), &mut r);
+            est.probe_round_seeded(&s, |v| v == NodeId(1) || (v == NodeId(2) && round < 2));
         }
         let a1 = est.availability(NodeId(1));
         let a2 = est.availability(NodeId(2));
@@ -390,17 +347,16 @@ mod tests {
     #[test]
     fn availability_of_stranger_is_zero() {
         let mut est = estimator();
-        let mut r = rng(4);
-        est.probe_round(|_| true, &mut r);
+        est.probe_round_seeded(&StreamFactory::new(4), |_| true);
         assert_eq!(est.availability(NodeId(99)), 0.0);
     }
 
     #[test]
     fn down_neighbor_gains_nothing() {
         let mut est = estimator();
-        let mut r = rng(5);
+        let s = StreamFactory::new(5);
         for _ in 0..10 {
-            est.probe_round(|v| v != NodeId(3), &mut r);
+            est.probe_round_seeded(&s, |v| v != NodeId(3));
         }
         assert_eq!(est.session_time(NodeId(3)), 0.0);
         assert_eq!(est.availability(NodeId(3)), 0.0);
@@ -412,20 +368,20 @@ mod tests {
         // session time and continues adding full periods (the estimator has
         // already "found" it).
         let mut est = estimator();
-        let mut r = rng(6);
-        est.probe_round(|v| v == NodeId(1), &mut r);
+        let s = StreamFactory::new(6);
+        est.probe_round_seeded(&s, |v| v == NodeId(1));
         let t0 = est.session_time(NodeId(1));
-        est.probe_round(|_| false, &mut r); // down
-        est.probe_round(|v| v == NodeId(1), &mut r); // back up
+        est.probe_round_seeded(&s, |_| false); // down
+        est.probe_round_seeded(&s, |v| v == NodeId(1)); // back up
         assert!((est.session_time(NodeId(1)) - (t0 + 5.0)).abs() < 1e-12);
     }
 
     #[test]
     fn rounds_counter_increments() {
         let mut est = estimator();
-        let mut r = rng(7);
+        let s = StreamFactory::new(7);
         for _ in 0..3 {
-            est.probe_round(|_| false, &mut r);
+            est.probe_round_seeded(&s, |_| false);
         }
         assert_eq!(est.rounds(), 3);
     }
@@ -435,13 +391,12 @@ mod tests {
         // Statistical form of the paper's claim: "a neighbor with a higher
         // observed session time has a higher availability".
         let mut est = ProbeEstimator::new(NodeId(0), 1.0, vec![NodeId(1), NodeId(2)]);
-        let mut r = rng(8);
+        let s = StreamFactory::new(8);
         for round in 0..100 {
             // Node 1 up 80% of rounds, node 2 up 20%.
-            est.probe_round(
-                |v| (v == NodeId(1) && round % 5 != 0) || (v == NodeId(2) && round % 5 == 0),
-                &mut r,
-            );
+            est.probe_round_seeded(&s, |v| {
+                (v == NodeId(1) && round % 5 != 0) || (v == NodeId(2) && round % 5 == 0)
+            });
         }
         assert!(est.availability(NodeId(1)) > est.availability(NodeId(2)));
     }
@@ -455,11 +410,11 @@ mod tests {
     #[test]
     fn rounds_since_alive_tracks_silence() {
         let mut est = estimator();
-        let mut r = rng(9);
-        est.probe_round(|v| v == NodeId(1), &mut r);
+        let s = StreamFactory::new(9);
+        est.probe_round_seeded(&s, |v| v == NodeId(1));
         assert_eq!(est.rounds_since_alive(NodeId(1)), Some(0));
-        est.probe_round(|_| false, &mut r);
-        est.probe_round(|_| false, &mut r);
+        est.probe_round_seeded(&s, |_| false);
+        est.probe_round_seeded(&s, |_| false);
         assert_eq!(est.rounds_since_alive(NodeId(1)), Some(2));
         // Never-seen neighbor: silence equals total rounds.
         assert_eq!(est.rounds_since_alive(NodeId(3)), Some(3));
@@ -468,21 +423,28 @@ mod tests {
     }
 
     #[test]
-    fn replace_neighbor_resets_state() {
-        let mut est = estimator();
-        let mut r = rng(10);
+    fn replacement_resets_state() {
+        let s = StreamFactory::new(10);
+        let mut est = ProbeEstimator::new(NodeId(0), 5.0, vec![NodeId(1)]);
         for _ in 0..3 {
-            est.probe_round(|v| v == NodeId(1), &mut r);
+            est.probe_round_seeded(&s, |v| v == NodeId(1));
         }
         assert!(est.session_time(NodeId(1)) > 0.0);
-        assert!(est.replace_neighbor(NodeId(1), NodeId(7)));
-        assert!(est.neighbors().contains(&NodeId(7)));
-        assert!(!est.neighbors().contains(&NodeId(1)));
-        assert_eq!(est.session_time(NodeId(7)), 0.0);
+        // Two silent rounds reach the threshold: the slot is replaced.
+        est.probe_round_seeded(&s, |_| false);
+        est.probe_round_seeded(&s, |_| false);
+        est.maintain_seeded(&s, 2, 50);
+        let new = est.neighbors()[0];
+        assert!(
+            new != NodeId(1) && new != NodeId(0),
+            "replaced by a stranger"
+        );
+        assert_eq!(est.session_time(new), 0.0);
         assert_eq!(est.session_time(NodeId(1)), 0.0, "old neighbor forgotten");
+        assert_eq!(est.rounds_since_alive(new), Some(0));
         // Next sighting re-initialises with the rand(0, T) rule.
-        est.probe_round(|v| v == NodeId(7), &mut r);
-        let t = est.session_time(NodeId(7));
+        est.probe_round_seeded(&s, |v| v == new);
+        let t = est.session_time(new);
         assert!((0.0..5.0).contains(&t), "t={t}");
     }
 
@@ -550,19 +512,5 @@ mod tests {
             est.probe_round_seeded(&streams, |v| v == NodeId(1));
         }
         assert_eq!(est.session_time(NodeId(1)), t0 + 7.0 * 5.0);
-    }
-
-    #[test]
-    fn replace_rejects_duplicates_and_strangers() {
-        let mut est = estimator();
-        assert!(
-            !est.replace_neighbor(NodeId(1), NodeId(2)),
-            "already a neighbor"
-        );
-        assert!(
-            !est.replace_neighbor(NodeId(42), NodeId(7)),
-            "not a neighbor"
-        );
-        assert_eq!(est.neighbors(), &[NodeId(1), NodeId(2), NodeId(3)]);
     }
 }

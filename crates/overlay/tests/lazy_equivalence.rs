@@ -228,7 +228,10 @@ fn probe_modes_agree_under_active_fault_plan() {
                 reps: 3,
                 quick: true,
                 threads,
-                fault,
+                scenario: idpa_sim::ScenarioConfig {
+                    fault,
+                    ..idpa_sim::ScenarioConfig::default()
+                },
                 ..Options::default()
             };
             let runs = idpa_sim::experiments::replicate_base(&opts);

@@ -187,9 +187,8 @@ impl Bank {
     /// the small-exponents combined equation; over `(Z/n)*` that test is
     /// unsound (Boyd–Pavlovski: negating an even number of valid
     /// signatures passes it with probability 1 while every negated token
-    /// fails [`Token::verify`]), and at `e = 65537` it is also slower
-    /// than cached individual verification (see `idpa_crypto::batch` and
-    /// the `kernels` bench). The epoch-settlement win is transfer
+    /// fails [`Token::verify`]), and at `e = 65537` it was also slower
+    /// than cached individual verification. The epoch-settlement win is transfer
     /// netting ([`Bank::apply_epoch_net`]), not the signature check.
     pub fn deposit_batch(
         &mut self,

@@ -10,7 +10,7 @@
 //! submitted in one call at the boundary ([`Bank::deposit_batch`]), where
 //! each signature is verified individually and strictly — the
 //! small-exponents combined equation is unsound over `(Z/n)*` and slower
-//! at `e = 65537` besides (see `idpa_crypto::batch`); netting, not the
+//! at `e = 65537` besides; netting, not the
 //! signature check, is where epoch settlement wins.
 //!
 //! The incentive argument (Buragohain et al., PAPERS.md): aggregation

@@ -99,13 +99,13 @@ fn fuzz_evidence(rng: &mut Xoshiro256StarStar, connection: u32) -> ConnectionEvi
         .collect();
 
     // Receipt-level mutations, each applied with seeded probability.
-    for i in 0..receipts.len() {
+    for receipt in &mut receipts {
         match rng.next() % 12 {
-            0 => receipts[i].mac[(rng.next() % 32) as usize] ^= 1 << (rng.next() % 8),
-            1 => receipts[i].hop = (rng.next() % 10) as u32,
-            2 => receipts[i].forwarder = account(rng.next() % 50),
-            3 => receipts[i].bundle_id = rng.next() % 100,
-            4 => receipts[i].connection = (rng.next() % 8) as u32,
+            0 => receipt.mac[(rng.next() % 32) as usize] ^= 1 << (rng.next() % 8),
+            1 => receipt.hop = (rng.next() % 10) as u32,
+            2 => receipt.forwarder = account(rng.next() % 50),
+            3 => receipt.bundle_id = rng.next() % 100,
+            4 => receipt.connection = (rng.next() % 8) as u32,
             _ => {}
         }
     }
@@ -147,11 +147,11 @@ fn fuzz_evidence(rng: &mut Xoshiro256StarStar, connection: u32) -> ConnectionEvi
         2 => Some(genuine),
         _ => {
             let mut obs = genuine;
-            if !obs.is_empty() && rng.next() % 2 == 0 {
+            if !obs.is_empty() && rng.next().is_multiple_of(2) {
                 let at = (rng.next() as usize) % obs.len();
                 obs[at] = account(rng.next() % 50);
             }
-            if rng.next() % 3 == 0 {
+            if rng.next().is_multiple_of(3) {
                 obs.truncate(obs.len().saturating_sub(1));
             }
             Some(obs)

@@ -19,7 +19,7 @@ use idpa_game::forwarding::{dominance_threshold, participation_threshold, Forwar
 use crate::chart::{cdf_chart, line_chart, Series};
 use crate::report::{fmt_ci, Table};
 use crate::runner::{RunResult, SimulationRun};
-use crate::scenario::{BankDurability, NodeLifecycle, ProbeMode, ScenarioConfig, SettlementMode};
+use crate::scenario::ScenarioConfig;
 
 /// Options shared by all experiments.
 #[derive(Debug, Clone)]
@@ -34,41 +34,10 @@ pub struct Options {
     /// overridable with `IDPA_THREADS`). Results are identical at any
     /// value — only wall-clock time changes.
     pub threads: usize,
-    /// Probe advancement mode (`--probe-mode`); lazy and eager are
-    /// bit-identical under the default per-node probe RNG.
-    pub probe_mode: ProbeMode,
-    /// Fault injection applied to every run (`--fault-*`; all-zero rates =
-    /// off, in which case runs are bit-identical to a fault-free build).
-    pub fault: FaultConfig,
-    /// History-arena shard count (`--history-shards`; 0 = one shard per
-    /// worker thread). Results are identical at any value — sharding
-    /// partitions storage without changing record order.
-    pub history_shards: usize,
-    /// `w_r`, the reputation weight of the adaptive quality model
-    /// (`--reputation-weight`; 0 = the paper's two-term model,
-    /// bit-identical to a build without the reputation layer). When
-    /// positive, `w_s` and `w_a` split the remaining `1 - w_r` evenly.
-    pub reputation_weight: f64,
-    /// Node-state allocation (`--node-lifecycle`): eager (the default,
-    /// byte-identical to builds without the lifecycle layer) or lazy
-    /// (bit-identical results, resident memory bounded by active traffic).
-    pub node_lifecycle: NodeLifecycle,
-    /// Payment settlement mode (`--settlement`): per bundle after the
-    /// horizon (the default, byte-identical to builds without the epoch
-    /// layer) or batched at epoch boundaries (identical economics,
-    /// amortized bank operations).
-    pub settlement: SettlementMode,
-    /// Epoch length in minutes under epoch settlement (`--epoch-length`).
-    pub epoch_length: f64,
-    /// Bank durability (`--bank-durability`): off (the default,
-    /// byte-identical to builds without the durable-bank layer) or a
-    /// write-ahead-logged ledger with a warm failover replica and the
-    /// runtime invariant monitor.
-    pub bank_durability: BankDurability,
-    /// Adversary strategy classes applied to every run (`--adversary-*`;
-    /// all-zero rates = off, in which case runs are byte-identical to a
-    /// build without the adversary layer).
-    pub adversary: AdversaryConfig,
+    /// The scenario every sweep point starts from: the paper defaults plus
+    /// the mode, fault and adversary flags (see [`crate::cli`]). Each
+    /// experiment overrides its own axis and the replication seed.
+    pub scenario: ScenarioConfig,
 }
 
 impl Default for Options {
@@ -76,51 +45,32 @@ impl Default for Options {
         Options {
             reps: 10,
             quick: false,
-            out_dir: PathBuf::from("results"),
+            out_dir: PathBuf::from("target/results"),
             threads: 0,
-            probe_mode: ProbeMode::Lazy,
-            fault: FaultConfig::default(),
-            history_shards: 0,
-            reputation_weight: 0.0,
-            node_lifecycle: NodeLifecycle::Eager,
-            settlement: SettlementMode::PerBundle,
-            epoch_length: 240.0,
-            bank_durability: BankDurability::Off,
-            adversary: AdversaryConfig::default(),
+            scenario: ScenarioConfig::default(),
         }
     }
 }
 
 impl Options {
-    fn base_config(&self, seed: u64) -> ScenarioConfig {
+    /// The scenario of replication `seed`: [`Options::scenario`], shrunk to
+    /// the quick tier under `quick`.
+    #[must_use]
+    pub(crate) fn base_config(&self, seed: u64) -> ScenarioConfig {
         let base = if self.quick {
-            ScenarioConfig::quick_test(seed)
+            self.scenario.quick()
         } else {
-            ScenarioConfig {
-                seed,
-                ..ScenarioConfig::default()
-            }
+            self.scenario
         };
-        ScenarioConfig {
-            probe_mode: self.probe_mode,
-            fault: self.fault,
-            history_shards: self.history_shards,
-            weights: Options::split_weights(self.reputation_weight),
-            reputation_weight: self.reputation_weight,
-            node_lifecycle: self.node_lifecycle,
-            settlement: self.settlement,
-            epoch_length: self.epoch_length,
-            bank_durability: self.bank_durability,
-            adversary: self.adversary,
-            ..base
-        }
+        ScenarioConfig { seed, ..base }
     }
+}
 
-    /// `(w_s, w_a)` for a given `w_r`: the remaining mass split evenly, so
-    /// `w_r = 0` reproduces the paper's `(0.5, 0.5)` exactly.
-    fn split_weights(wr: f64) -> (f64, f64) {
-        ((1.0 - wr) / 2.0, (1.0 - wr) / 2.0)
-    }
+/// `(w_s, w_a)` for a given `w_r`: the remaining mass split evenly, so
+/// `w_r = 0` reproduces the paper's `(0.5, 0.5)` exactly.
+#[must_use]
+pub(crate) fn split_weights(wr: f64) -> (f64, f64) {
+    ((1.0 - wr) / 2.0, (1.0 - wr) / 2.0)
 }
 
 /// The model II configuration used throughout the experiments (lookahead 2
@@ -941,7 +891,7 @@ pub fn fault_degradation(opts: &Options) -> String {
     for drop_rate in drop_rates {
         let fault = FaultConfig {
             drop_rate,
-            ..opts.fault
+            ..opts.scenario.fault
         };
         for (si, (label, strategy)) in strategies.iter().enumerate() {
             let results = replicate(opts, |seed| ScenarioConfig {
@@ -986,8 +936,8 @@ pub fn fault_degradation(opts: &Options) -> String {
 /// (defaulting to 0.2 when unset); the static arm is the exact PR 4
 /// baseline. Any `--fault-*` options replace the default background.
 pub fn fault_adaptation(opts: &Options) -> String {
-    let background = if opts.fault.is_active() {
-        opts.fault
+    let background = if opts.scenario.fault.is_active() {
+        opts.scenario.fault
     } else {
         FaultConfig {
             crash_rate: 0.05,
@@ -995,8 +945,8 @@ pub fn fault_adaptation(opts: &Options) -> String {
             ..FaultConfig::default()
         }
     };
-    let wr = if opts.reputation_weight > 0.0 {
-        opts.reputation_weight
+    let wr = if opts.scenario.reputation_weight > 0.0 {
+        opts.scenario.reputation_weight
     } else {
         0.2
     };
@@ -1022,7 +972,7 @@ pub fn fault_adaptation(opts: &Options) -> String {
             };
             let results = replicate(opts, |seed| ScenarioConfig {
                 fault,
-                weights: Options::split_weights(*arm_wr),
+                weights: split_weights(*arm_wr),
                 reputation_weight: *arm_wr,
                 good_strategy: model_two(),
                 ..opts.base_config(seed)
@@ -1146,7 +1096,7 @@ pub fn adversary_zoo(opts: &Options) -> String {
         };
         let fault = FaultConfig {
             response,
-            ..opts.fault
+            ..opts.scenario.fault
         };
         let results = replicate(opts, |seed| ScenarioConfig {
             adversary,
@@ -1183,13 +1133,13 @@ pub fn adversary_zoo(opts: &Options) -> String {
         let fault = FaultConfig {
             drop_rate: 0.2,
             response: FaultResponse::Adaptive,
-            ..opts.fault
+            ..opts.scenario.fault
         };
         let wr = 0.5;
         let results = replicate(opts, |seed| ScenarioConfig {
             adversary,
             fault,
-            weights: Options::split_weights(wr),
+            weights: split_weights(wr),
             reputation_weight: wr,
             good_strategy: model_two(),
             ..opts.base_config(seed)

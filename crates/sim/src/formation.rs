@@ -329,91 +329,9 @@ impl<'w> FormationCtx<'w> {
     }
 }
 
-/// The pre-sharding formation pathway, reproduced exactly: connections
-/// are formed **one at a time in global transmission-time order** — the
-/// event-loop runner's order, interleaving every pair on one timeline —
-/// against the flat `Vec<HistoryProfile>`. This is the baseline the
-/// `history_shard` bench compares the sharded executor against: same
-/// storage, same access pattern, same schedule the system used before
-/// bundle-grouped formation existed.
-///
-/// Interleaving does not change any formed path (each connection depends
-/// only on its own bundle's earlier connections and its pair's private
-/// RNG stream, both of which are ordered within the pair), but it does
-/// destroy locality: consecutive connections belong to different pairs in
-/// different regions of the overlay, so each one re-touches a cold slice
-/// of the 10k-profile vector and its heap-scattered per-bundle indexes.
-#[must_use]
-pub fn form_bundles_interleaved(
-    world: &World,
-    cfg: &ScenarioConfig,
-    histories: &mut Vec<HistoryProfile>,
-) -> Vec<PairFormation> {
-    let ctx = FormationCtx::new(world, cfg);
-    let mut scratch = RouteScratch::new();
-
-    // The runner's event order: every (pair, connection) on one timeline,
-    // ascending by scheduled time. Workload times are ascending within a
-    // pair, so per-pair connection order (and thus RNG stream position
-    // and `priors`) is preserved under the sort.
-    let mut events: Vec<(f64, usize, u32)> = world
-        .pairs
-        .iter()
-        .enumerate()
-        .flat_map(|(pair, wl)| {
-            wl.times
-                .iter()
-                .enumerate()
-                .map(move |(conn, &t)| (t, pair, conn as u32))
-        })
-        .collect();
-    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-
-    let mut rngs: Vec<_> = (0..world.pairs.len())
-        .map(|p| ctx.streams.stream_indexed2("formation/path", p as u64, 0))
-        .collect();
-    let mut outcomes: Vec<Vec<PathOutcome>> = world
-        .pairs
-        .iter()
-        .map(|wl| Vec::with_capacity(wl.times.len()))
-        .collect();
-    let mut view = FormationView::new(world, &ctx.avail);
-    let cell = RefCell::new(histories);
-    for (t, pair, conn) in events {
-        let wl = &world.pairs[pair];
-        let bundle = BundleId(pair as u64);
-        let contract = Contract::from_tau(bundle, wl.responder, wl.pf, cfg.tau);
-        view.set_now(t);
-        let reads = CellReads { cell: &cell };
-        let pending = form_connection_pending(
-            &mut scratch,
-            wl.initiator,
-            &contract,
-            conn,
-            &view,
-            &reads,
-            &world.kinds,
-            &ctx.quality,
-            cfg.good_strategy,
-            cfg.adversary_strategy,
-            &cfg.policy,
-            &mut rngs[pair],
-        );
-        pending.commit(bundle, conn, &mut **cell.borrow_mut());
-        outcomes[pair].push(pending.into_outcome());
-    }
-    outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(pair, outcomes)| PairFormation { pair, outcomes })
-        .collect()
-}
-
 /// Sequential pair-grouped formation against a flat `Vec<HistoryProfile>`
-/// — the pre-sharding storage layout with the new bundle-at-a-time
-/// schedule. Sits between [`form_bundles_interleaved`] (old schedule, old
-/// storage) and [`form_bundles_sharded`] (new schedule, sharded storage),
-/// isolating how much of the executor's win comes from grouping alone.
+/// — the single-threaded reference [`form_bundles_sharded`] must
+/// reproduce bit-for-bit at every shard and thread count.
 #[must_use]
 pub fn form_bundles_global(
     world: &World,

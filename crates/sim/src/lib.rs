@@ -8,6 +8,8 @@
 //! sizes, payoff CDFs and routing efficiency.
 //!
 //! * [`scenario`] — configuration mirroring the paper's §3 parameters;
+//! * [`cli`] — the one scenario-flag parser both `idpa-sim` subcommands
+//!   share;
 //! * [`error`] — typed scenario/driver errors ([`SimError`]);
 //! * [`world`] — the sampled static world (topology, churn trace, costs,
 //!   roles, workload);
@@ -32,6 +34,7 @@
 #![deny(clippy::unwrap_used)]
 
 pub mod chart;
+pub mod cli;
 pub(crate) mod durability;
 pub mod error;
 pub mod experiments;
@@ -47,14 +50,14 @@ pub mod world;
 
 pub use error::SimError;
 pub use formation::{
-    form_bundles, form_bundles_global, form_bundles_interleaved, form_bundles_items,
-    form_bundles_sharded, partition_pairs, partition_pairs_balanced, FormationItem, PairFormation,
+    form_bundles, form_bundles_global, form_bundles_items, form_bundles_sharded, partition_pairs,
+    partition_pairs_balanced, FormationItem, PairFormation,
 };
 pub use idpa_desim::{AdversaryConfig, AdversaryPlan, FaultConfig, FaultResponse};
 pub use runner::{RunResult, SimulationRun};
 pub use scenario::{
-    BankDurability, CostStorage, NodeLifecycle, ProbeMode, ProbeRngMode, ScenarioConfig,
-    SettlementMode, WorkloadMode,
+    BankDurability, CostStorage, NodeLifecycle, ProbeMode, ScenarioConfig, SettlementMode,
+    WorkloadMode,
 };
 pub use service::{run_service, ServiceOptions};
 pub use slab::{NodeSlab, ReputationStore};

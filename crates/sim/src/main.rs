@@ -2,302 +2,61 @@
 //!
 //! ```text
 //! idpa-sim [EXPERIMENT ...] [--reps N] [--threads N] [--quick] [--out DIR] [--list]
-//!          [--fault-crash P] [--fault-drop P] [--fault-delay P] [--fault-cheat F]
-//!          [--fault-bank-downtime F] [--fault-retries N] [--fault-timeout MIN]
-//!          [--fault-response static|adaptive] [--reputation-weight W]
-//!          [--settlement per-bundle|epoch] [--epoch-length MIN]
-//!          [--bank-durability off|wal] [--fault-bank-crash P]
-//!          [--fault-bank-crash-torn F]
-//!          [--adversary-free-riders F] [--adversary-whitewash F]
-//!          [--adversary-whitewash-interval MIN] [--adversary-cliques N]
-//!          [--adversary-clique-size K] [--adversary-forge-rate P]
-//!          [--adversary-age-discount] [--adversary-maturity MIN]
-//!          [--adversary-cross-check]
+//!          [SCENARIO FLAGS]
+//! idpa-sim service [--seed N] [--quick] [SERVICE FLAGS] [SCENARIO FLAGS]
+//! idpa-sim trace-export [SEED]
 //! ```
 //!
 //! With no experiment names, runs everything in the registry. Markdown
-//! goes to stdout; per-experiment CSVs to the output directory.
+//! goes to stdout; per-experiment CSVs to the output directory
+//! (`target/results` unless `--out` says otherwise).
 //!
 //! `idpa-sim service [FLAGS]` runs one scenario as a crash-safe service
 //! instead: open or closed workload, periodic checkpoints, deterministic
 //! resume and graceful wall-clock shutdown (see `idpa-sim service --help`).
+//!
+//! Both subcommands parse the scenario flags (modes, `--fault-*`,
+//! `--adversary-*`, ...) with the same [`idpa_sim::cli::scenario_flag`].
 
 use std::process::ExitCode;
 
-use idpa_sim::experiments::{registry, Experiment, Options};
-use idpa_sim::{run_service, ServiceOptions};
+use idpa_sim::cli::{parse_experiment_args, parse_service_args, SCENARIO_FLAGS_HELP};
+use idpa_sim::experiments::{registry, Experiment};
+use idpa_sim::run_service;
 
-/// Parses the next argument as the value of a `--fault-*` flag.
-fn fault_value(flag: &str, next: Option<&String>) -> Result<f64, ExitCode> {
-    match next.and_then(|s| s.parse::<f64>().ok()) {
-        Some(v) if v.is_finite() => Ok(v),
-        _ => {
-            eprintln!("{flag} needs a finite number");
-            Err(ExitCode::FAILURE)
-        }
-    }
+fn wants_help(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--help" || a == "-h")
 }
 
 /// `idpa-sim service`: run one scenario as a crash-safe service.
-#[allow(clippy::too_many_lines)] // one linear flag loop, mirrors main()
 fn service_main(args: &[String]) -> ExitCode {
-    let mut seed = 1u64;
+    if wants_help(args) {
+        println!(
+            "usage: idpa-sim service [--seed N] [--quick] [--snapshot-every MIN] \
+             [--snapshot-path P]\n\
+             \u{20}                       [--resume P] [--max-wall-secs S] [SCENARIO FLAGS]\n\n  \
+             --seed N                      master seed (default 1)\n  \
+             --quick                       quick tier: 20 nodes, 20 pairs, 200 transmissions\n  \
+             --snapshot-every MIN          checkpoint every MIN simulated minutes\n  \
+             --snapshot-path P             checkpoint file (written atomically)\n  \
+             --resume P                    resume from a checkpoint (same scenario flags!)\n  \
+             --max-wall-secs S             graceful shutdown: stop, checkpoint, report\n  \
+             \u{20}                             partial aggregates with interrupted=true\n\n\
+             {SCENARIO_FLAGS_HELP}"
+        );
+        return ExitCode::SUCCESS;
+    }
     // `IDPA_SVC_SMOKE=1` forces the quick tier — the verify.sh service
     // smoke stage sets it so CI can't accidentally launch a paper-scale
     // service run.
-    let mut quick = std::env::var("IDPA_SVC_SMOKE").is_ok_and(|v| v == "1");
-    let mut cfg_mut: Vec<Box<dyn FnOnce(&mut idpa_sim::ScenarioConfig)>> = Vec::new();
-    let mut svc = ServiceOptions::default();
-
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--seed needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                seed = v;
-            }
-            "--quick" => quick = true,
-            "--workload" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("closed") => idpa_sim::WorkloadMode::Closed,
-                    Some("open") => idpa_sim::WorkloadMode::Open,
-                    _ => {
-                        eprintln!("--workload needs 'closed' or 'open'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.workload = mode));
-            }
-            "--open-arrival-rate"
-            | "--window-len"
-            | "--window-warmup"
-            | "--epoch-length"
-            | "--reputation-weight" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let flag = arg.clone();
-                cfg_mut.push(Box::new(move |c| match flag.as_str() {
-                    "--open-arrival-rate" => c.open_arrival_rate = v,
-                    "--window-len" => c.window_len = v,
-                    "--window-warmup" => c.window_warmup = v,
-                    "--epoch-length" => c.epoch_length = v,
-                    _ => c.reputation_weight = v,
-                }));
-            }
-            "--probe-mode" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("eager") => idpa_sim::ProbeMode::Eager,
-                    Some("lazy") => idpa_sim::ProbeMode::Lazy,
-                    _ => {
-                        eprintln!("--probe-mode needs 'eager' or 'lazy'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.probe_mode = mode));
-            }
-            "--node-lifecycle" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("eager") => idpa_sim::NodeLifecycle::Eager,
-                    Some("lazy") => idpa_sim::NodeLifecycle::Lazy,
-                    _ => {
-                        eprintln!("--node-lifecycle needs 'eager' or 'lazy'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.node_lifecycle = mode));
-            }
-            "--settlement" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("per-bundle") => idpa_sim::SettlementMode::PerBundle,
-                    Some("epoch") => idpa_sim::SettlementMode::Epoch,
-                    _ => {
-                        eprintln!("--settlement needs 'per-bundle' or 'epoch'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.settlement = mode));
-            }
-            "--bank-durability" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("off") => idpa_sim::BankDurability::Off,
-                    Some("wal") => idpa_sim::BankDurability::Wal,
-                    _ => {
-                        eprintln!("--bank-durability needs 'off' or 'wal'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.bank_durability = mode));
-            }
-            "--history-shards" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--history-shards needs a non-negative integer (0 = auto)");
-                    return ExitCode::FAILURE;
-                };
-                cfg_mut.push(Box::new(move |c: &mut idpa_sim::ScenarioConfig| {
-                    c.history_shards = v;
-                }));
-            }
-            "--fault-crash"
-            | "--fault-drop"
-            | "--fault-delay"
-            | "--fault-delay-mean"
-            | "--fault-cheat"
-            | "--fault-cheat-corrupt-share"
-            | "--fault-bank-downtime"
-            | "--fault-bank-outage-mean"
-            | "--fault-bank-crash"
-            | "--fault-bank-crash-torn"
-            | "--fault-timeout" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let flag = arg.clone();
-                cfg_mut.push(Box::new(move |c| match flag.as_str() {
-                    "--fault-crash" => c.fault.crash_rate = v,
-                    "--fault-drop" => c.fault.drop_rate = v,
-                    "--fault-delay" => c.fault.delay_rate = v,
-                    "--fault-delay-mean" => c.fault.delay_mean = v,
-                    "--fault-cheat" => c.fault.cheat_fraction = v,
-                    "--fault-cheat-corrupt-share" => c.fault.cheat_corrupt_share = v,
-                    "--fault-bank-downtime" => c.fault.bank_downtime = v,
-                    "--fault-bank-outage-mean" => c.fault.bank_outage_mean = v,
-                    "--fault-bank-crash" => c.fault.bank_crash_rate = v,
-                    "--fault-bank-crash-torn" => c.fault.bank_crash_torn_share = v,
-                    _ => c.fault.retry_timeout = v,
-                }));
-            }
-            "--fault-response" => {
-                let mode = match iter.next().map(String::as_str) {
-                    Some("static") => idpa_sim::FaultResponse::Static,
-                    Some("adaptive") => idpa_sim::FaultResponse::Adaptive,
-                    _ => {
-                        eprintln!("--fault-response needs 'static' or 'adaptive'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                cfg_mut.push(Box::new(move |c| c.fault.response = mode));
-            }
-            "--adversary-free-riders"
-            | "--adversary-whitewash"
-            | "--adversary-whitewash-interval"
-            | "--adversary-forge-rate"
-            | "--adversary-maturity" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let flag = arg.clone();
-                cfg_mut.push(Box::new(move |c| match flag.as_str() {
-                    "--adversary-free-riders" => c.adversary.free_rider_fraction = v,
-                    "--adversary-whitewash" => c.adversary.whitewash_fraction = v,
-                    "--adversary-whitewash-interval" => c.adversary.whitewash_interval = v,
-                    "--adversary-forge-rate" => c.adversary.clique_forge_rate = v,
-                    _ => c.adversary.reputation_maturity = v,
-                }));
-            }
-            "--adversary-cliques" | "--adversary-clique-size" => {
-                let Some(v) = iter.next().and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("{arg} needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                let flag = arg.clone();
-                cfg_mut.push(Box::new(move |c| match flag.as_str() {
-                    "--adversary-cliques" => c.adversary.clique_count = v,
-                    _ => c.adversary.clique_size = v,
-                }));
-            }
-            "--adversary-age-discount" => {
-                cfg_mut.push(Box::new(|c| c.adversary.whitewash_age_discount = true));
-            }
-            "--adversary-cross-check" => {
-                cfg_mut.push(Box::new(|c| c.adversary.clique_cross_check = true));
-            }
-            "--fault-retries" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--fault-retries needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                cfg_mut.push(Box::new(move |c: &mut idpa_sim::ScenarioConfig| {
-                    c.fault.max_retries = v;
-                }));
-            }
-            "--snapshot-every" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                svc.snapshot_every = Some(v);
-            }
-            "--snapshot-path" => {
-                let Some(v) = iter.next() else {
-                    eprintln!("--snapshot-path needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                svc.snapshot_path = Some(v.into());
-            }
-            "--resume" => {
-                let Some(v) = iter.next() else {
-                    eprintln!("--resume needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                svc.resume = Some(v.into());
-            }
-            "--max-wall-secs" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--max-wall-secs needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                svc.max_wall_secs = Some(v);
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: idpa-sim service [--seed N] [--quick] \
-                     [--workload closed|open] [--open-arrival-rate R]\n\
-                     \u{20}       [--window-len MIN] [--window-warmup MIN] \
-                     [--snapshot-every MIN] [--snapshot-path P]\n\
-                     \u{20}       [--resume P] [--max-wall-secs S] [MODE + FAULT FLAGS]\n\n  \
-                     --workload MODE         'closed' (the paper's fixed 2000-transmission\n  \
-                     \u{20}                       schedule, the default) or 'open' (Poisson\n  \
-                     \u{20}                       connection-request arrivals per pair)\n  \
-                     --open-arrival-rate R   per-pair arrival rate, requests per minute\n  \
-                     --window-len MIN        steady-state metric window length (0 = off)\n  \
-                     --window-warmup MIN     start-up transient trimmed before window 0\n  \
-                     --snapshot-every MIN    checkpoint every MIN simulated minutes\n  \
-                     --snapshot-path P       checkpoint file (written atomically)\n  \
-                     --resume P              resume from a checkpoint (same scenario flags!)\n  \
-                     --max-wall-secs S       graceful shutdown: stop, checkpoint, report\n  \
-                     \u{20}                       partial aggregates with interrupted=true\n\n\
-                     mode + fault flags are the experiment runner's: --probe-mode,\n\
-                     --node-lifecycle, --settlement, --epoch-length, --bank-durability,\n\
-                     --history-shards, --reputation-weight and every --fault-* and\n\
-                     --adversary-* flag"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown service flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let mut cfg = if quick {
-        idpa_sim::ScenarioConfig::quick_test(seed)
-    } else {
-        idpa_sim::ScenarioConfig {
-            seed,
-            ..idpa_sim::ScenarioConfig::default()
+    let smoke = std::env::var("IDPA_SVC_SMOKE").is_ok_and(|v| v == "1");
+    let (cfg, svc) = match parse_service_args(args, smoke) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     };
-    for f in cfg_mut {
-        f(&mut cfg);
-    }
 
     let started = std::time::Instant::now();
     let result = match run_service(cfg, &svc) {
@@ -308,7 +67,7 @@ fn service_main(args: &[String]) -> ExitCode {
         }
     };
 
-    println!("# idpa-sim service run (seed = {seed})\n");
+    println!("# idpa-sim service run (seed = {})\n", cfg.seed);
     println!("- simulated connections: {}", result.connections);
     println!("- delivery ratio: {:.4}", result.delivery_ratio);
     println!("- avg good payoff: {:.3}", result.avg_good_payoff);
@@ -366,279 +125,45 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("service") {
         return service_main(&args[1..]);
     }
-    let mut opts = Options::default();
-    let mut selected: Vec<String> = Vec::new();
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--list" => {
-                for (name, _) in registry() {
-                    println!("{name}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--quick" => opts.quick = true,
-            "--reps" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--reps needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                opts.reps = v;
-            }
-            "--threads" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--threads needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                opts.threads = v;
-            }
-            "--out" => {
-                let Some(v) = iter.next() else {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                opts.out_dir = v.into();
-            }
-            "--history-shards" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--history-shards needs a non-negative integer (0 = auto)");
-                    return ExitCode::FAILURE;
-                };
-                opts.history_shards = v;
-            }
-            "--probe-mode" => {
-                opts.probe_mode = match iter.next().map(String::as_str) {
-                    Some("eager") => idpa_sim::ProbeMode::Eager,
-                    Some("lazy") => idpa_sim::ProbeMode::Lazy,
-                    _ => {
-                        eprintln!("--probe-mode needs 'eager' or 'lazy'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--node-lifecycle" => {
-                opts.node_lifecycle = match iter.next().map(String::as_str) {
-                    Some("eager") => idpa_sim::NodeLifecycle::Eager,
-                    Some("lazy") => idpa_sim::NodeLifecycle::Lazy,
-                    _ => {
-                        eprintln!("--node-lifecycle needs 'eager' or 'lazy'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--settlement" => {
-                opts.settlement = match iter.next().map(String::as_str) {
-                    Some("per-bundle") => idpa_sim::SettlementMode::PerBundle,
-                    Some("epoch") => idpa_sim::SettlementMode::Epoch,
-                    _ => {
-                        eprintln!("--settlement needs 'per-bundle' or 'epoch'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--epoch-length" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                if v <= 0.0 {
-                    eprintln!("--epoch-length must be positive (minutes)");
-                    return ExitCode::FAILURE;
-                }
-                opts.epoch_length = v;
-            }
-            "--bank-durability" => {
-                opts.bank_durability = match iter.next().map(String::as_str) {
-                    Some("off") => idpa_sim::BankDurability::Off,
-                    Some("wal") => idpa_sim::BankDurability::Wal,
-                    _ => {
-                        eprintln!("--bank-durability needs 'off' or 'wal'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--fault-crash"
-            | "--fault-drop"
-            | "--fault-delay"
-            | "--fault-delay-mean"
-            | "--fault-cheat"
-            | "--fault-cheat-corrupt-share"
-            | "--fault-bank-downtime"
-            | "--fault-bank-outage-mean"
-            | "--fault-bank-crash"
-            | "--fault-bank-crash-torn"
-            | "--fault-timeout" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let f = &mut opts.fault;
-                match arg.as_str() {
-                    "--fault-crash" => f.crash_rate = v,
-                    "--fault-drop" => f.drop_rate = v,
-                    "--fault-delay" => f.delay_rate = v,
-                    "--fault-delay-mean" => f.delay_mean = v,
-                    "--fault-cheat" => f.cheat_fraction = v,
-                    "--fault-cheat-corrupt-share" => f.cheat_corrupt_share = v,
-                    "--fault-bank-downtime" => f.bank_downtime = v,
-                    "--fault-bank-outage-mean" => f.bank_outage_mean = v,
-                    "--fault-bank-crash" => f.bank_crash_rate = v,
-                    "--fault-bank-crash-torn" => f.bank_crash_torn_share = v,
-                    _ => f.retry_timeout = v,
-                }
-            }
-            "--fault-response" => {
-                opts.fault.response = match iter.next().map(String::as_str) {
-                    Some("static") => idpa_sim::FaultResponse::Static,
-                    Some("adaptive") => idpa_sim::FaultResponse::Adaptive,
-                    _ => {
-                        eprintln!("--fault-response needs 'static' or 'adaptive'");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--reputation-weight" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                if !(0.0..=1.0).contains(&v) {
-                    eprintln!("--reputation-weight must be in [0, 1]");
-                    return ExitCode::FAILURE;
-                }
-                opts.reputation_weight = v;
-            }
-            "--fault-retries" => {
-                let Some(v) = iter.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("--fault-retries needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                opts.fault.max_retries = v;
-            }
-            "--adversary-free-riders"
-            | "--adversary-whitewash"
-            | "--adversary-whitewash-interval"
-            | "--adversary-forge-rate"
-            | "--adversary-maturity" => {
-                let v = match fault_value(arg, iter.next()) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let a = &mut opts.adversary;
-                match arg.as_str() {
-                    "--adversary-free-riders" => a.free_rider_fraction = v,
-                    "--adversary-whitewash" => a.whitewash_fraction = v,
-                    "--adversary-whitewash-interval" => a.whitewash_interval = v,
-                    "--adversary-forge-rate" => a.clique_forge_rate = v,
-                    _ => a.reputation_maturity = v,
-                }
-            }
-            "--adversary-cliques" | "--adversary-clique-size" => {
-                let Some(v) = iter.next().and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("{arg} needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                match arg.as_str() {
-                    "--adversary-cliques" => opts.adversary.clique_count = v,
-                    _ => opts.adversary.clique_size = v,
-                }
-            }
-            "--adversary-age-discount" => opts.adversary.whitewash_age_discount = true,
-            "--adversary-cross-check" => opts.adversary.clique_cross_check = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: idpa-sim [EXPERIMENT ...] [--reps N] [--threads N] [--quick] \
-                     [--probe-mode eager|lazy] [--node-lifecycle eager|lazy] \
-                     [--history-shards N] [--out DIR] [--list] \
-                     [FAULT FLAGS]\n\n\
-                     --history-shards N            history-arena shard count (0 = one per\n\
-                     \u{20}                             worker thread; results identical at any N)\n  \
-                     --node-lifecycle MODE         'eager' (all N nodes allocated up front,\n  \
-                     \u{20}                             the default) or 'lazy' (state materializes\n  \
-                     \u{20}                             on first touch, evicts when idle;\n  \
-                     \u{20}                             bit-identical results, bounded memory)\n  \
-                     --settlement MODE             'per-bundle' (each bundle settles alone,\n  \
-                     \u{20}                             the default) or 'epoch' (payouts netted and\n  \
-                     \u{20}                             deposits batched at epoch boundaries;\n  \
-                     \u{20}                             identical economics, amortized bank load).\n  \
-                     \u{20}                             Takes effect only with fault injection\n  \
-                     \u{20}                             active (the settlement layer rides on the\n  \
-                     \u{20}                             evidence layer); otherwise a warned no-op\n  \
-                     --epoch-length MIN            epoch length for '--settlement epoch'\n  \
-                     --bank-durability MODE        'off' (the default) or 'wal' (write-ahead\n  \
-                     \u{20}                             ledger log, torn-write crash recovery,\n  \
-                     \u{20}                             warm failover replica and the runtime\n  \
-                     \u{20}                             invariant monitor)\n\n\
-                     fault injection (all rates default to 0 = off; any nonzero rate\n\
-                     activates the deterministic fault plan):\n  \
-                     --fault-crash P               per-hop forwarder crash probability\n  \
-                     --fault-drop P                per-edge message drop probability\n  \
-                     --fault-delay P               per-edge extra-delay probability\n  \
-                     --fault-delay-mean MIN        mean of the injected edge delay\n  \
-                     --fault-cheat F               fraction of nodes that cheat on confirmations\n  \
-                     --fault-cheat-corrupt-share S share of cheats that corrupt (vs drop) receipts\n  \
-                     --fault-bank-downtime F       long-run fraction of time the bank is down\n  \
-                     --fault-bank-outage-mean MIN  mean length of one bank outage\n  \
-                     --fault-bank-crash P          per-flush bank crash probability (kills the\n  \
-                     \u{20}                             primary mid-epoch; needs --bank-durability\n  \
-                     \u{20}                             wal, the warm replica takes over)\n  \
-                     --fault-bank-crash-torn F     share of bank crashes that tear the final\n  \
-                     \u{20}                             WAL record (partial write, discarded by\n  \
-                     \u{20}                             recovery)\n  \
-                     --fault-retries N             max retransmission attempts per message\n  \
-                     --fault-timeout MIN           base retry timeout (exponential backoff)\n  \
-                     --fault-response MODE         'static' (baseline retry protocol) or\n  \
-                     \u{20}                             'adaptive' (reputation-driven suppression,\n  \
-                     \u{20}                             probe invalidation, escalated reformation)\n  \
-                     --reputation-weight W         w_r of the adaptive quality model\n  \
-                     \u{20}                             q = w_s*sigma + w_a*alpha + w_r*rho\n  \
-                     \u{20}                             (0 = the paper's two-term model)\n\n\
-                     adversary strategy classes (all rates default to 0 = off; any\n\
-                     nonzero rate activates the deterministic adversary plan):\n  \
-                     --adversary-free-riders F     fraction of nodes that ghost forwarding duty\n  \
-                     --adversary-whitewash F       fraction of nodes that shed their identity\n  \
-                     --adversary-whitewash-interval MIN  mean minutes between rejoins\n  \
-                     --adversary-cliques N         number of colluding cliques\n  \
-                     --adversary-clique-size K     members per clique (>= 2)\n  \
-                     --adversary-forge-rate P      per-connection phantom-forge probability\n  \
-                     --adversary-age-discount      defense: identity-age reputation discount\n  \
-                     --adversary-maturity MIN      minutes to full weight under the discount\n  \
-                     --adversary-cross-check       defense: initiator cross-confirmation of\n  \
-                     \u{20}                             manifest hops vs observed forwarders"
-                );
-                return ExitCode::SUCCESS;
-            }
-            name if !name.starts_with('-') => selected.push(name.to_string()),
-            other => {
-                eprintln!("unknown flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
 
-    if let Err(e) = opts.fault.validate() {
-        eprintln!("invalid fault configuration: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = opts.adversary.validate() {
-        eprintln!("invalid adversary configuration: {e}");
-        return ExitCode::FAILURE;
-    }
-    if opts.fault.bank_crash_rate > 0.0 && opts.bank_durability == idpa_sim::BankDurability::Off {
-        eprintln!(
-            "invalid fault configuration: --fault-bank-crash {} requires \
-             --bank-durability wal (a crash without a write-ahead log loses \
-             ledger state)",
-            opts.fault.bank_crash_rate
+    if wants_help(&args) {
+        println!(
+            "usage: idpa-sim [EXPERIMENT ...] [--reps N] [--threads N] [--quick] \
+             [--out DIR] [--list] [SCENARIO FLAGS]\n\
+             \u{20}      idpa-sim service [FLAGS]      (see idpa-sim service --help)\n\
+             \u{20}      idpa-sim trace-export [SEED]\n\n  \
+             --reps N                      replications per sweep point (default 10)\n  \
+             --threads N                   worker threads (0 = auto; results identical\n  \
+             \u{20}                             at any N)\n  \
+             --quick                       quick tier: 20 nodes, 20 pairs, 200 transmissions\n  \
+             --out DIR                     CSV directory (default target/results)\n  \
+             --list                        list the experiment names\n\n\
+             {SCENARIO_FLAGS_HELP}"
         );
-        return ExitCode::FAILURE;
+        return ExitCode::SUCCESS;
     }
+    if args.iter().any(|a| a == "--list") {
+        for (name, _) in registry() {
+            println!("{name}");
+        }
+        return ExitCode::SUCCESS;
+    }
+    let parsed = match parse_experiment_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let opts = parsed.opts;
 
     // The settlement layer rides on the fault/evidence layer; without any
     // fault rate there is no evidence to settle and epoch mode reports
     // all-zero settlement metrics. Warn rather than fail: all-zero rates
     // are a legitimate baseline in fingerprint comparisons.
-    if opts.settlement == idpa_sim::SettlementMode::Epoch && !opts.fault.is_active() {
+    if opts.scenario.settlement == idpa_sim::SettlementMode::Epoch
+        && !opts.scenario.fault.is_active()
+    {
         eprintln!(
             "warning: --settlement epoch has no effect without fault injection \
              (enable at least one --fault-* rate to activate the evidence and \
@@ -647,11 +172,11 @@ fn main() -> ExitCode {
     }
 
     let reg = registry();
-    let to_run: Vec<&(&str, Experiment)> = if selected.is_empty() {
+    let to_run: Vec<&(&str, Experiment)> = if parsed.selected.is_empty() {
         reg.iter().collect()
     } else {
         let mut picked = Vec::new();
-        for name in &selected {
+        for name in &parsed.selected {
             match reg.iter().find(|(n, _)| n == name) {
                 Some(entry) => picked.push(entry),
                 None => {

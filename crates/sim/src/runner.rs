@@ -49,8 +49,7 @@ use std::sync::Arc;
 
 use crate::durability::BankDurabilityState;
 use crate::scenario::{
-    BankDurability, NodeLifecycle, ProbeMode, ProbeRngMode, ScenarioConfig, SettlementMode,
-    WorkloadMode,
+    BankDurability, NodeLifecycle, ProbeMode, ScenarioConfig, SettlementMode, WorkloadMode,
 };
 use crate::slab::{NodeSlab, ReputationStore};
 use crate::window::WindowCollector;
@@ -282,11 +281,6 @@ pub struct RunResult {
     /// transfer-amortization factor epoch batching buys over per-bundle
     /// settlement (0.0 in per-bundle mode).
     pub epoch_netting_ratio: f64,
-    /// Receipts cleared per batched deposit call (structural batches of
-    /// up to 1024 individually verified deposits; 0.0 in per-bundle
-    /// mode). The field name predates the strict-verification fix and is
-    /// kept for CSV/report stability.
-    pub batch_verify_throughput: f64,
     /// Per-window `delivered / scheduled` under `--window-len` (empty when
     /// windowed collection is off). See [`crate::window::WindowCollector`].
     pub windowed_delivery_ratio: Vec<f64>,
@@ -542,19 +536,12 @@ pub struct SimulationRun {
     pub(crate) initiator_costs: Vec<f64>,
     quality: EdgeQuality,
     pub(crate) routing_rng: Xoshiro256StarStar,
-    /// The legacy shared probe stream (consumed only under
-    /// [`ProbeRngMode::SharedLegacy`]).
-    pub(crate) probe_rng: Xoshiro256StarStar,
-    /// Source of position-keyed probe draws under
-    /// [`ProbeRngMode::PerNode`].
+    /// Source of position-keyed draws: probe first sightings and
+    /// replacement candidates, arrival gaps and payment keys.
     streams: StreamFactory,
     pub(crate) connections: u64,
     /// Routing buffers and memo caches, reused across all transmissions.
     scratch: RouteScratch,
-    /// Scratch for legacy neighbor maintenance: stale-neighbor list and a
-    /// node-membership mask, reused across nodes and ticks.
-    stale_scratch: Vec<NodeId>,
-    member_mask: Vec<bool>,
     /// Crash overlay: node `v` is unroutable until `crashed_until[v]`.
     /// Empty when fault injection is off (the zero-overhead fast path).
     pub(crate) crashed_until: Vec<f64>,
@@ -682,12 +669,9 @@ impl SimulationRun {
             attacks: vec![IntersectionAttack::new(); n_pairs],
             initiator_costs: vec![0.0; n_pairs],
             routing_rng: streams.stream("routing"),
-            probe_rng: streams.stream("probing"),
             streams,
             connections: 0,
             scratch: RouteScratch::new(),
-            stale_scratch: Vec::new(),
-            member_mask: vec![false; cfg.n_nodes],
             crashed_until,
             fault,
             slab: (cfg.node_lifecycle == NodeLifecycle::Lazy)
@@ -821,26 +805,9 @@ impl SimulationRun {
             if !schedules[i].is_up(now) {
                 continue;
             }
-            match self.cfg.probe_rng {
-                ProbeRngMode::PerNode => {
-                    probe.probe_round_seeded(&self.streams, |v| schedules[v.index()].is_up(now));
-                    if let Some(threshold) = self.cfg.neighbor_replacement_rounds {
-                        probe.maintain_seeded(&self.streams, threshold, self.cfg.n_nodes);
-                    }
-                }
-                ProbeRngMode::SharedLegacy => {
-                    probe.probe_round(|v| schedules[v.index()].is_up(now), &mut self.probe_rng);
-                    if let Some(threshold) = self.cfg.neighbor_replacement_rounds {
-                        maintain_neighbors_legacy(
-                            probe,
-                            &mut self.probe_rng,
-                            threshold,
-                            self.cfg.n_nodes,
-                            &mut self.stale_scratch,
-                            &mut self.member_mask,
-                        );
-                    }
-                }
+            probe.probe_round_seeded(&self.streams, |v| schedules[v.index()].is_up(now));
+            if let Some(threshold) = self.cfg.neighbor_replacement_rounds {
+                probe.maintain_seeded(&self.streams, threshold, self.cfg.n_nodes);
             }
         }
     }
@@ -1572,32 +1539,23 @@ impl SimulationRun {
                 / adv.phantom_injected as f64
         };
 
-        let (
-            epochs_settled,
-            settlement_ops_per_epoch,
-            epoch_netting_ratio,
-            batch_verify_throughput,
-        ) = match self.fault.as_ref().and_then(|fr| fr.epoch.as_ref()) {
-            None => (0, 0.0, 0.0, 0.0),
-            Some(es) => (
-                es.epochs_settled,
-                if es.epochs_settled == 0 {
-                    0.0
-                } else {
-                    (es.payout_ops + es.batch_ops) as f64 / es.epochs_settled as f64
-                },
-                if es.payout_ops == 0 {
-                    0.0
-                } else {
-                    es.receipts_netted as f64 / es.payout_ops as f64
-                },
-                if es.batch_ops == 0 {
-                    0.0
-                } else {
-                    es.receipts_netted as f64 / es.batch_ops as f64
-                },
-            ),
-        };
+        let (epochs_settled, settlement_ops_per_epoch, epoch_netting_ratio) =
+            match self.fault.as_ref().and_then(|fr| fr.epoch.as_ref()) {
+                None => (0, 0.0, 0.0),
+                Some(es) => (
+                    es.epochs_settled,
+                    if es.epochs_settled == 0 {
+                        0.0
+                    } else {
+                        (es.payout_ops + es.batch_ops) as f64 / es.epochs_settled as f64
+                    },
+                    if es.payout_ops == 0 {
+                        0.0
+                    } else {
+                        es.receipts_netted as f64 / es.payout_ops as f64
+                    },
+                ),
+            };
 
         let (windowed_delivery_ratio, windowed_payoff_rate, windowed_retry_rate) =
             match &self.windows {
@@ -1651,7 +1609,6 @@ impl SimulationRun {
             epochs_settled,
             settlement_ops_per_epoch,
             epoch_netting_ratio,
-            batch_verify_throughput,
             windowed_delivery_ratio,
             windowed_payoff_rate,
             windowed_retry_rate,
@@ -1696,53 +1653,6 @@ impl SimulationRun {
             fr.adv.whitewash_evasions += 1;
         }
         fr.probe_invalid.forgive(node);
-    }
-}
-
-/// The pre-PR-2 neighbor-maintenance pass, kept for
-/// [`ProbeRngMode::SharedLegacy`] reproducibility: replaces neighbors
-/// silent for `threshold`+ rounds with candidates drawn from the shared
-/// probe stream. `stale` and `mask` are caller-owned scratch (the mask must
-/// be all-false on entry, sized to `n_nodes`; it is restored to all-false
-/// on exit), so the pass allocates nothing and candidate rejection is O(1)
-/// instead of an O(d) `contains` scan.
-fn maintain_neighbors_legacy(
-    probe: &mut ProbeEstimator,
-    rng: &mut Xoshiro256StarStar,
-    threshold: u64,
-    n_nodes: usize,
-    stale: &mut Vec<NodeId>,
-    mask: &mut [bool],
-) {
-    stale.clear();
-    stale.extend(
-        probe
-            .neighbors()
-            .iter()
-            .copied()
-            .filter(|&v| probe.rounds_since_alive(v).is_some_and(|r| r >= threshold)),
-    );
-    if stale.is_empty() {
-        return;
-    }
-    for v in probe.neighbors() {
-        mask[v.index()] = true;
-    }
-    for &old in stale.iter() {
-        // Draw a replacement: not self, not already a neighbor.
-        let candidate = (0..16).find_map(|_| {
-            let c = NodeId(rng.random_range(0..n_nodes));
-            (c != probe.owner() && !mask[c.index()]).then_some(c)
-        });
-        if let Some(new) = candidate {
-            if probe.replace_neighbor(old, new) {
-                mask[old.index()] = false;
-                mask[new.index()] = true;
-            }
-        }
-    }
-    for v in probe.neighbors() {
-        mask[v.index()] = false;
     }
 }
 
@@ -1927,7 +1837,6 @@ mod tests {
         // Epoch mode settled real windows and amortized transfers.
         assert!(epoch.epochs_settled > 0, "no epochs settled");
         assert!(epoch.epoch_netting_ratio >= 1.0);
-        assert!(epoch.batch_verify_throughput >= 1.0);
     }
 
     #[test]

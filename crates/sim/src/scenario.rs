@@ -25,23 +25,10 @@ pub enum ProbeMode {
     /// Event-driven lazy estimation: per-node probe cells are materialized
     /// on demand from the analytic churn schedule when read (or when a
     /// neighbor replacement falls due) — amortized O(churn + queries),
-    /// bit-identical to `Eager` under [`ProbeRngMode::PerNode`].
+    /// bit-identical to `Eager`: every probe draw (first sightings,
+    /// replacement candidates) is keyed by (owner, slot, round), so both
+    /// modes consume identical bits.
     Lazy,
-}
-
-/// Where probe randomness (first-sighting draws, replacement candidates)
-/// comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeRngMode {
-    /// Position-keyed per-node streams: the draw for (owner, slot, round)
-    /// is a pure function of the master seed, so eager and lazy advancement
-    /// consume identical bits. The compat mode in which `--probe-mode
-    /// eager` and `--probe-mode lazy` produce bit-identical results.
-    PerNode,
-    /// The pre-PR-2 behaviour: one shared sequential `probing` stream
-    /// consumed in node order each tick. Kept for reproducing old runs;
-    /// only meaningful under [`ProbeMode::Eager`].
-    SharedLegacy,
 }
 
 /// How per-node runtime state (probe cells, reputation ledgers) is
@@ -186,9 +173,6 @@ pub struct ScenarioConfig {
     /// How probe state advances: eager per-tick sweep or event-driven lazy
     /// materialization (the default).
     pub probe_mode: ProbeMode,
-    /// Source of probe randomness; `PerNode` (the default) makes eager and
-    /// lazy modes bit-identical.
-    pub probe_rng: ProbeRngMode,
     /// Deterministic fault injection (all-zero rates = faults off, and the
     /// run is bit-identical to a build without the fault layer).
     pub fault: FaultConfig,
@@ -290,7 +274,6 @@ impl Default for ScenarioConfig {
             history_capacity: None,
             neighbor_replacement_rounds: None,
             probe_mode: ProbeMode::Lazy,
-            probe_rng: ProbeRngMode::PerNode,
             fault: FaultConfig::default(),
             adversary: AdversaryConfig::default(),
             history_shards: 0,
@@ -401,11 +384,6 @@ impl ScenarioConfig {
         )?;
         if self.probe_mode == ProbeMode::Lazy {
             ensure(
-                self.probe_rng == ProbeRngMode::PerNode,
-                "probe_rng",
-                "lazy probing requires per-node probe RNG streams".into(),
-            )?;
-            ensure(
                 self.neighbor_replacement_rounds != Some(0),
                 "neighbor_replacement_rounds",
                 "lazy probing requires a replacement threshold >= 1".into(),
@@ -416,11 +394,6 @@ impl ScenarioConfig {
                 self.evict_idle_ticks >= 1,
                 "evict_idle_ticks",
                 "lazy lifecycle needs an idle-eviction window >= 1 tick".into(),
-            )?;
-            ensure(
-                self.probe_rng == ProbeRngMode::PerNode,
-                "probe_rng",
-                "lazy lifecycle requires per-node probe RNG streams".into(),
             )?;
         }
         if self.settlement == SettlementMode::Epoch {
@@ -556,16 +529,24 @@ impl ScenarioConfig {
     /// 200 transmissions.
     #[must_use]
     pub fn quick_test(seed: u64) -> Self {
-        let mut cfg = ScenarioConfig {
-            n_nodes: 20,
-            n_pairs: 20,
-            total_transmissions: 200,
+        ScenarioConfig {
             seed,
             ..ScenarioConfig::default()
-        };
-        cfg.churn.n_nodes = 20;
-        cfg.cost.n_nodes = 20;
-        cfg
+        }
+        .quick()
+    }
+
+    /// Shrinks the workload to the quick tier (20 nodes, 20 pairs, 200
+    /// transmissions) and leaves every other field as it is, so `--quick`
+    /// composes with any mode or fault flag in either order.
+    #[must_use]
+    pub fn quick(self) -> Self {
+        ScenarioConfig {
+            n_pairs: 20,
+            total_transmissions: 200,
+            ..self
+        }
+        .with_nodes(20)
     }
 
     /// A large-N scale scenario: paper churn scaled proportionally
@@ -766,19 +747,46 @@ mod tests {
     }
 
     #[test]
-    fn default_probe_mode_is_lazy_per_node() {
-        let cfg = ScenarioConfig::default();
-        assert_eq!(cfg.probe_mode, ProbeMode::Lazy);
-        assert_eq!(cfg.probe_rng, ProbeRngMode::PerNode);
+    fn default_probe_mode_is_lazy() {
+        assert_eq!(ScenarioConfig::default().probe_mode, ProbeMode::Lazy);
     }
 
     #[test]
-    fn lazy_with_shared_rng_rejected() {
+    fn quick_shrinks_sizes_and_keeps_everything_else() {
         let cfg = ScenarioConfig {
-            probe_rng: ProbeRngMode::SharedLegacy,
+            probe_mode: ProbeMode::Eager,
+            reputation_weight: 0.2,
+            weights: (0.4, 0.4),
+            seed: 9,
             ..ScenarioConfig::default()
         };
-        assert_rejected(&cfg, "probe_rng", "per-node probe RNG");
+        let quick = cfg.quick();
+        quick.validate().expect("quick tier validates");
+        assert_eq!(
+            (quick.n_nodes, quick.churn.n_nodes, quick.cost.n_nodes),
+            (20, 20, 20)
+        );
+        assert_eq!((quick.n_pairs, quick.total_transmissions), (20, 200));
+        assert_eq!(quick, cfg.quick().quick(), "idempotent");
+        assert_eq!(
+            ScenarioConfig {
+                n_nodes: 40,
+                n_pairs: 100,
+                total_transmissions: 2000,
+                churn: cfg.churn,
+                cost: cfg.cost,
+                ..quick
+            },
+            cfg,
+            "only sizes change"
+        );
+        assert_eq!(
+            ScenarioConfig::quick_test(9),
+            ScenarioConfig {
+                seed: 9,
+                ..ScenarioConfig::default().quick()
+            }
+        );
     }
 
     #[test]
@@ -809,12 +817,6 @@ mod tests {
             ..cfg
         };
         assert_rejected(&bad, "evict_idle_ticks", "idle-eviction window");
-        let legacy = ScenarioConfig {
-            probe_mode: ProbeMode::Eager,
-            probe_rng: ProbeRngMode::SharedLegacy,
-            ..cfg
-        };
-        assert_rejected(&legacy, "probe_rng", "per-node probe RNG");
     }
 
     #[test]
@@ -958,15 +960,5 @@ mod tests {
         active.adversary.clique_forge_rate = 0.5;
         active.validate().expect("clique scenario must validate");
         assert!(active.adversary.is_active());
-    }
-
-    #[test]
-    fn eager_legacy_combination_validates() {
-        let cfg = ScenarioConfig {
-            probe_mode: ProbeMode::Eager,
-            probe_rng: ProbeRngMode::SharedLegacy,
-            ..ScenarioConfig::default()
-        };
-        cfg.validate().expect("eager legacy mode is valid");
     }
 }

@@ -198,13 +198,9 @@ pub fn run_service(cfg: ScenarioConfig, opts: &ServiceOptions) -> Result<RunResu
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::scenario::ProbeRngMode;
 
     fn cfg(seed: u64) -> ScenarioConfig {
-        ScenarioConfig {
-            probe_rng: ProbeRngMode::PerNode,
-            ..ScenarioConfig::quick_test(seed)
-        }
+        ScenarioConfig::quick_test(seed)
     }
 
     #[test]

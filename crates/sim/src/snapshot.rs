@@ -2,7 +2,7 @@
 //!
 //! [`encode`] serializes the **complete mutable trajectory state** of a
 //! [`SimulationRun`] plus its [`Engine`] — the calendar with original
-//! sequence numbers, both sequential RNG cursors, the history arena, the
+//! sequence numbers, the sequential routing RNG cursor, the history arena, the
 //! bundle/tracker/attack accumulators, probe state in either mode, the
 //! fault runtime (delivery counters, evidence, fault ledgers, epoch
 //! cursors) and the windowed-metrics buckets — into one framed byte
@@ -62,7 +62,7 @@ use crate::world::World;
 /// Snapshot format version; bumped on any layout change so a stale
 /// snapshot fails with [`CodecError::UnsupportedVersion`] instead of
 /// misdecoding.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the
@@ -276,11 +276,9 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
         e.u64(*c);
     }
 
-    // The two sequential RNG cursors.
+    // The sequential routing RNG cursor (every other draw is
+    // position-keyed and needs no state).
     for w in run.routing_rng.state() {
-        e.u64(w);
-    }
-    for w in run.probe_rng.state() {
         e.u64(w);
     }
 
@@ -625,12 +623,7 @@ pub fn restore(
     for w in &mut routing_state {
         *w = d.u64().map_err(codec)?;
     }
-    let mut probe_state = [0u64; 4];
-    for w in &mut probe_state {
-        *w = d.u64().map_err(codec)?;
-    }
     run.routing_rng = Xoshiro256StarStar::from_state(routing_state);
-    run.probe_rng = Xoshiro256StarStar::from_state(probe_state);
 
     run.connections = d.u64().map_err(codec)?;
 
@@ -1115,14 +1108,11 @@ pub fn restore(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::scenario::{BankDurability, ProbeRngMode, WorkloadMode};
+    use crate::scenario::{BankDurability, WorkloadMode};
     use idpa_desim::{FaultConfig, SimTime, StopReason};
 
     fn cfg(seed: u64) -> ScenarioConfig {
-        ScenarioConfig {
-            probe_rng: ProbeRngMode::PerNode,
-            ..ScenarioConfig::quick_test(seed)
-        }
+        ScenarioConfig::quick_test(seed)
     }
 
     /// Run `cfg` to the horizon, snapshotting after `budget` events, then

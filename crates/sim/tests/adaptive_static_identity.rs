@@ -12,7 +12,7 @@
 
 use idpa_desim::FaultConfig;
 use idpa_sim::experiments::Options;
-use idpa_sim::{FaultResponse, ProbeMode, ProbeRngMode, RunResult, ScenarioConfig, SimulationRun};
+use idpa_sim::{FaultResponse, ProbeMode, RunResult, ScenarioConfig, SimulationRun};
 
 /// FNV-1a over the pre-fault-layer result fields (bit patterns) — the
 /// same fingerprint `tests/fault_injection.rs` pins, duplicated so this
@@ -57,7 +57,6 @@ fn static_base(seed: u64, replacement: Option<u64>) -> ScenarioConfig {
     let mut cfg = ScenarioConfig {
         neighbor_replacement_rounds: replacement,
         adversary_fraction: 0.2,
-        probe_rng: ProbeRngMode::PerNode,
         reputation_weight: 0.0,
         ..ScenarioConfig::quick_test(seed)
     };
@@ -180,8 +179,11 @@ fn static_zero_weight_is_byte_identical_to_pr4_across_modes_shards_threads() {
                 reps: 8,
                 quick: true,
                 threads,
-                fault: profiles[0],
-                reputation_weight: 0.0,
+                scenario: ScenarioConfig {
+                    fault: profiles[0],
+                    reputation_weight: 0.0,
+                    ..ScenarioConfig::default()
+                },
                 ..Options::default()
             };
             idpa_sim::experiments::replicate_base(&opts)

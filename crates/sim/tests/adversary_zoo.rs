@@ -20,8 +20,7 @@
 use idpa_desim::{AdversaryConfig, Engine, FaultConfig, FaultResponse, SimTime};
 use idpa_sim::snapshot::{encode, restore};
 use idpa_sim::{
-    NodeLifecycle, ProbeMode, ProbeRngMode, RunResult, ScenarioConfig, SettlementMode,
-    SimulationRun, World,
+    NodeLifecycle, ProbeMode, RunResult, ScenarioConfig, SettlementMode, SimulationRun, World,
 };
 
 /// FNV-1a over the pre-fault-layer result fields — the same fingerprint
@@ -75,7 +74,6 @@ fn base(seed: u64, replacement: Option<u64>) -> ScenarioConfig {
     ScenarioConfig {
         neighbor_replacement_rounds: replacement,
         adversary_fraction: 0.2,
-        probe_rng: ProbeRngMode::PerNode,
         ..ScenarioConfig::quick_test(seed)
     }
 }

@@ -8,9 +8,7 @@
 
 use idpa_desim::{Engine, FaultConfig, SimTime};
 use idpa_sim::snapshot::{encode, restore};
-use idpa_sim::{
-    BankDurability, ProbeRngMode, RunResult, ScenarioConfig, SettlementMode, SimulationRun, World,
-};
+use idpa_sim::{BankDurability, RunResult, ScenarioConfig, SettlementMode, SimulationRun, World};
 
 /// FNV-1a over the pre-fault-layer result fields — the same fingerprint
 /// `tests/fault_injection.rs` pins, duplicated so this suite stands alone.
@@ -62,7 +60,6 @@ fn base(seed: u64, replacement: Option<u64>) -> ScenarioConfig {
     ScenarioConfig {
         neighbor_replacement_rounds: replacement,
         adversary_fraction: 0.2,
-        probe_rng: ProbeRngMode::PerNode,
         ..ScenarioConfig::quick_test(seed)
     }
 }
@@ -126,6 +123,37 @@ fn failover_anywhere_is_bit_identical_to_no_failover() {
         "crash class barely fired: {total_crashes}"
     );
     assert!(total_torn > 0, "torn-record path never exercised");
+}
+
+/// One epoch longer than the horizon settles the whole paper-scale run in
+/// a single tail flush that clears well over 1024 receipts, so the flush
+/// deposits several clearing chunks. Each chunk must carry its own serial
+/// prefix: the invariant monitor reads a shared prefix as a double deposit.
+#[test]
+fn a_flush_clearing_over_1024_receipts_keeps_the_monitor_clean() {
+    let cfg = ScenarioConfig {
+        settlement: SettlementMode::Epoch,
+        epoch_length: 2000.0,
+        bank_durability: BankDurability::Wal,
+        adversary_fraction: 0.2,
+        fault: FaultConfig {
+            drop_rate: 0.02,
+            ..FaultConfig::default()
+        },
+        ..ScenarioConfig::default()
+    };
+    cfg.validate().expect("scenario must be valid");
+    let r = SimulationRun::execute(cfg);
+    assert_eq!(r.epochs_settled, 1, "one tail flush");
+    // With one epoch, ops = payouts + ceil(receipts / 1024) and netting =
+    // receipts / payouts, so netting * (ops - 1) exceeds 1024 exactly when
+    // the flush cleared more than one chunk.
+    assert!(
+        r.epoch_netting_ratio * (r.settlement_ops_per_epoch - 1.0) > 1024.0,
+        "the flush must clear more than one 1024-receipt chunk"
+    );
+    assert_eq!(r.bank_monitor_violations, 0);
+    assert!(r.audit_chain_verified);
 }
 
 /// The full matrix of satellite (c): bank crashes x settlement mode x

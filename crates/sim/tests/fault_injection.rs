@@ -13,7 +13,7 @@
 //!    degradation responds monotonically to the injected rates.
 
 use idpa_desim::FaultConfig;
-use idpa_sim::{ProbeMode, ProbeRngMode, RunResult, ScenarioConfig, SimulationRun};
+use idpa_sim::{ProbeMode, RunResult, ScenarioConfig, SimulationRun};
 
 /// FNV-1a over the pre-fault-layer result fields (bit patterns), matching
 /// the baseline capture exactly — the new fault metrics are deliberately
@@ -55,7 +55,6 @@ fn base(seed: u64, replacement: Option<u64>) -> ScenarioConfig {
     ScenarioConfig {
         neighbor_replacement_rounds: replacement,
         adversary_fraction: 0.2,
-        probe_rng: ProbeRngMode::PerNode,
         ..ScenarioConfig::quick_test(seed)
     }
 }

@@ -11,9 +11,7 @@
 
 use idpa_desim::FaultConfig;
 use idpa_sim::experiments::Options;
-use idpa_sim::{
-    FaultResponse, NodeLifecycle, ProbeMode, ProbeRngMode, RunResult, ScenarioConfig, SimulationRun,
-};
+use idpa_sim::{FaultResponse, NodeLifecycle, ProbeMode, RunResult, ScenarioConfig, SimulationRun};
 
 /// FNV-1a over the pre-fault-layer result fields (bit patterns) — the same
 /// fingerprint `tests/fault_injection.rs` pins, duplicated so this suite
@@ -65,7 +63,6 @@ fn base(seed: u64, replacement: Option<u64>) -> ScenarioConfig {
     ScenarioConfig {
         neighbor_replacement_rounds: replacement,
         adversary_fraction: 0.2,
-        probe_rng: ProbeRngMode::PerNode,
         ..ScenarioConfig::quick_test(seed)
     }
 }
@@ -196,8 +193,11 @@ fn lazy_lifecycle_is_value_identical_to_eager_across_modes_shards_threads() {
                 reps: 8,
                 quick: true,
                 threads,
-                fault: profiles[0],
-                node_lifecycle: NodeLifecycle::Lazy,
+                scenario: ScenarioConfig {
+                    fault: profiles[0],
+                    node_lifecycle: NodeLifecycle::Lazy,
+                    ..ScenarioConfig::default()
+                },
                 ..Options::default()
             };
             idpa_sim::experiments::replicate_base(&opts)

@@ -1,11 +1,11 @@
-//! Integration pins for `--probe-mode`: in compat mode (per-node probe RNG
-//! streams, the default), a lazy run is **bit-identical** to an eager run —
+//! Integration pins for `--probe-mode`: with position-keyed probe draws, a
+//! lazy run is **bit-identical** to an eager run —
 //! same payoffs, same paths, same attack metrics — with and without
 //! neighbor replacement, and replicated results are identical at any
 //! thread count.
 
 use idpa_sim::experiments::Options;
-use idpa_sim::{ProbeMode, ProbeRngMode, RunResult, ScenarioConfig, SimulationRun};
+use idpa_sim::{ProbeMode, RunResult, ScenarioConfig, SimulationRun};
 
 /// FNV-1a over every f64 (bit pattern) and counter in the result, so "equal"
 /// means equal to the last bit, not approximately.
@@ -58,12 +58,10 @@ fn lazy_run_is_bit_identical_to_eager_run() {
             };
             let eager = run(ScenarioConfig {
                 probe_mode: ProbeMode::Eager,
-                probe_rng: ProbeRngMode::PerNode,
                 ..base
             });
             let lazy = run(ScenarioConfig {
                 probe_mode: ProbeMode::Lazy,
-                probe_rng: ProbeRngMode::PerNode,
                 ..base
             });
             assert_eq!(
@@ -77,24 +75,6 @@ fn lazy_run_is_bit_identical_to_eager_run() {
 }
 
 #[test]
-fn legacy_shared_rng_mode_still_runs_eagerly() {
-    let cfg = ScenarioConfig {
-        probe_mode: ProbeMode::Eager,
-        probe_rng: ProbeRngMode::SharedLegacy,
-        neighbor_replacement_rounds: Some(3),
-        ..ScenarioConfig::quick_test(5)
-    };
-    let a = run(cfg);
-    let b = run(cfg);
-    assert_eq!(
-        fingerprint(&a),
-        fingerprint(&b),
-        "legacy mode is deterministic"
-    );
-    assert_eq!(a.connections, 200);
-}
-
-#[test]
 fn replication_is_thread_invariant_in_both_probe_modes() {
     for mode in [ProbeMode::Eager, ProbeMode::Lazy] {
         let results: Vec<u64> = [1usize, 2, 8]
@@ -104,7 +84,10 @@ fn replication_is_thread_invariant_in_both_probe_modes() {
                     reps: 4,
                     quick: true,
                     threads,
-                    probe_mode: mode,
+                    scenario: ScenarioConfig {
+                        probe_mode: mode,
+                        ..ScenarioConfig::default()
+                    },
                     ..Options::default()
                 };
                 let runs = idpa_sim::experiments::replicate_base(&opts);

@@ -14,7 +14,7 @@ use idpa_desim::{Engine, FaultConfig, FaultResponse, SimTime};
 use idpa_sim::experiments::Options;
 use idpa_sim::snapshot::{encode, restore};
 use idpa_sim::{
-    run_service, NodeLifecycle, ProbeMode, ProbeRngMode, RunResult, ScenarioConfig, ServiceOptions,
+    run_service, NodeLifecycle, ProbeMode, RunResult, ScenarioConfig, ServiceOptions,
     SettlementMode, SimulationRun, WorkloadMode, World,
 };
 
@@ -69,7 +69,6 @@ fn base(seed: u64, replacement: Option<u64>) -> ScenarioConfig {
     ScenarioConfig {
         neighbor_replacement_rounds: replacement,
         adversary_fraction: 0.2,
-        probe_rng: ProbeRngMode::PerNode,
         ..ScenarioConfig::quick_test(seed)
     }
 }
@@ -253,7 +252,10 @@ fn interrupt_and_resume_reproduces_uninterrupted_runs_across_the_matrix() {
                 reps: 8,
                 quick: true,
                 threads,
-                fault: profiles()[0],
+                scenario: ScenarioConfig {
+                    fault: profiles()[0],
+                    ..ScenarioConfig::default()
+                },
                 ..Options::default()
             };
             idpa_sim::experiments::replicate_base(&opts)

@@ -18,7 +18,7 @@ use idpa_core::HistoryArena;
 use idpa_desim::FaultConfig;
 use idpa_sim::{
     form_bundles_global, form_bundles_items, form_bundles_sharded, partition_pairs,
-    partition_pairs_balanced, ProbeRngMode, RunResult, ScenarioConfig, SimulationRun, World,
+    partition_pairs_balanced, RunResult, ScenarioConfig, SimulationRun, World,
 };
 
 /// FNV-1a over the pre-fault-layer result fields (bit patterns) — the
@@ -61,7 +61,6 @@ fn base(seed: u64, replacement: Option<u64>) -> ScenarioConfig {
     ScenarioConfig {
         neighbor_replacement_rounds: replacement,
         adversary_fraction: 0.2,
-        probe_rng: ProbeRngMode::PerNode,
         ..ScenarioConfig::quick_test(seed)
     }
 }

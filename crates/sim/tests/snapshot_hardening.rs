@@ -36,7 +36,6 @@ use rand::RngExt;
 /// open workload with windowed metrics.
 fn scenarios() -> Vec<ScenarioConfig> {
     let base = ScenarioConfig {
-        probe_rng: idpa_sim::ProbeRngMode::PerNode,
         ..ScenarioConfig::quick_test(5)
     };
     vec![
@@ -218,7 +217,6 @@ fn resealed_fingerprint_flip_is_a_mismatch() {
 #[test]
 fn failed_restores_leave_no_trace() {
     let cfg = ScenarioConfig {
-        probe_rng: idpa_sim::ProbeRngMode::PerNode,
         fault: FaultConfig {
             crash_rate: 0.05,
             drop_rate: 0.1,

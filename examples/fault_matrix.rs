@@ -152,8 +152,8 @@ fn main() {
     // what actually changed — the delay model and the amortized
     // bank-operation counts.
     println!();
-    println!("fault class | dly/bundle | dly/epoch | epochs | ops/epoch | netting | batch thpt");
-    println!("------------+------------+-----------+--------+-----------+---------+-----------");
+    println!("fault class | dly/bundle | dly/epoch | epochs | ops/epoch | netting");
+    println!("------------+------------+-----------+--------+-----------+--------");
     for class in fault_classes(smoke) {
         let scenario = if smoke {
             ScenarioConfig::quick_test(seed)
@@ -185,19 +185,18 @@ fn main() {
         assert_eq!(per_bundle.audit_discrepancies, epoch.audit_discrepancies);
         assert!(per_bundle.audit_chain_verified && epoch.audit_chain_verified);
         println!(
-            "{:<11} | {:>10.2} | {:>9.2} | {:>6} | {:>9.1} | {:>7.1} | {:>10.1}",
+            "{:<11} | {:>10.2} | {:>9.2} | {:>6} | {:>9.1} | {:>7.1}",
             class.label,
             per_bundle.settlement_delay,
             epoch.settlement_delay,
             epoch.epochs_settled,
             epoch.settlement_ops_per_epoch,
             epoch.epoch_netting_ratio,
-            epoch.batch_verify_throughput,
         );
     }
     println!();
     println!("expected shape: economics identical across modes (asserted); epoch rows");
-    println!("amortize many receipts into few netted payouts and batched verifies,");
+    println!("amortize many receipts into few netted payouts and batched deposits,");
     println!("while outages now stall epoch boundaries, lengthening the settle delay.");
 
     // Static vs adaptive fault response under a compound load (crash +

@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
 # Bench-trajectory gate: proves every bench binary still runs, then does
-# short timed passes of the gated benches (history_shard via
-# IDPA_HS_QUICK=1, probe_maintenance via IDPA_PM_QUICK=1, node_lifecycle
-# via IDPA_NL_QUICK=1, settlement via IDPA_ST_QUICK=1, service_mode via
-# IDPA_SVC_QUICK=1, adversary_zoo via IDPA_AZ_QUICK=1, bank_durability
-# via IDPA_BD_QUICK=1) and fails if any freshly measured point regresses
-# more than IDPA_BENCH_GATE_PCT percent (default 20) against the best
-# value that key has ever had in a committed BENCH_*.json report.
+# short timed passes of the gated benches (each under its quick-mode
+# environment variable, listed in the table below) and fails if any
+# freshly measured point regresses more than IDPA_BENCH_GATE_PCT percent
+# (default 20) against the best value that key has ever had in a
+# committed BENCH_*.json report.
 #
 # Runnable locally: ./scripts/bench_gate.sh
 #
@@ -20,21 +18,29 @@ cd "$(dirname "$0")/.."
 
 pct="${IDPA_BENCH_GATE_PCT:-20}"
 
+# Gated benches and the variable that selects each one's short timed pass.
+# Several binaries also assert their own floors before timing:
+#   settlement      epoch-vs-per-receipt speedup floor
+#   service_mode    chunked loop within 25% of the straight-line runner;
+#                   checkpointed + resumed runs equal the uninterrupted one
+#   adversary_zoo   cross-confirmation costs <= 10% and flags >= 90% of
+#                   the injected phantoms
+#   bank_durability WAL-on settlement within 15% of the bare ledger; cold
+#                   recovery and the warm replica land on the live digest
+gated=(
+    "history_shard IDPA_HS_QUICK"
+    "probe_maintenance IDPA_PM_QUICK"
+    "node_lifecycle IDPA_NL_QUICK"
+    "settlement IDPA_ST_QUICK"
+    "service_mode IDPA_SVC_QUICK"
+    "adversary_zoo IDPA_AZ_QUICK"
+    "bank_durability IDPA_BD_QUICK"
+)
+
 stage="bench smoke"
 fresh=""
-fresh_pm=""
-fresh_nl=""
-fresh_st=""
-fresh_svc=""
-fresh_az=""
-fresh_bd=""
-trap 'status=$?; [ -n "$fresh" ] && rm -f "$fresh"
-      [ -n "$fresh_pm" ] && rm -f "$fresh_pm"
-      [ -n "$fresh_nl" ] && rm -f "$fresh_nl"
-      [ -n "$fresh_st" ] && rm -f "$fresh_st"
-      [ -n "$fresh_svc" ] && rm -f "$fresh_svc"
-      [ -n "$fresh_az" ] && rm -f "$fresh_az"
-      [ -n "$fresh_bd" ] && rm -f "$fresh_bd"
+part=""
+trap 'status=$?; rm -f "$fresh" "$part"
       if [ "$status" -ne 0 ]; then
         echo "bench gate: FAILED in stage: $stage (exit $status)" >&2
       fi' EXIT
@@ -42,63 +48,20 @@ trap 'status=$?; [ -n "$fresh" ] && rm -f "$fresh"
 # 1. Every bench binary runs its kernels once (untimed) — bench rot check.
 IDPA_BENCH_SMOKE=1 cargo bench --offline -p idpa-bench
 
-# 2. Short timed passes of the gated benches: sharded formation,
-# maintenance-heavy lazy probing, and the lazy node lifecycle. Each binary
-# writes its own report; they are concatenated into one fresh file (the
-# awk below parses flat "name": ns lines, so back-to-back JSON objects
-# compare fine), and the comparison gates every point at once.
-stage="timed history_shard pass"
+# 2. Short timed passes of the gated benches. Each binary writes its own
+# report; they are concatenated into one fresh file (the awk below parses
+# flat "name": ns lines, so back-to-back JSON objects compare fine), and
+# the comparison gates every point at once.
 fresh="$(mktemp)"
-fresh_pm="$(mktemp)"
-fresh_nl="$(mktemp)"
-fresh_st="$(mktemp)"
-fresh_svc="$(mktemp)"
-fresh_az="$(mktemp)"
-fresh_bd="$(mktemp)"
-IDPA_HS_QUICK=1 IDPA_BENCH_OUT="$fresh" \
-    cargo bench --offline -p idpa-bench --bench history_shard
-
-stage="timed probe_maintenance pass"
-IDPA_PM_QUICK=1 IDPA_BENCH_OUT="$fresh_pm" \
-    cargo bench --offline -p idpa-bench --bench probe_maintenance
-cat "$fresh_pm" >> "$fresh"
-
-stage="timed node_lifecycle pass"
-IDPA_NL_QUICK=1 IDPA_BENCH_OUT="$fresh_nl" \
-    cargo bench --offline -p idpa-bench --bench node_lifecycle
-cat "$fresh_nl" >> "$fresh"
-
-# The settlement pass also asserts the epoch-vs-per-receipt speedup floor
-# inside the bench binary itself, so a collapsed batching win fails here
-# even before the ns/iter comparison below.
-stage="timed settlement pass"
-IDPA_ST_QUICK=1 IDPA_BENCH_OUT="$fresh_st" \
-    cargo bench --offline -p idpa-bench --bench settlement
-cat "$fresh_st" >> "$fresh"
-
-# The service_mode pass also asserts (inside the binary) that the chunked
-# service loop stays within 25% of the straight-line runner and that
-# checkpointed + resumed runs match the uninterrupted result exactly.
-stage="timed service_mode pass"
-IDPA_SVC_QUICK=1 IDPA_BENCH_OUT="$fresh_svc" \
-    cargo bench --offline -p idpa-bench --bench service_mode
-cat "$fresh_svc" >> "$fresh"
-
-# The adversary_zoo pass also asserts (inside the binary) that the clique
-# cross-confirmation defense costs no more than 10% over the unarmed arm
-# and that it flags >= 90% of the phantoms the cliques inject.
-stage="timed adversary_zoo pass"
-IDPA_AZ_QUICK=1 IDPA_BENCH_OUT="$fresh_az" \
-    cargo bench --offline -p idpa-bench --bench adversary_zoo
-cat "$fresh_az" >> "$fresh"
-
-# The bank_durability pass also asserts (inside the binary) that WAL-on
-# settlement stays within 15% of the bare ledger and that cold recovery
-# and the warm replica both land on the live ledger's exact digest.
-stage="timed bank_durability pass"
-IDPA_BD_QUICK=1 IDPA_BENCH_OUT="$fresh_bd" \
-    cargo bench --offline -p idpa-bench --bench bank_durability
-cat "$fresh_bd" >> "$fresh"
+part="$(mktemp)"
+for entry in "${gated[@]}"; do
+    read -r bench quick_var <<<"$entry"
+    stage="timed $bench pass"
+    rm -f "$part"
+    env "$quick_var=1" IDPA_BENCH_OUT="$part" \
+        cargo bench --offline -p idpa-bench --bench "$bench"
+    cat "$part" >> "$fresh"
+done
 
 # 3. Compare each fresh point against the best committed value for the
 # same key across every BENCH_*.json in the repo (flat "name": ns maps).

@@ -24,6 +24,12 @@ cargo build --release --offline
 stage="test (cargo test -q --offline --workspace)"
 cargo test -q --offline --workspace
 
+# The end-to-end benchmark is a workspace of its own, so --workspace above
+# skips it. Its tests are the check that BENCHMARK.json and the metric
+# names it emits agree, and that it still builds against the library.
+stage="e2ebench test (cargo test --manifest-path e2ebench/Cargo.toml)"
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+
 stage="lint (cargo clippy --all-targets -- -D warnings)"
 cargo clippy --all-targets --offline -- -D warnings
 

@@ -286,11 +286,11 @@ fn probe_availability_is_a_distribution() {
             })
             .collect();
         let mut est = ProbeEstimator::new(NodeId(0), 1.0, (1..=4).map(NodeId).collect());
-        let mut probe_rng = Xoshiro256StarStar::seed_from_u64(r.next());
+        let streams = StreamFactory::new(r.next());
         let mut anything = false;
         for round in &liveness {
             anything |= round.iter().any(|&b| b);
-            est.probe_round(|v| round[v.index() - 1], &mut probe_rng);
+            est.probe_round_seeded(&streams, |v| round[v.index() - 1]);
         }
         let total: f64 = (1..=4).map(|i| est.availability(NodeId(i))).sum();
         if anything {
