@@ -12,11 +12,12 @@
 //!
 //! [`LazyProbeSet`] therefore keeps one **cell** per node — the estimator
 //! plus the last tick it was synced to — and only touches a cell when it is
-//! *read* (a transmission queries availability or live neighbors) or when a
-//! neighbor-replacement decision falls due. Catch-up is O(sessions) per
-//! neighbor slot, amortized O(churn + queries) overall, instead of
-//! O(N·d·horizon/T). Cells are independent, so bulk catch-up for disjoint
-//! node sets runs deterministically through
+//! *read* (a transmission queries availability or live neighbors). The
+//! catch-up replays every neighbor replacement that fell due in between,
+//! so nothing has to keep cells warm. Catch-up is O(sessions) per
+//! neighbor slot and per replacement, amortized O(churn + queries)
+//! overall, instead of O(N·d·horizon/T). Cells are independent, so bulk
+//! catch-up for disjoint node sets runs deterministically through
 //! [`idpa_desim::pool::parallel_map`].
 //!
 //! # Equivalence to the eager estimator
@@ -237,8 +238,8 @@ struct ProbeCell {
     /// further due tick). A slot's absolute due tick is a pure function of
     /// the schedules and the slot's state trajectory, and [`advance`] only
     /// moves the frontier *along* that trajectory — so cached values
-    /// survive plain advances and are dropped only after `maintain_seeded`
-    /// may have replaced slots.
+    /// survive plain advances, and a maintenance at tick `k` drops only
+    /// the slots due at `k` (the only ones `maintain_seeded` touches).
     due_cache: Vec<u64>,
 }
 
@@ -381,11 +382,9 @@ fn slot_due(
 
 /// Earliest replacement-due tick over all slots strictly after the sync
 /// frontier, up to the horizon. Served from the cell's per-slot due cache;
-/// only slots invalidated since the last maintenance are recomputed, so
-/// the repeated calls in [`sync_cell_slow`]'s advance/maintain loop (and
-/// from [`LazyProbeSet::next_due_after`]-driven event scheduling) cost a
-/// cheap `min` over ≤ degree cached values instead of a full closed-form
-/// scan per call.
+/// only the slots the last maintenance replaced are recomputed, so each
+/// step of [`sync_cell_slow`]'s advance/maintain loop costs a `min` over
+/// ≤ degree cached values plus one closed-form scan per replaced slot.
 fn next_due_tick(cell: &mut ProbeCell, ctx: &LazyCtx, thr: u64) -> Option<u64> {
     let ProbeCell {
         est,
@@ -425,9 +424,13 @@ fn sync_cell_slow(cell: &mut ProbeCell, ctx: &LazyCtx, target: u64) {
             Some(k) if k <= target => {
                 advance(cell, ctx, k);
                 cell.est.maintain_seeded(&ctx.streams, thr, ctx.n_nodes);
-                // Maintenance may have replaced slots; their trajectories
-                // (and hence due ticks) are new.
-                cell.due_cache.fill(DUE_UNKNOWN);
+                // Maintenance touched exactly the slots whose silence
+                // reached the threshold, i.e. those due at `k`; their
+                // trajectories (and hence due ticks) are new. Every other
+                // slot's cached due tick still holds.
+                for slot in cell.due_cache.iter_mut().filter(|slot| **slot <= k) {
+                    *slot = DUE_UNKNOWN;
+                }
             }
             // Next due tick beyond the target (or never): plain advance,
             // cached dues stay valid for the next sync or query.
@@ -692,30 +695,20 @@ impl LazyProbeSet {
     /// Syncs node `s`'s cell through `now` and hands it to `f`. Under the
     /// sparse store this is the touch point: the cell materializes here if
     /// absent, and its eviction clock advances to the queried tick.
-    fn with_cell_mut<R>(
-        &self,
-        s: NodeId,
-        now: f64,
-        f: impl FnOnce(&mut ProbeCell, &LazyCtx) -> R,
-    ) -> R {
+    fn with_cell<R>(&self, s: NodeId, now: f64, f: impl FnOnce(&ProbeCell) -> R) -> R {
         let target = self.target_tick(now);
         let ctx = &self.ctx;
         match &self.cells {
             CellStore::Dense(cells) => {
                 let mut cell = cells[s.index()].borrow_mut();
                 sync_cell(&mut cell, ctx, target);
-                f(&mut cell, ctx)
+                f(&cell)
             }
             CellStore::Sparse(store) => {
                 let mut store = store.borrow_mut();
-                f(store.touch(s, target, ctx), ctx)
+                f(store.touch(s, target, ctx))
             }
         }
-    }
-
-    /// Read-only flavor of [`LazyProbeSet::with_cell_mut`].
-    fn with_cell<R>(&self, s: NodeId, now: f64, f: impl FnOnce(&ProbeCell) -> R) -> R {
-        self.with_cell_mut(s, now, |cell, _| f(cell))
     }
 
     /// Syncs node `s` through every tick at or before `now`.
@@ -747,18 +740,6 @@ impl LazyProbeSet {
     #[must_use]
     pub fn estimator(&self, s: NodeId, now: f64) -> ProbeEstimator {
         self.with_cell(s, now, |cell| cell.est.clone())
-    }
-
-    /// The time of the next tick strictly after `now` at which some slot of
-    /// `s` falls replacement-due (`None` without a threshold, or if no slot
-    /// ever falls due again before the horizon). Syncs `s` to `now` first,
-    /// so the answer reflects all replacements up to `now`.
-    #[must_use]
-    pub fn next_due_after(&self, s: NodeId, now: f64) -> Option<f64> {
-        let thr = self.ctx.threshold?;
-        self.with_cell_mut(s, now, |cell, ctx| {
-            next_due_tick(cell, ctx, thr).map(|k| tick_time(k, ctx.period))
-        })
     }
 
     /// Syncs every *resident* cell through `now`; dense stores fan the work
@@ -1202,11 +1183,6 @@ mod tests {
                     sparse.estimator(NodeId(i), now),
                     "node {i} at t={now}"
                 );
-                assert_eq!(
-                    dense.next_due_after(NodeId(i), now),
-                    sparse.next_due_after(NodeId(i), now),
-                    "due of node {i} at t={now}"
-                );
             }
         }
         let r = sparse.residency();
@@ -1296,7 +1272,7 @@ mod tests {
     }
 
     #[test]
-    fn next_due_respects_replacement_threshold() {
+    fn replacement_lands_at_threshold_tick() {
         let streams = StreamFactory::new(40);
         // Owner always up; the only neighbor is never up, so it falls due
         // exactly at the threshold-th tick.
@@ -1314,7 +1290,66 @@ mod tests {
             streams,
         );
         // Threshold 3 with ticks at 10, 20, 30, ...: rounds-since-alive for
-        // the never-seen slot reaches 3 at tick 3 (t = 30).
-        assert_eq!(lazy.next_due_after(NodeId(0), 0.0), Some(30.0));
+        // the never-seen slot reaches 3 at tick 3 (t = 30), where the only
+        // eligible candidate (neither the owner nor a current neighbor)
+        // takes the slot.
+        lazy.with_neighbors(NodeId(0), 29.9, |d| assert_eq!(d, [NodeId(1)]));
+        lazy.with_neighbors(NodeId(0), 30.0, |d| assert_eq!(d, [NodeId(2)]));
+    }
+
+    #[test]
+    fn one_long_catch_up_equals_tick_by_tick_sync() {
+        let (schedules, neighbors) = staggered_world(12);
+        let streams = StreamFactory::new(59);
+        let lazy = LazyProbeSet::new(
+            1.0,
+            120.0,
+            schedules.clone(),
+            neighbors.clone(),
+            Some(3),
+            streams.clone(),
+        );
+        let ctx = &lazy.ctx;
+        let thr = ctx.threshold.expect("threshold set");
+        let k_end = ctx.max_tick;
+        let mut replacements = 0;
+        for (i, nbrs) in neighbors.into_iter().enumerate() {
+            let mut eager = ProbeEstimator::new(NodeId(i), ctx.period, nbrs.clone());
+            let fresh = || ProbeCell {
+                est: eager.clone(),
+                synced_tick: 0,
+                due_cache: Vec::new(),
+            };
+            let mut jump = fresh();
+            sync_cell(&mut jump, ctx, k_end);
+            let mut step = fresh();
+            for k in 1..=k_end {
+                let t = idpa_desim::SimTime::new(tick_time(k, ctx.period));
+                if schedules[i].is_up(t) {
+                    eager.probe_round_seeded(&streams, |v| schedules[v.index()].is_up(t));
+                    let before = eager.neighbors.clone();
+                    eager.maintain_seeded(&streams, thr, schedules.len());
+                    replacements += before
+                        .iter()
+                        .zip(&eager.neighbors)
+                        .filter(|(a, b)| a != b)
+                        .count();
+                }
+                sync_cell(&mut step, ctx, k);
+                assert_eq!(step.est, eager, "node {i} at tick {k}");
+                // The due ticks kept across maintenances equal a full
+                // recompute from the current frontier.
+                next_due_tick(&mut step, ctx, thr);
+                let mut recomputed = step.clone();
+                recomputed.due_cache.fill(DUE_UNKNOWN);
+                next_due_tick(&mut recomputed, ctx, thr);
+                assert_eq!(recomputed, step, "node {i} at tick {k}");
+            }
+            // One jump over every replacement lands on the same estimator,
+            // frontier and cached due ticks.
+            next_due_tick(&mut jump, ctx, thr);
+            assert_eq!(jump, step, "node {i}");
+        }
+        assert!(replacements > 0, "the fixture must exercise replacements");
     }
 }

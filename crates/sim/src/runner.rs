@@ -4,12 +4,11 @@
 //! under the incentive mechanism) drive the run. Availability estimates
 //! `α_s(v)` advance in one of two modes: **eager** (`Ev::Probe` fires every
 //! probe tick and every live node runs a probing round) or **lazy** (the
-//! default — probe state materializes on demand from the analytic churn
-//! schedule when routing reads it, with per-node `Ev::Maintain` events at
-//! exactly the ticks a neighbor replacement falls due). Under per-node
-//! probe RNG streams the two modes are bit-identical. After the horizon the
-//! per-bundle accounting is settled into per-node payoffs
-//! (`m·P_f + P_r/‖π‖ − costs`).
+//! default — probe state, neighbor replacements included, materializes on
+//! demand from the analytic churn schedule when routing reads it, and no
+//! probe event is ever scheduled). Under per-node probe RNG streams the
+//! two modes are bit-identical. After the horizon the per-bundle
+//! accounting is settled into per-node payoffs (`m·P_f + P_r/‖π‖ − costs`).
 //!
 //! With an active [`FaultConfig`] the run additionally injects seed-derived
 //! faults: each transmission attempt walks its formed path edge by edge
@@ -61,8 +60,8 @@ pub enum Ev {
     /// Global probe tick (eager mode): every live node runs one probing
     /// round.
     Probe,
-    /// Per-node maintenance event (lazy mode): a neighbor replacement falls
-    /// due for this node at this tick.
+    /// Retired per-node maintenance event: never scheduled, handled as a
+    /// no-op. Lazy cells replay replacements when read.
     Maintain(usize),
     /// One transmission of one (I, R) pair.
     Transmit {
@@ -705,12 +704,12 @@ impl SimulationRun {
         run.finish()
     }
 
-    /// Schedules every probe-related event and transmission. Probe tick `k`
-    /// fires at `k·T` (computed as a product, so eager tick times agree
-    /// exactly with the lazy estimator's closed-form reconstruction): in
-    /// eager mode a global [`Ev::Probe`] per tick, in lazy mode only
-    /// per-node [`Ev::Maintain`] events at the ticks a replacement falls
-    /// due.
+    /// Schedules every probe-related event and transmission. In eager mode
+    /// probe tick `k` fires a global [`Ev::Probe`] at `k·T` (computed as a
+    /// product, so eager tick times agree exactly with the lazy
+    /// estimator's closed-form reconstruction). Lazy mode schedules no
+    /// probe events: a read catches the node's cell up through every
+    /// probe round and neighbor replacement since its last read.
     pub fn schedule_all(&self, engine: &mut Engine<Ev>) {
         match &self.probes {
             ProbeState::Eager(_) => {
@@ -724,21 +723,8 @@ impl SimulationRun {
                     k += 1;
                 }
             }
-            ProbeState::Lazy(set) => {
-                // Maintenance events keep a node's cell warm at the ticks a
-                // replacement falls due, but they are value-invisible: a
-                // query's catch-up ([`sync_cell_slow`]) segments at every
-                // due tick regardless of whether a `Maintain` ever fired.
-                // The lazy lifecycle therefore schedules none at all —
-                // touching all N nodes here would defeat O(active) startup.
-                if self.cfg.node_lifecycle == NodeLifecycle::Eager {
-                    for i in 0..self.cfg.n_nodes {
-                        if let Some(t) = set.next_due_after(NodeId(i), 0.0) {
-                            engine.schedule_at(SimTime::new(t), Ev::Maintain(i));
-                        }
-                    }
-                }
-            }
+            // Lazy cells catch up, replacements included, when read.
+            ProbeState::Lazy(_) => {}
         }
         match self.cfg.workload {
             WorkloadMode::Closed => {
@@ -809,17 +795,6 @@ impl SimulationRun {
             if let Some(threshold) = self.cfg.neighbor_replacement_rounds {
                 probe.maintain_seeded(&self.streams, threshold, self.cfg.n_nodes);
             }
-        }
-    }
-
-    /// Lazy-mode maintenance: sync the node through `now` (applying the
-    /// replacement that fell due), then schedule its next due tick.
-    fn handle_maintain(&mut self, engine: &mut Engine<Ev>, now: SimTime, node: usize) {
-        let ProbeState::Lazy(set) = &self.probes else {
-            return;
-        };
-        if let Some(t) = set.next_due_after(NodeId(node), now.minutes()) {
-            engine.schedule_at(SimTime::new(t), Ev::Maintain(node));
         }
     }
 
@@ -1663,7 +1638,9 @@ impl Process for SimulationRun {
         let now = engine.now();
         match event {
             Ev::Probe => self.handle_probe(now),
-            Ev::Maintain(node) => self.handle_maintain(engine, now, node),
+            // Never scheduled; kept so pending events in older snapshot
+            // frames decode and event matches elsewhere still compile.
+            Ev::Maintain(_) => {}
             Ev::Transmit { pair, conn } => self.handle_transmit(engine, now, pair, conn, 0),
             Ev::Retry {
                 pair,

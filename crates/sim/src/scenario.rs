@@ -23,8 +23,8 @@ pub enum ProbeMode {
     /// estimates.
     Eager,
     /// Event-driven lazy estimation: per-node probe cells are materialized
-    /// on demand from the analytic churn schedule when read (or when a
-    /// neighbor replacement falls due) — amortized O(churn + queries),
+    /// on demand from the analytic churn schedule when read, neighbor
+    /// replacements included — amortized O(churn + queries),
     /// bit-identical to `Eager`: every probe draw (first sightings,
     /// replacement candidates) is keyed by (owner, slot, round), so both
     /// modes consume identical bits.

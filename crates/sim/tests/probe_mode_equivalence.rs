@@ -4,8 +4,9 @@
 //! neighbor replacement, and replicated results are identical at any
 //! thread count.
 
+use idpa_desim::{Engine, SimTime};
 use idpa_sim::experiments::Options;
-use idpa_sim::{ProbeMode, RunResult, ScenarioConfig, SimulationRun};
+use idpa_sim::{NodeLifecycle, ProbeMode, RunResult, ScenarioConfig, SimulationRun, World};
 
 /// FNV-1a over every f64 (bit pattern) and counter in the result, so "equal"
 /// means equal to the last bit, not approximately.
@@ -47,6 +48,52 @@ fn run(cfg: ScenarioConfig) -> RunResult {
     SimulationRun::execute(cfg)
 }
 
+/// A replacement-saturated shape: N=500, d=24, T=1 min, replace after 6
+/// silent rounds, 8 pairs × 8 connections over `hours` of churn. Nearly
+/// every probe tick makes some node replace a neighbor.
+fn maintenance_saturated(hours: f64) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig {
+        degree: 24,
+        n_pairs: 8,
+        total_transmissions: 64,
+        max_connections: 8,
+        probe_period: 1.0,
+        neighbor_replacement_rounds: Some(6),
+        history_shards: 1,
+        ..ScenarioConfig::default()
+    }
+    .with_nodes(500);
+    cfg.churn.horizon = hours * 60.0;
+    cfg
+}
+
+fn assert_lazy_matches_eager(base: ScenarioConfig, label: &str) {
+    // Eager probing touches every node, so under the lazy lifecycle the
+    // resident-state metrics are the one thing the probe mode may change.
+    let comparable = |mut r: RunResult| {
+        if base.node_lifecycle == NodeLifecycle::Lazy {
+            r.peak_materialized_nodes = 0;
+            r.node_evictions = 0;
+            r.slab_bytes = 0;
+        }
+        r
+    };
+    let eager = comparable(run(ScenarioConfig {
+        probe_mode: ProbeMode::Eager,
+        ..base
+    }));
+    let lazy = comparable(run(ScenarioConfig {
+        probe_mode: ProbeMode::Lazy,
+        ..base
+    }));
+    assert_eq!(
+        fingerprint(&eager),
+        fingerprint(&lazy),
+        "{label}: lazy diverged from eager"
+    );
+    assert_eq!(eager, lazy, "{label}");
+}
+
 #[test]
 fn lazy_run_is_bit_identical_to_eager_run() {
     for seed in [1u64, 7, 42] {
@@ -56,21 +103,38 @@ fn lazy_run_is_bit_identical_to_eager_run() {
                 adversary_fraction: 0.2,
                 ..ScenarioConfig::quick_test(seed)
             };
-            let eager = run(ScenarioConfig {
-                probe_mode: ProbeMode::Eager,
-                ..base
-            });
-            let lazy = run(ScenarioConfig {
-                probe_mode: ProbeMode::Lazy,
-                ..base
-            });
-            assert_eq!(
-                fingerprint(&eager),
-                fingerprint(&lazy),
-                "seed {seed} replacement {replacement:?}: lazy diverged from eager"
-            );
-            assert_eq!(eager, lazy);
+            assert_lazy_matches_eager(base, &format!("seed {seed} replacement {replacement:?}"));
         }
+    }
+    // Replacement-saturated: cells are read only by the 64 transmissions,
+    // so every catch-up spans many replacements.
+    for lifecycle in [NodeLifecycle::Eager, NodeLifecycle::Lazy] {
+        let base = ScenarioConfig {
+            node_lifecycle: lifecycle,
+            ..maintenance_saturated(2.0)
+        };
+        assert_lazy_matches_eager(base, &format!("saturated, {lifecycle:?} lifecycle"));
+    }
+}
+
+#[test]
+fn lazy_probing_schedules_only_transmissions() {
+    for lifecycle in [NodeLifecycle::Eager, NodeLifecycle::Lazy] {
+        let cfg = ScenarioConfig {
+            node_lifecycle: lifecycle,
+            probe_mode: ProbeMode::Lazy,
+            ..maintenance_saturated(8.0)
+        };
+        cfg.validate().expect("scenario must be valid");
+        let mut sim = SimulationRun::new(cfg, World::generate(&cfg));
+        let mut engine = Engine::new();
+        sim.schedule_all(&mut engine);
+        engine.run(&mut sim, Some(SimTime::new(cfg.churn.horizon)));
+        assert_eq!(
+            engine.events_handled(),
+            cfg.total_transmissions as u64,
+            "{lifecycle:?} lifecycle: lazy probing must schedule no maintenance events"
+        );
     }
 }
 

@@ -20,13 +20,14 @@ pct="${IDPA_BENCH_GATE_PCT:-20}"
 
 # Gated benches and the variable that selects each one's short timed pass.
 # Several binaries also assert their own floors before timing:
-#   settlement      epoch-vs-per-receipt speedup floor
-#   service_mode    chunked loop within 25% of the straight-line runner;
-#                   checkpointed + resumed runs equal the uninterrupted one
-#   adversary_zoo   cross-confirmation costs <= 10% and flags >= 90% of
-#                   the injected phantoms
-#   bank_durability WAL-on settlement within 15% of the bare ledger; cold
-#                   recovery and the warm replica land on the live digest
+#   probe_maintenance lazy run no slower than eager at N = 500
+#   settlement        epoch-vs-per-receipt speedup floor
+#   service_mode      chunked loop within 25% of the straight-line runner;
+#                     checkpointed + resumed runs equal the uninterrupted one
+#   adversary_zoo     cross-confirmation costs <= 10% and flags >= 90% of
+#                     the injected phantoms
+#   bank_durability   WAL-on settlement within 15% of the bare ledger; cold
+#                     recovery and the warm replica land on the live digest
 gated=(
     "history_shard IDPA_HS_QUICK"
     "probe_maintenance IDPA_PM_QUICK"
