@@ -12,9 +12,10 @@
 //! 3. **Bounded memory** — the whole run's heap high-water mark, counted
 //!    by the in-tree [`CountingAllocator`], stays under a ceiling sized to
 //!    the deliberate O(N) residuals (analytic churn schedules, topology)
-//!    plus the O(active) slab. At N = 10⁶ the measured peak is ~400 MiB;
-//!    the ceiling is 1 GiB, far below what eagerly materialized per-node
-//!    state (let alone the O(N²) dense cost matrix) would need.
+//!    plus the O(active) slab. At N = 10⁶ the measured peak is ~255 MiB
+//!    (~34 MiB at N = 100k); the ceilings are 640 MiB and 84 MiB, far
+//!    below what eagerly materialized per-node state (let alone the
+//!    O(N²) dense cost matrix) would need.
 //!
 //! Timed arms compare eager vs lazy lifecycles at N = 100k and time the
 //! million-node lazy run. `IDPA_NL_QUICK=1` restricts the sweep to
@@ -91,9 +92,9 @@ fn main() {
     // (heap) headroom over the measured figures so the assert catches
     // regressions in kind, not noise.
     let (mem_n, heap_ceiling) = if quick {
-        (100_000, 256 << 20)
+        (100_000, 84 << 20)
     } else {
-        (1_000_000, 1 << 30)
+        (1_000_000, 640 << 20)
     };
     let r = bounded_run(mem_n, 50_000, heap_ceiling);
     assert_eq!(r.connections, 4_096, "scale run dropped transmissions");

@@ -63,10 +63,11 @@ impl ChurnConfig {
 }
 
 /// One node's alternating up/down schedule: a sorted list of disjoint
-/// `[up, down)` intervals clamped to the horizon.
+/// `[up, down)` intervals clamped to the horizon, stored exact-size (a
+/// world holds one per node, so spare capacity would cost O(N)).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeSchedule {
-    sessions: Vec<(f64, f64)>,
+    sessions: Box<[(f64, f64)]>,
 }
 
 impl NodeSchedule {
@@ -84,7 +85,9 @@ impl NodeSchedule {
             assert!(s < e, "empty or inverted session ({s}, {e})");
             assert!(s >= 0.0, "negative session start {s}");
         }
-        NodeSchedule { sessions }
+        NodeSchedule {
+            sessions: sessions.into_boxed_slice(),
+        }
     }
 
     /// The `[start, end)` session intervals, sorted.
@@ -159,7 +162,7 @@ impl NodeSchedule {
     #[must_use]
     pub fn next_transition_after(&self, t: SimTime) -> Option<f64> {
         let t = t.minutes();
-        for &(s, e) in &self.sessions {
+        for &(s, e) in self.sessions.iter() {
             if s > t {
                 return Some(s);
             }
@@ -202,19 +205,22 @@ impl ChurnModel {
         let downtime = Exponential::from_mean(cfg.downtime_mean);
 
         let mut schedules = Vec::with_capacity(cfg.n_nodes);
+        // One scratch buffer for every node; each schedule keeps only an
+        // exact-size copy of it.
+        let mut scratch = Vec::new();
         let mut arrival = 0.0;
         for _ in 0..cfg.n_nodes {
             arrival += join_gap.sample(rng);
-            let mut sessions = Vec::new();
+            scratch.clear();
             let mut t = arrival;
             while t < cfg.horizon {
                 let up_end = (t + session.sample(rng)).min(cfg.horizon);
                 if up_end > t {
-                    sessions.push((t, up_end));
+                    scratch.push((t, up_end));
                 }
                 t = up_end + downtime.sample(rng);
             }
-            schedules.push(NodeSchedule::from_sessions(sessions));
+            schedules.push(NodeSchedule::from_sessions(scratch.as_slice().to_vec()));
         }
         schedules
     }
@@ -274,6 +280,44 @@ mod tests {
                 assert!(e <= cfg.horizon + 1e-9, "session beyond horizon");
                 prev_end = e;
             }
+        }
+    }
+
+    #[test]
+    fn generate_matches_naive_per_node_reference() {
+        // The shipped generator reuses one scratch buffer across nodes;
+        // this pins it against a fresh vector per node, sample by sample.
+        let cfg = ChurnConfig {
+            n_nodes: 60,
+            horizon: 300.0,
+            ..ChurnConfig::default()
+        };
+        for seed in [1u64, 7, 42, 1234] {
+            let shipped = ChurnModel::new(cfg).generate(&mut rng(seed));
+            let mut r = rng(seed);
+            let join_gap = Exponential::new(cfg.join_rate);
+            let session = Pareto::from_median(cfg.session_median, cfg.session_shape);
+            let downtime = Exponential::from_mean(cfg.downtime_mean);
+            let mut arrival = 0.0;
+            let mut reference = Vec::new();
+            for _ in 0..cfg.n_nodes {
+                arrival += join_gap.sample(&mut r);
+                let mut sessions = Vec::new();
+                let mut t = arrival;
+                while t < cfg.horizon {
+                    let up_end = (t + session.sample(&mut r)).min(cfg.horizon);
+                    if up_end > t {
+                        sessions.push((t, up_end));
+                    }
+                    t = up_end + downtime.sample(&mut r);
+                }
+                reference.push(NodeSchedule::from_sessions(sessions));
+            }
+            assert_eq!(shipped, reference, "seed {seed}");
+            assert!(
+                shipped.iter().filter(|s| s.sessions().len() > 1).count() > 1,
+                "the horizon must give several nodes more than one session"
+            );
         }
     }
 

@@ -49,6 +49,7 @@ use idpa_netmodel::NodeSchedule;
 
 use crate::node::NodeId;
 use crate::probe::{ProbeEstimator, ProbeEstimatorState};
+use crate::topology::Topology;
 
 /// The probe tick index `k` as a simulation time, computed as a product so
 /// that eager scheduling and lazy reconstruction agree to the last bit.
@@ -482,9 +483,9 @@ struct SparseCell {
 #[derive(Debug, Clone)]
 struct SparseCells {
     map: HashMap<usize, SparseCell>,
-    /// Initial neighbor sets, shared with the topology owner: the seed
+    /// The initial topology, shared with its owner (the world): the seed
     /// every (re-)materialization starts its trajectory from.
-    init_neighbors: Arc<Vec<Vec<NodeId>>>,
+    init_neighbors: Arc<Topology>,
     stats: Residency,
 }
 
@@ -492,7 +493,7 @@ impl SparseCells {
     /// Materializes (if absent) and syncs node `s`'s cell through `target`.
     fn touch(&mut self, s: NodeId, target: u64, ctx: &LazyCtx) -> &mut ProbeCell {
         if !self.map.contains_key(&s.index()) {
-            let nbrs = self.init_neighbors[s.index()].clone();
+            let nbrs = self.init_neighbors.neighbors(s).to_vec();
             let footprint = cell_footprint(nbrs.len());
             let cell = ProbeCell {
                 est: ProbeEstimator::new(s, ctx.period, nbrs),
@@ -632,15 +633,17 @@ impl LazyProbeSet {
 
     /// The sparse-store variant: no cell exists until its node is first
     /// touched by a read or maintenance query, and idle cells can be
-    /// evicted back to nothing ([`LazyProbeSet::evict_idle`]). Resident
-    /// memory scales with the touched working set, never with `N`; query
-    /// results are bit-identical to the dense store's.
+    /// evicted back to nothing ([`LazyProbeSet::evict_idle`]). The
+    /// initial neighbor sets are read from the shared `neighbors`
+    /// topology, never copied per node, so resident memory scales with the
+    /// touched working set, never with `N`; query results are
+    /// bit-identical to the dense store's.
     #[must_use]
     pub fn new_sparse(
         period: f64,
         horizon: f64,
         schedules: Arc<Vec<NodeSchedule>>,
-        neighbors: Arc<Vec<Vec<NodeId>>>,
+        neighbors: Arc<Topology>,
         threshold: Option<u64>,
         streams: StreamFactory,
     ) -> Self {
@@ -1172,7 +1175,7 @@ mod tests {
             1.0,
             120.0,
             Arc::new(schedules),
-            Arc::new(neighbors),
+            Arc::new(Topology::from_lists(neighbors)),
             Some(4),
             streams,
         );
@@ -1207,7 +1210,7 @@ mod tests {
             1.0,
             120.0,
             Arc::new(schedules),
-            Arc::new(neighbors),
+            Arc::new(Topology::from_lists(neighbors)),
             Some(3),
             streams,
         );
@@ -1253,7 +1256,7 @@ mod tests {
             1.0,
             100.0,
             Arc::new(schedules.clone()),
-            Arc::new(neighbors.clone()),
+            Arc::new(Topology::from_lists(neighbors.clone())),
             None,
             streams.clone(),
         );

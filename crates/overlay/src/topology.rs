@@ -11,9 +11,13 @@ use rand::RngExt;
 use crate::node::NodeId;
 
 /// A directed, fixed-out-degree neighbor relation over `n` nodes.
+///
+/// Stored flat: node `s`'s neighbor set is `neighbors[s·d .. (s+1)·d]`,
+/// one allocation for the whole relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
-    neighbors: Vec<Vec<NodeId>>,
+    neighbors: Vec<NodeId>,
+    n: usize,
     degree: usize,
 }
 
@@ -33,43 +37,52 @@ impl Topology {
         // Partial Fisher-Yates over the candidate set {0..n} \ {s}, run
         // *sparsely*: the candidate array is never materialized. Position
         // `i` of the virtual array holds `i` (or `i + 1` once past the
-        // excluded self entry); the handful of slots an earlier swap
-        // displaced live in a small map. The draws are `random_range(k..n-1)`
-        // either way — bounds depend only on `n`, not on array contents — so
-        // the bit stream, and therefore every sampled topology, is identical
-        // to the dense construction at O(d) instead of O(n) per node.
-        let mut displaced: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        let mut neighbors = Vec::with_capacity(n);
+        // excluded self entry); the at most `d` positions an earlier swap
+        // overwrote are logged as `(position, value)` pairs, and a lookup
+        // scans the log newest-first, so the latest write wins. The draws
+        // are `random_range(k..n-1)` either way — bounds depend only on
+        // `n`, not on array contents — so the bit stream, and therefore
+        // every sampled topology, is identical to the dense construction
+        // at O(d) instead of O(n) per node.
+        let mut displaced: Vec<(usize, usize)> = Vec::with_capacity(degree);
+        let mut neighbors = Vec::with_capacity(n * degree);
         for s in 0..n {
             displaced.clear();
-            let virt = |i: usize| if i < s { i } else { i + 1 };
-            let mut chosen = Vec::with_capacity(degree);
+            let at = |displaced: &[(usize, usize)], i: usize| {
+                displaced
+                    .iter()
+                    .rev()
+                    .find(|&&(pos, _)| pos == i)
+                    .map_or(if i < s { i } else { i + 1 }, |&(_, v)| v)
+            };
+            let start = neighbors.len();
             for k in 0..degree {
                 let pick = rng.random_range(k..n - 1);
-                let picked = displaced.get(&pick).copied().unwrap_or_else(|| virt(pick));
+                let picked = at(&displaced, pick);
                 // Complete the swap: position `pick` inherits position `k`'s
                 // value. Position `k` itself is never read again (later
                 // draws range over `k+1..`), so only this half matters.
-                let at_k = displaced.get(&k).copied().unwrap_or_else(|| virt(k));
-                displaced.insert(pick, at_k);
-                chosen.push(NodeId(picked));
+                let at_k = at(&displaced, k);
+                displaced.push((pick, at_k));
+                neighbors.push(NodeId(picked));
             }
-            chosen.sort_unstable();
-            neighbors.push(chosen);
+            neighbors[start..].sort_unstable();
         }
-        Topology { neighbors, degree }
+        Topology {
+            neighbors,
+            n,
+            degree,
+        }
     }
 
     /// Builds a topology from explicit adjacency lists (used by tests and
-    /// the worked example of Figs. 1–2). Validates no self-loops and no
-    /// duplicate neighbors.
+    /// the worked example of Figs. 1–2), keeping each list's order — it is
+    /// the probe-slot order. Validates no self-loops and no duplicate
+    /// neighbors, and that every list has the same length.
     #[must_use]
     pub fn from_lists(lists: Vec<Vec<NodeId>>) -> Self {
         let n = lists.len();
-        let mut degree = 0;
         for (s, nbrs) in lists.iter().enumerate() {
-            degree = degree.max(nbrs.len());
             let mut seen = std::collections::HashSet::new();
             for &v in nbrs {
                 assert!(v.index() < n, "neighbor {v} out of range");
@@ -77,8 +90,14 @@ impl Topology {
                 assert!(seen.insert(v), "duplicate neighbor {v} at node {s}");
             }
         }
+        let degree = lists.first().map_or(0, Vec::len);
+        assert!(
+            lists.iter().all(|l| l.len() == degree),
+            "ragged neighbor lists: every node needs {degree} neighbors"
+        );
         Topology {
-            neighbors: lists,
+            neighbors: lists.concat(),
+            n,
             degree,
         }
     }
@@ -86,13 +105,13 @@ impl Topology {
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.neighbors.len()
+        self.n
     }
 
     /// Whether the topology has no nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.neighbors.is_empty()
+        self.n == 0
     }
 
     /// The configured out-degree `d`.
@@ -104,13 +123,15 @@ impl Topology {
     /// The neighbor set `D(s)`.
     #[must_use]
     pub fn neighbors(&self, s: NodeId) -> &[NodeId] {
-        &self.neighbors[s.index()]
+        let start = s.index() * self.degree;
+        &self.neighbors[start..start + self.degree]
     }
 
-    /// Whether `v ∈ D(s)`.
+    /// Whether `v ∈ D(s)`. A linear scan: [`Topology::from_lists`] keeps
+    /// the caller's order, so the set need not be sorted.
     #[must_use]
     pub fn is_neighbor(&self, s: NodeId, v: NodeId) -> bool {
-        self.neighbors[s.index()].binary_search(&v).is_ok()
+        self.neighbors(s).contains(&v)
     }
 
     /// Nodes that have `v` in their neighbor set (the reverse relation);
@@ -209,6 +230,38 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "ragged neighbor lists")]
+    fn from_lists_rejects_ragged_lists() {
+        let _ = Topology::from_lists(vec![vec![NodeId(1)], vec![], vec![NodeId(0)]]);
+    }
+
+    #[test]
+    fn from_lists_keeps_order_and_answers_membership_on_unsorted_sets() {
+        let lists: Vec<Vec<NodeId>> = [[3, 1, 2], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+            .iter()
+            .map(|l| l.iter().map(|&v| NodeId(v)).collect())
+            .collect();
+        let t = Topology::from_lists(lists.clone());
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.degree(), 3);
+        for (s, list) in lists.iter().enumerate() {
+            assert_eq!(t.neighbors(NodeId(s)), list.as_slice(), "slot order kept");
+            for v in 0..4 {
+                assert_eq!(
+                    t.is_neighbor(NodeId(s), NodeId(v)),
+                    list.contains(&NodeId(v)),
+                    "is_neighbor({s}, {v})"
+                );
+            }
+        }
+        assert!(t.is_neighbor(NodeId(0), NodeId(3)));
+        assert_eq!(
+            t.reverse_neighbors(NodeId(3)),
+            vec![NodeId(0), NodeId(1), NodeId(2)]
+        );
+    }
+
+    #[test]
     fn sparse_sampling_matches_dense_reference() {
         // The shipped sampler simulates the candidate array sparsely; this
         // pins it bit-for-bit against the dense partial Fisher-Yates it
@@ -218,6 +271,10 @@ mod tests {
             (17, 16, 2),
             (300, 3, 9),
             (6, 5, 10),
+            // The churn-maintenance shape and a large sparse world: the
+            // displaced-position log at real degrees.
+            (500, 24, 11),
+            (10_000, 5, 12),
         ] {
             let sparse = Topology::random(n, d, &mut rng(seed));
             let mut r = rng(seed);

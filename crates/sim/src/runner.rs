@@ -557,22 +557,20 @@ impl SimulationRun {
     #[must_use]
     pub fn new(cfg: ScenarioConfig, world: World) -> Self {
         let streams = StreamFactory::new(cfg.seed);
-        let neighbor_sets: Vec<Vec<NodeId>> = (0..cfg.n_nodes)
-            .map(|i| world.topology.neighbors(NodeId(i)).to_vec())
-            .collect();
+        // The dense stores own one mutable neighbor set per node; the
+        // sparse store borrows the world's topology instead.
+        let initial = |i: usize| world.topology.neighbors(NodeId(i)).to_vec();
         let probes = match (cfg.probe_mode, cfg.node_lifecycle) {
             (ProbeMode::Eager, _) => ProbeState::Eager(
-                neighbor_sets
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, nbrs)| ProbeEstimator::new(NodeId(i), cfg.probe_period, nbrs))
+                (0..cfg.n_nodes)
+                    .map(|i| ProbeEstimator::new(NodeId(i), cfg.probe_period, initial(i)))
                     .collect(),
             ),
             (ProbeMode::Lazy, NodeLifecycle::Eager) => ProbeState::Lazy(LazyProbeSet::new_shared(
                 cfg.probe_period,
                 cfg.churn.horizon,
                 Arc::clone(&world.schedules),
-                neighbor_sets,
+                (0..cfg.n_nodes).map(initial).collect(),
                 cfg.neighbor_replacement_rounds,
                 streams.clone(),
             )),
@@ -583,7 +581,7 @@ impl SimulationRun {
                 cfg.probe_period,
                 cfg.churn.horizon,
                 Arc::clone(&world.schedules),
-                Arc::new(neighbor_sets),
+                Arc::clone(&world.topology),
                 cfg.neighbor_replacement_rounds,
                 streams.clone(),
             )),
@@ -1828,6 +1826,23 @@ mod tests {
         let r = SimulationRun::execute(cfg);
         let baseline = SimulationRun::execute(ScenarioConfig::quick_test(22));
         assert_eq!(r, baseline);
+    }
+
+    #[test]
+    fn lazy_lifecycle_shares_the_world_topology() {
+        // The sparse probe store reads initial neighbor sets from the
+        // world's topology: one flat array, held by the world and the
+        // store, never copied per node.
+        let cfg = ScenarioConfig {
+            probe_mode: ProbeMode::Lazy,
+            node_lifecycle: NodeLifecycle::Lazy,
+            ..ScenarioConfig::quick_test(23)
+        };
+        let world = World::generate(&cfg);
+        let run = SimulationRun::new(cfg, world);
+        assert_eq!(Arc::strong_count(&run.world.topology), 2);
+        drop(run.probes);
+        assert_eq!(Arc::strong_count(&run.world.topology), 1);
     }
 
     #[test]

@@ -340,12 +340,13 @@ mod tests {
     fn sweep_cadence_is_tick_gated() {
         use idpa_desim::rng::StreamFactory;
         use idpa_netmodel::NodeSchedule;
+        use idpa_overlay::Topology;
         use std::sync::Arc;
         let schedules = Arc::new(vec![
             NodeSchedule::from_sessions(vec![(0.0, 200.0)]),
             NodeSchedule::from_sessions(vec![(0.0, 200.0)]),
         ]);
-        let neighbors = Arc::new(vec![vec![NodeId(1)], vec![NodeId(0)]]);
+        let neighbors = Arc::new(Topology::from_lists(vec![vec![NodeId(1)], vec![NodeId(0)]]));
         let probes = LazyProbeSet::new_sparse(
             5.0,
             200.0,

@@ -37,9 +37,12 @@ pub struct PairWorkload {
 pub struct World {
     /// Node roles (good / malicious).
     pub kinds: Vec<NodeKind>,
-    /// The neighbor relation.
-    pub topology: Topology,
-    /// Per-node churn schedules — the one deliberately O(N) structure:
+    /// The neighbor relation — one flat `n·d` array, the second
+    /// deliberately O(N) structure. Shared (`Arc`) with the sparse probe
+    /// store, which reads each node's initial neighbor set from it rather
+    /// than keeping a per-node copy.
+    pub topology: Arc<Topology>,
+    /// Per-node churn schedules — the other deliberately O(N) structure:
     /// shared (`Arc`) with the probe sets and any lazy node slab, it *is*
     /// the compact analytic summary every other piece of per-node state
     /// materializes from.
@@ -105,7 +108,7 @@ impl World {
 
         Ok(World {
             kinds,
-            topology,
+            topology: Arc::new(topology),
             schedules: Arc::new(schedules),
             costs,
             pairs,
