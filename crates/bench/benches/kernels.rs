@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the substrate kernels: event calendar throughput,
 //! RNG, selectivity lookups (indexed vs rescan), path formation, model II
 //! lookahead (memoised vs naive recursion), probing, the crypto
-//! primitives and game solving.
+//! primitives, the snapshot frame checksum and game solving.
 
 use idpa_bench::harness::Harness;
 use idpa_core::bundle::BundleId;
@@ -17,6 +17,7 @@ use idpa_core::utility::UtilityModel;
 use idpa_crypto::bigint::BigUint;
 use idpa_crypto::blind::BlindingFactor;
 use idpa_crypto::chacha20::ChaCha20;
+use idpa_crypto::hmac::HmacKey;
 use idpa_crypto::rsa::RsaKeyPair;
 use idpa_crypto::sha256::Sha256;
 use idpa_desim::rng::Xoshiro256StarStar;
@@ -463,11 +464,27 @@ fn bench_crypto(h: &mut Harness) {
     });
     let data = vec![0xabu8; 4096];
     h.bench("crypto/sha256_4k", || Sha256::digest(&data));
+    {
+        // One receipt MAC under a bundle's prepared key: the 24-byte
+        // `bundle ‖ connection ‖ hop ‖ forwarder` message of settlement.
+        let bundle_key = HmacKey::new(&[9u8; 32]);
+        let msg = [0x5au8; 24];
+        h.bench("crypto/hmac_receipt", || bundle_key.mac(black_box(&msg)));
+    }
     let key = [7u8; 32];
     let nonce = [1u8; 12];
     let zeros = vec![0u8; 4096];
     h.bench("crypto/chacha20_4k", || {
         ChaCha20::encrypt(&key, &nonce, &zeros)
+    });
+}
+
+fn bench_codec(h: &mut Harness) {
+    // Checksum of a 1 MiB snapshot payload (a service-mode checkpoint
+    // frames ~0.65 MiB).
+    let payload: Vec<u8> = (0..1u32 << 20).map(|i| (i % 251) as u8).collect();
+    h.bench("codec/frame_checksum_1m", || {
+        idpa_desim::codec::frame_checksum(black_box(&payload))
     });
 }
 
@@ -489,6 +506,7 @@ fn main() {
     bench_probe_tick(&mut h);
     bench_lazy_catchup(&mut h);
     bench_crypto(&mut h);
+    bench_codec(&mut h);
     bench_games(&mut h);
     h.write_json_default().expect("write bench report");
 }

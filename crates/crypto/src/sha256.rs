@@ -23,6 +23,10 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// Longest input FIPS 180-4 admits: the padding encodes the message
+/// length in bits as a 64-bit field, so at most `2⁶⁴ − 1` bits.
+const MAX_INPUT_BYTES: u64 = (1 << 61) - 1;
+
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
@@ -58,6 +62,7 @@ impl Sha256 {
         self.total_len = self
             .total_len
             .checked_add(data.len() as u64)
+            .filter(|&total| total <= MAX_INPUT_BYTES)
             .expect("SHA-256 input too long");
         // Fill the pending buffer first.
         if self.buffer_len > 0 {
@@ -90,16 +95,25 @@ impl Sha256 {
     }
 
     /// Produces the digest, consuming logical state.
+    ///
+    /// The padding (`0x80`, zero fill, 64-bit big-endian bit length) is
+    /// written straight into the pending block; a second block is
+    /// compressed only when fewer than 9 bytes of the first remain.
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        // `update` keeps `total_len` within MAX_INPUT_BYTES, so this fits.
+        let bit_len = self.total_len * 8;
+        let n = self.buffer_len;
+        self.buffer[n] = 0x80;
+        if n > 55 {
+            self.buffer[n + 1..].fill(0);
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer[..56].fill(0);
+        } else {
+            self.buffer[n + 1..56].fill(0);
         }
-        // Manual final block write: append length without re-counting it.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
 
@@ -239,15 +253,70 @@ mod tests {
 
     #[test]
     fn length_boundary_paddings() {
-        // 55, 56 and 64-byte messages hit all three padding layouts.
-        for len in [55usize, 56, 57, 63, 64, 65] {
+        // A tail (`n mod 64`) of at most 55 bytes pads within its own
+        // block (55, 64, 65, 119); a tail of 56..=63 spills the length into
+        // an extra block (56, 57, 63, 120). Reference digests of
+        // `[0xab; n]` from an independent SHA-256.
+        let known = [
+            (
+                55,
+                "48d76eab30e51201f4f03ec7a85dab8510fb3409ccd15b54767f9b4435c9f54d",
+            ),
+            (
+                56,
+                "a8c9906ade2a2eff868fd8f97a570bbc01a13cddc32c3dfdc9a18f0618d69e55",
+            ),
+            (
+                57,
+                "21d063693fbba44f9ffa966466e2f94d9931b9c9519120c3804ef1ceafd989b5",
+            ),
+            (
+                63,
+                "d1036ba30d050c74b1a5ab301fa29ff0c607a27cc55af3412577f7e06dbd190b",
+            ),
+            (
+                64,
+                "ec65c8798ecf95902413c40f7b9e6d4b0068885f5f324aba1f9ba1c8e14aea61",
+            ),
+            (
+                65,
+                "39cd843414d5125dd308568ace26d04e60b7fa6d2b1a901fb5184fa2eae0598b",
+            ),
+            (
+                119,
+                "a773085d98f8978583efd89d0f06e29076a12e2e059103ec533f63e1c6f17dd7",
+            ),
+            (
+                120,
+                "3442eea54f994b0d41c1da867e8347d69fa1a40e2d8a437dcde54dae74504922",
+            ),
+        ];
+        for (len, expect) in known {
             let data = vec![0xabu8; len];
-            let d1 = Sha256::digest(&data);
+            assert_eq!(hex(&Sha256::digest(&data)), expect, "len={len}");
             let mut h = Sha256::new();
             for b in &data {
                 h.update(std::slice::from_ref(b));
             }
-            assert_eq!(h.finalize(), d1, "len={len}");
+            assert_eq!(hex(&h.finalize()), expect, "bytewise len={len}");
         }
+    }
+
+    #[test]
+    fn accepts_input_up_to_the_bit_length_limit() {
+        let mut h = Sha256::new();
+        h.total_len = MAX_INPUT_BYTES - 1;
+        h.update(b"a");
+        assert_eq!(h.total_len, MAX_INPUT_BYTES);
+    }
+
+    #[test]
+    #[should_panic(expected = "SHA-256 input too long")]
+    fn rejects_input_past_the_bit_length_limit() {
+        let mut h = Sha256::new();
+        h.total_len = MAX_INPUT_BYTES - 1;
+        h.update(b"a");
+        // One byte more would need a 2⁶⁴-bit length field.
+        h.update(b"a");
     }
 }

@@ -6,7 +6,7 @@
 
 use idpa_crypto::bigint::BigUint;
 use idpa_crypto::chacha20::ChaCha20;
-use idpa_crypto::hmac::{hmac_sha256, verify_hmac};
+use idpa_crypto::hmac::{hmac_sha256, verify_hmac, HmacKey};
 use idpa_crypto::sha256::Sha256;
 use idpa_desim::rng::Xoshiro256StarStar;
 
@@ -141,6 +141,43 @@ fn hmac_round_trip_and_rejection() {
         let mut bad = mac;
         bad[flip / 8] ^= 1 << (flip % 8);
         assert!(!verify_hmac(&key, &msg, &bad));
+    }
+}
+
+/// RFC 2104 written out literally: pad the key, hash `ipad ‖ message`,
+/// then `opad ‖ inner` — every call re-derives the pads from scratch.
+fn reference_hmac(key: &[u8], message: &[u8]) -> [u8; 32] {
+    let mut block = [0u8; 64];
+    if key.len() > 64 {
+        block[..32].copy_from_slice(&Sha256::digest(key));
+    } else {
+        block[..key.len()].copy_from_slice(key);
+    }
+    let mut inner: Vec<u8> = block.iter().map(|b| b ^ 0x36).collect();
+    inner.extend_from_slice(message);
+    let mut outer: Vec<u8> = block.iter().map(|b| b ^ 0x5c).collect();
+    outer.extend_from_slice(&Sha256::digest(&inner));
+    Sha256::digest(&outer)
+}
+
+/// A prepared key agrees with the per-call reference for every key length
+/// across the 64-byte hash-the-key rule and every message length across
+/// both padding layouts of the inner hash (the key is reused throughout).
+#[test]
+fn prepared_key_matches_rfc2104_reference() {
+    let mut r = rng(0x1007);
+    let message = random_bytes(&mut r, 130);
+    for key_len in 0..=130 {
+        let key = random_bytes(&mut r, key_len);
+        let prepared = HmacKey::new(&key);
+        for msg_len in 0..=130 {
+            let msg = &message[..msg_len];
+            assert_eq!(
+                prepared.mac(msg),
+                reference_hmac(&key, msg),
+                "key_len={key_len} msg_len={msg_len}"
+            );
+        }
     }
 }
 

@@ -6,7 +6,10 @@
 //! little-endian primitive encoding ([`Enc`]/[`Dec`]), a typed error for
 //! every way a snapshot can be malformed ([`CodecError`]), and a framing
 //! layer ([`frame`]/[`unframe`]) that wraps a payload in magic bytes, a
-//! format version, an explicit length, and an FNV-1a-64 checksum.
+//! format version, an explicit length, and a word-wise FNV-1a-64
+//! checksum ([`frame_checksum`]). A snapshot writer encodes its payload
+//! straight into the frame ([`Enc::framed`] … [`Enc::seal_frame`]), so
+//! the payload is never copied.
 //!
 //! Design rules, enforced by the decode-hardening property suite in
 //! `idpa-sim`:
@@ -103,18 +106,49 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a 64-bit hash of `bytes` — the snapshot payload checksum.
+/// Byte length of the frame header in front of the payload: magic,
+/// version, payload length.
+pub const FRAME_HEADER_LEN: usize = MAGIC.len() + 4 + 8;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit hash of `bytes`, one byte per step — the configuration
+/// fingerprint, ledger digest and WAL record checksum.
 ///
 /// Every step after a byte is absorbed (XOR with later bytes, multiply by
 /// the odd FNV prime) is injective in the running hash, so any single-byte
-/// change to the payload changes the final value; the decode-hardening
-/// suite relies on this to prove corrupted snapshots are always rejected.
+/// change to the input changes the final value.
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
     for byte in bytes {
+        h ^= u64::from(*byte);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// The snapshot frame checksum: FNV-1a-64 absorbing the payload as
+/// little-endian `u64` words, then the 0–7 tail bytes one at a time.
+///
+/// Each step is still a bijection in the absorbed word (XOR, then a
+/// multiply by the odd FNV prime), so any change confined to one word —
+/// in particular any single-byte change — changes the final value; the
+/// decode-hardening suite relies on this to prove corrupted snapshots are
+/// always rejected. It takes one multiply per eight bytes instead of one
+/// per byte.
+#[must_use]
+pub fn frame_checksum(bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(word);
+        h ^= u64::from_le_bytes(w);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    for byte in words.remainder() {
         h ^= u64::from(*byte);
         h = h.wrapping_mul(FNV_PRIME);
     }
@@ -140,6 +174,40 @@ impl Enc {
     #[must_use]
     pub fn from_vec(buf: Vec<u8>) -> Self {
         Enc { buf }
+    }
+
+    /// Starts a snapshot frame: the buffer opens with the frame header
+    /// (its length field left zero) and everything encoded next is the
+    /// payload. [`Enc::seal_frame`] finishes it in place.
+    #[must_use]
+    pub fn framed(version: u32) -> Self {
+        let mut buf = Vec::with_capacity(FRAME_HEADER_LEN);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 8]);
+        Enc { buf }
+    }
+
+    /// Finishes a frame begun by [`Enc::framed`]: patches the payload
+    /// length into the header and appends the [`frame_checksum`], giving
+    /// `MAGIC ‖ version:u32 ‖ payload_len:u64 ‖ payload ‖ checksum:u64`.
+    ///
+    /// # Panics
+    ///
+    /// If the encoder was not started by [`Enc::framed`].
+    #[must_use]
+    pub fn seal_frame(self) -> Vec<u8> {
+        let mut buf = self.buf;
+        assert!(
+            buf.len() >= FRAME_HEADER_LEN && buf.starts_with(&MAGIC),
+            "seal_frame needs an encoder started by Enc::framed"
+        );
+        let payload = &buf[FRAME_HEADER_LEN..];
+        let len = payload.len() as u64;
+        let checksum = frame_checksum(payload);
+        buf[MAGIC.len() + 4..FRAME_HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        buf.extend_from_slice(&checksum.to_le_bytes());
+        buf
     }
 
     /// Consumes the encoder, returning the encoded bytes.
@@ -339,16 +407,14 @@ impl<'a> Dec<'a> {
 }
 
 /// Wraps `payload` in the snapshot frame:
-/// `MAGIC ‖ version:u32 ‖ payload_len:u64 ‖ payload ‖ fnv1a64(payload):u64`.
+/// `MAGIC ‖ version:u32 ‖ payload_len:u64 ‖ payload ‖ frame_checksum(payload):u64`
+/// (the same bytes [`Enc::framed`] … [`Enc::seal_frame`] produce).
 #[must_use]
 pub fn frame(version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 4 + 8 + payload.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
-    out
+    let mut e = Enc::framed(version);
+    e.buf.reserve_exact(payload.len() + 8);
+    e.raw(payload);
+    e.seal_frame()
 }
 
 /// Validates a snapshot frame and returns the payload slice.
@@ -374,7 +440,7 @@ pub fn unframe(bytes: &[u8], expect_version: u32) -> Result<&[u8], CodecError> {
     let payload = dec.raw(declared as usize)?;
     let expected = dec.u64()?;
     dec.finish()?;
-    let actual = fnv1a_64(payload);
+    let actual = frame_checksum(payload);
     if expected != actual {
         return Err(CodecError::ChecksumMismatch { expected, actual });
     }
@@ -501,6 +567,76 @@ mod tests {
                 "flip at {i} gave {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn frame_rejects_any_single_byte_change_on_word_and_tail_paths() {
+        // Lengths 0..=24 cover empty payloads, pure tails (< 8), whole
+        // words and every word/tail mix up to three words.
+        for len in 0..=24usize {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let framed = frame(5, &payload);
+            assert_eq!(unframe(&framed, 5).unwrap(), payload.as_slice());
+            for i in FRAME_HEADER_LEN..FRAME_HEADER_LEN + len {
+                for delta in [0x01u8, 0x80, 0xFF] {
+                    let mut bad = framed.clone();
+                    bad[i] ^= delta;
+                    let err = unframe(&bad, 5).unwrap_err();
+                    assert!(
+                        matches!(err, CodecError::ChecksumMismatch { .. }),
+                        "len={len} byte={i} delta={delta:#x} gave {err:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_checksum_reads_words_little_endian_then_the_tail() {
+        // One hand-unrolled word step plus one tail step.
+        let bytes = [1u8, 2, 3, 4, 5, 6, 7, 8, 9];
+        let mut h = FNV_OFFSET;
+        h ^= 0x0807_0605_0403_0201;
+        h = h.wrapping_mul(FNV_PRIME);
+        h ^= 9;
+        h = h.wrapping_mul(FNV_PRIME);
+        assert_eq!(frame_checksum(&bytes), h);
+        // Under eight bytes it is the byte-wise FNV-1a.
+        assert_eq!(frame_checksum(&bytes[..7]), fnv1a_64(&bytes[..7]));
+    }
+
+    #[test]
+    fn version_4_frames_are_rejected_by_version() {
+        // Version 4 frames carried the byte-wise checksum; a current reader
+        // must reject them by version, before looking at the checksum.
+        let payload = b"old snapshot payload";
+        let mut old = Vec::new();
+        old.extend_from_slice(&MAGIC);
+        old.extend_from_slice(&4u32.to_le_bytes());
+        old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        old.extend_from_slice(payload);
+        old.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
+        assert_eq!(
+            unframe(&old, 5).unwrap_err(),
+            CodecError::UnsupportedVersion(4)
+        );
+    }
+
+    #[test]
+    fn in_place_framing_matches_frame() {
+        let mut e = Enc::framed(5);
+        e.u64(42);
+        e.raw(b"tail");
+        let mut payload = Enc::new();
+        payload.u64(42);
+        payload.raw(b"tail");
+        assert_eq!(e.seal_frame(), frame(5, &payload.into_bytes()));
+    }
+
+    #[test]
+    #[should_panic(expected = "seal_frame needs an encoder started by Enc::framed")]
+    fn sealing_an_unframed_encoder_panics() {
+        let _ = Enc::new().seal_frame();
     }
 
     #[test]

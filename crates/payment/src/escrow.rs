@@ -10,6 +10,7 @@
 //! Leftover escrow value is refunded to the (still anonymous) initiator as
 //! change tokens.
 
+use idpa_crypto::hmac::HmacKey;
 use idpa_desim::rng::Xoshiro256StarStar;
 
 use crate::bank::{AccountId, Bank, DepositError};
@@ -116,7 +117,7 @@ impl Escrow {
     pub fn settle(
         &mut self,
         bank: &mut Bank,
-        bundle_key: &[u8],
+        bundle_key: &HmacKey,
         receipts: &ReceiptBook,
         refund_wallet: &mut Wallet,
         rng: &mut Xoshiro256StarStar,
@@ -183,7 +184,7 @@ impl Escrow {
     pub fn settle_by_timeout(
         &mut self,
         bank: &mut Bank,
-        bundle_key: &[u8],
+        bundle_key: &HmacKey,
         receipts: &ReceiptBook,
     ) -> Result<SettlementReport, SettlementError> {
         if self.settled {
@@ -232,8 +233,9 @@ impl Escrow {
 mod tests {
     use super::*;
     use crate::receipt::Receipt;
+    use std::sync::LazyLock;
 
-    const KEY: &[u8] = b"bundle key";
+    static KEY: LazyLock<HmacKey> = LazyLock::new(|| HmacKey::new(b"bundle key"));
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)
@@ -278,13 +280,13 @@ mod tests {
 
         // Two connections; forwarder 0 on both, forwarder 1 on the second.
         let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(KEY, 1, 0, 0, w.forwarders[0]));
-        book.add(Receipt::issue(KEY, 1, 1, 0, w.forwarders[0]));
-        book.add(Receipt::issue(KEY, 1, 1, 1, w.forwarders[1]));
+        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
+        book.add(Receipt::issue(&KEY, 1, 1, 0, w.forwarders[0]));
+        book.add(Receipt::issue(&KEY, 1, 1, 1, w.forwarders[1]));
 
         let mut refund = Wallet::new();
         let report = escrow
-            .settle(&mut w.bank, KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
             .unwrap();
 
         assert_eq!(report.forwarder_set_size, 2);
@@ -300,10 +302,10 @@ mod tests {
         let mut w = world(2);
         let mut escrow = fund_escrow(&mut w, 1, 10, 10, 100);
         let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(KEY, 1, 0, 0, w.forwarders[0]));
+        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
         let mut refund = Wallet::new();
         let report = escrow
-            .settle(&mut w.bank, KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
             .unwrap();
         assert_eq!(report.refund, 100 - 20);
         // The refunded tokens deposit cleanly into any account.
@@ -320,10 +322,10 @@ mod tests {
         let total_before = w.bank.total_deposits() + w.bank.outstanding();
         let mut escrow = fund_escrow(&mut w, 1, 50, 100, 400);
         let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(KEY, 1, 0, 0, w.forwarders[0]));
+        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
         let mut refund = Wallet::new();
         escrow
-            .settle(&mut w.bank, KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
             .unwrap();
         assert_eq!(
             w.bank.total_deposits() + w.bank.outstanding(),
@@ -345,10 +347,10 @@ mod tests {
             "funds leave the initiator before any connection runs"
         );
         let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(KEY, 1, 0, 0, w.forwarders[0]));
+        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
         let mut refund = Wallet::new();
         let report = escrow
-            .settle(&mut w.bank, KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
             .unwrap();
         assert_eq!(w.bank.balance(w.forwarders[0]), Some(report.payouts[0].1));
     }
@@ -360,10 +362,10 @@ mod tests {
         let mut escrow = fund_escrow(&mut w, 1, 50, 100, 120);
         let mut book = ReceiptBook::new();
         for c in 0..5 {
-            book.add(Receipt::issue(KEY, 1, c, 0, w.forwarders[0]));
+            book.add(Receipt::issue(&KEY, 1, c, 0, w.forwarders[0]));
         }
         let mut refund = Wallet::new();
-        let err = escrow.settle(&mut w.bank, KEY, &book, &mut refund, &mut w.rng);
+        let err = escrow.settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng);
         assert!(matches!(err, Err(SettlementError::OverClaim { .. })));
         // Nothing was paid.
         assert_eq!(w.bank.balance(w.forwarders[0]), Some(0));
@@ -375,13 +377,13 @@ mod tests {
         let mut w = world(6);
         let mut escrow = fund_escrow(&mut w, 1, 50, 100, 400);
         let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(KEY, 1, 0, 0, w.forwarders[0]));
-        let mut forged = Receipt::issue(KEY, 1, 1, 0, w.forwarders[0]);
+        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
+        let mut forged = Receipt::issue(&KEY, 1, 1, 0, w.forwarders[0]);
         forged.forwarder = w.forwarders[2]; // divert to another account
         book.add(forged);
         let mut refund = Wallet::new();
         let report = escrow
-            .settle(&mut w.bank, KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
             .unwrap();
         assert_eq!(report.rejected_receipts, 1);
         assert_eq!(w.bank.balance(w.forwarders[2]), Some(0));
@@ -392,12 +394,12 @@ mod tests {
         let mut w = world(7);
         let mut escrow = fund_escrow(&mut w, 1, 10, 10, 100);
         let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(KEY, 1, 0, 0, w.forwarders[0]));
+        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
         let mut refund = Wallet::new();
         escrow
-            .settle(&mut w.bank, KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
             .unwrap();
-        let again = escrow.settle(&mut w.bank, KEY, &book, &mut refund, &mut w.rng);
+        let again = escrow.settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng);
         assert_eq!(again.unwrap_err(), SettlementError::AlreadySettled);
     }
 
@@ -407,7 +409,7 @@ mod tests {
         let mut escrow = fund_escrow(&mut w, 1, 10, 10, 100);
         let book = ReceiptBook::new();
         let mut refund = Wallet::new();
-        let err = escrow.settle(&mut w.bank, KEY, &book, &mut refund, &mut w.rng);
+        let err = escrow.settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng);
         assert_eq!(err.unwrap_err(), SettlementError::EmptyBundle);
     }
 
@@ -441,16 +443,16 @@ mod tests {
         let mut escrow = fund_escrow(&mut w, 1, 50, 100, 400);
         // The initiator vanishes; a forwarder presents the receipts.
         let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(KEY, 1, 0, 0, w.forwarders[0]));
-        book.add(Receipt::issue(KEY, 1, 1, 0, w.forwarders[0]));
-        let report = escrow.settle_by_timeout(&mut w.bank, KEY, &book).unwrap();
+        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
+        book.add(Receipt::issue(&KEY, 1, 1, 0, w.forwarders[0]));
+        let report = escrow.settle_by_timeout(&mut w.bank, &KEY, &book).unwrap();
         // 2*50 + 100/1 = 200 paid; 200 residual held.
         assert_eq!(w.bank.balance(w.forwarders[0]), Some(200));
         assert_eq!(report.refund, 0);
         assert_eq!(escrow.residual(), 200);
         // No double settlement afterwards.
         assert_eq!(
-            escrow.settle_by_timeout(&mut w.bank, KEY, &book),
+            escrow.settle_by_timeout(&mut w.bank, &KEY, &book),
             Err(SettlementError::AlreadySettled)
         );
     }
@@ -460,10 +462,10 @@ mod tests {
         let mut w = world(12);
         let mut escrow = fund_escrow(&mut w, 1, 50, 100, 400);
         let mut book = ReceiptBook::new();
-        let mut forged = Receipt::issue(KEY, 1, 0, 0, w.forwarders[0]);
+        let mut forged = Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]);
         forged.forwarder = w.forwarders[1];
         book.add(forged);
-        let err = escrow.settle_by_timeout(&mut w.bank, KEY, &book);
+        let err = escrow.settle_by_timeout(&mut w.bank, &KEY, &book);
         assert_eq!(err, Err(SettlementError::EmptyBundle));
         assert_eq!(w.bank.balance(w.forwarders[1]), Some(0));
     }
@@ -474,12 +476,12 @@ mod tests {
         let mut w = world(10);
         let mut escrow = fund_escrow(&mut w, 1, 10, 100, 400);
         let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(KEY, 1, 0, 0, w.forwarders[0]));
-        book.add(Receipt::issue(KEY, 1, 0, 1, w.forwarders[1]));
-        book.add(Receipt::issue(KEY, 1, 0, 2, w.forwarders[2]));
+        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
+        book.add(Receipt::issue(&KEY, 1, 0, 1, w.forwarders[1]));
+        book.add(Receipt::issue(&KEY, 1, 0, 2, w.forwarders[2]));
         let mut refund = Wallet::new();
         let report = escrow
-            .settle(&mut w.bank, KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
             .unwrap();
         for &(_, amount) in &report.payouts {
             assert_eq!(amount, 10 + 33);

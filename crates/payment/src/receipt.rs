@@ -11,7 +11,7 @@
 //! path the responder confirmed, and a forwarder cannot inflate its count
 //! of forwarding instances.
 
-use idpa_crypto::hmac::{hmac_sha256, verify_hmac};
+use idpa_crypto::hmac::HmacKey;
 
 use crate::bank::AccountId;
 
@@ -31,12 +31,12 @@ pub struct Receipt {
     pub mac: [u8; 32],
 }
 
-fn receipt_message(bundle_id: u64, connection: u32, hop: u32, forwarder: AccountId) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(8 + 4 + 4 + 8);
-    msg.extend_from_slice(&bundle_id.to_be_bytes());
-    msg.extend_from_slice(&connection.to_be_bytes());
-    msg.extend_from_slice(&hop.to_be_bytes());
-    msg.extend_from_slice(&forwarder.0.to_be_bytes());
+fn receipt_message(bundle_id: u64, connection: u32, hop: u32, forwarder: AccountId) -> [u8; 24] {
+    let mut msg = [0u8; 24];
+    msg[..8].copy_from_slice(&bundle_id.to_be_bytes());
+    msg[8..12].copy_from_slice(&connection.to_be_bytes());
+    msg[12..16].copy_from_slice(&hop.to_be_bytes());
+    msg[16..].copy_from_slice(&forwarder.0.to_be_bytes());
     msg
 }
 
@@ -45,16 +45,13 @@ impl Receipt {
     /// responder-side confirmation as it passes the forwarder).
     #[must_use]
     pub fn issue(
-        bundle_key: &[u8],
+        bundle_key: &HmacKey,
         bundle_id: u64,
         connection: u32,
         hop: u32,
         forwarder: AccountId,
     ) -> Self {
-        let mac = hmac_sha256(
-            bundle_key,
-            &receipt_message(bundle_id, connection, hop, forwarder),
-        );
+        let mac = bundle_key.mac(&receipt_message(bundle_id, connection, hop, forwarder));
         Receipt {
             bundle_id,
             connection,
@@ -66,9 +63,8 @@ impl Receipt {
 
     /// Verifies the MAC under the bundle key.
     #[must_use]
-    pub fn verify(&self, bundle_key: &[u8]) -> bool {
-        verify_hmac(
-            bundle_key,
+    pub fn verify(&self, bundle_key: &HmacKey) -> bool {
+        bundle_key.verify(
             &receipt_message(self.bundle_id, self.connection, self.hop, self.forwarder),
             &self.mac,
         )
@@ -116,7 +112,7 @@ impl ReceiptBook {
     #[must_use]
     pub fn validated_counts(
         &self,
-        bundle_key: &[u8],
+        bundle_key: &HmacKey,
         bundle_id: u64,
     ) -> (std::collections::BTreeMap<AccountId, u64>, usize) {
         let mut seen_slots = std::collections::HashSet::new();
@@ -138,7 +134,7 @@ impl ReceiptBook {
     /// The distinct forwarders appearing in **valid** receipts — the
     /// forwarder set `π` whose size divides the routing benefit.
     #[must_use]
-    pub fn forwarder_set(&self, bundle_key: &[u8], bundle_id: u64) -> Vec<AccountId> {
+    pub fn forwarder_set(&self, bundle_key: &HmacKey, bundle_id: u64) -> Vec<AccountId> {
         self.validated_counts(bundle_key, bundle_id)
             .0
             .into_keys()
@@ -149,43 +145,56 @@ impl ReceiptBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::LazyLock;
 
-    const KEY: &[u8] = b"per-bundle shared key";
+    const KEY_BYTES: &[u8] = b"per-bundle shared key";
+    static KEY: LazyLock<HmacKey> = LazyLock::new(|| HmacKey::new(KEY_BYTES));
 
     #[test]
     fn issue_verify_round_trip() {
-        let r = Receipt::issue(KEY, 7, 3, 1, AccountId(42));
-        assert!(r.verify(KEY));
+        let r = Receipt::issue(&KEY, 7, 3, 1, AccountId(42));
+        assert!(r.verify(&KEY));
+    }
+
+    #[test]
+    fn mac_covers_the_big_endian_field_layout() {
+        let r = Receipt::issue(&KEY, 7, 3, 1, AccountId(42));
+        let mut msg = Vec::new();
+        msg.extend_from_slice(&7u64.to_be_bytes());
+        msg.extend_from_slice(&3u32.to_be_bytes());
+        msg.extend_from_slice(&1u32.to_be_bytes());
+        msg.extend_from_slice(&42u64.to_be_bytes());
+        assert_eq!(r.mac, idpa_crypto::hmac::hmac_sha256(KEY_BYTES, &msg));
     }
 
     #[test]
     fn wrong_key_rejected() {
-        let r = Receipt::issue(KEY, 7, 3, 1, AccountId(42));
-        assert!(!r.verify(b"other key"));
+        let r = Receipt::issue(&KEY, 7, 3, 1, AccountId(42));
+        assert!(!r.verify(&HmacKey::new(b"other key")));
     }
 
     #[test]
     fn tampered_fields_rejected() {
-        let r = Receipt::issue(KEY, 7, 3, 1, AccountId(42));
+        let r = Receipt::issue(&KEY, 7, 3, 1, AccountId(42));
         let mut t = r.clone();
         t.forwarder = AccountId(43); // redirect payment
-        assert!(!t.verify(KEY));
+        assert!(!t.verify(&KEY));
         let mut t = r.clone();
         t.connection = 4; // claim an extra connection
-        assert!(!t.verify(KEY));
+        assert!(!t.verify(&KEY));
         let mut t = r;
         t.hop = 2;
-        assert!(!t.verify(KEY));
+        assert!(!t.verify(&KEY));
     }
 
     #[test]
     fn validated_counts_aggregate_per_forwarder() {
         let mut book = ReceiptBook::new();
         // Forwarder 1 on two connections, forwarder 2 on one.
-        book.add(Receipt::issue(KEY, 9, 0, 0, AccountId(1)));
-        book.add(Receipt::issue(KEY, 9, 1, 0, AccountId(1)));
-        book.add(Receipt::issue(KEY, 9, 0, 1, AccountId(2)));
-        let (counts, rejected) = book.validated_counts(KEY, 9);
+        book.add(Receipt::issue(&KEY, 9, 0, 0, AccountId(1)));
+        book.add(Receipt::issue(&KEY, 9, 1, 0, AccountId(1)));
+        book.add(Receipt::issue(&KEY, 9, 0, 1, AccountId(2)));
+        let (counts, rejected) = book.validated_counts(&KEY, 9);
         assert_eq!(rejected, 0);
         assert_eq!(counts[&AccountId(1)], 2);
         assert_eq!(counts[&AccountId(2)], 1);
@@ -194,10 +203,10 @@ mod tests {
     #[test]
     fn duplicate_slot_claims_are_rejected() {
         let mut book = ReceiptBook::new();
-        let r = Receipt::issue(KEY, 9, 0, 0, AccountId(1));
+        let r = Receipt::issue(&KEY, 9, 0, 0, AccountId(1));
         book.add(r.clone());
         book.add(r); // replay the same receipt
-        let (counts, rejected) = book.validated_counts(KEY, 9);
+        let (counts, rejected) = book.validated_counts(&KEY, 9);
         assert_eq!(counts[&AccountId(1)], 1, "replay must not double-count");
         assert_eq!(rejected, 1);
     }
@@ -205,11 +214,11 @@ mod tests {
     #[test]
     fn forged_receipt_rejected_without_blocking_others() {
         let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(KEY, 9, 0, 0, AccountId(1)));
-        let mut forged = Receipt::issue(KEY, 9, 1, 0, AccountId(2));
+        book.add(Receipt::issue(&KEY, 9, 0, 0, AccountId(1)));
+        let mut forged = Receipt::issue(&KEY, 9, 1, 0, AccountId(2));
         forged.forwarder = AccountId(3);
         book.add(forged);
-        let (counts, rejected) = book.validated_counts(KEY, 9);
+        let (counts, rejected) = book.validated_counts(&KEY, 9);
         assert_eq!(rejected, 1);
         assert_eq!(counts.len(), 1);
         assert!(counts.contains_key(&AccountId(1)));
@@ -218,8 +227,8 @@ mod tests {
     #[test]
     fn receipts_from_other_bundle_rejected() {
         let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(KEY, 8, 0, 0, AccountId(1))); // bundle 8
-        let (counts, rejected) = book.validated_counts(KEY, 9);
+        book.add(Receipt::issue(&KEY, 8, 0, 0, AccountId(1))); // bundle 8
+        let (counts, rejected) = book.validated_counts(&KEY, 9);
         assert!(counts.is_empty());
         assert_eq!(rejected, 1);
     }
@@ -227,9 +236,12 @@ mod tests {
     #[test]
     fn forwarder_set_is_distinct_accounts() {
         let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(KEY, 9, 0, 0, AccountId(5)));
-        book.add(Receipt::issue(KEY, 9, 1, 0, AccountId(5)));
-        book.add(Receipt::issue(KEY, 9, 1, 1, AccountId(6)));
-        assert_eq!(book.forwarder_set(KEY, 9), vec![AccountId(5), AccountId(6)]);
+        book.add(Receipt::issue(&KEY, 9, 0, 0, AccountId(5)));
+        book.add(Receipt::issue(&KEY, 9, 1, 0, AccountId(5)));
+        book.add(Receipt::issue(&KEY, 9, 1, 1, AccountId(6)));
+        assert_eq!(
+            book.forwarder_set(&KEY, 9),
+            vec![AccountId(5), AccountId(6)]
+        );
     }
 }

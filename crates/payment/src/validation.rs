@@ -22,8 +22,9 @@
 //! [`crate::audit::AuditEvent::Discrepancy`] entries.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
-use idpa_crypto::hmac::{hmac_sha256, verify_hmac};
+use idpa_crypto::hmac::HmacKey;
 
 use crate::bank::AccountId;
 use crate::receipt::Receipt;
@@ -54,8 +55,13 @@ fn manifest_message(bundle_id: u64, connection: u32, hops: &[AccountId]) -> Vec<
 impl PathManifest {
     /// Seals the path under the bundle key (executed by the responder).
     #[must_use]
-    pub fn issue(bundle_key: &[u8], bundle_id: u64, connection: u32, hops: Vec<AccountId>) -> Self {
-        let mac = hmac_sha256(bundle_key, &manifest_message(bundle_id, connection, &hops));
+    pub fn issue(
+        bundle_key: &HmacKey,
+        bundle_id: u64,
+        connection: u32,
+        hops: Vec<AccountId>,
+    ) -> Self {
+        let mac = bundle_key.mac(&manifest_message(bundle_id, connection, &hops));
         PathManifest {
             bundle_id,
             connection,
@@ -66,9 +72,8 @@ impl PathManifest {
 
     /// Verifies the seal.
     #[must_use]
-    pub fn verify(&self, bundle_key: &[u8]) -> bool {
-        verify_hmac(
-            bundle_key,
+    pub fn verify(&self, bundle_key: &HmacKey) -> bool {
+        bundle_key.verify(
             &manifest_message(self.bundle_id, self.connection, &self.hops),
             &self.mac,
         )
@@ -98,6 +103,10 @@ pub struct ConnectionEvidence {
 #[derive(Debug, Clone)]
 pub struct PathValidator {
     key: Vec<u8>,
+    /// `key` prepared on first use rather than in `new`, so the key
+    /// schedule of a pair that never completes a connection stays off
+    /// every run's set-up.
+    prepared: OnceLock<HmacKey>,
     bundle_id: u64,
     evidence: Vec<ConnectionEvidence>,
 }
@@ -108,9 +117,17 @@ impl PathValidator {
     pub fn new(bundle_key: &[u8], bundle_id: u64) -> Self {
         PathValidator {
             key: bundle_key.to_vec(),
+            prepared: OnceLock::new(),
             bundle_id,
             evidence: Vec::new(),
         }
+    }
+
+    /// The bundle key, prepared for MACs — what the responder issues the
+    /// bundle's manifests and receipts under.
+    #[must_use]
+    pub fn bundle_key(&self) -> &HmacKey {
+        self.prepared.get_or_init(|| HmacKey::new(&self.key))
     }
 
     /// Records one completed connection's evidence.
@@ -142,6 +159,7 @@ impl PathValidator {
     ) -> Self {
         PathValidator {
             key: bundle_key.to_vec(),
+            prepared: OnceLock::new(),
             bundle_id,
             evidence,
         }
@@ -153,7 +171,8 @@ impl PathValidator {
     /// ([`PathValidator::flag_connection`]).
     fn apply_evidence(&self, ev: &ConnectionEvidence, report: &mut ValidationReport) {
         let m = &ev.manifest;
-        if m.bundle_id != self.bundle_id || !m.verify(&self.key) {
+        let key = self.bundle_key();
+        if m.bundle_id != self.bundle_id || !m.verify(key) {
             report.invalid_manifests += 1;
             return;
         }
@@ -175,7 +194,7 @@ impl PathValidator {
                             && r.hop == hop
                             && r.bundle_id == self.bundle_id
                             && r.forwarder == account
-                            && r.verify(&self.key)
+                            && r.verify(key)
                     });
                     if vouched {
                         report.phantom_instances += 1;
@@ -190,7 +209,7 @@ impl PathValidator {
                 .iter()
                 .find(|r| r.connection == m.connection && r.hop == hop);
             let valid = receipt.is_some_and(|r| {
-                r.bundle_id == self.bundle_id && r.forwarder == account && r.verify(&self.key)
+                r.bundle_id == self.bundle_id && r.forwarder == account && r.verify(key)
             });
             if valid {
                 report.validated_instances += 1;
@@ -299,7 +318,10 @@ impl ValidationReport {
 mod tests {
     use super::*;
 
-    const KEY: &[u8] = b"bundle key for validation tests";
+    use std::sync::LazyLock;
+
+    const KEY_BYTES: &[u8] = b"bundle key for validation tests";
+    static KEY: LazyLock<HmacKey> = LazyLock::new(|| HmacKey::new(KEY_BYTES));
     const BUNDLE: u64 = 9;
 
     fn account(i: u64) -> AccountId {
@@ -311,12 +333,12 @@ mod tests {
     /// cheating forwarder at that position would).
     fn evidence(connection: u32, path: &[u64], corrupt_from: Option<usize>) -> ConnectionEvidence {
         let hops: Vec<AccountId> = path.iter().map(|&i| account(i)).collect();
-        let manifest = PathManifest::issue(KEY, BUNDLE, connection, hops.clone());
+        let manifest = PathManifest::issue(&KEY, BUNDLE, connection, hops.clone());
         let receipts = hops
             .iter()
             .enumerate()
             .map(|(i, &acct)| {
-                let mut r = Receipt::issue(KEY, BUNDLE, connection, (i + 1) as u32, acct);
+                let mut r = Receipt::issue(&KEY, BUNDLE, connection, (i + 1) as u32, acct);
                 if corrupt_from.is_some_and(|cf| i + 1 > cf) {
                     r.mac[0] ^= 0x55;
                 }
@@ -332,20 +354,20 @@ mod tests {
 
     #[test]
     fn manifest_round_trip_and_tamper_detection() {
-        let m = PathManifest::issue(KEY, BUNDLE, 3, vec![account(1), account(2)]);
-        assert!(m.verify(KEY));
-        assert!(!m.verify(b"wrong key"));
+        let m = PathManifest::issue(&KEY, BUNDLE, 3, vec![account(1), account(2)]);
+        assert!(m.verify(&KEY));
+        assert!(!m.verify(&HmacKey::new(b"wrong key")));
         let mut t = m.clone();
         t.hops[1] = account(7);
-        assert!(!t.verify(KEY), "substituted hop must break the seal");
+        assert!(!t.verify(&KEY), "substituted hop must break the seal");
         let mut t = m;
         t.connection = 4;
-        assert!(!t.verify(KEY));
+        assert!(!t.verify(&KEY));
     }
 
     #[test]
     fn clean_bundle_pays_everyone_and_flags_no_one() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         v.add_connection(evidence(0, &[1, 2, 3], None));
         v.add_connection(evidence(1, &[1, 4], None));
         let r = v.validate();
@@ -363,7 +385,7 @@ mod tests {
         // Cheater at position 2 (account 5) corrupts hops 3..: the deepest
         // intact prefix ends at position 2, so account 5 is flagged, and
         // the honest victims below it are the ones who lose payment.
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         v.add_connection(evidence(0, &[4, 5, 6, 7], Some(2)));
         let r = v.validate();
         assert_eq!(r.flagged.iter().copied().collect::<Vec<_>>(), [account(5)]);
@@ -382,7 +404,7 @@ mod tests {
         // at least one path, so accumulation flags all three and never an
         // honest node.
         let cheaters = [5u64, 6, 7];
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         v.add_connection(evidence(0, &[1, 5, 6, 2], Some(2))); // 5 masks 6
         v.add_connection(evidence(1, &[1, 6, 3, 2], Some(2))); // 6 exposed
         v.add_connection(evidence(2, &[7, 4, 1], Some(1))); // 7 exposed
@@ -396,7 +418,7 @@ mod tests {
     fn missing_receipts_are_shortfall_not_false_accusation() {
         // A dropped confirmation yields no evidence at all; a partially
         // delivered receipt set with an intact prefix flags the boundary.
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         let mut ev = evidence(0, &[1, 2, 3], None);
         ev.receipts.truncate(1); // hops 2 and 3 never arrived
         v.add_connection(ev);
@@ -411,7 +433,7 @@ mod tests {
 
     #[test]
     fn fully_corrupted_connection_is_unattributed() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         v.add_connection(evidence(0, &[1, 2], Some(0)));
         let r = v.validate();
         assert_eq!(r.validated_instances, 0);
@@ -422,7 +444,7 @@ mod tests {
 
     #[test]
     fn invalid_manifest_is_counted_and_skipped() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         let mut ev = evidence(0, &[1, 2], None);
         ev.manifest.hops[0] = account(9); // forged path statement
         v.add_connection(ev);
@@ -434,7 +456,7 @@ mod tests {
 
     #[test]
     fn flag_connection_matches_whole_bundle_settlement() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         v.add_connection(evidence(0, &[1, 2, 3], None)); // clean
         v.add_connection(evidence(1, &[4, 5, 6, 7], Some(2))); // 5 corrupts
         v.add_connection(evidence(2, &[1, 2], Some(0))); // unattributable
@@ -456,11 +478,11 @@ mod tests {
     fn forged_evidence(connection: u32, genuine: &[u64], phantoms: &[u64]) -> ConnectionEvidence {
         let mut hops: Vec<AccountId> = genuine.iter().map(|&i| account(i)).collect();
         hops.extend(phantoms.iter().map(|&i| account(i)));
-        let manifest = PathManifest::issue(KEY, BUNDLE, connection, hops.clone());
+        let manifest = PathManifest::issue(&KEY, BUNDLE, connection, hops.clone());
         let receipts = hops
             .iter()
             .enumerate()
-            .map(|(i, &acct)| Receipt::issue(KEY, BUNDLE, connection, (i + 1) as u32, acct))
+            .map(|(i, &acct)| Receipt::issue(&KEY, BUNDLE, connection, (i + 1) as u32, acct))
             .collect();
         ConnectionEvidence {
             manifest,
@@ -471,7 +493,7 @@ mod tests {
 
     #[test]
     fn cross_check_withholds_phantom_payouts_and_names_the_accounts() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         v.add_connection(forged_evidence(0, &[1, 2], &[8, 9]));
         let r = v.validate();
         // Genuine work is paid in full; the forged MAC-valid suffix is not.
@@ -494,7 +516,7 @@ mod tests {
         // Without observed hops the forgery is indistinguishable from
         // genuine evidence — the attack wins, which is exactly what the
         // adversary-zoo leakage metric measures.
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         let mut ev = forged_evidence(0, &[1, 2], &[8]);
         ev.observed_hops = None;
         v.add_connection(ev);
@@ -506,12 +528,12 @@ mod tests {
 
     #[test]
     fn cross_check_with_matching_observation_is_invisible() {
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         let mut honest = evidence(0, &[1, 2, 3], None);
         honest.observed_hops = Some(vec![account(1), account(2), account(3)]);
         v.add_connection(honest);
         let baseline = {
-            let mut vb = PathValidator::new(KEY, BUNDLE);
+            let mut vb = PathValidator::new(KEY_BYTES, BUNDLE);
             vb.add_connection(evidence(0, &[1, 2, 3], None));
             vb.validate()
         };
@@ -523,7 +545,7 @@ mod tests {
         // A cheater corrupts the genuine suffix while the responder pads
         // phantoms: the intact-prefix rule still pins the corrupter, and
         // the phantoms are still withheld.
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         let genuine = [4u64, 5, 6];
         let mut ev = forged_evidence(0, &genuine, &[8]);
         for r in &mut ev.receipts {
@@ -542,9 +564,9 @@ mod tests {
     fn receipt_for_wrong_forwarder_breaks_at_that_hop() {
         // A receipt redirected to another account fails the manifest match
         // even though its MAC verifies for the original fields.
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         let mut ev = evidence(0, &[1, 2, 3], None);
-        ev.receipts[1] = Receipt::issue(KEY, BUNDLE, 0, 2, account(8));
+        ev.receipts[1] = Receipt::issue(&KEY, BUNDLE, 0, 2, account(8));
         v.add_connection(ev);
         let r = v.validate();
         assert_eq!(r.validated_instances, 2);

@@ -1,9 +1,10 @@
 //! Write-ahead ledger log: the durability substrate of the bank.
 //!
 //! Every state-mutating ledger operation is encoded as a [`LedgerOp`],
-//! framed with the same discipline as simulation snapshots
+//! framed with the same layout as simulation snapshots
 //! (`magic ‖ version ‖ payload_len ‖ payload ‖ fnv1a64(payload)`, see
-//! `idpa_desim::codec`) and appended to the log *before* the in-memory
+//! `idpa_desim::codec`; the record checksum is the byte-wise FNV-1a,
+//! not the snapshots' word-wise one) and appended to the log *before* the in-memory
 //! state mutates. The contract is **logged = committed**: only operations
 //! that already passed validation are appended, so replaying any intact
 //! prefix of the log always succeeds and reproduces the exact ledger state

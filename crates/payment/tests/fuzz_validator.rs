@@ -18,13 +18,17 @@
 //! * `IDPA_FUZZ_LONG=1` — the nightly CI tier, two orders of magnitude
 //!   more cases.
 
+use std::sync::LazyLock;
+
+use idpa_crypto::hmac::HmacKey;
 use idpa_desim::rng::Xoshiro256StarStar;
 use idpa_payment::{
     AccountId, Bank, ConnectionEvidence, EpochLedger, PathManifest, PathValidator, Receipt, Token,
     ValidationReport, Wallet,
 };
 
-const KEY: &[u8] = b"fuzz bundle key";
+const KEY_BYTES: &[u8] = b"fuzz bundle key";
+static KEY: LazyLock<HmacKey> = LazyLock::new(|| HmacKey::new(KEY_BYTES));
 const BUNDLE: u64 = 77;
 
 /// Case budget for one fuzz target under the active tier.
@@ -90,12 +94,12 @@ fn fuzz_evidence(rng: &mut Xoshiro256StarStar, connection: u32) -> ConnectionEvi
         hops.push(account(100 + rng.next() % 8));
     }
 
-    let mut manifest = PathManifest::issue(KEY, BUNDLE, connection, hops.clone());
+    let mut manifest = PathManifest::issue(&KEY, BUNDLE, connection, hops.clone());
 
     let mut receipts: Vec<Receipt> = hops
         .iter()
         .enumerate()
-        .map(|(i, &a)| Receipt::issue(KEY, BUNDLE, connection, (i + 1) as u32, a))
+        .map(|(i, &a)| Receipt::issue(&KEY, BUNDLE, connection, (i + 1) as u32, a))
         .collect();
 
     // Receipt-level mutations, each applied with seeded probability.
@@ -188,7 +192,7 @@ fn merge(a: &mut ValidationReport, b: ValidationReport) {
 fn fuzz_path_validator_invariants() {
     for seed in case_seeds(1, budget(2000)) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         let n_conns = 1 + (rng.next() % 6) as u32;
         for c in 0..n_conns {
             v.add_connection(fuzz_evidence(&mut rng, c));
@@ -278,13 +282,13 @@ fn fuzz_cross_check_never_pays_phantoms() {
         for _ in 0..n_phantom {
             hops.push(account(100 + rng.next() % 8));
         }
-        let manifest = PathManifest::issue(KEY, BUNDLE, 0, hops.clone());
+        let manifest = PathManifest::issue(&KEY, BUNDLE, 0, hops.clone());
         let receipts: Vec<Receipt> = hops
             .iter()
             .enumerate()
-            .map(|(i, &a)| Receipt::issue(KEY, BUNDLE, 0, (i + 1) as u32, a))
+            .map(|(i, &a)| Receipt::issue(&KEY, BUNDLE, 0, (i + 1) as u32, a))
             .collect();
-        let mut v = PathValidator::new(KEY, BUNDLE);
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         v.add_connection(ConnectionEvidence {
             manifest,
             receipts,

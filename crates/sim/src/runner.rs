@@ -349,7 +349,9 @@ pub(crate) struct FaultRuntime {
     pub(crate) delivery: DeliveryTracker,
     /// Per-pair §5 evidence accumulators.
     pub(crate) validators: Vec<PathValidator>,
-    /// Per-pair bundle keys (shared by manifest and receipts).
+    /// Per-pair raw bundle keys (shared by manifest and receipts). The
+    /// validators prepare them on first use; restore rebuilds validators
+    /// from these.
     pub(crate) keys: Vec<[u8; 32]>,
     /// Per-pair time of the last completed connection (`< 0` = none).
     pub(crate) last_completion: Vec<f64>,
@@ -1152,7 +1154,6 @@ impl SimulationRun {
         // §5 evidence: the responder's MAC'd path manifest plus per-hop
         // receipts; a corrupting cheater destroys every receipt strictly
         // downstream of itself but keeps its own intact.
-        let key = &fr.keys[pair];
         let account = |n: NodeId| AccountId(n.index() as u64);
         let mut hops: Vec<AccountId> = outcome.forwarders.iter().map(|&f| account(f)).collect();
         // Clique forgery: a colluding responder holds the bundle key, so
@@ -1181,6 +1182,7 @@ impl SimulationRun {
                 }
             }
         }
+        let key = fr.validators[pair].bundle_key();
         let receipts = hops
             .iter()
             .enumerate()

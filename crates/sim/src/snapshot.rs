@@ -7,7 +7,8 @@
 //! fault runtime (delivery counters, evidence, fault ledgers, epoch
 //! cursors) and the windowed-metrics buckets — into one framed byte
 //! buffer ([`idpa_desim::codec::frame`]: magic, version, length,
-//! FNV-1a checksum). [`restore`] rebuilds a run that continues
+//! word-wise FNV-1a checksum), encoded in place behind the frame header.
+//! [`restore`] rebuilds a run that continues
 //! **bit-identically** to the uninterrupted one.
 //!
 //! What is *not* serialized is exactly the state that is a pure function
@@ -39,7 +40,7 @@ use idpa_core::bundle::{BundleAccounting, BundleId, ForwarderTally};
 use idpa_core::history::HistoryWrite;
 use idpa_core::metrics::{DeliveryTracker, ReformationTracker};
 use idpa_core::reputation::EdgeReputation;
-use idpa_desim::codec::{fnv1a_64, frame, unframe, CodecError, Dec, Enc};
+use idpa_desim::codec::{fnv1a_64, unframe, CodecError, Dec, Enc};
 use idpa_desim::rng::Xoshiro256StarStar;
 use idpa_desim::{Calendar, Engine};
 use idpa_overlay::{
@@ -61,8 +62,9 @@ use crate::world::World;
 
 /// Snapshot format version; bumped on any layout change so a stale
 /// snapshot fails with [`CodecError::UnsupportedVersion`] instead of
-/// misdecoding.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// misdecoding. Version 5 switched the frame to the word-wise
+/// [`idpa_desim::codec::frame_checksum`].
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the
@@ -254,7 +256,7 @@ fn dec_residency(d: &mut Dec) -> Result<Residency, SimError> {
 /// checksummed snapshot buffer.
 #[must_use]
 pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut e = Enc::framed(SNAPSHOT_VERSION);
     e.u64(config_fingerprint(&run.cfg));
 
     // Engine clock and calendar (original sequence numbers preserved, so
@@ -566,7 +568,7 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
         }
     }
 
-    frame(SNAPSHOT_VERSION, &e.into_bytes())
+    e.seal_frame()
 }
 
 /// Rebuilds a run + engine pair from a snapshot taken under the same

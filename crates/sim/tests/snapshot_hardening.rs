@@ -23,6 +23,7 @@
 //! subsequent restore of the intact snapshot still reproduces the
 //! uninterrupted run exactly.
 
+use idpa_desim::codec::{frame_checksum, FRAME_HEADER_LEN};
 use idpa_desim::rng::StreamFactory;
 use idpa_desim::{Engine, FaultConfig, FaultResponse, SimTime};
 use idpa_sim::snapshot::{encode, restore};
@@ -87,23 +88,13 @@ fn mid_run_snapshot(cfg: &ScenarioConfig) -> Vec<u8> {
     encode(&run, &engine)
 }
 
-/// FNV-1a, mirroring the frame checksum so tests can re-seal tampered
-/// payloads.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Recomputes and rewrites the trailing checksum over the payload, so a
-/// tampered snapshot passes the frame and reaches the structural decoder.
+/// Recomputes and rewrites the trailing checksum over the payload with the
+/// codec's own [`frame_checksum`], so a tampered snapshot passes the frame
+/// and reaches the structural decoder.
 fn reseal(bytes: &mut [u8]) {
     let n = bytes.len();
-    let payload = &bytes[20..n - 8];
-    let sum = fnv1a(payload).to_le_bytes();
+    let payload = &bytes[FRAME_HEADER_LEN..n - 8];
+    let sum = frame_checksum(payload).to_le_bytes();
     bytes[n - 8..].copy_from_slice(&sum);
 }
 

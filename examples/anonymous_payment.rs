@@ -10,6 +10,7 @@
 //! ```
 
 use idpa::crypto::bigint::BigUint;
+use idpa::crypto::hmac::HmacKey;
 use idpa::payment::bank::Bank;
 use idpa::payment::escrow::Escrow;
 use idpa::payment::receipt::{Receipt, ReceiptBook};
@@ -59,7 +60,7 @@ fn main() {
     // --- the bundle runs: receipts accumulate -----------------------------
     // 4 connections; forwarder 0 on all of them, forwarder 1 on two,
     // forwarder 2 on one. The bundle key is shared between I and R.
-    let bundle_key = b"bundle-1-shared-key";
+    let bundle_key = &HmacKey::new(b"bundle-1-shared-key");
     let mut book = ReceiptBook::new();
     for conn in 0..4u32 {
         book.add(Receipt::issue(

@@ -6,6 +6,7 @@
 //! bearer tokens, escrow, MAC'd receipts — and the credited amounts must
 //! equal the simulator's own `m·P_f + P_r/‖π‖` accounting.
 
+use idpa::crypto::hmac::HmacKey;
 use idpa::payment::bank::Bank;
 use idpa::payment::escrow::Escrow;
 use idpa::payment::receipt::{Receipt, ReceiptBook};
@@ -47,7 +48,7 @@ fn simulation_bundle_settles_through_real_bank() {
     let mut escrow =
         Escrow::open(&mut bank, 7, pf, pr, wallet.take_exact(budget).unwrap()).unwrap();
 
-    let key = b"e2e bundle key";
+    let key = &HmacKey::new(b"e2e bundle key");
     let mut book = ReceiptBook::new();
     for conn in 0..k {
         book.add(Receipt::issue(key, 7, conn, 0, f1));
