@@ -375,17 +375,22 @@ fn bench_lazy_catchup(h: &mut Harness) {
         })
         .collect();
     let streams = StreamFactory::new(11);
-    let pristine = LazyProbeSet::new(
+    let pristine = LazyProbeSet::new_sparse(
         period,
         horizon,
-        schedules.clone(),
-        sets.clone(),
+        std::sync::Arc::new(schedules.clone()),
+        std::sync::Arc::new(idpa_overlay::Topology::from_lists(sets.clone())),
         None,
         streams.clone(),
     );
+    // Every cell resident and synced to tick 0, so the timed closure does
+    // only the catch-up.
+    for i in 0..n {
+        pristine.sync_node(NodeId(i), 0.0);
+    }
     h.bench("overlay/lazy_catchup_all_288_ticks", || {
         let mut set = pristine.clone();
-        set.sync_all(horizon, 1);
+        set.sync_all(horizon);
         set.session_time(NodeId(0), sets[0][0], horizon)
     });
     h.bench("overlay/eager_replay_all_288_ticks", || {

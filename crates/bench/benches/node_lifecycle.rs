@@ -3,9 +3,10 @@
 //!
 //! Three guards run before timing:
 //!
-//! 1. **Value identity** — at N = 2000 the lazy lifecycle's `RunResult`
-//!    equals the eager one after zeroing the resident-state metrics (the
-//!    only fields the lifecycle may change).
+//! 1. **Value identity** — at N = 2000 the scale scenario's `RunResult`
+//!    with idle eviction (`evict_idle_ticks: Some(64)`) equals the one
+//!    without (`None`) after zeroing the resident-state metrics (the only
+//!    fields eviction may change).
 //! 2. **Bounded residency** — the peak materialized node count of a lazy
 //!    scale run stays a small fraction of N (the fixed 512-pair workload
 //!    saturates around ~3.3k touched nodes regardless of N).
@@ -17,40 +18,30 @@
 //!    below what eagerly materialized per-node state (let alone the
 //!    O(N²) dense cost matrix) would need.
 //!
-//! Timed arms compare eager vs lazy lifecycles at N = 100k and time the
-//! million-node lazy run. `IDPA_NL_QUICK=1` restricts the sweep to
-//! N = 20k (and the memory assertion to N = 100k) for the CI bench gate.
+//! Timed arms run the scale scenario at N = 100k and at N = 10⁶.
+//! `IDPA_NL_QUICK=1` restricts the sweep to N = 20k (and the memory
+//! assertion to N = 100k) for the CI bench gate.
 
 use idpa_bench::alloc_counter::CountingAllocator;
 use idpa_bench::harness::Harness;
-use idpa_sim::{NodeLifecycle, RunResult, ScenarioConfig, SimulationRun};
+use idpa_bench::without_residency;
+use idpa_sim::{RunResult, ScenarioConfig, SimulationRun};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
-/// The scale scenario with an explicit lifecycle arm.
-fn scale_cfg(n: usize, lifecycle: NodeLifecycle) -> ScenarioConfig {
-    let cfg = ScenarioConfig {
-        node_lifecycle: lifecycle,
-        ..ScenarioConfig::scale(n, 1)
-    };
+/// The scale scenario (idle eviction after 64 ticks).
+fn scale_cfg(n: usize) -> ScenarioConfig {
+    let cfg = ScenarioConfig::scale(n, 1);
     cfg.validate().expect("bench scenario must be valid");
     cfg
 }
 
-/// Zeroes the resident-state metrics — the only fields the lifecycle is
-/// allowed to change.
-fn normalized(mut r: RunResult) -> RunResult {
-    r.peak_materialized_nodes = 0;
-    r.node_evictions = 0;
-    r.slab_bytes = 0;
-    r
-}
-
-/// Runs the lazy arm at `n` under a fresh peak window, asserting residency
-/// and heap stay under the ceilings. Returns the run for reporting.
+/// Runs the scale scenario at `n` under a fresh peak window, asserting
+/// residency and heap stay under the ceilings. Returns the run for
+/// reporting.
 fn bounded_run(n: usize, max_nodes: usize, max_heap_bytes: usize) -> RunResult {
-    let cfg = scale_cfg(n, NodeLifecycle::Lazy);
+    let cfg = scale_cfg(n);
     ALLOC.reset_peak();
     let r = SimulationRun::execute(cfg);
     let peak = ALLOC.peak_bytes();
@@ -78,14 +69,18 @@ fn main() {
     let mut h = Harness::new();
 
     // Guard 1 — value identity before any timing.
-    let eager = SimulationRun::execute(scale_cfg(2_000, NodeLifecycle::Eager));
-    let lazy = SimulationRun::execute(scale_cfg(2_000, NodeLifecycle::Lazy));
+    let evicting = SimulationRun::execute(scale_cfg(2_000));
+    let kept = SimulationRun::execute(ScenarioConfig {
+        evict_idle_ticks: None,
+        ..scale_cfg(2_000)
+    });
+    assert!(evicting.node_evictions > 0, "no evictions at N=2000");
     assert_eq!(
-        normalized(eager),
-        normalized(lazy),
-        "lazy lifecycle diverged from eager at N=2000"
+        without_residency(evicting),
+        without_residency(kept),
+        "idle eviction changed the run at N=2000"
     );
-    println!("node_lifecycle: lazy == eager at N=2000 (normalized resident metrics)");
+    println!("node_lifecycle: evicting == never-evicting at N=2000 (normalized resident metrics)");
 
     // Guards 2 + 3 — bounded residency and heap. The working set is
     // ~3.3k nodes at every N; ceilings leave ~15x (nodes) and ~2.5x
@@ -99,19 +94,16 @@ fn main() {
     let r = bounded_run(mem_n, 50_000, heap_ceiling);
     assert_eq!(r.connections, 4_096, "scale run dropped transmissions");
 
-    // Timed arms: the lifecycle comparison at fixed N, and the lazy run
-    // at the largest scale for the tier.
-    let compare_n = if quick { 20_000 } else { 100_000 };
+    // Timed arms: the scale run at fixed N, and at the largest scale for
+    // the tier.
+    let timed_n = if quick { 20_000 } else { 100_000 };
     let tag = if quick { "n20k" } else { "n100k" };
-    h.bench(&format!("node_lifecycle/scale_{tag}_eager"), || {
-        SimulationRun::execute(scale_cfg(compare_n, NodeLifecycle::Eager))
-    });
     h.bench(&format!("node_lifecycle/scale_{tag}_lazy"), || {
-        SimulationRun::execute(scale_cfg(compare_n, NodeLifecycle::Lazy))
+        SimulationRun::execute(scale_cfg(timed_n))
     });
     if !quick {
         h.bench("node_lifecycle/scale_1m_lazy", || {
-            SimulationRun::execute(scale_cfg(1_000_000, NodeLifecycle::Lazy))
+            SimulationRun::execute(scale_cfg(1_000_000))
         });
     }
     h.write_json_default().expect("write bench report");

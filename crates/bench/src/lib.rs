@@ -41,6 +41,25 @@ pub fn run_point(f: f64, strategy: RoutingStrategy, tau: f64, seed: u64) -> RunR
     })
 }
 
+/// `r` with the resident-state metrics (`peak_materialized_nodes`,
+/// `node_evictions`, `slab_bytes`) zeroed: the only fields that depend on
+/// which probe cells a run kept resident rather than on what it computed.
+#[must_use]
+pub fn without_residency(mut r: RunResult) -> RunResult {
+    r.peak_materialized_nodes = 0;
+    r.node_evictions = 0;
+    r.slab_bytes = 0;
+    r
+}
+
+/// FNV-1a over the `Debug` rendering of [`without_residency`]`(r)`: the
+/// pin a bench asserts before timing, so a faster run can never be one
+/// that computes something else.
+#[must_use]
+pub fn result_fingerprint(r: &RunResult) -> u64 {
+    idpa_desim::codec::fnv1a_64(format!("{:?}", without_residency(r.clone())).as_bytes())
+}
+
 /// Utility model I strategy.
 #[must_use]
 pub fn model_one() -> RoutingStrategy {

@@ -38,47 +38,13 @@
 //! commits (including dropped-confirmation suffix commits).
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use idpa_desim::rng::{splitmix64, Mix64State};
 use idpa_overlay::NodeId;
 
 use crate::bundle::BundleId;
 use crate::history::{ConnCounter, HistoryRead, HistoryRecord, HistoryWrite};
-use crate::routing::splitmix64;
-
-/// Build-hasher for small integer keys: accumulates each `u64` word
-/// through the SplitMix64 finaliser, so multi-word keys (packed tuples)
-/// mix exactly and hashing costs a handful of ALU ops instead of SipHash.
-/// Collisions are harmless — `Eq` on the full key decides membership.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Mix64State;
-
-/// Hasher produced by [`Mix64State`]; accepts only whole-word writes.
-#[derive(Debug)]
-pub(crate) struct Mix64Hasher(u64);
-
-impl BuildHasher for Mix64State {
-    type Hasher = Mix64Hasher;
-
-    fn build_hasher(&self) -> Mix64Hasher {
-        Mix64Hasher(0)
-    }
-}
-
-impl Hasher for Mix64Hasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("Mix64Hasher keys hash via write_u64 only");
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = splitmix64(self.0 ^ v);
-    }
-}
 
 /// Packs a `(predecessor, successor)` pair into one injective `u64` key.
 fn pred_succ_key(predecessor: NodeId, successor: NodeId) -> u64 {

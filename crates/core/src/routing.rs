@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use idpa_desim::rng::Xoshiro256StarStar;
+use idpa_desim::rng::{splitmix64, Xoshiro256StarStar};
 use idpa_overlay::NodeId;
 use rand::RngExt;
 
@@ -121,14 +121,6 @@ fn edge_key(s: NodeId, v: NodeId) -> u64 {
 /// already mixed, the `(from, depth)` pair is mixed in.
 fn cont_key(from: NodeId, depth: u8, visited_fp: u64) -> u64 {
     visited_fp ^ splitmix64(((from.index() as u64) << 8) | u64::from(depth))
-}
-
-/// SplitMix64 finaliser (Stafford mix 13).
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RouteScratch {

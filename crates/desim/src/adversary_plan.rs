@@ -19,7 +19,7 @@
 //! Like [`crate::fault::FaultPlan`], every decision is drawn from a
 //! position-keyed stream of the master seed
 //! ([`crate::rng::StreamFactory`]), so adversarial runs replicate
-//! bit-identically across thread counts, probe modes and node lifecycles.
+//! bit-identically across thread counts and idle-eviction windows.
 //! The layer is strictly additive: with every rate at zero
 //! ([`AdversaryConfig::is_active`] false) no adversary stream is ever
 //! touched and simulations are bit-identical to a build without this

@@ -606,20 +606,24 @@ mod tests {
     }
 
     #[test]
-    fn version_4_frames_are_rejected_by_version() {
-        // Version 4 frames carried the byte-wise checksum; a current reader
-        // must reject them by version, before looking at the checksum.
+    fn older_snapshot_frames_are_rejected_by_version() {
+        // Version 4 frames carried the byte-wise checksum, version 5 the
+        // word-wise one over the payload layout with probe-store tags. A
+        // version 6 reader must reject both by version, before looking at
+        // the checksum or the payload.
         let payload = b"old snapshot payload";
-        let mut old = Vec::new();
-        old.extend_from_slice(&MAGIC);
-        old.extend_from_slice(&4u32.to_le_bytes());
-        old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        old.extend_from_slice(payload);
-        old.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
-        assert_eq!(
-            unframe(&old, 5).unwrap_err(),
-            CodecError::UnsupportedVersion(4)
-        );
+        for (version, checksum) in [(4u32, fnv1a_64(payload)), (5, frame_checksum(payload))] {
+            let mut old = Vec::new();
+            old.extend_from_slice(&MAGIC);
+            old.extend_from_slice(&version.to_le_bytes());
+            old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            old.extend_from_slice(payload);
+            old.extend_from_slice(&checksum.to_le_bytes());
+            assert_eq!(
+                unframe(&old, 6).unwrap_err(),
+                CodecError::UnsupportedVersion(version)
+            );
+        }
     }
 
     #[test]

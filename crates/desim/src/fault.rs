@@ -8,7 +8,7 @@
 //! seed ([`crate::rng::StreamFactory::stream_indexed3`] keyed by
 //! `(pair, connection, attempt)`), so the exact same crashes, drops, delays
 //! and cheats fire no matter how many worker threads replicate the run or
-//! whether probe state advances eagerly or lazily. A replication with faults
+//! when probe state is materialized. A replication with faults
 //! enabled is as bit-reproducible as one without.
 //!
 //! Four fault classes (the knobs of [`FaultConfig`]):

@@ -34,11 +34,62 @@ impl SplitMix64 {
     /// The next 64 random bits.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = splitmix64(self.state);
+        self.state = self.state.wrapping_add(SPLITMIX_GAMMA);
+        z
+    }
+}
+
+/// The SplitMix64 increment (the golden-ratio constant).
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 step as a pure function: the output of a generator
+/// whose state is `x` (Stafford mix 13 over `x + γ`).
+#[must_use]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(SPLITMIX_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Build-hasher for integer keys: accumulates each word through
+/// [`splitmix64`], so multi-word keys (tuples) mix exactly and hashing
+/// costs a handful of ALU ops instead of SipHash. Collisions are harmless
+/// — `Eq` on the full key decides membership. The history arena, the
+/// probe-cell store and the fault-ledger store key their maps with it;
+/// their keys are node and bundle indices below N, never raw outside
+/// input, so SipHash's resistance to crafted collisions buys nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mix64State;
+
+/// Hasher produced by [`Mix64State`]; accepts only whole-word writes.
+#[derive(Debug)]
+pub struct Mix64Hasher(u64);
+
+impl core::hash::BuildHasher for Mix64State {
+    type Hasher = Mix64Hasher;
+
+    fn build_hasher(&self) -> Mix64Hasher {
+        Mix64Hasher(0)
+    }
+}
+
+impl core::hash::Hasher for Mix64Hasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("Mix64Hasher keys hash via whole-word writes only");
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = splitmix64(self.0 ^ v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
     }
 }
 
@@ -265,6 +316,17 @@ mod tests {
         assert_eq!(sm.next(), 6457827717110365317);
         assert_eq!(sm.next(), 3203168211198807973);
         assert_eq!(sm.next(), 9817491932198370423);
+    }
+
+    #[test]
+    fn mix64_hashes_usize_like_u64_and_tuples_per_word() {
+        use core::hash::BuildHasher;
+        assert_eq!(Mix64State.hash_one(7usize), Mix64State.hash_one(7u64));
+        assert_eq!(Mix64State.hash_one(7u64), splitmix64(7));
+        assert_eq!(
+            Mix64State.hash_one((3u64, 4u64)),
+            splitmix64(splitmix64(3) ^ 4)
+        );
     }
 
     #[test]

@@ -14,13 +14,12 @@
 //! could have re-established the relay (one probing period past the point
 //! the relay is actually reachable again).
 //!
-//! It is deliberately an *overlay applied on top of* both probe
-//! implementations rather than a mutation of [`crate::LazyProbeSet`]
-//! cells: eager and lazy probe state are pinned bit-identical by the
-//! cross-mode equivalence suite, and masking the read path — identically
-//! for both modes — preserves that equality by construction, where
-//! rewriting lazily materialized cells would have to be replayed into
-//! every eager estimator too.
+//! It is deliberately an *overlay applied on top of* probe state rather
+//! than a mutation of [`crate::LazyProbeSet`] cells: a lazy cell must stay
+//! a pure function of the schedules and streams so an evicted cell can be
+//! rebuilt bit-identically, and masking the read path preserves that by
+//! construction, where rewriting cells would have to be replayed on every
+//! re-materialization too.
 
 /// Per-node probe-estimate invalidation horizons.
 ///

@@ -20,7 +20,7 @@
 //!   every probe tick,
 //! * [`ProbeInvalidation`] — the adaptive fault-response overlay that
 //!   masks a relay's probe-derived availability after a confirmed
-//!   transmission failure through it, identically for both probe modes.
+//!   transmission failure through it, without touching probe state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,15 +10,14 @@
 //! the `rand(0, T)` first-sighting draw is reproducible because it is keyed
 //! by (owner, slot, round) rather than consumed from a shared stream.
 //!
-//! [`LazyProbeSet`] therefore keeps one **cell** per node — the estimator
-//! plus the last tick it was synced to — and only touches a cell when it is
-//! *read* (a transmission queries availability or live neighbors). The
-//! catch-up replays every neighbor replacement that fell due in between,
-//! so nothing has to keep cells warm. Catch-up is O(sessions) per
-//! neighbor slot and per replacement, amortized O(churn + queries)
-//! overall, instead of O(N·d·horizon/T). Cells are independent, so bulk
-//! catch-up for disjoint node sets runs deterministically through
-//! [`idpa_desim::pool::parallel_map`].
+//! [`LazyProbeSet`] therefore keeps one **cell** per *touched* node — the
+//! estimator plus the last tick it was synced to — and only touches a cell
+//! when it is *read* (a transmission queries availability or live
+//! neighbors). A cell materializes on its first read and can be evicted
+//! again when idle. The catch-up replays every neighbor replacement that
+//! fell due in between, so nothing has to keep cells warm. Catch-up is
+//! O(sessions) per neighbor slot and per replacement, amortized
+//! O(churn + queries) overall, instead of O(N·d·horizon/T).
 //!
 //! # Equivalence to the eager estimator
 //!
@@ -43,8 +42,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use idpa_desim::pool::parallel_map;
-use idpa_desim::rng::StreamFactory;
+use idpa_desim::rng::{Mix64State, StreamFactory};
 use idpa_netmodel::NodeSchedule;
 
 use crate::node::NodeId;
@@ -217,8 +215,8 @@ struct LazyCtx {
     n_nodes: usize,
     threshold: Option<u64>,
     streams: StreamFactory,
-    /// Shared with the world (and any sibling probe sets): the analytic
-    /// schedules are the one O(N) structure every lifecycle keeps resident.
+    /// Shared with the world: the analytic schedules are, with the
+    /// topology, the O(N) structures a run keeps resident.
     schedules: Arc<Vec<NodeSchedule>>,
 }
 
@@ -242,16 +240,6 @@ struct ProbeCell {
     /// survive plain advances, and a maintenance at tick `k` drops only
     /// the slots due at `k` (the only ones `maintain_seeded` touches).
     due_cache: Vec<u64>,
-}
-
-impl Default for ProbeCell {
-    fn default() -> Self {
-        ProbeCell {
-            est: ProbeEstimator::new(NodeId(0), 1.0, Vec::new()),
-            synced_tick: 0,
-            due_cache: Vec::new(),
-        }
-    }
 }
 
 /// Below this many ticks, catching up by replaying the probe rounds
@@ -461,28 +449,28 @@ pub struct Residency {
 /// `degree` neighbor slots: the per-slot arrays of the estimator
 /// (neighbor id, init time, live rounds, last-alive round, ever-seen)
 /// plus the due cache and the fixed cell struct. A *model*, deliberately a
-/// pure function of the degree so that every probe-state representation
-/// of the same scenario reports the same figure.
+/// pure function of the degree, so the figure does not depend on the
+/// allocator or on map capacity.
 #[must_use]
 pub fn cell_footprint(degree: usize) -> usize {
     std::mem::size_of::<ProbeCell>() + degree * (5 * std::mem::size_of::<u64>() + 1)
 }
 
-/// One sparse-store entry: the cell plus the tick it was last touched at
-/// (the eviction clock).
+/// One store entry: the cell plus the tick it was last touched at (the
+/// eviction clock).
 #[derive(Debug, Clone)]
 struct SparseCell {
     cell: ProbeCell,
     last_touch: u64,
 }
 
-/// The sparse cell store: cells exist only for touched nodes and can be
-/// dropped again — the analytic schedule plus the position-keyed streams
-/// *are* the compact summary, so a re-touch reconstructs the exact state
-/// the cell would have held had it never been evicted.
+/// The cell store: cells exist only for touched nodes and can be dropped
+/// again — the analytic schedule plus the position-keyed streams *are* the
+/// compact summary, so a re-touch reconstructs the exact state the cell
+/// would have held had it never been evicted.
 #[derive(Debug, Clone)]
 struct SparseCells {
-    map: HashMap<usize, SparseCell>,
+    map: HashMap<usize, SparseCell, Mix64State>,
     /// The initial topology, shared with its owner (the world): the seed
     /// every (re-)materialization starts its trajectory from.
     init_neighbors: Arc<Topology>,
@@ -492,152 +480,66 @@ struct SparseCells {
 impl SparseCells {
     /// Materializes (if absent) and syncs node `s`'s cell through `target`.
     fn touch(&mut self, s: NodeId, target: u64, ctx: &LazyCtx) -> &mut ProbeCell {
-        if !self.map.contains_key(&s.index()) {
-            let nbrs = self.init_neighbors.neighbors(s).to_vec();
-            let footprint = cell_footprint(nbrs.len());
-            let cell = ProbeCell {
-                est: ProbeEstimator::new(s, ctx.period, nbrs),
-                synced_tick: 0,
-                due_cache: Vec::new(),
-            };
-            self.stats.materialized += 1;
-            self.stats.peak = self.stats.peak.max(self.stats.materialized);
-            self.stats.bytes += footprint;
-            self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.bytes);
-            self.map.insert(
-                s.index(),
-                SparseCell {
-                    cell,
-                    last_touch: target,
+        let SparseCells {
+            map,
+            init_neighbors,
+            stats,
+        } = self;
+        let sc = map.entry(s.index()).or_insert_with(|| {
+            let nbrs = init_neighbors.neighbors(s).to_vec();
+            stats.materialized += 1;
+            stats.peak = stats.peak.max(stats.materialized);
+            stats.bytes += cell_footprint(nbrs.len());
+            stats.peak_bytes = stats.peak_bytes.max(stats.bytes);
+            SparseCell {
+                cell: ProbeCell {
+                    est: ProbeEstimator::new(s, ctx.period, nbrs),
+                    synced_tick: 0,
+                    due_cache: Vec::new(),
                 },
-            );
-        }
-        let sc = self
-            .map
-            .get_mut(&s.index())
-            .expect("cell materialized above");
+                last_touch: target,
+            }
+        });
         sc.last_touch = sc.last_touch.max(target);
         sync_cell(&mut sc.cell, ctx, target);
         &mut sc.cell
     }
 }
 
-/// How a [`LazyProbeSet`] holds its cells.
-#[derive(Debug, Clone)]
-enum CellStore {
-    /// One pre-allocated cell per node — the historical O(N) layout.
-    Dense(Vec<RefCell<ProbeCell>>),
-    /// Cells materialize on first touch and are evicted when idle.
-    Sparse(RefCell<SparseCells>),
-}
-
-/// Sharded, lazily-synced probe state for every node in the system.
+/// Lazily-synced probe state for every node in the system.
 ///
 /// Reads (`availability`, `with_neighbors`, …) sync the queried node's cell
 /// on demand through interior mutability; [`LazyProbeSet::sync_all`] bulk-
-/// syncs disjoint cells in parallel, bit-identically at any thread count.
+/// syncs every resident cell.
 ///
-/// Two storage layouts exist. The **dense** store ([`LazyProbeSet::new`])
-/// pre-allocates one cell per node. The **sparse** store
-/// ([`LazyProbeSet::new_sparse`]) allocates a cell the first time a node is
-/// touched and can evict idle cells again ([`LazyProbeSet::evict_idle`]);
-/// because a cell's state at tick `k` is a pure function of the schedules,
-/// the initial neighbor sets and the position-keyed streams, an evicted
-/// cell reconstructs **bit-identically** on re-touch, so the two layouts
-/// answer every query with exactly the same values.
+/// A cell is allocated the first time its node is touched and can be
+/// evicted again when idle ([`LazyProbeSet::evict_idle`]). Because a
+/// cell's state at tick `k` is a pure function of the schedules, the
+/// initial neighbor sets and the position-keyed streams, an evicted cell
+/// reconstructs **bit-identically** on re-touch: which cells are resident
+/// never changes a query result.
 #[derive(Debug, Clone)]
 pub struct LazyProbeSet {
     ctx: LazyCtx,
-    cells: CellStore,
+    cells: RefCell<SparseCells>,
     /// Memo of the last `now → target tick` mapping: reads cluster at a
     /// single simulation time (all queries of one transmission), so the
     /// tick arithmetic is paid once per distinct `now`.
     tick_memo: std::cell::Cell<(f64, u64)>,
 }
 
-/// Validates the shared constructor inputs and derives the tick geometry.
-fn check_inputs(period: f64, horizon: f64, threshold: Option<u64>) -> u64 {
-    assert!(period > 0.0, "probing period must be positive");
-    if let Some(t) = threshold {
-        assert!(t >= 1, "replacement threshold must be >= 1");
-    }
-    last_tick_before(horizon, period).unwrap_or(0)
-}
-
 impl LazyProbeSet {
     /// Builds the lazy probe state over analytic churn `schedules` and the
-    /// initial `neighbors` sets. Probe ticks are every `k·period < horizon`
-    /// (`k ≥ 1`); `threshold` enables neighbor replacement after that many
-    /// silent rounds (must be ≥ 1 — a threshold of 0 would replace a
-    /// neighbor at the very tick it is observed alive).
-    #[must_use]
-    pub fn new(
-        period: f64,
-        horizon: f64,
-        schedules: Vec<NodeSchedule>,
-        neighbors: Vec<Vec<NodeId>>,
-        threshold: Option<u64>,
-        streams: StreamFactory,
-    ) -> Self {
-        Self::new_shared(
-            period,
-            horizon,
-            Arc::new(schedules),
-            neighbors,
-            threshold,
-            streams,
-        )
-    }
-
-    /// [`LazyProbeSet::new`] over schedules already shared elsewhere (the
-    /// world keeps them for routing liveness) — avoids the O(N) clone.
-    #[must_use]
-    pub fn new_shared(
-        period: f64,
-        horizon: f64,
-        schedules: Arc<Vec<NodeSchedule>>,
-        neighbors: Vec<Vec<NodeId>>,
-        threshold: Option<u64>,
-        streams: StreamFactory,
-    ) -> Self {
-        assert_eq!(
-            schedules.len(),
-            neighbors.len(),
-            "one neighbor set per node"
-        );
-        let max_tick = check_inputs(period, horizon, threshold);
-        let cells = neighbors
-            .into_iter()
-            .enumerate()
-            .map(|(i, nbrs)| {
-                RefCell::new(ProbeCell {
-                    est: ProbeEstimator::new(NodeId(i), period, nbrs),
-                    synced_tick: 0,
-                    due_cache: Vec::new(),
-                })
-            })
-            .collect();
-        LazyProbeSet {
-            ctx: LazyCtx {
-                period,
-                max_tick,
-                n_nodes: schedules.len(),
-                threshold,
-                streams,
-                schedules,
-            },
-            cells: CellStore::Dense(cells),
-            tick_memo: std::cell::Cell::new((f64::NEG_INFINITY, 0)),
-        }
-    }
-
-    /// The sparse-store variant: no cell exists until its node is first
-    /// touched by a read or maintenance query, and idle cells can be
-    /// evicted back to nothing ([`LazyProbeSet::evict_idle`]). The
-    /// initial neighbor sets are read from the shared `neighbors`
-    /// topology, never copied per node, so resident memory scales with the
-    /// touched working set, never with `N`; query results are
-    /// bit-identical to the dense store's.
+    /// initial neighbor sets of the shared `neighbors` topology. Probe
+    /// ticks are every `k·period < horizon` (`k ≥ 1`); `threshold` enables
+    /// neighbor replacement after that many silent rounds (must be ≥ 1 — a
+    /// threshold of 0 would replace a neighbor at the very tick it is
+    /// observed alive).
+    ///
+    /// No cell exists until its node is first touched by a read, and idle
+    /// cells can be evicted back to nothing. The initial neighbor sets are
+    /// read from `neighbors`, never copied per node, so resident memory
+    /// scales with the touched working set, never with `N`.
     #[must_use]
     pub fn new_sparse(
         period: f64,
@@ -652,21 +554,24 @@ impl LazyProbeSet {
             neighbors.len(),
             "one neighbor set per node"
         );
-        let max_tick = check_inputs(period, horizon, threshold);
+        assert!(period > 0.0, "probing period must be positive");
+        if let Some(t) = threshold {
+            assert!(t >= 1, "replacement threshold must be >= 1");
+        }
         LazyProbeSet {
             ctx: LazyCtx {
                 period,
-                max_tick,
+                max_tick: last_tick_before(horizon, period).unwrap_or(0),
                 n_nodes: schedules.len(),
                 threshold,
                 streams,
                 schedules,
             },
-            cells: CellStore::Sparse(RefCell::new(SparseCells {
-                map: HashMap::new(),
+            cells: RefCell::new(SparseCells {
+                map: HashMap::default(),
                 init_neighbors: neighbors,
                 stats: Residency::default(),
-            })),
+            }),
             tick_memo: std::cell::Cell::new((f64::NEG_INFINITY, 0)),
         }
     }
@@ -695,23 +600,12 @@ impl LazyProbeSet {
         tick
     }
 
-    /// Syncs node `s`'s cell through `now` and hands it to `f`. Under the
-    /// sparse store this is the touch point: the cell materializes here if
-    /// absent, and its eviction clock advances to the queried tick.
+    /// Syncs node `s`'s cell through `now` and hands it to `f`. This is
+    /// the touch point: the cell materializes here if absent, and its
+    /// eviction clock advances to the queried tick.
     fn with_cell<R>(&self, s: NodeId, now: f64, f: impl FnOnce(&ProbeCell) -> R) -> R {
         let target = self.target_tick(now);
-        let ctx = &self.ctx;
-        match &self.cells {
-            CellStore::Dense(cells) => {
-                let mut cell = cells[s.index()].borrow_mut();
-                sync_cell(&mut cell, ctx, target);
-                f(&cell)
-            }
-            CellStore::Sparse(store) => {
-                let mut store = store.borrow_mut();
-                f(store.touch(s, target, ctx))
-            }
-        }
+        f(self.cells.borrow_mut().touch(s, target, &self.ctx))
     }
 
     /// Syncs node `s` through every tick at or before `now`.
@@ -745,51 +639,26 @@ impl LazyProbeSet {
         self.with_cell(s, now, |cell| cell.est.clone())
     }
 
-    /// Syncs every *resident* cell through `now`; dense stores fan the work
-    /// out over `threads` workers. Cells are disjoint and each sync is a
-    /// pure function of (cell, schedules, target), so the result is
-    /// bit-identical at any thread count and any store iteration order.
-    pub fn sync_all(&mut self, now: f64, threads: usize) {
+    /// Syncs every *resident* cell through `now` without materializing
+    /// any. Each sync is a pure function of (cell, schedules, target), so
+    /// the result does not depend on the store's iteration order.
+    pub fn sync_all(&mut self, now: f64) {
         let target = self.target_tick(now);
-        let ctx = &self.ctx;
-        match &mut self.cells {
-            CellStore::Dense(cells) => {
-                let taken: Vec<ProbeCell> = cells
-                    .iter_mut()
-                    .map(|c| std::mem::take(c.get_mut()))
-                    .collect();
-                let synced = parallel_map(threads, taken.len(), |i| {
-                    let mut cell = taken[i].clone();
-                    sync_cell(&mut cell, ctx, target);
-                    cell
-                });
-                for (slot, cell) in cells.iter_mut().zip(synced) {
-                    *slot.get_mut() = cell;
-                }
-            }
-            CellStore::Sparse(store) => {
-                for sc in store.get_mut().map.values_mut() {
-                    sync_cell(&mut sc.cell, ctx, target);
-                }
-            }
+        for sc in self.cells.get_mut().map.values_mut() {
+            sync_cell(&mut sc.cell, &self.ctx, target);
         }
     }
 
     /// Evicts cells last touched more than `idle_ticks` probe ticks before
-    /// `now` back to their analytic summary. Sparse store only — a dense
-    /// store owns every cell for the run's lifetime, and the call is a
-    /// no-op returning 0. Returns the number evicted.
+    /// `now` back to their analytic summary. Returns the number evicted.
     ///
     /// Eviction is **value-invisible**: which cells are resident never
     /// affects any query result (a later touch reconstructs the dropped
     /// cell bit-identically from the schedules and streams), so the sweep
     /// cadence is free to be a pure policy choice.
     pub fn evict_idle(&self, now: f64, idle_ticks: u64) -> usize {
-        let CellStore::Sparse(store) = &self.cells else {
-            return 0;
-        };
         let cutoff = self.target_tick(now).saturating_sub(idle_ticks);
-        let mut store = store.borrow_mut();
+        let mut store = self.cells.borrow_mut();
         let SparseCells { map, stats, .. } = &mut *store;
         let before = map.len();
         map.retain(|_, sc| {
@@ -805,28 +674,10 @@ impl LazyProbeSet {
         evicted
     }
 
-    /// Residency statistics of the cell store. A dense store reports every
-    /// cell permanently resident (materialized = peak = N, no evictions)
-    /// using the same [`cell_footprint`] model, so the figure is comparable
-    /// across storage layouts.
+    /// Residency statistics of the cell store.
     #[must_use]
     pub fn residency(&self) -> Residency {
-        match &self.cells {
-            CellStore::Dense(cells) => {
-                let bytes: usize = cells
-                    .iter()
-                    .map(|c| cell_footprint(c.borrow().est.neighbors.len()))
-                    .sum();
-                Residency {
-                    materialized: cells.len(),
-                    peak: cells.len(),
-                    evictions: 0,
-                    bytes,
-                    peak_bytes: bytes,
-                }
-            }
-            CellStore::Sparse(store) => store.borrow().stats,
-        }
+        self.cells.borrow().stats
     }
 
     /// Snapshot export of the mutable cell state. Pure caches (the per-slot
@@ -835,41 +686,25 @@ impl LazyProbeSet {
     /// value is a pure function of the state that *is* captured.
     #[must_use]
     pub fn snapshot_cells(&self) -> ProbeCellsSnapshot {
-        match &self.cells {
-            CellStore::Dense(cells) => ProbeCellsSnapshot::Dense(
-                cells
-                    .iter()
-                    .map(|c| {
-                        let c = c.borrow();
-                        ProbeCellState {
-                            est: c.est.snapshot_state(),
-                            synced_tick: c.synced_tick,
-                        }
-                    })
-                    .collect(),
-            ),
-            CellStore::Sparse(store) => {
-                let store = store.borrow();
-                let mut cells: Vec<(usize, ProbeCellState, u64)> = store
-                    .map
-                    .iter()
-                    .map(|(&i, sc)| {
-                        (
-                            i,
-                            ProbeCellState {
-                                est: sc.cell.est.snapshot_state(),
-                                synced_tick: sc.cell.synced_tick,
-                            },
-                            sc.last_touch,
-                        )
-                    })
-                    .collect();
-                cells.sort_unstable_by_key(|&(i, _, _)| i);
-                ProbeCellsSnapshot::Sparse {
-                    cells,
-                    stats: store.stats,
-                }
-            }
+        let store = self.cells.borrow();
+        let mut cells: Vec<(usize, ProbeCellState, u64)> = store
+            .map
+            .iter()
+            .map(|(&i, sc)| {
+                (
+                    i,
+                    ProbeCellState {
+                        est: sc.cell.est.snapshot_state(),
+                        synced_tick: sc.cell.synced_tick,
+                    },
+                    sc.last_touch,
+                )
+            })
+            .collect();
+        cells.sort_unstable_by_key(|&(i, _, _)| i);
+        ProbeCellsSnapshot {
+            cells,
+            stats: store.stats,
         }
     }
 
@@ -885,68 +720,45 @@ impl LazyProbeSet {
     ///
     /// # Errors
     ///
-    /// A static description of the first inconsistency found (store-kind
-    /// mismatch, length mismatch, out-of-range indices, non-parallel
-    /// estimator arrays, inconsistent residency stats, …).
+    /// A static description of the first inconsistency found
+    /// (out-of-range or unsorted indices, non-parallel estimator arrays,
+    /// inconsistent residency stats, …).
     pub fn restore_cells(&mut self, snap: ProbeCellsSnapshot) -> Result<(), &'static str> {
-        match (&mut self.cells, snap) {
-            (CellStore::Dense(cells), ProbeCellsSnapshot::Dense(states)) => {
-                if states.len() != cells.len() {
-                    return Err("dense probe snapshot has wrong cell count");
-                }
-                for (i, state) in states.iter().enumerate() {
-                    check_cell_state(&self.ctx, NodeId(i), state)?;
-                }
-                for (slot, state) in cells.iter_mut().zip(states) {
-                    *slot.get_mut() = ProbeCell {
-                        est: ProbeEstimator::from_snapshot(state.est),
-                        synced_tick: state.synced_tick,
-                        due_cache: Vec::new(),
-                    };
-                }
+        let ProbeCellsSnapshot { cells, stats } = snap;
+        let ctx = &self.ctx;
+        let mut bytes = 0usize;
+        let mut prev: Option<usize> = None;
+        for (node, state, _) in &cells {
+            if *node >= ctx.n_nodes {
+                return Err("probe cell node out of range");
             }
-            (CellStore::Sparse(store), ProbeCellsSnapshot::Sparse { cells, stats }) => {
-                let ctx = &self.ctx;
-                let mut bytes = 0usize;
-                let mut prev: Option<usize> = None;
-                for (node, state, _) in &cells {
-                    if *node >= ctx.n_nodes {
-                        return Err("sparse probe cell node out of range");
-                    }
-                    if prev.is_some_and(|p| p >= *node) {
-                        return Err("sparse probe cells not strictly sorted");
-                    }
-                    prev = Some(*node);
-                    check_cell_state(ctx, NodeId(*node), state)?;
-                    bytes += cell_footprint(state.est.neighbors.len());
-                }
-                if stats.materialized != cells.len()
-                    || stats.bytes != bytes
-                    || stats.peak < stats.materialized
-                    || stats.peak_bytes < stats.bytes
-                {
-                    return Err("sparse probe residency stats inconsistent");
-                }
-                let mut map = HashMap::new();
-                for (node, state, last_touch) in cells {
-                    map.insert(
-                        node,
-                        SparseCell {
-                            cell: ProbeCell {
-                                est: ProbeEstimator::from_snapshot(state.est),
-                                synced_tick: state.synced_tick,
-                                due_cache: Vec::new(),
-                            },
-                            last_touch,
-                        },
-                    );
-                }
-                let inner = store.get_mut();
-                inner.map = map;
-                inner.stats = stats;
+            if prev.is_some_and(|p| p >= *node) {
+                return Err("probe cells not strictly sorted");
             }
-            _ => return Err("probe cell store kind mismatch"),
+            prev = Some(*node);
+            check_cell_state(ctx, NodeId(*node), state)?;
+            bytes += cell_footprint(state.est.neighbors.len());
         }
+        if stats.materialized != cells.len()
+            || stats.bytes != bytes
+            || stats.peak < stats.materialized
+            || stats.peak_bytes < stats.bytes
+        {
+            return Err("probe residency stats inconsistent");
+        }
+        let store = self.cells.get_mut();
+        store.map = cells
+            .into_iter()
+            .map(|(node, state, last_touch)| {
+                let cell = ProbeCell {
+                    est: ProbeEstimator::from_snapshot(state.est),
+                    synced_tick: state.synced_tick,
+                    due_cache: Vec::new(),
+                };
+                (node, SparseCell { cell, last_touch })
+            })
+            .collect();
+        store.stats = stats;
         self.tick_memo = std::cell::Cell::new((f64::NEG_INFINITY, 0));
         Ok(())
     }
@@ -1000,27 +812,40 @@ pub struct ProbeCellState {
     pub synced_tick: u64,
 }
 
-/// Snapshot export of a [`LazyProbeSet`]'s cell store, mirroring its two
-/// storage layouts.
+/// Snapshot export of a [`LazyProbeSet`]'s resident cells.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ProbeCellsSnapshot {
-    /// One cell per node, indexed by node.
-    Dense(Vec<ProbeCellState>),
-    /// Only the resident cells, sorted by node index.
-    Sparse {
-        /// `(node index, cell state, last-touch tick)`, strictly sorted by
-        /// node index.
-        cells: Vec<(usize, ProbeCellState, u64)>,
-        /// The residency statistics at snapshot time (peaks and eviction
-        /// counts are part of the reported run result, so they must
-        /// survive a resume).
-        stats: Residency,
-    },
+pub struct ProbeCellsSnapshot {
+    /// `(node index, cell state, last-touch tick)`, strictly sorted by
+    /// node index.
+    pub cells: Vec<(usize, ProbeCellState, u64)>,
+    /// The residency statistics at snapshot time (peaks and eviction
+    /// counts are part of the reported run result, so they must survive a
+    /// resume).
+    pub stats: Residency,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A probe set over owned schedules and neighbor lists.
+    fn probe_set(
+        period: f64,
+        horizon: f64,
+        schedules: Vec<NodeSchedule>,
+        neighbors: Vec<Vec<NodeId>>,
+        threshold: Option<u64>,
+        streams: StreamFactory,
+    ) -> LazyProbeSet {
+        LazyProbeSet::new_sparse(
+            period,
+            horizon,
+            Arc::new(schedules),
+            Arc::new(Topology::from_lists(neighbors)),
+            threshold,
+            streams,
+        )
+    }
 
     #[test]
     fn tick_helpers_agree_with_is_up_semantics() {
@@ -1080,7 +905,7 @@ mod tests {
             k += 1;
         }
 
-        let lazy = LazyProbeSet::new(period, horizon, schedules, neighbors, None, streams);
+        let lazy = probe_set(period, horizon, schedules, neighbors, None, streams);
         for (i, e) in eager.iter().enumerate() {
             assert_eq!(&lazy.estimator(NodeId(i), horizon), e, "node {i}");
         }
@@ -1093,7 +918,7 @@ mod tests {
             NodeSchedule::from_sessions(vec![(0.0, 50.0)]),
             NodeSchedule::from_sessions(vec![(0.0, 50.0)]),
         ];
-        let lazy = LazyProbeSet::new(
+        let lazy = probe_set(
             5.0,
             50.0,
             schedules,
@@ -1106,44 +931,6 @@ mod tests {
         let late = lazy.session_time(NodeId(0), NodeId(1), 40.0);
         assert!(early > 0.0);
         assert!(late > early, "early={early} late={late}");
-    }
-
-    #[test]
-    fn sync_all_is_thread_count_invariant() {
-        let streams = StreamFactory::new(23);
-        let n = 12;
-        let schedules: Vec<NodeSchedule> = (0..n)
-            .map(|i| {
-                let s = f64::from(i) * 1.7;
-                NodeSchedule::from_sessions(vec![(s, s + 37.0), (s + 50.0, s + 90.0)])
-            })
-            .collect();
-        let neighbors: Vec<Vec<NodeId>> = (0..n as usize)
-            .map(|i| vec![NodeId((i + 1) % n as usize), NodeId((i + 3) % n as usize)])
-            .collect();
-        let build = || {
-            LazyProbeSet::new(
-                1.0,
-                120.0,
-                schedules.clone(),
-                neighbors.clone(),
-                Some(4),
-                streams.clone(),
-            )
-        };
-        let mut one = build();
-        one.sync_all(120.0, 1);
-        for threads in [2, 8] {
-            let mut multi = build();
-            multi.sync_all(120.0, threads);
-            for i in 0..n as usize {
-                assert_eq!(
-                    one.estimator(NodeId(i), 120.0),
-                    multi.estimator(NodeId(i), 120.0),
-                    "node {i} threads {threads}"
-                );
-            }
-        }
     }
 
     fn staggered_world(n: usize) -> (Vec<NodeSchedule>, Vec<Vec<NodeId>>) {
@@ -1160,117 +947,94 @@ mod tests {
     }
 
     #[test]
-    fn sparse_store_matches_dense_queries() {
-        let streams = StreamFactory::new(31);
+    fn residency_counts_touched_cells() {
         let (schedules, neighbors) = staggered_world(12);
-        let dense = LazyProbeSet::new(
+        let set = probe_set(
             1.0,
             120.0,
-            schedules.clone(),
-            neighbors.clone(),
+            schedules,
+            neighbors,
             Some(4),
-            streams.clone(),
+            StreamFactory::new(31),
         );
-        let sparse = LazyProbeSet::new_sparse(
-            1.0,
-            120.0,
-            Arc::new(schedules),
-            Arc::new(Topology::from_lists(neighbors)),
-            Some(4),
-            streams,
-        );
+        assert_eq!(set.residency(), Residency::default(), "nothing touched");
         for now in [0.0, 13.0, 55.5, 120.0] {
             for i in 0..12 {
-                assert_eq!(
-                    dense.estimator(NodeId(i), now),
-                    sparse.estimator(NodeId(i), now),
-                    "node {i} at t={now}"
-                );
+                let _ = set.availability(NodeId(i), NodeId((i + 1) % 12), now);
             }
         }
-        let r = sparse.residency();
+        let r = set.residency();
         assert_eq!(r.materialized, 12);
         assert_eq!(r.peak, 12);
-        assert_eq!(r.bytes, dense.residency().bytes);
+        assert_eq!(r.evictions, 0);
+        assert_eq!(r.bytes, 12 * cell_footprint(2));
+        assert_eq!(r.peak_bytes, r.bytes);
     }
 
     #[test]
     fn evicted_cells_reconstruct_bit_identically() {
         let streams = StreamFactory::new(47);
         let (schedules, neighbors) = staggered_world(10);
-        let dense = LazyProbeSet::new(
-            1.0,
-            120.0,
-            schedules.clone(),
-            neighbors.clone(),
-            Some(3),
-            streams.clone(),
-        );
-        let sparse = LazyProbeSet::new_sparse(
-            1.0,
-            120.0,
-            Arc::new(schedules),
-            Arc::new(Topology::from_lists(neighbors)),
-            Some(3),
-            streams,
-        );
+        let build = || {
+            probe_set(
+                1.0,
+                120.0,
+                schedules.clone(),
+                neighbors.clone(),
+                Some(3),
+                streams.clone(),
+            )
+        };
+        let kept = build();
+        let evicting = build();
         // Touch everyone early, idle past the window, evict, then re-touch:
-        // the reconstructed state must equal the never-evicted dense cell.
+        // the reconstructed state must equal the never-evicted cell.
         for i in 0..10 {
-            let _ = sparse.availability(NodeId(i), NodeId((i + 1) % 10), 10.0);
+            let _ = kept.availability(NodeId(i), NodeId((i + 1) % 10), 10.0);
+            let _ = evicting.availability(NodeId(i), NodeId((i + 1) % 10), 10.0);
         }
-        assert_eq!(sparse.residency().materialized, 10);
-        let evicted = sparse.evict_idle(60.0, 8);
+        assert_eq!(evicting.residency().materialized, 10);
+        let evicted = evicting.evict_idle(60.0, 8);
         assert_eq!(evicted, 10, "all cells idle past the window");
-        let r = sparse.residency();
+        let r = evicting.residency();
         assert_eq!(r.materialized, 0);
         assert_eq!(r.bytes, 0);
         assert_eq!(r.evictions, 10);
         assert_eq!(r.peak, 10, "peak survives eviction");
         for i in 0..10 {
             assert_eq!(
-                dense.estimator(NodeId(i), 97.0),
-                sparse.estimator(NodeId(i), 97.0),
+                kept.estimator(NodeId(i), 97.0),
+                evicting.estimator(NodeId(i), 97.0),
                 "re-touched node {i}"
             );
         }
-        assert_eq!(sparse.residency().materialized, 10);
-        assert!(sparse.residency().peak_bytes >= sparse.residency().bytes);
+        assert_eq!(evicting.residency().materialized, 10);
+        assert!(evicting.residency().peak_bytes >= evicting.residency().bytes);
     }
 
     #[test]
-    fn evict_is_noop_on_dense_store() {
-        let streams = StreamFactory::new(3);
-        let (schedules, neighbors) = staggered_world(4);
-        let dense = LazyProbeSet::new(1.0, 50.0, schedules, neighbors, None, streams);
-        assert_eq!(dense.evict_idle(50.0, 0), 0);
-        assert_eq!(dense.residency().materialized, 4);
-        assert_eq!(dense.residency().evictions, 0);
-    }
-
-    #[test]
-    fn sparse_sync_all_only_syncs_residents() {
+    fn sync_all_only_syncs_residents() {
         let streams = StreamFactory::new(7);
         let (schedules, neighbors) = staggered_world(8);
-        let mut sparse = LazyProbeSet::new_sparse(
+        let mut set = probe_set(
             1.0,
             100.0,
-            Arc::new(schedules.clone()),
-            Arc::new(Topology::from_lists(neighbors.clone())),
+            schedules.clone(),
+            neighbors.clone(),
             None,
             streams.clone(),
         );
-        let _ = sparse.availability(NodeId(2), NodeId(3), 20.0);
-        sparse.sync_all(80.0, 2);
+        let _ = set.availability(NodeId(2), NodeId(3), 20.0);
+        set.sync_all(80.0);
         assert_eq!(
-            sparse.residency().materialized,
+            set.residency().materialized,
             1,
             "sync_all must not materialize"
         );
-        let dense = LazyProbeSet::new(1.0, 100.0, schedules, neighbors, None, streams);
+        let fresh = probe_set(1.0, 100.0, schedules, neighbors, None, streams);
         assert_eq!(
-            dense.estimator(NodeId(2), 80.0),
-            sparse.estimator(NodeId(2), 80.0)
+            fresh.estimator(NodeId(2), 80.0),
+            set.estimator(NodeId(2), 80.0)
         );
     }
 
@@ -1284,7 +1048,7 @@ mod tests {
             NodeSchedule::from_sessions(vec![(990.0, 1000.0)]),
             NodeSchedule::from_sessions(vec![(0.0, 1000.0)]),
         ];
-        let lazy = LazyProbeSet::new(
+        let lazy = probe_set(
             10.0,
             1000.0,
             schedules,
@@ -1304,7 +1068,7 @@ mod tests {
     fn one_long_catch_up_equals_tick_by_tick_sync() {
         let (schedules, neighbors) = staggered_world(12);
         let streams = StreamFactory::new(59);
-        let lazy = LazyProbeSet::new(
+        let lazy = probe_set(
             1.0,
             120.0,
             schedules.clone(),

@@ -2,15 +2,17 @@
 //! eager estimator driven at every tick, across random churn schedules,
 //! topologies, probing periods, replacement thresholds, and query times.
 //!
-//! The eager reference below is exactly what `idpa-sim` does in eager
-//! per-node-RNG mode: at every tick `k·T < horizon`, every live node runs
+//! The eager reference below is the paper's periodic probing (§2.3)
+//! stepped literally: at every tick `k·T < horizon`, every live node runs
 //! `probe_round_seeded` and then (with a threshold) `maintain_seeded`.
+
+use std::sync::Arc;
 
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::SimTime;
 use idpa_netmodel::NodeSchedule;
 use idpa_overlay::probe_lazy::tick_time;
-use idpa_overlay::{LazyProbeSet, NodeId, ProbeEstimator};
+use idpa_overlay::{LazyProbeSet, NodeId, ProbeEstimator, Topology};
 use rand::RngExt;
 
 struct Case {
@@ -20,6 +22,20 @@ struct Case {
     neighbors: Vec<Vec<NodeId>>,
     threshold: Option<u64>,
     streams: StreamFactory,
+}
+
+impl Case {
+    /// A fresh lazy probe set over the case's world.
+    fn probe_set(&self) -> LazyProbeSet {
+        LazyProbeSet::new_sparse(
+            self.period,
+            self.horizon,
+            Arc::new(self.schedules.clone()),
+            Arc::new(Topology::from_lists(self.neighbors.clone())),
+            self.threshold,
+            self.streams.clone(),
+        )
+    }
 }
 
 fn random_case(rng: &mut Xoshiro256StarStar) -> Case {
@@ -125,14 +141,7 @@ fn lazy_probe_set_is_bit_identical_to_eager_reference() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0x1d9a);
     for case_idx in 0..256 {
         let case = random_case(&mut rng);
-        let lazy = LazyProbeSet::new(
-            case.period,
-            case.horizon,
-            case.schedules.clone(),
-            case.neighbors.clone(),
-            case.threshold,
-            case.streams.clone(),
-        );
+        let lazy = case.probe_set();
 
         // Query at a few random times (sorted — the estimator is an
         // online process) plus the horizon.
@@ -177,16 +186,26 @@ fn lazy_probe_set_is_bit_identical_to_eager_reference() {
     }
 }
 
+/// Zeroes the resident-state metrics: the only fields idle eviction may
+/// change.
+fn normalized(mut r: idpa_sim::RunResult) -> idpa_sim::RunResult {
+    r.peak_materialized_nodes = 0;
+    r.node_evictions = 0;
+    r.slab_bytes = 0;
+    r
+}
+
 /// End-to-end: with an active fault plan (crashes, drops, delays,
-/// cheaters), a lazy-probe simulation run stays bit-identical to the eager
-/// one at any seed, and replication stays invariant to the thread count.
+/// cheaters), a simulation run whose probe cells are evicted and
+/// re-materialized after every idle tick stays bit-identical to the run
+/// that never evicts, and replication stays invariant to the thread count.
 /// The crash overlay suppresses routing liveness only — never the probe
 /// estimates the lazy set reconstructs analytically — which is the
 /// invariant this test pins.
 #[test]
-fn probe_modes_agree_under_active_fault_plan() {
+fn eviction_is_invisible_under_active_fault_plan() {
     use idpa_sim::experiments::Options;
-    use idpa_sim::{FaultConfig, ProbeMode, ScenarioConfig, SimulationRun};
+    use idpa_sim::{FaultConfig, ScenarioConfig, SimulationRun};
 
     let fault = FaultConfig {
         crash_rate: 0.05,
@@ -202,20 +221,19 @@ fn probe_modes_agree_under_active_fault_plan() {
             ..ScenarioConfig::quick_test(seed)
         };
         cfg.fault = fault;
-        let eager = SimulationRun::execute(ScenarioConfig {
-            probe_mode: ProbeMode::Eager,
+        let kept = SimulationRun::execute(cfg);
+        let evicting = SimulationRun::execute(ScenarioConfig {
+            evict_idle_ticks: Some(1),
             ..cfg
         });
-        let lazy = SimulationRun::execute(ScenarioConfig {
-            probe_mode: ProbeMode::Lazy,
-            ..cfg
-        });
+        assert!(evicting.node_evictions > 0, "seed {seed}: nothing evicted");
         assert_eq!(
-            eager, lazy,
-            "seed {seed}: lazy diverged from eager under an active fault plan"
+            normalized(kept.clone()),
+            normalized(evicting),
+            "seed {seed}: eviction changed a run under an active fault plan"
         );
         assert!(
-            eager.delivery_ratio < 1.0 || eager.retries_per_message > 0.0,
+            kept.delivery_ratio < 1.0 || kept.retries_per_message > 0.0,
             "seed {seed}: the fault plan must actually bite for this test to mean anything"
         );
     }
@@ -247,15 +265,15 @@ fn probe_modes_agree_under_active_fault_plan() {
     assert_eq!(folds[0], folds[1], "faulty replication is thread-invariant");
 }
 
-/// Same cross-mode guarantee under `--fault-response adaptive`: crash-aware
-/// probe invalidation is an overlay on the availability *read path*
-/// (`ProbeInvalidation`), never a mutation of probe state, so eager and
-/// lazy runs stay bit-identical even while invalidation masks, reputation
-/// suppression, and the `w_r` quality term are all active — and adaptive
-/// runs replay bit-identically from the master seed.
+/// Same guarantee under `--fault-response adaptive`: crash-aware probe
+/// invalidation is an overlay on the availability *read path*
+/// (`ProbeInvalidation`), never a mutation of probe state, so evicting
+/// runs stay bit-identical to non-evicting ones even while invalidation
+/// masks, reputation suppression, and the `w_r` quality term are all
+/// active — and adaptive runs replay bit-identically from the master seed.
 #[test]
-fn probe_modes_agree_under_adaptive_fault_response() {
-    use idpa_sim::{FaultConfig, FaultResponse, ProbeMode, ScenarioConfig, SimulationRun};
+fn eviction_is_invisible_under_adaptive_fault_response() {
+    use idpa_sim::{FaultConfig, FaultResponse, ScenarioConfig, SimulationRun};
 
     let fault = FaultConfig {
         crash_rate: 0.05,
@@ -275,28 +293,23 @@ fn probe_modes_agree_under_adaptive_fault_response() {
         };
         cfg.fault = fault;
         cfg.validate().expect("adaptive scenario must validate");
-        let eager = SimulationRun::execute(ScenarioConfig {
-            probe_mode: ProbeMode::Eager,
-            ..cfg
-        });
-        let lazy = SimulationRun::execute(ScenarioConfig {
-            probe_mode: ProbeMode::Lazy,
+        let kept = SimulationRun::execute(cfg);
+        let evicting = SimulationRun::execute(ScenarioConfig {
+            evict_idle_ticks: Some(1),
             ..cfg
         });
         assert_eq!(
-            eager, lazy,
-            "seed {seed}: lazy diverged from eager under adaptive fault response"
+            normalized(kept.clone()),
+            normalized(evicting),
+            "seed {seed}: eviction changed a run under adaptive fault response"
         );
-        let again = SimulationRun::execute(ScenarioConfig {
-            probe_mode: ProbeMode::Lazy,
-            ..cfg
-        });
         assert_eq!(
-            lazy, again,
+            kept,
+            SimulationRun::execute(cfg),
             "seed {seed}: adaptive run must replay bit-identically"
         );
         assert!(
-            eager.retries_per_message > 0.0 || eager.delivery_ratio < 1.0,
+            kept.retries_per_message > 0.0 || kept.delivery_ratio < 1.0,
             "seed {seed}: the fault plan must bite for this test to mean anything"
         );
     }
@@ -307,31 +320,22 @@ fn lazy_sync_all_matches_per_node_queries() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(777);
     for _ in 0..16 {
         let case = random_case(&mut rng);
-        let lazy_query = LazyProbeSet::new(
-            case.period,
-            case.horizon,
-            case.schedules.clone(),
-            case.neighbors.clone(),
-            case.threshold,
-            case.streams.clone(),
-        );
-        for threads in [1usize, 2, 8] {
-            let mut lazy_bulk = LazyProbeSet::new(
-                case.period,
-                case.horizon,
-                case.schedules.clone(),
-                case.neighbors.clone(),
-                case.threshold,
-                case.streams.clone(),
+        let lazy_query = case.probe_set();
+        let mut lazy_bulk = case.probe_set();
+        // Materialize every cell at t = 0, then catch them all up at once.
+        for i in 0..case.schedules.len() {
+            lazy_bulk.sync_node(NodeId(i), 0.0);
+        }
+        lazy_bulk.sync_all(case.horizon);
+        let synced = lazy_bulk.snapshot_cells().cells;
+        assert_eq!(synced.len(), case.schedules.len());
+        for (i, state, _) in synced {
+            assert_eq!(state.synced_tick, lazy_bulk.max_tick(), "node={i}");
+            assert_eq!(
+                ProbeEstimator::from_snapshot(state.est),
+                lazy_query.estimator(NodeId(i), case.horizon),
+                "node={i}"
             );
-            lazy_bulk.sync_all(case.horizon, threads);
-            for i in 0..case.schedules.len() {
-                assert_eq!(
-                    lazy_bulk.estimator(NodeId(i), case.horizon),
-                    lazy_query.estimator(NodeId(i), case.horizon),
-                    "threads={threads} node={i}"
-                );
-            }
         }
     }
 }

@@ -13,20 +13,12 @@ use std::str::FromStr;
 use idpa_desim::FaultResponse;
 
 use crate::experiments::{split_weights, Options};
-use crate::scenario::{
-    BankDurability, NodeLifecycle, ProbeMode, ScenarioConfig, SettlementMode, WorkloadMode,
-};
+use crate::scenario::{BankDurability, ScenarioConfig, SettlementMode, WorkloadMode};
 use crate::service::ServiceOptions;
 
 /// Help text for the scenario flags both subcommands accept.
 pub const SCENARIO_FLAGS_HELP: &str = "\
 scenario flags (both subcommands):
-  --probe-mode MODE             'lazy' (the default) or 'eager' probe advancement
-                                (bit-identical results)
-  --node-lifecycle MODE         'eager' (all N nodes allocated up front, the
-                                default) or 'lazy' (state materializes on first
-                                touch, evicts when idle; bit-identical results,
-                                bounded memory)
   --history-shards N            history-arena shard count (0 = one per worker
                                 thread; results identical at any N)
   --settlement MODE             'per-bundle' (each bundle settles alone, the
@@ -138,23 +130,6 @@ pub fn scenario_flag<'a>(
 ) -> Result<bool, String> {
     let (f, a) = (flag, values);
     match f {
-        "--probe-mode" => {
-            cfg.probe_mode = choice(
-                f,
-                a,
-                [("eager", ProbeMode::Eager), ("lazy", ProbeMode::Lazy)],
-            )?;
-        }
-        "--node-lifecycle" => {
-            cfg.node_lifecycle = choice(
-                f,
-                a,
-                [
-                    ("eager", NodeLifecycle::Eager),
-                    ("lazy", NodeLifecycle::Lazy),
-                ],
-            )?;
-        }
         "--settlement" => {
             cfg.settlement = choice(
                 f,
@@ -328,7 +303,7 @@ mod tests {
 
     #[test]
     fn one_flag_list_yields_one_scenario_in_both_subcommands() {
-        let flags = "--quick --probe-mode eager --node-lifecycle lazy --history-shards 3 \
+        let flags = "--quick --history-shards 3 \
                      --reputation-weight 0.2 --fault-response adaptive --fault-drop 0.1 \
                      --fault-crash 0.05 --fault-retries 4 --fault-timeout 2.5 \
                      --settlement epoch --epoch-length 120 --bank-durability wal \
@@ -341,8 +316,6 @@ mod tests {
         assert_eq!(exp, service(flags).unwrap());
 
         assert_eq!((exp.n_nodes, exp.total_transmissions), (20, 200));
-        assert_eq!(exp.probe_mode, ProbeMode::Eager);
-        assert_eq!(exp.node_lifecycle, NodeLifecycle::Lazy);
         assert_eq!(exp.history_shards, 3);
         assert_eq!(exp.reputation_weight, 0.2);
         assert_eq!(exp.weights, split_weights(0.2));
@@ -407,7 +380,9 @@ mod tests {
     #[test]
     fn malformed_values_and_invalid_scenarios_are_rejected_by_both() {
         for (flags, fragment) in [
-            ("--probe-mode fast", "'eager' or 'lazy'"),
+            ("--settlement fast", "'per-bundle' or 'epoch'"),
+            ("--probe-mode lazy", "flag: --probe-mode"),
+            ("--node-lifecycle lazy", "flag: --node-lifecycle"),
             ("--fault-drop", "a finite number"),
             ("--fault-drop inf", "a finite number"),
             ("--adversary-cliques -1", "non-negative integer"),

@@ -106,7 +106,7 @@ fn replicate(opts: &Options, make: impl Fn(u64) -> ScenarioConfig + Sync) -> Vec
 }
 
 /// Replicates the base configuration as-is — the replication kernel exposed
-/// for integration tests that pin thread-count and probe-mode invariance.
+/// for integration tests that pin thread-count invariance.
 #[must_use]
 pub fn replicate_base(opts: &Options) -> Vec<RunResult> {
     replicate(opts, |seed| opts.base_config(seed))
@@ -1003,8 +1003,9 @@ pub fn fault_adaptation(opts: &Options) -> String {
     )
 }
 
-/// Scale study: the lazy node lifecycle at growing N under
-/// proportionally scaled paper churn ([`ScenarioConfig::scale`]). One run
+/// Scale study: lazily materialized per-node state, evicted after 64 idle
+/// ticks, at growing N under proportionally scaled paper churn
+/// ([`ScenarioConfig::scale`]). One run
 /// per point (the object of study is the resident-state footprint, not a
 /// CI): reports the run's throughput next to the peak materialized node
 /// count, idle evictions, and the slab's byte estimate — the `RunResult`

@@ -13,7 +13,8 @@
 //! * [`error`] — typed scenario/driver errors ([`SimError`]);
 //! * [`world`] — the sampled static world (topology, churn trace, costs,
 //!   roles, workload);
-//! * [`runner`] — the event-driven run (probe events + transmissions);
+//! * [`runner`] — the event-driven run (transmissions reading lazily
+//!   synced probe state);
 //! * [`formation`] — parallel per-pair bundle formation over the sharded
 //!   history arena (throughput studies; bit-identical at any shard or
 //!   thread count);
@@ -55,10 +56,7 @@ pub use formation::{
 };
 pub use idpa_desim::{AdversaryConfig, AdversaryPlan, FaultConfig, FaultResponse};
 pub use runner::{RunResult, SimulationRun};
-pub use scenario::{
-    BankDurability, CostStorage, NodeLifecycle, ProbeMode, ScenarioConfig, SettlementMode,
-    WorkloadMode,
-};
+pub use scenario::{BankDurability, CostStorage, ScenarioConfig, SettlementMode, WorkloadMode};
 pub use service::{run_service, ServiceOptions};
 pub use slab::{NodeSlab, ReputationStore};
 pub use window::WindowCollector;

@@ -2,13 +2,12 @@
 //!
 //! Transmissions (one connection of one (I, R) pair, formed hop by hop
 //! under the incentive mechanism) drive the run. Availability estimates
-//! `α_s(v)` advance in one of two modes: **eager** (`Ev::Probe` fires every
-//! probe tick and every live node runs a probing round) or **lazy** (the
-//! default — probe state, neighbor replacements included, materializes on
-//! demand from the analytic churn schedule when routing reads it, and no
-//! probe event is ever scheduled). Under per-node probe RNG streams the
-//! two modes are bit-identical. After the horizon the per-bundle
-//! accounting is settled into per-node payoffs (`m·P_f + P_r/‖π‖ − costs`).
+//! `α_s(v)` are lazy: a node's probe state, neighbor replacements
+//! included, materializes on demand from the analytic churn schedule when
+//! routing reads it, bit-identical to probing every node at every tick
+//! (see [`idpa_overlay::probe_lazy`]), and no probe event is ever
+//! scheduled. After the horizon the per-bundle accounting is settled into
+//! per-node payoffs (`m·P_f + P_r/‖π‖ − costs`).
 //!
 //! With an active [`FaultConfig`] the run additionally injects seed-derived
 //! faults: each transmission attempt walks its formed path edge by edge
@@ -38,7 +37,7 @@ use idpa_core::routing::{RouteScratch, RoutingView};
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::{AdversaryPlan, CheatAction, Engine, FaultPlan, FaultResponse, Process, SimTime};
 use idpa_netmodel::{CostModel, NodeSchedule};
-use idpa_overlay::{LazyProbeSet, NodeId, ProbeEstimator, ProbeInvalidation};
+use idpa_overlay::{LazyProbeSet, NodeId, ProbeInvalidation};
 use idpa_payment::audit::{AuditEvent, AuditLog};
 use idpa_payment::bank::AccountId;
 use idpa_payment::receipt::Receipt;
@@ -47,9 +46,7 @@ use rand::{Rng, RngExt};
 use std::sync::Arc;
 
 use crate::durability::BankDurabilityState;
-use crate::scenario::{
-    BankDurability, NodeLifecycle, ProbeMode, ScenarioConfig, SettlementMode, WorkloadMode,
-};
+use crate::scenario::{BankDurability, ScenarioConfig, SettlementMode, WorkloadMode};
 use crate::slab::{NodeSlab, ReputationStore};
 use crate::window::WindowCollector;
 use crate::world::World;
@@ -57,8 +54,8 @@ use crate::world::World;
 /// Events of the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ev {
-    /// Global probe tick (eager mode): every live node runs one probing
-    /// round.
+    /// Retired global probe tick: never scheduled, handled as a no-op.
+    /// Lazy cells replay probe rounds when read.
     Probe,
     /// Retired per-node maintenance event: never scheduled, handled as a
     /// no-op. Lazy cells replay replacements when read.
@@ -98,22 +95,15 @@ pub enum Ev {
     Whitewash(usize),
 }
 
-/// Probe state in either advancement mode.
-pub(crate) enum ProbeState {
-    Eager(Vec<ProbeEstimator>),
-    Lazy(LazyProbeSet),
-}
-
 /// The live snapshot the routing layer reads during one transmission.
 struct RunView<'a> {
     schedules: &'a [NodeSchedule],
-    probes: &'a ProbeState,
+    probes: &'a LazyProbeSet,
     costs: &'a CostModel,
     /// Per-node crash overlay (empty when fault injection is off): node `v`
     /// is routable only once `now >= crashed[v]`. The overlay affects
     /// routing liveness only — probe estimates still follow the analytic
-    /// churn schedule, which is what keeps eager and lazy probe modes
-    /// bit-identical under faults.
+    /// churn schedule, which is what lets them be reconstructed lazily.
     crashed: &'a [f64],
     /// The forming initiator's private fault ledger (`Some` only under
     /// `--fault-response adaptive`): suppressed relays are filtered from
@@ -121,8 +111,8 @@ struct RunView<'a> {
     reputation: Option<&'a EdgeReputation>,
     /// Crash-aware probe invalidation (`Some` only in adaptive mode): a
     /// masked relay's probe-derived availability reads as 0 until its
-    /// horizon, identically in eager and lazy probe modes — the mask is an
-    /// overlay on the read path, never on probe state.
+    /// horizon — the mask is an overlay on the read path, never on probe
+    /// state.
     invalid: Option<&'a ProbeInvalidation>,
     /// Identity-age discounting (`Some` only under
     /// `--adversary-age-discount`): a relay's reputation term is scaled by
@@ -153,14 +143,9 @@ impl RoutingView for RunView<'_> {
         out.clear();
         let live =
             |v: &NodeId| self.routable(*v) && !self.reputation.is_some_and(|r| r.is_suppressed(*v));
-        match self.probes {
-            ProbeState::Eager(probes) => {
-                out.extend(probes[s.index()].neighbors().iter().copied().filter(live));
-            }
-            ProbeState::Lazy(set) => set.with_neighbors(s, self.now.minutes(), |nbrs| {
-                out.extend(nbrs.iter().copied().filter(live));
-            }),
-        }
+        self.probes.with_neighbors(s, self.now.minutes(), |nbrs| {
+            out.extend(nbrs.iter().copied().filter(live));
+        });
     }
 
     fn availability(&self, s: NodeId, v: NodeId) -> f64 {
@@ -170,10 +155,7 @@ impl RoutingView for RunView<'_> {
         {
             return 0.0;
         }
-        match self.probes {
-            ProbeState::Eager(probes) => probes[s.index()].availability(v),
-            ProbeState::Lazy(set) => set.availability(s, v, self.now.minutes()),
-        }
+        self.probes.availability(s, v, self.now.minutes())
     }
 
     fn reputation(&self, _s: NodeId, v: NodeId) -> f64 {
@@ -255,18 +237,18 @@ pub struct RunResult {
     pub injected_cheaters: Vec<usize>,
     /// Detected-versus-paid [`AuditEvent::Discrepancy`] entries recorded.
     pub audit_discrepancies: u64,
-    /// Peak number of simultaneously materialized per-node probe cells.
-    /// Equals N under the eager lifecycle; under `--node-lifecycle lazy`
-    /// it tracks the active working set. Identical across probe modes
-    /// (both report through the same footprint model).
+    /// Peak number of simultaneously materialized per-node probe cells. A
+    /// cell materializes when the run first reads its node's probe state,
+    /// so without idle eviction this is the number of distinct nodes read
+    /// (at most N); with it, the largest working set between sweeps.
     pub peak_materialized_nodes: usize,
-    /// Node-state evictions performed by the lazy lifecycle's idle sweep
-    /// (always 0 under the eager lifecycle).
+    /// Probe cells evicted by the idle sweep (always 0 when
+    /// [`ScenarioConfig::evict_idle_ticks`] is `None`).
     pub node_evictions: u64,
     /// Estimated peak bytes of materialized per-node state: probe cells
     /// (via [`idpa_overlay::cell_footprint`]) plus reputation-ledger
-    /// observations. A model, not an allocator reading — comparable
-    /// across lifecycles and probe modes.
+    /// observations. A model, not an allocator reading, so it does not
+    /// depend on the machine.
     pub slab_bytes: usize,
     /// Epoch boundaries that settled at least one new connection under
     /// `--settlement epoch` (0 in per-bundle mode).
@@ -358,8 +340,8 @@ pub(crate) struct FaultRuntime {
     /// Per-initiator private fault ledgers (keyed by initiator node).
     /// Written only under `--fault-response adaptive`; in static mode they
     /// stay pristine and are never handed to the routing view, keeping
-    /// static runs bit-identical to the pre-adaptive code path. Under the
-    /// lazy lifecycle, ledgers materialize on the first recorded fault.
+    /// static runs bit-identical to the pre-adaptive code path. Ledgers
+    /// materialize on the first recorded fault.
     pub(crate) reputation: ReputationStore,
     /// Global probe-availability mask, advanced on confirmed failures
     /// (adaptive mode only).
@@ -525,7 +507,8 @@ enum AttemptFailure {
 pub struct SimulationRun {
     pub(crate) cfg: ScenarioConfig,
     pub(crate) world: World,
-    pub(crate) probes: ProbeState,
+    /// Lazily-synced probe cells of the touched nodes.
+    pub(crate) probes: LazyProbeSet,
     /// Owner-keyed sharded history store. The event loop is sequential, so
     /// it uses the zero-lock [`HistoryArena::exclusive`] view — the arena
     /// partitions storage without changing values, keeping runs
@@ -548,7 +531,7 @@ pub struct SimulationRun {
     pub(crate) crashed_until: Vec<f64>,
     /// Fault-injection state; `None` runs the exact fault-free code path.
     pub(crate) fault: Option<FaultRuntime>,
-    /// Idle-eviction sweeper (`Some` only under `--node-lifecycle lazy`).
+    /// Idle-eviction sweeper (`Some` only when `evict_idle_ticks` is set).
     pub(crate) slab: Option<NodeSlab>,
     /// Steady-state windowed metrics (`Some` only under `--window-len`).
     pub(crate) windows: Option<WindowCollector>,
@@ -559,35 +542,16 @@ impl SimulationRun {
     #[must_use]
     pub fn new(cfg: ScenarioConfig, world: World) -> Self {
         let streams = StreamFactory::new(cfg.seed);
-        // The dense stores own one mutable neighbor set per node; the
-        // sparse store borrows the world's topology instead.
-        let initial = |i: usize| world.topology.neighbors(NodeId(i)).to_vec();
-        let probes = match (cfg.probe_mode, cfg.node_lifecycle) {
-            (ProbeMode::Eager, _) => ProbeState::Eager(
-                (0..cfg.n_nodes)
-                    .map(|i| ProbeEstimator::new(NodeId(i), cfg.probe_period, initial(i)))
-                    .collect(),
-            ),
-            (ProbeMode::Lazy, NodeLifecycle::Eager) => ProbeState::Lazy(LazyProbeSet::new_shared(
-                cfg.probe_period,
-                cfg.churn.horizon,
-                Arc::clone(&world.schedules),
-                (0..cfg.n_nodes).map(initial).collect(),
-                cfg.neighbor_replacement_rounds,
-                streams.clone(),
-            )),
-            // Lazy lifecycle: no cell exists until its node is touched,
-            // and idle cells are evicted by the slab sweep — bit-identical
-            // to the dense store at every query.
-            (ProbeMode::Lazy, NodeLifecycle::Lazy) => ProbeState::Lazy(LazyProbeSet::new_sparse(
-                cfg.probe_period,
-                cfg.churn.horizon,
-                Arc::clone(&world.schedules),
-                Arc::clone(&world.topology),
-                cfg.neighbor_replacement_rounds,
-                streams.clone(),
-            )),
-        };
+        // No cell exists until its node is touched; the store borrows the
+        // world's schedules and topology instead of copying them.
+        let probes = LazyProbeSet::new_sparse(
+            cfg.probe_period,
+            cfg.churn.horizon,
+            Arc::clone(&world.schedules),
+            Arc::clone(&world.topology),
+            cfg.neighbor_replacement_rounds,
+            streams.clone(),
+        );
         let histories = HistoryArena::with_capacity(
             cfg.n_nodes,
             cfg.resolved_history_shards(),
@@ -639,10 +603,7 @@ impl SimulationRun {
                     validators,
                     keys,
                     last_completion: vec![-1.0; n_pairs],
-                    reputation: match cfg.node_lifecycle {
-                        NodeLifecycle::Eager => ReputationStore::dense(cfg.n_nodes),
-                        NodeLifecycle::Lazy => ReputationStore::sparse(cfg.n_nodes),
-                    },
+                    reputation: ReputationStore::new(cfg.n_nodes),
                     probe_invalid: ProbeInvalidation::new(cfg.n_nodes),
                     epoch: (cfg.settlement == SettlementMode::Epoch)
                         .then(|| EpochState::new(n_pairs)),
@@ -673,8 +634,9 @@ impl SimulationRun {
             scratch: RouteScratch::new(),
             crashed_until,
             fault,
-            slab: (cfg.node_lifecycle == NodeLifecycle::Lazy)
-                .then(|| NodeSlab::new(cfg.evict_idle_ticks, cfg.probe_period)),
+            slab: cfg
+                .evict_idle_ticks
+                .map(|ticks| NodeSlab::new(ticks, cfg.probe_period)),
             windows: (cfg.window_len > 0.0)
                 .then(|| WindowCollector::new(cfg.window_len, cfg.window_warmup)),
             cfg,
@@ -704,28 +666,11 @@ impl SimulationRun {
         run.finish()
     }
 
-    /// Schedules every probe-related event and transmission. In eager mode
-    /// probe tick `k` fires a global [`Ev::Probe`] at `k·T` (computed as a
-    /// product, so eager tick times agree exactly with the lazy
-    /// estimator's closed-form reconstruction). Lazy mode schedules no
-    /// probe events: a read catches the node's cell up through every
-    /// probe round and neighbor replacement since its last read.
+    /// Schedules the workload's transmissions (or first arrivals), epoch
+    /// boundaries and whitewash rejoins. No probe event is scheduled: a
+    /// read catches the node's cell up through every probe round and
+    /// neighbor replacement since its last read.
     pub fn schedule_all(&self, engine: &mut Engine<Ev>) {
-        match &self.probes {
-            ProbeState::Eager(_) => {
-                let mut k = 1u64;
-                loop {
-                    let t = k as f64 * self.cfg.probe_period;
-                    if t >= self.cfg.churn.horizon {
-                        break;
-                    }
-                    engine.schedule_at(SimTime::new(t), Ev::Probe);
-                    k += 1;
-                }
-            }
-            // Lazy cells catch up, replacements included, when read.
-            ProbeState::Lazy(_) => {}
-        }
         match self.cfg.workload {
             WorkloadMode::Closed => {
                 for (pair, wl) in self.world.pairs.iter().enumerate() {
@@ -780,24 +725,6 @@ impl SimulationRun {
         }
     }
 
-    fn handle_probe(&mut self, now: SimTime) {
-        let ProbeState::Eager(probes) = &mut self.probes else {
-            // Lazy mode schedules no global probe ticks.
-            return;
-        };
-        let schedules = &self.world.schedules;
-        for (i, probe) in probes.iter_mut().enumerate() {
-            // Only live nodes probe.
-            if !schedules[i].is_up(now) {
-                continue;
-            }
-            probe.probe_round_seeded(&self.streams, |v| schedules[v.index()].is_up(now));
-            if let Some(threshold) = self.cfg.neighbor_replacement_rounds {
-                probe.maintain_seeded(&self.streams, threshold, self.cfg.n_nodes);
-            }
-        }
-    }
-
     /// An open-workload arrival: record the request as connection
     /// `times.len()` of the pair (its send time is the arrival time, which
     /// is what delivery latency is measured against), chain the next
@@ -838,8 +765,8 @@ impl SimulationRun {
                 w.record_scheduled(now.minutes());
             }
         }
-        if let (Some(slab), ProbeState::Lazy(set)) = (&mut self.slab, &self.probes) {
-            slab.maybe_sweep(set, now.minutes());
+        if let Some(slab) = &mut self.slab {
+            slab.maybe_sweep(&self.probes, now.minutes());
         }
         // take/put-back keeps the fault state out of `self` while the
         // faulty path mutably borrows the rest of the run.
@@ -1339,22 +1266,8 @@ impl SimulationRun {
             fr.settle_epoch_window();
         }
         let n = self.cfg.n_nodes;
-        // Resident-state metrics, through the same footprint model in every
-        // representation so probe modes agree exactly under each lifecycle.
-        let (peak_materialized_nodes, node_evictions, probe_bytes) = match &self.probes {
-            ProbeState::Eager(probes) => {
-                let bytes: usize = probes
-                    .iter()
-                    .map(|p| idpa_overlay::cell_footprint(p.neighbors().len()))
-                    .sum();
-                (probes.len(), 0, bytes)
-            }
-            ProbeState::Lazy(set) => {
-                let r = set.residency();
-                (r.peak, r.evictions, r.peak_bytes)
-            }
-        };
-        let slab_bytes = probe_bytes
+        let residency = self.probes.residency();
+        let slab_bytes = residency.peak_bytes
             + self
                 .fault
                 .as_ref()
@@ -1578,8 +1491,8 @@ impl SimulationRun {
             flagged_cheaters,
             injected_cheaters,
             audit_discrepancies,
-            peak_materialized_nodes,
-            node_evictions,
+            peak_materialized_nodes: residency.peak,
+            node_evictions: residency.evictions,
             slab_bytes,
             epochs_settled,
             settlement_ops_per_epoch,
@@ -1637,10 +1550,9 @@ impl Process for SimulationRun {
     fn handle(&mut self, engine: &mut Engine<Ev>, event: Ev) -> idpa_desim::engine::Control {
         let now = engine.now();
         match event {
-            Ev::Probe => self.handle_probe(now),
-            // Never scheduled; kept so pending events in older snapshot
-            // frames decode and event matches elsewhere still compile.
-            Ev::Maintain(_) => {}
+            // Never scheduled; kept so event matches elsewhere still
+            // compile.
+            Ev::Probe | Ev::Maintain(_) => {}
             Ev::Transmit { pair, conn } => self.handle_transmit(engine, now, pair, conn, 0),
             Ev::Retry {
                 pair,
@@ -1831,15 +1743,11 @@ mod tests {
     }
 
     #[test]
-    fn lazy_lifecycle_shares_the_world_topology() {
-        // The sparse probe store reads initial neighbor sets from the
-        // world's topology: one flat array, held by the world and the
-        // store, never copied per node.
-        let cfg = ScenarioConfig {
-            probe_mode: ProbeMode::Lazy,
-            node_lifecycle: NodeLifecycle::Lazy,
-            ..ScenarioConfig::quick_test(23)
-        };
+    fn probe_store_shares_the_world_topology() {
+        // The probe store reads initial neighbor sets from the world's
+        // topology: one flat array, held by the world and the store, never
+        // copied per node.
+        let cfg = ScenarioConfig::quick_test(23);
         let world = World::generate(&cfg);
         let run = SimulationRun::new(cfg, world);
         assert_eq!(Arc::strong_count(&run.world.topology), 2);

@@ -15,40 +15,6 @@ use idpa_netmodel::{ChurnConfig, CostConfig};
 
 use crate::error::SimError;
 
-/// How availability-probe state is advanced during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeMode {
-    /// Global synchronous sweep: every probe tick, every live node runs a
-    /// probing round — O(N·d) per tick whether or not anyone reads the
-    /// estimates.
-    Eager,
-    /// Event-driven lazy estimation: per-node probe cells are materialized
-    /// on demand from the analytic churn schedule when read, neighbor
-    /// replacements included — amortized O(churn + queries),
-    /// bit-identical to `Eager`: every probe draw (first sightings,
-    /// replacement candidates) is keyed by (owner, slot, round), so both
-    /// modes consume identical bits.
-    Lazy,
-}
-
-/// How per-node runtime state (probe cells, reputation ledgers) is
-/// allocated over the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeLifecycle {
-    /// Every node's state is allocated up front — O(N) resident memory,
-    /// the historical behaviour and the default (byte-identical to builds
-    /// without the lifecycle layer).
-    Eager,
-    /// Nodes exist only as analytic [`idpa_netmodel::NodeSchedule`] entries
-    /// until first touched by a transmission, probe query, or fault
-    /// observation; first touch materializes their state from the schedule
-    /// at the current tick, and long-idle nodes are evicted back to the
-    /// analytic summary ([`ScenarioConfig::evict_idle_ticks`]). Resident
-    /// memory scales with active traffic, not N; results are bit-identical
-    /// to `Eager`.
-    Lazy,
-}
-
 /// How the symmetric bandwidth matrix backing the cost model is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostStorage {
@@ -170,9 +136,6 @@ pub struct ScenarioConfig {
     /// probing rule's "if a new neighbor is found" clause (§2.3) is what
     /// re-initialises the replacement's session time.
     pub neighbor_replacement_rounds: Option<u64>,
-    /// How probe state advances: eager per-tick sweep or event-driven lazy
-    /// materialization (the default).
-    pub probe_mode: ProbeMode,
     /// Deterministic fault injection (all-zero rates = faults off, and the
     /// run is bit-identical to a build without the fault layer).
     pub fault: FaultConfig,
@@ -187,20 +150,15 @@ pub struct ScenarioConfig {
     /// bit-identical at every shard count — sharding partitions storage
     /// without changing per-`(node, bundle)` record order.
     pub history_shards: usize,
-    /// How per-node runtime state is allocated (`--node-lifecycle`):
-    /// eagerly for all N nodes up front, or lazily on first touch with
-    /// idle eviction. Bit-identical either way; lazy bounds resident
-    /// memory by the active working set.
-    pub node_lifecycle: NodeLifecycle,
     /// Bandwidth matrix storage. [`CostStorage::Sparse`] drops the O(N²)
     /// matrix for million-node worlds at the price of *different* (still
     /// i.i.d. uniform) edge draws than the dense layout.
     pub cost_storage: CostStorage,
-    /// Under [`NodeLifecycle::Lazy`]: evict a node's materialized state
-    /// after this many probe ticks without a touch. Must be ≥ 1. Pure
-    /// policy — any value yields identical results, only residency
-    /// figures move.
-    pub evict_idle_ticks: u64,
+    /// Idle eviction of per-node probe cells: evict a node's materialized
+    /// state after this many probe ticks without a touch (`None`, the
+    /// default, never evicts; `Some(0)` is rejected). Pure policy — any
+    /// value yields identical results, only the residency figures move.
+    pub evict_idle_ticks: Option<u64>,
     /// When payment evidence settles against the bank (`--settlement`):
     /// per bundle after the horizon (the default) or batched at epoch
     /// boundaries. Meaningful only when fault injection is active (that is
@@ -273,13 +231,11 @@ impl Default for ScenarioConfig {
             availability_attack: false,
             history_capacity: None,
             neighbor_replacement_rounds: None,
-            probe_mode: ProbeMode::Lazy,
             fault: FaultConfig::default(),
             adversary: AdversaryConfig::default(),
             history_shards: 0,
-            node_lifecycle: NodeLifecycle::Eager,
             cost_storage: CostStorage::Dense,
-            evict_idle_ticks: 64,
+            evict_idle_ticks: None,
             settlement: SettlementMode::PerBundle,
             epoch_length: 240.0,
             workload: WorkloadMode::Closed,
@@ -382,20 +338,16 @@ impl ScenarioConfig {
             "probe_period",
             format!("probe period must be positive (got {})", self.probe_period),
         )?;
-        if self.probe_mode == ProbeMode::Lazy {
-            ensure(
-                self.neighbor_replacement_rounds != Some(0),
-                "neighbor_replacement_rounds",
-                "lazy probing requires a replacement threshold >= 1".into(),
-            )?;
-        }
-        if self.node_lifecycle == NodeLifecycle::Lazy {
-            ensure(
-                self.evict_idle_ticks >= 1,
-                "evict_idle_ticks",
-                "lazy lifecycle needs an idle-eviction window >= 1 tick".into(),
-            )?;
-        }
+        ensure(
+            self.neighbor_replacement_rounds != Some(0),
+            "neighbor_replacement_rounds",
+            "neighbor replacement needs a silence threshold >= 1".into(),
+        )?;
+        ensure(
+            self.evict_idle_ticks != Some(0),
+            "evict_idle_ticks",
+            "idle eviction needs an idle-eviction window >= 1 tick".into(),
+        )?;
         if self.settlement == SettlementMode::Epoch {
             ensure(
                 self.epoch_length > 0.0,
@@ -550,19 +502,19 @@ impl ScenarioConfig {
     }
 
     /// A large-N scale scenario: paper churn scaled proportionally
-    /// (`join_rate = n/20`, the default 2/min at N = 40), the lazy node
-    /// lifecycle, sparse cost storage (no O(N²) matrix), and a fixed-size
-    /// active workload — so per-tick cost and resident state track the
-    /// 512-pair traffic, not N. `adversary_fraction` stays 0: the attack
-    /// observer is an O(N)-per-connection layer this scenario does not
-    /// measure.
+    /// (`join_rate = n/20`, the default 2/min at N = 40), idle eviction of
+    /// probe cells after 64 ticks, sparse cost storage (no O(N²) matrix),
+    /// and a fixed-size active workload — so per-tick cost and resident
+    /// state track the 512-pair traffic, not N. `adversary_fraction` stays
+    /// 0: the attack observer is an O(N)-per-connection layer this
+    /// scenario does not measure.
     #[must_use]
     pub fn scale(n: usize, seed: u64) -> Self {
         let mut cfg = ScenarioConfig {
             n_pairs: 512,
             total_transmissions: 4096,
             max_connections: 64,
-            node_lifecycle: NodeLifecycle::Lazy,
+            evict_idle_ticks: Some(64),
             cost_storage: CostStorage::Sparse,
             seed,
             ..ScenarioConfig::default()
@@ -747,14 +699,9 @@ mod tests {
     }
 
     #[test]
-    fn default_probe_mode_is_lazy() {
-        assert_eq!(ScenarioConfig::default().probe_mode, ProbeMode::Lazy);
-    }
-
-    #[test]
     fn quick_shrinks_sizes_and_keeps_everything_else() {
         let cfg = ScenarioConfig {
-            probe_mode: ProbeMode::Eager,
+            evict_idle_ticks: Some(8),
             reputation_weight: 0.2,
             weights: (0.4, 0.4),
             seed: 9,
@@ -799,21 +746,21 @@ mod tests {
     }
 
     #[test]
-    fn default_lifecycle_is_eager_dense() {
+    fn default_never_evicts_and_stores_costs_densely() {
         let cfg = ScenarioConfig::default();
-        assert_eq!(cfg.node_lifecycle, NodeLifecycle::Eager);
+        assert_eq!(cfg.evict_idle_ticks, None);
         assert_eq!(cfg.cost_storage, CostStorage::Dense);
     }
 
     #[test]
-    fn lazy_lifecycle_validates_and_zero_window_rejected() {
+    fn idle_eviction_validates_and_zero_window_rejected() {
         let cfg = ScenarioConfig {
-            node_lifecycle: NodeLifecycle::Lazy,
+            evict_idle_ticks: Some(1),
             ..ScenarioConfig::default()
         };
-        cfg.validate().expect("lazy lifecycle is a valid scenario");
+        cfg.validate().expect("idle eviction is a valid scenario");
         let bad = ScenarioConfig {
-            evict_idle_ticks: 0,
+            evict_idle_ticks: Some(0),
             ..cfg
         };
         assert_rejected(&bad, "evict_idle_ticks", "idle-eviction window");
@@ -823,7 +770,7 @@ mod tests {
     fn scale_scenarios_validate_with_proportional_churn() {
         let cfg = ScenarioConfig::scale(4_000, 3);
         cfg.validate().expect("scale scenario must validate");
-        assert_eq!(cfg.node_lifecycle, NodeLifecycle::Lazy);
+        assert_eq!(cfg.evict_idle_ticks, Some(64));
         assert_eq!(cfg.cost_storage, CostStorage::Sparse);
         assert_eq!(cfg.churn.join_rate, 200.0);
         let big = ScenarioConfig::scale_1m(3);

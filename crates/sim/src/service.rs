@@ -11,8 +11,8 @@
 //!   to an uninterrupted one.
 //! * `--resume P` restores a checkpoint and continues. The combination
 //!   "interrupt at any boundary, resume, run to the horizon" reproduces the
-//!   uninterrupted run's [`RunResult`] exactly — across probe modes,
-//!   lifecycle modes, settlement modes, shard counts and fault plans (the
+//!   uninterrupted run's [`RunResult`] exactly — across idle-eviction
+//!   windows, settlement modes, shard counts and fault plans (the
 //!   equivalence suite pins this).
 //! * `--max-wall-secs S` is the graceful-shutdown clock: the event loop
 //!   polls a wall-clock deadline every few thousand events (an *event

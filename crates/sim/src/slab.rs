@@ -1,9 +1,9 @@
-//! The lazy node lifecycle's slab layer: sparse per-node runtime state.
+//! Sparse per-node runtime state.
 //!
-//! Under `--node-lifecycle lazy` a node's runtime state (probe cell,
-//! reputation ledger) exists only while the node is *active*: the probe
-//! cell materializes from the analytic churn schedule on first touch (see
-//! [`idpa_overlay::LazyProbeSet`]) and is evicted back to nothing when
+//! A node's runtime state (probe cell, reputation ledger) exists only
+//! while the node is *active*: the probe cell materializes from the
+//! analytic churn schedule on first touch (see
+//! [`idpa_overlay::LazyProbeSet`]) and can be evicted back to nothing when
 //! idle, and an initiator's fault ledger materializes on its first
 //! recorded observation. Both re-materialize value-identically — the probe
 //! cell because it is a pure function of (schedules, streams, tick), the
@@ -19,103 +19,79 @@
 use std::collections::HashMap;
 
 use idpa_core::reputation::EdgeReputation;
+use idpa_desim::rng::Mix64State;
 use idpa_overlay::LazyProbeSet;
 
-/// Storage for per-initiator fault ledgers.
+/// Storage for per-initiator fault ledgers. Ledgers materialize on the
+/// first recorded observation. An absent ledger reads as the shared clean
+/// ledger, which is value-identical to a fresh [`EdgeReputation`] — so
+/// reads never materialize.
 #[derive(Debug, Clone)]
-pub enum ReputationStore {
-    /// One ledger per node, allocated up front — the eager lifecycle.
-    Dense(Vec<EdgeReputation>),
-    /// Ledgers materialize on the first recorded observation. An absent
-    /// ledger reads as the shared clean ledger, which is value-identical
-    /// to a fresh [`EdgeReputation`] — so reads never materialize.
-    Sparse {
-        /// Ledger dimension handed to on-demand materialization.
-        n_nodes: usize,
-        /// Materialized ledgers, keyed by initiator index.
-        ledgers: HashMap<usize, EdgeReputation>,
-        /// The shared read target for initiators with no ledger yet.
-        clean: EdgeReputation,
-    },
+pub struct ReputationStore {
+    /// Ledger dimension handed to on-demand materialization.
+    n_nodes: usize,
+    /// Materialized ledgers, keyed by initiator index.
+    ledgers: HashMap<usize, EdgeReputation, Mix64State>,
+    /// The shared read target for initiators with no ledger yet.
+    clean: EdgeReputation,
 }
 
 impl ReputationStore {
-    /// The eager store: `n_nodes` clean ledgers.
+    /// An empty store: no ledgers until a fault is recorded.
     #[must_use]
-    pub fn dense(n_nodes: usize) -> Self {
-        ReputationStore::Dense(vec![EdgeReputation::new(n_nodes); n_nodes])
-    }
-
-    /// The lazy store: no ledgers until a fault is recorded.
-    #[must_use]
-    pub fn sparse(n_nodes: usize) -> Self {
-        ReputationStore::Sparse {
+    pub fn new(n_nodes: usize) -> Self {
+        ReputationStore {
             n_nodes,
-            ledgers: HashMap::new(),
+            ledgers: HashMap::default(),
             clean: EdgeReputation::new(n_nodes),
         }
     }
 
-    /// Initiator `i`'s ledger for reading. Sparse reads of an absent
-    /// ledger return the clean ledger (score 1, nothing suppressed) —
-    /// exactly what the dense store holds before the first observation.
+    /// Initiator `i`'s ledger for reading. A read of an absent ledger
+    /// returns the clean ledger (score 1, nothing suppressed).
     #[must_use]
     pub fn get(&self, i: usize) -> &EdgeReputation {
-        match self {
-            ReputationStore::Dense(v) => &v[i],
-            ReputationStore::Sparse { ledgers, clean, .. } => ledgers.get(&i).unwrap_or(clean),
-        }
+        self.ledgers.get(&i).unwrap_or(&self.clean)
     }
 
     /// Initiator `i`'s ledger for writing, materializing it if absent.
     pub fn get_mut(&mut self, i: usize) -> &mut EdgeReputation {
-        match self {
-            ReputationStore::Dense(v) => &mut v[i],
-            ReputationStore::Sparse {
-                n_nodes, ledgers, ..
-            } => ledgers
-                .entry(i)
-                .or_insert_with(|| EdgeReputation::new(*n_nodes)),
-        }
+        let n_nodes = self.n_nodes;
+        self.ledgers
+            .entry(i)
+            .or_insert_with(|| EdgeReputation::new(n_nodes))
     }
 
     /// Number of ledgers currently allocated.
     #[must_use]
     pub fn materialized(&self) -> usize {
-        match self {
-            ReputationStore::Dense(v) => v.len(),
-            ReputationStore::Sparse { ledgers, .. } => ledgers.len(),
-        }
+        self.ledgers.len()
     }
 
-    /// Summed heap estimate of all ledger observations. Equal across the
-    /// two layouts for the same run: a dense ledger that never recorded
-    /// anything holds no heap entries, so only the ledgers the sparse
-    /// store would have materialized contribute.
+    /// Summed heap estimate of all ledger observations.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        match self {
-            ReputationStore::Dense(v) => v.iter().map(EdgeReputation::approx_bytes).sum(),
-            ReputationStore::Sparse { ledgers, .. } => {
-                ledgers.values().map(EdgeReputation::approx_bytes).sum()
-            }
-        }
+        self.ledgers
+            .values()
+            .map(EdgeReputation::approx_bytes)
+            .sum()
     }
 
     /// Whitewashes relay `v` across every materialized ledger: each
     /// active entry for `v` is archived into its ledger's retired store
     /// (see [`EdgeReputation::whitewash`]) so the fresh identity reads
-    /// clean while the evidence survives. An absent sparse ledger is the
-    /// clean ledger and holds nothing for `v`, so skipping it is
-    /// value-identical to the dense walk over empty entries.
+    /// clean while the evidence survives. An absent ledger is the clean
+    /// ledger and holds nothing for `v`, so skipping it changes nothing.
     ///
     /// Returns `(archived, evaded)`: how many ledgers held an active
     /// entry for `v`, and in how many of those `v` was suppressed at the
     /// moment of the wash — the suppression the fresh identity escapes.
+    /// Both are order-independent sums, and the wash of one ledger never
+    /// reads another, so the map's iteration order cannot show.
     pub fn whitewash_node(&mut self, v: idpa_overlay::NodeId) -> (usize, usize) {
         let mut archived = 0usize;
         let mut evaded = 0usize;
-        let mut wash = |ledger: &mut EdgeReputation| {
+        for ledger in self.ledgers.values_mut() {
             let suppressed = ledger.is_suppressed(v);
             if ledger.whitewash(v) {
                 archived += 1;
@@ -123,64 +99,37 @@ impl ReputationStore {
                     evaded += 1;
                 }
             }
-        };
-        match self {
-            ReputationStore::Dense(ledgers) => ledgers.iter_mut().for_each(&mut wash),
-            ReputationStore::Sparse { ledgers, .. } => {
-                // Deterministic outcome regardless of map order: the wash
-                // of one ledger never reads another, and the counters are
-                // order-independent sums.
-                ledgers.values_mut().for_each(&mut wash);
-            }
         }
         (archived, evaded)
     }
 
     /// Snapshot export: `(initiator, ledger entries)` for every
-    /// materialized ledger, sorted by initiator index. Dense stores export
-    /// all `n` ledgers (empty ones included, so the restored layout is
-    /// identical); sparse stores export exactly the materialized set, so
-    /// residency statistics survive a resume.
+    /// materialized ledger, sorted by initiator index, so residency
+    /// statistics survive a resume.
     #[must_use]
     pub fn snapshot_ledgers(&self) -> Vec<(usize, LedgerEntries)> {
-        match self {
-            ReputationStore::Dense(v) => v
-                .iter()
-                .enumerate()
-                .map(|(i, l)| (i, l.snapshot_entries()))
-                .collect(),
-            ReputationStore::Sparse { ledgers, .. } => {
-                let mut out: Vec<(usize, LedgerEntries)> = ledgers
-                    .iter()
-                    .map(|(&i, l)| (i, l.snapshot_entries()))
-                    .collect();
-                out.sort_unstable_by_key(|e| e.0);
-                out
-            }
-        }
+        let mut out: Vec<(usize, LedgerEntries)> = self
+            .ledgers
+            .iter()
+            .map(|(&i, l)| (i, l.snapshot_entries()))
+            .collect();
+        out.sort_unstable_by_key(|e| e.0);
+        out
     }
 
     /// Snapshot export of the retired (whitewashed) archives:
     /// `(initiator, retired rows)` for every ledger holding at least one
-    /// retired generation, sorted by initiator index. Ledgers with empty
-    /// archives export nothing under either layout, so the dense and
-    /// sparse exports agree byte-for-byte.
+    /// retired generation, sorted by initiator index.
     #[must_use]
     pub fn snapshot_retired(&self) -> Vec<(usize, RetiredEntries)> {
-        let collect = |iter: &mut dyn Iterator<Item = (usize, &EdgeReputation)>| {
-            let mut out: Vec<(usize, RetiredEntries)> = iter
-                .map(|(i, l)| (i, l.snapshot_retired()))
-                .filter(|(_, r)| !r.is_empty())
-                .collect();
-            out.sort_unstable_by_key(|e| e.0);
-            out
-        };
-        match self {
-            ReputationStore::Dense(v) => collect(&mut v.iter().enumerate()),
-            ReputationStore::Sparse { ledgers, .. } => {
-                collect(&mut ledgers.iter().map(|(&i, l)| (i, l)))
-            }
-        }
+        let mut out: Vec<(usize, RetiredEntries)> = self
+            .ledgers
+            .iter()
+            .map(|(&i, l)| (i, l.snapshot_retired()))
+            .filter(|(_, r)| !r.is_empty())
+            .collect();
+        out.sort_unstable_by_key(|e| e.0);
+        out
     }
 
     /// Restores retired archives exported by
@@ -205,7 +154,8 @@ pub type LedgerEntries = Vec<(usize, u32, u32, bool)>;
 /// order — the shape [`EdgeReputation::snapshot_retired`] exports.
 pub type RetiredEntries = Vec<(usize, Vec<(u32, u32, bool)>)>;
 
-/// The idle-eviction sweep driver of the lazy lifecycle.
+/// The idle-eviction sweeper (present only when
+/// [`crate::ScenarioConfig::evict_idle_ticks`] is set).
 ///
 /// Sweeps are keyed to probe ticks of the event clock, so the cadence is a
 /// deterministic function of simulation time — but since eviction is
@@ -269,71 +219,61 @@ mod tests {
     use idpa_overlay::NodeId;
 
     #[test]
-    fn sparse_reads_match_dense_before_any_write() {
-        let dense = ReputationStore::dense(6);
-        let sparse = ReputationStore::sparse(6);
+    fn reads_see_the_clean_ledger_without_materializing() {
+        let store = ReputationStore::new(6);
+        let clean = EdgeReputation::new(6);
         for i in 0..6 {
+            assert_eq!(store.get(i), &clean);
             for v in 0..6 {
-                assert_eq!(
-                    dense.get(i).score(NodeId(v)),
-                    sparse.get(i).score(NodeId(v))
-                );
-                assert_eq!(
-                    dense.get(i).is_suppressed(NodeId(v)),
-                    sparse.get(i).is_suppressed(NodeId(v))
-                );
+                assert_eq!(store.get(i).score(NodeId(v)), 1.0);
+                assert!(!store.get(i).is_suppressed(NodeId(v)));
             }
         }
-        assert_eq!(sparse.materialized(), 0, "reads must not materialize");
-        assert_eq!(dense.approx_bytes(), sparse.approx_bytes());
+        assert_eq!(store.materialized(), 0, "reads must not materialize");
+        assert_eq!(store.approx_bytes(), 0);
     }
 
     #[test]
-    fn writes_materialize_and_stay_value_identical() {
-        let mut dense = ReputationStore::dense(5);
-        let mut sparse = ReputationStore::sparse(5);
-        for store in [&mut dense, &mut sparse] {
+    fn writes_materialize_only_the_written_ledgers() {
+        let mut store = ReputationStore::new(5);
+        let mut ledgers = vec![EdgeReputation::new(5); 5];
+        store.get_mut(2).record_drop(NodeId(4));
+        store.get_mut(2).record_timeout(NodeId(4));
+        store.get_mut(0).flag_cheater(NodeId(1));
+        ledgers[2].record_drop(NodeId(4));
+        ledgers[2].record_timeout(NodeId(4));
+        ledgers[0].flag_cheater(NodeId(1));
+        assert_eq!(store.materialized(), 2);
+        for (i, ledger) in ledgers.iter().enumerate() {
+            assert_eq!(store.get(i), ledger, "ledger {i}");
+        }
+        let bytes: usize = ledgers.iter().map(EdgeReputation::approx_bytes).sum();
+        assert_eq!(store.approx_bytes(), bytes);
+        assert!(store.get(2).is_suppressed(NodeId(4)));
+    }
+
+    #[test]
+    fn whitewash_node_archives_and_counts_evasions() {
+        let mut store = ReputationStore::new(5);
+        // Suppress node 4 in ledger 2, record-but-not-suppress it in
+        // ledger 0, and leave ledger 1 untouched.
+        for _ in 0..3 {
             store.get_mut(2).record_drop(NodeId(4));
-            store.get_mut(2).record_timeout(NodeId(4));
-            store.get_mut(0).flag_cheater(NodeId(1));
         }
-        assert_eq!(sparse.materialized(), 2);
-        for i in 0..5 {
-            assert_eq!(dense.get(i), sparse.get(i), "ledger {i}");
-        }
-        assert_eq!(dense.approx_bytes(), sparse.approx_bytes());
-        assert!(sparse.get(2).is_suppressed(NodeId(4)));
-    }
-
-    #[test]
-    fn whitewash_node_is_layout_invariant() {
-        let mut dense = ReputationStore::dense(5);
-        let mut sparse = ReputationStore::sparse(5);
-        for store in [&mut dense, &mut sparse] {
-            // Suppress node 4 in ledger 2, record-but-not-suppress it in
-            // ledger 0, and leave ledger 1 untouched.
-            for _ in 0..3 {
-                store.get_mut(2).record_drop(NodeId(4));
-            }
-            store.get_mut(0).record_timeout(NodeId(4));
-        }
-        for store in [&mut dense, &mut sparse] {
-            assert_eq!(store.whitewash_node(NodeId(4)), (2, 1));
-            // Second wash: nothing active remains anywhere.
-            assert_eq!(store.whitewash_node(NodeId(4)), (0, 0));
-        }
-        assert_eq!(dense.snapshot_retired(), sparse.snapshot_retired());
-        assert_eq!(dense.snapshot_retired().len(), 2);
+        store.get_mut(0).record_timeout(NodeId(4));
+        assert_eq!(store.whitewash_node(NodeId(4)), (2, 1));
+        // Second wash: nothing active remains anywhere.
+        assert_eq!(store.whitewash_node(NodeId(4)), (0, 0));
+        assert_eq!(store.snapshot_retired().len(), 2);
+        assert_eq!(store.materialized(), 2, "washing never materializes");
         // Fresh identity reads clean; the evidence survived.
-        for store in [&dense, &sparse] {
-            assert!(!store.get(2).is_suppressed(NodeId(4)));
-            assert_eq!(store.get(2).score(NodeId(4)), 1.0);
-            assert_eq!(store.get(2).retired_fault_count(NodeId(4)), 3);
-        }
+        assert!(!store.get(2).is_suppressed(NodeId(4)));
+        assert_eq!(store.get(2).score(NodeId(4)), 1.0);
+        assert_eq!(store.get(2).retired_fault_count(NodeId(4)), 3);
         // Round trip through a fresh store.
-        let mut restored = ReputationStore::sparse(5);
-        restored.restore_retired(&sparse.snapshot_retired());
-        assert_eq!(restored.snapshot_retired(), sparse.snapshot_retired());
+        let mut restored = ReputationStore::new(5);
+        restored.restore_retired(&store.snapshot_retired());
+        assert_eq!(restored.snapshot_retired(), store.snapshot_retired());
     }
 
     #[test]

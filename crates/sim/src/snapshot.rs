@@ -3,7 +3,7 @@
 //! [`encode`] serializes the **complete mutable trajectory state** of a
 //! [`SimulationRun`] plus its [`Engine`] — the calendar with original
 //! sequence numbers, the sequential routing RNG cursor, the history arena, the
-//! bundle/tracker/attack accumulators, probe state in either mode, the
+//! bundle/tracker/attack accumulators, the touched nodes' probe cells, the
 //! fault runtime (delivery counters, evidence, fault ledgers, epoch
 //! cursors) and the windowed-metrics buckets — into one framed byte
 //! buffer ([`idpa_desim::codec::frame`]: magic, version, length,
@@ -44,8 +44,7 @@ use idpa_desim::codec::{fnv1a_64, unframe, CodecError, Dec, Enc};
 use idpa_desim::rng::Xoshiro256StarStar;
 use idpa_desim::{Calendar, Engine};
 use idpa_overlay::{
-    NodeId, ProbeCellState, ProbeCellsSnapshot, ProbeEstimator, ProbeEstimatorState,
-    ProbeInvalidation, Residency,
+    NodeId, ProbeCellState, ProbeCellsSnapshot, ProbeEstimatorState, ProbeInvalidation, Residency,
 };
 use idpa_payment::bank::AccountId;
 use idpa_payment::receipt::Receipt;
@@ -55,20 +54,22 @@ use std::collections::BTreeMap;
 
 use crate::durability::{BankDurabilityState, DurabilityCounters};
 use crate::error::SimError;
-use crate::runner::{Ev, ProbeState, SimulationRun};
-use crate::scenario::{NodeLifecycle, ProbeMode, ScenarioConfig, SettlementMode};
+use crate::runner::{Ev, SimulationRun};
+use crate::scenario::{ScenarioConfig, SettlementMode};
 use crate::window::WindowCollector;
 use crate::world::World;
 
 /// Snapshot format version; bumped on any layout change so a stale
 /// snapshot fails with [`CodecError::UnsupportedVersion`] instead of
 /// misdecoding. Version 5 switched the frame to the word-wise
-/// [`idpa_desim::codec::frame_checksum`].
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// [`idpa_desim::codec::frame_checksum`]; version 6 dropped the probe-store
+/// tag (one cell store remains) and writes only materialized fault
+/// ledgers.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the
-/// value-invisible ones (shard counts, lifecycle mode): resuming under a
+/// value-invisible ones (shard counts, idle-eviction window): resuming under a
 /// *different but equivalent* configuration is intentionally rejected,
 /// because "equivalent" is exactly the property the equivalence suites
 /// exist to prove, not one the decoder should assume.
@@ -365,36 +366,15 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
         }
     }
 
-    match &run.probes {
-        ProbeState::Eager(ests) => {
-            e.u8(0);
-            e.seq_len(ests.len());
-            for est in ests {
-                enc_probe_est(&mut e, &est.snapshot_state());
-            }
-        }
-        ProbeState::Lazy(set) => match set.snapshot_cells() {
-            ProbeCellsSnapshot::Dense(cells) => {
-                e.u8(1);
-                e.seq_len(cells.len());
-                for c in &cells {
-                    enc_probe_est(&mut e, &c.est);
-                    e.u64(c.synced_tick);
-                }
-            }
-            ProbeCellsSnapshot::Sparse { cells, stats } => {
-                e.u8(2);
-                e.seq_len(cells.len());
-                for (i, c, touch) in &cells {
-                    e.usize(*i);
-                    enc_probe_est(&mut e, &c.est);
-                    e.u64(c.synced_tick);
-                    e.u64(*touch);
-                }
-                enc_residency(&mut e, &stats);
-            }
-        },
+    let ProbeCellsSnapshot { cells, stats } = run.probes.snapshot_cells();
+    e.seq_len(cells.len());
+    for (i, c, touch) in &cells {
+        e.usize(*i);
+        enc_probe_est(&mut e, &c.est);
+        e.u64(c.synced_tick);
+        e.u64(*touch);
     }
+    enc_residency(&mut e, &stats);
 
     match &run.slab {
         None => e.bool(false),
@@ -760,71 +740,30 @@ pub fn restore(
     }
     run.histories = histories;
 
-    let probe_tag = d.u8().map_err(codec)?;
-    match (&mut run.probes, probe_tag) {
-        (ProbeState::Eager(ests), 0) => {
-            if cfg.probe_mode != ProbeMode::Eager {
-                return Err(mismatch("probe mode"));
-            }
-            let n = d.seq_len(17).map_err(codec)?;
-            if n != n_nodes {
-                return Err(mismatch("probe estimator count"));
-            }
-            let mut restored = Vec::with_capacity(n);
-            for i in 0..n {
-                restored.push(ProbeEstimator::from_snapshot(dec_probe_est(
-                    &mut d, cfg, i,
-                )?));
-            }
-            *ests = restored;
+    let n = d.seq_len(41).map_err(codec)?;
+    let mut cells = Vec::with_capacity(n);
+    let mut last: Option<usize> = None;
+    for _ in 0..n {
+        let i = idx(d.usize().map_err(codec)?, n_nodes, "probe cell node")?;
+        if last.is_some_and(|prev| prev >= i) {
+            return Err(mismatch("probe cell order"));
         }
-        (ProbeState::Lazy(set), 1) => {
-            if cfg.node_lifecycle != NodeLifecycle::Eager {
-                return Err(mismatch("probe cell layout"));
-            }
-            let n = d.seq_len(25).map_err(codec)?;
-            if n != n_nodes {
-                return Err(mismatch("probe cell count"));
-            }
-            let mut cells = Vec::with_capacity(n);
-            for i in 0..n {
-                let est = dec_probe_est(&mut d, cfg, i)?;
-                let synced_tick = d.u64().map_err(codec)?;
-                cells.push(ProbeCellState { est, synced_tick });
-            }
-            set.restore_cells(ProbeCellsSnapshot::Dense(cells))
-                .map_err(mismatch)?;
-        }
-        (ProbeState::Lazy(set), 2) => {
-            if cfg.node_lifecycle != NodeLifecycle::Lazy {
-                return Err(mismatch("probe cell layout"));
-            }
-            let n = d.seq_len(41).map_err(codec)?;
-            let mut cells = Vec::with_capacity(n);
-            let mut last: Option<usize> = None;
-            for _ in 0..n {
-                let i = idx(d.usize().map_err(codec)?, n_nodes, "probe cell node")?;
-                if last.is_some_and(|prev| prev >= i) {
-                    return Err(mismatch("probe cell order"));
-                }
-                last = Some(i);
-                let est = dec_probe_est(&mut d, cfg, i)?;
-                let synced_tick = d.u64().map_err(codec)?;
-                let touch = d.u64().map_err(codec)?;
-                cells.push((i, ProbeCellState { est, synced_tick }, touch));
-            }
-            let stats = dec_residency(&mut d)?;
-            set.restore_cells(ProbeCellsSnapshot::Sparse { cells, stats })
-                .map_err(mismatch)?;
-        }
-        _ => return Err(mismatch("probe mode")),
+        last = Some(i);
+        let est = dec_probe_est(&mut d, cfg, i)?;
+        let synced_tick = d.u64().map_err(codec)?;
+        let touch = d.u64().map_err(codec)?;
+        cells.push((i, ProbeCellState { est, synced_tick }, touch));
     }
+    let stats = dec_residency(&mut d)?;
+    run.probes
+        .restore_cells(ProbeCellsSnapshot { cells, stats })
+        .map_err(mismatch)?;
 
     let slab_present = d.bool().map_err(codec)?;
     match (&mut run.slab, slab_present) {
         (None, false) => {}
         (Some(slab), true) => slab.set_last_sweep_tick(d.u64().map_err(codec)?),
-        _ => return Err(mismatch("node lifecycle")),
+        _ => return Err(mismatch("idle eviction")),
     }
 
     let windows_present = d.bool().map_err(codec)?;
@@ -879,15 +818,9 @@ pub fn restore(
             }
 
             let n_ledgers = d.seq_len(16).map_err(codec)?;
-            if cfg.node_lifecycle == NodeLifecycle::Eager && n_ledgers != n_nodes {
-                return Err(mismatch("ledger count"));
-            }
             let mut last: Option<usize> = None;
-            for k in 0..n_ledgers {
+            for _ in 0..n_ledgers {
                 let initiator = idx(d.usize().map_err(codec)?, n_nodes, "ledger initiator")?;
-                if cfg.node_lifecycle == NodeLifecycle::Eager && initiator != k {
-                    return Err(mismatch("ledger order"));
-                }
                 if last.is_some_and(|prev| prev >= initiator) {
                     return Err(mismatch("ledger order"));
                 }
@@ -1231,6 +1164,38 @@ mod tests {
                     what: "configuration fingerprint"
                 }
             ),
+        }
+    }
+
+    #[test]
+    fn slab_presence_must_match_the_config() {
+        // Re-bind each frame to the other config's fingerprint (and reseal
+        // it), so decoding reaches the slab section and fails there.
+        for (taken, resumed) in [(None, Some(4)), (Some(4), None)] {
+            let c = ScenarioConfig {
+                evict_idle_ticks: taken,
+                ..cfg(5)
+            };
+            let other = ScenarioConfig {
+                evict_idle_ticks: resumed,
+                ..c
+            };
+            let world = World::generate(&c);
+            let mut run = SimulationRun::new(c, world);
+            let mut engine = Engine::new();
+            run.schedule_all(&mut engine);
+            engine.set_event_budget(80);
+            engine.run(&mut run, Some(SimTime::new(c.churn.horizon)));
+            let mut bytes = encode(&run, &engine);
+            let header = idpa_desim::codec::FRAME_HEADER_LEN;
+            bytes[header..header + 8].copy_from_slice(&config_fingerprint(&other).to_le_bytes());
+            let n = bytes.len();
+            let sum = idpa_desim::codec::frame_checksum(&bytes[header..n - 8]);
+            bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+            match restore(&other, &bytes) {
+                Ok(_) => panic!("slab presence {taken:?} -> {resumed:?} must be rejected"),
+                Err(err) => assert_eq!(err, mismatch("idle eviction")),
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 //! a build that *contains* the adaptive fault-response machinery —
 //! per-initiator reputation ledgers, probe invalidation, the `w_r` quality
 //! term, escalated reformation — produces `RunResult`s **byte-identical**
-//! to the PR 4 build, across probe modes, history-shard counts, and worker
+//! to the pre-adaptive build, across history-shard counts and worker
 //! thread counts.
 //!
 //! The suite sweeps well over 256 cases (each case = one run compared
@@ -12,7 +12,7 @@
 
 use idpa_desim::FaultConfig;
 use idpa_sim::experiments::Options;
-use idpa_sim::{FaultResponse, ProbeMode, RunResult, ScenarioConfig, SimulationRun};
+use idpa_sim::{FaultResponse, RunResult, ScenarioConfig, SimulationRun};
 
 /// FNV-1a over the pre-fault-layer result fields (bit patterns) — the
 /// same fingerprint `tests/fault_injection.rs` pins, duplicated so this
@@ -85,32 +85,28 @@ fn static_zero_weight_is_byte_identical_to_pr4_across_modes_shards_threads() {
     let mut cases = 0usize;
 
     // Part 1 — fingerprint pins: every pinned (seed, replacement) config,
-    // at both probe modes and three shard counts, reproduces the PR 4
-    // fingerprint exactly. 6 x 2 x 3 = 36 cases.
+    // at three shard counts, reproduces its pinned fingerprint exactly.
+    // 6 x 3 = 18 cases.
     for (seed, replacement, expect_fp, expect_avg) in BASELINE {
-        for mode in [ProbeMode::Eager, ProbeMode::Lazy] {
-            for shards in [1usize, 4, 16] {
-                let r = run(ScenarioConfig {
-                    probe_mode: mode,
-                    history_shards: shards,
-                    ..static_base(seed, replacement)
-                });
-                assert_eq!(
-                    fingerprint(&r),
-                    expect_fp,
-                    "seed {seed} repl {replacement:?} {mode:?} shards {shards}: \
-                     adaptive build drifted from the PR 4 baseline"
-                );
-                assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
-                cases += 1;
-            }
+        for shards in [1usize, 4, 16] {
+            let r = run(ScenarioConfig {
+                history_shards: shards,
+                ..static_base(seed, replacement)
+            });
+            assert_eq!(
+                fingerprint(&r),
+                expect_fp,
+                "seed {seed} repl {replacement:?} shards {shards}: \
+                 adaptive build drifted from the pinned baseline"
+            );
+            assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
+            cases += 1;
         }
     }
 
     // Part 2 — active-fault invariance: under live fault plans (where the
     // adaptive machinery *would* act if enabled), static + w_r = 0 runs
-    // are byte-identical across probe modes and shard counts, and replay
-    // identically. 8 seeds x 3 replacements x 2 fault profiles
+    // are byte-identical across shard counts, and replay identically. 8 seeds x 3 replacements x 2 fault profiles
     // x (4 comparisons + 1 replay) = 240 cases.
     let profiles = [
         FaultConfig {
@@ -136,30 +132,22 @@ fn static_zero_weight_is_byte_identical_to_pr4_across_modes_shards_threads() {
                 let mut cfg = static_base(seed, replacement);
                 cfg.fault = fault;
                 let reference = run(ScenarioConfig {
-                    probe_mode: ProbeMode::Lazy,
                     history_shards: 1,
                     ..cfg
                 });
-                for (mode, shards) in [
-                    (ProbeMode::Eager, 1usize),
-                    (ProbeMode::Lazy, 4),
-                    (ProbeMode::Eager, 16),
-                    (ProbeMode::Lazy, 20),
-                ] {
+                for shards in [2usize, 4, 16, 20] {
                     let r = run(ScenarioConfig {
-                        probe_mode: mode,
                         history_shards: shards,
                         ..cfg
                     });
                     assert_eq!(
                         reference, r,
-                        "seed {seed} repl {replacement:?} {mode:?} shards {shards}: \
+                        "seed {seed} repl {replacement:?} shards {shards}: \
                          static faulty run diverged"
                     );
                     cases += 1;
                 }
                 let replay = run(ScenarioConfig {
-                    probe_mode: ProbeMode::Lazy,
                     history_shards: 1,
                     ..cfg
                 });

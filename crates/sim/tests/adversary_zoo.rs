@@ -7,7 +7,7 @@
 //!    run is bit-identical to the pre-adversary-layer build. The PR 4
 //!    fingerprint constants below were captured before the fault layer
 //!    landed and have survived every layer since; they must keep
-//!    reproducing across probe modes, node lifecycles and shard counts.
+//!    reproducing across idle-eviction windows and shard counts.
 //! 2. **Whitewash rejoin properties** — a rejoin archives the shed
 //!    identity's evidence (it is never destroyed) and the fresh identity's
 //!    ledger starts clean; the archives survive snapshot/resume
@@ -19,9 +19,7 @@
 
 use idpa_desim::{AdversaryConfig, Engine, FaultConfig, FaultResponse, SimTime};
 use idpa_sim::snapshot::{encode, restore};
-use idpa_sim::{
-    NodeLifecycle, ProbeMode, RunResult, ScenarioConfig, SettlementMode, SimulationRun, World,
-};
+use idpa_sim::{RunResult, ScenarioConfig, SettlementMode, SimulationRun, World};
 
 /// FNV-1a over the pre-fault-layer result fields — the same fingerprint
 /// `tests/fault_injection.rs` and `tests/service_resume.rs` pin, duplicated
@@ -98,37 +96,30 @@ fn zero_rates() -> AdversaryConfig {
 #[test]
 fn zero_rate_adversary_runs_reproduce_the_pr4_pins() {
     for (seed, replacement, expect_fp, expect_avg) in BASELINE {
-        for probe_mode in [ProbeMode::Eager, ProbeMode::Lazy] {
-            for lifecycle in [NodeLifecycle::Eager, NodeLifecycle::Lazy] {
-                for shards in [1usize, 4, 16] {
-                    let mut cfg = ScenarioConfig {
-                        probe_mode,
-                        node_lifecycle: lifecycle,
-                        history_shards: shards,
-                        adversary: zero_rates(),
-                        ..base(seed, replacement)
-                    };
-                    if lifecycle == NodeLifecycle::Lazy {
-                        cfg.evict_idle_ticks = 2;
-                    }
-                    let r = run(cfg);
-                    assert_eq!(
-                        fingerprint(&r),
-                        expect_fp,
-                        "seed {seed} repl {replacement:?} {probe_mode:?} {lifecycle:?} \
-                         shards {shards}: zero-rate adversary drifted from the PR 4 baseline"
-                    );
-                    assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
-                    // The adversary surface reports a clean run.
-                    assert!(r.free_riders.is_empty());
-                    assert_eq!(r.free_rider_refusals, 0);
-                    assert_eq!(r.free_rider_payoff, 0.0);
-                    assert_eq!(r.whitewash_events, 0);
-                    assert_eq!(r.reputation_evasion_rate, 0.0);
-                    assert_eq!(r.clique_phantom_instances, 0);
-                    assert_eq!(r.clique_phantom_flagged, 0);
-                    assert_eq!(r.clique_payout_leakage, 0.0);
-                }
+        for evict in [None, Some(2)] {
+            for shards in [1usize, 4, 16] {
+                let r = run(ScenarioConfig {
+                    evict_idle_ticks: evict,
+                    history_shards: shards,
+                    adversary: zero_rates(),
+                    ..base(seed, replacement)
+                });
+                assert_eq!(
+                    fingerprint(&r),
+                    expect_fp,
+                    "seed {seed} repl {replacement:?} evict {evict:?} shards {shards}: \
+                     zero-rate adversary drifted from the pinned baseline"
+                );
+                assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
+                // The adversary surface reports a clean run.
+                assert!(r.free_riders.is_empty());
+                assert_eq!(r.free_rider_refusals, 0);
+                assert_eq!(r.free_rider_payoff, 0.0);
+                assert_eq!(r.whitewash_events, 0);
+                assert_eq!(r.reputation_evasion_rate, 0.0);
+                assert_eq!(r.clique_phantom_instances, 0);
+                assert_eq!(r.clique_phantom_flagged, 0);
+                assert_eq!(r.clique_payout_leakage, 0.0);
             }
         }
     }
@@ -168,21 +159,13 @@ fn interrupt_resume_matches(cfg: &ScenarioConfig, budget: u64, baseline: &RunRes
 fn whitewash_rejoins_survive_snapshot_resume_across_the_matrix() {
     let mut cases = 0usize;
     for seed in [1u64, 7, 42, 1337] {
-        for (probe_mode, lifecycle) in [
-            (ProbeMode::Lazy, NodeLifecycle::Eager),
-            (ProbeMode::Lazy, NodeLifecycle::Lazy),
-            (ProbeMode::Eager, NodeLifecycle::Eager),
-        ] {
+        for evict in [None, Some(1), Some(4)] {
             for settlement in [SettlementMode::PerBundle, SettlementMode::Epoch] {
                 for shards in [1usize, 4, 16] {
                     for discount in [false, true] {
                         for (fraction, interval) in [(0.3, 120.0), (0.6, 60.0)] {
                             let mut cfg = base(seed, Some(3));
-                            cfg.probe_mode = probe_mode;
-                            cfg.node_lifecycle = lifecycle;
-                            if lifecycle == NodeLifecycle::Lazy {
-                                cfg.evict_idle_ticks = 2;
-                            }
+                            cfg.evict_idle_ticks = evict;
                             cfg.settlement = settlement;
                             cfg.history_shards = shards;
                             cfg.adversary = AdversaryConfig {
@@ -326,23 +309,26 @@ fn adversary_runs_are_deterministic_and_lifecycle_invariant() {
     cfg.weights = (0.4, 0.4);
     cfg.reputation_weight = 0.2;
     cfg.validate().expect("compound scenario must be valid");
-    let eager = SimulationRun::execute(cfg);
-    assert_eq!(eager, SimulationRun::execute(cfg), "re-execution diverged");
+    let kept = SimulationRun::execute(cfg);
+    assert_eq!(kept, SimulationRun::execute(cfg), "re-execution diverged");
 
-    let mut lazy_cfg = cfg;
-    lazy_cfg.node_lifecycle = NodeLifecycle::Lazy;
-    lazy_cfg.evict_idle_ticks = 2;
-    let lazy = SimulationRun::execute(lazy_cfg);
+    let evicting = SimulationRun::execute(ScenarioConfig {
+        evict_idle_ticks: Some(2),
+        ..cfg
+    });
     assert_eq!(
-        eager.good_payoffs, lazy.good_payoffs,
-        "lifecycle changed adversary economics"
+        kept.good_payoffs, evicting.good_payoffs,
+        "idle eviction changed adversary economics"
     );
-    assert_eq!(eager.whitewash_events, lazy.whitewash_events);
-    assert_eq!(eager.reputation_evasion_rate, lazy.reputation_evasion_rate);
-    assert_eq!(eager.free_rider_refusals, lazy.free_rider_refusals);
+    assert_eq!(kept.whitewash_events, evicting.whitewash_events);
     assert_eq!(
-        eager.clique_phantom_instances,
-        lazy.clique_phantom_instances
+        kept.reputation_evasion_rate,
+        evicting.reputation_evasion_rate
     );
-    assert_eq!(eager.clique_phantom_flagged, lazy.clique_phantom_flagged);
+    assert_eq!(kept.free_rider_refusals, evicting.free_rider_refusals);
+    assert_eq!(
+        kept.clique_phantom_instances,
+        evicting.clique_phantom_instances
+    );
+    assert_eq!(kept.clique_phantom_flagged, evicting.clique_phantom_flagged);
 }

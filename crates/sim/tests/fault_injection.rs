@@ -9,11 +9,12 @@
 //!    path shows up here as a changed constant.
 //! 2. **Determinism under faults** — fault draws are pure functions of the
 //!    `(pair, connection, attempt)` position, so faulty runs replicate
-//!    bit-identically across probe modes and repeated executions, and
-//!    degradation responds monotonically to the injected rates.
+//!    bit-identically across idle-eviction windows and repeated
+//!    executions, and degradation responds monotonically to the injected
+//!    rates.
 
 use idpa_desim::FaultConfig;
-use idpa_sim::{ProbeMode, RunResult, ScenarioConfig, SimulationRun};
+use idpa_sim::{RunResult, ScenarioConfig, SimulationRun};
 
 /// FNV-1a over the pre-fault-layer result fields (bit patterns), matching
 /// the baseline capture exactly — the new fault metrics are deliberately
@@ -78,27 +79,22 @@ const BASELINE: [(u64, Option<u64>, u64, u64); 6] = [
 #[test]
 fn zero_fault_runs_are_bit_identical_to_the_pre_fault_baseline() {
     for (seed, replacement, expect_fp, expect_avg) in BASELINE {
-        for mode in [ProbeMode::Eager, ProbeMode::Lazy] {
-            let r = run(ScenarioConfig {
-                probe_mode: mode,
-                ..base(seed, replacement)
-            });
-            assert_eq!(
-                fingerprint(&r),
-                expect_fp,
-                "seed {seed} repl {replacement:?} {mode:?}: drifted from pre-fault baseline"
-            );
-            assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
-            assert_eq!(r.connections, 200);
-            // The fault surface reports a clean run.
-            assert_eq!(r.delivery_ratio, 1.0);
-            assert_eq!(r.retries_per_message, 0.0);
-            assert_eq!(r.payment_shortfall, 0.0);
-            assert_eq!(r.settlement_delay, 0.0);
-            assert!(r.flagged_cheaters.is_empty());
-            assert!(r.injected_cheaters.is_empty());
-            assert_eq!(r.audit_discrepancies, 0);
-        }
+        let r = run(base(seed, replacement));
+        assert_eq!(
+            fingerprint(&r),
+            expect_fp,
+            "seed {seed} repl {replacement:?}: drifted from pre-fault baseline"
+        );
+        assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
+        assert_eq!(r.connections, 200);
+        // The fault surface reports a clean run.
+        assert_eq!(r.delivery_ratio, 1.0);
+        assert_eq!(r.retries_per_message, 0.0);
+        assert_eq!(r.payment_shortfall, 0.0);
+        assert_eq!(r.settlement_delay, 0.0);
+        assert!(r.flagged_cheaters.is_empty());
+        assert!(r.injected_cheaters.is_empty());
+        assert_eq!(r.audit_discrepancies, 0);
     }
 }
 
@@ -129,7 +125,7 @@ fn delivery_ratio_degrades_monotonically_in_drop_rate() {
 }
 
 #[test]
-fn faulty_runs_are_deterministic_and_probe_mode_invariant() {
+fn faulty_runs_are_deterministic_and_eviction_invariant() {
     let fault = FaultConfig {
         crash_rate: 0.03,
         drop_rate: 0.08,
@@ -141,23 +137,21 @@ fn faulty_runs_are_deterministic_and_probe_mode_invariant() {
         for replacement in [None, Some(3)] {
             let mut cfg = base(seed, replacement);
             cfg.fault = fault;
-            let eager = run(ScenarioConfig {
-                probe_mode: ProbeMode::Eager,
+            let kept = run(cfg);
+            let mut evicting = run(ScenarioConfig {
+                evict_idle_ticks: Some(1),
                 ..cfg
             });
-            let lazy = run(ScenarioConfig {
-                probe_mode: ProbeMode::Lazy,
-                ..cfg
-            });
+            assert!(evicting.node_evictions > 0, "seed {seed}: nothing evicted");
+            // Eviction may move only the resident-state metrics.
+            evicting.peak_materialized_nodes = kept.peak_materialized_nodes;
+            evicting.node_evictions = kept.node_evictions;
+            evicting.slab_bytes = kept.slab_bytes;
             assert_eq!(
-                eager, lazy,
-                "seed {seed} repl {replacement:?}: probe modes diverged under faults"
+                kept, evicting,
+                "seed {seed} repl {replacement:?}: eviction changed a faulty run"
             );
-            let again = run(ScenarioConfig {
-                probe_mode: ProbeMode::Lazy,
-                ..cfg
-            });
-            assert_eq!(lazy, again, "faulty run must replicate bit-identically");
+            assert_eq!(kept, run(cfg), "faulty run must replicate bit-identically");
         }
     }
 }

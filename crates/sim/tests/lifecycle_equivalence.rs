@@ -1,22 +1,24 @@
-//! The lazy node lifecycle's load-bearing property: `--node-lifecycle
-//! lazy` is **value-identical** to the eager default. Materialization on
-//! first touch, idle eviction, and re-materialization are all invisible in
-//! the results — only the resident-state metrics
-//! (`peak_materialized_nodes`, `node_evictions`, `slab_bytes`) differ, and
-//! those are zeroed before comparison.
+//! The lazy node lifecycle's load-bearing property: per-node state that
+//! materializes on first touch and is evicted when idle
+//! (`evict_idle_ticks: Some(_)`) is **value-identical** to state that,
+//! once touched, stays resident (`None`, the default). Materialization,
+//! idle eviction, and re-materialization are all invisible in the results
+//! — only the resident-state metrics (`peak_materialized_nodes`,
+//! `node_evictions`, `slab_bytes`) differ, and those are zeroed before
+//! comparison.
 //!
 //! The suite sweeps well over 256 cases (each case = one run compared
-//! against a pinned fingerprint or an eager reference run) and asserts the
-//! count, so shrinking the sweep by accident fails loudly.
+//! against a pinned fingerprint or a never-evicting reference run) and
+//! asserts the count, so shrinking the sweep by accident fails loudly.
 
 use idpa_desim::FaultConfig;
 use idpa_sim::experiments::Options;
-use idpa_sim::{FaultResponse, NodeLifecycle, ProbeMode, RunResult, ScenarioConfig, SimulationRun};
+use idpa_sim::{FaultResponse, RunResult, ScenarioConfig, SimulationRun};
 
 /// FNV-1a over the pre-fault-layer result fields (bit patterns) — the same
 /// fingerprint `tests/fault_injection.rs` pins, duplicated so this suite
 /// stands alone. It reads none of the resident-state metrics, so the PR 4
-/// pins apply to lazy-lifecycle runs unchanged.
+/// pins apply to evicting runs unchanged.
 fn fingerprint(r: &RunResult) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -50,7 +52,7 @@ fn fingerprint(r: &RunResult) -> u64 {
     h
 }
 
-/// Zeroes the resident-state metrics — the only fields the lifecycle is
+/// Zeroes the resident-state metrics — the only fields eviction is
 /// *allowed* to change.
 fn normalized(mut r: RunResult) -> RunResult {
     r.peak_materialized_nodes = 0;
@@ -84,19 +86,18 @@ const BASELINE: [(u64, Option<u64>, u64, u64); 6] = [
 ];
 
 #[test]
-fn lazy_lifecycle_is_value_identical_to_eager_across_modes_shards_threads() {
+fn idle_eviction_is_value_identical_across_windows_shards_threads() {
     let mut cases = 0usize;
 
     // Part 1 — fingerprint pins: every pinned (seed, replacement) config
-    // run under the LAZY lifecycle, across shard counts and idle-eviction
+    // run with idle eviction, across shard counts and idle-eviction
     // windows (1 tick = maximal touch/evict/re-touch churn), reproduces
     // the PR 4 fingerprint exactly. 6 x 3 x 3 = 54 cases.
     for (seed, replacement, expect_fp, expect_avg) in BASELINE {
         for shards in [1usize, 4, 16] {
             for evict in [1u64, 4, 64] {
                 let r = run(ScenarioConfig {
-                    node_lifecycle: NodeLifecycle::Lazy,
-                    evict_idle_ticks: evict,
+                    evict_idle_ticks: Some(evict),
                     history_shards: shards,
                     ..base(seed, replacement)
                 });
@@ -104,7 +105,7 @@ fn lazy_lifecycle_is_value_identical_to_eager_across_modes_shards_threads() {
                     fingerprint(&r),
                     expect_fp,
                     "seed {seed} repl {replacement:?} shards {shards} evict {evict}: \
-                     lazy lifecycle drifted from the PR 4 baseline"
+                     idle eviction drifted from the pinned baseline"
                 );
                 assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
                 cases += 1;
@@ -113,10 +114,10 @@ fn lazy_lifecycle_is_value_identical_to_eager_across_modes_shards_threads() {
     }
 
     // Part 2 — active-fault equivalence: under live fault plans (crashes,
-    // drops, cheaters — the paths that touch the reputation ledgers), the
-    // lazy lifecycle's full RunResult equals the eager reference after
-    // normalizing the resident metrics, across probe modes, shard counts,
-    // and eviction windows; and replays identically.
+    // drops, cheaters — the paths that touch the reputation ledgers), an
+    // evicting run's full RunResult equals the never-evicting reference
+    // after normalizing the resident metrics, across shard counts and
+    // eviction windows; and replays identically.
     // 8 seeds x 3 replacements x 2 profiles x (4 + 1) = 240 cases.
     let profiles = [
         FaultConfig {
@@ -144,47 +145,39 @@ fn lazy_lifecycle_is_value_identical_to_eager_across_modes_shards_threads() {
                     cfg.weights = (0.4, 0.4);
                     cfg.reputation_weight = 0.2;
                 }
-                let eager = normalized(run(ScenarioConfig {
-                    node_lifecycle: NodeLifecycle::Eager,
+                let kept = normalized(run(ScenarioConfig {
+                    evict_idle_ticks: None,
                     ..cfg
                 }));
-                for (mode, shards, evict) in [
-                    (ProbeMode::Lazy, 1usize, 1u64),
-                    (ProbeMode::Lazy, 4, 2),
-                    (ProbeMode::Eager, 16, 1),
-                    (ProbeMode::Lazy, 20, 8),
-                ] {
-                    let lazy = run(ScenarioConfig {
-                        node_lifecycle: NodeLifecycle::Lazy,
-                        probe_mode: mode,
+                for (shards, evict) in [(1usize, 1u64), (4, 2), (16, 1), (20, 8)] {
+                    let evicting = run(ScenarioConfig {
                         history_shards: shards,
-                        evict_idle_ticks: evict,
+                        evict_idle_ticks: Some(evict),
                         ..cfg
                     });
                     assert_eq!(
-                        eager,
-                        normalized(lazy),
-                        "seed {seed} repl {replacement:?} {mode:?} shards {shards} \
-                         evict {evict}: lazy lifecycle diverged under faults"
+                        kept,
+                        normalized(evicting),
+                        "seed {seed} repl {replacement:?} shards {shards} \
+                         evict {evict}: idle eviction diverged under faults"
                     );
                     cases += 1;
                 }
                 let replay = run(ScenarioConfig {
-                    node_lifecycle: NodeLifecycle::Lazy,
-                    evict_idle_ticks: 1,
+                    evict_idle_ticks: Some(1),
                     ..cfg
                 });
                 assert_eq!(
-                    eager,
+                    kept,
                     normalized(replay),
-                    "seed {seed}: lazy replay diverged"
+                    "seed {seed}: evicting replay diverged"
                 );
                 cases += 1;
             }
         }
     }
 
-    // Part 3 — thread invariance: lazy-lifecycle replications are
+    // Part 3 — thread invariance: evicting replications are
     // byte-identical at any worker count. 8 reps x 2 = 16 cases.
     let replicated: Vec<Vec<RunResult>> = [1usize, 2, 8]
         .into_iter()
@@ -195,7 +188,7 @@ fn lazy_lifecycle_is_value_identical_to_eager_across_modes_shards_threads() {
                 threads,
                 scenario: ScenarioConfig {
                     fault: profiles[0],
-                    node_lifecycle: NodeLifecycle::Lazy,
+                    evict_idle_ticks: Some(64),
                     ..ScenarioConfig::default()
                 },
                 ..Options::default()
@@ -207,7 +200,7 @@ fn lazy_lifecycle_is_value_identical_to_eager_across_modes_shards_threads() {
         for other in [1, 2] {
             assert_eq!(
                 base, &replicated[other][rep],
-                "rep {rep}: lazy replication diverged across thread counts"
+                "rep {rep}: evicting replication diverged across thread counts"
             );
             cases += 1;
         }
@@ -219,18 +212,30 @@ fn lazy_lifecycle_is_value_identical_to_eager_across_modes_shards_threads() {
     );
 }
 
-/// The machinery actually cycles: with a 1-tick idle window the lazy run
-/// must evict and re-materialize (guarding the identity above against a
-/// dead eviction path), and the resident metrics must be populated.
+/// The machinery actually cycles: with a 1-tick idle window the run must
+/// evict and re-materialize (guarding the identity above against a dead
+/// eviction path), and the resident metrics must be populated.
 #[test]
 fn lazy_lifecycle_actually_evicts_and_rematerializes() {
     let r = run(ScenarioConfig {
-        node_lifecycle: NodeLifecycle::Lazy,
-        evict_idle_ticks: 1,
+        evict_idle_ticks: Some(1),
         ..base(7, Some(3))
     });
     assert!(r.node_evictions > 0, "no evictions with a 1-tick window");
     assert!(r.peak_materialized_nodes > 0);
+    assert!(r.slab_bytes > 0);
+}
+
+/// The default never evicts: the resident metrics count the nodes the run
+/// touched, at most N, and no sweep ever runs.
+#[test]
+fn default_run_never_evicts() {
+    let cfg = ScenarioConfig::quick_test(7);
+    assert_eq!(cfg.evict_idle_ticks, None);
+    let r = run(cfg);
+    assert_eq!(r.node_evictions, 0, "the default must not evict");
+    assert!(r.peak_materialized_nodes > 0);
+    assert!(r.peak_materialized_nodes <= cfg.n_nodes);
     assert!(r.slab_bytes > 0);
 }
 

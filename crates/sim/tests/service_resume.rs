@@ -1,7 +1,7 @@
 //! Service-mode checkpoint/resume equivalence: **interrupt anywhere,
 //! resume, and the completed run is indistinguishable from an
-//! uninterrupted one** — across probe modes, node lifecycles, settlement
-//! modes, workloads, shard counts and live fault plans. Plus the two
+//! uninterrupted one** — across idle-eviction windows, settlement modes,
+//! workloads, shard counts and live fault plans. Plus the two
 //! backstops that pin service mode to the pre-service codebase: the PR 4
 //! fingerprint baselines reproduce through `run_service`, and a closed
 //! workload without service flags is byte-identical to
@@ -14,8 +14,8 @@ use idpa_desim::{Engine, FaultConfig, FaultResponse, SimTime};
 use idpa_sim::experiments::Options;
 use idpa_sim::snapshot::{encode, restore};
 use idpa_sim::{
-    run_service, NodeLifecycle, ProbeMode, RunResult, ScenarioConfig, ServiceOptions,
-    SettlementMode, SimulationRun, WorkloadMode, World,
+    run_service, RunResult, ScenarioConfig, ServiceOptions, SettlementMode, SimulationRun,
+    WorkloadMode, World,
 };
 
 /// FNV-1a over the pre-fault-layer result fields — the same fingerprint
@@ -125,23 +125,17 @@ fn interrupt_and_resume_reproduces_uninterrupted_runs_across_the_matrix() {
     let mut cases = 0usize;
 
     // Part 1 — the full mode matrix, library-level: 3 seeds x 3
-    // (probe, lifecycle) x 2 settlements x 2 fault profiles x 3 shard
+    // idle-eviction windows x 2 settlements x 2 fault profiles x 3 shard
     // counts x 2 workloads = 216 cases, each at a distinct interrupt
     // point (the budget walks with the case index).
     for seed in [1u64, 7, 42] {
-        for (probe_mode, lifecycle) in [
-            (ProbeMode::Lazy, NodeLifecycle::Eager),
-            (ProbeMode::Lazy, NodeLifecycle::Lazy),
-            (ProbeMode::Eager, NodeLifecycle::Eager),
-        ] {
+        for evict in [None, Some(1), Some(4)] {
             for settlement in [SettlementMode::PerBundle, SettlementMode::Epoch] {
                 for fault in profiles() {
                     for shards in [1usize, 4, 16] {
                         for workload in [WorkloadMode::Closed, WorkloadMode::Open] {
                             let mut cfg = base(seed, Some(3));
-                            cfg.probe_mode = probe_mode;
-                            cfg.node_lifecycle = lifecycle;
-                            cfg.evict_idle_ticks = 2;
+                            cfg.evict_idle_ticks = evict;
                             cfg.settlement = settlement;
                             cfg.fault = fault;
                             if fault.response == FaultResponse::Adaptive {

@@ -27,13 +27,11 @@ use idpa_desim::codec::{frame_checksum, FRAME_HEADER_LEN};
 use idpa_desim::rng::StreamFactory;
 use idpa_desim::{Engine, FaultConfig, FaultResponse, SimTime};
 use idpa_sim::snapshot::{encode, restore};
-use idpa_sim::{
-    NodeLifecycle, ProbeMode, ScenarioConfig, SimError, SimulationRun, WorkloadMode, World,
-};
+use idpa_sim::{ScenarioConfig, SimError, SimulationRun, WorkloadMode, World};
 use rand::RngExt;
 
 /// Scenario variants chosen to exercise every optional snapshot section:
-/// fault-free closed, faulty adaptive, epoch settlement, lazy lifecycle,
+/// fault-free closed, faulty adaptive, epoch settlement, idle eviction,
 /// open workload with windowed metrics.
 fn scenarios() -> Vec<ScenarioConfig> {
     let base = ScenarioConfig {
@@ -61,8 +59,7 @@ fn scenarios() -> Vec<ScenarioConfig> {
                 ..FaultConfig::default()
             },
             settlement: idpa_sim::SettlementMode::Epoch,
-            node_lifecycle: NodeLifecycle::Lazy,
-            evict_idle_ticks: 2,
+            evict_idle_ticks: Some(2),
             ..base
         },
         ScenarioConfig {
@@ -70,7 +67,6 @@ fn scenarios() -> Vec<ScenarioConfig> {
             open_arrival_rate: 0.02,
             window_len: base.churn.horizon / 8.0,
             window_warmup: base.churn.horizon / 8.0,
-            probe_mode: ProbeMode::Eager,
             ..base
         },
     ]

@@ -19,8 +19,10 @@ cd "$(dirname "$0")/.."
 pct="${IDPA_BENCH_GATE_PCT:-20}"
 
 # Gated benches and the variable that selects each one's short timed pass.
-# Several binaries also assert their own floors before timing:
-#   probe_maintenance lazy run no slower than eager at N = 500
+# Several binaries also assert their own pins and floors before timing:
+#   probe_maintenance run result equals its pinned fingerprint
+#   node_lifecycle    idle eviction leaves the N = 2000 result unchanged;
+#                     peak residency and heap stay under their ceilings
 #   settlement        epoch-vs-per-receipt speedup floor
 #   service_mode      chunked loop within 25% of the straight-line runner;
 #                     checkpointed + resumed runs equal the uninterrupted one

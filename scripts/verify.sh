@@ -68,12 +68,12 @@ IDPA_FAULT_SMOKE=1 cargo run --release --offline -p idpa-sim -- fault-adaptation
     --quick --reps 2 --reputation-weight 0.2 --out target/verify-results
 
 # Scale smoke: the lazy node lifecycle end to end through the real CLI —
-# the scale-lifecycle experiment runs quick-tier sized worlds under
-# --node-lifecycle lazy and prints the resident-state metrics (peak
-# materialized nodes, evictions, slab bytes) in its report.
+# the scale-lifecycle experiment runs quick-tier sized worlds built by
+# ScenarioConfig::scale (idle eviction on) and prints the resident-state
+# metrics (peak materialized nodes, evictions, slab bytes) in its report.
 stage="scale smoke (IDPA_SCALE_SMOKE=1 scale-lifecycle experiment)"
 IDPA_SCALE_SMOKE=1 cargo run --release --offline -p idpa-sim -- scale-lifecycle \
-    --quick --node-lifecycle lazy --out target/verify-results
+    --quick --out target/verify-results
 
 # Service-mode smoke: a short open-workload run through the real CLI,
 # interrupted at t=0 by a zero wall-clock budget (which writes a final
