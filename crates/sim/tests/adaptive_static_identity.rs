@@ -12,43 +12,10 @@
 
 use idpa_desim::FaultConfig;
 use idpa_sim::experiments::Options;
-use idpa_sim::{FaultResponse, RunResult, ScenarioConfig, SimulationRun};
+use idpa_sim::{FaultResponse, RunResult, ScenarioConfig};
 
-/// FNV-1a over the pre-fault-layer result fields (bit patterns) — the
-/// same fingerprint `tests/fault_injection.rs` pins, duplicated so this
-/// suite stands alone.
-fn fingerprint(r: &RunResult) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bits: u64| {
-        for b in bits.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for v in r
-        .good_payoffs
-        .iter()
-        .chain(&r.malicious_payoffs)
-        .chain(&r.node_totals)
-        .chain([
-            &r.avg_good_payoff,
-            &r.avg_forwarder_set,
-            &r.avg_path_length,
-            &r.avg_path_quality,
-            &r.routing_efficiency,
-            &r.new_edge_fraction,
-            &r.reformation_rate,
-            &r.attack_exposure_rate,
-            &r.avg_anonymity_degree,
-        ])
-    {
-        eat(v.to_bits());
-    }
-    eat(r.connections);
-    h
-}
+mod common;
+use common::{fingerprint, run, BASELINE};
 
 /// The base scenario of the pinned baselines, with the static response and
 /// zero reputation weight spelled out (they are the defaults — the point
@@ -63,22 +30,6 @@ fn static_base(seed: u64, replacement: Option<u64>) -> ScenarioConfig {
     cfg.fault.response = FaultResponse::Static;
     cfg
 }
-
-fn run(cfg: ScenarioConfig) -> RunResult {
-    cfg.validate().expect("scenario must be valid");
-    SimulationRun::execute(cfg)
-}
-
-/// `(seed, replacement, fingerprint, avg_good_payoff bits)` — the PR 4
-/// pins, identical constants to `tests/fault_injection.rs`.
-const BASELINE: [(u64, Option<u64>, u64, u64); 6] = [
-    (1, None, 0xd51afc10a8e3c367, 0x40730bffb79ce582),
-    (1, Some(3), 0x172c5eda5998b960, 0x406d05c4bfa7690d),
-    (7, None, 0xb68cfd87107b7817, 0x4071c00b9e48bb2a),
-    (7, Some(3), 0x604446ccd329adb4, 0x406ddf312fe95040),
-    (42, None, 0x8e362e89db0da04a, 0x4074a18aa74a4ec1),
-    (42, Some(3), 0x4a5899e5e47b947e, 0x4072fbb62ff024b6),
-];
 
 #[test]
 fn static_zero_weight_is_byte_identical_to_pr4_across_modes_shards_threads() {
