@@ -20,7 +20,7 @@ use idpa_crypto::chacha20::ChaCha20;
 use idpa_crypto::hmac::HmacKey;
 use idpa_crypto::rsa::RsaKeyPair;
 use idpa_crypto::sha256::Sha256;
-use idpa_desim::rng::Xoshiro256StarStar;
+use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::{Calendar, SimTime};
 use idpa_overlay::{NodeId, NodeKind, ProbeEstimator, Topology};
 use std::hint::black_box;
@@ -176,7 +176,7 @@ fn continuation_rec_nomemo(
 fn bench_model2_lookahead(h: &mut Harness) {
     let mut rng = Xoshiro256StarStar::seed_from_u64(3);
     let view = BenchView {
-        topology: Topology::random(40, 5, &mut rng),
+        topology: Topology::random(40, 5, &StreamFactory::new(3)),
     };
     let contract = Contract::new(BundleId(0), NodeId(39), 50.0, 100.0);
     let quality = EdgeQuality::new(Weights::balanced());
@@ -245,7 +245,7 @@ fn bench_model2_lookahead(h: &mut Harness) {
 fn bench_path_formation(h: &mut Harness) {
     let mut rng = Xoshiro256StarStar::seed_from_u64(3);
     let view = BenchView {
-        topology: Topology::random(40, 5, &mut rng),
+        topology: Topology::random(40, 5, &StreamFactory::new(3)),
     };
     let contract = Contract::new(BundleId(0), NodeId(39), 50.0, 100.0);
     let kinds = vec![NodeKind::Good; 40];
@@ -350,7 +350,6 @@ fn bench_probe_tick(h: &mut Harness) {
 /// closed-form advance per (node, slot) — O(session intervals) — where
 /// the eager estimator replays every probe of every tick.
 fn bench_lazy_catchup(h: &mut Harness) {
-    use idpa_desim::rng::StreamFactory;
     use idpa_netmodel::NodeSchedule;
     use idpa_overlay::LazyProbeSet;
 
@@ -378,8 +377,10 @@ fn bench_lazy_catchup(h: &mut Harness) {
     let pristine = LazyProbeSet::new_sparse(
         period,
         horizon,
-        std::sync::Arc::new(schedules.clone()),
-        std::sync::Arc::new(idpa_overlay::Topology::from_lists(sets.clone())),
+        idpa_overlay::NodeSource::from_tables(
+            schedules.clone(),
+            idpa_overlay::Topology::from_lists(sets.clone()),
+        ),
         None,
         streams.clone(),
     );

@@ -5,9 +5,10 @@
 //!   which malicious nodes use regardless of the configured good-node
 //!   strategy.
 //! * **Availability attack** (§5 attack 1): "malicious nodes become highly
-//!   available and wait for paths to be reformed through them" —
-//!   [`apply_availability_attack`] rewrites the attackers' churn schedules
-//!   to permanent uptime.
+//!   available and wait for paths to be reformed through them" — a
+//!   per-node rule of the world's churn source
+//!   (`idpa_overlay::NodeSource::with_pinned_up`): an attacker's schedule
+//!   is one session spanning the whole horizon.
 //! * **Intersection attack** (§1, §2.1): a passive observer correlates the
 //!   sets of *active* nodes across the recurring connections it can see;
 //!   the initiator must lie in every such set, so the candidate set shrinks
@@ -15,23 +16,7 @@
 
 use std::collections::HashSet;
 
-use idpa_netmodel::NodeSchedule;
 use idpa_overlay::NodeId;
-
-/// Rewrites the schedules of `attackers` to a single session spanning
-/// `[0, horizon]` — the §5 availability attack. Returns the modified trace.
-#[must_use]
-pub fn apply_availability_attack(
-    mut schedules: Vec<NodeSchedule>,
-    attackers: &[NodeId],
-    horizon: f64,
-) -> Vec<NodeSchedule> {
-    assert!(horizon > 0.0, "horizon must be positive");
-    for &a in attackers {
-        schedules[a.index()] = NodeSchedule::from_sessions(vec![(0.0, horizon)]);
-    }
-    schedules
-}
 
 /// A passive intersection attack on initiator anonymity.
 ///
@@ -118,24 +103,9 @@ impl IntersectionAttack {
 #[allow(clippy::unwrap_used)] // test-only assertions may panic freely
 mod tests {
     use super::*;
-    use idpa_desim::SimTime;
 
     fn set(ids: &[usize]) -> HashSet<NodeId> {
         ids.iter().map(|&i| NodeId(i)).collect()
-    }
-
-    #[test]
-    fn availability_attack_pins_attackers_up() {
-        let schedules = vec![
-            NodeSchedule::from_sessions(vec![(0.0, 10.0)]),
-            NodeSchedule::from_sessions(vec![(5.0, 10.0)]),
-        ];
-        let out = apply_availability_attack(schedules, &[NodeId(1)], 100.0);
-        assert!(out[1].is_up(SimTime::new(0.0)));
-        assert!(out[1].is_up(SimTime::new(99.0)));
-        assert_eq!(out[1].availability(), 1.0);
-        // Non-attacker untouched.
-        assert!(!out[0].is_up(SimTime::new(50.0)));
     }
 
     #[test]

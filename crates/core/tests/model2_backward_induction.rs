@@ -12,7 +12,7 @@ use idpa_core::contract::Contract;
 use idpa_core::history::HistoryProfile;
 use idpa_core::quality::{EdgeQuality, Weights};
 use idpa_core::routing::{continuation_quality, RoutingView};
-use idpa_desim::rng::Xoshiro256StarStar;
+use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_overlay::{NodeId, Topology};
 use rand::RngExt;
 
@@ -24,8 +24,8 @@ struct Fixture {
 
 impl Fixture {
     fn random(n: usize, degree: usize, seed: u64) -> Self {
+        let topology = Topology::random(n, degree, &StreamFactory::new(seed));
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let topology = Topology::random(n, degree, &mut rng);
         let avail = (0..n)
             .map(|_| (0..n).map(|_| rng.random_range(0.0..1.0)).collect())
             .collect();

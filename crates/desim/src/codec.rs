@@ -608,11 +608,19 @@ mod tests {
     #[test]
     fn older_snapshot_frames_are_rejected_by_version() {
         // Version 4 frames carried the byte-wise checksum, version 5 the
-        // word-wise one over the payload layout with probe-store tags. A
-        // version 6 reader must reject both by version, before looking at
-        // the checksum or the payload.
+        // word-wise one over the payload layout with probe-store tags, and
+        // version 6 the current layout over a world whose churn and
+        // topology came from two world-wide sequential streams (a restore
+        // regenerates the world from the config, so a v6 frame would
+        // resume over a different world). A version 7 reader must reject
+        // all three by version, before looking at the checksum or the
+        // payload.
         let payload = b"old snapshot payload";
-        for (version, checksum) in [(4u32, fnv1a_64(payload)), (5, frame_checksum(payload))] {
+        for (version, checksum) in [
+            (4u32, fnv1a_64(payload)),
+            (5, frame_checksum(payload)),
+            (6, frame_checksum(payload)),
+        ] {
             let mut old = Vec::new();
             old.extend_from_slice(&MAGIC);
             old.extend_from_slice(&version.to_le_bytes());
@@ -620,7 +628,7 @@ mod tests {
             old.extend_from_slice(payload);
             old.extend_from_slice(&checksum.to_le_bytes());
             assert_eq!(
-                unframe(&old, 6).unwrap_err(),
+                unframe(&old, 7).unwrap_err(),
                 CodecError::UnsupportedVersion(version)
             );
         }

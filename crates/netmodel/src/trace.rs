@@ -16,6 +16,7 @@
 //! Rows may appear in any order; sessions are grouped by node id and must
 //! be disjoint per node after sorting.
 
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 
 use crate::churn::NodeSchedule;
@@ -52,12 +53,14 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Serialises schedules to the CSV dialect (header included).
+/// Serialises schedules, node `i` being the `i`-th item, to the CSV
+/// dialect (header included). Takes any iterator, so a caller can stream
+/// schedules it derives one at a time instead of holding them all.
 #[must_use]
-pub fn to_csv(schedules: &[NodeSchedule]) -> String {
+pub fn to_csv<S: Borrow<NodeSchedule>>(schedules: impl IntoIterator<Item = S>) -> String {
     let mut out = String::from("node,start,end\n");
-    for (node, sched) in schedules.iter().enumerate() {
-        for &(start, end) in sched.sessions() {
+    for (node, sched) in schedules.into_iter().enumerate() {
+        for &(start, end) in sched.borrow().sessions() {
             let _ = writeln!(out, "{node},{start},{end}");
         }
     }
@@ -135,7 +138,7 @@ pub fn from_csv(csv: &str, n_nodes: usize) -> Result<Vec<NodeSchedule>, TraceErr
 mod tests {
     use super::*;
     use crate::churn::{ChurnConfig, ChurnModel};
-    use idpa_desim::rng::Xoshiro256StarStar;
+    use idpa_desim::rng::StreamFactory;
 
     #[test]
     fn round_trip_synthetic_trace() {
@@ -143,7 +146,7 @@ mod tests {
             n_nodes: 12,
             ..ChurnConfig::default()
         };
-        let scheds = ChurnModel::new(cfg).generate(&mut Xoshiro256StarStar::seed_from_u64(1));
+        let scheds = ChurnModel::new(cfg).generate(&StreamFactory::new(1));
         let csv = to_csv(&scheds);
         let back = from_csv(&csv, 12).unwrap();
         assert_eq!(back, scheds);

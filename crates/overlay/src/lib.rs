@@ -12,6 +12,9 @@
 //! This crate provides:
 //! * [`NodeId`] / [`NodeKind`] — peer identities and good/malicious roles,
 //! * [`Topology`] — the random fixed-degree neighbor relation `D(s)`,
+//! * [`NodeSource`] / [`NodeCache`] — each node's churn schedule and
+//!   neighbor set, derived on first touch from position-keyed streams and
+//!   memoized per reader,
 //! * [`ProbeEstimator`] — the §2.3 availability estimator
 //!   (`α_s(v) = t_s(v) / Σ_{u∈D(s)} t_s(u)`),
 //! * [`LazyProbeSet`] — the event-driven lazy form of the same estimator:
@@ -28,12 +31,14 @@
 
 pub mod invalidate;
 pub mod node;
+pub mod nodes;
 pub mod probe;
 pub mod probe_lazy;
 pub mod topology;
 
 pub use invalidate::ProbeInvalidation;
 pub use node::{NodeId, NodeKind};
+pub use nodes::{NodeCache, NodeSource};
 pub use probe::{ProbeEstimator, ProbeEstimatorState};
 pub use probe_lazy::{cell_footprint, LazyProbeSet, ProbeCellState, ProbeCellsSnapshot, Residency};
 pub use topology::Topology;

@@ -5,7 +5,7 @@
 //! imply `s ∈ D(v)` — matching the paper's phrasing that each node
 //! *maintains information about* its own d potential forwarders.
 
-use idpa_desim::rng::Xoshiro256StarStar;
+use idpa_desim::rng::StreamFactory;
 use rand::RngExt;
 
 use crate::node::NodeId;
@@ -21,19 +21,32 @@ pub struct Topology {
     degree: usize,
 }
 
+/// Label of the per-node streams: node `s`'s neighbor set comes from
+/// `stream_indexed(TOPOLOGY_STREAM, s)`.
+const TOPOLOGY_STREAM: &str = "topology";
+
 impl Topology {
-    /// Samples a topology where every node independently picks `degree`
-    /// distinct random neighbors (never itself).
+    /// Node `s`'s neighbor set in a world of `n` nodes at out-degree
+    /// `degree`: `degree` distinct random nodes other than `s`, sorted,
+    /// drawn from the stream keyed by `s`. A pure function of
+    /// `(master seed, n, degree, s)`, so any node's set can be derived on
+    /// its own, in any order.
     ///
     /// Panics if `degree >= n` (a node cannot have `n` distinct non-self
-    /// neighbors) or `n == 0`.
+    /// neighbors).
     #[must_use]
-    pub fn random(n: usize, degree: usize, rng: &mut Xoshiro256StarStar) -> Self {
-        assert!(n > 0, "empty topology");
+    pub fn sample_neighbors(
+        n: usize,
+        degree: usize,
+        streams: &StreamFactory,
+        s: NodeId,
+    ) -> Vec<NodeId> {
         assert!(
             degree < n,
             "degree {degree} impossible with {n} nodes (needs degree < n)"
         );
+        let s = s.index();
+        let mut rng = streams.stream_indexed(TOPOLOGY_STREAM, s as u64);
         // Partial Fisher-Yates over the candidate set {0..n} \ {s}, run
         // *sparsely*: the candidate array is never materialized. Position
         // `i` of the virtual array holds `i` (or `i + 1` once past the
@@ -42,31 +55,42 @@ impl Topology {
         // scans the log newest-first, so the latest write wins. The draws
         // are `random_range(k..n-1)` either way — bounds depend only on
         // `n`, not on array contents — so the bit stream, and therefore
-        // every sampled topology, is identical to the dense construction
-        // at O(d) instead of O(n) per node.
+        // the sampled set, is identical to the dense construction at O(d)
+        // instead of O(n).
         let mut displaced: Vec<(usize, usize)> = Vec::with_capacity(degree);
+        let at = |displaced: &[(usize, usize)], i: usize| {
+            displaced
+                .iter()
+                .rev()
+                .find(|&&(pos, _)| pos == i)
+                .map_or(if i < s { i } else { i + 1 }, |&(_, v)| v)
+        };
+        let mut neighbors = Vec::with_capacity(degree);
+        for k in 0..degree {
+            let pick = rng.random_range(k..n - 1);
+            let picked = at(&displaced, pick);
+            // Complete the swap: position `pick` inherits position `k`'s
+            // value. Position `k` itself is never read again (later draws
+            // range over `k+1..`), so only this half matters.
+            let at_k = at(&displaced, k);
+            displaced.push((pick, at_k));
+            neighbors.push(NodeId(picked));
+        }
+        neighbors.sort_unstable();
+        neighbors
+    }
+
+    /// Samples a topology where every node independently picks `degree`
+    /// distinct random neighbors (never itself): one
+    /// [`Topology::sample_neighbors`] per node.
+    ///
+    /// Panics if `degree >= n` or `n == 0`.
+    #[must_use]
+    pub fn random(n: usize, degree: usize, streams: &StreamFactory) -> Self {
+        assert!(n > 0, "empty topology");
         let mut neighbors = Vec::with_capacity(n * degree);
         for s in 0..n {
-            displaced.clear();
-            let at = |displaced: &[(usize, usize)], i: usize| {
-                displaced
-                    .iter()
-                    .rev()
-                    .find(|&&(pos, _)| pos == i)
-                    .map_or(if i < s { i } else { i + 1 }, |&(_, v)| v)
-            };
-            let start = neighbors.len();
-            for k in 0..degree {
-                let pick = rng.random_range(k..n - 1);
-                let picked = at(&displaced, pick);
-                // Complete the swap: position `pick` inherits position `k`'s
-                // value. Position `k` itself is never read again (later
-                // draws range over `k+1..`), so only this half matters.
-                let at_k = at(&displaced, k);
-                displaced.push((pick, at_k));
-                neighbors.push(NodeId(picked));
-            }
-            neighbors[start..].sort_unstable();
+            neighbors.extend(Self::sample_neighbors(n, degree, streams, NodeId(s)));
         }
         Topology {
             neighbors,
@@ -149,13 +173,13 @@ impl Topology {
 mod tests {
     use super::*;
 
-    fn rng(seed: u64) -> Xoshiro256StarStar {
-        Xoshiro256StarStar::seed_from_u64(seed)
+    fn streams(seed: u64) -> StreamFactory {
+        StreamFactory::new(seed)
     }
 
     #[test]
     fn random_topology_has_exact_degree() {
-        let t = Topology::random(40, 5, &mut rng(1));
+        let t = Topology::random(40, 5, &streams(1));
         assert_eq!(t.len(), 40);
         assert_eq!(t.degree(), 5);
         for s in 0..40 {
@@ -165,7 +189,7 @@ mod tests {
 
     #[test]
     fn no_self_loops_or_duplicates() {
-        let t = Topology::random(40, 5, &mut rng(2));
+        let t = Topology::random(40, 5, &streams(2));
         for s in 0..40 {
             let nbrs = t.neighbors(NodeId(s));
             assert!(nbrs.iter().all(|v| v.index() != s));
@@ -177,14 +201,14 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = Topology::random(20, 4, &mut rng(3));
-        let b = Topology::random(20, 4, &mut rng(3));
+        let a = Topology::random(20, 4, &streams(3));
+        let b = Topology::random(20, 4, &streams(3));
         assert_eq!(a, b);
     }
 
     #[test]
     fn is_neighbor_agrees_with_lists() {
-        let t = Topology::random(15, 3, &mut rng(4));
+        let t = Topology::random(15, 3, &streams(4));
         for s in 0..15 {
             for v in 0..15 {
                 let expect = t.neighbors(NodeId(s)).contains(&NodeId(v));
@@ -195,7 +219,7 @@ mod tests {
 
     #[test]
     fn reverse_neighbors_inverts_relation() {
-        let t = Topology::random(12, 3, &mut rng(5));
+        let t = Topology::random(12, 3, &streams(5));
         for v in 0..12 {
             for s in t.reverse_neighbors(NodeId(v)) {
                 assert!(t.is_neighbor(s, NodeId(v)));
@@ -205,7 +229,7 @@ mod tests {
 
     #[test]
     fn degree_saturates_at_n_minus_1() {
-        let t = Topology::random(5, 4, &mut rng(6));
+        let t = Topology::random(5, 4, &streams(6));
         for s in 0..5 {
             assert_eq!(t.neighbors(NodeId(s)).len(), 4);
         }
@@ -214,7 +238,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs degree < n")]
     fn rejects_impossible_degree() {
-        let _ = Topology::random(5, 5, &mut rng(7));
+        let _ = Topology::random(5, 5, &streams(7));
     }
 
     #[test]
@@ -264,8 +288,9 @@ mod tests {
     #[test]
     fn sparse_sampling_matches_dense_reference() {
         // The shipped sampler simulates the candidate array sparsely; this
-        // pins it bit-for-bit against the dense partial Fisher-Yates it
-        // replaced, across self-exclusion positions and near-full degrees.
+        // pins it bit-for-bit against a dense partial Fisher-Yates over the
+        // same per-node stream, across self-exclusion positions and
+        // near-full degrees.
         for (n, d, seed) in [
             (40usize, 5usize, 1u64),
             (17, 16, 2),
@@ -276,10 +301,11 @@ mod tests {
             (500, 24, 11),
             (10_000, 5, 12),
         ] {
-            let sparse = Topology::random(n, d, &mut rng(seed));
-            let mut r = rng(seed);
+            let f = streams(seed);
+            let sparse = Topology::random(n, d, &f);
             let mut lists = Vec::new();
             for s in 0..n {
+                let mut r = f.stream_indexed("topology", s as u64);
                 let mut candidates: Vec<usize> = (0..n).filter(|&v| v != s).collect();
                 let mut chosen = Vec::with_capacity(d);
                 for k in 0..d {
@@ -295,13 +321,25 @@ mod tests {
     }
 
     #[test]
+    fn a_node_samples_alone_to_its_place_in_the_topology() {
+        let f = streams(13);
+        let t = Topology::random(50, 6, &f);
+        for s in [49usize, 0, 7, 7, 22] {
+            assert_eq!(
+                Topology::sample_neighbors(50, 6, &f, NodeId(s)),
+                t.neighbors(NodeId(s)),
+                "node {s}"
+            );
+        }
+    }
+
+    #[test]
     fn neighbor_choice_is_roughly_uniform() {
         // Aggregate in-degree over many topologies should be near-uniform.
         let n = 10;
         let mut indeg = vec![0usize; n];
-        let mut r = rng(8);
-        for _ in 0..2000 {
-            let t = Topology::random(n, 3, &mut r);
+        for seed in 0..2000 {
+            let t = Topology::random(n, 3, &streams(seed));
             for s in 0..n {
                 for v in t.neighbors(NodeId(s)) {
                     indeg[v.index()] += 1;

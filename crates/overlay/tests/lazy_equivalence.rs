@@ -6,13 +6,11 @@
 //! stepped literally: at every tick `k·T < horizon`, every live node runs
 //! `probe_round_seeded` and then (with a threshold) `maintain_seeded`.
 
-use std::sync::Arc;
-
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::SimTime;
 use idpa_netmodel::NodeSchedule;
 use idpa_overlay::probe_lazy::tick_time;
-use idpa_overlay::{LazyProbeSet, NodeId, ProbeEstimator, Topology};
+use idpa_overlay::{LazyProbeSet, NodeId, NodeSource, ProbeEstimator, Topology};
 use rand::RngExt;
 
 struct Case {
@@ -30,8 +28,10 @@ impl Case {
         LazyProbeSet::new_sparse(
             self.period,
             self.horizon,
-            Arc::new(self.schedules.clone()),
-            Arc::new(Topology::from_lists(self.neighbors.clone())),
+            NodeSource::from_tables(
+                self.schedules.clone(),
+                Topology::from_lists(self.neighbors.clone()),
+            ),
             self.threshold,
             self.streams.clone(),
         )

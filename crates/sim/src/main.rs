@@ -116,7 +116,11 @@ fn main() -> ExitCode {
             ..idpa_sim::ScenarioConfig::default()
         };
         let world = idpa_sim::World::generate(&cfg);
-        print!("{}", idpa_netmodel::trace::to_csv(&world.schedules));
+        // Each schedule is derived, written and dropped.
+        print!(
+            "{}",
+            idpa_netmodel::trace::to_csv(world.nodes.iter_schedules())
+        );
         return ExitCode::SUCCESS;
     }
 

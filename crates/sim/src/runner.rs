@@ -36,14 +36,13 @@ use idpa_core::reputation::EdgeReputation;
 use idpa_core::routing::{RouteScratch, RoutingView};
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::{AdversaryPlan, CheatAction, Engine, FaultPlan, FaultResponse, Process, SimTime};
-use idpa_netmodel::{CostModel, NodeSchedule};
+use idpa_netmodel::CostModel;
 use idpa_overlay::{LazyProbeSet, NodeId, ProbeInvalidation};
 use idpa_payment::audit::{AuditEvent, AuditLog};
 use idpa_payment::bank::AccountId;
 use idpa_payment::receipt::Receipt;
 use idpa_payment::validation::{ConnectionEvidence, PathManifest, PathValidator};
 use rand::{Rng, RngExt};
-use std::sync::Arc;
 
 use crate::durability::BankDurabilityState;
 use crate::scenario::{BankDurability, ScenarioConfig, SettlementMode, WorkloadMode};
@@ -97,7 +96,7 @@ pub enum Ev {
 
 /// The live snapshot the routing layer reads during one transmission.
 struct RunView<'a> {
-    schedules: &'a [NodeSchedule],
+    /// Probe state, and the churn schedules routing liveness reads.
     probes: &'a LazyProbeSet,
     costs: &'a CostModel,
     /// Per-node crash overlay (empty when fault injection is off): node `v`
@@ -123,13 +122,6 @@ struct RunView<'a> {
     now: SimTime,
 }
 
-impl RunView<'_> {
-    fn routable(&self, v: NodeId) -> bool {
-        self.schedules[v.index()].is_up(self.now)
-            && (self.crashed.is_empty() || self.now.minutes() >= self.crashed[v.index()])
-    }
-}
-
 impl RoutingView for RunView<'_> {
     fn live_neighbors(&self, s: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
@@ -139,12 +131,13 @@ impl RoutingView for RunView<'_> {
 
     fn live_neighbors_into(&self, s: NodeId, out: &mut Vec<NodeId>) {
         // D(s) is maintained by the node itself (its probe estimator), so
-        // neighbor replacement is visible to routing.
-        out.clear();
-        let live =
-            |v: &NodeId| self.routable(*v) && !self.reputation.is_some_and(|r| r.is_suppressed(*v));
-        self.probes.with_neighbors(s, self.now.minutes(), |nbrs| {
-            out.extend(nbrs.iter().copied().filter(live));
+        // neighbor replacement is visible to routing. A neighbor is
+        // routable when its churn schedule has it up, it is past any
+        // crash, and the initiator has not suppressed it.
+        let now = self.now.minutes();
+        self.probes.live_neighbors_into(s, now, out, |v| {
+            (self.crashed.is_empty() || now >= self.crashed[v.index()])
+                && !self.reputation.is_some_and(|r| r.is_suppressed(v))
         });
     }
 
@@ -542,13 +535,12 @@ impl SimulationRun {
     #[must_use]
     pub fn new(cfg: ScenarioConfig, world: World) -> Self {
         let streams = StreamFactory::new(cfg.seed);
-        // No cell exists until its node is touched; the store borrows the
-        // world's schedules and topology instead of copying them.
+        // No cell exists until its node is touched, and no node's schedule
+        // or neighbor set is derived until the run first reads it.
         let probes = LazyProbeSet::new_sparse(
             cfg.probe_period,
             cfg.churn.horizon,
-            Arc::clone(&world.schedules),
-            Arc::clone(&world.topology),
+            world.nodes.clone(),
             cfg.neighbor_replacement_rounds,
             streams.clone(),
         );
@@ -785,7 +777,6 @@ impl SimulationRun {
         let contract = Contract::from_tau(BundleId(pair as u64), wl.responder, wl.pf, self.cfg.tau);
         let priors = self.bundles[pair].connections();
         let view = RunView {
-            schedules: &self.world.schedules,
             probes: &self.probes,
             costs: &self.world.costs,
             crashed: &self.crashed_until,
@@ -832,12 +823,13 @@ impl SimulationRun {
         if observed {
             // The attacker intersects the active sets it can see. Its own
             // colluders are never initiator candidates (it knows them), so
-            // only good nodes enter the observation.
+            // only good nodes enter the observation. A whole-world scan:
+            // nodes the run never read are derived without being cached.
             let active: HashSet<NodeId> = (0..self.cfg.n_nodes)
                 .map(NodeId)
-                .filter(|n| {
+                .filter(|&n| {
                     self.world.kinds[n.index()].is_good()
-                        && self.world.schedules[n.index()].is_up(now)
+                        && self.probes.is_up_uncached(n, now.minutes())
                 })
                 .collect();
             self.attacks[pair].observe(&active);
@@ -862,7 +854,6 @@ impl SimulationRun {
         let contract = Contract::from_tau(BundleId(pair as u64), wl.responder, wl.pf, self.cfg.tau);
         let priors = self.bundles[pair].connections();
         let view = RunView {
-            schedules: &self.world.schedules,
             probes: &self.probes,
             costs: &self.world.costs,
             crashed: &self.crashed_until,
@@ -904,8 +895,9 @@ impl SimulationRun {
             // (edge 0's sender) never crashes out of its own transmission.
             if ef.crash && i >= 1 {
                 let v = forwarders[i - 1];
-                let end = self.world.schedules[v.index()]
-                    .session_end_at(now)
+                let end = self
+                    .probes
+                    .with_schedule(v, now.minutes(), |s| s.session_end_at(now))
                     .unwrap_or_else(|| now.minutes());
                 let slot = &mut self.crashed_until[v.index()];
                 *slot = slot.max(end);
@@ -1743,16 +1735,22 @@ mod tests {
     }
 
     #[test]
-    fn probe_store_shares_the_world_topology() {
-        // The probe store reads initial neighbor sets from the world's
-        // topology: one flat array, held by the world and the store, never
-        // copied per node.
-        let cfg = ScenarioConfig::quick_test(23);
+    fn a_run_derives_only_the_nodes_it_reads() {
+        // A large world with a small workload: routing and probing read a
+        // few hundred nodes, and only those are ever derived.
+        let cfg = ScenarioConfig {
+            n_pairs: 8,
+            total_transmissions: 32,
+            ..ScenarioConfig::quick_test(23).with_nodes(20_000)
+        };
         let world = World::generate(&cfg);
-        let run = SimulationRun::new(cfg, world);
-        assert_eq!(Arc::strong_count(&run.world.topology), 2);
-        drop(run.probes);
-        assert_eq!(Arc::strong_count(&run.world.topology), 1);
+        let mut run = SimulationRun::new(cfg, world);
+        assert_eq!(run.probes.resident_nodes(), 0, "nothing derived up front");
+        let mut engine = Engine::new();
+        run.schedule_all(&mut engine);
+        engine.run(&mut run, Some(SimTime::new(cfg.churn.horizon)));
+        let derived = run.probes.resident_nodes();
+        assert!(derived > 0 && derived < 2_000, "derived {derived} nodes");
     }
 
     #[test]

@@ -280,18 +280,16 @@ mod tests {
     fn sweep_cadence_is_tick_gated() {
         use idpa_desim::rng::StreamFactory;
         use idpa_netmodel::NodeSchedule;
-        use idpa_overlay::Topology;
-        use std::sync::Arc;
-        let schedules = Arc::new(vec![
+        use idpa_overlay::{NodeSource, Topology};
+        let schedules = vec![
             NodeSchedule::from_sessions(vec![(0.0, 200.0)]),
             NodeSchedule::from_sessions(vec![(0.0, 200.0)]),
-        ]);
-        let neighbors = Arc::new(Topology::from_lists(vec![vec![NodeId(1)], vec![NodeId(0)]]));
+        ];
+        let neighbors = Topology::from_lists(vec![vec![NodeId(1)], vec![NodeId(0)]]);
         let probes = LazyProbeSet::new_sparse(
             5.0,
             200.0,
-            schedules,
-            neighbors,
+            NodeSource::from_tables(schedules, neighbors),
             None,
             StreamFactory::new(1),
         );
@@ -300,7 +298,9 @@ mod tests {
         // Inside the first cadence window: no sweep.
         assert_eq!(slab.maybe_sweep(&probes, 5.0), 0);
         // Far past the idle window: the due sweep evicts the idle cell.
+        assert_eq!(probes.resident_nodes(), 2, "the owner and its neighbor");
         assert_eq!(slab.maybe_sweep(&probes, 150.0), 1);
         assert_eq!(probes.residency().materialized, 0);
+        assert_eq!(probes.resident_nodes(), 0, "derived nodes go with it");
     }
 }

@@ -64,8 +64,11 @@ use crate::world::World;
 /// misdecoding. Version 5 switched the frame to the word-wise
 /// [`idpa_desim::codec::frame_checksum`]; version 6 dropped the probe-store
 /// tag (one cell store remains) and writes only materialized fault
-/// ledgers.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// ledgers. Version 7 keeps the layout but not the world: a restore
+/// regenerates the world from the config, and each node's churn schedule
+/// and neighbor set now come from position-keyed streams, so a version 6
+/// frame would resume over a different world.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the

@@ -234,8 +234,7 @@ fn churn_schedules_are_wellformed() {
             n_nodes: n,
             ..ChurnConfig::default()
         };
-        let scheds =
-            ChurnModel::new(cfg).generate(&mut Xoshiro256StarStar::seed_from_u64(r.next()));
+        let scheds = ChurnModel::new(cfg).generate(&StreamFactory::new(r.next()));
         for s in &scheds {
             let mut prev_end = 0.0;
             for &(a, b) in s.sessions() {
@@ -260,7 +259,7 @@ fn topology_invariants() {
     for _ in 0..CASES {
         let n = random_len(&mut r, 2, 40);
         let d = (n - 1).min(5);
-        let t = Topology::random(n, d, &mut Xoshiro256StarStar::seed_from_u64(r.next()));
+        let t = Topology::random(n, d, &StreamFactory::new(r.next()));
         for i in 0..n {
             let nbrs = t.neighbors(NodeId(i));
             assert_eq!(nbrs.len(), d);
