@@ -280,11 +280,8 @@ mod tests {
 
     #[test]
     fn default_report_lands_under_target_not_on_a_committed_file() {
-        let path = default_report_path(bench_name("history_shard-0123456789abcdef"));
-        assert!(
-            path.ends_with("target/bench/history_shard.json"),
-            "{path:?}"
-        );
+        let path = default_report_path(bench_name("probe_scale-0123456789abcdef"));
+        assert!(path.ends_with("target/bench/probe_scale.json"), "{path:?}");
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         assert_eq!(path.parent().unwrap(), root.join("target/bench"));
         // A stem without cargo's hash suffix is already the name.

@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 
+use idpa_desim::rng::Mix64State;
 use idpa_overlay::NodeId;
 
 use crate::bundle::BundleId;
@@ -87,11 +88,10 @@ impl ConnCounter {
 ///
 /// The routing layer never cares *where* a node's Table 1 records live —
 /// only what `σ(s, v)` they imply. Implementations exist for the classic
-/// global layout (`[HistoryProfile]` / `Vec<HistoryProfile>`, indexed by
-/// `NodeId`), for the sharded [`crate::arena::HistoryArena`] views, and for
-/// the worker-local [`crate::arena::BundleMirror`]. All implementations
-/// must return bit-identical values for identical record sets — the arena
-/// property suite pins this.
+/// per-node layout (`[HistoryProfile]` / `Vec<HistoryProfile>`, indexed by
+/// `NodeId`) and for the runner's [`crate::arena::HistoryArena`]. Both
+/// keep their records in the same cell type, and the arena property suite
+/// checks both against the rescan oracle.
 pub trait HistoryRead {
     /// Selectivity `σ(s, v)` of node `s` toward `v` after `priors`
     /// completed connections of `bundle` — see
@@ -189,48 +189,104 @@ impl HistoryWrite for Vec<HistoryProfile> {
     }
 }
 
-/// Per-bundle history: the retained records plus the incremental
-/// selectivity indexes maintained alongside them.
+/// Packs a `(predecessor, successor)` pair into one injective `u64` key.
+fn pred_succ_key(predecessor: NodeId, successor: NodeId) -> u64 {
+    debug_assert!(predecessor.index() < (1 << 32) && successor.index() < (1 << 32));
+    ((predecessor.index() as u64) << 32) | successor.index() as u64
+}
+
+/// One node's history for one bundle: the retained records plus the
+/// incremental selectivity indexes maintained alongside them. Append order
+/// is arrival order, eviction drops the oldest first and unwinds both
+/// indexes, and empty counters are removed. Both [`HistoryProfile`] and
+/// [`crate::arena::HistoryArena`] store their records in this type.
 #[derive(Debug, Clone, Default)]
-struct BundleHistory {
+pub(crate) struct BundleHistory {
     /// Retained records in insertion (connection) order.
     records: Vec<HistoryRecord>,
     /// `successor -> distinct prior connections` (drives `selectivity`).
-    by_succ: HashMap<NodeId, ConnCounter>,
+    by_succ: HashMap<u64, ConnCounter, Mix64State>,
     /// `(predecessor, successor) -> distinct prior connections` (drives
-    /// `selectivity_from`).
-    by_pred_succ: HashMap<(NodeId, NodeId), ConnCounter>,
+    /// `selectivity_from`), keyed by [`pred_succ_key`].
+    by_pred_succ: HashMap<u64, ConnCounter, Mix64State>,
 }
 
 impl BundleHistory {
-    fn push(&mut self, record: HistoryRecord) {
+    /// Appends one record, keeping at most `capacity` (oldest evicted).
+    pub(crate) fn record(&mut self, record: HistoryRecord, capacity: Option<usize>) {
         self.by_succ
-            .entry(record.successor)
+            .entry(record.successor.index() as u64)
             .or_default()
             .add(record.connection);
         self.by_pred_succ
-            .entry((record.predecessor, record.successor))
+            .entry(pred_succ_key(record.predecessor, record.successor))
             .or_default()
             .add(record.connection);
         self.records.push(record);
+        if let Some(cap) = capacity {
+            if self.records.len() > cap {
+                let overflow = self.records.len() - cap;
+                self.evict_oldest(overflow);
+            }
+        }
     }
 
     /// Evicts the `n` oldest records, unwinding the indexes.
     fn evict_oldest(&mut self, n: usize) {
-        for record in self.records.drain(..n) {
-            if let Some(counter) = self.by_succ.get_mut(&record.successor) {
-                counter.remove(record.connection);
+        for old in self.records.drain(..n) {
+            let succ_key = old.successor.index() as u64;
+            if let Some(counter) = self.by_succ.get_mut(&succ_key) {
+                counter.remove(old.connection);
                 if counter.is_empty() {
-                    self.by_succ.remove(&record.successor);
+                    self.by_succ.remove(&succ_key);
                 }
             }
-            let key = (record.predecessor, record.successor);
-            if let Some(counter) = self.by_pred_succ.get_mut(&key) {
-                counter.remove(record.connection);
+            let pair_key = pred_succ_key(old.predecessor, old.successor);
+            if let Some(counter) = self.by_pred_succ.get_mut(&pair_key) {
+                counter.remove(old.connection);
                 if counter.is_empty() {
-                    self.by_pred_succ.remove(&key);
+                    self.by_pred_succ.remove(&pair_key);
                 }
             }
+        }
+    }
+
+    /// Retained records, oldest first.
+    pub(crate) fn records(&self) -> &[HistoryRecord] {
+        &self.records
+    }
+
+    /// `σ(s, v)` after `priors` connections from an optional cell: zero
+    /// priors or no records for the bundle yield `0.0`.
+    pub(crate) fn selectivity(cell: Option<&Self>, priors: u32, v: NodeId) -> f64 {
+        match cell {
+            Some(c) if priors > 0 => {
+                let count = c
+                    .by_succ
+                    .get(&(v.index() as u64))
+                    .map_or(0, |c| c.distinct_below(priors));
+                count as f64 / f64::from(priors)
+            }
+            _ => 0.0,
+        }
+    }
+
+    /// Position-aware variant of [`BundleHistory::selectivity`].
+    pub(crate) fn selectivity_from(
+        cell: Option<&Self>,
+        priors: u32,
+        predecessor: NodeId,
+        v: NodeId,
+    ) -> f64 {
+        match cell {
+            Some(c) if priors > 0 => {
+                let count = c
+                    .by_pred_succ
+                    .get(&pred_succ_key(predecessor, v))
+                    .map_or(0, |c| c.distinct_below(priors));
+                count as f64 / f64::from(priors)
+            }
+            _ => 0.0,
         }
     }
 }
@@ -294,19 +350,15 @@ impl HistoryProfile {
         predecessor: NodeId,
         successor: NodeId,
     ) {
-        let entry = self.records.entry(bundle).or_default();
-        entry.push(HistoryRecord {
-            bundle,
-            connection,
-            predecessor,
-            successor,
-        });
-        if let Some(cap) = self.capacity_per_bundle {
-            if entry.records.len() > cap {
-                let drop = entry.records.len() - cap;
-                entry.evict_oldest(drop);
-            }
-        }
+        self.records.entry(bundle).or_default().record(
+            HistoryRecord {
+                bundle,
+                connection,
+                predecessor,
+                successor,
+            },
+            self.capacity_per_bundle,
+        );
     }
 
     /// All retained records for a bundle (insertion order).
@@ -314,7 +366,7 @@ impl HistoryProfile {
     pub fn bundle_records(&self, bundle: BundleId) -> &[HistoryRecord] {
         self.records
             .get(&bundle)
-            .map_or(&[], |b| b.records.as_slice())
+            .map_or(&[], BundleHistory::records)
     }
 
     /// Selectivity `σ(s, v)` when forming a new connection after `priors`
@@ -329,17 +381,7 @@ impl HistoryProfile {
     /// numerator counts *connections*, matching the denominator.
     #[must_use]
     pub fn selectivity(&self, bundle: BundleId, priors: u32, v: NodeId) -> f64 {
-        if priors == 0 {
-            return 0.0;
-        }
-        let Some(entry) = self.records.get(&bundle) else {
-            return 0.0;
-        };
-        let count = entry
-            .by_succ
-            .get(&v)
-            .map_or(0, |c| c.distinct_below(priors));
-        count as f64 / f64::from(priors)
+        BundleHistory::selectivity(self.records.get(&bundle), priors, v)
     }
 
     /// Reference implementation of [`HistoryProfile::selectivity`] by
@@ -372,17 +414,7 @@ impl HistoryProfile {
         predecessor: NodeId,
         v: NodeId,
     ) -> f64 {
-        if priors == 0 {
-            return 0.0;
-        }
-        let Some(entry) = self.records.get(&bundle) else {
-            return 0.0;
-        };
-        let count = entry
-            .by_pred_succ
-            .get(&(predecessor, v))
-            .map_or(0, |c| c.distinct_below(priors));
-        count as f64 / f64::from(priors)
+        BundleHistory::selectivity_from(self.records.get(&bundle), priors, predecessor, v)
     }
 
     /// Reference implementation of [`HistoryProfile::selectivity_from`] by

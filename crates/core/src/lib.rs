@@ -16,8 +16,8 @@
 //!   initiator checks before paying (§2.2, §5);
 //! * [`history`] — per-node connection history profiles `H^k(s)` (Table 1)
 //!   and the *selectivity* `σ(s,v)` derived from them (§2.3);
-//! * [`arena`] — the same history state sharded into owner-keyed,
-//!   independently lockable shards for parallel connection formation;
+//! * [`arena`] — every node's history in one owner-keyed store, the
+//!   runner's history state;
 //! * [`quality`] — edge quality `q(s,v) = w_s·σ(s,v) + w_a·α(v)` and path
 //!   quality (§2.3);
 //! * [`utility`] — utility models I and II for forwarders, and the
@@ -55,7 +55,7 @@ pub mod reputation;
 pub mod routing;
 pub mod utility;
 
-pub use arena::{BundleMirror, HistoryArena};
+pub use arena::HistoryArena;
 pub use bundle::{BundleAccounting, BundleId};
 pub use contract::Contract;
 pub use history::{HistoryProfile, HistoryRead, HistoryWrite};

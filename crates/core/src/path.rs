@@ -68,7 +68,7 @@ impl PathOutcome {
 ///   (the experiment axis of Figs. 5–7); malicious peers always route
 ///   randomly (§2.4).
 /// * `histories` — the per-node history store (any [`HistoryRead`] +
-///   [`HistoryWrite`] layout: flat profile vector or sharded arena view);
+///   [`HistoryWrite`] layout: per-node profile vector or the arena);
 ///   updated in place with this connection's records as the confirmation
 ///   returns.
 ///

@@ -312,8 +312,7 @@ pub fn edge_quality_of(
 
 /// Memoised `q(s, v)`: looks the edge up in the transmission cache and
 /// computes it from the history store on a miss. Generic over the storage
-/// layout ([`HistoryRead`]): flat profile vector, sharded arena view, or
-/// worker-local bundle mirror.
+/// layout ([`HistoryRead`]): per-node profile vector or the arena.
 #[allow(clippy::too_many_arguments)]
 fn edge_quality_memo<H: HistoryRead + ?Sized>(
     s: NodeId,

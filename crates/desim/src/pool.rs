@@ -43,83 +43,31 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    map_with_state(threads, n, || (), |(), i| f(i))
-}
-
-/// Maps `f` over explicit work items on `threads` workers, returning
-/// results in item order.
-///
-/// The shard-aware sibling of [`parallel_map`]: callers hand over a slice
-/// of prepared work items — e.g. connection-formation bundles that each
-/// carry the set of history shards their initiators map to — and `f`
-/// receives `(state, index, &item)`. Each worker builds one `state` with
-/// `init` and passes it to every item it takes, so a worker can keep a
-/// memo across items; for the results to stay deterministic, what `f`
-/// returns must not depend on what the state already holds. Distribution
-/// is the same dynamic work queue, so the result vector is
-/// **bit-identical at any thread count**; only the wall-clock assignment
-/// of items to workers varies. Items whose shard sets are disjoint run
-/// concurrently without contending on any shared lock; overlapping items
-/// serialize inside `f` on the shards themselves (acquired in
-/// deterministic ascending order), never in the queue.
-///
-/// # Panics
-///
-/// Propagates a panic from `init` or `f` after the scope joins.
-pub fn parallel_map_items<I, S, T, F>(
-    threads: usize,
-    items: &[I],
-    init: impl Fn() -> S + Sync,
-    f: F,
-) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&mut S, usize, &I) -> T + Sync,
-{
-    map_with_state(threads, items.len(), init, |state, i| {
-        f(state, i, &items[i])
-    })
-}
-
-/// The work queue behind both maps: `threads` workers, each with its own
-/// `init()` state, pull indices from a shared counter and write `f(state,
-/// i)` into slot `i`.
-fn map_with_state<S, T, F>(threads: usize, n: usize, init: impl Fn() -> S + Sync, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
     let threads = threads.max(1).min(n.max(1));
     if threads == 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
+        return (0..n).map(f).collect();
     }
 
     let next = Mutex::new(0usize);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = {
-                        // A poisoned lock means a sibling worker panicked
-                        // in `f`; the scope will re-raise that panic on
-                        // join, so recovering the guard here just lets
-                        // this worker drain cleanly instead of
-                        // double-panicking.
-                        let mut guard = next.lock().unwrap_or_else(PoisonError::into_inner);
-                        let i = *guard;
-                        if i >= n {
-                            break;
-                        }
-                        *guard += 1;
-                        i
-                    };
-                    let value = f(&mut state, i);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
-                }
+            scope.spawn(|| loop {
+                let i = {
+                    // A poisoned lock means a sibling worker panicked in
+                    // `f`; the scope will re-raise that panic on join, so
+                    // recovering the guard here just lets this worker
+                    // drain cleanly instead of double-panicking.
+                    let mut guard = next.lock().unwrap_or_else(PoisonError::into_inner);
+                    let i = *guard;
+                    if i >= n {
+                        break;
+                    }
+                    *guard += 1;
+                    i
+                };
+                let value = f(i);
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
             });
         }
     });
@@ -178,47 +126,5 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn items_map_matches_index_map_at_any_thread_count() {
-        let items: Vec<u64> = (0..41).map(|i| i * 3 + 1).collect();
-        let map =
-            |threads| parallel_map_items(threads, &items, || (), |(), i, &x| x * 7 + i as u64);
-        let seq = map(1);
-        assert_eq!(seq.len(), items.len());
-        for threads in [2, 4, 9] {
-            assert_eq!(map(threads), seq);
-        }
-    }
-
-    #[test]
-    fn each_worker_builds_one_state_for_all_its_items() {
-        let inits = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..64).collect();
-        for threads in [1, 3] {
-            inits.store(0, Ordering::Relaxed);
-            let out = parallel_map_items(
-                threads,
-                &items,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    0usize
-                },
-                |taken: &mut usize, _, &x| {
-                    *taken += 1;
-                    x
-                },
-            );
-            assert_eq!(out, items);
-            assert!(inits.load(Ordering::Relaxed) <= threads);
-        }
-    }
-
-    #[test]
-    fn items_map_handles_empty_slice() {
-        let items: Vec<u32> = Vec::new();
-        let out: Vec<u32> = parallel_map_items(4, &items, || (), |(), _, &x| x);
-        assert!(out.is_empty());
     }
 }

@@ -14,9 +14,6 @@
 //!   Nash enumeration;
 //! * [`extensive::GameTree`]: finite extensive-form games solved by backward
 //!   induction, yielding subgame perfect equilibria;
-//! * [`mixed`]: mixed-strategy Nash equilibria of 2-player games by
-//!   support enumeration (pure equilibria need not exist once adversarial
-//!   evasion enters the picture);
 //! * [`forwarding`]: the paper's forwarding/routing stage game expressed in
 //!   that machinery, with numeric verification of the Prop. 2 and Prop. 3
 //!   thresholds.
@@ -27,10 +24,8 @@
 
 pub mod extensive;
 pub mod forwarding;
-pub mod mixed;
 pub mod normal;
 
 pub use extensive::{GameTree, NodeRef, SolveStats, SpneSolution};
 pub use forwarding::{ForwardingStageGame, StageAction};
-pub use mixed::{mixed_nash_2p, MixedEquilibrium};
 pub use normal::NormalFormGame;

@@ -13,8 +13,8 @@
 //! * [`NodeId`] / [`NodeKind`] — peer identities and good/malicious roles,
 //! * [`Topology`] — the random fixed-degree neighbor relation `D(s)`,
 //! * [`NodeSource`] / [`NodeCache`] — each node's churn schedule and
-//!   neighbor set, derived on first touch from position-keyed streams and
-//!   memoized per reader,
+//!   neighbor set, derived on first touch from position-keyed streams, and
+//!   the probe store's memo of the derived schedules,
 //! * [`ProbeEstimator`] — the §2.3 availability estimator
 //!   (`α_s(v) = t_s(v) / Σ_{u∈D(s)} t_s(u)`),
 //! * [`LazyProbeSet`] — the event-driven lazy form of the same estimator:

@@ -11,12 +11,11 @@
 //! position, so it gives the same bits in any order, on any thread, and
 //! again after the result was dropped.
 //!
-//! [`NodeCache`] memoizes derived nodes for one reader — the run's probe
-//! store, or one formation worker — behind an O(1) per-node slot index,
-//! and can evict idle entries again: which nodes are cached never changes
-//! a value read through it. A node's schedule is derived on its first
-//! read, its neighbor set only if that is read too: most nodes a run reads
-//! are routing candidates whose liveness is all it asks about.
+//! [`NodeCache`] memoizes derived schedules for one reader — the run's
+//! probe store — behind an O(1) per-node slot index, and can evict idle
+//! entries again: which nodes are cached never changes a value read
+//! through it. Neighbor sets are not cached: the probe store derives one
+//! only when it first builds that node's probe cell, which keeps it.
 
 use std::sync::Arc;
 
@@ -190,10 +189,6 @@ impl NodeSource {
 struct CachedNode {
     node: NodeId,
     schedule: NodeSchedule,
-    /// The schedule's long-run availability, summed once at derivation.
-    availability: f64,
-    /// Derived on the first [`NodeCache::neighbors`] read.
-    neighbors: Option<Box<[NodeId]>>,
     /// The eviction clock: the latest tick the node was read at.
     last_touch: u64,
 }
@@ -239,40 +234,22 @@ impl NodeCache {
     /// answers for `v` until the next eviction.
     #[inline]
     pub fn touch(&mut self, v: NodeId, tick: u64) -> &NodeSchedule {
-        let s = self.place(v, tick);
-        &self.entries[s].schedule
-    }
-
-    /// Node `v`'s long-run availability ([`NodeSchedule::availability`]),
-    /// with the node touched at `tick` like [`NodeCache::touch`].
-    #[inline]
-    pub fn availability(&mut self, v: NodeId, tick: u64) -> f64 {
-        let s = self.place(v, tick);
-        self.entries[s].availability
-    }
-
-    /// The slab place of node `v`, derived if it is not cached, with the
-    /// node stamped as read at `tick`.
-    #[inline]
-    fn place(&mut self, v: NodeId, tick: u64) -> usize {
-        match self.slot[v.index()] {
-            NO_SLOT => self.derive(v, tick) as usize,
+        let s = match self.slot[v.index()] {
+            NO_SLOT => self.derive(v, tick),
             s => {
                 let e = &mut self.entries[s as usize];
                 e.last_touch = e.last_touch.max(tick);
-                s as usize
+                s
             }
-        }
+        };
+        &self.entries[s as usize].schedule
     }
 
     /// Derives node `v` into a free place of the slab; returns the place.
     fn derive(&mut self, v: NodeId, tick: u64) -> u32 {
-        let schedule = self.source.schedule(v);
         let entry = CachedNode {
             node: v,
-            availability: schedule.availability(),
-            schedule,
-            neighbors: None,
+            schedule: self.source.schedule(v),
             last_touch: tick,
         };
         let s = match self.free.pop() {
@@ -299,18 +276,6 @@ impl NodeCache {
         &self.entries[s as usize].schedule
     }
 
-    /// Node `v`'s initial neighbor set, derived (with its schedule) on the
-    /// first read, and the node stamped as read at `tick`.
-    pub fn neighbors(&mut self, v: NodeId, tick: u64) -> &[NodeId] {
-        let s = self.place(v, tick);
-        let NodeCache {
-            source, entries, ..
-        } = self;
-        entries[s]
-            .neighbors
-            .get_or_insert_with(|| source.neighbors(v).into_boxed_slice())
-    }
-
     /// Whether `v` is up at `t`, read from the cache when `v` is resident
     /// and derived without caching otherwise — for whole-world scans, which
     /// must not fill the cache with every node.
@@ -332,7 +297,6 @@ impl NodeCache {
                 self.slot[i] = NO_SLOT;
                 // Release the payload now; the husk waits for reuse.
                 e.schedule = NodeSchedule::default();
-                e.neighbors = None;
                 self.free.push(s as u32);
                 evicted += 1;
             }
@@ -402,15 +366,7 @@ mod tests {
         assert_eq!(cache.entries.len(), 4, "freed places are reused");
         for v in [3usize, 7, 11, 20] {
             assert_eq!(cache.schedule(NodeId(v)), &src.schedule(NodeId(v)));
-            assert_eq!(
-                cache.availability(NodeId(v), 10),
-                src.schedule(NodeId(v)).availability()
-            );
-            assert_eq!(cache.neighbors(NodeId(v), 10), src.neighbors(NodeId(v)));
         }
-        // A neighbor read derives an untouched node too.
-        assert_eq!(cache.neighbors(NodeId(30), 11), src.neighbors(NodeId(30)));
-        assert_eq!(cache.schedule(NodeId(30)), &src.schedule(NodeId(30)));
     }
 
     #[test]

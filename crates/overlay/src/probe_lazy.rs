@@ -484,8 +484,8 @@ struct SparseCell {
 #[derive(Debug, Clone)]
 struct SparseCells {
     map: HashMap<usize, SparseCell, Mix64State>,
-    /// The derived schedules and initial neighbor sets the cells read —
-    /// the seed every (re-)materialization starts its trajectory from.
+    /// The derived schedules the cells read, over the source of the
+    /// initial neighbor sets every (re-)materialization starts from.
     nodes: NodeCache,
     stats: Residency,
 }
@@ -538,9 +538,9 @@ impl SparseCells {
 /// cell's state at tick `k` is a pure function of the schedules, the
 /// initial neighbor sets and the position-keyed streams, an evicted cell
 /// reconstructs **bit-identically** on re-touch: which cells are resident
-/// never changes a query result. The schedules and neighbor sets
-/// themselves are derived on first read into the store's [`NodeCache`]
-/// and evicted by the same sweep.
+/// never changes a query result. The schedules themselves are derived on
+/// first read into the store's [`NodeCache`] and evicted by the same
+/// sweep; a cell's initial neighbor set is derived when the cell is built.
 #[derive(Debug, Clone)]
 pub struct LazyProbeSet {
     ctx: LazyCtx,
@@ -702,9 +702,8 @@ impl LazyProbeSet {
     }
 
     /// Evicts cells last touched more than `idle_ticks` probe ticks before
-    /// `now` back to their analytic summary, and the derived schedules and
-    /// neighbor sets last read before the same cutoff. Returns the number
-    /// of cells evicted.
+    /// `now` back to their analytic summary, and the derived schedules last
+    /// read before the same cutoff. Returns the number of cells evicted.
     ///
     /// Eviction is **value-invisible**: which cells and nodes are resident
     /// never affects any query result (a later touch reconstructs the
@@ -729,8 +728,7 @@ impl LazyProbeSet {
         evicted
     }
 
-    /// Number of nodes whose schedule and neighbor set are derived and
-    /// cached right now.
+    /// Number of nodes whose schedule is derived and cached right now.
     #[must_use]
     pub fn resident_nodes(&self) -> usize {
         self.cells.borrow().nodes.resident()

@@ -19,8 +19,6 @@ use crate::service::ServiceOptions;
 /// Help text for the scenario flags both subcommands accept.
 pub const SCENARIO_FLAGS_HELP: &str = "\
 scenario flags (both subcommands):
-  --history-shards N            history-arena shard count (0 = one per worker
-                                thread; results identical at any N)
   --settlement MODE             'per-bundle' (each bundle settles alone, the
                                 default) or 'epoch' (payouts netted and deposits
                                 batched at epoch boundaries; identical
@@ -171,7 +169,6 @@ pub fn scenario_flag<'a>(
             cfg.reputation_weight = float(f, a)?;
             cfg.weights = split_weights(cfg.reputation_weight);
         }
-        "--history-shards" => cfg.history_shards = count(f, a)?,
         "--epoch-length" => cfg.epoch_length = float(f, a)?,
         "--open-arrival-rate" => cfg.open_arrival_rate = float(f, a)?,
         "--window-len" => cfg.window_len = float(f, a)?,
@@ -303,7 +300,7 @@ mod tests {
 
     #[test]
     fn one_flag_list_yields_one_scenario_in_both_subcommands() {
-        let flags = "--quick --history-shards 3 \
+        let flags = "--quick \
                      --reputation-weight 0.2 --fault-response adaptive --fault-drop 0.1 \
                      --fault-crash 0.05 --fault-retries 4 --fault-timeout 2.5 \
                      --settlement epoch --epoch-length 120 --bank-durability wal \
@@ -316,7 +313,6 @@ mod tests {
         assert_eq!(exp, service(flags).unwrap());
 
         assert_eq!((exp.n_nodes, exp.total_transmissions), (20, 200));
-        assert_eq!(exp.history_shards, 3);
         assert_eq!(exp.reputation_weight, 0.2);
         assert_eq!(exp.weights, split_weights(0.2));
         assert_eq!(exp.fault.response, FaultResponse::Adaptive);
@@ -383,6 +379,7 @@ mod tests {
             ("--settlement fast", "'per-bundle' or 'epoch'"),
             ("--probe-mode lazy", "flag: --probe-mode"),
             ("--node-lifecycle lazy", "flag: --node-lifecycle"),
+            ("--history-shards 3", "flag: --history-shards"),
             ("--fault-drop", "a finite number"),
             ("--fault-drop inf", "a finite number"),
             ("--adversary-cliques -1", "non-negative integer"),

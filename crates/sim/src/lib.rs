@@ -15,9 +15,6 @@
 //!   roles, workload);
 //! * [`runner`] — the event-driven run (transmissions reading lazily
 //!   synced probe state);
-//! * [`formation`] — parallel per-pair bundle formation over the sharded
-//!   history arena (throughput studies; bit-identical at any shard or
-//!   thread count);
 //! * [`experiments`] — one driver per paper table/figure plus ablations;
 //! * [`report`] — markdown/CSV table emission;
 //! * [`chart`] — terminal line/CDF charts so regenerated figures are
@@ -39,7 +36,6 @@ pub mod cli;
 pub(crate) mod durability;
 pub mod error;
 pub mod experiments;
-pub mod formation;
 pub mod report;
 pub mod runner;
 pub mod scenario;
@@ -50,10 +46,6 @@ pub mod window;
 pub mod world;
 
 pub use error::SimError;
-pub use formation::{
-    form_bundles, form_bundles_global, form_bundles_items, form_bundles_sharded, partition_pairs,
-    partition_pairs_balanced, FormationItem, PairFormation,
-};
 pub use idpa_desim::{AdversaryConfig, AdversaryPlan, FaultConfig, FaultResponse};
 pub use runner::{RunResult, SimulationRun};
 pub use scenario::{BankDurability, CostStorage, ScenarioConfig, SettlementMode, WorkloadMode};

@@ -502,10 +502,8 @@ pub struct SimulationRun {
     pub(crate) world: World,
     /// Lazily-synced probe cells of the touched nodes.
     pub(crate) probes: LazyProbeSet,
-    /// Owner-keyed sharded history store. The event loop is sequential, so
-    /// it uses the zero-lock [`HistoryArena::exclusive`] view — the arena
-    /// partitions storage without changing values, keeping runs
-    /// bit-identical at every `--history-shards` count.
+    /// Every node's connection history, read and written through `&mut`
+    /// by the sequential event loop.
     pub(crate) histories: HistoryArena,
     pub(crate) bundles: Vec<BundleAccounting>,
     pub(crate) trackers: Vec<ReformationTracker>,
@@ -544,11 +542,7 @@ impl SimulationRun {
             cfg.neighbor_replacement_rounds,
             streams.clone(),
         );
-        let histories = HistoryArena::with_capacity(
-            cfg.n_nodes,
-            cfg.resolved_history_shards(),
-            cfg.history_capacity,
-        );
+        let histories = HistoryArena::with_capacity(cfg.history_capacity);
         let n_pairs = world.pairs.len();
         // Any adversary strategy rides on the fault runtime (evidence,
         // delivery tracking, reputation ledgers), so an active adversary
@@ -792,7 +786,7 @@ impl SimulationRun {
             &contract,
             priors,
             &view,
-            &mut self.histories.exclusive(),
+            &mut self.histories,
             &self.world.kinds,
             &self.quality,
             self.cfg.good_strategy,
@@ -871,7 +865,7 @@ impl SimulationRun {
             &contract,
             priors,
             &view,
-            &self.histories.exclusive(),
+            &self.histories,
             &self.world.kinds,
             &self.quality,
             self.cfg.good_strategy,
@@ -964,12 +958,7 @@ impl SimulationRun {
                 // §2.2: no confirmation, no history — except the suffix a
                 // swallowed confirmation actually traversed.
                 if let AttemptFailure::ConfirmationDropped(p) = kind {
-                    pending.commit_suffix(
-                        p,
-                        contract.bundle,
-                        conn,
-                        &mut self.histories.exclusive(),
-                    );
+                    pending.commit_suffix(p, contract.bundle, conn, &mut self.histories);
                 }
                 // Adaptive response: charge the failure to the suspect's
                 // ledger and invalidate its probe-derived availability —
@@ -1050,7 +1039,7 @@ impl SimulationRun {
         let wl = &self.world.pairs[pair];
         let responder = wl.responder;
         let bundle = BundleId(pair as u64);
-        pending.commit(bundle, conn, &mut self.histories.exclusive());
+        pending.commit(bundle, conn, &mut self.histories);
         let outcome = pending.into_outcome();
         self.connections += 1;
         self.initiator_costs[pair] += outcome.initiator_cost;

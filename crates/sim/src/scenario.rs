@@ -144,11 +144,8 @@ pub struct ScenarioConfig {
     /// derive nothing and the run is bit-identical to a build without the
     /// adversary layer.
     pub adversary: AdversaryConfig,
-    /// Number of owner-keyed shards the history arena is split into
-    /// (`--history-shards`). `0` (the default) resolves to the worker
-    /// thread count; any value is clamped to `1..=n_nodes`. Results are
-    /// bit-identical at every shard count — sharding partitions storage
-    /// without changing per-`(node, bundle)` record order.
+    /// Read by nothing: no run depends on it. It exists only so that
+    /// struct literals which still set it compile, and goes with them.
     pub history_shards: usize,
     /// Bandwidth matrix storage. [`CostStorage::Sparse`] drops the O(N²)
     /// matrix for million-node worlds at the price of *different* (still
@@ -348,6 +345,11 @@ impl ScenarioConfig {
             "evict_idle_ticks",
             "idle eviction needs an idle-eviction window >= 1 tick".into(),
         )?;
+        ensure(
+            self.history_capacity != Some(0),
+            "history_capacity",
+            "bounded history needs a capacity >= 1 record per bundle".into(),
+        )?;
         if self.settlement == SettlementMode::Epoch {
             ensure(
                 self.epoch_length > 0.0,
@@ -540,19 +542,6 @@ impl ScenarioConfig {
         self.cost.n_nodes = n;
         self
     }
-
-    /// The effective history-arena shard count: `history_shards`, with `0`
-    /// resolving to the default worker thread count, clamped to
-    /// `1..=n_nodes`.
-    #[must_use]
-    pub fn resolved_history_shards(&self) -> usize {
-        let requested = if self.history_shards == 0 {
-            idpa_desim::pool::default_threads()
-        } else {
-            self.history_shards
-        };
-        requested.clamp(1, self.n_nodes.max(1))
-    }
 }
 
 #[cfg(test)]
@@ -682,23 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn history_shards_resolve_and_clamp() {
-        let cfg = ScenarioConfig::default();
-        assert_eq!(cfg.history_shards, 0, "default is auto");
-        assert!(cfg.resolved_history_shards() >= 1);
-        let explicit = ScenarioConfig {
-            history_shards: 7,
-            ..ScenarioConfig::default()
-        };
-        assert_eq!(explicit.resolved_history_shards(), 7);
-        let oversized = ScenarioConfig {
-            history_shards: 10_000,
-            ..ScenarioConfig::default()
-        };
-        assert_eq!(oversized.resolved_history_shards(), 40, "clamped to N");
-    }
-
-    #[test]
     fn quick_shrinks_sizes_and_keeps_everything_else() {
         let cfg = ScenarioConfig {
             evict_idle_ticks: Some(8),
@@ -764,6 +736,20 @@ mod tests {
             ..cfg
         };
         assert_rejected(&bad, "evict_idle_ticks", "idle-eviction window");
+    }
+
+    #[test]
+    fn zero_history_capacity_rejected() {
+        let cfg = ScenarioConfig {
+            history_capacity: Some(1),
+            ..ScenarioConfig::default()
+        };
+        cfg.validate().expect("a one-record history bound is valid");
+        let bad = ScenarioConfig {
+            history_capacity: Some(0),
+            ..cfg
+        };
+        assert_rejected(&bad, "history_capacity", "capacity >= 1");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * `--resume P` restores a checkpoint and continues. The combination
 //!   "interrupt at any boundary, resume, run to the horizon" reproduces the
 //!   uninterrupted run's [`RunResult`] exactly — across idle-eviction
-//!   windows, settlement modes, shard counts and fault plans (the
+//!   windows, settlement modes, seeds and fault plans (the
 //!   equivalence suite pins this).
 //! * `--max-wall-secs S` is the graceful-shutdown clock: the event loop
 //!   polls a wall-clock deadline every few thousand events (an *event

@@ -72,7 +72,7 @@ pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the
-/// value-invisible ones (shard counts, idle-eviction window): resuming under a
+/// value-invisible ones (idle-eviction window, ignored fields): resuming under a
 /// *different but equivalent* configuration is intentionally rejected,
 /// because "equivalent" is exactly the property the equivalence suites
 /// exist to prove, not one the decoder should assume.
@@ -354,8 +354,8 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
     }
 
     // History arena cells, restored by replaying `record_hop` — that
-    // reconstructs the per-cell connection multisets and bundle filters
-    // exactly, whatever the shard count.
+    // reconstructs the per-cell connection multisets and the membership
+    // filter exactly.
     let cells = run.histories.snapshot_cells();
     e.seq_len(cells.len());
     for (node, bundle, records) in &cells {
@@ -713,32 +713,25 @@ pub fn restore(
     }
 
     // History arena: replay every record through the write path.
-    let mut histories = HistoryArena::with_capacity(
-        cfg.n_nodes,
-        cfg.resolved_history_shards(),
-        cfg.history_capacity,
-    );
-    {
-        let mut ex = histories.exclusive();
-        let n_cells = d.seq_len(27).map_err(codec)?;
-        for _ in 0..n_cells {
-            let node = d.u64().map_err(codec)?;
-            idx(node as usize, n_nodes, "history node")?;
-            let bundle = d.u64().map_err(codec)?;
-            idx(bundle as usize, n_pairs, "history bundle")?;
-            let n_records = d.seq_len(20).map_err(codec)?;
-            for _ in 0..n_records {
-                let connection = d.u32().map_err(codec)?;
-                let pred = idx(d.usize().map_err(codec)?, n_nodes, "history predecessor")?;
-                let succ = idx(d.usize().map_err(codec)?, n_nodes, "history successor")?;
-                ex.record_hop(
-                    NodeId(node as usize),
-                    BundleId(bundle),
-                    connection,
-                    NodeId(pred),
-                    NodeId(succ),
-                );
-            }
+    let mut histories = HistoryArena::with_capacity(cfg.history_capacity);
+    let n_cells = d.seq_len(27).map_err(codec)?;
+    for _ in 0..n_cells {
+        let node = d.u64().map_err(codec)?;
+        idx(node as usize, n_nodes, "history node")?;
+        let bundle = d.u64().map_err(codec)?;
+        idx(bundle as usize, n_pairs, "history bundle")?;
+        let n_records = d.seq_len(20).map_err(codec)?;
+        for _ in 0..n_records {
+            let connection = d.u32().map_err(codec)?;
+            let pred = idx(d.usize().map_err(codec)?, n_nodes, "history predecessor")?;
+            let succ = idx(d.usize().map_err(codec)?, n_nodes, "history successor")?;
+            histories.record_hop(
+                NodeId(node as usize),
+                BundleId(bundle),
+                connection,
+                NodeId(pred),
+                NodeId(succ),
+            );
         }
     }
     run.histories = histories;

@@ -40,8 +40,8 @@ pub struct World {
     pub kinds: Vec<NodeKind>,
     /// Every node's churn schedule and initial neighbor set: one join time
     /// per node up front, the rest derived per node on demand. Immutable
-    /// and `Sync`; readers memoize what they derive in their own
-    /// [`idpa_overlay::NodeCache`].
+    /// and `Sync`; the run's probe store memoizes the schedules it derives
+    /// in an [`idpa_overlay::NodeCache`].
     pub nodes: NodeSource,
     /// The bandwidth/cost matrix.
     pub costs: CostModel,

@@ -3,7 +3,7 @@
 //! a build that *contains* the adaptive fault-response machinery —
 //! per-initiator reputation ledgers, probe invalidation, the `w_r` quality
 //! term, escalated reformation — produces `RunResult`s **byte-identical**
-//! to the pre-adaptive build, across history-shard counts and worker
+//! to the pre-adaptive build, across idle-eviction windows and worker
 //! thread counts.
 //!
 //! The suite sweeps well over 256 cases (each case = one run compared
@@ -15,7 +15,7 @@ use idpa_sim::experiments::Options;
 use idpa_sim::{FaultResponse, RunResult, ScenarioConfig};
 
 mod common;
-use common::{fingerprint, run, BASELINE};
+use common::{fingerprint, normalized, run, BASELINE};
 
 /// The base scenario of the pinned baselines, with the static response and
 /// zero reputation weight spelled out (they are the defaults — the point
@@ -32,22 +32,22 @@ fn static_base(seed: u64, replacement: Option<u64>) -> ScenarioConfig {
 }
 
 #[test]
-fn static_zero_weight_is_byte_identical_to_pr4_across_modes_shards_threads() {
+fn static_zero_weight_is_byte_identical_to_pr4_across_modes_windows_threads() {
     let mut cases = 0usize;
 
     // Part 1 — fingerprint pins: every pinned (seed, replacement) config,
-    // at three shard counts, reproduces its pinned fingerprint exactly.
-    // 6 x 3 = 18 cases.
+    // at three idle-eviction windows, reproduces its pinned fingerprint
+    // exactly. 6 x 3 = 18 cases.
     for (seed, replacement, expect_fp, expect_avg) in BASELINE {
-        for shards in [1usize, 4, 16] {
+        for evict in [None, Some(1), Some(4)] {
             let r = run(ScenarioConfig {
-                history_shards: shards,
+                evict_idle_ticks: evict,
                 ..static_base(seed, replacement)
             });
             assert_eq!(
                 fingerprint(&r),
                 expect_fp,
-                "seed {seed} repl {replacement:?} shards {shards}: \
+                "seed {seed} repl {replacement:?} evict {evict:?}: \
                  adaptive build drifted from the pinned baseline"
             );
             assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
@@ -57,8 +57,9 @@ fn static_zero_weight_is_byte_identical_to_pr4_across_modes_shards_threads() {
 
     // Part 2 — active-fault invariance: under live fault plans (where the
     // adaptive machinery *would* act if enabled), static + w_r = 0 runs
-    // are byte-identical across shard counts, and replay identically. 8 seeds x 3 replacements x 2 fault profiles
-    // x (4 comparisons + 1 replay) = 240 cases.
+    // are byte-identical across idle-eviction windows (resident-state
+    // metrics aside), and replay identically. 8 seeds x 3 replacements x
+    // 2 fault profiles x (4 comparisons + 1 replay) = 240 cases.
     let profiles = [
         FaultConfig {
             crash_rate: 0.03,
@@ -82,26 +83,21 @@ fn static_zero_weight_is_byte_identical_to_pr4_across_modes_shards_threads() {
             for fault in profiles {
                 let mut cfg = static_base(seed, replacement);
                 cfg.fault = fault;
-                let reference = run(ScenarioConfig {
-                    history_shards: 1,
-                    ..cfg
-                });
-                for shards in [2usize, 4, 16, 20] {
+                let reference = run(cfg);
+                for evict in [1u64, 2, 4, 16] {
                     let r = run(ScenarioConfig {
-                        history_shards: shards,
+                        evict_idle_ticks: Some(evict),
                         ..cfg
                     });
                     assert_eq!(
-                        reference, r,
-                        "seed {seed} repl {replacement:?} shards {shards}: \
+                        normalized(reference.clone()),
+                        normalized(r),
+                        "seed {seed} repl {replacement:?} evict {evict}: \
                          static faulty run diverged"
                     );
                     cases += 1;
                 }
-                let replay = run(ScenarioConfig {
-                    history_shards: 1,
-                    ..cfg
-                });
+                let replay = run(cfg);
                 assert_eq!(reference, replay, "seed {seed}: replay diverged");
                 cases += 1;
             }

@@ -6,7 +6,7 @@
 //!    plan is never constructed, no adversary RNG stream is consumed, and a
 //!    run is bit-identical to the pre-adversary-layer build: the pinned
 //!    fingerprints of `common::BASELINE` must keep reproducing across
-//!    idle-eviction windows and shard counts.
+//!    idle-eviction windows.
 //! 2. **Whitewash rejoin properties** — a rejoin archives the shed
 //!    identity's evidence (it is never destroyed) and the fresh identity's
 //!    ledger starts clean; the archives survive snapshot/resume
@@ -38,31 +38,28 @@ fn zero_rates() -> AdversaryConfig {
 #[test]
 fn zero_rate_adversary_runs_reproduce_the_pr4_pins() {
     for (seed, replacement, expect_fp, expect_avg) in BASELINE {
-        for evict in [None, Some(2)] {
-            for shards in [1usize, 4, 16] {
-                let r = run(ScenarioConfig {
-                    evict_idle_ticks: evict,
-                    history_shards: shards,
-                    adversary: zero_rates(),
-                    ..base(seed, replacement)
-                });
-                assert_eq!(
-                    fingerprint(&r),
-                    expect_fp,
-                    "seed {seed} repl {replacement:?} evict {evict:?} shards {shards}: \
-                     zero-rate adversary drifted from the pinned baseline"
-                );
-                assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
-                // The adversary surface reports a clean run.
-                assert!(r.free_riders.is_empty());
-                assert_eq!(r.free_rider_refusals, 0);
-                assert_eq!(r.free_rider_payoff, 0.0);
-                assert_eq!(r.whitewash_events, 0);
-                assert_eq!(r.reputation_evasion_rate, 0.0);
-                assert_eq!(r.clique_phantom_instances, 0);
-                assert_eq!(r.clique_phantom_flagged, 0);
-                assert_eq!(r.clique_payout_leakage, 0.0);
-            }
+        for evict in [None, Some(1), Some(2), Some(4), Some(8), Some(16)] {
+            let r = run(ScenarioConfig {
+                evict_idle_ticks: evict,
+                adversary: zero_rates(),
+                ..base(seed, replacement)
+            });
+            assert_eq!(
+                fingerprint(&r),
+                expect_fp,
+                "seed {seed} repl {replacement:?} evict {evict:?}: \
+                 zero-rate adversary drifted from the pinned baseline"
+            );
+            assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
+            // The adversary surface reports a clean run.
+            assert!(r.free_riders.is_empty());
+            assert_eq!(r.free_rider_refusals, 0);
+            assert_eq!(r.free_rider_payoff, 0.0);
+            assert_eq!(r.whitewash_events, 0);
+            assert_eq!(r.reputation_evasion_rate, 0.0);
+            assert_eq!(r.clique_phantom_instances, 0);
+            assert_eq!(r.clique_phantom_flagged, 0);
+            assert_eq!(r.clique_payout_leakage, 0.0);
         }
     }
 }
@@ -100,45 +97,42 @@ fn interrupt_resume_matches(cfg: &ScenarioConfig, budget: u64, baseline: &RunRes
 #[test]
 fn whitewash_rejoins_survive_snapshot_resume_across_the_matrix() {
     let mut cases = 0usize;
-    for seed in [1u64, 7, 42, 1337] {
+    for seed in [1u64, 7, 42, 1337, 2, 3, 5, 9, 11, 13, 17, 19] {
         for evict in [None, Some(1), Some(4)] {
             for settlement in [SettlementMode::PerBundle, SettlementMode::Epoch] {
-                for shards in [1usize, 4, 16] {
-                    for discount in [false, true] {
-                        for (fraction, interval) in [(0.3, 120.0), (0.6, 60.0)] {
-                            let mut cfg = base(seed, Some(3));
-                            cfg.evict_idle_ticks = evict;
-                            cfg.settlement = settlement;
-                            cfg.history_shards = shards;
-                            cfg.adversary = AdversaryConfig {
-                                whitewash_fraction: fraction,
-                                whitewash_interval: interval,
-                                whitewash_age_discount: discount,
-                                reputation_maturity: 90.0,
-                                ..AdversaryConfig::default()
-                            };
-                            cfg.fault = FaultConfig {
-                                drop_rate: 0.15,
-                                response: FaultResponse::Adaptive,
-                                ..FaultConfig::default()
-                            };
-                            cfg.weights = (0.3, 0.3);
-                            cfg.reputation_weight = 0.4;
-                            cfg.validate().expect("whitewash scenario must be valid");
+                for discount in [false, true] {
+                    for (fraction, interval) in [(0.3, 120.0), (0.6, 60.0)] {
+                        let mut cfg = base(seed, Some(3));
+                        cfg.evict_idle_ticks = evict;
+                        cfg.settlement = settlement;
+                        cfg.adversary = AdversaryConfig {
+                            whitewash_fraction: fraction,
+                            whitewash_interval: interval,
+                            whitewash_age_discount: discount,
+                            reputation_maturity: 90.0,
+                            ..AdversaryConfig::default()
+                        };
+                        cfg.fault = FaultConfig {
+                            drop_rate: 0.15,
+                            response: FaultResponse::Adaptive,
+                            ..FaultConfig::default()
+                        };
+                        cfg.weights = (0.3, 0.3);
+                        cfg.reputation_weight = 0.4;
+                        cfg.validate().expect("whitewash scenario must be valid");
 
-                            let baseline = SimulationRun::execute(cfg);
-                            assert!(
-                                baseline.whitewash_events > 0,
-                                "seed {seed} fraction {fraction}: rejoin schedule never fired"
-                            );
-                            // Determinism: re-execution is bit-identical.
-                            assert_eq!(baseline, SimulationRun::execute(cfg));
-                            // Crash anywhere, resume, same result — archives
-                            // and counters included.
-                            let budget = 40 + (cases as u64 * 53) % 500;
-                            interrupt_resume_matches(&cfg, budget, &baseline);
-                            cases += 1;
-                        }
+                        let baseline = SimulationRun::execute(cfg);
+                        assert!(
+                            baseline.whitewash_events > 0,
+                            "seed {seed} fraction {fraction}: rejoin schedule never fired"
+                        );
+                        // Determinism: re-execution is bit-identical.
+                        assert_eq!(baseline, SimulationRun::execute(cfg));
+                        // Crash anywhere, resume, same result — archives
+                        // and counters included.
+                        let budget = 40 + (cases as u64 * 53) % 500;
+                        interrupt_resume_matches(&cfg, budget, &baseline);
+                        cases += 1;
                     }
                 }
             }

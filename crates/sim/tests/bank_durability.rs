@@ -1,6 +1,6 @@
 //! Durable-bank equivalence suite: **crash anywhere, fail over, and the
 //! run is indistinguishable from one that never crashed** — across
-//! settlement modes, shard counts and seeds, with and without torn final
+//! settlement modes and seeds, with and without torn final
 //! records, and straight through snapshot/resume. Plus the backstop the
 //! whole layer rides on: `--bank-durability off` replays the pinned
 //! fingerprints byte-identically, so the default path never paid for the
@@ -14,10 +14,9 @@ mod common;
 use common::{base, fingerprint, BASELINE};
 
 /// A scenario with real settlement traffic and the durable bank on.
-fn durable(seed: u64, settlement: SettlementMode, shards: usize, crash: f64) -> ScenarioConfig {
+fn durable(seed: u64, settlement: SettlementMode, crash: f64) -> ScenarioConfig {
     let mut cfg = base(seed, Some(3));
     cfg.settlement = settlement;
-    cfg.history_shards = shards;
     cfg.bank_durability = BankDurability::Wal;
     cfg.fault = FaultConfig {
         drop_rate: 0.08,
@@ -46,25 +45,23 @@ fn failover_anywhere_is_bit_identical_to_no_failover() {
     let mut total_crashes = 0u64;
     let mut total_torn = 0u64;
     for settlement in [SettlementMode::PerBundle, SettlementMode::Epoch] {
-        for shards in [1usize, 4, 16] {
-            for seed in [1u64, 7] {
-                let calm = SimulationRun::execute(durable(seed, settlement, shards, 0.0));
-                let stormy = SimulationRun::execute(durable(seed, settlement, shards, 0.6));
-                assert_eq!(stormy.bank_monitor_violations, 0, "monitor must stay clean");
-                assert!(stormy.audit_chain_verified);
-                assert!(stormy.bank_wal_records > 0, "durable bank must log work");
-                assert_eq!(
-                    calm.bank_ledger_digest, stormy.bank_ledger_digest,
-                    "failover changed the final ledger ({settlement:?}, {shards} shards, seed {seed})"
-                );
-                total_crashes += stormy.bank_crashes;
-                total_torn += stormy.bank_torn_tails;
-                assert_eq!(
-                    scrub(calm),
-                    scrub(stormy),
-                    "failover-anywhere diverged ({settlement:?}, {shards} shards, seed {seed})"
-                );
-            }
+        for seed in [1u64, 7, 42, 2, 3, 5] {
+            let calm = SimulationRun::execute(durable(seed, settlement, 0.0));
+            let stormy = SimulationRun::execute(durable(seed, settlement, 0.6));
+            assert_eq!(stormy.bank_monitor_violations, 0, "monitor must stay clean");
+            assert!(stormy.audit_chain_verified);
+            assert!(stormy.bank_wal_records > 0, "durable bank must log work");
+            assert_eq!(
+                calm.bank_ledger_digest, stormy.bank_ledger_digest,
+                "failover changed the final ledger ({settlement:?}, seed {seed})"
+            );
+            total_crashes += stormy.bank_crashes;
+            total_torn += stormy.bank_torn_tails;
+            assert_eq!(
+                scrub(calm),
+                scrub(stormy),
+                "failover-anywhere diverged ({settlement:?}, seed {seed})"
+            );
         }
     }
     assert!(
@@ -105,8 +102,8 @@ fn a_flush_clearing_over_1024_receipts_keeps_the_monitor_clean() {
     assert!(r.audit_chain_verified);
 }
 
-/// The full matrix of satellite (c): bank crashes x settlement mode x
-/// shard count, each case interrupted at a walking snapshot point,
+/// The full matrix: bank crashes x settlement mode x seed, each case
+/// interrupted at a walking snapshot point,
 /// resumed, and required to equal the uninterrupted run bit-for-bit —
 /// recovery counters included (crash draws are position-keyed, so even
 /// they must reproduce across a resume).
@@ -114,31 +111,29 @@ fn a_flush_clearing_over_1024_receipts_keeps_the_monitor_clean() {
 fn crash_recover_and_resume_matches_uninterrupted_across_the_matrix() {
     let mut cases = 0u64;
     for settlement in [SettlementMode::PerBundle, SettlementMode::Epoch] {
-        for shards in [1usize, 4, 16] {
-            for seed in [1u64, 7, 42] {
-                let cfg = durable(seed, settlement, shards, 0.4);
-                let baseline = SimulationRun::execute(cfg);
-                assert!(baseline.bank_wal_records > 0);
+        for seed in [1u64, 7, 42, 2, 3, 5, 9, 11, 13] {
+            let cfg = durable(seed, settlement, 0.4);
+            let baseline = SimulationRun::execute(cfg);
+            assert!(baseline.bank_wal_records > 0);
 
-                let horizon = SimTime::new(cfg.churn.horizon);
-                let world = World::generate(&cfg);
-                let mut run = SimulationRun::new(cfg, world);
-                let mut engine = Engine::new();
-                run.schedule_all(&mut engine);
-                engine.set_event_budget(60 + (cases * 53) % 350);
-                engine.run(&mut run, Some(horizon));
+            let horizon = SimTime::new(cfg.churn.horizon);
+            let world = World::generate(&cfg);
+            let mut run = SimulationRun::new(cfg, world);
+            let mut engine = Engine::new();
+            run.schedule_all(&mut engine);
+            engine.set_event_budget(60 + (cases * 53) % 350);
+            engine.run(&mut run, Some(horizon));
 
-                let bytes = encode(&run, &engine);
-                drop((run, engine));
-                let (mut resumed, mut engine) = restore(&cfg, &bytes).expect("restore");
-                engine.run(&mut resumed, Some(horizon));
-                assert_eq!(
-                    baseline,
-                    resumed.finish(),
-                    "crash+resume diverged ({settlement:?}, {shards} shards, seed {seed})"
-                );
-                cases += 1;
-            }
+            let bytes = encode(&run, &engine);
+            drop((run, engine));
+            let (mut resumed, mut engine) = restore(&cfg, &bytes).expect("restore");
+            engine.run(&mut resumed, Some(horizon));
+            assert_eq!(
+                baseline,
+                resumed.finish(),
+                "crash+resume diverged ({settlement:?}, seed {seed})"
+            );
+            cases += 1;
         }
     }
     assert_eq!(cases, 18, "the matrix must not silently shrink");
@@ -170,7 +165,7 @@ fn durability_off_replays_the_pr4_pins() {
 /// the WAL image, the monitor counters and the digest are deterministic.
 #[test]
 fn durable_runs_replicate_bit_identically() {
-    let cfg = durable(7, SettlementMode::Epoch, 4, 0.3);
+    let cfg = durable(7, SettlementMode::Epoch, 0.3);
     let a = SimulationRun::execute(cfg);
     let b = SimulationRun::execute(cfg);
     assert_eq!(a, b);

@@ -23,7 +23,6 @@ fn maintenance_saturated(hours: f64) -> ScenarioConfig {
         max_connections: 8,
         probe_period: 1.0,
         neighbor_replacement_rounds: Some(6),
-        history_shards: 1,
         ..ScenarioConfig::default()
     }
     .with_nodes(500);

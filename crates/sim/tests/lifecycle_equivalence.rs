@@ -16,50 +16,38 @@ use idpa_sim::experiments::Options;
 use idpa_sim::{FaultResponse, RunResult, ScenarioConfig};
 
 mod common;
-use common::{base, fingerprint, run, BASELINE};
-
-/// Zeroes the resident-state metrics — the only fields eviction is
-/// *allowed* to change.
-fn normalized(mut r: RunResult) -> RunResult {
-    r.peak_materialized_nodes = 0;
-    r.node_evictions = 0;
-    r.slab_bytes = 0;
-    r
-}
+use common::{base, fingerprint, normalized, run, BASELINE};
 
 #[test]
-fn idle_eviction_is_value_identical_across_windows_shards_threads() {
+fn idle_eviction_is_value_identical_across_windows_and_threads() {
     let mut cases = 0usize;
 
     // Part 1 — fingerprint pins: every pinned (seed, replacement) config
-    // run with idle eviction, across shard counts and idle-eviction
-    // windows (1 tick = maximal touch/evict/re-touch churn), reproduces
-    // the pinned fingerprint exactly. 6 x 3 x 3 = 54 cases.
+    // run with idle eviction, across idle-eviction windows (1 tick =
+    // maximal touch/evict/re-touch churn), reproduces the pinned
+    // fingerprint exactly. 6 x 9 = 54 cases.
     for (seed, replacement, expect_fp, expect_avg) in BASELINE {
-        for shards in [1usize, 4, 16] {
-            for evict in [1u64, 4, 64] {
-                let r = run(ScenarioConfig {
-                    evict_idle_ticks: Some(evict),
-                    history_shards: shards,
-                    ..base(seed, replacement)
-                });
-                assert_eq!(
-                    fingerprint(&r),
-                    expect_fp,
-                    "seed {seed} repl {replacement:?} shards {shards} evict {evict}: \
-                     idle eviction drifted from the pinned baseline"
-                );
-                assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
-                cases += 1;
-            }
+        for evict in [1u64, 2, 3, 4, 8, 16, 32, 64, 128] {
+            let r = run(ScenarioConfig {
+                evict_idle_ticks: Some(evict),
+                ..base(seed, replacement)
+            });
+            assert_eq!(
+                fingerprint(&r),
+                expect_fp,
+                "seed {seed} repl {replacement:?} evict {evict}: \
+                 idle eviction drifted from the pinned baseline"
+            );
+            assert_eq!(r.avg_good_payoff.to_bits(), expect_avg);
+            cases += 1;
         }
     }
 
     // Part 2 — active-fault equivalence: under live fault plans (crashes,
     // drops, cheaters — the paths that touch the reputation ledgers), an
     // evicting run's full RunResult equals the never-evicting reference
-    // after normalizing the resident metrics, across shard counts and
-    // eviction windows; and replays identically.
+    // after normalizing the resident metrics, across eviction windows;
+    // and replays identically.
     // 8 seeds x 3 replacements x 2 profiles x (4 + 1) = 240 cases.
     let profiles = [
         FaultConfig {
@@ -91,17 +79,16 @@ fn idle_eviction_is_value_identical_across_windows_shards_threads() {
                     evict_idle_ticks: None,
                     ..cfg
                 }));
-                for (shards, evict) in [(1usize, 1u64), (4, 2), (16, 1), (20, 8)] {
+                for evict in [1u64, 2, 4, 8] {
                     let evicting = run(ScenarioConfig {
-                        history_shards: shards,
                         evict_idle_ticks: Some(evict),
                         ..cfg
                     });
                     assert_eq!(
                         kept,
                         normalized(evicting),
-                        "seed {seed} repl {replacement:?} shards {shards} \
-                         evict {evict}: idle eviction diverged under faults"
+                        "seed {seed} repl {replacement:?} evict {evict}: \
+                         idle eviction diverged under faults"
                     );
                     cases += 1;
                 }

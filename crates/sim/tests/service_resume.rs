@@ -1,7 +1,7 @@
 //! Service-mode checkpoint/resume equivalence: **interrupt anywhere,
 //! resume, and the completed run is indistinguishable from an
-//! uninterrupted one** — across idle-eviction windows, settlement modes,
-//! workloads, shard counts and live fault plans. Plus the two
+//! uninterrupted one** — across seeds, idle-eviction windows, settlement
+//! modes, workloads and live fault plans. Plus the two
 //! backstops that pin service mode to the pre-service codebase: the pinned
 //! fingerprint baselines reproduce through `run_service`, and a closed
 //! workload without service flags is byte-identical to
@@ -72,38 +72,35 @@ fn interrupt_resume_matches(cfg: &ScenarioConfig, budget: u64, baseline: &RunRes
 fn interrupt_and_resume_reproduces_uninterrupted_runs_across_the_matrix() {
     let mut cases = 0usize;
 
-    // Part 1 — the full mode matrix, library-level: 3 seeds x 3
-    // idle-eviction windows x 2 settlements x 2 fault profiles x 3 shard
-    // counts x 2 workloads = 216 cases, each at a distinct interrupt
-    // point (the budget walks with the case index).
-    for seed in [1u64, 7, 42] {
+    // Part 1 — the full mode matrix, library-level: 9 seeds x 3
+    // idle-eviction windows x 2 settlements x 2 fault profiles x 2
+    // workloads = 216 cases, each at a distinct interrupt point (the
+    // budget walks with the case index).
+    for seed in [1u64, 7, 42, 2, 3, 5, 9, 11, 13] {
         for evict in [None, Some(1), Some(4)] {
             for settlement in [SettlementMode::PerBundle, SettlementMode::Epoch] {
                 for fault in profiles() {
-                    for shards in [1usize, 4, 16] {
-                        for workload in [WorkloadMode::Closed, WorkloadMode::Open] {
-                            let mut cfg = base(seed, Some(3));
-                            cfg.evict_idle_ticks = evict;
-                            cfg.settlement = settlement;
-                            cfg.fault = fault;
-                            if fault.response == FaultResponse::Adaptive {
-                                cfg.weights = (0.4, 0.4);
-                                cfg.reputation_weight = 0.2;
-                            }
-                            cfg.history_shards = shards;
-                            cfg.workload = workload;
-                            if workload == WorkloadMode::Open {
-                                cfg.open_arrival_rate = 0.02;
-                                cfg.window_len = cfg.churn.horizon / 8.0;
-                                cfg.window_warmup = cfg.churn.horizon / 8.0;
-                            }
-                            cfg.validate().expect("matrix scenario must be valid");
-
-                            let baseline = SimulationRun::execute(cfg);
-                            let budget = 50 + (cases as u64 * 37) % 400;
-                            interrupt_resume_matches(&cfg, budget, &baseline);
-                            cases += 1;
+                    for workload in [WorkloadMode::Closed, WorkloadMode::Open] {
+                        let mut cfg = base(seed, Some(3));
+                        cfg.evict_idle_ticks = evict;
+                        cfg.settlement = settlement;
+                        cfg.fault = fault;
+                        if fault.response == FaultResponse::Adaptive {
+                            cfg.weights = (0.4, 0.4);
+                            cfg.reputation_weight = 0.2;
                         }
+                        cfg.workload = workload;
+                        if workload == WorkloadMode::Open {
+                            cfg.open_arrival_rate = 0.02;
+                            cfg.window_len = cfg.churn.horizon / 8.0;
+                            cfg.window_warmup = cfg.churn.horizon / 8.0;
+                        }
+                        cfg.validate().expect("matrix scenario must be valid");
+
+                        let baseline = SimulationRun::execute(cfg);
+                        let budget = 50 + (cases as u64 * 37) % 400;
+                        interrupt_resume_matches(&cfg, budget, &baseline);
+                        cases += 1;
                     }
                 }
             }
@@ -112,11 +109,12 @@ fn interrupt_and_resume_reproduces_uninterrupted_runs_across_the_matrix() {
 
     // Part 2 — fingerprint pins through the service runner: a closed
     // workload with no service flags reproduces the pinned baselines AND
-    // equals `execute` byte for byte. 6 pins x 3 shard counts = 18 cases.
+    // equals `execute` byte for byte, with and without idle eviction.
+    // 6 pins x 3 eviction windows = 18 cases.
     for (seed, replacement, expect_fp, expect_avg) in BASELINE {
-        for shards in [1usize, 4, 16] {
+        for evict in [None, Some(1), Some(4)] {
             let cfg = ScenarioConfig {
-                history_shards: shards,
+                evict_idle_ticks: evict,
                 ..base(seed, replacement)
             };
             let direct = SimulationRun::execute(cfg);

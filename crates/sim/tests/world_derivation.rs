@@ -8,7 +8,7 @@
 use idpa_desim::pool::parallel_map;
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_netmodel::{ChurnModel, NodeSchedule};
-use idpa_overlay::{NodeCache, NodeId, Topology};
+use idpa_overlay::{LazyProbeSet, NodeCache, NodeId, Topology};
 use idpa_sim::{ScenarioConfig, World};
 use rand::RngExt;
 
@@ -39,25 +39,46 @@ fn derived_nodes_are_independent_of_order_eviction_and_thread() {
         assert_eq!(schedules.len(), n);
 
         // Random touch orders with repeats, stamped with increasing ticks
-        // and interleaved with evictions at random cutoffs: every read
-        // equals the whole-world helpers.
+        // and interleaved with evictions at random cutoffs: every schedule
+        // read through the cache, and every neighbor set a probe cell is
+        // built with (static neighbor sets, so the cell keeps it), equals
+        // the whole-world helpers.
         let mut rng = Xoshiro256StarStar::seed_from_u64(case);
         let mut cache = NodeCache::new(world.nodes.clone());
-        for step in 0..(4 * n as u64) {
+        let probes = LazyProbeSet::new_sparse(
+            cfg.probe_period,
+            cfg.churn.horizon,
+            world.nodes.clone(),
+            None,
+            StreamFactory::new(cfg.seed),
+        );
+        let steps = 4 * n as u64;
+        let at = |step: u64| cfg.churn.horizon * step as f64 / steps as f64;
+        for step in 0..steps {
             let v = NodeId(rng.random_range(0..n));
             assert_eq!(cache.touch(v, step), &schedules[v.index()], "case {case}");
             if rng.random_range(0..3u32) == 0 {
-                assert_eq!(cache.neighbors(v, step), topology.neighbors(v));
+                assert_eq!(world.nodes.neighbors(v), topology.neighbors(v));
+                assert_eq!(
+                    probes.estimator(v, at(step)).neighbors(),
+                    topology.neighbors(v),
+                    "case {case}"
+                );
             }
             if rng.random_range(0..16u32) == 0 {
-                let _ = cache.evict_idle(step.saturating_sub(rng.random_range(0..n as u64)));
+                let idle = rng.random_range(0..n as u64);
+                let _ = cache.evict_idle(step.saturating_sub(idle));
+                let _ = probes.evict_idle(at(step), idle);
             }
             cases += 1;
         }
         // Whatever survived the evictions still reads the same.
         for v in (0..n).map(NodeId) {
             assert_eq!(cache.touch(v, u64::MAX), &schedules[v.index()]);
-            assert_eq!(cache.neighbors(v, u64::MAX), topology.neighbors(v));
+            assert_eq!(
+                probes.estimator(v, at(steps)).neighbors(),
+                topology.neighbors(v)
+            );
         }
         assert_eq!(cache.resident(), n);
 

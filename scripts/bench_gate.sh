@@ -31,7 +31,6 @@ pct="${IDPA_BENCH_GATE_PCT:-20}"
 #   bank_durability   WAL-on settlement within 15% of the bare ledger; cold
 #                     recovery and the warm replica land on the live digest
 gated=(
-    "history_shard IDPA_HS_QUICK"
     "probe_maintenance IDPA_PM_QUICK"
     "node_lifecycle IDPA_NL_QUICK"
     "settlement IDPA_ST_QUICK"

@@ -118,7 +118,7 @@ IDPA_FUZZ_SMOKE=1 cargo test -q --offline -p idpa-payment --test fuzz_validator
 # WAL durability smoke: the crash-anywhere recovery property suite (every
 # byte-offset truncation and corruption of a recorded WAL must recover the
 # intact prefix), the failover-equivalence matrix (bank crash x settlement
-# mode x shards x snapshot/resume == uninterrupted), and one end-to-end
+# mode x seed x snapshot/resume == uninterrupted), and one end-to-end
 # service run with --bank-durability wal under a seeded bank-crash storm.
 # The resumed durable run must be line-identical to the uninterrupted one.
 stage="WAL smoke (IDPA_WAL_SMOKE=1 wal_recovery + bank_durability + durable service)"
