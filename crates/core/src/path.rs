@@ -61,7 +61,9 @@ impl PathOutcome {
     }
 }
 
-/// Forms one connection of a bundle.
+/// Forms and commits one connection of a bundle: [`form_connection_pending`]
+/// with the base adversary model ([`AdversaryStrategy::Random`]) and fresh
+/// scratch state, then [`PendingConnection::commit`].
 ///
 /// * `priors` — completed connections of this bundle (drives selectivity).
 /// * `good_strategy` — the routing strategy selfish-rational peers use
@@ -88,84 +90,8 @@ pub fn form_connection<H: HistoryRead + HistoryWrite + ?Sized>(
     policy: &PathPolicy,
     rng: &mut Xoshiro256StarStar,
 ) -> PathOutcome {
-    form_connection_with_adversary(
-        initiator,
-        connection_index,
-        contract,
-        priors,
-        view,
-        histories,
-        kinds,
-        quality,
-        good_strategy,
-        AdversaryStrategy::Random,
-        policy,
-        rng,
-    )
-}
-
-/// [`form_connection`] with an explicit malicious-node strategy (the base
-/// model is [`AdversaryStrategy::Random`]; [`AdversaryStrategy::Colluding`]
-/// strengthens the adversary per the §4 collusion discussion).
-#[allow(clippy::too_many_arguments)]
-pub fn form_connection_with_adversary<H: HistoryRead + HistoryWrite + ?Sized>(
-    initiator: NodeId,
-    connection_index: u32,
-    contract: &Contract,
-    priors: u32,
-    view: &impl RoutingView,
-    histories: &mut H,
-    kinds: &[NodeKind],
-    quality: &EdgeQuality,
-    good_strategy: RoutingStrategy,
-    adversary: AdversaryStrategy,
-    policy: &PathPolicy,
-    rng: &mut Xoshiro256StarStar,
-) -> PathOutcome {
-    let mut scratch = RouteScratch::new();
-    form_connection_with_scratch(
-        &mut scratch,
-        initiator,
-        connection_index,
-        contract,
-        priors,
-        view,
-        histories,
-        kinds,
-        quality,
-        good_strategy,
-        adversary,
-        policy,
-        rng,
-    )
-}
-
-/// [`form_connection_with_adversary`] reusing caller-owned scratch state.
-///
-/// The hot path of the simulator: buffers and the per-transmission memo
-/// caches in `scratch` are reused across hops of this connection (and the
-/// buffers across connections). This function calls
-/// [`RouteScratch::begin_transmission`] itself — histories are only
-/// mutated after all hop decisions are made, so the caches are valid for
-/// exactly the duration of the hop loop.
-#[allow(clippy::too_many_arguments)]
-pub fn form_connection_with_scratch<H: HistoryRead + HistoryWrite + ?Sized>(
-    scratch: &mut RouteScratch,
-    initiator: NodeId,
-    connection_index: u32,
-    contract: &Contract,
-    priors: u32,
-    view: &impl RoutingView,
-    histories: &mut H,
-    kinds: &[NodeKind],
-    quality: &EdgeQuality,
-    good_strategy: RoutingStrategy,
-    adversary: AdversaryStrategy,
-    policy: &PathPolicy,
-    rng: &mut Xoshiro256StarStar,
-) -> PathOutcome {
     let pending = form_connection_pending(
-        scratch,
+        &mut RouteScratch::new(),
         initiator,
         contract,
         priors,
@@ -174,7 +100,7 @@ pub fn form_connection_with_scratch<H: HistoryRead + HistoryWrite + ?Sized>(
         kinds,
         quality,
         good_strategy,
-        adversary,
+        AdversaryStrategy::Random,
         policy,
         rng,
     );
@@ -189,10 +115,8 @@ pub fn form_connection_with_scratch<H: HistoryRead + HistoryWrite + ?Sized>(
 /// path nodes update their Table 1 records. Under fault injection a
 /// transmission can fail mid-path (no confirmation, no history) or the
 /// confirmation can be swallowed partway back (only the suffix that saw it
-/// records), so formation and commit must be separable. The zero-fault
-/// path commits everything immediately via
-/// [`form_connection_with_scratch`], which consumes exactly the same RNG
-/// draws as before the split.
+/// records), so formation and commit are separate steps; a connection
+/// that completes commits every record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PendingConnection {
     outcome: PathOutcome,
@@ -251,8 +175,17 @@ impl PendingConnection {
 }
 
 /// Forms a connection without committing history — see
-/// [`PendingConnection`]. Hop decisions read `histories` but never write;
-/// RNG consumption is identical to [`form_connection_with_scratch`].
+/// [`PendingConnection`]. Hop decisions read `histories` but never write.
+///
+/// The hot path of the simulator: buffers and the per-transmission memo
+/// caches in `scratch` are reused across hops of this connection (and the
+/// buffers across connections). This function calls
+/// [`RouteScratch::begin_transmission`] itself — histories are only
+/// mutated after all hop decisions are made, so the caches are valid for
+/// exactly the duration of the hop loop. `adversary` is the
+/// malicious-node strategy: the base model's
+/// [`AdversaryStrategy::Random`], or [`AdversaryStrategy::Colluding`] per
+/// the §4 collusion discussion.
 #[allow(clippy::too_many_arguments)]
 pub fn form_connection_pending<H: HistoryRead + ?Sized>(
     scratch: &mut RouteScratch,

@@ -1,18 +1,22 @@
-//! Versioned, checksummed binary codec for simulation snapshots.
+//! Versioned, checksummed binary codec for snapshots and log records.
 //!
 //! The service-mode runner (`idpa-sim`) periodically serializes the full
 //! mutable simulation state so a long heavy-traffic run can be killed and
-//! resumed bit-identically. This module provides the byte-level substrate:
-//! little-endian primitive encoding ([`Enc`]/[`Dec`]), a typed error for
-//! every way a snapshot can be malformed ([`CodecError`]), and a framing
-//! layer ([`frame`]/[`unframe`]) that wraps a payload in magic bytes, a
+//! resumed bit-identically, and the bank's write-ahead log appends one
+//! record per ledger operation. This module provides the byte-level
+//! substrate of both: little-endian primitive encoding ([`Enc`]/[`Dec`]),
+//! a typed error for every way an input can be malformed
+//! ([`CodecError`]), and one frame that wraps a payload in magic bytes, a
 //! format version, an explicit length, and a word-wise FNV-1a-64
-//! checksum ([`frame_checksum`]). A snapshot writer encodes its payload
-//! straight into the frame ([`Enc::framed`] … [`Enc::seal_frame`]), so
-//! the payload is never copied.
+//! checksum ([`frame_checksum`]). The magic names the frame type
+//! ([`MAGIC`] for snapshots, the WAL's own for log records). A writer
+//! encodes its payload straight into the frame ([`Enc::framed`] or
+//! [`Enc::framed_onto`] … [`Enc::seal_frame`]), so the payload is never
+//! copied; [`unframe_prefix`] reads one frame off the front of a stream
+//! of them and [`unframe`] reads a buffer that holds exactly one.
 //!
 //! Design rules, enforced by the decode-hardening property suite in
-//! `idpa-sim`:
+//! `idpa-sim` and the crash-anywhere suite in `idpa-payment`:
 //!
 //! * decoding never panics — every malformed input maps to a
 //!   [`CodecError`];
@@ -28,7 +32,7 @@ use crate::time::SimTime;
 /// Magic bytes opening every snapshot file ("IDPA snapshot").
 pub const MAGIC: [u8; 8] = *b"IDPASNP\0";
 
-/// How a snapshot failed to decode.
+/// How a frame or its payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The input ended before a fixed-size field could be read.
@@ -38,9 +42,9 @@ pub enum CodecError {
         /// Bytes the field needed.
         needed: usize,
     },
-    /// The leading magic bytes are not [`MAGIC`].
+    /// The leading magic bytes are not the ones the reader expects.
     BadMagic,
-    /// The format version is not one this build understands.
+    /// The frame version is not one this build understands.
     UnsupportedVersion(u32),
     /// The payload length field disagrees with the bytes present.
     LengthMismatch {
@@ -82,8 +86,8 @@ impl std::fmt::Display for CodecError {
             CodecError::UnexpectedEof { offset, needed } => {
                 write!(f, "unexpected EOF at byte {offset} (needed {needed} more)")
             }
-            CodecError::BadMagic => write!(f, "bad magic bytes (not an IDPA snapshot)"),
-            CodecError::UnsupportedVersion(v) => write!(f, "unsupported snapshot version {v}"),
+            CodecError::BadMagic => write!(f, "bad magic bytes (not the expected frame type)"),
+            CodecError::UnsupportedVersion(v) => write!(f, "unsupported frame version {v}"),
             CodecError::LengthMismatch { declared, present } => write!(
                 f,
                 "payload length mismatch: header declares {declared} bytes, {present} present"
@@ -108,13 +112,16 @@ impl std::error::Error for CodecError {}
 
 /// Byte length of the frame header in front of the payload: magic,
 /// version, payload length.
-pub const FRAME_HEADER_LEN: usize = MAGIC.len() + 4 + 8;
+pub const FRAME_HEADER_BYTES: usize = MAGIC.len() + 4 + 8;
+
+/// Byte length of the frame trailer after the payload: the checksum.
+const FRAME_TRAILER_BYTES: usize = 8;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit hash of `bytes`, one byte per step — the configuration
-/// fingerprint, ledger digest and WAL record checksum.
+/// fingerprint and the ledger digest.
 ///
 /// Every step after a byte is absorbed (XOR with later bytes, multiply by
 /// the odd FNV prime) is injective in the running hash, so any single-byte
@@ -129,7 +136,7 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The snapshot frame checksum: FNV-1a-64 absorbing the payload as
+/// The frame checksum: FNV-1a-64 absorbing the payload as
 /// little-endian `u64` words, then the 0–7 tail bytes one at a time.
 ///
 /// Each step is still a bijection in the absorbed word (XOR, then a
@@ -159,53 +166,60 @@ pub fn frame_checksum(bytes: &[u8]) -> u64 {
 #[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
+    /// Offset of the open frame's header (`Some` between
+    /// [`Enc::framed_onto`] and [`Enc::seal_frame`]).
+    frame_at: Option<usize>,
 }
 
 impl Enc {
     /// Creates an empty encoder.
     #[must_use]
     pub fn new() -> Self {
-        Enc { buf: Vec::new() }
+        Enc::default()
     }
 
-    /// Wraps an existing buffer, appending after its current contents —
-    /// lets hot paths encode straight onto a destination (or reuse a
-    /// scratch allocation) instead of paying a fresh `Vec` per record.
+    /// Starts a frame in a fresh buffer: the buffer opens with the frame
+    /// header (its length field left zero) and everything encoded next is
+    /// the payload. [`Enc::seal_frame`] finishes it in place.
     #[must_use]
-    pub fn from_vec(buf: Vec<u8>) -> Self {
-        Enc { buf }
+    pub fn framed(magic: [u8; 8], version: u32) -> Self {
+        Enc::framed_onto(Vec::with_capacity(FRAME_HEADER_BYTES), magic, version)
     }
 
-    /// Starts a snapshot frame: the buffer opens with the frame header
-    /// (its length field left zero) and everything encoded next is the
-    /// payload. [`Enc::seal_frame`] finishes it in place.
+    /// Starts a frame at the end of `buf`, after its current contents —
+    /// lets an append-only log write each record straight onto its tail
+    /// instead of paying a fresh `Vec` per record.
     #[must_use]
-    pub fn framed(version: u32) -> Self {
-        let mut buf = Vec::with_capacity(FRAME_HEADER_LEN);
-        buf.extend_from_slice(&MAGIC);
+    pub fn framed_onto(mut buf: Vec<u8>, magic: [u8; 8], version: u32) -> Self {
+        let frame_at = buf.len();
+        buf.extend_from_slice(&magic);
         buf.extend_from_slice(&version.to_le_bytes());
         buf.extend_from_slice(&[0u8; 8]);
-        Enc { buf }
+        Enc {
+            buf,
+            frame_at: Some(frame_at),
+        }
     }
 
-    /// Finishes a frame begun by [`Enc::framed`]: patches the payload
-    /// length into the header and appends the [`frame_checksum`], giving
-    /// `MAGIC ‖ version:u32 ‖ payload_len:u64 ‖ payload ‖ checksum:u64`.
+    /// Finishes the frame begun by [`Enc::framed`] or [`Enc::framed_onto`]:
+    /// patches the payload length into the header and appends the
+    /// [`frame_checksum`], giving
+    /// `magic ‖ version:u32 ‖ payload_len:u64 ‖ payload ‖ checksum:u64`.
     ///
     /// # Panics
     ///
-    /// If the encoder was not started by [`Enc::framed`].
+    /// If the encoder was not started by [`Enc::framed`] or
+    /// [`Enc::framed_onto`].
     #[must_use]
     pub fn seal_frame(self) -> Vec<u8> {
+        let Some(at) = self.frame_at else {
+            panic!("seal_frame needs an encoder started by Enc::framed");
+        };
         let mut buf = self.buf;
-        assert!(
-            buf.len() >= FRAME_HEADER_LEN && buf.starts_with(&MAGIC),
-            "seal_frame needs an encoder started by Enc::framed"
-        );
-        let payload = &buf[FRAME_HEADER_LEN..];
+        let payload = &buf[at + FRAME_HEADER_BYTES..];
         let len = payload.len() as u64;
         let checksum = frame_checksum(payload);
-        buf[MAGIC.len() + 4..FRAME_HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        buf[at + MAGIC.len() + 4..at + FRAME_HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
         buf.extend_from_slice(&checksum.to_le_bytes());
         buf
     }
@@ -406,25 +420,30 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Wraps `payload` in the snapshot frame:
-/// `MAGIC ‖ version:u32 ‖ payload_len:u64 ‖ payload ‖ frame_checksum(payload):u64`
+/// Wraps `payload` in a frame:
+/// `magic ‖ version:u32 ‖ payload_len:u64 ‖ payload ‖ frame_checksum(payload):u64`
 /// (the same bytes [`Enc::framed`] … [`Enc::seal_frame`] produce).
 #[must_use]
-pub fn frame(version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut e = Enc::framed(version);
-    e.buf.reserve_exact(payload.len() + 8);
+pub fn frame(magic: [u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut e = Enc::framed(magic, version);
+    e.buf.reserve_exact(payload.len() + FRAME_TRAILER_BYTES);
     e.raw(payload);
     e.seal_frame()
 }
 
-/// Validates a snapshot frame and returns the payload slice.
+/// Validates the frame at the front of `bytes` and returns its payload
+/// and the offset just past it, where the next frame of a stream starts.
 ///
-/// Checks, in order: magic bytes, format version (must equal
-/// `expect_version`), declared-vs-present length, and payload checksum.
-pub fn unframe(bytes: &[u8], expect_version: u32) -> Result<&[u8], CodecError> {
+/// Checks, in order: magic bytes (must equal `magic`), format version
+/// (must equal `expect_version`), that the declared length fits the bytes
+/// present, and the payload checksum. Bytes after the frame are not read.
+pub fn unframe_prefix(
+    bytes: &[u8],
+    magic: [u8; 8],
+    expect_version: u32,
+) -> Result<(&[u8], usize), CodecError> {
     let mut dec = Dec::new(bytes);
-    let magic = dec.raw(MAGIC.len())?;
-    if magic != MAGIC {
+    if dec.raw(MAGIC.len())? != magic {
         return Err(CodecError::BadMagic);
     }
     let version = dec.u32()?;
@@ -432,17 +451,32 @@ pub fn unframe(bytes: &[u8], expect_version: u32) -> Result<&[u8], CodecError> {
         return Err(CodecError::UnsupportedVersion(version));
     }
     let declared = dec.u64()?;
-    let present = dec.remaining().saturating_sub(8) as u64;
-    if declared != present {
+    // Check the declared length against the bytes present before any
+    // slicing: a flipped length byte must not panic or read past the input.
+    let present = dec.remaining().saturating_sub(FRAME_TRAILER_BYTES) as u64;
+    if declared > present {
         return Err(CodecError::LengthMismatch { declared, present });
     }
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(clippy::cast_possible_truncation)] // declared <= present
     let payload = dec.raw(declared as usize)?;
     let expected = dec.u64()?;
-    dec.finish()?;
     let actual = frame_checksum(payload);
     if expected != actual {
         return Err(CodecError::ChecksumMismatch { expected, actual });
+    }
+    Ok((payload, dec.offset()))
+}
+
+/// Validates a buffer holding exactly one frame and returns its payload:
+/// [`unframe_prefix`] plus the check that the frame ends where the
+/// buffer does.
+pub fn unframe(bytes: &[u8], magic: [u8; 8], expect_version: u32) -> Result<&[u8], CodecError> {
+    let (payload, end) = unframe_prefix(bytes, magic, expect_version)?;
+    if end != bytes.len() {
+        return Err(CodecError::LengthMismatch {
+            declared: payload.len() as u64,
+            present: (bytes.len() - FRAME_HEADER_BYTES - FRAME_TRAILER_BYTES) as u64,
+        });
     }
     Ok(payload)
 }
@@ -516,31 +550,34 @@ mod tests {
     #[test]
     fn frame_round_trips() {
         let payload = b"snapshot payload".to_vec();
-        let framed = frame(3, &payload);
-        assert_eq!(unframe(&framed, 3).unwrap(), payload.as_slice());
+        let framed = frame(MAGIC, 3, &payload);
+        assert_eq!(unframe(&framed, MAGIC, 3).unwrap(), payload.as_slice());
     }
 
     #[test]
     fn frame_rejects_wrong_magic() {
-        let mut framed = frame(1, b"x");
+        let mut framed = frame(MAGIC, 1, b"x");
         framed[0] ^= 0xFF;
-        assert_eq!(unframe(&framed, 1).unwrap_err(), CodecError::BadMagic);
+        assert_eq!(
+            unframe(&framed, MAGIC, 1).unwrap_err(),
+            CodecError::BadMagic
+        );
     }
 
     #[test]
     fn frame_rejects_wrong_version() {
-        let framed = frame(1, b"x");
+        let framed = frame(MAGIC, 1, b"x");
         assert_eq!(
-            unframe(&framed, 2).unwrap_err(),
+            unframe(&framed, MAGIC, 2).unwrap_err(),
             CodecError::UnsupportedVersion(1)
         );
     }
 
     #[test]
     fn frame_rejects_truncation() {
-        let framed = frame(1, b"some payload");
+        let framed = frame(MAGIC, 1, b"some payload");
         for cut in 0..framed.len() {
-            let err = unframe(&framed[..cut], 1).unwrap_err();
+            let err = unframe(&framed[..cut], MAGIC, 1).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -556,12 +593,12 @@ mod tests {
     #[test]
     fn frame_rejects_any_payload_bit_flip() {
         let payload: Vec<u8> = (0u8..=255).collect();
-        let framed = frame(1, &payload);
+        let framed = frame(MAGIC, 1, &payload);
         let start = MAGIC.len() + 4 + 8;
         for i in start..start + payload.len() {
             let mut bad = framed.clone();
             bad[i] ^= 0x01;
-            let err = unframe(&bad, 1).unwrap_err();
+            let err = unframe(&bad, MAGIC, 1).unwrap_err();
             assert!(
                 matches!(err, CodecError::ChecksumMismatch { .. }),
                 "flip at {i} gave {err:?}"
@@ -575,13 +612,13 @@ mod tests {
         // words and every word/tail mix up to three words.
         for len in 0..=24usize {
             let payload: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let framed = frame(5, &payload);
-            assert_eq!(unframe(&framed, 5).unwrap(), payload.as_slice());
-            for i in FRAME_HEADER_LEN..FRAME_HEADER_LEN + len {
+            let framed = frame(MAGIC, 5, &payload);
+            assert_eq!(unframe(&framed, MAGIC, 5).unwrap(), payload.as_slice());
+            for i in FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + len {
                 for delta in [0x01u8, 0x80, 0xFF] {
                     let mut bad = framed.clone();
                     bad[i] ^= delta;
-                    let err = unframe(&bad, 5).unwrap_err();
+                    let err = unframe(&bad, MAGIC, 5).unwrap_err();
                     assert!(
                         matches!(err, CodecError::ChecksumMismatch { .. }),
                         "len={len} byte={i} delta={delta:#x} gave {err:?}"
@@ -608,18 +645,19 @@ mod tests {
     #[test]
     fn older_snapshot_frames_are_rejected_by_version() {
         // Version 4 frames carried the byte-wise checksum, version 5 the
-        // word-wise one over the payload layout with probe-store tags, and
-        // version 6 the current layout over a world whose churn and
-        // topology came from two world-wide sequential streams (a restore
-        // regenerates the world from the config, so a v6 frame would
-        // resume over a different world). A version 7 reader must reject
-        // all three by version, before looking at the checksum or the
-        // payload.
+        // word-wise one over the payload layout with probe-store tags,
+        // version 6 the layout over a world whose churn and topology came
+        // from two world-wide sequential streams (a restore regenerates
+        // the world from the config, so a v6 frame would resume over a
+        // different world), and version 7 the settlement block behind an
+        // epoch-presence tag. A version 8 reader must reject all four by
+        // version, before looking at the checksum or the payload.
         let payload = b"old snapshot payload";
         for (version, checksum) in [
             (4u32, fnv1a_64(payload)),
             (5, frame_checksum(payload)),
             (6, frame_checksum(payload)),
+            (7, frame_checksum(payload)),
         ] {
             let mut old = Vec::new();
             old.extend_from_slice(&MAGIC);
@@ -628,7 +666,7 @@ mod tests {
             old.extend_from_slice(payload);
             old.extend_from_slice(&checksum.to_le_bytes());
             assert_eq!(
-                unframe(&old, 7).unwrap_err(),
+                unframe(&old, MAGIC, 8).unwrap_err(),
                 CodecError::UnsupportedVersion(version)
             );
         }
@@ -636,13 +674,79 @@ mod tests {
 
     #[test]
     fn in_place_framing_matches_frame() {
-        let mut e = Enc::framed(5);
+        let mut e = Enc::framed(MAGIC, 5);
         e.u64(42);
         e.raw(b"tail");
         let mut payload = Enc::new();
         payload.u64(42);
         payload.raw(b"tail");
-        assert_eq!(e.seal_frame(), frame(5, &payload.into_bytes()));
+        assert_eq!(e.seal_frame(), frame(MAGIC, 5, &payload.into_bytes()));
+    }
+
+    #[test]
+    fn frames_appended_onto_a_buffer_stream_back_out_in_order() {
+        const LOG: [u8; 8] = *b"TESTLOG\0";
+        let payloads: [&[u8]; 4] = [b"", b"one", b"a payload of two words", b"x"];
+        let mut stream = b"prefix".to_vec();
+        let start = stream.len();
+        for p in payloads {
+            let mut e = Enc::framed_onto(stream, LOG, 2);
+            e.raw(p);
+            stream = e.seal_frame();
+        }
+        let mut expected = b"prefix".to_vec();
+        for p in payloads {
+            expected.extend_from_slice(&frame(LOG, 2, p));
+        }
+        assert_eq!(
+            stream, expected,
+            "in-place appends equal concatenated frames"
+        );
+        let mut at = start;
+        for p in payloads {
+            let (payload, len) = unframe_prefix(&stream[at..], LOG, 2).unwrap();
+            assert_eq!(payload, p);
+            assert_eq!(len, FRAME_HEADER_BYTES + p.len() + 8);
+            at += len;
+        }
+        assert_eq!(at, stream.len());
+    }
+
+    #[test]
+    fn the_magic_names_the_frame_type() {
+        let framed = frame(*b"TESTLOG\0", 1, b"x");
+        assert_eq!(
+            unframe(&framed, MAGIC, 1).unwrap_err(),
+            CodecError::BadMagic
+        );
+        assert_eq!(
+            unframe_prefix(&frame(MAGIC, 1, b"x"), *b"TESTLOG\0", 1).unwrap_err(),
+            CodecError::BadMagic
+        );
+    }
+
+    #[test]
+    fn unframe_rejects_bytes_after_the_frame() {
+        let mut framed = frame(MAGIC, 1, b"payload");
+        let (_, end) = unframe_prefix(&framed, MAGIC, 1).unwrap();
+        assert_eq!(end, framed.len());
+        framed.push(0);
+        assert_eq!(unframe_prefix(&framed, MAGIC, 1).unwrap().1, end);
+        assert_eq!(
+            unframe(&framed, MAGIC, 1).unwrap_err(),
+            CodecError::LengthMismatch {
+                declared: 7,
+                present: 8
+            }
+        );
+    }
+
+    #[test]
+    fn frame_errors_do_not_name_a_frame_type() {
+        for err in [CodecError::BadMagic, CodecError::UnsupportedVersion(3)] {
+            let text = err.to_string();
+            assert!(!text.contains("snapshot"), "{text}");
+        }
     }
 
     #[test]
@@ -653,12 +757,12 @@ mod tests {
 
     #[test]
     fn checksum_detects_checksum_field_corruption() {
-        let framed = frame(1, b"payload");
+        let framed = frame(MAGIC, 1, b"payload");
         let mut bad = framed.clone();
         let n = bad.len();
         bad[n - 1] ^= 0x80;
         assert!(matches!(
-            unframe(&bad, 1).unwrap_err(),
+            unframe(&bad, MAGIC, 1).unwrap_err(),
             CodecError::ChecksumMismatch { .. }
         ));
     }

@@ -19,11 +19,11 @@ use crate::service::ServiceOptions;
 /// Help text for the scenario flags both subcommands accept.
 pub const SCENARIO_FLAGS_HELP: &str = "\
 scenario flags (both subcommands):
-  --settlement MODE             'per-bundle' (each bundle settles alone, the
-                                default) or 'epoch' (payouts netted and deposits
-                                batched at epoch boundaries; identical
-                                economics). Takes effect only with fault
-                                injection active
+  --settlement MODE             'per-bundle' (each connection settles as it
+                                completes, the default) or 'epoch' (payouts
+                                netted and deposits batched at epoch
+                                boundaries; identical economics). Takes effect
+                                only with the fault runtime on
   --epoch-length MIN            epoch length for '--settlement epoch'
   --bank-durability MODE        'off' (the default) or 'wal' (write-ahead ledger
                                 log, torn-write crash recovery, warm failover

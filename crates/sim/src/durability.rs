@@ -1,12 +1,12 @@
 //! Durable-bank layer: a WAL-backed settlement ledger with a warm replica.
 //!
 //! When `--bank-durability wal` is on, the run maintains a real
-//! [`Ledger`] that mirrors the settlement flow: every payout the
-//! validators authorize becomes a write-ahead-logged ledger operation
-//! (escrow-to-forwarder transfers in per-bundle mode, one netted
-//! [`LedgerOp::EpochNet`] per epoch boundary in epoch mode, plus
-//! withdraw/deposit pairs modelling receipt clearing). A [`BankReplica`]
-//! continuously consumes the committed log, so when the fault plan's
+//! [`Ledger`] that mirrors the settlement flow: every settlement window
+//! the validators close becomes one write-ahead-logged flush
+//! ([`BankDurabilityState::settle`]: escrow-to-forwarder transfers for a
+//! per-bundle window, one netted [`LedgerOp::EpochNet`] for an epoch
+//! window, plus withdraw/deposit pairs modelling receipt clearing). A
+//! [`BankReplica`] continuously consumes the committed log, so when the fault plan's
 //! bank-crash class kills the primary mid-flush the replica takes over
 //! from the exact durable prefix — and because the settlement layer
 //! re-submits every unacknowledged operation after failover, a run that
@@ -20,12 +20,14 @@
 //! zero-sums, balance replay) at every failover and at the end of the run.
 
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use idpa_desim::fault::{BankCrashDraw, FaultPlan};
 use idpa_payment::{
-    AccountId, BankReplica, InvariantMonitor, Ledger, LedgerOp, TokenId, ValidationReport, Wal,
+    AccountId, AuditEvent, BankReplica, InvariantMonitor, Ledger, LedgerOp, TokenId, Wal,
 };
+
+use crate::error::SimError;
 
 /// The escrow account all payouts are drawn from. Opened first, so it is
 /// always ledger account 0.
@@ -34,6 +36,10 @@ const ESCROW: AccountId = AccountId(0);
 /// Escrow opening balance: large enough that no realistic run drains it
 /// (payout units are receipt counts, bounded by the workload size).
 const ESCROW_FUND: u64 = 1 << 40;
+
+/// Flushes a run may make: [`clearing_serial`] keeps the flush position in
+/// 40 bits.
+const MAX_FLUSHES: u64 = 1 << 40;
 
 /// Receipts cleared per synthetic withdraw/deposit pair (mirrors the
 /// epoch-settlement batch size used for `batch_ops` accounting).
@@ -83,8 +89,6 @@ pub(crate) struct BankDurabilityState {
     /// Flush sequence number — the position key for crash draws and
     /// clearing serials, monotone across the whole run (survives resume).
     flushes: u64,
-    /// Epochs settled through the durable ledger (names `EpochNet` records).
-    epoch_counter: u64,
     counters: DurabilityCounters,
 }
 
@@ -106,7 +110,6 @@ impl BankDurabilityState {
             node_accounts: BTreeMap::new(),
             group_commit,
             flushes: 0,
-            epoch_counter: 0,
             counters: DurabilityCounters::default(),
         }
     }
@@ -114,30 +117,51 @@ impl BankDurabilityState {
     /// Rebuilds the durable bank from snapshot parts: the ledger is
     /// recovered from the persisted WAL image (exercising the same code
     /// path as crash recovery), the replica re-warmed at its tail.
+    ///
+    /// A snapshot only ever carries a WAL image that scans clean, an
+    /// account map of distinct, open, non-escrow accounts, a flush counter
+    /// in range and past every flush the log has cleared receipts in (a
+    /// lower one would reuse a clearing serial), and a ledger that passes
+    /// the full invariant sweep; anything else is rejected here, before
+    /// the resumed run could trip over it.
     pub(crate) fn restore(
         wal_bytes: &[u8],
         node_accounts: BTreeMap<u64, AccountId>,
         group_commit: bool,
         flushes: u64,
-        epoch_counter: u64,
         counters: DurabilityCounters,
-    ) -> Self {
+    ) -> Result<Self, SimError> {
+        let invalid = |what| Err(SimError::SnapshotMismatch { what });
         let (mut primary, report) = Ledger::recover(wal_bytes);
-        debug_assert!(
-            report.is_clean(),
-            "snapshot carried a corrupt WAL image: {report:?}"
-        );
+        if !report.is_clean() {
+            return invalid("bank WAL image");
+        }
+        let mut seen = BTreeSet::new();
+        for &acct in node_accounts.values() {
+            if acct == ESCROW || !primary.has_account(acct) || !seen.insert(acct) {
+                return invalid("bank account map");
+            }
+        }
+        let cleared = primary.audit().entries().iter().any(|entry| {
+            matches!(entry.event, AuditEvent::Deposit { serial_prefix, .. }
+                if clearing_flush(serial_prefix) >= flushes)
+        });
+        if cleared || flushes >= MAX_FLUSHES {
+            return invalid("bank flush counter");
+        }
+        if !InvariantMonitor::new().check_full(&primary).is_empty() {
+            return invalid("bank ledger invariants");
+        }
         primary.set_group_commit(group_commit);
         let replica = Self::warm_replica(&primary);
-        BankDurabilityState {
+        Ok(BankDurabilityState {
             primary,
             replica,
             node_accounts,
             group_commit,
             flushes,
-            epoch_counter,
             counters,
-        }
+        })
     }
 
     /// A replica bit-identical to the primary, cursored at the WAL tail.
@@ -147,23 +171,19 @@ impl BankDurabilityState {
         BankReplica::warm(primary.clone(), cursor)
     }
 
-    /// Per-bundle settlement: one flush per validated connection.
-    pub(crate) fn settle_connection(&mut self, report: &ValidationReport, plan: &FaultPlan) {
-        let paid: BTreeMap<u64, u64> = report.paid_counts.iter().map(|(a, c)| (a.0, *c)).collect();
-        let ops = self.build_ops(&paid, report.validated_instances, None);
-        self.flush(ops, plan);
-    }
-
-    /// Epoch settlement: one flush per boundary, netting the whole window.
-    pub(crate) fn settle_epoch(
+    /// Settles one closed window as one flush: `paid` maps each node to
+    /// its payable receipt count, `receipts` is the window's total.
+    /// `epoch` names an epoch window, whose payouts net into one
+    /// [`LedgerOp::EpochNet`]; a per-bundle window (`None`) pays each
+    /// forwarder with its own transfer.
+    pub(crate) fn settle(
         &mut self,
         paid: &BTreeMap<u64, u64>,
         receipts: u64,
+        epoch: Option<u64>,
         plan: &FaultPlan,
     ) {
-        let epoch = self.epoch_counter;
-        self.epoch_counter += 1;
-        let ops = self.build_ops(paid, receipts, Some(epoch));
+        let ops = self.build_ops(paid, receipts, epoch);
         self.flush(ops, plan);
     }
 
@@ -323,21 +343,9 @@ impl BankDurabilityState {
     /// log alone cannot reproduce.
     pub(crate) fn snapshot_parts(
         &self,
-    ) -> (
-        &[u8],
-        &BTreeMap<u64, AccountId>,
-        u64,
-        u64,
-        DurabilityCounters,
-    ) {
+    ) -> (&[u8], &BTreeMap<u64, AccountId>, u64, DurabilityCounters) {
         let bytes = self.primary.wal().map_or(&[][..], Wal::committed_bytes);
-        (
-            bytes,
-            &self.node_accounts,
-            self.flushes,
-            self.epoch_counter,
-            self.counters,
-        )
+        (bytes, &self.node_accounts, self.flushes, self.counters)
     }
 
     /// End-of-run summary: final full sweep, replica/primary agreement
@@ -373,13 +381,19 @@ impl BankDurabilityState {
 /// flush clears fewer than 2^24 chunks and a run stays under 2^40 flushes.
 fn clearing_serial(flush: u64, chunk: u64) -> TokenId {
     debug_assert!(
-        chunk < 1 << 24 && flush < 1 << 40,
+        chunk < 1 << 24 && flush < MAX_FLUSHES,
         "clearing serial overflow"
     );
     let mut id = [0u8; 32];
     id[..8].copy_from_slice(&(flush << 24 | chunk).to_le_bytes());
     id[16] = 0xEE;
     TokenId(id)
+}
+
+/// The flush a [`clearing_serial`] was issued in, read from the serial's
+/// first 8 bytes (the prefix the audit log keeps).
+fn clearing_flush(prefix: [u8; 8]) -> u64 {
+    u64::from_le_bytes(prefix) >> 24
 }
 
 #[cfg(test)]
@@ -398,21 +412,21 @@ mod tests {
         FaultPlan::new(cfg, StreamFactory::new(0xD1CE), 64, 1_000.0)
     }
 
-    fn report(paid: &[(u64, u64)]) -> ValidationReport {
-        let mut r = ValidationReport::default();
-        for &(node, count) in paid {
-            r.paid_counts.insert(AccountId(node), count);
-            r.validated_instances += count;
-        }
-        r
+    fn paid(counts: &[(u64, u64)]) -> (BTreeMap<u64, u64>, u64) {
+        (
+            counts.iter().copied().collect(),
+            counts.iter().map(|c| c.1).sum(),
+        )
     }
 
     #[test]
     fn per_bundle_settlement_is_logged_and_conserves_value() {
         let p = plan(0.0);
         let mut bank = BankDurabilityState::new(false);
-        bank.settle_connection(&report(&[(3, 5), (7, 2)]), &p);
-        bank.settle_connection(&report(&[(3, 4)]), &p);
+        for counts in [&[(3, 5), (7, 2)][..], &[(3, 4)]] {
+            let (paid, receipts) = paid(counts);
+            bank.settle(&paid, receipts, None, &p);
+        }
         let out = bank.finalize();
         assert!(out.audit_ok);
         assert_eq!(out.counters.monitor_violations, 0);
@@ -426,8 +440,8 @@ mod tests {
         // deposit needs its own serial or the monitor sees a double deposit.
         let mut bank = BankDurabilityState::new(true);
         let paid: BTreeMap<u64, u64> = [(3, 2000), (7, 1000)].into();
-        bank.settle_epoch(&paid, 3000, &plan(0.0));
-        bank.settle_epoch(&paid, 3000, &plan(0.0));
+        bank.settle(&paid, 3000, Some(0), &plan(0.0));
+        bank.settle(&paid, 3000, Some(1), &plan(0.0));
         let out = bank.finalize();
         assert_eq!(out.counters.monitor_violations, 0);
         assert!(out.audit_ok);
@@ -444,6 +458,7 @@ mod tests {
         for flush in [0u64, 1, 2, 1 << 20] {
             for chunk in [0u64, 1, 2, 1 << 20] {
                 assert!(seen.insert(prefix(flush, chunk)), "({flush}, {chunk})");
+                assert_eq!(clearing_flush(prefix(flush, chunk)), flush);
             }
         }
     }
@@ -455,11 +470,9 @@ mod tests {
         let mut a = BankDurabilityState::new(true);
         let mut b = BankDurabilityState::new(true);
         for round in 0..20u64 {
-            let r = report(&[(round % 5, 3 + round % 4), (9, 1)]);
-            let paid: BTreeMap<u64, u64> = r.paid_counts.iter().map(|(k, v)| (k.0, *v)).collect();
-            let receipts: u64 = paid.values().sum();
-            a.settle_epoch(&paid, receipts, &calm);
-            b.settle_epoch(&paid, receipts, &stormy);
+            let (paid, receipts) = paid(&[(round % 5, 3 + round % 4), (9, 1)]);
+            a.settle(&paid, receipts, Some(round), &calm);
+            b.settle(&paid, receipts, Some(round), &stormy);
         }
         let (oa, ob) = (a.finalize(), b.finalize());
         assert!(ob.counters.crashes > 0, "crash class never fired");
@@ -476,23 +489,73 @@ mod tests {
         let mut full = BankDurabilityState::new(false);
         let mut front = BankDurabilityState::new(false);
         for round in 0..12u64 {
-            let r = report(&[(round % 3, 2 + round % 5)]);
-            full.settle_connection(&r, &p);
+            let (paid, receipts) = paid(&[(round % 3, 2 + round % 5)]);
+            full.settle(&paid, receipts, None, &p);
             if round < 6 {
-                front.settle_connection(&r, &p);
+                front.settle(&paid, receipts, None, &p);
             }
         }
-        let (bytes, accounts, flushes, epochs, counters) = front.snapshot_parts();
+        let (bytes, accounts, flushes, counters) = front.snapshot_parts();
         let mut resumed =
-            BankDurabilityState::restore(bytes, accounts.clone(), false, flushes, epochs, counters);
+            BankDurabilityState::restore(bytes, accounts.clone(), false, flushes, counters)
+                .unwrap();
         let p2 = plan(0.35);
         for round in 6..12u64 {
-            let r = report(&[(round % 3, 2 + round % 5)]);
-            resumed.settle_connection(&r, &p2);
+            let (paid, receipts) = paid(&[(round % 3, 2 + round % 5)]);
+            resumed.settle(&paid, receipts, None, &p2);
         }
         let (of, or) = (full.finalize(), resumed.finalize());
         assert_eq!(of.ledger_digest, or.ledger_digest);
         assert_eq!(of.wal_records, or.wal_records);
         assert_eq!(of.counters.crashes, or.counters.crashes);
+    }
+
+    #[test]
+    fn restore_rejects_a_defective_image_or_account_map() {
+        let p = plan(0.0);
+        let mut bank = BankDurabilityState::new(false);
+        let (paid, receipts) = paid(&[(3, 5), (7, 2)]);
+        bank.settle(&paid, receipts, None, &p);
+        let (bytes, accounts, flushes, counters) = bank.snapshot_parts();
+        let restore = |bytes: &[u8], accounts: BTreeMap<u64, AccountId>| {
+            BankDurabilityState::restore(bytes, accounts, false, flushes, counters).map(|_| ())
+        };
+        assert_eq!(restore(bytes, accounts.clone()), Ok(()));
+        let mut torn = bytes.to_vec();
+        torn.pop();
+        let err = |what| Err(SimError::SnapshotMismatch { what });
+        assert_eq!(restore(&torn, accounts.clone()), err("bank WAL image"));
+        assert_eq!(
+            BankDurabilityState::restore(bytes, accounts.clone(), false, 0, counters).map(|_| ()),
+            err("bank flush counter"),
+            "flush 0 cleared receipts, so the counter must be past it"
+        );
+        for bad in [
+            [(3, AccountId(1)), (7, AccountId(1))],
+            [(3, ESCROW), (7, AccountId(2))],
+            [(3, AccountId(1)), (7, AccountId(9))],
+        ] {
+            assert_eq!(
+                restore(bytes, bad.into()),
+                err("bank account map"),
+                "{bad:?}"
+            );
+        }
+        // A log that replays cleanly but deposits two serials sharing the
+        // monitored prefix fails the full sweep as a double deposit.
+        let mut ledger = Ledger::new();
+        ledger.attach_wal(Wal::new());
+        let escrow = ledger.open_account(100);
+        let (a, mut b) = (TokenId([0; 32]), TokenId([0; 32]));
+        b.0[20] = 2;
+        for serial in [a, b] {
+            ledger.withdraw(escrow, 10).unwrap();
+            ledger.deposit_serial(escrow, serial, 10).unwrap();
+        }
+        let image = ledger.wal().unwrap().committed_bytes();
+        assert_eq!(
+            restore(image, BTreeMap::new()),
+            err("bank ledger invariants")
+        );
     }
 }

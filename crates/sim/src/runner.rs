@@ -9,28 +9,35 @@
 //! scheduled. After the horizon the per-bundle accounting is settled into
 //! per-node payoffs (`m·P_f + P_r/‖π‖ − costs`).
 //!
-//! With an active [`FaultConfig`] the run additionally injects seed-derived
-//! faults: each transmission attempt walks its formed path edge by edge
-//! (crash / drop / delay), the confirmation walks back through any cheating
-//! forwarders (drop / receipt corruption), and failed attempts are retried
-//! with exponential backoff up to `max_retries` before being abandoned.
-//! History stays confirmation-driven (§2.2): a failed attempt commits no
-//! Table 1 records, and a swallowed confirmation commits only the path
-//! suffix it actually traversed. Completed connections deposit a MAC'd path
-//! manifest plus per-hop receipts with a [`PathValidator`], whose
-//! settlement-time replay reconstructs π, pays only validated instances and
-//! flags cheaters. All fault draws come from dedicated position-keyed
-//! streams, so a run with every rate zero is bit-identical to the
-//! fault-free code path.
+//! Every transmission takes one path: form the connection without
+//! committing history, then complete it. With a fault runtime (an active
+//! [`FaultConfig`], adversary plan or durable bank) the run additionally
+//! injects seed-derived faults between the two: each attempt walks its
+//! formed path edge by edge (crash / drop / delay), the confirmation walks
+//! back through any cheating forwarders (drop / receipt corruption), and
+//! failed attempts are retried with exponential backoff up to
+//! `max_retries` before being abandoned. History stays
+//! confirmation-driven (§2.2): a failed attempt commits no Table 1
+//! records, and a swallowed confirmation commits only the path suffix it
+//! actually traversed. Completed connections deposit a MAC'd path manifest
+//! plus per-hop receipts with a [`PathValidator`]. Settlement replays that
+//! evidence in windows, each validated once: the completing pair's window
+//! closes at every completed connection under per-bundle settlement, every
+//! pair's at each epoch boundary under epoch settlement, and `finish`
+//! closes the tail. The replay reconstructs π, pays only validated
+//! instances and flags cheaters. All fault draws come from dedicated
+//! position-keyed streams, so a run with every rate zero is bit-identical
+//! to one without the fault runtime.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::ops::Range;
 
 use idpa_core::adversary::IntersectionAttack;
 use idpa_core::arena::HistoryArena;
 use idpa_core::bundle::{BundleAccounting, BundleId};
 use idpa_core::contract::Contract;
 use idpa_core::metrics::{self, DeliveryTracker, ReformationTracker};
-use idpa_core::path::{form_connection_pending, form_connection_with_scratch, PendingConnection};
+use idpa_core::path::{form_connection_pending, PendingConnection};
 use idpa_core::quality::{EdgeQuality, Weights};
 use idpa_core::reputation::EdgeReputation;
 use idpa_core::routing::{RouteScratch, RoutingView};
@@ -339,9 +346,8 @@ pub(crate) struct FaultRuntime {
     /// Global probe-availability mask, advanced on confirmed failures
     /// (adaptive mode only).
     pub(crate) probe_invalid: ProbeInvalidation,
-    /// Epoch-batched settlement accumulation (`Some` only under
-    /// `--settlement epoch`; `None` runs the exact per-bundle code path).
-    pub(crate) epoch: Option<EpochState>,
+    /// Settlement windows and the totals every closed window folded in.
+    pub(crate) settlement: SettlementState,
     /// Deterministic adversary strategies (`Some` only when at least one
     /// `--adversary-*` rate is nonzero; `None` leaves every code path
     /// byte-identical to a build without the adversary layer).
@@ -371,23 +377,28 @@ pub(crate) struct AdversaryCounters {
     pub(crate) phantom_injected: u64,
 }
 
-/// Running state of epoch-batched settlement: per-pair window cursors plus
-/// the accumulated totals the final aggregation reads. Because
-/// [`PathValidator::validate_range`] windows partition each pair's
-/// evidence, the accumulated totals equal a single whole-bundle
-/// validation — epoch mode changes *when* settlement work happens and how
-/// many bank operations it costs, never the economics.
-pub(crate) struct EpochState {
-    /// Per-pair count of evidence entries settled in prior windows.
+/// Running state of settlement: per-pair window cursors plus the totals
+/// of every closed window. Because [`PathValidator::validate_range`]
+/// windows partition each pair's evidence, the totals equal a single
+/// whole-bundle validation however the windows fall — the settlement mode
+/// changes *when* settlement work happens and how many bank operations it
+/// costs, never the economics.
+pub(crate) struct SettlementState {
+    /// Per-pair count of evidence entries settled in closed windows.
     pub(crate) cursors: Vec<usize>,
-    /// Per-pair manifest-attested instances over all settled windows.
+    /// Per-pair manifest-attested instances over all closed windows.
     pub(crate) expected: Vec<u64>,
-    /// Per-pair receipt-backed (payable) instances over all settled
+    /// Per-pair receipt-backed (payable) instances over all closed
     /// windows.
     pub(crate) validated: Vec<u64>,
-    /// Union of flagged forwarders across all settled windows.
-    pub(crate) flagged: BTreeSet<usize>,
-    /// Boundaries that settled at least one new connection.
+    /// `(pair, forwarder)` for every forwarder a closed window of that
+    /// pair flagged.
+    pub(crate) flagged: BTreeSet<(usize, usize)>,
+    /// Phantom instances withheld by the cross-confirmation check across
+    /// all closed windows.
+    pub(crate) phantom_flagged: u64,
+    /// Epoch boundaries that closed at least one window (0 under
+    /// per-bundle settlement, as are the three counters below).
     pub(crate) epochs_settled: u64,
     /// Netted payout operations: one per account paid per epoch, however
     /// many receipts it earned in the window.
@@ -397,23 +408,20 @@ pub(crate) struct EpochState {
     pub(crate) batch_ops: u64,
     /// Receipts cleared through batched settlement.
     pub(crate) receipts_netted: u64,
-    /// Phantom instances withheld by the cross-confirmation check across
-    /// all settled windows.
-    pub(crate) phantom_flagged: u64,
 }
 
-impl EpochState {
+impl SettlementState {
     pub(crate) fn new(n_pairs: usize) -> Self {
-        EpochState {
+        SettlementState {
             cursors: vec![0; n_pairs],
             expected: vec![0; n_pairs],
             validated: vec![0; n_pairs],
             flagged: BTreeSet::new(),
+            phantom_flagged: 0,
             epochs_settled: 0,
             payout_ops: 0,
             batch_ops: 0,
             receipts_netted: 0,
-            phantom_flagged: 0,
         }
     }
 }
@@ -423,51 +431,129 @@ impl FaultRuntime {
         self.plan.config().response == FaultResponse::Adaptive
     }
 
-    /// Settles the evidence window accrued since the last epoch boundary:
-    /// validates each pair's new connections, folds the results into the
-    /// per-pair totals, and counts the bank-facing operations the batch
-    /// collapses the window into (one netted payout per paid account, one
-    /// batch-verification call per 1024 deposits). A no-op in per-bundle
-    /// mode and on boundaries with no new evidence.
-    fn settle_epoch_window(&mut self) {
-        let Some(es) = self.epoch.as_mut() else {
-            return;
-        };
+    /// Closes the settlement window of every pair in `pairs`: validates
+    /// the evidence each accrued since its last close, folds the reports
+    /// into the per-pair totals, and settles the paid counts through the
+    /// durable bank as one flush. An epoch boundary (`epoch`) also counts
+    /// the bank-facing operations the batch collapses the windows into
+    /// (one netted payout per paid account, one batch-verification call
+    /// per 1024 deposits). A no-op when no pair has new evidence.
+    fn close_windows(&mut self, pairs: Range<usize>, epoch: bool) {
+        let st = &mut self.settlement;
         let mut receipts = 0u64;
-        let mut settled_any = false;
-        let mut accounts: BTreeSet<u64> = BTreeSet::new();
+        let mut closed_any = false;
         let mut paid: BTreeMap<u64, u64> = BTreeMap::new();
-        for (pair, validator) in self.validators.iter().enumerate() {
-            let (start, end) = (es.cursors[pair], validator.connections());
+        for pair in pairs {
+            let validator = &self.validators[pair];
+            let (start, end) = (st.cursors[pair], validator.connections());
             if start == end {
                 continue;
             }
-            settled_any = true;
+            closed_any = true;
             let report = validator.validate_range(start, end);
-            es.cursors[pair] = end;
-            es.expected[pair] += report.expected_instances;
-            es.validated[pair] += report.validated_instances;
-            es.phantom_flagged += report.phantom_instances;
-            es.flagged
-                .extend(report.flagged.iter().map(|a| a.0 as usize));
-            accounts.extend(report.paid_counts.keys().map(|a| a.0));
+            st.cursors[pair] = end;
+            st.expected[pair] += report.expected_instances;
+            st.validated[pair] += report.validated_instances;
+            st.phantom_flagged += report.phantom_instances;
+            st.flagged
+                .extend(report.flagged.iter().map(|a| (pair, a.0 as usize)));
             for (a, c) in &report.paid_counts {
                 *paid.entry(a.0).or_insert(0) += c;
             }
             receipts += report.validated_instances;
         }
-        if !settled_any {
+        if !closed_any {
             return;
         }
-        es.epochs_settled += 1;
-        es.receipts_netted += receipts;
-        es.payout_ops += accounts.len() as u64;
-        es.batch_ops += receipts.div_ceil(1024);
-        // The durable bank commits the whole window as one WAL group.
+        let epoch = epoch.then_some(st.epochs_settled);
+        if epoch.is_some() {
+            st.epochs_settled += 1;
+            st.receipts_netted += receipts;
+            st.payout_ops += paid.len() as u64;
+            st.batch_ops += receipts.div_ceil(1024);
+        }
         if let Some(bank) = self.bank.as_mut() {
-            bank.settle_epoch(&paid, receipts, &self.plan);
+            bank.settle(&paid, receipts, epoch, &self.plan);
         }
     }
+
+    /// The §5 settlement summary over every closed window: payment
+    /// shortfall, flagged cheaters, the audit trail of detected-vs-paid
+    /// discrepancies, the phantom instances withheld, the epoch operation
+    /// counts, and the bank-outage settlement delay. Funds leave the bank
+    /// at a pair's last completion, or under epoch settlement
+    /// (`epoch_length`) at the first boundary at or after it, further
+    /// delayed by any bank outage covering that moment — an outage stalls
+    /// an epoch, not a bundle.
+    fn settlement_summary(&self, epoch_length: Option<f64>) -> SettlementSummary {
+        let st = &self.settlement;
+        let mut audit = AuditLog::new();
+        for (pair, (&expected, &validated)) in st.expected.iter().zip(&st.validated).enumerate() {
+            if validated < expected {
+                audit.append(AuditEvent::Discrepancy {
+                    bundle: pair as u64,
+                    expected,
+                    validated,
+                    flagged: st.flagged.range((pair, 0)..(pair + 1, 0)).count() as u64,
+                });
+            }
+        }
+        assert!(
+            audit.verify_chain(),
+            "settlement audit hash chain failed verification"
+        );
+        let ratio = |num: u64, den: u64| {
+            if den == 0 {
+                0.0
+            } else {
+                num as f64 / den as f64
+            }
+        };
+        let expected: u64 = st.expected.iter().sum();
+        let validated: u64 = st.validated.iter().sum();
+        let delays: Vec<f64> = self
+            .last_completion
+            .iter()
+            .filter(|&&t| t >= 0.0)
+            .map(|&t| {
+                let paid_at = epoch_length.map_or(t, |e| (t / e).ceil() * e);
+                self.plan.next_bank_up(paid_at) - t
+            })
+            .collect();
+        let flagged: BTreeSet<usize> = st.flagged.iter().map(|&(_, f)| f).collect();
+        SettlementSummary {
+            shortfall: if expected == 0 {
+                0.0
+            } else {
+                1.0 - ratio(validated, expected)
+            },
+            delay: if delays.is_empty() {
+                0.0
+            } else {
+                delays.iter().sum::<f64>() / delays.len() as f64
+            },
+            flagged: flagged.into_iter().collect(),
+            discrepancies: audit.len() as u64,
+            phantom_flagged: st.phantom_flagged,
+            epochs_settled: st.epochs_settled,
+            ops_per_epoch: ratio(st.payout_ops + st.batch_ops, st.epochs_settled),
+            netting_ratio: ratio(st.receipts_netted, st.payout_ops),
+        }
+    }
+}
+
+/// What settlement reports into the [`RunResult`] (all zero or empty for
+/// a run without a fault runtime).
+#[derive(Default)]
+struct SettlementSummary {
+    shortfall: f64,
+    delay: f64,
+    flagged: Vec<usize>,
+    discrepancies: u64,
+    phantom_flagged: u64,
+    epochs_settled: u64,
+    ops_per_epoch: f64,
+    netting_ratio: f64,
 }
 
 /// The forwarder an initiator blames for a fault on edge `i` (which carries
@@ -520,7 +606,9 @@ pub struct SimulationRun {
     /// Crash overlay: node `v` is unroutable until `crashed_until[v]`.
     /// Empty when fault injection is off (the zero-overhead fast path).
     pub(crate) crashed_until: Vec<f64>,
-    /// Fault-injection state; `None` runs the exact fault-free code path.
+    /// Fault-injection, evidence and settlement state; `None` (no fault
+    /// rate, adversary or durable bank configured) skips the fault walks,
+    /// evidence and settlement.
     pub(crate) fault: Option<FaultRuntime>,
     /// Idle-eviction sweeper (`Some` only when `evict_idle_ticks` is set).
     pub(crate) slab: Option<NodeSlab>,
@@ -591,8 +679,7 @@ impl SimulationRun {
                     last_completion: vec![-1.0; n_pairs],
                     reputation: ReputationStore::new(cfg.n_nodes),
                     probe_invalid: ProbeInvalidation::new(cfg.n_nodes),
-                    epoch: (cfg.settlement == SettlementMode::Epoch)
-                        .then(|| EpochState::new(n_pairs)),
+                    settlement: SettlementState::new(n_pairs),
                     adversary,
                     adv: AdversaryCounters::default(),
                     bank: (cfg.bank_durability == BankDurability::Wal)
@@ -686,9 +773,9 @@ impl SimulationRun {
         }
         // Epoch boundaries land at exact multiples of the epoch length,
         // like probe ticks; the window after the last in-horizon boundary
-        // flushes at `finish`. Nothing is scheduled in per-bundle mode, so
+        // closes at `finish`. Nothing is scheduled in per-bundle mode, so
         // the default event stream is untouched.
-        if self.fault.as_ref().is_some_and(|fr| fr.epoch.is_some()) {
+        if self.fault.is_some() && self.cfg.settlement == SettlementMode::Epoch {
             let mut k = 1u64;
             loop {
                 let t = k as f64 * self.cfg.epoch_length;
@@ -755,57 +842,10 @@ impl SimulationRun {
             slab.maybe_sweep(&self.probes, now.minutes());
         }
         // take/put-back keeps the fault state out of `self` while the
-        // faulty path mutably borrows the rest of the run.
-        let Some(mut fr) = self.fault.take() else {
-            self.transmit_plain(now, pair, conn);
-            return;
-        };
-        self.transmit_with_faults(engine, now, pair, conn, attempt, &mut fr);
-        self.fault = Some(fr);
-    }
-
-    /// The fault-free transmission: bit-identical to the pre-fault-layer
-    /// code path (the crash overlay is empty, commit happens inline).
-    fn transmit_plain(&mut self, now: SimTime, pair: usize, conn: u32) {
-        let wl = &self.world.pairs[pair];
-        let contract = Contract::from_tau(BundleId(pair as u64), wl.responder, wl.pf, self.cfg.tau);
-        let priors = self.bundles[pair].connections();
-        let view = RunView {
-            probes: &self.probes,
-            costs: &self.world.costs,
-            crashed: &self.crashed_until,
-            reputation: None,
-            invalid: None,
-            age_discount: None,
-            now,
-        };
-        let outcome = form_connection_with_scratch(
-            &mut self.scratch,
-            wl.initiator,
-            conn,
-            &contract,
-            priors,
-            &view,
-            &mut self.histories,
-            &self.world.kinds,
-            &self.quality,
-            self.cfg.good_strategy,
-            self.cfg.adversary_strategy,
-            &self.cfg.policy,
-            &mut self.routing_rng,
-        );
-        self.connections += 1;
-        self.initiator_costs[pair] += outcome.initiator_cost;
-        self.trackers[pair].record(&outcome.edges(wl.initiator, wl.responder));
-        if let Some(w) = self.windows.as_mut() {
-            w.record_delivered(now.minutes());
-            w.record_payoff(
-                now.minutes(),
-                outcome.forwarders.len() as f64 * self.world.pairs[pair].pf,
-            );
-        }
-        self.observe_attack(pair, &outcome.forwarders, now);
-        self.bundles[pair].record_connection(&outcome.forwarders, &outcome.hop_costs);
+        // transmission mutably borrows the rest of the run.
+        let mut fault = self.fault.take();
+        self.transmit(engine, now, pair, conn, attempt, fault.as_mut());
+        self.fault = fault;
     }
 
     /// Intersection attack: if any malicious node sat on the path, the
@@ -830,20 +870,22 @@ impl SimulationRun {
         }
     }
 
-    /// One transmission attempt under fault injection: form the path, walk
-    /// the faults forward (crash / drop / delay) and the confirmation
-    /// backward (cheaters), then either complete the connection or schedule
-    /// a retry with exponential backoff.
-    fn transmit_with_faults(
+    /// One transmission attempt: form the path, then — with a fault
+    /// runtime — walk the faults forward (crash / drop / delay) and the
+    /// confirmation backward (cheaters), then either complete the
+    /// connection or schedule a retry with exponential backoff. Without a
+    /// fault runtime every attempt completes.
+    fn transmit(
         &mut self,
         engine: &mut Engine<Ev>,
         now: SimTime,
         pair: usize,
         conn: u32,
         attempt: u32,
-        fr: &mut FaultRuntime,
+        fr: Option<&mut FaultRuntime>,
     ) {
-        let adaptive = fr.adaptive();
+        let adaptive_fr = fr.as_deref().filter(|fr| fr.adaptive());
+        let adaptive = adaptive_fr.is_some();
         let wl = &self.world.pairs[pair];
         let contract = Contract::from_tau(BundleId(pair as u64), wl.responder, wl.pf, self.cfg.tau);
         let priors = self.bundles[pair].connections();
@@ -851,11 +893,11 @@ impl SimulationRun {
             probes: &self.probes,
             costs: &self.world.costs,
             crashed: &self.crashed_until,
-            reputation: adaptive.then(|| fr.reputation.get(wl.initiator.index())),
-            invalid: adaptive.then_some(&fr.probe_invalid),
+            reputation: adaptive_fr.map(|fr| fr.reputation.get(wl.initiator.index())),
+            invalid: adaptive_fr.map(|fr| &fr.probe_invalid),
             age_discount: fr
-                .adversary
-                .as_ref()
+                .as_deref()
+                .and_then(|fr| fr.adversary.as_ref())
                 .filter(|p| p.config().whitewash_age_discount),
             now,
         };
@@ -873,6 +915,10 @@ impl SimulationRun {
             &self.cfg.policy,
             &mut self.routing_rng,
         );
+        let Some(fr) = fr else {
+            self.complete_connection(now, pair, conn, attempt, pending, None, None);
+            return;
+        };
         let timeout = fr.plan.config().retry_timeout;
         let forwarders = &pending.outcome().forwarders;
         let n_edges = forwarders.len() + 1;
@@ -953,7 +999,9 @@ impl SimulationRun {
         }
 
         match failure {
-            None => self.complete_connection(now, pair, conn, attempt, pending, corrupt_from, fr),
+            None => {
+                self.complete_connection(now, pair, conn, attempt, pending, corrupt_from, Some(fr));
+            }
             Some(kind) => {
                 // §2.2: no confirmation, no history — except the suffix a
                 // swallowed confirmation actually traversed.
@@ -1022,9 +1070,10 @@ impl SimulationRun {
         }
     }
 
-    /// The confirmation reached `I`: commit history, settle accounting and
-    /// deposit the §5 evidence (manifest + receipts, corrupted downstream
-    /// of `corrupt_from` when a cheater acted).
+    /// The confirmation reached `I`: commit history and do the shared
+    /// accounting. With a fault runtime, also track delivery and deposit
+    /// the §5 evidence (manifest + receipts, corrupted downstream of
+    /// `corrupt_from` when a cheater acted).
     #[allow(clippy::too_many_arguments)]
     fn complete_connection(
         &mut self,
@@ -1034,7 +1083,7 @@ impl SimulationRun {
         attempt: u32,
         pending: PendingConnection,
         corrupt_from: Option<usize>,
-        fr: &mut FaultRuntime,
+        fr: Option<&mut FaultRuntime>,
     ) {
         let wl = &self.world.pairs[pair];
         let responder = wl.responder;
@@ -1043,21 +1092,21 @@ impl SimulationRun {
         let outcome = pending.into_outcome();
         self.connections += 1;
         self.initiator_costs[pair] += outcome.initiator_cost;
-        self.trackers[pair].record(&outcome.edges(wl.initiator, wl.responder));
+        self.trackers[pair].record(&outcome.edges(wl.initiator, responder));
+        if let Some(w) = self.windows.as_mut() {
+            w.record_delivered(now.minutes());
+            w.record_payoff(now.minutes(), outcome.forwarders.len() as f64 * wl.pf);
+        }
         self.observe_attack(pair, &outcome.forwarders, now);
         self.bundles[pair].record_connection(&outcome.forwarders, &outcome.hop_costs);
+        let Some(fr) = fr else {
+            return;
+        };
 
         let scheduled = self.world.pairs[pair].times[conn as usize];
         fr.delivery
             .record_delivered(now.minutes() - scheduled, attempt > 0);
         fr.last_completion[pair] = now.minutes();
-        if let Some(w) = self.windows.as_mut() {
-            w.record_delivered(now.minutes());
-            w.record_payoff(
-                now.minutes(),
-                outcome.forwarders.len() as f64 * self.world.pairs[pair].pf,
-            );
-        }
 
         // §5 evidence: the responder's MAC'd path manifest plus per-hop
         // receipts; a corrupting cheater destroys every receipt strictly
@@ -1109,15 +1158,12 @@ impl SimulationRun {
             observed_hops,
         });
 
-        // Per-bundle durability: the durable bank settles each validated
-        // connection as its own WAL flush (epoch mode instead batches the
-        // whole window at the boundary, inside `settle_epoch_window`).
+        // Per-bundle settlement closes the pair's window now: this one
+        // connection is validated and, with the durable bank, settled as
+        // its own WAL flush. Epoch settlement closes every window at the
+        // next boundary instead.
         if self.cfg.settlement == SettlementMode::PerBundle {
-            if let Some(bank) = fr.bank.as_mut() {
-                let idx = fr.validators[pair].connections() - 1;
-                let report = fr.validators[pair].validate_range(idx, idx + 1);
-                bank.settle_connection(&report, &fr.plan);
-            }
+            fr.close_windows(pair..pair + 1, false);
         }
 
         // In-run cheater feedback (adaptive only): when receipts came back
@@ -1136,115 +1182,15 @@ impl SimulationRun {
         }
     }
 
-    /// Settles the fault layer: §5 validation over every bundle's evidence,
-    /// the aggregate payment shortfall, the audit trail of detected-vs-paid
-    /// discrepancies, and the bank-outage settlement delay.
-    fn settle_faults(fr: &FaultRuntime) -> (f64, f64, Vec<usize>, u64, u64) {
-        let mut expected = 0u64;
-        let mut validated = 0u64;
-        let mut phantom_flagged = 0u64;
-        let mut flagged: BTreeSet<usize> = BTreeSet::new();
-        let mut audit = AuditLog::new();
-        for (pair, validator) in fr.validators.iter().enumerate() {
-            let report = validator.validate();
-            expected += report.expected_instances;
-            validated += report.validated_instances;
-            phantom_flagged += report.phantom_instances;
-            flagged.extend(report.flagged.iter().map(|a| a.0 as usize));
-            if report.validated_instances < report.expected_instances {
-                audit.append(AuditEvent::Discrepancy {
-                    bundle: pair as u64,
-                    expected: report.expected_instances,
-                    validated: report.validated_instances,
-                    flagged: report.flagged.len() as u64,
-                });
-            }
-        }
-        assert!(
-            audit.verify_chain(),
-            "settlement audit hash chain failed verification"
-        );
-        let shortfall = if expected == 0 {
-            0.0
-        } else {
-            1.0 - validated as f64 / expected as f64
-        };
-        let delays: Vec<f64> = fr
-            .last_completion
-            .iter()
-            .filter(|&&t| t >= 0.0)
-            .map(|&t| fr.plan.next_bank_up(t) - t)
-            .collect();
-        let settlement_delay = if delays.is_empty() {
-            0.0
-        } else {
-            delays.iter().sum::<f64>() / delays.len() as f64
-        };
-        (
-            shortfall,
-            settlement_delay,
-            flagged.into_iter().collect(),
-            audit.len() as u64,
-            phantom_flagged,
-        )
-    }
-
-    /// Epoch-mode counterpart of [`SimulationRun::settle_faults`]: the
-    /// same §5 aggregates, read from the per-window accumulation instead
-    /// of one final validation pass. The windows partition each pair's
-    /// evidence, so shortfall, flags and the discrepancy count equal the
-    /// per-bundle settlement exactly. Only the delay model differs: funds
-    /// leave the bank at the first epoch boundary at or after a pair's
-    /// last completion, further delayed by any bank outage covering that
-    /// boundary — an outage stalls an epoch, not a bundle.
-    fn settle_epochs(
-        fr: &FaultRuntime,
-        es: &EpochState,
-        epoch_length: f64,
-    ) -> (f64, f64, Vec<usize>, u64, u64) {
-        let expected: u64 = es.expected.iter().sum();
-        let validated: u64 = es.validated.iter().sum();
-        let shortfall = if expected == 0 {
-            0.0
-        } else {
-            1.0 - validated as f64 / expected as f64
-        };
-        let discrepancies = es
-            .expected
-            .iter()
-            .zip(&es.validated)
-            .filter(|(e, v)| v < e)
-            .count() as u64;
-        let delays: Vec<f64> = fr
-            .last_completion
-            .iter()
-            .filter(|&&t| t >= 0.0)
-            .map(|&t| {
-                let boundary = (t / epoch_length).ceil() * epoch_length;
-                fr.plan.next_bank_up(boundary) - t
-            })
-            .collect();
-        let settlement_delay = if delays.is_empty() {
-            0.0
-        } else {
-            delays.iter().sum::<f64>() / delays.len() as f64
-        };
-        (
-            shortfall,
-            settlement_delay,
-            es.flagged.iter().copied().collect(),
-            discrepancies,
-            es.phantom_flagged,
-        )
-    }
-
     /// Settles all bundles into the aggregate result.
     #[must_use]
     pub fn finish(mut self) -> RunResult {
-        // Epoch mode: flush the tail window (evidence accrued after the
-        // last in-horizon boundary) before aggregating.
+        // Close the tail windows (evidence accrued after the last
+        // in-horizon epoch boundary) before aggregating. Per-bundle windows
+        // all closed at their connections, so this is a no-op for them.
+        let epoch = self.cfg.settlement == SettlementMode::Epoch;
         if let Some(fr) = self.fault.as_mut() {
-            fr.settle_epoch_window();
+            fr.close_windows(0..fr.validators.len(), epoch);
         }
         let n = self.cfg.n_nodes;
         let residency = self.probes.residency();
@@ -1337,37 +1283,22 @@ impl SimulationRun {
             );
         }
 
-        let (
-            delivery_ratio,
-            retries_per_message,
-            reformation_latency,
-            payment_shortfall,
-            settlement_delay,
-            flagged_cheaters,
-            injected_cheaters,
-            audit_discrepancies,
-            clique_phantom_flagged,
-        ) = match &self.fault {
-            None => (1.0, 0.0, 0.0, 0.0, 0.0, Vec::new(), Vec::new(), 0, 0),
-            Some(fr) => {
-                let (shortfall, settlement_delay, flagged, discrepancies, phantom_flagged) =
-                    match &fr.epoch {
-                        None => Self::settle_faults(fr),
-                        Some(es) => Self::settle_epochs(fr, es, self.cfg.epoch_length),
-                    };
-                (
+        let (delivery_ratio, retries_per_message, reformation_latency, injected_cheaters) =
+            match &self.fault {
+                None => (1.0, 0.0, 0.0, Vec::new()),
+                Some(fr) => (
                     fr.delivery.delivery_ratio(),
                     fr.delivery.retries_per_message(),
                     fr.delivery.reformation_latency(),
-                    shortfall,
-                    settlement_delay,
-                    flagged,
                     fr.plan.cheaters(),
-                    discrepancies,
-                    phantom_flagged,
-                )
-            }
-        };
+                ),
+            };
+        let settled = self
+            .fault
+            .as_ref()
+            .map_or_else(SettlementSummary::default, |fr| {
+                fr.settlement_summary(epoch.then_some(self.cfg.epoch_length))
+            });
 
         // Per-class adversary metrics. All defaults (empty / zero) when no
         // strategy is active — the existing result fingerprints exclude
@@ -1404,27 +1335,9 @@ impl SimulationRun {
         let clique_payout_leakage = if adv.phantom_injected == 0 {
             0.0
         } else {
-            adv.phantom_injected.saturating_sub(clique_phantom_flagged) as f64
+            adv.phantom_injected.saturating_sub(settled.phantom_flagged) as f64
                 / adv.phantom_injected as f64
         };
-
-        let (epochs_settled, settlement_ops_per_epoch, epoch_netting_ratio) =
-            match self.fault.as_ref().and_then(|fr| fr.epoch.as_ref()) {
-                None => (0, 0.0, 0.0),
-                Some(es) => (
-                    es.epochs_settled,
-                    if es.epochs_settled == 0 {
-                        0.0
-                    } else {
-                        (es.payout_ops + es.batch_ops) as f64 / es.epochs_settled as f64
-                    },
-                    if es.payout_ops == 0 {
-                        0.0
-                    } else {
-                        es.receipts_netted as f64 / es.payout_ops as f64
-                    },
-                ),
-            };
 
         let (windowed_delivery_ratio, windowed_payoff_rate, windowed_retry_rate) =
             match &self.windows {
@@ -1467,17 +1380,17 @@ impl SimulationRun {
             delivery_ratio,
             retries_per_message,
             reformation_latency,
-            payment_shortfall,
-            settlement_delay,
-            flagged_cheaters,
+            payment_shortfall: settled.shortfall,
+            settlement_delay: settled.delay,
+            flagged_cheaters: settled.flagged,
             injected_cheaters,
-            audit_discrepancies,
+            audit_discrepancies: settled.discrepancies,
             peak_materialized_nodes: residency.peak,
             node_evictions: residency.evictions,
             slab_bytes,
-            epochs_settled,
-            settlement_ops_per_epoch,
-            epoch_netting_ratio,
+            epochs_settled: settled.epochs_settled,
+            settlement_ops_per_epoch: settled.ops_per_epoch,
+            epoch_netting_ratio: settled.netting_ratio,
             windowed_delivery_ratio,
             windowed_payoff_rate,
             windowed_retry_rate,
@@ -1488,7 +1401,7 @@ impl SimulationRun {
             whitewash_events: adv.whitewash_events,
             reputation_evasion_rate,
             clique_phantom_instances: adv.phantom_injected,
-            clique_phantom_flagged,
+            clique_phantom_flagged: settled.phantom_flagged,
             clique_payout_leakage,
             bank_wal_records: bank_outcome.map_or(0, |o| o.wal_records),
             bank_wal_bytes: bank_outcome.map_or(0, |o| o.wal_bytes),
@@ -1542,7 +1455,7 @@ impl Process for SimulationRun {
             } => self.handle_transmit(engine, now, pair, conn, attempt),
             Ev::EpochSettle => {
                 if let Some(fr) = self.fault.as_mut() {
-                    fr.settle_epoch_window();
+                    fr.close_windows(0..fr.validators.len(), true);
                 }
             }
             Ev::Arrival { pair } => self.handle_arrival(engine, now, pair),

@@ -47,22 +47,24 @@ pub enum WorkloadMode {
     Open,
 }
 
-/// When payment evidence is settled against the bank.
+/// When a settlement window closes. Settlement validates each pair's §5
+/// evidence in windows, each exactly once, and the windows partition the
+/// evidence, so economic outcomes (payoffs, shortfall, flags, audit
+/// discrepancies) are identical in both modes; only the bank-facing
+/// operation counts, the durable bank's WAL grouping and the
+/// settlement-delay model differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SettlementMode {
-    /// Settle every bundle individually after the horizon — one signature
-    /// verification per receipt, one ledger transfer per payout. The
-    /// historical behaviour and the default (byte-identical to builds
-    /// without the epoch layer).
+    /// The completing pair's window closes at each completed connection:
+    /// that connection is validated and paid on the spot, one ledger
+    /// transfer per payout and, with the durable bank, one WAL flush per
+    /// connection. Funds leave the bank at the completion. The default.
     PerBundle,
-    /// Epoch-batched settlement: a settlement event fires every
-    /// [`ScenarioConfig::epoch_length`] minutes, validates the evidence
-    /// window accrued since the previous boundary, nets all payouts into
-    /// one balance delta per account and submits the window's deposits in
-    /// batched (individually verified) bank calls. Economic outcomes
-    /// (payoffs, shortfall, flags, audit
-    /// discrepancies) are identical to `PerBundle`; only the bank-facing
-    /// operation counts and the settlement-delay model change — a bank
+    /// Every pair's window closes at each epoch boundary, every
+    /// [`ScenarioConfig::epoch_length`] minutes, and at the horizon: all
+    /// payouts of the epoch net into one balance delta per account, the
+    /// epoch's deposits go to the bank in batched (individually verified)
+    /// calls, and the durable bank commits them as one WAL group. A bank
     /// outage delays an epoch boundary instead of a bundle.
     Epoch,
 }
@@ -76,12 +78,14 @@ pub enum BankDurability {
     /// mode every fingerprint pin replays.
     #[default]
     Off,
-    /// Write-ahead logging: every settlement-side ledger mutation appends
-    /// a checksummed record before applying (group-committed at epoch
-    /// boundaries under epoch settlement), a warm replica follows the log
-    /// stream, and seeded bank crashes (`--fault-bank-crash`) trigger
-    /// deterministic recovery + failover. Requires the fault/evidence
-    /// layer to be active (settlement is what gets logged).
+    /// Write-ahead logging: each closed settlement window is one flush
+    /// of ledger mutations, each appended as a codec-framed record before
+    /// it applies (one flush per completed connection under per-bundle
+    /// settlement, one group commit per epoch boundary under epoch
+    /// settlement). A warm replica follows the log stream, and seeded
+    /// bank crashes (`--fault-bank-crash`) trigger deterministic recovery
+    /// and failover. Turns the fault runtime on even with every fault
+    /// rate zero: its settlement windows are what gets logged.
     Wal,
 }
 
@@ -157,9 +161,9 @@ pub struct ScenarioConfig {
     /// value yields identical results, only the residency figures move.
     pub evict_idle_ticks: Option<u64>,
     /// When payment evidence settles against the bank (`--settlement`):
-    /// per bundle after the horizon (the default) or batched at epoch
-    /// boundaries. Meaningful only when fault injection is active (that is
-    /// when the §5 evidence layer runs); economics are identical in both
+    /// per bundle at each completed connection (the default) or batched at
+    /// epoch boundaries. Meaningful only when the fault runtime is on (that
+    /// is when the §5 evidence layer runs); economics are identical in both
     /// modes.
     pub settlement: SettlementMode,
     /// Epoch length in minutes under [`SettlementMode::Epoch`]

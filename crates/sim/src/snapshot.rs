@@ -4,8 +4,8 @@
 //! [`SimulationRun`] plus its [`Engine`] — the calendar with original
 //! sequence numbers, the sequential routing RNG cursor, the history arena, the
 //! bundle/tracker/attack accumulators, the touched nodes' probe cells, the
-//! fault runtime (delivery counters, evidence, fault ledgers, epoch
-//! cursors) and the windowed-metrics buckets — into one framed byte
+//! fault runtime (delivery counters, evidence, fault ledgers, settlement
+//! windows, the durable bank) and the windowed-metrics buckets — into one framed byte
 //! buffer ([`idpa_desim::codec::frame`]: magic, version, length,
 //! word-wise FNV-1a checksum), encoded in place behind the frame header.
 //! [`restore`] rebuilds a run that continues
@@ -40,7 +40,7 @@ use idpa_core::bundle::{BundleAccounting, BundleId, ForwarderTally};
 use idpa_core::history::HistoryWrite;
 use idpa_core::metrics::{DeliveryTracker, ReformationTracker};
 use idpa_core::reputation::EdgeReputation;
-use idpa_desim::codec::{fnv1a_64, unframe, CodecError, Dec, Enc};
+use idpa_desim::codec::{fnv1a_64, unframe, CodecError, Dec, Enc, MAGIC};
 use idpa_desim::rng::Xoshiro256StarStar;
 use idpa_desim::{Calendar, Engine};
 use idpa_overlay::{
@@ -67,8 +67,11 @@ use crate::world::World;
 /// ledgers. Version 7 keeps the layout but not the world: a restore
 /// regenerates the world from the config, and each node's churn schedule
 /// and neighbor set now come from position-keyed streams, so a version 6
-/// frame would resume over a different world.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// frame would resume over a different world. Version 8 writes the
+/// settlement windows of every fault runtime without an epoch-presence
+/// tag, flags them per pair, and drops the durable bank's epoch counter
+/// (the windows carry it).
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the
@@ -260,7 +263,7 @@ fn dec_residency(d: &mut Dec) -> Result<Residency, SimError> {
 /// checksummed snapshot buffer.
 #[must_use]
 pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
-    let mut e = Enc::framed(SNAPSHOT_VERSION);
+    let mut e = Enc::framed(MAGIC, SNAPSHOT_VERSION);
     e.u64(config_fingerprint(&run.cfg));
 
     // Engine clock and calendar (original sequence numbers preserved, so
@@ -489,30 +492,26 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
                 }
             }
 
-            match &fr.epoch {
-                None => e.bool(false),
-                Some(es) => {
-                    e.bool(true);
-                    for &c in &es.cursors {
-                        e.usize(c);
-                    }
-                    for &x in &es.expected {
-                        e.u64(x);
-                    }
-                    for &x in &es.validated {
-                        e.u64(x);
-                    }
-                    e.seq_len(es.flagged.len());
-                    for &f in &es.flagged {
-                        e.usize(f);
-                    }
-                    e.u64(es.epochs_settled);
-                    e.u64(es.payout_ops);
-                    e.u64(es.batch_ops);
-                    e.u64(es.receipts_netted);
-                    e.u64(es.phantom_flagged);
-                }
+            let st = &fr.settlement;
+            for &c in &st.cursors {
+                e.usize(c);
             }
+            for &x in &st.expected {
+                e.u64(x);
+            }
+            for &x in &st.validated {
+                e.u64(x);
+            }
+            e.seq_len(st.flagged.len());
+            for &(pair, f) in &st.flagged {
+                e.usize(pair);
+                e.usize(f);
+            }
+            e.u64(st.epochs_settled);
+            e.u64(st.payout_ops);
+            e.u64(st.batch_ops);
+            e.u64(st.receipts_netted);
+            e.u64(st.phantom_flagged);
 
             // Adversary counters: the layer's only mutable state (the plan
             // is a pure precomputed schedule, rebuilt from the config).
@@ -531,7 +530,7 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
                 None => e.bool(false),
                 Some(bank) => {
                     e.bool(true);
-                    let (wal, accounts, flushes, epochs, counters) = bank.snapshot_parts();
+                    let (wal, accounts, flushes, counters) = bank.snapshot_parts();
                     e.seq_len(wal.len());
                     e.raw(wal);
                     e.seq_len(accounts.len());
@@ -540,7 +539,6 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
                         e.u64(acct.0);
                     }
                     e.u64(flushes);
-                    e.u64(epochs);
                     e.u64(counters.crashes);
                     e.u64(counters.torn_tails);
                     e.u64(counters.records_replayed);
@@ -565,7 +563,7 @@ pub fn restore(
     cfg: &ScenarioConfig,
     bytes: &[u8],
 ) -> Result<(SimulationRun, Engine<Ev>), SimError> {
-    let payload = unframe(bytes, SNAPSHOT_VERSION).map_err(codec)?;
+    let payload = unframe(bytes, MAGIC, SNAPSHOT_VERSION).map_err(codec)?;
     let mut d = Dec::new(payload);
 
     if d.u64().map_err(codec)? != config_fingerprint(cfg) {
@@ -940,41 +938,36 @@ pub fn restore(
                 *v = PathValidator::from_snapshot(&fr.keys[pair], pair as u64, evidence);
             }
 
-            let epoch_present = d.bool().map_err(codec)?;
-            match (&mut fr.epoch, epoch_present) {
-                (None, false) => {}
-                (Some(es), true) => {
-                    for (pair, slot) in es.cursors.iter_mut().enumerate() {
-                        let c = d.usize().map_err(codec)?;
-                        if c > fr.validators[pair].connections() {
-                            return Err(mismatch("epoch cursor"));
-                        }
-                        *slot = c;
-                    }
-                    for slot in &mut es.expected {
-                        *slot = d.u64().map_err(codec)?;
-                    }
-                    for slot in &mut es.validated {
-                        *slot = d.u64().map_err(codec)?;
-                    }
-                    let n_flagged = d.seq_len(8).map_err(codec)?;
-                    let mut last: Option<usize> = None;
-                    for _ in 0..n_flagged {
-                        let f = idx(d.usize().map_err(codec)?, n_nodes, "flagged forwarder")?;
-                        if last.is_some_and(|prev| prev >= f) {
-                            return Err(mismatch("flagged order"));
-                        }
-                        last = Some(f);
-                        es.flagged.insert(f);
-                    }
-                    es.epochs_settled = d.u64().map_err(codec)?;
-                    es.payout_ops = d.u64().map_err(codec)?;
-                    es.batch_ops = d.u64().map_err(codec)?;
-                    es.receipts_netted = d.u64().map_err(codec)?;
-                    es.phantom_flagged = d.u64().map_err(codec)?;
+            let st = &mut fr.settlement;
+            for (pair, slot) in st.cursors.iter_mut().enumerate() {
+                let c = d.usize().map_err(codec)?;
+                if c > fr.validators[pair].connections() {
+                    return Err(mismatch("settlement cursor"));
                 }
-                _ => return Err(mismatch("settlement mode")),
+                *slot = c;
             }
+            for slot in &mut st.expected {
+                *slot = d.u64().map_err(codec)?;
+            }
+            for slot in &mut st.validated {
+                *slot = d.u64().map_err(codec)?;
+            }
+            let n_flagged = d.seq_len(16).map_err(codec)?;
+            let mut last: Option<(usize, usize)> = None;
+            for _ in 0..n_flagged {
+                let pair = idx(d.usize().map_err(codec)?, n_pairs, "flagged pair")?;
+                let f = idx(d.usize().map_err(codec)?, n_nodes, "flagged forwarder")?;
+                if last.is_some_and(|prev| prev >= (pair, f)) {
+                    return Err(mismatch("flagged order"));
+                }
+                last = Some((pair, f));
+                st.flagged.insert((pair, f));
+            }
+            st.epochs_settled = d.u64().map_err(codec)?;
+            st.payout_ops = d.u64().map_err(codec)?;
+            st.batch_ops = d.u64().map_err(codec)?;
+            st.receipts_netted = d.u64().map_err(codec)?;
+            st.phantom_flagged = d.u64().map_err(codec)?;
 
             fr.adv.whitewash_events = d.u64().map_err(codec)?;
             fr.adv.whitewash_evasions = d.u64().map_err(codec)?;
@@ -1002,7 +995,6 @@ pub fn restore(
                         accounts.insert(node, acct);
                     }
                     let flushes = d.u64().map_err(codec)?;
-                    let epochs = d.u64().map_err(codec)?;
                     let counters = DurabilityCounters {
                         crashes: d.u64().map_err(codec)?,
                         torn_tails: d.u64().map_err(codec)?,
@@ -1015,9 +1007,8 @@ pub fn restore(
                         accounts,
                         cfg.settlement == SettlementMode::Epoch,
                         flushes,
-                        epochs,
                         counters,
-                    ));
+                    )?);
                 }
                 _ => return Err(mismatch("bank durability presence")),
             }
@@ -1183,7 +1174,7 @@ mod tests {
             engine.set_event_budget(80);
             engine.run(&mut run, Some(SimTime::new(c.churn.horizon)));
             let mut bytes = encode(&run, &engine);
-            let header = idpa_desim::codec::FRAME_HEADER_LEN;
+            let header = idpa_desim::codec::FRAME_HEADER_BYTES;
             bytes[header..header + 8].copy_from_slice(&config_fingerprint(&other).to_le_bytes());
             let n = bytes.len();
             let sum = idpa_desim::codec::frame_checksum(&bytes[header..n - 8]);

@@ -173,3 +173,63 @@ fn durable_runs_replicate_bit_identically() {
     assert!(a.bank_monitor_checks > 0);
     assert_eq!(a.bank_monitor_violations, 0);
 }
+
+/// `(bank_wal_records, bank_wal_bytes, bank_ledger_digest)` of each
+/// [`BASELINE`] scenario with the durable bank on and every fault rate
+/// zero, per-bundle settlement first, then epoch settlement.
+const ZERO_RATE_DURABLE: [[(u64, u64, u64); 6]; 2] = [
+    [
+        (944, 52912, 0x552732e20ceb9a1d),
+        (852, 48020, 0x47d99221a854a911),
+        (948, 53108, 0x666b26baa82da7c0),
+        (896, 50352, 0x3c42000ad7981892),
+        (966, 54062, 0x81603cd39c4150e0),
+        (908, 50972, 0xbc868881aedcc6e6),
+    ],
+    [
+        (38, 4310, 0xe8979070c4a1dac9),
+        (39, 3555, 0x5fab211442492df5),
+        (39, 4371, 0x1e167f96e94b4680),
+        (39, 3627, 0x54fdd03d431d188a),
+        (37, 4177, 0x464c105b328c3228),
+        (39, 3939, 0x83728fca47b81702),
+    ],
+];
+
+/// The zero-rate fault runtime replays the pins: `--bank-durability wal`
+/// forces the fault runtime on with every rate zero, so each baseline run
+/// goes through the one transmit path with fault walks and through
+/// settlement windows in both modes, and must reproduce the pinned
+/// fingerprint and payoff bits. The bank's WAL and ledger are pinned too.
+#[test]
+fn zero_rate_durable_runs_replay_the_pins() {
+    for (settlement, bank_pins) in [SettlementMode::PerBundle, SettlementMode::Epoch]
+        .into_iter()
+        .zip(ZERO_RATE_DURABLE)
+    {
+        for ((seed, replacement, pin, payoff_bits), (records, bytes, digest)) in
+            BASELINE.into_iter().zip(bank_pins)
+        {
+            let cfg = ScenarioConfig {
+                bank_durability: BankDurability::Wal,
+                settlement,
+                ..base(seed, replacement)
+            };
+            let r = common::run(cfg);
+            let case = format!("{settlement:?}, seed {seed}, {replacement:?}");
+            assert_eq!(fingerprint(&r), pin, "fingerprint drifted ({case})");
+            assert_eq!(
+                r.avg_good_payoff.to_bits(),
+                payoff_bits,
+                "payoff drifted ({case})"
+            );
+            assert_eq!(
+                (r.bank_wal_records, r.bank_wal_bytes, r.bank_ledger_digest),
+                (records, bytes, digest),
+                "durable bank drifted ({case})"
+            );
+            assert_eq!(r.bank_monitor_violations, 0, "{case}");
+            assert_eq!(r.payment_shortfall, 0.0, "{case}");
+        }
+    }
+}

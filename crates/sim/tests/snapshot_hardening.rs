@@ -13,26 +13,31 @@
 //! 3. **Checksum-fixed tampering** — the hard layer: payload bytes are
 //!    corrupted *and the checksum recomputed*, so the frame is pristine
 //!    and the structural validators (index bounds, float validity,
-//!    ordering invariants, cross-field lengths) are the only line of
-//!    defense. The decoder must return `Ok` (the flip hit genuinely
-//!    free state, e.g. an RNG word) or a typed `Err` — and never panic
-//!    or abort.
+//!    ordering invariants, cross-field lengths, the durable bank's WAL
+//!    scan and ledger sweep) are the only line of defense. The decoder
+//!    must return `Ok` (the flip hit genuinely free state, e.g. an RNG
+//!    word) or a typed `Err` — and never panic or abort. A snapshot that
+//!    restores is run to its horizon and finished, so state the decoder
+//!    accepted cannot panic the resumed run either.
 //!
 //! A final test checks the no-partial-mutation contract the service
 //! runner relies on: a failed restore leaves nothing behind — a
 //! subsequent restore of the intact snapshot still reproduces the
 //! uninterrupted run exactly.
 
-use idpa_desim::codec::{frame_checksum, FRAME_HEADER_LEN};
+use idpa_desim::codec::{frame_checksum, FRAME_HEADER_BYTES};
 use idpa_desim::rng::StreamFactory;
 use idpa_desim::{Engine, FaultConfig, FaultResponse, SimTime};
 use idpa_sim::snapshot::{encode, restore};
-use idpa_sim::{ScenarioConfig, SimError, SimulationRun, WorkloadMode, World};
+use idpa_sim::{
+    BankDurability, ScenarioConfig, SettlementMode, SimError, SimulationRun, WorkloadMode, World,
+};
 use rand::RngExt;
 
 /// Scenario variants chosen to exercise every optional snapshot section:
 /// fault-free closed, faulty adaptive, epoch settlement, idle eviction,
-/// open workload with windowed metrics.
+/// open workload with windowed metrics, and the durable bank (WAL image,
+/// account map, crash counters) under both settlement modes.
 fn scenarios() -> Vec<ScenarioConfig> {
     let base = ScenarioConfig {
         ..ScenarioConfig::quick_test(5)
@@ -58,7 +63,7 @@ fn scenarios() -> Vec<ScenarioConfig> {
                 drop_rate: 0.06,
                 ..FaultConfig::default()
             },
-            settlement: idpa_sim::SettlementMode::Epoch,
+            settlement: SettlementMode::Epoch,
             evict_idle_ticks: Some(2),
             ..base
         },
@@ -69,7 +74,25 @@ fn scenarios() -> Vec<ScenarioConfig> {
             window_warmup: base.churn.horizon / 8.0,
             ..base
         },
+        durable(base, SettlementMode::PerBundle),
+        durable(base, SettlementMode::Epoch),
     ]
+}
+
+/// `base` with the durable bank on, real settlement traffic and seeded
+/// bank crashes.
+fn durable(base: ScenarioConfig, settlement: SettlementMode) -> ScenarioConfig {
+    ScenarioConfig {
+        fault: FaultConfig {
+            drop_rate: 0.05,
+            cheat_fraction: 0.2,
+            bank_crash_rate: 0.2,
+            ..FaultConfig::default()
+        },
+        settlement,
+        bank_durability: BankDurability::Wal,
+        ..base
+    }
 }
 
 /// A mid-run snapshot of `cfg` (deep enough that every accumulator holds
@@ -89,9 +112,19 @@ fn mid_run_snapshot(cfg: &ScenarioConfig) -> Vec<u8> {
 /// and reaches the structural decoder.
 fn reseal(bytes: &mut [u8]) {
     let n = bytes.len();
-    let payload = &bytes[FRAME_HEADER_LEN..n - 8];
+    let payload = &bytes[FRAME_HEADER_BYTES..n - 8];
     let sum = frame_checksum(payload).to_le_bytes();
     bytes[n - 8..].copy_from_slice(&sum);
+}
+
+/// Restores a resealed, tampered snapshot. The decoder may accept it (the
+/// flip hit free state) or reject it with a typed error; an accepted one
+/// is run to its horizon and finished, which must not panic either.
+fn restore_and_finish(cfg: &ScenarioConfig, bytes: &[u8]) {
+    if let Ok((mut run, mut engine)) = restore(cfg, bytes) {
+        engine.run(&mut run, Some(SimTime::new(cfg.churn.horizon)));
+        let _ = run.finish();
+    }
 }
 
 /// `restore` on a snapshot that must not decode; returns the typed error.
@@ -138,14 +171,29 @@ fn flips_truncations_and_resealed_tampering_never_panic() {
         }
 
         // Layer 3 — checksum-fixed tampering: the structural validators
-        // are on their own. Any outcome but a panic is acceptable.
+        // are on their own. Any outcome but a panic is acceptable. Random
+        // flips anywhere in the payload, then a sweep over its tail, where
+        // the settlement windows and the durable-bank block sit, and a
+        // low-bit flip of each of its last 64 bytes, which lowers as often
+        // as raises the position keys and counters stored there.
         for _ in 0..30 {
             let pos = rng.random_range(20..bytes.len() - 8);
             let bit = rng.random_range(0..8u32);
             let mut mangled = bytes.clone();
             mangled[pos] ^= 1 << bit;
             reseal(&mut mangled);
-            let _ = restore(&cfg, &mangled);
+            restore_and_finish(&cfg, &mangled);
+            cases += 1;
+        }
+        let payload_end = bytes.len() - 8;
+        let tail_start = payload_end.saturating_sub(3_000).max(FRAME_HEADER_BYTES);
+        let sweep = (tail_start..payload_end).step_by(7).map(|pos| (pos, 0x10));
+        let last = (payload_end - 64..payload_end).map(|pos| (pos, 0x01));
+        for (pos, bit) in sweep.chain(last) {
+            let mut mangled = bytes.clone();
+            mangled[pos] ^= bit;
+            reseal(&mut mangled);
+            restore_and_finish(&cfg, &mangled);
             cases += 1;
         }
     }

@@ -119,27 +119,33 @@ IDPA_FUZZ_SMOKE=1 cargo test -q --offline -p idpa-payment --test fuzz_validator
 # byte-offset truncation and corruption of a recorded WAL must recover the
 # intact prefix), the failover-equivalence matrix (bank crash x settlement
 # mode x seed x snapshot/resume == uninterrupted), and one end-to-end
-# service run with --bank-durability wal under a seeded bank-crash storm.
-# The resumed durable run must be line-identical to the uninterrupted one.
+# service run with --bank-durability wal under a seeded bank-crash storm
+# per settlement mode. Each resumed durable run must be line-identical to
+# the uninterrupted one.
 stage="WAL smoke (IDPA_WAL_SMOKE=1 wal_recovery + bank_durability + durable service)"
 IDPA_WAL_SMOKE=1 cargo test -q --offline -p idpa-payment --test wal_recovery
 IDPA_WAL_SMOKE=1 cargo test -q --offline -p idpa-sim --test bank_durability
 wal_dir="target/verify-wal"
 mkdir -p "$wal_dir"
-wal_flags=(
-    --seed 11 --settlement epoch --bank-durability wal
-    --fault-drop 0.05 --fault-bank-crash 0.5 --fault-bank-crash-torn 0.5
-)
-IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
-    "${wal_flags[@]}" > "$wal_dir/uninterrupted.txt"
-IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
-    "${wal_flags[@]}" --max-wall-secs 0 \
-    --snapshot-path "$wal_dir/run.snap" > /dev/null
-IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
-    "${wal_flags[@]}" --resume "$wal_dir/run.snap" > "$wal_dir/resumed.txt"
-diff "$wal_dir/uninterrupted.txt" "$wal_dir/resumed.txt"
-grep -q "audit chain verified: true" "$wal_dir/resumed.txt"
-echo "WAL smoke: durable resumed run is line-identical and the audit chain verifies"
+# Both settlement modes: epoch settlement commits one WAL group per
+# boundary, per-bundle settlement one flush per completed connection.
+for settlement in epoch per-bundle; do
+    wal_flags=(
+        --seed 11 --settlement "$settlement" --bank-durability wal
+        --fault-drop 0.05 --fault-bank-crash 0.5 --fault-bank-crash-torn 0.5
+    )
+    IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
+        "${wal_flags[@]}" > "$wal_dir/uninterrupted-$settlement.txt"
+    IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
+        "${wal_flags[@]}" --max-wall-secs 0 \
+        --snapshot-path "$wal_dir/run-$settlement.snap" > /dev/null
+    IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
+        "${wal_flags[@]}" --resume "$wal_dir/run-$settlement.snap" \
+        > "$wal_dir/resumed-$settlement.txt"
+    diff "$wal_dir/uninterrupted-$settlement.txt" "$wal_dir/resumed-$settlement.txt"
+    grep -q "audit chain verified: true" "$wal_dir/resumed-$settlement.txt"
+    echo "WAL smoke ($settlement): durable resumed run is line-identical and the audit chain verifies"
+done
 
 stage="done"
 echo "verify: OK"
