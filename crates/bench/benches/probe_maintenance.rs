@@ -67,9 +67,9 @@ fn main() {
     let quick = std::env::var("IDPA_PM_QUICK").is_ok_and(|v| v == "1");
 
     let mut h = Harness::new();
-    bench_scale(&mut h, "n500_d24_r6", 500, 0xc17b_8eee_5f7c_07e5);
+    bench_scale(&mut h, "n500_d24_r6", 500, 0x31c0_5c02_6617_370f);
     if !quick {
-        bench_scale(&mut h, "n2k_d24_r6", 2000, 0x089e_75e2_9e17_b535);
+        bench_scale(&mut h, "n2k_d24_r6", 2000, 0x361c_b669_a733_0fc6);
     }
     h.write_json_default().expect("write bench report");
 }

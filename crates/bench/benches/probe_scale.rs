@@ -38,7 +38,7 @@ fn main() {
     let r = SimulationRun::execute(cfg);
     assert_eq!(
         result_fingerprint(&r),
-        0xf4c7_38bd_a1cb_54b9,
+        0x4684_3b73_51a0_82c5,
         "probe_scale: run drifted from its pinned result"
     );
     println!(

@@ -60,8 +60,8 @@ impl Harness {
     /// Times `f` and records the measurement under `name`.
     ///
     /// Calibration: the iteration count doubles until one batch takes at
-    /// least [`TARGET_BATCH_NS`]; kernels whose single iteration already
-    /// exceeds [`HEAVY_ITER_NS`] run one iteration per batch with fewer
+    /// least `TARGET_BATCH_NS`; kernels whose single iteration already
+    /// exceeds `HEAVY_ITER_NS` run one iteration per batch with fewer
     /// samples. The reported figure is the median batch, divided by the
     /// batch iteration count.
     pub fn bench<R, F: FnMut() -> R>(&mut self, name: &str, mut f: F) {

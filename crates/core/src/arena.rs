@@ -4,7 +4,7 @@
 //! behind a per-node bundle map. [`HistoryArena`] is the runner's store:
 //! one map over every `(node, bundle)` pair, owned by the run and written
 //! through `&mut`, each cell holding that node's records for that bundle
-//! in the same [`BundleHistory`] type the profile uses. A small
+//! in the same `BundleHistory` type the profile uses. A small
 //! never-cleared membership filter answers the common "this node has no
 //! history for this bundle yet" query without probing the map.
 //!

@@ -649,15 +649,18 @@ mod tests {
         // version 6 the layout over a world whose churn and topology came
         // from two world-wide sequential streams (a restore regenerates
         // the world from the config, so a v6 frame would resume over a
-        // different world), and version 7 the settlement block behind an
-        // epoch-presence tag. A version 8 reader must reject all four by
-        // version, before looking at the checksum or the payload.
+        // different world), version 7 the settlement block behind an
+        // epoch-presence tag, and version 8 the layout over a world whose
+        // link bandwidths came from one sequential stream. A version 9
+        // reader must reject all five by version, before looking at the
+        // checksum or the payload.
         let payload = b"old snapshot payload";
         for (version, checksum) in [
             (4u32, fnv1a_64(payload)),
             (5, frame_checksum(payload)),
             (6, frame_checksum(payload)),
             (7, frame_checksum(payload)),
+            (8, frame_checksum(payload)),
         ] {
             let mut old = Vec::new();
             old.extend_from_slice(&MAGIC);
@@ -666,7 +669,7 @@ mod tests {
             old.extend_from_slice(payload);
             old.extend_from_slice(&checksum.to_le_bytes());
             assert_eq!(
-                unframe(&old, MAGIC, 8).unwrap_err(),
+                unframe(&old, MAGIC, 9).unwrap_err(),
                 CodecError::UnsupportedVersion(version)
             );
         }

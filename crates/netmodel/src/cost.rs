@@ -11,15 +11,17 @@
 //!   high-bandwidth ones, which is the reading under which a selfish peer
 //!   "forwards traffic on low bandwidth links" to conserve its own access
 //!   bandwidth (the Shrivastava–Banerjee behaviour the paper cites).
+//!
+//! The paper leaves the bandwidth distribution open; each link's
+//! bandwidth is an i.i.d. uniform draw, derived on demand from a stream
+//! keyed by the link, so no per-pair table is ever stored.
 
-use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
+use idpa_desim::rng::StreamFactory;
 use rand::RngExt;
 
 /// Parameters of the cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostConfig {
-    /// Number of peers.
-    pub n_nodes: usize,
     /// One-time participation cost `C^p` per peer session.
     pub participation_cost: f64,
     /// Payload size `b` (arbitrary units; the paper leaves it abstract).
@@ -35,7 +37,6 @@ pub struct CostConfig {
 impl Default for CostConfig {
     fn default() -> Self {
         CostConfig {
-            n_nodes: 40,
             participation_cost: 5.0,
             payload_size: 1.0,
             bandwidth_lo: 1.0,
@@ -48,7 +49,6 @@ impl Default for CostConfig {
 impl CostConfig {
     /// Panics on out-of-range parameters.
     pub fn validate(&self) {
-        assert!(self.n_nodes > 0, "need at least one node");
         assert!(self.participation_cost >= 0.0, "negative C^p");
         assert!(self.payload_size > 0.0, "payload size must be positive");
         assert!(
@@ -61,59 +61,24 @@ impl CostConfig {
     }
 }
 
-/// How the symmetric bandwidth matrix is held.
-#[derive(Debug, Clone)]
-enum Bandwidth {
-    /// Upper-triangular storage of the full matrix: entry (i, j) for
-    /// i < j is at `i*n - i*(i+1)/2 + (j - i - 1)`. O(n²) memory, drawn
-    /// from one sequential stream — the historical layout every existing
-    /// scenario pins.
-    Dense(Vec<f64>),
-    /// No storage at all: each edge's bandwidth is the first draw of a
-    /// position-keyed stream (`"bandwidth/edge"` keyed by the ordered
-    /// pair), materialized on every lookup. O(1) memory; the *values*
-    /// differ from the dense layout (a different, but equally i.i.d.,
-    /// uniform draw per edge), so this is a scenario-level choice, not a
-    /// transparent execution mode.
-    Sparse(StreamFactory),
-}
-
-/// A symmetric peer-to-peer bandwidth matrix and the derived costs.
+/// Per-edge bandwidths and the costs derived from them. No matrix is
+/// stored: each symmetric edge's bandwidth is the first draw of its own
+/// stream (`"bandwidth/edge"` keyed by the ordered pair), re-derived on
+/// every lookup. Memory is O(1) in the number of peers, and an edge's
+/// value does not depend on how many peers the world has.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     config: CostConfig,
-    bandwidth: Bandwidth,
+    streams: StreamFactory,
 }
 
 impl CostModel {
-    /// Samples a symmetric bandwidth matrix with i.i.d. uniform entries.
+    /// A model whose edge bandwidths are i.i.d. uniform in
+    /// `[bandwidth_lo, bandwidth_hi]`, drawn from `streams`.
     #[must_use]
-    pub fn generate(config: CostConfig, rng: &mut Xoshiro256StarStar) -> Self {
+    pub fn new(config: CostConfig, streams: StreamFactory) -> Self {
         config.validate();
-        let n = config.n_nodes;
-        let mut bandwidth = Vec::with_capacity(n * (n - 1) / 2);
-        for _ in 0..n * (n - 1) / 2 {
-            bandwidth.push(rng.random_range(config.bandwidth_lo..=config.bandwidth_hi));
-        }
-        CostModel {
-            config,
-            bandwidth: Bandwidth::Dense(bandwidth),
-        }
-    }
-
-    /// A sparse model that stores no matrix: each symmetric edge's
-    /// bandwidth is re-derived on demand from its own position-keyed
-    /// stream. Memory is O(1) regardless of `n_nodes`, which is what lets
-    /// million-node worlds exist at all; the sampled values are *not*
-    /// those of [`CostModel::generate`] (different stream layout), so
-    /// scenarios opt in explicitly.
-    #[must_use]
-    pub fn generate_sparse(config: CostConfig, streams: StreamFactory) -> Self {
-        config.validate();
-        CostModel {
-            config,
-            bandwidth: Bandwidth::Sparse(streams),
-        }
+        CostModel { config, streams }
     }
 
     /// The configuration.
@@ -122,24 +87,15 @@ impl CostModel {
         &self.config
     }
 
-    fn tri_index(&self, i: usize, j: usize) -> usize {
-        let n = self.config.n_nodes;
-        debug_assert!(i < j && j < n);
-        i * n - i * (i + 1) / 2 + (j - i - 1)
-    }
-
     /// Bandwidth between peers `i` and `j` (symmetric; `i != j`).
     #[must_use]
     pub fn bandwidth(&self, i: usize, j: usize) -> f64 {
         assert!(i != j, "no self-link bandwidth");
         let (a, b) = if i < j { (i, j) } else { (j, i) };
-        match &self.bandwidth {
-            Bandwidth::Dense(tri) => tri[self.tri_index(a, b)],
-            Bandwidth::Sparse(streams) => {
-                let mut rng = streams.stream_indexed2("bandwidth/edge", a as u64, b as u64);
-                rng.random_range(self.config.bandwidth_lo..=self.config.bandwidth_hi)
-            }
-        }
+        let mut rng = self
+            .streams
+            .stream_indexed2("bandwidth/edge", a as u64, b as u64);
+        rng.random_range(self.config.bandwidth_lo..=self.config.bandwidth_hi)
     }
 
     /// Per-unit transmission cost `l(i,j) = cost_scale / bandwidth(i,j)`.
@@ -173,8 +129,7 @@ mod tests {
     use super::*;
 
     fn model(seed: u64) -> CostModel {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        CostModel::generate(CostConfig::default(), &mut rng)
+        CostModel::new(CostConfig::default(), StreamFactory::new(seed))
     }
 
     #[test]
@@ -187,17 +142,19 @@ mod tests {
                 }
             }
         }
+        // Far-apart ids behave like near ones: there is no table to index.
+        for (i, j) in [(3usize, 999_999usize), (500_000, 7)] {
+            assert_eq!(m.bandwidth(i, j), m.bandwidth(j, i), "({i}, {j})");
+        }
     }
 
     #[test]
     fn bandwidth_in_configured_range() {
         let m = model(2);
-        let n = m.config().n_nodes;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let bw = m.bandwidth(i, j);
-                assert!((1.0..=10.0).contains(&bw), "bw={bw}");
-            }
+        let near = (0..40).flat_map(|i| ((i + 1)..40).map(move |j| (i, j)));
+        for (i, j) in near.chain([(3, 999_999), (500_000, 7)]) {
+            let bw = m.bandwidth(i, j);
+            assert!((1.0..=10.0).contains(&bw), "bw={bw}");
         }
     }
 
@@ -216,25 +173,22 @@ mod tests {
 
     #[test]
     fn transmission_cost_scales_with_payload() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(4);
         let cfg = CostConfig {
             payload_size: 2.0,
             ..CostConfig::default()
         };
-        let m2 = CostModel::generate(cfg, &mut rng);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(4);
-        let m1 = CostModel::generate(CostConfig::default(), &mut rng);
-        // Same seed => same bandwidth matrix => exactly double cost.
+        let m2 = CostModel::new(cfg, StreamFactory::new(4));
+        let m1 = model(4);
+        // Same seed => same bandwidths => exactly double cost.
         assert!((m2.transmission_cost(0, 1) - 2.0 * m1.transmission_cost(0, 1)).abs() < 1e-12);
     }
 
     #[test]
     fn max_transmission_cost_bounds_all_links() {
         let m = model(5);
-        let n = m.config().n_nodes;
         let bound = m.max_transmission_cost();
-        for i in 0..n {
-            for j in (i + 1)..n {
+        for i in 0..40 {
+            for j in (i + 1)..40 {
                 assert!(m.transmission_cost(i, j) <= bound + 1e-12);
             }
         }
@@ -251,32 +205,12 @@ mod tests {
         let a = model(7);
         let b = model(7);
         assert_eq!(a.bandwidth(0, 5), b.bandwidth(0, 5));
-    }
-
-    fn sparse(seed: u64, n: usize) -> CostModel {
-        let cfg = CostConfig {
-            n_nodes: n,
-            ..CostConfig::default()
-        };
-        CostModel::generate_sparse(cfg, StreamFactory::new(seed))
+        assert_eq!(a.bandwidth(3, 999_999), b.bandwidth(3, 999_999));
     }
 
     #[test]
-    fn sparse_is_symmetric_in_range_and_deterministic() {
-        let a = sparse(9, 1_000_000);
-        let b = sparse(9, 1_000_000);
-        for (i, j) in [(0usize, 1usize), (3, 999_999), (500_000, 7)] {
-            let bw = a.bandwidth(i, j);
-            assert_eq!(bw, a.bandwidth(j, i), "symmetry at ({i}, {j})");
-            assert_eq!(bw, b.bandwidth(i, j), "determinism at ({i}, {j})");
-            assert!((1.0..=10.0).contains(&bw), "bw={bw}");
-        }
-        assert!(a.max_transmission_cost() >= a.transmission_cost(0, 1));
-    }
-
-    #[test]
-    fn sparse_reads_are_position_stable() {
-        let m = sparse(11, 100);
+    fn reads_are_position_stable() {
+        let m = model(11);
         let first = m.bandwidth(4, 17);
         let _interleaved = (m.bandwidth(0, 1), m.bandwidth(98, 99));
         assert_eq!(

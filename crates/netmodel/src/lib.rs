@@ -13,7 +13,7 @@
 //!
 //! This crate provides exactly those pieces: inverse-CDF samplers for the
 //! needed distributions ([`dist`]), per-node churn schedules ([`churn`]),
-//! and the bandwidth/cost matrix ([`cost`]).
+//! and per-link bandwidths and costs, each derived on demand ([`cost`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -144,7 +144,7 @@ impl ProbeEstimator {
     /// Replaces every neighbor silent for `threshold`+ rounds with a fresh
     /// random peer (not self, not already a neighbor; up to 16 candidate
     /// draws each). Candidates come from the per-(owner, round)
-    /// [`maintenance_stream`], so the decision sequence is a pure function
+    /// `maintenance_stream`, so the decision sequence is a pure function
     /// of (master seed, owner, round, current estimator state). A
     /// replacement restarts the paper's "new neighbor found" state: session
     /// time is zero until the next sighting draws `rand(0, T)`.

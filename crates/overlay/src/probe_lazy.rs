@@ -1,6 +1,6 @@
 //! Event-driven lazy availability estimation.
 //!
-//! The eager [`ProbeEstimator`](crate::ProbeEstimator) is advanced by a
+//! The eager [`ProbeEstimator`] is advanced by a
 //! global sweep at every probe tick — O(N·d) work per tick whether or not
 //! anyone reads the estimates. But the churn schedule is known analytically
 //! (`NodeSchedule` holds each node's `[up, down)` intervals), so the state

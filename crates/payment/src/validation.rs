@@ -243,7 +243,7 @@ impl PathValidator {
     }
 
     /// Replays the evidence entries in `[start, end)` (insertion order) —
-    /// the epoch-settlement kernel. [`PathValidator::apply_evidence`] is
+    /// the epoch-settlement kernel. `PathValidator::apply_evidence` is
     /// per-entry independent, so partitioning a bundle's evidence into
     /// epoch windows and merging the per-window reports (summing counters,
     /// unioning `paid_counts`/`flagged`) reproduces the whole-bundle

@@ -48,7 +48,7 @@ pub mod world;
 pub use error::SimError;
 pub use idpa_desim::{AdversaryConfig, AdversaryPlan, FaultConfig, FaultResponse};
 pub use runner::{RunResult, SimulationRun};
-pub use scenario::{BankDurability, CostStorage, ScenarioConfig, SettlementMode, WorkloadMode};
+pub use scenario::{BankDurability, ScenarioConfig, SettlementMode, WorkloadMode};
 pub use service::{run_service, ServiceOptions};
 pub use slab::{NodeSlab, ReputationStore};
 pub use window::WindowCollector;

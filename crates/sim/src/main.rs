@@ -161,17 +161,16 @@ fn main() -> ExitCode {
     };
     let opts = parsed.opts;
 
-    // The settlement layer rides on the fault/evidence layer; without any
-    // fault rate there is no evidence to settle and epoch mode reports
-    // all-zero settlement metrics. Warn rather than fail: all-zero rates
-    // are a legitimate baseline in fingerprint comparisons.
-    if opts.scenario.settlement == idpa_sim::SettlementMode::Epoch
-        && !opts.scenario.fault.is_active()
-    {
+    // Without a fault rate, an adversary plan or a durable bank there is
+    // no evidence to settle and epoch mode reports all-zero settlement
+    // metrics. Warn rather than fail: all-zero rates are a legitimate
+    // baseline in fingerprint comparisons.
+    if opts.scenario.settlement == idpa_sim::SettlementMode::Epoch && !opts.scenario.settles() {
         eprintln!(
-            "warning: --settlement epoch has no effect without fault injection \
-             (enable at least one --fault-* rate to activate the evidence and \
-             settlement layers); settlement metrics will be zero"
+            "warning: --settlement epoch has no effect without fault injection, \
+             an --adversary-* strategy or --bank-durability wal (any of them \
+             activates the evidence and settlement layers); settlement \
+             metrics will be zero"
         );
     }
 

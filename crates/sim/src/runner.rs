@@ -11,8 +11,9 @@
 //!
 //! Every transmission takes one path: form the connection without
 //! committing history, then complete it. With a fault runtime (an active
-//! [`FaultConfig`], adversary plan or durable bank) the run additionally
-//! injects seed-derived faults between the two: each attempt walks its
+//! fault config, adversary plan or durable bank:
+//! [`ScenarioConfig::settles`]) the run additionally injects seed-derived
+//! faults between the two: each attempt walks its
 //! formed path edge by edge (crash / drop / delay), the confirmation walks
 //! back through any cheating forwarders (drop / receipt corruption), and
 //! failed attempts are retried with exponential backoff up to
@@ -632,14 +633,10 @@ impl SimulationRun {
         );
         let histories = HistoryArena::with_capacity(cfg.history_capacity);
         let n_pairs = world.pairs.len();
-        // Any adversary strategy rides on the fault runtime (evidence,
-        // delivery tracking, reputation ledgers), so an active adversary
-        // plan forces the runtime on even with every fault rate zero — a
-        // zero-rate FaultPlan consumes no streams and injects nothing.
-        let (crashed_until, fault) = if cfg.fault.is_active()
-            || cfg.adversary.is_active()
-            || cfg.bank_durability == BankDurability::Wal
-        {
+        // An adversary plan or a durable bank forces the runtime on even
+        // with every fault rate zero — a zero-rate FaultPlan consumes no
+        // streams and injects nothing.
+        let (crashed_until, fault) = if cfg.settles() {
             let plan = FaultPlan::new(cfg.fault, streams.clone(), cfg.n_nodes, cfg.churn.horizon);
             let adversary = cfg.adversary.is_active().then(|| {
                 AdversaryPlan::new(

@@ -15,21 +15,6 @@ use idpa_netmodel::{ChurnConfig, CostConfig};
 
 use crate::error::SimError;
 
-/// How the symmetric bandwidth matrix backing the cost model is stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostStorage {
-    /// The full O(N²) upper-triangular matrix, drawn from the sequential
-    /// `"bandwidth"` stream — the historical layout every existing
-    /// scenario pins. The default.
-    Dense,
-    /// No matrix: each edge's bandwidth is re-derived on demand from a
-    /// position-keyed stream. O(1) memory — required for million-node
-    /// worlds — but the sampled values differ from `Dense` (a different,
-    /// equally i.i.d. draw per edge), so this is a scenario-level choice,
-    /// not a transparent execution mode.
-    Sparse,
-}
-
 /// How connection requests arrive over the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadMode {
@@ -151,10 +136,6 @@ pub struct ScenarioConfig {
     /// Read by nothing: no run depends on it. It exists only so that
     /// struct literals which still set it compile, and goes with them.
     pub history_shards: usize,
-    /// Bandwidth matrix storage. [`CostStorage::Sparse`] drops the O(N²)
-    /// matrix for million-node worlds at the price of *different* (still
-    /// i.i.d. uniform) edge draws than the dense layout.
-    pub cost_storage: CostStorage,
     /// Idle eviction of per-node probe cells: evict a node's materialized
     /// state after this many probe ticks without a touch (`None`, the
     /// default, never evicts; `Some(0)` is rejected). Pure policy — any
@@ -162,9 +143,9 @@ pub struct ScenarioConfig {
     pub evict_idle_ticks: Option<u64>,
     /// When payment evidence settles against the bank (`--settlement`):
     /// per bundle at each completed connection (the default) or batched at
-    /// epoch boundaries. Meaningful only when the fault runtime is on (that
-    /// is when the §5 evidence layer runs); economics are identical in both
-    /// modes.
+    /// epoch boundaries. Meaningful only when the run
+    /// [`settles`](ScenarioConfig::settles); economics are identical in
+    /// both modes.
     pub settlement: SettlementMode,
     /// Epoch length in minutes under [`SettlementMode::Epoch`]
     /// (`--epoch-length`). Must be positive in epoch mode; ignored
@@ -203,7 +184,6 @@ impl Default for ScenarioConfig {
             horizon: 24.0 * 60.0,
         };
         let cost = CostConfig {
-            n_nodes: 40,
             participation_cost: 5.0,
             payload_size: 1.0,
             bandwidth_lo: 1.0,
@@ -235,7 +215,6 @@ impl Default for ScenarioConfig {
             fault: FaultConfig::default(),
             adversary: AdversaryConfig::default(),
             history_shards: 0,
-            cost_storage: CostStorage::Dense,
             evict_idle_ticks: None,
             settlement: SettlementMode::PerBundle,
             epoch_length: 240.0,
@@ -274,14 +253,6 @@ impl ScenarioConfig {
             format!(
                 "churn size mismatch ({} != n_nodes {})",
                 self.churn.n_nodes, self.n_nodes
-            ),
-        )?;
-        ensure(
-            self.cost.n_nodes == self.n_nodes,
-            "cost.n_nodes",
-            format!(
-                "cost size mismatch ({} != n_nodes {})",
-                self.cost.n_nodes, self.n_nodes
             ),
         )?;
         ensure(
@@ -325,9 +296,9 @@ impl ScenarioConfig {
             ),
         )?;
         ensure(
-            self.tau >= 0.0,
+            self.tau >= 0.0 && self.tau.is_finite(),
             "tau",
-            format!("tau must be nonnegative (got {})", self.tau),
+            format!("tau must be finite and nonnegative (got {})", self.tau),
         )?;
         ensure(
             (0.0..=1.0).contains(&self.adversary_fraction),
@@ -392,6 +363,14 @@ impl ScenarioConfig {
                 ),
             )?;
         }
+        ensure(
+            self.warmup >= 0.0 && self.warmup.is_finite(),
+            "warmup",
+            format!(
+                "warmup must be finite and nonnegative (got {})",
+                self.warmup
+            ),
+        )?;
         ensure(
             self.warmup < self.churn.horizon,
             "warmup",
@@ -483,6 +462,19 @@ impl ScenarioConfig {
         // so the durable ledger always has a settlement flow to mirror.
     }
 
+    /// Whether the run carries the fault runtime, which holds the §5
+    /// evidence and settlement layers: some fault rate is set, an
+    /// adversary plan is active (its strategies need evidence, delivery
+    /// tracking and reputation ledgers), or the bank is durable (its
+    /// ledger mirrors the settlement flow). Without it there is nothing to
+    /// settle, and settlement metrics stay zero in either mode.
+    #[must_use]
+    pub fn settles(&self) -> bool {
+        self.fault.is_active()
+            || self.adversary.is_active()
+            || self.bank_durability == BankDurability::Wal
+    }
+
     /// A scaled-down scenario for fast tests: 20 nodes, 20 pairs,
     /// 200 transmissions.
     #[must_use]
@@ -509,9 +501,10 @@ impl ScenarioConfig {
 
     /// A large-N scale scenario: paper churn scaled proportionally
     /// (`join_rate = n/20`, the default 2/min at N = 40), idle eviction of
-    /// probe cells after 64 ticks, sparse cost storage (no O(N²) matrix),
-    /// and a fixed-size active workload — so per-tick cost and resident
-    /// state track the 512-pair traffic, not N. `adversary_fraction` stays
+    /// probe cells after 64 ticks, and a fixed-size active workload — so
+    /// per-tick cost and resident state track the 512-pair traffic, not N.
+    /// Link bandwidths need nothing special: every world derives each
+    /// edge's draw on demand, in O(1) memory. `adversary_fraction` stays
     /// 0: the attack observer is an O(N)-per-connection layer this
     /// scenario does not measure.
     #[must_use]
@@ -521,7 +514,6 @@ impl ScenarioConfig {
             total_transmissions: 4096,
             max_connections: 64,
             evict_idle_ticks: Some(64),
-            cost_storage: CostStorage::Sparse,
             seed,
             ..ScenarioConfig::default()
         }
@@ -543,7 +535,6 @@ impl ScenarioConfig {
     pub fn with_nodes(mut self, n: usize) -> Self {
         self.n_nodes = n;
         self.churn.n_nodes = n;
-        self.cost.n_nodes = n;
         self
     }
 }
@@ -584,7 +575,6 @@ mod tests {
         let cfg = ScenarioConfig::default().with_nodes(10);
         cfg.validate().expect("with_nodes must stay consistent");
         assert_eq!(cfg.churn.n_nodes, 10);
-        assert_eq!(cfg.cost.n_nodes, 10);
     }
 
     /// Asserts validation fails on `field` with `fragment` in the message.
@@ -601,7 +591,7 @@ mod tests {
     #[test]
     fn inconsistent_sizes_rejected() {
         let cfg = ScenarioConfig {
-            n_nodes: 30, // without updating churn/cost
+            n_nodes: 30, // without updating churn
             ..ScenarioConfig::default()
         };
         assert_rejected(&cfg, "churn.n_nodes", "churn size mismatch");
@@ -639,6 +629,29 @@ mod tests {
         let mut cfg = ScenarioConfig::default();
         cfg.warmup = cfg.churn.horizon + 1.0;
         assert_rejected(&cfg, "warmup", "warmup must precede the horizon");
+        // Values that would panic the run's clock, in either workload.
+        for workload in [WorkloadMode::Closed, WorkloadMode::Open] {
+            for warmup in [-30.0, f64::NAN, f64::NEG_INFINITY] {
+                let cfg = ScenarioConfig {
+                    warmup,
+                    workload,
+                    open_arrival_rate: 0.05,
+                    ..ScenarioConfig::quick_test(1)
+                };
+                assert_rejected(&cfg, "warmup", "finite and nonnegative");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_tau_rejected() {
+        for tau in [f64::INFINITY, f64::NAN] {
+            let cfg = ScenarioConfig {
+                tau,
+                ..ScenarioConfig::quick_test(1)
+            };
+            assert_rejected(&cfg, "tau", "finite and nonnegative");
+        }
     }
 
     #[test]
@@ -685,10 +698,7 @@ mod tests {
         };
         let quick = cfg.quick();
         quick.validate().expect("quick tier validates");
-        assert_eq!(
-            (quick.n_nodes, quick.churn.n_nodes, quick.cost.n_nodes),
-            (20, 20, 20)
-        );
+        assert_eq!((quick.n_nodes, quick.churn.n_nodes), (20, 20));
         assert_eq!((quick.n_pairs, quick.total_transmissions), (20, 200));
         assert_eq!(quick, cfg.quick().quick(), "idempotent");
         assert_eq!(
@@ -722,10 +732,8 @@ mod tests {
     }
 
     #[test]
-    fn default_never_evicts_and_stores_costs_densely() {
-        let cfg = ScenarioConfig::default();
-        assert_eq!(cfg.evict_idle_ticks, None);
-        assert_eq!(cfg.cost_storage, CostStorage::Dense);
+    fn default_never_evicts() {
+        assert_eq!(ScenarioConfig::default().evict_idle_ticks, None);
     }
 
     #[test]
@@ -761,7 +769,6 @@ mod tests {
         let cfg = ScenarioConfig::scale(4_000, 3);
         cfg.validate().expect("scale scenario must validate");
         assert_eq!(cfg.evict_idle_ticks, Some(64));
-        assert_eq!(cfg.cost_storage, CostStorage::Sparse);
         assert_eq!(cfg.churn.join_rate, 200.0);
         let big = ScenarioConfig::scale_1m(3);
         big.validate().expect("scale_1m must validate");
@@ -810,6 +817,24 @@ mod tests {
         with_faults
             .validate()
             .expect("durability over an active fault layer validates");
+    }
+
+    #[test]
+    fn settlement_runs_under_faults_adversaries_or_a_durable_bank() {
+        let idle = ScenarioConfig::default();
+        assert!(!idle.settles(), "nothing to settle by default");
+        let mut faulty = idle;
+        faulty.fault.drop_rate = 0.05;
+        let mut adversarial = idle;
+        adversarial.adversary.free_rider_fraction = 0.1;
+        let durable = ScenarioConfig {
+            bank_durability: BankDurability::Wal,
+            ..idle
+        };
+        for cfg in [faulty, adversarial, durable] {
+            cfg.validate().expect("each trigger is a valid scenario");
+            assert!(cfg.settles(), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -70,8 +70,11 @@ use crate::world::World;
 /// frame would resume over a different world. Version 8 writes the
 /// settlement windows of every fault runtime without an epoch-presence
 /// tag, flags them per pair, and drops the durable bank's epoch counter
-/// (the windows carry it).
-pub const SNAPSHOT_VERSION: u32 = 8;
+/// (the windows carry it). Version 9 keeps the layout but not the world:
+/// each link's bandwidth now comes from a stream keyed by the link instead
+/// of one sequential stream, so a version 8 frame would resume over
+/// different costs.
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the

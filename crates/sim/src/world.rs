@@ -1,15 +1,17 @@
 //! The static world of one run.
 //!
 //! Everything stochastic that is *not* a routing decision comes from named
-//! substreams of the master seed: the topology, the churn trace, the
-//! bandwidth matrix, the role assignment and the (I, R) workload. The
+//! substreams of the master seed: the topology, the churn trace, the link
+//! bandwidths, the role assignment and the (I, R) workload. The
 //! sequential parts — the Poisson join times, the role shuffle and the
 //! workload — are sampled here, up front. Each node's sessions and
 //! neighbor set are not: they are derived when a run first reads them,
-//! from streams keyed by the node's position ([`NodeSource`]). Position
-//! keying, not pre-generation, is what gives common random numbers across
-//! the routing strategies being compared — the comparisons in Figs. 5–7
-//! are within-world whichever nodes each strategy happens to read.
+//! from streams keyed by the node's position ([`NodeSource`]). Each link's
+//! bandwidth likewise comes from a stream keyed by the link
+//! ([`CostModel`]), so it does not depend on N. Position keying, not
+//! pre-generation, is what gives common random numbers across the routing
+//! strategies being compared — the comparisons in Figs. 5–7 are
+//! within-world whichever nodes and links each strategy happens to read.
 
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_netmodel::{ChurnModel, CostModel};
@@ -17,7 +19,7 @@ use idpa_overlay::{node::assign_roles, NodeId, NodeKind, NodeSource};
 use rand::RngExt;
 
 use crate::error::SimError;
-use crate::scenario::{CostStorage, ScenarioConfig, WorkloadMode};
+use crate::scenario::{ScenarioConfig, WorkloadMode};
 
 /// One (I, R) pair's workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,7 +45,8 @@ pub struct World {
     /// and `Sync`; the run's probe store memoizes the schedules it derives
     /// in an [`idpa_overlay::NodeCache`].
     pub nodes: NodeSource,
-    /// The bandwidth/cost matrix.
+    /// Link bandwidths and costs, each edge's derived when first read
+    /// from a stream keyed by the edge.
     pub costs: CostModel,
     /// The (I, R) workload.
     pub pairs: Vec<PairWorkload>,
@@ -70,14 +73,7 @@ impl World {
         let mut nodes =
             NodeSource::derived(ChurnModel::new(cfg.churn), cfg.degree, streams.clone());
 
-        let costs = match cfg.cost_storage {
-            CostStorage::Dense => CostModel::generate(cfg.cost, &mut streams.stream("bandwidth")),
-            // Sparse storage never consumes the sequential "bandwidth"
-            // stream: edge draws come from position-keyed streams on
-            // demand. Streams are independent by label, so skipping it
-            // shifts nothing else.
-            CostStorage::Sparse => CostModel::generate_sparse(cfg.cost, streams.clone()),
-        };
+        let costs = CostModel::new(cfg.cost, streams.clone());
 
         // Roles: shuffle ids once, take the tail as malicious. Using a
         // dedicated stream keeps the workload identical across f values.

@@ -179,20 +179,20 @@ fn durable_runs_replicate_bit_identically() {
 /// zero, per-bundle settlement first, then epoch settlement.
 const ZERO_RATE_DURABLE: [[(u64, u64, u64); 6]; 2] = [
     [
-        (944, 52912, 0x552732e20ceb9a1d),
-        (852, 48020, 0x47d99221a854a911),
-        (948, 53108, 0x666b26baa82da7c0),
-        (896, 50352, 0x3c42000ad7981892),
-        (966, 54062, 0x81603cd39c4150e0),
-        (908, 50972, 0xbc868881aedcc6e6),
+        (996, 55668, 0xe136afcc9a569a32),
+        (850, 47914, 0x6ce95be84f19e460),
+        (1072, 59680, 0x3958b8d7d7f5c17c),
+        (884, 49732, 0x2dfcd3f788ceaf1c),
+        (913, 51237, 0x0fb51f47ce361c1f),
+        (915, 51343, 0x44b7ff3a09c4f9a5),
     ],
     [
-        (38, 4310, 0xe8979070c4a1dac9),
-        (39, 3555, 0x5fab211442492df5),
-        (39, 4371, 0x1e167f96e94b4680),
-        (39, 3627, 0x54fdd03d431d188a),
-        (37, 4177, 0x464c105b328c3228),
-        (39, 3939, 0x83728fca47b81702),
+        (38, 4406, 0x8be2c3bd77d21452),
+        (39, 3651, 0x8a06aa07b47682bd),
+        (39, 4419, 0xa8a4b5a72580fbe2),
+        (38, 3374, 0xdd9b85d4c66d2fdd),
+        (38, 4238, 0xd0cf5cfc47b13424),
+        (39, 3771, 0x1e7444b61b2633b2),
     ],
 ];
 

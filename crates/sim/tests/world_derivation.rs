@@ -3,7 +3,8 @@
 //! the value a reader gets does not depend on which nodes it read before,
 //! on in which order, on whether the node was evicted and re-derived, or
 //! on the thread that derived it — and every node equals its entry in the
-//! whole-world helpers built on the same per-node functions.
+//! whole-world helpers built on the same per-node functions. A link's
+//! bandwidth is likewise a pure function of the seed and the link.
 
 use idpa_desim::pool::parallel_map;
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
@@ -152,5 +153,25 @@ fn uncached_liveness_matches_the_derived_schedule() {
             }
         }
         assert_eq!(cache.resident(), 0, "uncached reads cache nothing");
+    }
+}
+
+/// A link's bandwidth is a function of the seed and the link alone: the
+/// same in the paper-sized world, at N = 500 and in the million-node
+/// scale scenario.
+#[test]
+fn link_bandwidth_does_not_depend_on_the_world_size() {
+    let seed = 5;
+    let paper = ScenarioConfig {
+        seed,
+        ..ScenarioConfig::default()
+    };
+    let small = World::generate(&paper);
+    let mid = World::generate(&paper.with_nodes(500));
+    let big = World::generate(&ScenarioConfig::scale_1m(seed));
+    for (a, b) in [(0usize, 1usize), (3, 39), (17, 4), (38, 39)] {
+        let bw = small.costs.bandwidth(a, b).to_bits();
+        assert_eq!(mid.costs.bandwidth(a, b).to_bits(), bw, "N=500 ({a}, {b})");
+        assert_eq!(big.costs.bandwidth(a, b).to_bits(), bw, "scale ({a}, {b})");
     }
 }

@@ -36,6 +36,11 @@ cargo clippy --all-targets --offline -- -D warnings
 stage="format (cargo fmt --check)"
 cargo fmt --check
 
+# Rustdoc with warnings denied: a deleted or private item that a doc
+# comment still links to fails here instead of rendering as plain text.
+stage="rustdoc (cargo doc --no-deps -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # Every bench binary must at least run its kernels once (no timing, no
 # report file) so bench rot is caught without paying for a full run.
 stage="bench smoke (IDPA_BENCH_SMOKE=1 cargo bench)"

@@ -15,7 +15,7 @@ use idpa::prelude::*;
 fn default_scenario_satisfies_dominance_condition() {
     let cfg = ScenarioConfig::default();
     let world = World::generate(&cfg);
-    // The worst-case transmission cost over the sampled bandwidth matrix.
+    // The worst-case transmission cost any link can draw.
     let max_ct = world.costs.max_transmission_cost();
     let cp = world.costs.participation_cost();
     let threshold = dominance_threshold(cp, max_ct);
