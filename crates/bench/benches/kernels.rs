@@ -54,9 +54,6 @@ struct BenchView {
 }
 
 impl RoutingView for BenchView {
-    fn live_neighbors(&self, s: NodeId) -> Vec<NodeId> {
-        self.topology.neighbors(s).to_vec()
-    }
     fn live_neighbors_into(&self, s: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend_from_slice(self.topology.neighbors(s));
@@ -138,7 +135,9 @@ fn continuation_rec_nomemo(
     }
     let mut best: Option<(f64, usize)> = None;
     let mut best_avg = f64::NEG_INFINITY;
-    for v in view.live_neighbors(from) {
+    let mut neighbors = Vec::new();
+    view.live_neighbors_into(from, &mut neighbors);
+    for v in neighbors {
         if v == contract.responder || visited.contains(&v) {
             continue;
         }
@@ -195,7 +194,7 @@ fn bench_model2_lookahead(h: &mut Harness) {
     }
     // One transmission evaluates the continuation for every candidate of
     // every hop: approximate with all 5 neighbors of node 0.
-    let candidates: Vec<NodeId> = view.live_neighbors(NodeId(0));
+    let candidates: Vec<NodeId> = view.topology.neighbors(NodeId(0)).to_vec();
     for la in [3u8, 4u8, 5u8] {
         let mut scratch = RouteScratch::new();
         h.bench(&format!("core/model2_cont_memo_la{la}"), || {

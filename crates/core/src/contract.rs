@@ -55,79 +55,9 @@ impl Contract {
     }
 }
 
-/// Initiator-side contract planning (§2.2).
-///
-/// "Depending on its anonymity requirements, the initiator can select
-/// appropriate values for P_f and P_r": `P_f` must exceed the Prop. 2/3
-/// thresholds to induce participation, and `τ = P_r/P_f` must be large
-/// enough to also align *routing* decisions; beyond that, every extra unit
-/// of payment reduces `U_I = A(‖π‖) − ‖π‖·P_f − P_r`. The planner picks the
-/// cheapest contract satisfying the game-theoretic constraints.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContractPlanner {
-    /// One-time participation cost `C^p` of peers.
-    pub participation_cost: f64,
-    /// Worst-case transmission cost `C^t` on any link.
-    pub max_transmission_cost: f64,
-    /// Number of peers `N`.
-    pub n_nodes: usize,
-    /// Expected path length `L`.
-    pub expected_path_length: f64,
-    /// Planned connections `k` in the bundle.
-    pub connections: u32,
-    /// Safety margin multiplied onto the thresholds (≥ 1).
-    pub margin: f64,
-}
-
-impl ContractPlanner {
-    /// The Prop. 3 dominance threshold `C^p + C^t` (per-stage worst case).
-    #[must_use]
-    pub fn dominance_threshold(&self) -> f64 {
-        self.participation_cost + self.max_transmission_cost
-    }
-
-    /// The Prop. 2 participation threshold `C^p·N/(L·k) + C^t`.
-    #[must_use]
-    pub fn participation_threshold(&self) -> f64 {
-        self.participation_cost * self.n_nodes as f64
-            / (self.expected_path_length * f64::from(self.connections))
-            + self.max_transmission_cost
-    }
-
-    /// The cheapest `P_f` satisfying both propositions with the margin.
-    #[must_use]
-    pub fn minimum_pf(&self) -> f64 {
-        assert!(self.margin >= 1.0, "margin must be >= 1");
-        self.margin
-            * self
-                .dominance_threshold()
-                .max(self.participation_threshold())
-    }
-
-    /// Plans a contract: minimal compliant `P_f`, and `P_r = τ·P_f` for the
-    /// requested routing-alignment ratio.
-    #[must_use]
-    pub fn plan(&self, bundle: BundleId, responder: NodeId, tau: f64) -> Contract {
-        Contract::from_tau(bundle, responder, self.minimum_pf(), tau)
-    }
-
-    /// The initiator's utility for a candidate contract, given the
-    /// anonymity model and an expected forwarder-set size.
-    #[must_use]
-    pub fn initiator_utility(
-        &self,
-        contract: &Contract,
-        anonymity: &crate::utility::InitiatorUtility,
-        expected_set_size: f64,
-    ) -> f64 {
-        anonymity.utility(expected_set_size, contract.pf, contract.pr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::utility::InitiatorUtility;
 
     #[test]
     fn tau_round_trips() {
@@ -153,65 +83,5 @@ mod tests {
     #[should_panic(expected = "invalid tau")]
     fn negative_tau_rejected() {
         let _ = Contract::from_tau(BundleId(0), NodeId(1), 50.0, -2.0);
-    }
-
-    fn planner() -> ContractPlanner {
-        ContractPlanner {
-            participation_cost: 5.0,
-            max_transmission_cost: 10.0,
-            n_nodes: 40,
-            expected_path_length: 4.0,
-            connections: 20,
-            margin: 1.1,
-        }
-    }
-
-    #[test]
-    fn planner_thresholds_match_propositions() {
-        let p = planner();
-        assert!((p.dominance_threshold() - 15.0).abs() < 1e-12);
-        // 5*40/(4*20) + 10 = 12.5
-        assert!((p.participation_threshold() - 12.5).abs() < 1e-12);
-        // Dominance binds here; margin 1.1 => 16.5
-        assert!((p.minimum_pf() - 16.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn planned_contract_satisfies_both_thresholds() {
-        let p = planner();
-        let c = p.plan(BundleId(0), NodeId(1), 2.0);
-        assert!(c.pf > p.dominance_threshold());
-        assert!(c.pf > p.participation_threshold());
-        assert!((c.tau() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fewer_connections_raise_required_pf() {
-        // Participation cost amortises over fewer instances.
-        let few = ContractPlanner {
-            connections: 2,
-            ..planner()
-        };
-        assert!(few.minimum_pf() > planner().minimum_pf());
-    }
-
-    #[test]
-    fn initiator_prefers_cheaper_compliant_contract() {
-        let p = planner();
-        let anon = InitiatorUtility::new(1000.0, 10.0);
-        let cheap = p.plan(BundleId(0), NodeId(1), 1.0);
-        let lavish = Contract::from_tau(BundleId(0), NodeId(1), 100.0, 4.0);
-        // At equal expected set size the minimal contract dominates.
-        assert!(p.initiator_utility(&cheap, &anon, 5.0) > p.initiator_utility(&lavish, &anon, 5.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "margin must be >= 1")]
-    fn planner_rejects_sub_unity_margin() {
-        let p = ContractPlanner {
-            margin: 0.5,
-            ..planner()
-        };
-        let _ = p.minimum_pf();
     }
 }

@@ -9,8 +9,7 @@
 //! The pieces, mirroring the paper's structure:
 //!
 //! * [`contract`] — the `(P_f, P_r)` contract an initiator commits to and
-//!   propagates along the path, plus the initiator-side contract planner
-//!   (§2.2);
+//!   propagates along the path (§2.2);
 //! * [`envelope`] — the route-formation cryptography: onion-sealed
 //!   contract propagation and the MAC-chained path-validation records the
 //!   initiator checks before paying (§2.2, §5);
@@ -20,8 +19,8 @@
 //!   runner's history state;
 //! * [`quality`] — edge quality `q(s,v) = w_s·σ(s,v) + w_a·α(v)` and path
 //!   quality (§2.3);
-//! * [`utility`] — utility models I and II for forwarders, and the
-//!   initiator utility `U_I = A(‖π‖) − ‖π‖·P_f − P_r` (§2.2, §2.4.2–2.4.3);
+//! * [`utility`] — utility models I and II for forwarders (§2.2,
+//!   §2.4.2–2.4.3);
 //! * [`routing`] — next-hop selection: random (the adversary strategy) and
 //!   utility-driven under either model, with Crowds-style probabilistic
 //!   termination (§2.2, §2.4);
@@ -62,4 +61,4 @@ pub use history::{HistoryProfile, HistoryRead, HistoryWrite};
 pub use quality::{EdgeQuality, Weights};
 pub use reputation::EdgeReputation;
 pub use routing::{PathPolicy, RoutingStrategy};
-pub use utility::{InitiatorUtility, UtilityModel};
+pub use utility::UtilityModel;

@@ -313,8 +313,9 @@ mod tests {
     }
 
     impl RoutingView for FixtureView {
-        fn live_neighbors(&self, s: NodeId) -> Vec<NodeId> {
-            self.neighbors.get(&s).cloned().unwrap_or_default()
+        fn live_neighbors_into(&self, s: NodeId, out: &mut Vec<NodeId>) {
+            out.clear();
+            out.extend(self.neighbors.get(&s).into_iter().flatten());
         }
         fn availability(&self, s: NodeId, v: NodeId) -> f64 {
             self.availability.get(&(s, v)).copied().unwrap_or(0.0)

@@ -20,7 +20,7 @@ use idpa_overlay::NodeId;
 
 /// Observed faults after which a relay is suppressed from path formation
 /// (in addition to any validator cheat flag, which suppresses immediately).
-pub const SUPPRESSION_FAULTS: u32 = 2;
+const SUPPRESSION_FAULTS: u32 = 2;
 
 /// The observations one initiator holds against a single relay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -115,19 +115,6 @@ impl EdgeReputation {
         self.get(v).timeouts
     }
 
-    /// Total observed (non-cheat) faults through `v`.
-    #[must_use]
-    pub fn fault_count(&self, v: NodeId) -> u32 {
-        let f = self.get(v);
-        f.drops + f.timeouts
-    }
-
-    /// Whether the validator has pinned receipt corruption on `v`.
-    #[must_use]
-    pub fn is_flagged(&self, v: NodeId) -> bool {
-        self.get(v).flagged
-    }
-
     /// The reputation score ρ(v) ∈ [0, 1]: zero for flagged cheaters,
     /// otherwise `1 / (1 + faults)`.
     #[must_use]
@@ -142,7 +129,7 @@ impl EdgeReputation {
 
     /// Whether `v` should be excluded from path formation outright:
     /// flagged cheaters immediately, repeat offenders after
-    /// [`SUPPRESSION_FAULTS`] observed faults.
+    /// `SUPPRESSION_FAULTS` observed faults.
     #[must_use]
     pub fn is_suppressed(&self, v: NodeId) -> bool {
         let f = self.get(v);
@@ -166,35 +153,12 @@ impl EdgeReputation {
         }
     }
 
-    /// Number of shed identities archived for `v`.
-    #[must_use]
-    pub fn retired_generations(&self, v: NodeId) -> usize {
-        self.retired.get(&v.index()).map_or(0, std::vec::Vec::len)
-    }
-
     /// Total faults (drops + timeouts) across `v`'s shed identities.
     #[must_use]
     pub fn retired_fault_count(&self, v: NodeId) -> u32 {
         self.retired
             .get(&v.index())
             .map_or(0, |gens| gens.iter().map(|f| f.drops + f.timeouts).sum())
-    }
-
-    /// Whether any shed identity of `v` carried a validator cheat flag.
-    #[must_use]
-    pub fn retired_flagged(&self, v: NodeId) -> bool {
-        self.retired
-            .get(&v.index())
-            .is_some_and(|gens| gens.iter().any(|f| f.flagged))
-    }
-
-    /// Number of relays with at least one observation or flag.
-    #[must_use]
-    pub fn observed_nodes(&self) -> usize {
-        self.observed
-            .values()
-            .filter(|f| f.drops > 0 || f.timeouts > 0 || f.flagged)
-            .count()
     }
 
     /// Approximate heap footprint of the ledger, in bytes (sparse entries
@@ -302,7 +266,7 @@ mod tests {
             assert!((rep.score(NodeId(i)) - 1.0).abs() < f64::EPSILON);
             assert!(!rep.is_suppressed(NodeId(i)));
         }
-        assert_eq!(rep.observed_nodes(), 0);
+        assert!(rep.snapshot_entries().is_empty());
     }
 
     #[test]
@@ -314,8 +278,7 @@ mod tests {
         rep.record_timeout(NodeId(1));
         assert!((rep.score(NodeId(1)) - 1.0 / 3.0).abs() < f64::EPSILON);
         assert!(rep.is_suppressed(NodeId(1)), "two strikes suppress");
-        assert_eq!(rep.fault_count(NodeId(1)), 2);
-        assert_eq!(rep.observed_nodes(), 1);
+        assert_eq!(rep.snapshot_entries(), vec![(1, 1, 1, false)]);
     }
 
     #[test]
@@ -330,20 +293,23 @@ mod tests {
         // The fresh identity reads clean…
         assert_eq!(rep.score(NodeId(1)), 1.0);
         assert!(!rep.is_suppressed(NodeId(1)));
-        assert_eq!(rep.fault_count(NodeId(1)), 0);
+        assert!(rep.snapshot_entries().is_empty());
         // …but the shed identity's evidence survives.
-        assert_eq!(rep.retired_generations(NodeId(1)), 1);
+        assert_eq!(rep.snapshot_retired(), vec![(1, vec![(1, 1, true)])]);
         assert_eq!(rep.retired_fault_count(NodeId(1)), 2);
-        assert!(rep.retired_flagged(NodeId(1)));
 
         // Whitewashing a never-observed relay archives nothing.
         assert!(!rep.whitewash(NodeId(2)));
-        assert_eq!(rep.retired_generations(NodeId(2)), 0);
+        assert_eq!(rep.retired_fault_count(NodeId(2)), 0);
+        assert_eq!(rep.snapshot_retired().len(), 1);
 
         // A second strike-and-wash stacks a second generation.
         rep.record_drop(NodeId(1));
         assert!(rep.whitewash(NodeId(1)));
-        assert_eq!(rep.retired_generations(NodeId(1)), 2);
+        assert_eq!(
+            rep.snapshot_retired(),
+            vec![(1, vec![(1, 1, true), (1, 0, false)])]
+        );
         assert_eq!(rep.retired_fault_count(NodeId(1)), 3);
     }
 
@@ -360,7 +326,10 @@ mod tests {
         restored.restore_retired(&rep.snapshot_retired());
         assert_eq!(rep, restored);
         assert_eq!(restored.retired_fault_count(NodeId(3)), 1);
-        assert!(restored.retired_flagged(NodeId(0)));
+        assert_eq!(
+            restored.snapshot_retired(),
+            vec![(0, vec![(0, 0, true)]), (3, vec![(1, 0, false)])]
+        );
     }
 
     #[test]
@@ -369,7 +338,10 @@ mod tests {
         rep.flag_cheater(NodeId(2));
         assert_eq!(rep.score(NodeId(2)), 0.0);
         assert!(rep.is_suppressed(NodeId(2)));
-        assert!(rep.is_flagged(NodeId(2)));
-        assert_eq!(rep.fault_count(NodeId(2)), 0, "flags are not fault counts");
+        assert_eq!(
+            rep.snapshot_entries(),
+            vec![(2, 0, 0, true)],
+            "flags are not fault counts"
+        );
     }
 }

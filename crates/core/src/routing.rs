@@ -25,17 +25,10 @@ use crate::utility::{model_one_utility, model_two_utility, UtilityModel};
 /// Implemented by the simulator over its churn schedules, probe estimators
 /// and cost model; implemented over fixtures in tests.
 pub trait RoutingView {
-    /// Neighbors of `s` currently alive (the candidate forwarders).
-    fn live_neighbors(&self, s: NodeId) -> Vec<NodeId>;
-    /// Buffer-reusing variant of [`RoutingView::live_neighbors`]: clears
-    /// `out` and fills it with the live neighbors of `s`. The routing hot
-    /// path calls this so no `Vec` is allocated per hop; implementors that
-    /// can filter in place should override the default (which delegates to
-    /// `live_neighbors` for compatibility).
-    fn live_neighbors_into(&self, s: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.live_neighbors(s));
-    }
+    /// Clears `out` and fills it with the neighbors of `s` currently alive
+    /// (the candidate forwarders). The caller owns the buffer, so the
+    /// routing hot path allocates no `Vec` per hop.
+    fn live_neighbors_into(&self, s: NodeId, out: &mut Vec<NodeId>);
     /// `α_s(v)`: availability of `v` as estimated by `s` (§2.3).
     fn availability(&self, s: NodeId, v: NodeId) -> f64;
     /// `ρ_s(v)`: reputation of `v` as observed by the deciding initiator
@@ -249,13 +242,6 @@ impl PathPolicy {
         }
     }
 
-    /// The paper-calibrated default: mean path length 4 (`p = 0.75`),
-    /// bounded at 8 hops.
-    #[must_use]
-    pub fn default_crowds() -> Self {
-        PathPolicy::new(0.75, 8)
-    }
-
     /// Expected number of forwarder hops (ignoring the hop bound and
     /// candidate exhaustion).
     #[must_use]
@@ -349,8 +335,8 @@ fn edge_quality_memo<H: HistoryRead + ?Sized>(
 /// strategies) when every candidate yields negative utility — the rational
 /// node declines to extend the path, and the caller delivers to R.
 ///
-/// Allocation-free wrapper-compatible variant: reuses the candidate buffer
-/// and memo caches in `scratch`. The caller is responsible for calling
+/// Allocation-free: reuses the candidate buffer and memo caches in
+/// `scratch`. The caller is responsible for calling
 /// [`RouteScratch::begin_transmission`] when the snapshot changes.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
@@ -429,41 +415,9 @@ pub fn choose_next_hop_with<H: HistoryRead + ?Sized>(
     choice
 }
 
-/// Picks the next hop at node `s`, allocating fresh scratch state.
-///
-/// Convenience wrapper over [`choose_next_hop_with`] for one-off decisions
-/// (tests, interactive probing). Hot paths should hold a [`RouteScratch`]
-/// and call the `_with` variant instead.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn choose_next_hop<H: HistoryRead + ?Sized>(
-    s: NodeId,
-    strategy: RoutingStrategy,
-    contract: &Contract,
-    priors: u32,
-    histories: &H,
-    view: &impl RoutingView,
-    quality: &EdgeQuality,
-    rng: &mut Xoshiro256StarStar,
-) -> Option<HopChoice> {
-    let mut scratch = RouteScratch::new();
-    choose_next_hop_with(
-        &mut scratch,
-        s,
-        strategy,
-        contract,
-        priors,
-        histories,
-        view,
-        quality,
-        rng,
-    )
-}
-
 /// Picks the next hop for a **colluding** malicious node: a uniformly
 /// random malicious live neighbor if any exists, else uniformly random
-/// among all candidates (the base adversary behaviour). Buffer-reusing
-/// variant.
+/// among all candidates (the base adversary behaviour).
 #[must_use]
 pub fn choose_next_hop_colluding_with(
     scratch: &mut RouteScratch,
@@ -498,20 +452,6 @@ pub fn choose_next_hop_colluding_with(
         utility: f64::NAN,
         quality: f64::NAN,
     })
-}
-
-/// Colluding next-hop choice with fresh scratch state; see
-/// [`choose_next_hop_colluding_with`].
-#[must_use]
-pub fn choose_next_hop_colluding(
-    s: NodeId,
-    contract: &Contract,
-    kinds: &[idpa_overlay::NodeKind],
-    view: &impl RoutingView,
-    rng: &mut Xoshiro256StarStar,
-) -> Option<HopChoice> {
-    let mut scratch = RouteScratch::new();
-    choose_next_hop_colluding_with(&mut scratch, s, contract, kinds, view, rng)
 }
 
 /// Model II's continuation-path quality `q(π(s, j, R))`, normalised to
@@ -692,8 +632,9 @@ mod tests {
     }
 
     impl RoutingView for FixtureView {
-        fn live_neighbors(&self, s: NodeId) -> Vec<NodeId> {
-            self.neighbors.get(&s).cloned().unwrap_or_default()
+        fn live_neighbors_into(&self, s: NodeId, out: &mut Vec<NodeId>) {
+            out.clear();
+            out.extend(self.neighbors.get(&s).into_iter().flatten());
         }
         fn availability(&self, s: NodeId, v: NodeId) -> f64 {
             self.availability.get(&(s, v)).copied().unwrap_or(0.0)
@@ -732,7 +673,8 @@ mod tests {
             .with_availability(0, 3, 0.1);
         let h = histories(4);
         let c = contract();
-        let choice = choose_next_hop(
+        let choice = choose_next_hop_with(
+            &mut RouteScratch::new(),
             NodeId(0),
             RoutingStrategy::Utility(UtilityModel::ModelI),
             &c,
@@ -761,7 +703,8 @@ mod tests {
             h[0].record(BundleId(0), conn, NodeId(9), NodeId(1));
         }
         let c = contract();
-        let choice = choose_next_hop(
+        let choice = choose_next_hop_with(
+            &mut RouteScratch::new(),
             NodeId(0),
             RoutingStrategy::Utility(UtilityModel::ModelI),
             &c,
@@ -783,7 +726,8 @@ mod tests {
             .with_availability(0, 99, 1.0);
         let h = histories(100);
         let c = contract();
-        let choice = choose_next_hop(
+        let choice = choose_next_hop_with(
+            &mut RouteScratch::new(),
             NodeId(0),
             RoutingStrategy::Utility(UtilityModel::ModelI),
             &c,
@@ -805,7 +749,8 @@ mod tests {
             RoutingStrategy::Random,
             RoutingStrategy::Utility(UtilityModel::ModelI),
         ] {
-            assert!(choose_next_hop(
+            assert!(choose_next_hop_with(
+                &mut RouteScratch::new(),
                 NodeId(0),
                 strategy,
                 &c,
@@ -827,7 +772,8 @@ mod tests {
             .with_availability(0, 1, 1.0);
         let h = histories(2);
         let c = contract();
-        let choice = choose_next_hop(
+        let choice = choose_next_hop_with(
+            &mut RouteScratch::new(),
             NodeId(0),
             RoutingStrategy::Utility(UtilityModel::ModelI),
             &c,
@@ -853,7 +799,8 @@ mod tests {
         let mut r = rng(6);
         let picks_low = (0..2000)
             .filter(|_| {
-                choose_next_hop(
+                choose_next_hop_with(
+                    &mut RouteScratch::new(),
                     NodeId(0),
                     RoutingStrategy::Random,
                     &c,
@@ -884,7 +831,8 @@ mod tests {
             .with_availability(0, 2, 0.4);
         let h = histories(3);
         let c = contract();
-        let choice = choose_next_hop(
+        let choice = choose_next_hop_with(
+            &mut RouteScratch::new(),
             NodeId(0),
             RoutingStrategy::Utility(UtilityModel::ModelI),
             &c,
@@ -916,7 +864,8 @@ mod tests {
             .with_availability(2, 4, 0.05);
         let h = histories(5);
         let c = contract();
-        let model2 = choose_next_hop(
+        let model2 = choose_next_hop_with(
+            &mut RouteScratch::new(),
             NodeId(0),
             RoutingStrategy::Utility(UtilityModel::ModelII { lookahead: 3 }),
             &c,
@@ -927,7 +876,8 @@ mod tests {
             &mut rng(8),
         )
         .unwrap();
-        let model1 = choose_next_hop(
+        let model1 = choose_next_hop_with(
+            &mut RouteScratch::new(),
             NodeId(0),
             RoutingStrategy::Utility(UtilityModel::ModelI),
             &c,
@@ -977,7 +927,8 @@ mod tests {
             .with_availability(0, 2, 0.8);
         let h = histories(3);
         let c = contract();
-        let m1 = choose_next_hop(
+        let m1 = choose_next_hop_with(
+            &mut RouteScratch::new(),
             NodeId(0),
             RoutingStrategy::Utility(UtilityModel::ModelI),
             &c,
@@ -988,7 +939,8 @@ mod tests {
             &mut rng(9),
         )
         .unwrap();
-        let m2 = choose_next_hop(
+        let m2 = choose_next_hop_with(
+            &mut RouteScratch::new(),
             NodeId(0),
             RoutingStrategy::Utility(UtilityModel::ModelII { lookahead: 1 }),
             &c,
@@ -1006,7 +958,6 @@ mod tests {
     fn path_policy_expected_hops() {
         let p = PathPolicy::new(0.75, 8);
         assert!((p.expected_hops() - 4.0).abs() < 1e-12);
-        assert_eq!(PathPolicy::default_crowds().max_hops, 8);
     }
 
     #[test]

@@ -5,10 +5,6 @@
 //!   where `q(π(i,j,R))` is the quality of the best continuation path from
 //!   `i` through `j` to the responder — evaluated by bounded-depth backward
 //!   induction over the live neighbor graph (the L-stage game of §2.4.3).
-//! * **Initiator utility**: `U_I = A(‖π‖) − ‖π‖·P_f − P_r` (§2.2), with
-//!   `A(·)` an anonymity-quantification function that increases as `‖π‖`
-//!   decreases; the paper leaves `A` abstract, we use a configurable affine
-//!   model (DESIGN.md §5).
 
 /// Forwarder utility, model I: `P_f + q·P_r − (C^p + C^t)`.
 #[must_use]
@@ -36,53 +32,6 @@ pub enum UtilityModel {
         /// Continuation-path search depth. Depth 1 degenerates to model I.
         lookahead: u8,
     },
-}
-
-impl UtilityModel {
-    /// The paper's model II with a practical default horizon.
-    #[must_use]
-    pub fn model_two_default() -> Self {
-        UtilityModel::ModelII { lookahead: 3 }
-    }
-}
-
-/// The initiator's anonymity-quantification function `A(‖π‖)` and utility
-/// `U_I = A(‖π‖) − ‖π‖·P_f − P_r`.
-///
-/// The paper requires only that `A` increase as `‖π‖` decreases; we use the
-/// affine family `A(x) = a0 − a1·x`, `a1 > 0`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InitiatorUtility {
-    /// Intercept `a0` of the anonymity function.
-    pub a0: f64,
-    /// Slope `a1 > 0`: anonymity lost per extra forwarder.
-    pub a1: f64,
-}
-
-impl InitiatorUtility {
-    /// Creates the utility with the affine anonymity model.
-    #[must_use]
-    pub fn new(a0: f64, a1: f64) -> Self {
-        assert!(a1 > 0.0, "A must strictly decrease in ‖π‖ (a1 > 0)");
-        InitiatorUtility { a0, a1 }
-    }
-
-    /// `A(‖π‖) = a0 − a1·‖π‖`.
-    #[must_use]
-    pub fn anonymity(&self, forwarder_set_size: f64) -> f64 {
-        self.a0 - self.a1 * forwarder_set_size
-    }
-
-    /// `U_I = A(‖π‖) − ‖π‖·P_f − P_r`.
-    ///
-    /// Note: the paper's Eq. 2 charges `‖π‖·P_f`; in the implementation the
-    /// initiator actually pays `P_f` per forwarding *instance*, which for a
-    /// stable forwarder set coincides with `‖π‖` per connection. We follow
-    /// Eq. 2 verbatim here; the simulator accounts instances exactly.
-    #[must_use]
-    pub fn utility(&self, forwarder_set_size: f64, pf: f64, pr: f64) -> f64 {
-        self.anonymity(forwarder_set_size) - forwarder_set_size * pf - pr
-    }
 }
 
 #[cfg(test)]
@@ -113,40 +62,5 @@ mod tests {
             model_one_utility(50.0, 100.0, 0.6, 5.0, 2.0),
             model_two_utility(50.0, 100.0, 0.6, 5.0, 2.0)
         );
-    }
-
-    #[test]
-    fn model_two_default_has_lookahead() {
-        match UtilityModel::model_two_default() {
-            UtilityModel::ModelII { lookahead } => assert!(lookahead >= 2),
-            UtilityModel::ModelI => panic!("expected model II"),
-        }
-    }
-
-    #[test]
-    fn initiator_prefers_small_forwarder_sets() {
-        let u = InitiatorUtility::new(1000.0, 10.0);
-        assert!(u.utility(3.0, 50.0, 100.0) > u.utility(8.0, 50.0, 100.0));
-    }
-
-    #[test]
-    fn anonymity_decreases_in_set_size() {
-        let u = InitiatorUtility::new(100.0, 5.0);
-        assert_eq!(u.anonymity(0.0), 100.0);
-        assert_eq!(u.anonymity(4.0), 80.0);
-        assert!(u.anonymity(3.0) > u.anonymity(4.0));
-    }
-
-    #[test]
-    fn initiator_utility_formula() {
-        let u = InitiatorUtility::new(1000.0, 10.0);
-        // A(4) = 960; U = 960 - 4*50 - 100 = 660
-        assert!((u.utility(4.0, 50.0, 100.0) - 660.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "a1 > 0")]
-    fn flat_anonymity_rejected() {
-        let _ = InitiatorUtility::new(100.0, 0.0);
     }
 }

@@ -34,8 +34,9 @@ impl Fixture {
 }
 
 impl RoutingView for Fixture {
-    fn live_neighbors(&self, s: NodeId) -> Vec<NodeId> {
-        self.topology.neighbors(s).to_vec()
+    fn live_neighbors_into(&self, s: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend_from_slice(self.topology.neighbors(s));
     }
     fn availability(&self, s: NodeId, v: NodeId) -> f64 {
         self.avail[s.index()][v.index()]
@@ -66,8 +67,10 @@ fn brute_force(
         return deliver;
     }
     let candidates: Vec<NodeId> = fix
-        .live_neighbors(from)
-        .into_iter()
+        .topology
+        .neighbors(from)
+        .iter()
+        .copied()
         .filter(|v| *v != contract.responder && !visited.contains(v))
         .collect();
     if candidates.is_empty() {
@@ -98,7 +101,7 @@ fn continuation_quality_matches_brute_force_enumeration() {
             (0..12).map(|i| HistoryProfile::new(NodeId(i))).collect();
 
         for lookahead in 1..=4u8 {
-            for j in fix.live_neighbors(NodeId(0)) {
+            for &j in fix.topology.neighbors(NodeId(0)) {
                 if j == contract.responder {
                     continue;
                 }
@@ -147,7 +150,7 @@ fn deeper_lookahead_never_reduces_information() {
     let quality = EdgeQuality::new(Weights::balanced());
     let histories: Vec<HistoryProfile> = (0..15).map(|i| HistoryProfile::new(NodeId(i))).collect();
     for la in 1..=5u8 {
-        for j in fix.live_neighbors(NodeId(0)) {
+        for &j in fix.topology.neighbors(NodeId(0)) {
             if j == contract.responder {
                 continue;
             }

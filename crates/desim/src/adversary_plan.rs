@@ -89,8 +89,7 @@ impl AdversaryConfig {
     }
 
     /// Whether the colluding-clique class is enabled.
-    #[must_use]
-    pub fn cliques_active(&self) -> bool {
+    fn cliques_active(&self) -> bool {
         self.clique_count > 0 && self.clique_forge_rate > 0.0
     }
 
@@ -261,22 +260,6 @@ impl AdversaryPlan {
             .collect()
     }
 
-    /// Whether `node` whitewashes at least once within the horizon.
-    #[must_use]
-    pub fn is_whitewasher(&self, node: usize) -> bool {
-        self.whitewash_times
-            .get(node)
-            .is_some_and(|t| !t.is_empty())
-    }
-
-    /// `node`'s ascending rejoin times (empty for non-whitewashers).
-    #[must_use]
-    pub fn whitewash_times(&self, node: usize) -> &[f64] {
-        self.whitewash_times
-            .get(node)
-            .map_or(&[], std::vec::Vec::as_slice)
-    }
-
     /// Every `(node, rejoin time)` event within the horizon, in node order.
     #[must_use]
     pub fn whitewash_events(&self) -> Vec<(usize, f64)> {
@@ -292,8 +275,7 @@ impl AdversaryPlan {
     /// The birth time of `node`'s identity live at time `t`: its latest
     /// rejoin at or before `t`, or 0 for the original identity. A pure
     /// function of the precomputed schedule, so it needs no snapshotting.
-    #[must_use]
-    pub fn identity_birth(&self, node: usize, t: f64) -> f64 {
+    fn identity_birth(&self, node: usize, t: f64) -> f64 {
         match self.whitewash_times.get(node) {
             Some(times) => match times.partition_point(|&w| w <= t) {
                 0 => 0.0,
@@ -458,7 +440,7 @@ mod tests {
         assert_eq!(a.cliques(), b.cliques());
         let fr = a.free_riders().len();
         assert!((5..40).contains(&fr), "free riders: {fr}/100");
-        let ww = (0..100).filter(|&i| a.is_whitewasher(i)).count();
+        let ww = a.whitewash_times.iter().filter(|t| !t.is_empty()).count();
         assert!((3..35).contains(&ww), "whitewashers: {ww}/100");
     }
 
@@ -508,7 +490,7 @@ mod tests {
         );
         let mut total = 0usize;
         for node in 0..40 {
-            let times = p.whitewash_times(node);
+            let times = &p.whitewash_times[node];
             assert!(!times.is_empty());
             assert!(times.windows(2).all(|w| w[0] < w[1]), "ascending");
             assert!(times.iter().all(|&t| t > 0.0 && t < 100_000.0));
@@ -522,13 +504,15 @@ mod tests {
     #[test]
     fn identity_age_resets_at_each_rejoin() {
         let p = plan(5);
-        let node = (0..100).find(|&i| p.is_whitewasher(i)).unwrap();
-        let t0 = p.whitewash_times(node)[0];
+        let node = (0..100)
+            .find(|&i| !p.whitewash_times[i].is_empty())
+            .unwrap();
+        let t0 = p.whitewash_times[node][0];
         assert_eq!(p.identity_birth(node, t0 - 0.01), 0.0);
         assert_eq!(p.identity_birth(node, t0), t0);
         assert!(p.identity_age(node, t0 + 5.0) <= 5.0 + 1e-9);
         // Non-whitewashers age from the origin.
-        let plain = (0..100).find(|&i| !p.is_whitewasher(i)).unwrap();
+        let plain = (0..100).find(|&i| p.whitewash_times[i].is_empty()).unwrap();
         assert_eq!(p.identity_age(plain, 777.0), 777.0);
     }
 

@@ -10,17 +10,11 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Identifier of a scheduled event, usable to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
-/// An event popped from the calendar: when it fires, its id, and its payload.
+/// An event popped from the calendar: when it fires and its payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventEntry<E> {
     /// Time at which the event fires.
     pub time: SimTime,
-    /// The id handed out by [`Calendar::schedule`].
-    pub id: EventId,
     /// The user payload.
     pub event: E,
 }
@@ -70,7 +64,6 @@ impl<E> Ord for HeapEntry<E> {
 pub struct Calendar<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     next_seq: u64,
-    cancelled: std::collections::HashSet<u64>,
 }
 
 impl<E> Default for Calendar<E> {
@@ -86,68 +79,29 @@ impl<E> Calendar<E> {
         Calendar {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
         }
     }
 
-    /// Schedules `event` to fire at `time`. Returns an id that can be used
-    /// with [`Calendar::cancel`].
-    pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
+    /// Schedules `event` to fire at `time`.
+    pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(HeapEntry { time, seq, event });
-        EventId(seq)
     }
 
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending (it will be silently skipped when reached), `false` if
-    /// it already fired, was already cancelled, or never existed.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        // Lazy deletion: mark and skip on pop. We cannot cheaply know whether
-        // the event already fired, so report true only on first insertion.
-        self.cancelled.insert(id.0)
-    }
-
-    /// Removes and returns the earliest pending event, skipping cancelled
-    /// ones. Returns `None` when the calendar is exhausted.
+    /// Removes and returns the earliest pending event. Returns `None` when
+    /// the calendar is exhausted.
     pub fn pop(&mut self) -> Option<EventEntry<E>> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            return Some(EventEntry {
-                time: entry.time,
-                id: EventId(entry.seq),
-                event: entry.event,
-            });
-        }
-        None
+        self.heap.pop().map(|entry| EventEntry {
+            time: entry.time,
+            event: entry.event,
+        })
     }
 
-    /// Time of the earliest pending (non-cancelled) event, if any.
-    ///
-    /// Cancelled events at the head are dropped as a side effect, so this is
-    /// `O(k log n)` for `k` cancelled heads but amortised cheap.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(head) = self.heap.peek() {
-            if self.cancelled.contains(&head.seq) {
-                let seq = head.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(head.time);
-        }
-        None
-    }
-
-    /// Number of pending entries, **including** lazily cancelled ones.
+    /// Time of the earliest pending event, if any.
     #[must_use]
-    pub fn raw_len(&self) -> usize {
-        self.heap.len()
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|head| head.time)
     }
 
     /// The sequence number the next [`Calendar::schedule`] call will use.
@@ -156,11 +110,10 @@ impl<E> Calendar<E> {
         self.next_seq
     }
 
-    /// Snapshot export: every heap entry (including lazily cancelled ones)
-    /// as `(time, seq, event)`, sorted by `(time, seq)` — i.e. in the exact
-    /// order [`Calendar::pop`] would deliver them. The sort makes the
-    /// export a pure function of the pending set, independent of the heap's
-    /// internal arrangement.
+    /// Snapshot export: every pending entry as `(time, seq, event)`, sorted
+    /// by `(time, seq)` — i.e. in the exact order [`Calendar::pop`] would
+    /// deliver them. The sort makes the export a pure function of the
+    /// pending set, independent of the heap's internal arrangement.
     #[must_use]
     pub fn snapshot_entries(&self) -> Vec<(SimTime, u64, E)>
     where
@@ -175,43 +128,26 @@ impl<E> Calendar<E> {
         entries
     }
 
-    /// Snapshot export: the lazily cancelled sequence numbers, sorted.
-    #[must_use]
-    pub fn snapshot_cancelled(&self) -> Vec<u64> {
-        let mut seqs: Vec<u64> = self.cancelled.iter().copied().collect();
-        seqs.sort_unstable();
-        seqs
-    }
-
     /// Rebuilds a calendar from a snapshot export: the heap entries with
-    /// their original sequence numbers, the cancelled set, and the next
-    /// sequence number to hand out. Pop order, cancellation semantics and
-    /// future [`EventId`] allocation all match the snapshotted calendar
-    /// exactly.
+    /// their original sequence numbers and the next sequence number to hand
+    /// out. Pop order and future sequence numbers both match the
+    /// snapshotted calendar exactly.
     #[must_use]
-    pub fn from_snapshot(
-        entries: Vec<(SimTime, u64, E)>,
-        cancelled: Vec<u64>,
-        next_seq: u64,
-    ) -> Self {
+    pub fn from_snapshot(entries: Vec<(SimTime, u64, E)>, next_seq: u64) -> Self {
         let mut heap = BinaryHeap::with_capacity(entries.len());
         for (time, seq, event) in entries {
             heap.push(HeapEntry { time, seq, event });
         }
-        Calendar {
-            heap,
-            next_seq,
-            cancelled: cancelled.into_iter().collect(),
-        }
+        Calendar { heap, next_seq }
     }
 
-    /// Number of pending live (non-cancelled) events.
+    /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
-    /// Whether no live events remain.
+    /// Whether no events remain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -248,45 +184,24 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event() {
+    fn peek_time_reports_the_earliest_pending_event() {
         let mut cal = Calendar::new();
-        let a = cal.schedule(t(1.0), "a");
+        assert_eq!(cal.peek_time(), None);
         cal.schedule(t(2.0), "b");
-        assert!(cal.cancel(a));
-        assert_eq!(cal.pop().unwrap().event, "b");
-        assert!(cal.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_twice_reports_false() {
-        let mut cal = Calendar::new();
-        let a = cal.schedule(t(1.0), ());
-        assert!(cal.cancel(a));
-        assert!(!cal.cancel(a));
-    }
-
-    #[test]
-    fn cancel_unknown_id_reports_false() {
-        let mut cal: Calendar<()> = Calendar::new();
-        assert!(!cal.cancel(EventId(42)));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled_heads() {
-        let mut cal = Calendar::new();
-        let a = cal.schedule(t(1.0), "a");
-        cal.schedule(t(2.0), "b");
-        cal.cancel(a);
+        cal.schedule(t(1.0), "a");
+        assert_eq!(cal.peek_time(), Some(t(1.0)));
+        cal.pop();
         assert_eq!(cal.peek_time(), Some(t(2.0)));
     }
 
     #[test]
-    fn len_accounts_for_cancellations() {
+    fn len_counts_pending_events() {
         let mut cal = Calendar::new();
-        let a = cal.schedule(t(1.0), ());
+        assert!(cal.is_empty());
+        cal.schedule(t(1.0), ());
         cal.schedule(t(2.0), ());
         assert_eq!(cal.len(), 2);
-        cal.cancel(a);
+        cal.pop();
         assert_eq!(cal.len(), 1);
         assert!(!cal.is_empty());
         cal.pop();

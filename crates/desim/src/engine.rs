@@ -1,6 +1,6 @@
 //! The simulation engine: drives a [`Process`] from the event calendar.
 
-use crate::calendar::{Calendar, EventEntry, EventId};
+use crate::calendar::{Calendar, EventEntry};
 use crate::time::SimTime;
 
 /// Why [`Engine::run`] returned.
@@ -132,27 +132,22 @@ impl<E> Engine<E> {
     }
 
     /// Schedules an event at an absolute time, which must not be in the past.
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule into the past: now={:?}, requested={:?}",
             self.now,
             time
         );
-        self.calendar.schedule(time, event)
+        self.calendar.schedule(time, event);
     }
 
     /// Schedules an event `delay` minutes from now (`delay >= 0`).
-    pub fn schedule_in(&mut self, delay: f64, event: E) -> EventId {
-        self.calendar.schedule(self.now + delay, event)
+    pub fn schedule_in(&mut self, delay: f64, event: E) {
+        self.calendar.schedule(self.now + delay, event);
     }
 
-    /// Cancels a pending event; see [`Calendar::cancel`].
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.calendar.cancel(id)
-    }
-
-    /// Live events still pending.
+    /// Events still pending.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.calendar.len()
@@ -321,16 +316,5 @@ mod tests {
         let mut engine = Engine::new();
         engine.schedule_at(SimTime::new(5.0), ());
         engine.run(&mut BadModel, None);
-    }
-
-    #[test]
-    fn cancelled_event_not_delivered() {
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::new(1.0), Ev::Tick);
-        let boom = engine.schedule_at(SimTime::new(2.0), Ev::Boom);
-        engine.cancel(boom);
-        let mut model = Model::new();
-        engine.run(&mut model, None);
-        assert!(!model.seen_boom);
     }
 }

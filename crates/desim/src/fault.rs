@@ -196,14 +196,6 @@ pub struct TransmissionFaults {
     pub edges: Vec<EdgeFault>,
 }
 
-impl TransmissionFaults {
-    /// Total injected delay across edges (what the retry timeout sees).
-    #[must_use]
-    pub fn total_delay(&self) -> f64 {
-        self.edges.iter().map(|e| e.delay).sum()
-    }
-}
-
 /// Faults on a single path edge.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeFault {
@@ -386,26 +378,12 @@ impl FaultPlan {
         })
     }
 
-    /// Whether the bank is reachable at time `t`.
-    #[must_use]
-    pub fn bank_available(&self, t: f64) -> bool {
-        // Outage windows are few (sparse renewal process); linear scan with
-        // early exit is cheaper than a partition point for typical counts.
-        for &(start, end) in &self.bank_outages {
-            if t < start {
-                return true;
-            }
-            if t < end {
-                return false;
-            }
-        }
-        true
-    }
-
     /// The earliest time `>= t` at which the bank is reachable (identity
     /// when it already is).
     #[must_use]
     pub fn next_bank_up(&self, t: f64) -> f64 {
+        // Outage windows are few (sparse renewal process); linear scan with
+        // early exit is cheaper than a partition point for typical counts.
         for &(start, end) in &self.bank_outages {
             if t < start {
                 return t;
@@ -415,12 +393,6 @@ impl FaultPlan {
             }
         }
         t
-    }
-
-    /// The sampled outage windows, ascending and disjoint.
-    #[must_use]
-    pub fn bank_outages(&self) -> &[(f64, f64)] {
-        &self.bank_outages
     }
 }
 
@@ -570,10 +542,9 @@ mod tests {
             .edges
             .iter()
             .all(|e| !e.crash && !e.dropped && e.delay == 0.0));
-        assert_eq!(tf.total_delay(), 0.0);
         assert!(p.cheaters().is_empty());
-        assert!(p.bank_outages().is_empty());
-        assert!(p.bank_available(500.0));
+        assert!(p.bank_outages.is_empty());
+        assert_eq!(p.next_bank_up(500.0), 500.0);
     }
 
     #[test]
@@ -622,7 +593,7 @@ mod tests {
             10,
             100_000.0,
         );
-        let outages = p.bank_outages();
+        let outages = &p.bank_outages;
         assert!(!outages.is_empty());
         for w in outages.windows(2) {
             assert!(w[0].1 <= w[1].0, "windows must be disjoint and sorted");
@@ -690,12 +661,13 @@ mod tests {
     #[test]
     fn next_bank_up_is_consistent_with_availability() {
         let p = plan(13);
+        let available = |t: f64| !p.bank_outages.iter().any(|&(s, e)| s <= t && t < e);
         for t in 0..1440 {
             let t = t as f64;
             let up = p.next_bank_up(t);
             assert!(up >= t);
-            assert!(p.bank_available(up));
-            if p.bank_available(t) {
+            assert!(available(up));
+            if available(t) {
                 assert_eq!(up, t);
             }
         }

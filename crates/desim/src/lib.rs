@@ -20,8 +20,8 @@
 //!   errors, the byte-level substrate for `idpa-sim`'s crash-safe
 //!   checkpoint/resume,
 //! * statistics collectors ([`stats::OnlineStats`], [`stats::Ecdf`],
-//!   [`stats::Histogram`], [`stats::ConfidenceInterval`]) used to produce the
-//!   paper's mean-with-95%-CI figures and payoff CDFs.
+//!   [`stats::ConfidenceInterval`]) used to produce the paper's
+//!   mean-with-95%-CI figures and payoff CDFs.
 //!
 //! The kernel is intentionally single-threaded: determinism of the event
 //! order is a correctness requirement (experiments are compared across
@@ -45,7 +45,7 @@ pub mod stats;
 pub mod time;
 
 pub use adversary_plan::{AdversaryConfig, AdversaryPlan};
-pub use calendar::{Calendar, EventEntry, EventId};
+pub use calendar::{Calendar, EventEntry};
 pub use codec::CodecError;
 pub use engine::{Engine, Process, StopReason};
 pub use fault::{

@@ -262,144 +262,6 @@ impl Ecdf {
     }
 }
 
-/// Batch-means estimator for steady-state simulation output.
-///
-/// A single long run's observations are autocorrelated, so the naive
-/// standard error over raw observations is biased low. Batch means is the
-/// classic remedy: split the stream into `n_batches` contiguous batches,
-/// treat the batch averages as (approximately independent) observations,
-/// and build the confidence interval over those.
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_count: u64,
-    batches: OnlineStats,
-}
-
-impl BatchMeans {
-    /// Creates an estimator with the given batch size (> 0).
-    #[must_use]
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans {
-            batch_size,
-            current_sum: 0.0,
-            current_count: 0,
-            batches: OnlineStats::new(),
-        }
-    }
-
-    /// Adds one observation; closes the current batch when full.
-    pub fn push(&mut self, x: f64) {
-        debug_assert!(x.is_finite());
-        self.current_sum += x;
-        self.current_count += 1;
-        if self.current_count == self.batch_size {
-            self.batches.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_count = 0;
-        }
-    }
-
-    /// Completed batches so far.
-    #[must_use]
-    pub fn batches(&self) -> u64 {
-        self.batches.count()
-    }
-
-    /// Mean over completed batches (the steady-state point estimate).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.batches.mean()
-    }
-
-    /// 95% confidence interval over batch means. At least two completed
-    /// batches are required for a non-degenerate interval.
-    #[must_use]
-    pub fn ci95(&self) -> ConfidenceInterval {
-        self.batches.ci95()
-    }
-
-    /// Observations in the (incomplete) current batch, discarded by the
-    /// estimate — callers can check how much data is pending.
-    #[must_use]
-    pub fn pending(&self) -> u64 {
-        self.current_count
-    }
-}
-
-/// Fixed-width binned histogram over `[lo, hi)` with under/overflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `nbins` equal bins over `[lo, hi)`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(hi > lo, "invalid histogram range [{lo}, {hi})");
-        assert!(nbins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = (((x - self.lo) / width) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total observations, including under/overflow.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Counts below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Counts at or above the upper edge.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// `(bin_center, count)` pairs.
-    #[must_use]
-    pub fn centers(&self) -> Vec<(f64, u64)> {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + width * (i as f64 + 0.5), c))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,66 +385,8 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0] {
-            h.push(x);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        let centers = h.centers();
-        assert_eq!(centers.len(), 10);
-        assert_eq!(centers[0], (0.5, 2)); // 0.0 and 0.5 in first bin
-        assert_eq!(centers[5].1, 1); // 5.0
-        assert_eq!(centers[9].1, 1); // 9.99
-    }
-
-    #[test]
     #[should_panic(expected = "quantile of empty sample")]
     fn quantile_of_empty_panics() {
         Ecdf::new().quantile(0.5);
-    }
-
-    #[test]
-    fn batch_means_batches_correctly() {
-        let mut bm = BatchMeans::new(4);
-        for x in [1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0, 99.0] {
-            bm.push(x);
-        }
-        assert_eq!(bm.batches(), 2);
-        assert_eq!(bm.pending(), 1);
-        // Batch means: 2.5 and 10.0.
-        assert!((bm.mean() - 6.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_means_widens_ci_for_correlated_streams() {
-        // An alternating stream 0,1,0,1,... has tiny batch-to-batch
-        // variance with even batch sizes (each batch averages 0.5) but a
-        // naive per-observation CI that is far too tight for an AR-like
-        // trending stream. Compare a trending stream: batch means expose
-        // the trend as between-batch variance.
-        let mut flat = BatchMeans::new(10);
-        let mut trending = BatchMeans::new(10);
-        for i in 0..200 {
-            flat.push(f64::from(i % 2));
-            trending.push(f64::from(i) / 100.0);
-        }
-        assert!(flat.ci95().half_width < trending.ci95().half_width);
-    }
-
-    #[test]
-    fn batch_means_empty_is_degenerate() {
-        let bm = BatchMeans::new(5);
-        assert_eq!(bm.batches(), 0);
-        assert_eq!(bm.mean(), 0.0);
-        assert_eq!(bm.ci95().half_width, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn batch_means_rejects_zero_size() {
-        let _ = BatchMeans::new(0);
     }
 }

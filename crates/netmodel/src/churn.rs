@@ -56,15 +56,26 @@ impl Default for ChurnConfig {
 }
 
 impl ChurnConfig {
-    /// Validates parameter ranges, panicking with a descriptive message on
-    /// nonsense input (zero nodes, non-positive rates, ...).
-    pub fn validate(&self) {
-        assert!(self.n_nodes > 0, "need at least one node");
-        assert!(self.join_rate > 0.0, "join_rate must be positive");
-        assert!(self.session_median > 0.0, "session_median must be positive");
-        assert!(self.session_shape > 0.0, "session_shape must be positive");
-        assert!(self.downtime_mean > 0.0, "downtime_mean must be positive");
-        assert!(self.horizon > 0.0, "horizon must be positive");
+    /// Checks parameter ranges; returns a description of the first
+    /// violation (zero nodes, or a rate, mean or horizon that is not
+    /// positive and finite).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n_nodes == 0 {
+            return Err("need at least one node".into());
+        }
+        let positive = [
+            ("join_rate", self.join_rate),
+            ("session_median", self.session_median),
+            ("session_shape", self.session_shape),
+            ("downtime_mean", self.downtime_mean),
+            ("horizon", self.horizon),
+        ];
+        for (name, v) in positive {
+            if !(v > 0.0 && v.is_finite()) {
+                return Err(format!("{name} must be positive and finite, got {v}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -130,24 +141,13 @@ impl NodeSchedule {
         }
     }
 
-    /// First join time, or `None` if the node never came up.
-    #[must_use]
-    pub fn first_join(&self) -> Option<f64> {
-        self.sessions.first().map(|&(s, _)| s)
-    }
-
-    /// Final departure time, or `None` if the node never came up.
-    #[must_use]
-    pub fn final_departure(&self) -> Option<f64> {
-        self.sessions.last().map(|&(_, e)| e)
-    }
-
     /// The paper's availability metric: total session time divided by
     /// lifetime (first join to final departure). Zero for a node with no
     /// sessions; 1.0 for a node with a single uninterrupted session.
     #[must_use]
     pub fn availability(&self) -> f64 {
-        let (Some(first), Some(last)) = (self.first_join(), self.final_departure()) else {
+        let (Some(&(first, _)), Some(&(_, last))) = (self.sessions.first(), self.sessions.last())
+        else {
             return 0.0;
         };
         let lifetime = last - first;
@@ -162,22 +162,6 @@ impl NodeSchedule {
     #[must_use]
     pub fn uptime(&self) -> f64 {
         self.sessions.iter().map(|&(s, e)| e - s).sum()
-    }
-
-    /// The next up/down transition strictly after `t`, if any. Used by the
-    /// simulator to schedule join/leave events.
-    #[must_use]
-    pub fn next_transition_after(&self, t: SimTime) -> Option<f64> {
-        let t = t.minutes();
-        for &(s, e) in self.sessions.iter() {
-            if s > t {
-                return Some(s);
-            }
-            if e > t {
-                return Some(e);
-            }
-        }
-        None
     }
 }
 
@@ -195,10 +179,13 @@ pub struct ChurnModel {
 }
 
 impl ChurnModel {
-    /// Creates a churn model over validated configuration.
+    /// Creates a churn model; panics if `config` fails
+    /// [`ChurnConfig::validate`].
     #[must_use]
     pub fn new(config: ChurnConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid churn config: {e}");
+        }
         ChurnModel { config }
     }
 
@@ -397,7 +384,7 @@ mod tests {
         // Joins are increasing and each schedule starts at its join.
         assert!(joins.windows(2).all(|w| w[0] < w[1]));
         for (s, &j) in whole.iter().zip(&joins) {
-            assert!(s.first_join().is_none_or(|first| first == j));
+            assert!(s.sessions().first().is_none_or(|&(first, _)| first == j));
         }
     }
 
@@ -429,16 +416,6 @@ mod tests {
     #[test]
     fn availability_of_empty_schedule_is_zero() {
         assert_eq!(NodeSchedule::default().availability(), 0.0);
-    }
-
-    #[test]
-    fn next_transition_walks_boundaries() {
-        let sched = NodeSchedule::from_sessions(vec![(1.0, 3.0), (5.0, 8.0)]);
-        assert_eq!(sched.next_transition_after(SimTime::new(0.0)), Some(1.0));
-        assert_eq!(sched.next_transition_after(SimTime::new(1.0)), Some(3.0));
-        assert_eq!(sched.next_transition_after(SimTime::new(3.0)), Some(5.0));
-        assert_eq!(sched.next_transition_after(SimTime::new(6.0)), Some(8.0));
-        assert_eq!(sched.next_transition_after(SimTime::new(8.0)), None);
     }
 
     #[test]
@@ -476,7 +453,7 @@ mod tests {
         let scheds = ChurnModel::new(cfg).generate(&streams(5));
         let last_join = scheds
             .iter()
-            .filter_map(NodeSchedule::first_join)
+            .filter_map(|s| s.sessions().first().map(|&(first, _)| first))
             .fold(0.0f64, f64::max);
         // 5000 arrivals at rate 2/min ≈ 2500 minutes.
         assert!((last_join - 2500.0).abs() < 200.0, "last_join={last_join}");

@@ -47,17 +47,34 @@ impl Default for CostConfig {
 }
 
 impl CostConfig {
-    /// Panics on out-of-range parameters.
-    pub fn validate(&self) {
-        assert!(self.participation_cost >= 0.0, "negative C^p");
-        assert!(self.payload_size > 0.0, "payload size must be positive");
-        assert!(
-            0.0 < self.bandwidth_lo && self.bandwidth_lo <= self.bandwidth_hi,
-            "invalid bandwidth range [{}, {}]",
-            self.bandwidth_lo,
-            self.bandwidth_hi
-        );
-        assert!(self.cost_scale > 0.0, "cost_scale must be positive");
+    /// Checks parameter ranges; returns a description of the first
+    /// violation. Every parameter must be finite, so every derived cost is.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.participation_cost >= 0.0 && self.participation_cost.is_finite()) {
+            return Err(format!(
+                "participation_cost must be nonnegative and finite, got {}",
+                self.participation_cost
+            ));
+        }
+        for (name, v) in [
+            ("payload_size", self.payload_size),
+            ("cost_scale", self.cost_scale),
+        ] {
+            if !(v > 0.0 && v.is_finite()) {
+                return Err(format!("{name} must be positive and finite, got {v}"));
+            }
+        }
+        if !(0.0 < self.bandwidth_lo
+            && self.bandwidth_lo <= self.bandwidth_hi
+            && self.bandwidth_hi.is_finite())
+        {
+            return Err(format!(
+                "invalid bandwidth range [{}, {}] \
+                 (need 0 < bandwidth_lo <= bandwidth_hi, both finite)",
+                self.bandwidth_lo, self.bandwidth_hi
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -77,7 +94,9 @@ impl CostModel {
     /// `[bandwidth_lo, bandwidth_hi]`, drawn from `streams`.
     #[must_use]
     pub fn new(config: CostConfig, streams: StreamFactory) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid cost config: {e}");
+        }
         CostModel { config, streams }
     }
 

@@ -150,23 +150,6 @@ impl Topology {
         let start = s.index() * self.degree;
         &self.neighbors[start..start + self.degree]
     }
-
-    /// Whether `v ∈ D(s)`. A linear scan: [`Topology::from_lists`] keeps
-    /// the caller's order, so the set need not be sorted.
-    #[must_use]
-    pub fn is_neighbor(&self, s: NodeId, v: NodeId) -> bool {
-        self.neighbors(s).contains(&v)
-    }
-
-    /// Nodes that have `v` in their neighbor set (the reverse relation);
-    /// O(n·d), intended for analysis, not hot paths.
-    #[must_use]
-    pub fn reverse_neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        (0..self.len())
-            .map(NodeId)
-            .filter(|&s| s != v && self.is_neighbor(s, v))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -207,27 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn is_neighbor_agrees_with_lists() {
-        let t = Topology::random(15, 3, &streams(4));
-        for s in 0..15 {
-            for v in 0..15 {
-                let expect = t.neighbors(NodeId(s)).contains(&NodeId(v));
-                assert_eq!(t.is_neighbor(NodeId(s), NodeId(v)), expect);
-            }
-        }
-    }
-
-    #[test]
-    fn reverse_neighbors_inverts_relation() {
-        let t = Topology::random(12, 3, &streams(5));
-        for v in 0..12 {
-            for s in t.reverse_neighbors(NodeId(v)) {
-                assert!(t.is_neighbor(s, NodeId(v)));
-            }
-        }
-    }
-
-    #[test]
     fn degree_saturates_at_n_minus_1() {
         let t = Topology::random(5, 4, &streams(6));
         for s in 0..5 {
@@ -260,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn from_lists_keeps_order_and_answers_membership_on_unsorted_sets() {
+    fn from_lists_keeps_order_of_unsorted_sets() {
         let lists: Vec<Vec<NodeId>> = [[3, 1, 2], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
             .iter()
             .map(|l| l.iter().map(|&v| NodeId(v)).collect())
@@ -270,19 +232,7 @@ mod tests {
         assert_eq!(t.degree(), 3);
         for (s, list) in lists.iter().enumerate() {
             assert_eq!(t.neighbors(NodeId(s)), list.as_slice(), "slot order kept");
-            for v in 0..4 {
-                assert_eq!(
-                    t.is_neighbor(NodeId(s), NodeId(v)),
-                    list.contains(&NodeId(v)),
-                    "is_neighbor({s}, {v})"
-                );
-            }
         }
-        assert!(t.is_neighbor(NodeId(0), NodeId(3)));
-        assert_eq!(
-            t.reverse_neighbors(NodeId(3)),
-            vec![NodeId(0), NodeId(1), NodeId(2)]
-        );
     }
 
     #[test]

@@ -101,12 +101,6 @@ impl Bank {
         &self.ledger
     }
 
-    /// Mutable ledger access (WAL mode switches, corruption-injection
-    /// tests).
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        &mut self.ledger
-    }
-
     /// The bank's public key (token verification).
     #[must_use]
     pub fn public_key(&self) -> &RsaPublicKey {

@@ -27,12 +27,12 @@ use crate::bank::AccountId;
 use crate::token::TokenId;
 
 /// Magic bytes opening every WAL record ("IDPA write-ahead log").
-pub const WAL_MAGIC: [u8; 8] = *b"IDPAWAL\0";
+const WAL_MAGIC: [u8; 8] = *b"IDPAWAL\0";
 
 /// WAL record format version. Version 1 records carried a byte-wise
 /// FNV-1a checksum; version 2 records use the codec frame and its
 /// word-wise checksum.
-pub const WAL_VERSION: u32 = 2;
+const WAL_VERSION: u32 = 2;
 
 /// One state-mutating ledger operation, as logged.
 ///
@@ -83,13 +83,6 @@ pub enum LedgerOp {
 
 impl LedgerOp {
     /// Encodes the record payload (everything inside the frame).
-    #[must_use]
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        self.encode_payload_into(&mut e);
-        e.into_bytes()
-    }
-
     fn encode_payload_into(&self, e: &mut Enc) {
         match self {
             LedgerOp::Open { balance } => {
@@ -131,7 +124,7 @@ impl LedgerOp {
 
     /// Decodes a record payload; any malformation maps to a typed
     /// [`CodecError`] (never a panic).
-    pub fn decode_payload(payload: &[u8]) -> Result<LedgerOp, CodecError> {
+    fn decode_payload(payload: &[u8]) -> Result<LedgerOp, CodecError> {
         let mut d = Dec::new(payload);
         let op = match d.u8()? {
             0 => LedgerOp::Open { balance: d.u64()? },
@@ -196,7 +189,7 @@ impl LedgerOp {
     /// Appends the framed record directly onto `out` — the append hot
     /// path. The frame is written in place at the end of `out`, so a
     /// settlement-rate append costs no intermediate allocation or copy.
-    pub fn encode_record_onto(&self, out: &mut Vec<u8>) {
+    fn encode_record_onto(&self, out: &mut Vec<u8>) {
         let mut e = Enc::framed_onto(std::mem::take(out), WAL_MAGIC, WAL_VERSION);
         self.encode_payload_into(&mut e);
         *out = e.seal_frame();
@@ -279,7 +272,7 @@ impl Wal {
     /// Rebuilds a log around an already-verified intact byte prefix (the
     /// recovery path: the caller scanned `bytes` and counted `records`).
     #[must_use]
-    pub fn from_recovered(bytes: Vec<u8>, records: u64) -> Self {
+    pub(crate) fn from_recovered(bytes: Vec<u8>, records: u64) -> Self {
         Wal {
             committed: bytes,
             staged: Vec::new(),
@@ -360,6 +353,13 @@ impl Wal {
 #[allow(clippy::unwrap_used)] // test-only assertions may panic freely
 mod tests {
     use super::*;
+
+    /// The record payload of `op` (everything inside the frame).
+    fn encode_payload(op: &LedgerOp) -> Vec<u8> {
+        let mut e = Enc::new();
+        op.encode_payload_into(&mut e);
+        e.into_bytes()
+    }
 
     fn sample_ops() -> Vec<LedgerOp> {
         let mut deltas = BTreeMap::new();
@@ -487,7 +487,7 @@ mod tests {
     fn records_use_the_codec_frame_and_reject_other_versions() {
         use idpa_desim::codec::{frame, frame_checksum, FRAME_HEADER_BYTES};
         let op = LedgerOp::Open { balance: 9 };
-        let payload = op.encode_payload();
+        let payload = encode_payload(&op);
         let rec = op.encode_record();
         assert_eq!(rec, frame(WAL_MAGIC, WAL_VERSION, &payload));
         assert_eq!(rec.len(), FRAME_HEADER_BYTES + payload.len() + 8);
@@ -508,7 +508,7 @@ mod tests {
         deltas.insert(AccountId(2), 1i128);
         deltas.insert(AccountId(5), -1i128);
         let op = LedgerOp::EpochNet { epoch: 0, deltas };
-        let mut payload = op.encode_payload();
+        let mut payload = encode_payload(&op);
         // Swap the two account ids (bytes 17.. and 41..) to break ordering.
         let (a, b) = (17, 41);
         for i in 0..8 {

@@ -208,6 +208,28 @@ pub struct ExperimentArgs {
     pub selected: Vec<String>,
 }
 
+/// Experiments that inject their own faults or adversaries, so their runs
+/// carry the settlement runtime whatever the scenario flags say.
+const SELF_SETTLING: [&str; 3] = ["fault-degradation", "fault-adaptation", "adversary-zoo"];
+
+impl ExperimentArgs {
+    /// Whether `--settlement epoch` is set but some selected experiment
+    /// (every experiment when none is named) has nothing to settle: no
+    /// scenario flag activates a fault, an adversary or a durable bank,
+    /// and the experiment injects none of its own.
+    #[must_use]
+    pub fn epoch_settlement_idle(&self) -> bool {
+        let s = &self.opts.scenario;
+        s.settlement == SettlementMode::Epoch
+            && !s.settles()
+            && (self.selected.is_empty()
+                || self
+                    .selected
+                    .iter()
+                    .any(|name| !SELF_SETTLING.contains(&name.as_str())))
+    }
+}
+
 /// Parses the experiment runner's command line (`--help` and `--list` are
 /// the caller's) and validates the resulting scenario.
 ///
@@ -222,7 +244,12 @@ pub fn parse_experiment_args(args: &[String]) -> Result<ExperimentArgs, String> 
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--quick" => opts.quick = true,
-            "--reps" => opts.reps = count(arg, &mut iter)?,
+            "--reps" => {
+                opts.reps = count(arg, &mut iter)?;
+                if opts.reps == 0 {
+                    return Err("--reps needs a positive integer".into());
+                }
+            }
             "--threads" => opts.threads = count(arg, &mut iter)?,
             "--out" => opts.out_dir = PathBuf::from(value(arg, &mut iter, "a directory")?),
             name if !name.starts_with('-') => selected.push(name.to_string()),
@@ -359,6 +386,9 @@ mod tests {
         assert_eq!((p.opts.reps, p.opts.threads), (3, 2));
         assert_eq!(p.opts.out_dir, PathBuf::from("x"));
         assert!(experiment("--seed 3").unwrap_err().contains("unknown flag"));
+        assert!(experiment("fig5 --reps 0")
+            .unwrap_err()
+            .contains("--reps needs a positive integer"));
         assert!(service("--reps 3")
             .unwrap_err()
             .contains("unknown service flag"));
@@ -396,6 +426,34 @@ mod tests {
                 let err = parsed.unwrap_err();
                 assert!(err.contains(fragment), "{flags}: {err}");
             }
+        }
+    }
+    #[test]
+    fn epoch_settlement_warning_spares_self_settling_experiments() {
+        let idle = |line: &str| {
+            parse_experiment_args(&args(&format!("{line} --settlement epoch")))
+                .unwrap()
+                .epoch_settlement_idle()
+        };
+        // All selected experiments inject their own faults or adversaries.
+        assert!(!idle("fault-adaptation"));
+        assert!(!idle("fault-degradation fault-adaptation adversary-zoo"));
+        // Mixed: fig5 has nothing to settle.
+        assert!(idle("fig5 fault-adaptation"));
+        // None self-settling, or every experiment (the registry has both).
+        assert!(idle("fig5 table2"));
+        assert!(idle(""));
+        // A scenario flag that settles, or per-bundle mode, never warns.
+        assert!(!idle("fig5 --fault-drop 0.1"));
+        assert!(!parse_experiment_args(&args("fig5"))
+            .unwrap()
+            .epoch_settlement_idle());
+        let names: Vec<&str> = crate::experiments::registry()
+            .iter()
+            .map(|(name, _)| *name)
+            .collect();
+        for name in SELF_SETTLING {
+            assert!(names.contains(&name), "{name} is not an experiment");
         }
     }
 }

@@ -159,13 +159,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let opts = parsed.opts;
-
     // Without a fault rate, an adversary plan or a durable bank there is
     // no evidence to settle and epoch mode reports all-zero settlement
     // metrics. Warn rather than fail: all-zero rates are a legitimate
     // baseline in fingerprint comparisons.
-    if opts.scenario.settlement == idpa_sim::SettlementMode::Epoch && !opts.scenario.settles() {
+    if parsed.epoch_settlement_idle() {
         eprintln!(
             "warning: --settlement epoch has no effect without fault injection, \
              an --adversary-* strategy or --bank-durability wal (any of them \
@@ -174,6 +172,7 @@ fn main() -> ExitCode {
         );
     }
 
+    let opts = parsed.opts;
     let reg = registry();
     let to_run: Vec<&(&str, Experiment)> = if parsed.selected.is_empty() {
         reg.iter().collect()

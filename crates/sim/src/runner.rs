@@ -131,12 +131,6 @@ struct RunView<'a> {
 }
 
 impl RoutingView for RunView<'_> {
-    fn live_neighbors(&self, s: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.live_neighbors_into(s, &mut out);
-        out
-    }
-
     fn live_neighbors_into(&self, s: NodeId, out: &mut Vec<NodeId>) {
         // D(s) is maintained by the node itself (its probe estimator), so
         // neighbor replacement is visible to routing. A neighbor is

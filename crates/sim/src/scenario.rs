@@ -288,10 +288,12 @@ impl ScenarioConfig {
             ),
         )?;
         ensure(
-            self.pf_range.0 > 0.0 && self.pf_range.1 >= self.pf_range.0,
+            self.pf_range.0 > 0.0
+                && self.pf_range.1 >= self.pf_range.0
+                && self.pf_range.1.is_finite(),
             "pf_range",
             format!(
-                "invalid P_f range [{}, {}] (need 0 < lo <= hi)",
+                "invalid P_f range [{}, {}] (need 0 < lo <= hi, both finite)",
                 self.pf_range.0, self.pf_range.1
             ),
         )?;
@@ -379,51 +381,18 @@ impl ScenarioConfig {
                 self.warmup, self.churn.horizon
             ),
         )?;
-        // Sub-config fields, mirrored from ChurnConfig/CostConfig::validate
-        // so the whole scenario reports through SimError.
-        ensure(
-            self.churn.join_rate > 0.0,
-            "churn.join_rate",
-            "join rate must be positive".into(),
-        )?;
-        ensure(
-            self.churn.session_median > 0.0 && self.churn.session_shape > 0.0,
-            "churn.session_median",
-            "Pareto session parameters must be positive".into(),
-        )?;
-        ensure(
-            self.churn.downtime_mean > 0.0,
-            "churn.downtime_mean",
-            "downtime mean must be positive".into(),
-        )?;
-        ensure(
-            self.churn.horizon > 0.0,
-            "churn.horizon",
-            "horizon must be positive".into(),
-        )?;
-        ensure(
-            self.cost.participation_cost >= 0.0,
-            "cost.participation_cost",
-            "negative C^p".into(),
-        )?;
-        ensure(
-            self.cost.payload_size > 0.0,
-            "cost.payload_size",
-            "payload size must be positive".into(),
-        )?;
-        ensure(
-            0.0 < self.cost.bandwidth_lo && self.cost.bandwidth_lo <= self.cost.bandwidth_hi,
-            "cost.bandwidth_lo",
-            format!(
-                "invalid bandwidth range [{}, {}]",
-                self.cost.bandwidth_lo, self.cost.bandwidth_hi
-            ),
-        )?;
-        ensure(
-            self.cost.cost_scale > 0.0,
-            "cost.cost_scale",
-            "cost_scale must be positive".into(),
-        )?;
+        self.churn
+            .validate()
+            .map_err(|message| SimError::InvalidConfig {
+                field: "churn",
+                message,
+            })?;
+        self.cost
+            .validate()
+            .map_err(|message| SimError::InvalidConfig {
+                field: "cost",
+                message,
+            })?;
         let (ws, wa) = self.weights;
         let wr = self.reputation_weight;
         ensure(
@@ -622,6 +591,12 @@ mod tests {
             ..ScenarioConfig::default()
         };
         assert_rejected(&cfg, "pf_range", "invalid P_f range [100, 50]");
+        // An infinite P_f validated and then panicked the run's contract.
+        let cfg = ScenarioConfig {
+            pf_range: (50.0, f64::INFINITY),
+            ..ScenarioConfig::quick_test(1)
+        };
+        assert_rejected(&cfg, "pf_range", "both finite");
     }
 
     #[test]
@@ -659,6 +634,41 @@ mod tests {
         let mut cfg = ScenarioConfig::default();
         cfg.fault.drop_rate = 1.5;
         assert_rejected(&cfg, "fault", "drop_rate");
+    }
+
+    #[test]
+    fn non_finite_churn_and_cost_rejected_through_scenario() {
+        // Each of these validated and then panicked the run (churn clock,
+        // exponential sampler) or produced non-finite costs.
+        let cases: [(fn(&mut ScenarioConfig), &str, &str); 6] = [
+            (|c| c.churn.horizon = f64::INFINITY, "churn", "horizon"),
+            (|c| c.churn.join_rate = f64::INFINITY, "churn", "join_rate"),
+            (
+                |c| c.churn.downtime_mean = f64::INFINITY,
+                "churn",
+                "downtime_mean",
+            ),
+            (
+                |c| c.cost.bandwidth_hi = f64::INFINITY,
+                "cost",
+                "bandwidth range",
+            ),
+            (
+                |c| c.cost.participation_cost = f64::INFINITY,
+                "cost",
+                "participation_cost",
+            ),
+            (
+                |c| c.cost.payload_size = f64::INFINITY,
+                "cost",
+                "payload_size",
+            ),
+        ];
+        for (mutate, field, fragment) in cases {
+            let mut cfg = ScenarioConfig::quick_test(1);
+            mutate(&mut cfg);
+            assert_rejected(&cfg, field, fragment);
+        }
     }
 
     #[test]

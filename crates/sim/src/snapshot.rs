@@ -73,8 +73,10 @@ use crate::world::World;
 /// (the windows carry it). Version 9 keeps the layout but not the world:
 /// each link's bandwidth now comes from a stream keyed by the link instead
 /// of one sequential stream, so a version 8 frame would resume over
-/// different costs.
-pub const SNAPSHOT_VERSION: u32 = 9;
+/// different costs. Version 10 drops the calendar's cancelled-event list
+/// (the calendar no longer supports cancellation, so the list was always
+/// empty).
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the
@@ -281,11 +283,6 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
         e.time(*t);
         e.u64(*seq);
         enc_ev(&mut e, ev);
-    }
-    let cancelled = cal.snapshot_cancelled();
-    e.seq_len(cancelled.len());
-    for c in &cancelled {
-        e.u64(*c);
     }
 
     // The sequential routing RNG cursor (every other draw is
@@ -594,15 +591,6 @@ pub fn restore(
             return Err(mismatch("calendar sequence number"));
         }
         entries.push((t, seq, dec_ev(&mut d, n_nodes, n_pairs)?));
-    }
-    let n_cancelled = d.seq_len(8).map_err(codec)?;
-    let mut cancelled = Vec::with_capacity(n_cancelled);
-    for _ in 0..n_cancelled {
-        let seq = d.u64().map_err(codec)?;
-        if seq >= next_seq {
-            return Err(mismatch("cancelled sequence number"));
-        }
-        cancelled.push(seq);
     }
 
     let mut routing_state = [0u64; 4];
@@ -1022,7 +1010,7 @@ pub fn restore(
     d.finish().map_err(codec)?;
 
     let engine = Engine::from_parts(
-        Calendar::from_snapshot(entries, cancelled, next_seq),
+        Calendar::from_snapshot(entries, next_seq),
         now,
         events_handled,
     );

@@ -161,23 +161,6 @@ impl World {
         }
         Ok(pairs)
     }
-
-    /// Number of good nodes.
-    #[must_use]
-    pub fn good_count(&self) -> usize {
-        self.kinds.iter().filter(|k| k.is_good()).count()
-    }
-
-    /// Ids of good nodes.
-    #[must_use]
-    pub fn good_nodes(&self) -> Vec<NodeId> {
-        self.kinds
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| k.is_good())
-            .map(|(i, _)| NodeId(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -293,7 +276,7 @@ mod tests {
             ..ScenarioConfig::quick_test(7)
         };
         let w = World::generate(&cfg);
-        assert_eq!(w.good_count(), 10);
+        assert_eq!(w.kinds.iter().filter(|k| k.is_good()).count(), 10);
     }
 
     #[test]

@@ -20,8 +20,9 @@ struct StaticView {
 }
 
 impl RoutingView for StaticView {
-    fn live_neighbors(&self, s: NodeId) -> Vec<NodeId> {
-        self.neighbors[s.index()].clone()
+    fn live_neighbors_into(&self, s: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend_from_slice(&self.neighbors[s.index()]);
     }
     fn availability(&self, s: NodeId, v: NodeId) -> f64 {
         // Mild asymmetry so the utility maximiser has a stable argmax.

@@ -60,7 +60,7 @@ pub mod prelude {
     pub use idpa_core::quality::{EdgeQuality, Weights};
     pub use idpa_core::reputation::EdgeReputation;
     pub use idpa_core::routing::{PathPolicy, RoutingStrategy, RoutingView};
-    pub use idpa_core::utility::{InitiatorUtility, UtilityModel};
+    pub use idpa_core::utility::UtilityModel;
     pub use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
     pub use idpa_desim::stats::{Ecdf, OnlineStats};
     pub use idpa_desim::{
