@@ -6,14 +6,13 @@
 use idpa_bench::harness::Harness;
 use idpa_core::bundle::BundleId;
 use idpa_core::contract::Contract;
-use idpa_core::history::HistoryProfile;
 use idpa_core::path::form_connection;
 use idpa_core::quality::{EdgeQuality, Weights};
 use idpa_core::routing::{
-    continuation_quality_with, edge_quality_of, PathPolicy, RouteScratch, RoutingStrategy,
-    RoutingView,
+    continuation_quality_with, PathPolicy, RouteScratch, RoutingStrategy, RoutingView,
 };
 use idpa_core::utility::UtilityModel;
+use idpa_core::HistoryArena;
 use idpa_crypto::bigint::BigUint;
 use idpa_crypto::blind::BlindingFactor;
 use idpa_crypto::chacha20::ChaCha20;
@@ -69,16 +68,16 @@ impl RoutingView for BenchView {
     }
 }
 
-/// A history profile loaded with `records` hops on one bundle: the
+/// An arena where node 0 holds `records` hops on one bundle: the
 /// selectivity-lookup workload.
-fn loaded_history(records: u32) -> HistoryProfile {
-    let mut hist = HistoryProfile::new(NodeId(0));
+fn loaded_history(records: u32) -> HistoryArena {
+    let mut hist = HistoryArena::with_capacity(None);
     let mut rng = Xoshiro256StarStar::seed_from_u64(7);
     use rand::RngExt;
     for conn in 0..records {
         let pred = NodeId(rng.random_range(1..8usize));
         let succ = NodeId(rng.random_range(8..16usize));
-        hist.record(BundleId(0), conn, pred, succ);
+        hist.record_hop(NodeId(0), BundleId(0), conn, pred, succ);
     }
     hist
 }
@@ -86,31 +85,28 @@ fn loaded_history(records: u32) -> HistoryProfile {
 fn bench_selectivity(h: &mut Harness) {
     let hist = loaded_history(512);
     let priors = 512;
+    // The indexed lookup must read exactly what a recount of the records
+    // gives, or its timing below compares different answers.
+    for v in (8..16).map(NodeId) {
+        assert_eq!(
+            hist.selectivity(NodeId(0), BundleId(0), priors, v)
+                .to_bits(),
+            hist.selectivity_rescan(NodeId(0), BundleId(0), priors, v)
+                .to_bits(),
+            "indexed σ toward {v:?} differs from the rescan"
+        );
+    }
     h.bench("history/selectivity_indexed_512", || {
         let mut acc = 0.0;
         for v in 8..16 {
-            acc += hist.selectivity(BundleId(0), priors, NodeId(v));
+            acc += hist.selectivity(NodeId(0), BundleId(0), priors, NodeId(v));
         }
         acc
     });
     h.bench("history/selectivity_rescan_512", || {
         let mut acc = 0.0;
         for v in 8..16 {
-            acc += hist.selectivity_rescan(BundleId(0), priors, NodeId(v));
-        }
-        acc
-    });
-    h.bench("history/selectivity_from_indexed_512", || {
-        let mut acc = 0.0;
-        for v in 8..16 {
-            acc += hist.selectivity_from(BundleId(0), priors, NodeId(1), NodeId(v));
-        }
-        acc
-    });
-    h.bench("history/selectivity_from_rescan_512", || {
-        let mut acc = 0.0;
-        for v in 8..16 {
-            acc += hist.selectivity_from_rescan(BundleId(0), priors, NodeId(1), NodeId(v));
+            acc += hist.selectivity_rescan(NodeId(0), BundleId(0), priors, NodeId(v));
         }
         acc
     });
@@ -124,7 +120,7 @@ fn continuation_rec_nomemo(
     depth: u8,
     contract: &Contract,
     priors: u32,
-    histories: &[HistoryProfile],
+    histories: &HistoryArena,
     view: &impl RoutingView,
     quality: &EdgeQuality,
     visited: &mut Vec<NodeId>,
@@ -141,14 +137,9 @@ fn continuation_rec_nomemo(
         if v == contract.responder || visited.contains(&v) {
             continue;
         }
-        let q_edge = edge_quality_of(
-            from,
-            v,
-            contract,
-            priors,
-            &histories[from.index()],
-            view,
-            quality,
+        let q_edge = quality.edge(
+            histories.selectivity(from, contract.bundle, priors, v),
+            view.availability(from, v),
         );
         visited.push(v);
         let (tail_sum, tail_edges) = continuation_rec_nomemo(
@@ -182,16 +173,21 @@ fn bench_model2_lookahead(h: &mut Harness) {
     // Warmed-up histories, as mid-run routing sees them: every node has
     // prior records over its real neighbor edges.
     use rand::RngExt;
-    let mut histories: Vec<HistoryProfile> =
-        (0..40).map(|i| HistoryProfile::new(NodeId(i))).collect();
-    for (i, hist) in histories.iter_mut().enumerate() {
-        let nbrs = view.topology.neighbors(NodeId(i)).to_vec();
+    let mut histories = HistoryArena::with_capacity(None);
+    for i in 0..40 {
+        let nbrs = view.topology.neighbors(NodeId(i));
         for conn in 0..64u32 {
             let pred = nbrs[rng.random_range(0..nbrs.len())];
             let succ = nbrs[rng.random_range(0..nbrs.len())];
-            hist.record(BundleId(0), conn, pred, succ);
+            histories.record_hop(NodeId(i), BundleId(0), conn, pred, succ);
         }
     }
+    let first_edge = |j: NodeId| {
+        quality.edge(
+            histories.selectivity(NodeId(0), BundleId(0), 20, j),
+            view.availability(NodeId(0), j),
+        )
+    };
     // One transmission evaluates the continuation for every candidate of
     // every hop: approximate with all 5 neighbors of node 0.
     let candidates: Vec<NodeId> = view.topology.neighbors(NodeId(0)).to_vec();
@@ -201,8 +197,7 @@ fn bench_model2_lookahead(h: &mut Harness) {
             scratch.begin_transmission();
             let mut acc = 0.0;
             for &j in &candidates {
-                let q_edge =
-                    edge_quality_of(NodeId(0), j, &contract, 20, &histories[0], &view, &quality);
+                let q_edge = first_edge(j);
                 acc += continuation_quality_with(
                     &mut scratch,
                     NodeId(0),
@@ -221,8 +216,7 @@ fn bench_model2_lookahead(h: &mut Harness) {
         h.bench(&format!("core/model2_cont_nomemo_la{la}"), || {
             let mut acc = 0.0;
             for &j in &candidates {
-                let q_edge =
-                    edge_quality_of(NodeId(0), j, &contract, 20, &histories[0], &view, &quality);
+                let q_edge = first_edge(j);
                 let mut visited = vec![NodeId(0), j];
                 let (total, edges) = continuation_rec_nomemo(
                     j,
@@ -266,8 +260,7 @@ fn bench_path_formation(h: &mut Harness) {
             RoutingStrategy::Utility(UtilityModel::ModelII { lookahead: 3 }),
         ),
     ] {
-        let mut histories: Vec<HistoryProfile> =
-            (0..40).map(|i| HistoryProfile::new(NodeId(i))).collect();
+        let mut histories = HistoryArena::with_capacity(None);
         let mut conn = 0u32;
         h.bench(label, || {
             let out = form_connection(

@@ -1,16 +1,15 @@
 //! Owner-keyed storage for every node's connection history.
 //!
-//! [`crate::history::HistoryProfile`] keeps one node's Table 1 records
-//! behind a per-node bundle map. [`HistoryArena`] is the runner's store:
-//! one map over every `(node, bundle)` pair, owned by the run and written
-//! through `&mut`, each cell holding that node's records for that bundle
-//! in the same `BundleHistory` type the profile uses. A small
-//! never-cleared membership filter answers the common "this node has no
-//! history for this bundle yet" query without probing the map.
+//! [`HistoryArena`] is the one history store: one map over every
+//! `(node, bundle)` pair, owned by the run and written through `&mut`,
+//! each cell holding that node's Table 1 records for that bundle and the
+//! successor index σ is read from. A small never-cleared membership
+//! filter answers the common "this node has no history for this bundle
+//! yet" query without probing the map.
 //!
-//! `crates/core/tests/arena_equivalence.rs` checks the arena against the
-//! profile's rescan oracle under randomized interleaved commits (including
-//! dropped-confirmation suffix commits).
+//! `crates/core/tests/arena_equivalence.rs` checks the arena against an
+//! independent model of the retained records under randomized interleaved
+//! commits (including dropped-confirmation suffix commits).
 
 use std::collections::HashMap;
 
@@ -18,7 +17,7 @@ use idpa_desim::rng::{splitmix64, Mix64State};
 use idpa_overlay::NodeId;
 
 use crate::bundle::BundleId;
-use crate::history::{BundleHistory, HistoryRead, HistoryRecord, HistoryWrite};
+use crate::history::{BundleHistory, HistoryRecord};
 
 /// Number of bits in the `(node, bundle)` membership filter.
 const FILTER_BITS: usize = 1 << 13;
@@ -39,8 +38,7 @@ pub struct HistoryArena {
 impl HistoryArena {
     /// An empty arena retaining at most `capacity` records per
     /// `(node, bundle)` when `Some`, unbounded when `None` (oldest evicted
-    /// first, matching
-    /// [`crate::history::HistoryProfile::with_capacity`]).
+    /// first).
     ///
     /// # Panics
     /// If `capacity` is `Some(0)`.
@@ -69,6 +67,62 @@ impl HistoryArena {
         self.cell(node, bundle).map_or(&[], BundleHistory::records)
     }
 
+    /// Records a hop: on connection `connection` of `bundle`, `node`
+    /// received from `predecessor` and forwarded to `successor`. At most
+    /// the arena's capacity of records is kept per `(node, bundle)`.
+    pub fn record_hop(
+        &mut self,
+        node: NodeId,
+        bundle: BundleId,
+        connection: u32,
+        predecessor: NodeId,
+        successor: NodeId,
+    ) {
+        let (n, b) = (node.index() as u64, bundle.0);
+        let slot = filter_slot(n, b);
+        self.filter[slot / 64] |= 1 << (slot % 64);
+        self.cells.entry((n, b)).or_default().record(
+            HistoryRecord {
+                connection,
+                predecessor,
+                successor,
+            },
+            self.capacity_per_bundle,
+        );
+    }
+
+    /// Selectivity `σ(s, v)` when forming a new connection after `priors`
+    /// completed connections of `bundle`: the number of those prior
+    /// connections on which `s` forwarded to `v`, divided by the maximum
+    /// possible `priors`.
+    ///
+    /// In the paper's 1-based notation this is the σ used while forming
+    /// `π^k` with `priors = k − 1`. Zero-based connection indices
+    /// `0..priors` are the priors. Multiple appearances of the edge on one
+    /// prior connection (a node occupying two positions) count once — the
+    /// numerator counts *connections*, matching the denominator.
+    #[must_use]
+    pub fn selectivity(&self, s: NodeId, bundle: BundleId, priors: u32, v: NodeId) -> f64 {
+        BundleHistory::selectivity(self.cell(s, bundle), priors, v)
+    }
+
+    /// Reference implementation of [`HistoryArena::selectivity`] by full
+    /// rescan of the retained records instead of the index — the oracle
+    /// for tests and the baseline of the indexed lookup's benchmark.
+    #[must_use]
+    pub fn selectivity_rescan(&self, s: NodeId, bundle: BundleId, priors: u32, v: NodeId) -> f64 {
+        if priors == 0 {
+            return 0.0;
+        }
+        let mut seen = std::collections::HashSet::new();
+        for r in self.records(s, bundle) {
+            if r.connection < priors && r.successor == v {
+                seen.insert(r.connection);
+            }
+        }
+        seen.len() as f64 / f64::from(priors)
+    }
+
     /// Total records retained.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -86,11 +140,11 @@ impl HistoryArena {
     /// arena's value, independent of hash-map order.
     ///
     /// Restore is replay: push each cell's records through
-    /// [`HistoryWrite::record_hop`] into a fresh arena with the same
-    /// retention bound. Eviction already unwound the selectivity indexes
-    /// to exactly the state the retained records imply, and a cell's
-    /// retained count never exceeds the per-bundle capacity, so replay
-    /// reproduces records, indexes and membership-filter bits identically.
+    /// [`HistoryArena::record_hop`] into a fresh arena with the same
+    /// retention bound. Eviction already unwound the selectivity index to
+    /// exactly the state the retained records imply, and a cell's retained
+    /// count never exceeds the per-bundle capacity, so replay reproduces
+    /// records, index and membership-filter bits identically.
     #[must_use]
     pub fn snapshot_cells(&self) -> Vec<(u64, u64, Vec<HistoryRecord>)> {
         let mut out: Vec<_> = self
@@ -103,98 +157,58 @@ impl HistoryArena {
     }
 }
 
-impl HistoryRead for HistoryArena {
-    fn selectivity_at(&self, s: NodeId, bundle: BundleId, priors: u32, v: NodeId) -> f64 {
-        BundleHistory::selectivity(self.cell(s, bundle), priors, v)
-    }
-
-    fn selectivity_from_at(
-        &self,
-        s: NodeId,
-        bundle: BundleId,
-        priors: u32,
-        predecessor: NodeId,
-        v: NodeId,
-    ) -> f64 {
-        BundleHistory::selectivity_from(self.cell(s, bundle), priors, predecessor, v)
-    }
-}
-
-impl HistoryWrite for HistoryArena {
-    fn record_hop(
-        &mut self,
-        node: NodeId,
-        bundle: BundleId,
-        connection: u32,
-        predecessor: NodeId,
-        successor: NodeId,
-    ) {
-        let (n, b) = (node.index() as u64, bundle.0);
-        let slot = filter_slot(n, b);
-        self.filter[slot / 64] |= 1 << (slot % 64);
-        self.cells.entry((n, b)).or_default().record(
-            HistoryRecord {
-                bundle,
-                connection,
-                predecessor,
-                successor,
-            },
-            self.capacity_per_bundle,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::HistoryProfile;
 
     fn n(i: usize) -> NodeId {
         NodeId(i)
     }
 
     #[test]
-    fn arena_matches_profile_semantics() {
-        let mut profile = HistoryProfile::new(n(1));
+    fn cells_are_scoped_per_node_and_bundle() {
         let mut arena = HistoryArena::with_capacity(None);
         let b = BundleId(4);
         for (conn, (p, s)) in [(0, 2), (0, 3), (1, 2), (2, 5)].into_iter().enumerate() {
-            profile.record(b, conn as u32, n(p), n(s));
             arena.record_hop(n(1), b, conn as u32, n(p), n(s));
         }
-        for priors in 0..5u32 {
-            for v in 0..6 {
-                assert_eq!(
-                    profile.selectivity(b, priors, n(v)).to_bits(),
-                    arena.selectivity_at(n(1), b, priors, n(v)).to_bits()
-                );
-                assert_eq!(
-                    profile.selectivity_from(b, priors, n(0), n(v)).to_bits(),
-                    arena
-                        .selectivity_from_at(n(1), b, priors, n(0), n(v))
-                        .to_bits()
-                );
-            }
-        }
-        assert_eq!(arena.len(), 4);
+        arena.record_hop(n(2), BundleId(5), 0, n(1), n(3));
+        assert_eq!(arena.len(), 5);
+        assert_eq!(arena.records(n(1), b).len(), 4);
         assert!(arena.records(n(2), b).is_empty());
+        assert!(arena.records(n(1), BundleId(5)).is_empty());
+        // Node 2's record for bundle 5 does not leak into node 1's σ.
+        assert_eq!(arena.selectivity(n(1), BundleId(5), 1, n(3)), 0.0);
+        assert_eq!(arena.selectivity(n(2), BundleId(5), 1, n(3)), 1.0);
+        let keys: Vec<(u64, u64)> = arena
+            .snapshot_cells()
+            .into_iter()
+            .map(|(node, bundle, _)| (node, bundle))
+            .collect();
+        assert_eq!(keys, [(1, 4), (2, 5)]);
     }
 
     #[test]
-    fn capacity_evicts_oldest_like_profile() {
-        let mut profile = HistoryProfile::with_capacity(n(0), 2);
+    fn capacity_evicts_oldest_per_cell() {
         let mut arena = HistoryArena::with_capacity(Some(2));
         let b = BundleId(9);
         for conn in 0..5u32 {
-            profile.record(b, conn, n(1), n(conn as usize % 3));
             arena.record_hop(n(0), b, conn, n(1), n(conn as usize % 3));
+            arena.record_hop(n(1), b, conn, n(0), n(2));
         }
-        assert_eq!(arena.records(n(0), b), profile.bundle_records(b));
+        let kept: Vec<(u32, NodeId)> = arena
+            .records(n(0), b)
+            .iter()
+            .map(|r| (r.connection, r.successor))
+            .collect();
+        assert_eq!(kept, [(3, n(0)), (4, n(1))]);
+        assert_eq!(arena.records(n(1), b).len(), 2);
+        assert_eq!(arena.len(), 4);
         for priors in 0..6u32 {
             for v in 0..3 {
                 assert_eq!(
-                    profile.selectivity(b, priors, n(v)).to_bits(),
-                    arena.selectivity_at(n(0), b, priors, n(v)).to_bits()
+                    arena.selectivity(n(0), b, priors, n(v)).to_bits(),
+                    arena.selectivity_rescan(n(0), b, priors, n(v)).to_bits()
                 );
             }
         }

@@ -13,10 +13,10 @@
 //! * [`envelope`] — the route-formation cryptography: onion-sealed
 //!   contract propagation and the MAC-chained path-validation records the
 //!   initiator checks before paying (§2.2, §5);
-//! * [`history`] — per-node connection history profiles `H^k(s)` (Table 1)
-//!   and the *selectivity* `σ(s,v)` derived from them (§2.3);
-//! * [`arena`] — every node's history in one owner-keyed store, the
-//!   runner's history state;
+//! * [`history`] — the connection history record `H^k(s)` (Table 1) and
+//!   the per-successor index behind the *selectivity* `σ(s,v)` (§2.3);
+//! * [`arena`] — every node's history in one owner-keyed store, which
+//!   answers `σ(s,v)`;
 //! * [`quality`] — edge quality `q(s,v) = w_s·σ(s,v) + w_a·α(v)` and path
 //!   quality (§2.3);
 //! * [`utility`] — utility models I and II for forwarders (§2.2,
@@ -57,7 +57,6 @@ pub mod utility;
 pub use arena::HistoryArena;
 pub use bundle::{BundleAccounting, BundleId};
 pub use contract::Contract;
-pub use history::{HistoryProfile, HistoryRead, HistoryWrite};
 pub use quality::{EdgeQuality, Weights};
 pub use reputation::EdgeReputation;
 pub use routing::{PathPolicy, RoutingStrategy};

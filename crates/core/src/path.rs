@@ -13,8 +13,8 @@ use idpa_desim::rng::Xoshiro256StarStar;
 use idpa_overlay::{NodeId, NodeKind};
 use rand::RngExt;
 
+use crate::arena::HistoryArena;
 use crate::contract::Contract;
-use crate::history::{HistoryRead, HistoryWrite};
 use crate::quality::EdgeQuality;
 use crate::routing::{
     choose_next_hop_colluding_with, choose_next_hop_with, AdversaryStrategy, PathPolicy,
@@ -69,21 +69,19 @@ impl PathOutcome {
 /// * `good_strategy` — the routing strategy selfish-rational peers use
 ///   (the experiment axis of Figs. 5–7); malicious peers always route
 ///   randomly (§2.4).
-/// * `histories` — the per-node history store (any [`HistoryRead`] +
-///   [`HistoryWrite`] layout: per-node profile vector or the arena);
-///   updated in place with this connection's records as the confirmation
-///   returns.
+/// * `histories` — every node's history; updated in place with this
+///   connection's records as the confirmation returns.
 ///
 /// The initiator always attempts at least one forwarder hop (as in Crowds,
 /// the first hop is unconditional); the coin governs every later hop.
 #[allow(clippy::too_many_arguments)]
-pub fn form_connection<H: HistoryRead + HistoryWrite + ?Sized>(
+pub fn form_connection(
     initiator: NodeId,
     connection_index: u32,
     contract: &Contract,
     priors: u32,
     view: &impl RoutingView,
-    histories: &mut H,
+    histories: &mut HistoryArena,
     kinds: &[NodeKind],
     quality: &EdgeQuality,
     good_strategy: RoutingStrategy,
@@ -145,11 +143,11 @@ impl PendingConnection {
     }
 
     /// Commits every node's record — the full confirmation reached `I`.
-    pub fn commit<H: HistoryWrite + ?Sized>(
+    pub fn commit(
         &self,
         bundle: crate::bundle::BundleId,
         connection_index: u32,
-        histories: &mut H,
+        histories: &mut HistoryArena,
     ) {
         for &(node, pred, succ) in &self.hop_records {
             histories.record_hop(node, bundle, connection_index, pred, succ);
@@ -161,12 +159,12 @@ impl PendingConnection {
     /// swallowed by the cheater at `position` (1-based forwarder index).
     /// The cheater itself and everyone upstream (including `I`) record
     /// nothing.
-    pub fn commit_suffix<H: HistoryWrite + ?Sized>(
+    pub fn commit_suffix(
         &self,
         position: usize,
         bundle: crate::bundle::BundleId,
         connection_index: u32,
-        histories: &mut H,
+        histories: &mut HistoryArena,
     ) {
         for &(node, pred, succ) in self.hop_records.iter().skip(position + 1) {
             histories.record_hop(node, bundle, connection_index, pred, succ);
@@ -187,13 +185,13 @@ impl PendingConnection {
 /// [`AdversaryStrategy::Random`], or [`AdversaryStrategy::Colluding`] per
 /// the §4 collusion discussion.
 #[allow(clippy::too_many_arguments)]
-pub fn form_connection_pending<H: HistoryRead + ?Sized>(
+pub fn form_connection_pending(
     scratch: &mut RouteScratch,
     initiator: NodeId,
     contract: &Contract,
     priors: u32,
     view: &impl RoutingView,
-    histories: &H,
+    histories: &HistoryArena,
     kinds: &[NodeKind],
     quality: &EdgeQuality,
     good_strategy: RoutingStrategy,
@@ -283,7 +281,6 @@ pub fn form_connection_pending<H: HistoryRead + ?Sized>(
 mod tests {
     use super::*;
     use crate::bundle::BundleId;
-    use crate::history::HistoryProfile;
     use crate::quality::Weights;
     use crate::utility::UtilityModel;
     use std::collections::HashMap;
@@ -328,9 +325,9 @@ mod tests {
         }
     }
 
-    fn setup(n: usize) -> (Contract, Vec<HistoryProfile>, Vec<NodeKind>, EdgeQuality) {
+    fn setup(n: usize) -> (Contract, HistoryArena, Vec<NodeKind>, EdgeQuality) {
         let contract = Contract::new(BundleId(0), NodeId(n - 1), 50.0, 100.0);
-        let histories = (0..n).map(|i| HistoryProfile::new(NodeId(i))).collect();
+        let histories = HistoryArena::with_capacity(None);
         let kinds = vec![NodeKind::Good; n];
         let quality = EdgeQuality::new(Weights::balanced());
         (contract, histories, kinds, quality)
@@ -423,10 +420,10 @@ mod tests {
             &mut rng(2),
         );
         // The initiator recorded its first hop.
-        assert_eq!(histories[0].bundle_records(contract.bundle).len(), 1);
+        assert_eq!(histories.records(NodeId(0), contract.bundle).len(), 1);
         // The last forwarder recorded an edge into R.
         let last = *out.forwarders.last().unwrap();
-        let recs = histories[last.index()].bundle_records(contract.bundle);
+        let recs = histories.records(last, contract.bundle);
         assert!(recs.iter().any(|r| r.successor == contract.responder));
     }
 
@@ -519,8 +516,8 @@ mod tests {
         assert_eq!(rng_a, rng_b, "identical RNG consumption");
         for i in 0..10 {
             assert_eq!(
-                h_inline[i].bundle_records(contract.bundle),
-                h_pending[i].bundle_records(contract.bundle),
+                h_inline.records(NodeId(i), contract.bundle),
+                h_pending.records(NodeId(i), contract.bundle),
                 "node {i} history diverged"
             );
         }
@@ -546,9 +543,7 @@ mod tests {
             &mut rng(22),
         );
         assert!(!pending.records().is_empty());
-        for h in &histories {
-            assert!(h.bundle_records(contract.bundle).is_empty());
-        }
+        assert!(histories.is_empty());
     }
 
     #[test]
@@ -579,14 +574,12 @@ mod tests {
         let cheater_pos = 1; // f_1 swallows the confirmation
         pending.commit_suffix(cheater_pos, contract.bundle, 0, &mut histories);
         // Initiator (position 0) and the cheater recorded nothing.
-        assert!(histories[0].bundle_records(contract.bundle).is_empty());
+        assert!(histories.records(NodeId(0), contract.bundle).is_empty());
         let cheater = pending.outcome().forwarders[cheater_pos - 1];
-        assert!(histories[cheater.index()]
-            .bundle_records(contract.bundle)
-            .is_empty());
+        assert!(histories.records(cheater, contract.bundle).is_empty());
         // Every position after the cheater recorded exactly its entry.
         for (p, &(node, pred, succ)) in pending.records().iter().enumerate().skip(cheater_pos + 1) {
-            let recs = histories[node.index()].bundle_records(contract.bundle);
+            let recs = histories.records(node, contract.bundle);
             assert!(
                 recs.iter()
                     .any(|r| r.predecessor == pred && r.successor == succ),
@@ -626,10 +619,7 @@ mod tests {
             availability: HashMap::new(),
         };
         let contract = Contract::new(BundleId(0), NodeId(1), 50.0, 100.0);
-        let mut histories = vec![
-            HistoryProfile::new(NodeId(0)),
-            HistoryProfile::new(NodeId(1)),
-        ];
+        let mut histories = HistoryArena::with_capacity(None);
         let kinds = vec![NodeKind::Good; 2];
         let quality = EdgeQuality::new(Weights::balanced());
         let out = form_connection(

@@ -15,8 +15,8 @@ use idpa_desim::rng::{splitmix64, Xoshiro256StarStar};
 use idpa_overlay::NodeId;
 use rand::RngExt;
 
+use crate::arena::HistoryArena;
 use crate::contract::Contract;
-use crate::history::{HistoryProfile, HistoryRead};
 use crate::quality::EdgeQuality;
 use crate::utility::{model_one_utility, model_two_utility, UtilityModel};
 
@@ -279,33 +279,15 @@ pub struct HopChoice {
     pub quality: f64,
 }
 
-/// Computes `q(s, v)` from the chooser's history profile and availability
-/// view: `w_s·σ(s,v) + w_a·α_s(v)`.
-#[must_use]
-pub fn edge_quality_of(
-    s: NodeId,
-    v: NodeId,
-    contract: &Contract,
-    priors: u32,
-    history: &HistoryProfile,
-    view: &impl RoutingView,
-    quality: &EdgeQuality,
-) -> f64 {
-    let sigma = history.selectivity(contract.bundle, priors, v);
-    let alpha = view.availability(s, v);
-    quality.edge(sigma, alpha)
-}
-
 /// Memoised `q(s, v)`: looks the edge up in the transmission cache and
-/// computes it from the history store on a miss. Generic over the storage
-/// layout ([`HistoryRead`]): per-node profile vector or the arena.
+/// computes it from the history store on a miss.
 #[allow(clippy::too_many_arguments)]
-fn edge_quality_memo<H: HistoryRead + ?Sized>(
+fn edge_quality_memo(
     s: NodeId,
     v: NodeId,
     contract: &Contract,
     priors: u32,
-    histories: &H,
+    histories: &HistoryArena,
     view: &impl RoutingView,
     quality: &EdgeQuality,
     scratch: &mut RouteScratch,
@@ -314,7 +296,7 @@ fn edge_quality_memo<H: HistoryRead + ?Sized>(
     if let Some(&q) = scratch.edge_q.get(&key) {
         return q;
     }
-    let sigma = histories.selectivity_at(s, contract.bundle, priors, v);
+    let sigma = histories.selectivity(s, contract.bundle, priors, v);
     // The two-term branch never reads ρ and evaluates the exact paper
     // expression, so w_r = 0 runs are bit-identical to the pre-reputation
     // build (fingerprint-pinned).
@@ -340,13 +322,13 @@ fn edge_quality_memo<H: HistoryRead + ?Sized>(
 /// [`RouteScratch::begin_transmission`] when the snapshot changes.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
-pub fn choose_next_hop_with<H: HistoryRead + ?Sized>(
+pub fn choose_next_hop_with(
     scratch: &mut RouteScratch,
     s: NodeId,
     strategy: RoutingStrategy,
     contract: &Contract,
     priors: u32,
-    histories: &H,
+    histories: &HistoryArena,
     view: &impl RoutingView,
     quality: &EdgeQuality,
     rng: &mut Xoshiro256StarStar,
@@ -465,14 +447,14 @@ pub fn choose_next_hop_colluding_with(
 /// keeping model II's quality on the same `[0, 1]` scale as model I's.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
-pub fn continuation_quality<H: HistoryRead + ?Sized>(
+pub fn continuation_quality(
     s: NodeId,
     j: NodeId,
     q_first_edge: f64,
     lookahead: u8,
     contract: &Contract,
     priors: u32,
-    histories: &H,
+    histories: &HistoryArena,
     view: &impl RoutingView,
     quality: &EdgeQuality,
 ) -> f64 {
@@ -497,7 +479,7 @@ pub fn continuation_quality<H: HistoryRead + ?Sized>(
 /// transmission.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
-pub fn continuation_quality_with<H: HistoryRead + ?Sized>(
+pub fn continuation_quality_with(
     scratch: &mut RouteScratch,
     s: NodeId,
     j: NodeId,
@@ -505,7 +487,7 @@ pub fn continuation_quality_with<H: HistoryRead + ?Sized>(
     lookahead: u8,
     contract: &Contract,
     priors: u32,
-    histories: &H,
+    histories: &HistoryArena,
     view: &impl RoutingView,
     quality: &EdgeQuality,
 ) -> f64 {
@@ -540,12 +522,12 @@ pub fn continuation_quality_with<H: HistoryRead + ?Sized>(
 /// already excludes (as a set — order is irrelevant), so identical states
 /// reached through different branches are computed once per transmission.
 #[allow(clippy::too_many_arguments)]
-fn continuation_rec<H: HistoryRead + ?Sized>(
+fn continuation_rec(
     from: NodeId,
     depth: u8,
     contract: &Contract,
     priors: u32,
-    histories: &H,
+    histories: &HistoryArena,
     view: &impl RoutingView,
     quality: &EdgeQuality,
     scratch: &mut RouteScratch,
@@ -651,8 +633,8 @@ mod tests {
         Contract::new(BundleId(0), NodeId(99), 50.0, 100.0)
     }
 
-    fn histories(n: usize) -> Vec<HistoryProfile> {
-        (0..n).map(|i| HistoryProfile::new(NodeId(i))).collect()
+    fn histories() -> HistoryArena {
+        HistoryArena::with_capacity(None)
     }
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
@@ -671,7 +653,7 @@ mod tests {
             .with_availability(0, 1, 0.2)
             .with_availability(0, 2, 0.7)
             .with_availability(0, 3, 0.1);
-        let h = histories(4);
+        let h = histories();
         let c = contract();
         let choice = choose_next_hop_with(
             &mut RouteScratch::new(),
@@ -698,9 +680,9 @@ mod tests {
             .with_neighbors(0, &[1, 2])
             .with_availability(0, 1, 0.5)
             .with_availability(0, 2, 0.6);
-        let mut h = histories(3);
+        let mut h = histories();
         for conn in 0..4 {
-            h[0].record(BundleId(0), conn, NodeId(9), NodeId(1));
+            h.record_hop(NodeId(0), BundleId(0), conn, NodeId(9), NodeId(1));
         }
         let c = contract();
         let choice = choose_next_hop_with(
@@ -724,7 +706,7 @@ mod tests {
         let view = FixtureView::new(1.0, 1.0)
             .with_neighbors(0, &[99])
             .with_availability(0, 99, 1.0);
-        let h = histories(100);
+        let h = histories();
         let c = contract();
         let choice = choose_next_hop_with(
             &mut RouteScratch::new(),
@@ -743,7 +725,7 @@ mod tests {
     #[test]
     fn no_live_neighbors_returns_none() {
         let view = FixtureView::new(1.0, 1.0).with_neighbors(0, &[]);
-        let h = histories(1);
+        let h = histories();
         let c = contract();
         for strategy in [
             RoutingStrategy::Random,
@@ -770,7 +752,7 @@ mod tests {
         let view = FixtureView::new(500.0, 500.0)
             .with_neighbors(0, &[1])
             .with_availability(0, 1, 1.0);
-        let h = histories(2);
+        let h = histories();
         let c = contract();
         let choice = choose_next_hop_with(
             &mut RouteScratch::new(),
@@ -794,7 +776,7 @@ mod tests {
             .with_neighbors(0, &[1, 2])
             .with_availability(0, 1, 0.0)
             .with_availability(0, 2, 1.0);
-        let h = histories(3);
+        let h = histories();
         let c = contract();
         let mut r = rng(6);
         let picks_low = (0..2000)
@@ -829,7 +811,7 @@ mod tests {
             .with_neighbors(0, &[1, 2])
             .with_availability(0, 1, 0.4)
             .with_availability(0, 2, 0.4);
-        let h = histories(3);
+        let h = histories();
         let c = contract();
         let choice = choose_next_hop_with(
             &mut RouteScratch::new(),
@@ -862,7 +844,7 @@ mod tests {
             .with_availability(0, 2, 0.6)
             .with_availability(1, 3, 1.0)
             .with_availability(2, 4, 0.05);
-        let h = histories(5);
+        let h = histories();
         let c = contract();
         let model2 = choose_next_hop_with(
             &mut RouteScratch::new(),
@@ -901,7 +883,7 @@ mod tests {
             .with_availability(0, 1, 0.9)
             .with_availability(1, 2, 0.8)
             .with_availability(2, 0, 0.7);
-        let h = histories(3);
+        let h = histories();
         let c = contract();
         for lookahead in 1..=5 {
             let q = continuation_quality(
@@ -925,7 +907,7 @@ mod tests {
             .with_neighbors(0, &[1, 2])
             .with_availability(0, 1, 0.3)
             .with_availability(0, 2, 0.8);
-        let h = histories(3);
+        let h = histories();
         let c = contract();
         let m1 = choose_next_hop_with(
             &mut RouteScratch::new(),

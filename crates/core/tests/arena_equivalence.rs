@@ -1,25 +1,25 @@
 //! History-store oracle suite.
 //!
-//! Drives the runner's [`HistoryArena`] and a per-node
-//! `Vec<HistoryProfile>` through the same randomized schedule of
-//! interleaved bundle commits — mixing full-path commits and dropped-
-//! confirmation *suffix* commits (the fault layer commits only the hops
-//! after the last confirmed position) — then asserts that every
-//! selectivity the router could consult from the arena equals, bit for
-//! bit, the profiles' full-rescan reference
-//! ([`HistoryProfile::selectivity_rescan`] /
-//! [`HistoryProfile::selectivity_from_rescan`]), which recounts the
-//! retained records instead of reading an index. The arena and the
-//! profiles store records in the same cell type, so the rescan, not the
-//! profiles' own indexed reads, is the independent side.
+//! Drives the runner's [`HistoryArena`] and the suite's own model of
+//! retained records through the same randomized schedule of interleaved
+//! bundle commits — mixing full-path commits and dropped-confirmation
+//! *suffix* commits (the fault layer commits only the hops after the last
+//! confirmed position). The model shares no code with the arena: one list
+//! of `(connection, predecessor, successor)` rows per `(node, bundle)`,
+//! trimmed oldest-first to the capacity. The suite asserts that the
+//! arena retains exactly the model's records, and that every selectivity
+//! the router could consult equals, bit for bit, a recount of the model's
+//! records.
 //!
 //! 256 seeded cases randomize node count, bounded/unbounded history
 //! capacity, bundle count, path shapes and commit interleaving. Each case
 //! also replays the arena's snapshot export into a fresh arena, the way
 //! snapshot restore does, and checks the replay reads the same.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use idpa_core::bundle::BundleId;
-use idpa_core::history::{HistoryProfile, HistoryRead, HistoryWrite};
+use idpa_core::history::HistoryRecord;
 use idpa_core::HistoryArena;
 use idpa_desim::rng::Xoshiro256StarStar;
 use idpa_overlay::NodeId;
@@ -61,9 +61,65 @@ fn sample_commit(
     }
 }
 
-fn apply<H: HistoryWrite + ?Sized>(h: &mut H, commit: &Commit) {
+/// The retained records per `(node, bundle)`, oldest first — the
+/// suite's independent model of bounded retention.
+struct Model {
+    capacity: Option<usize>,
+    cells: BTreeMap<(u64, u64), Vec<HistoryRecord>>,
+}
+
+impl Model {
+    fn new(capacity: Option<usize>) -> Self {
+        Model {
+            capacity,
+            cells: BTreeMap::new(),
+        }
+    }
+
+    fn apply(&mut self, commit: &Commit) {
+        for &(node, predecessor, successor) in &commit.hops {
+            let cell = self
+                .cells
+                .entry((node.index() as u64, commit.bundle as u64))
+                .or_default();
+            cell.push(HistoryRecord {
+                connection: commit.connection,
+                predecessor,
+                successor,
+            });
+            if let Some(cap) = self.capacity {
+                while cell.len() > cap {
+                    cell.remove(0);
+                }
+            }
+        }
+    }
+
+    fn records(&self, node: usize, bundle: usize) -> &[HistoryRecord] {
+        self.cells
+            .get(&(node as u64, bundle as u64))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// σ by recount: distinct prior connections whose record forwards to
+    /// `v`, over `priors`.
+    fn selectivity(&self, node: usize, bundle: usize, priors: u32, v: NodeId) -> f64 {
+        if priors == 0 {
+            return 0.0;
+        }
+        let connections: BTreeSet<u32> = self
+            .records(node, bundle)
+            .iter()
+            .filter(|r| r.connection < priors && r.successor == v)
+            .map(|r| r.connection)
+            .collect();
+        connections.len() as f64 / f64::from(priors)
+    }
+}
+
+fn apply(arena: &mut HistoryArena, commit: &Commit) {
     for &(node, pred, succ) in &commit.hops {
-        h.record_hop(
+        arena.record_hop(
             node,
             BundleId(commit.bundle as u64),
             commit.connection,
@@ -73,66 +129,55 @@ fn apply<H: HistoryWrite + ?Sized>(h: &mut H, commit: &Commit) {
     }
 }
 
-/// Asserts every selectivity the router could ask for is bit-equal
-/// between the rescan of the oracle profiles and the arena.
-fn assert_reads_agree(
-    oracle: &[HistoryProfile],
+/// Asserts the arena retains exactly the model's records and that every
+/// selectivity the router could ask for is bit-equal to the model's
+/// recount.
+fn assert_matches_model(
+    model: &Model,
     arena: &HistoryArena,
+    n_nodes: usize,
     priors_by_bundle: &[u32],
     label: &str,
 ) {
-    let n_nodes = oracle.len();
-    for (s, profile) in oracle.iter().enumerate() {
+    for s in 0..n_nodes {
         for (b, &bundle_priors) in priors_by_bundle.iter().enumerate() {
             let bundle = BundleId(b as u64);
-            // Every predecessor the node has recorded, plus one it may not.
-            let mut preds: Vec<NodeId> = profile
-                .bundle_records(bundle)
-                .iter()
-                .map(|r| r.predecessor)
-                .chain([NodeId((s + b) % n_nodes)])
-                .collect();
-            preds.sort_unstable();
-            preds.dedup();
+            assert_eq!(
+                arena.records(NodeId(s), bundle),
+                model.records(s, b),
+                "{label}: retained records diverged at node {s} bundle {b}"
+            );
             for priors in [
                 0,
                 bundle_priors.saturating_sub(1),
                 bundle_priors,
                 bundle_priors + 3,
             ] {
-                for v in 0..n_nodes {
-                    let (s, v) = (NodeId(s), NodeId(v));
-                    let want = profile.selectivity_rescan(bundle, priors, v);
-                    let have = arena.selectivity_at(s, bundle, priors, v);
+                for v in (0..n_nodes).map(NodeId) {
+                    let want = model.selectivity(s, b, priors, v);
+                    let have = arena.selectivity(NodeId(s), bundle, priors, v);
                     assert_eq!(
                         want.to_bits(),
                         have.to_bits(),
-                        "{label}: selectivity({s:?}, {bundle:?}, {priors}, {v:?}) \
+                        "{label}: selectivity({s}, {bundle:?}, {priors}, {v:?}) \
                          expected {want} got {have}"
                     );
-                    for &pred in &preds {
-                        let want = profile.selectivity_from_rescan(bundle, priors, pred, v);
-                        let have = arena.selectivity_from_at(s, bundle, priors, pred, v);
-                        assert_eq!(
-                            want.to_bits(),
-                            have.to_bits(),
-                            "{label}: selectivity_from({s:?}, {bundle:?}, {priors}, {pred:?}, {v:?})"
-                        );
-                    }
+                    let rescan = arena.selectivity_rescan(NodeId(s), bundle, priors, v);
+                    assert_eq!(
+                        want.to_bits(),
+                        rescan.to_bits(),
+                        "{label}: selectivity_rescan({s}, {bundle:?}, {priors}, {v:?})"
+                    );
                 }
             }
-            // Stored records themselves must match, not just what they imply.
-            assert_eq!(
-                arena.records(NodeId(s), bundle),
-                profile.bundle_records(bundle),
-                "{label}: raw records diverged at node {s} bundle {b}"
-            );
         }
     }
+    let retained: usize = model.cells.values().map(Vec::len).sum();
+    assert_eq!(arena.len(), retained, "{label}: retained record count");
 }
 
 #[test]
-fn randomized_interleaved_commits_agree_with_the_rescan_oracle() {
+fn randomized_interleaved_commits_agree_with_the_model() {
     const CASES: u64 = 256;
     for case in 0..CASES {
         let mut rng = Xoshiro256StarStar::seed_from_u64(0x5eed_0000 ^ case);
@@ -144,12 +189,7 @@ fn randomized_interleaved_commits_agree_with_the_rescan_oracle() {
         };
         let n_bundles = rng.random_range(1..4usize);
 
-        let mut oracle: Vec<HistoryProfile> = (0..n_nodes)
-            .map(|i| match capacity {
-                Some(cap) => HistoryProfile::with_capacity(NodeId(i), cap),
-                None => HistoryProfile::new(NodeId(i)),
-            })
-            .collect();
+        let mut model = Model::new(capacity);
         let mut arena = HistoryArena::with_capacity(capacity);
 
         let mut next_conn = vec![0u32; n_bundles];
@@ -159,17 +199,22 @@ fn randomized_interleaved_commits_agree_with_the_rescan_oracle() {
             let conn = next_conn[b];
             next_conn[b] += 1;
             let commit = sample_commit(&mut rng, n_nodes, b, conn);
-            apply(&mut oracle, &commit);
+            model.apply(&commit);
             apply(&mut arena, &commit);
         }
 
         let label = format!("case {case} (n={n_nodes} cap={capacity:?})");
-        assert_reads_agree(&oracle, &arena, &next_conn, &label);
-        let retained: usize = oracle.iter().map(HistoryProfile::len).sum();
-        assert_eq!(arena.len(), retained, "{label}: retained record count");
+        assert_matches_model(&model, &arena, n_nodes, &next_conn, &label);
+        let exported: Vec<_> = arena
+            .snapshot_cells()
+            .into_iter()
+            .map(|(node, bundle, records)| ((node, bundle), records))
+            .collect();
+        let expected: Vec<_> = model.cells.clone().into_iter().collect();
+        assert_eq!(exported, expected, "{label}: snapshot export");
 
         let mut replayed = HistoryArena::with_capacity(capacity);
-        for (node, bundle, records) in arena.snapshot_cells() {
+        for ((node, bundle), records) in exported {
             for r in records {
                 replayed.record_hop(
                     NodeId(node as usize),
@@ -180,6 +225,12 @@ fn randomized_interleaved_commits_agree_with_the_rescan_oracle() {
                 );
             }
         }
-        assert_reads_agree(&oracle, &replayed, &next_conn, &format!("{label} replayed"));
+        assert_matches_model(
+            &model,
+            &replayed,
+            n_nodes,
+            &next_conn,
+            &format!("{label} replayed"),
+        );
     }
 }

@@ -6,15 +6,24 @@
 //! subgame by the subgame owner's objective, exactly as backward induction
 //! prescribes, and the production code must agree with it on every
 //! (seed, lookahead, candidate) triple.
+//!
+//! Every node carries seeded prior connections of the bundle, so the
+//! selectivity term of each edge quality is live: the reference reads σ
+//! through [`HistoryArena::selectivity_rescan`] (a recount of the stored
+//! records), the router through the arena's index, and the suite checks
+//! that the edges the reference visits include some with σ > 0.
 
 use idpa_core::bundle::BundleId;
 use idpa_core::contract::Contract;
-use idpa_core::history::HistoryProfile;
 use idpa_core::quality::{EdgeQuality, Weights};
 use idpa_core::routing::{continuation_quality, RoutingView};
+use idpa_core::HistoryArena;
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_overlay::{NodeId, Topology};
 use rand::RngExt;
+
+/// Prior connections of the bundle recorded before each routing decision.
+const PRIORS: u32 = 6;
 
 /// A random static overlay with per-edge availabilities.
 struct Fixture {
@@ -30,6 +39,26 @@ impl Fixture {
             .map(|_| (0..n).map(|_| rng.random_range(0.0..1.0)).collect())
             .collect();
         Fixture { topology, avail }
+    }
+
+    /// Histories of `PRIORS` earlier connections of `bundle`: on each one,
+    /// every node lay on the path with probability 1/2 and forwarded to a
+    /// random neighbor.
+    fn seeded_histories(&self, bundle: BundleId, seed: u64) -> HistoryArena {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed ^ 0x4157_0b1d);
+        let mut histories = HistoryArena::with_capacity(None);
+        for conn in 0..PRIORS {
+            for s in 0..self.topology.len() {
+                let nbrs = self.topology.neighbors(NodeId(s));
+                if rng.random_range(0..2u32) == 0 {
+                    continue;
+                }
+                let pred = nbrs[rng.random_range(0..nbrs.len())];
+                let succ = nbrs[rng.random_range(0..nbrs.len())];
+                histories.record_hop(NodeId(s), bundle, conn, pred, succ);
+            }
+        }
+        histories
     }
 }
 
@@ -51,16 +80,18 @@ impl RoutingView for Fixture {
 
 /// Brute force: the best (sum+responder)/(edges+1) over all simple
 /// continuations from `j` (with `s` excluded), forwarding whenever a live
-/// candidate exists and the horizon allows.
+/// candidate exists and the horizon allows. Counts in `selective_edges`
+/// the visited edges whose σ is positive.
 #[allow(clippy::too_many_arguments)]
 fn brute_force(
     fix: &Fixture,
     contract: &Contract,
     quality: &EdgeQuality,
-    histories: &[HistoryProfile],
+    histories: &HistoryArena,
     from: NodeId,
     depth: u8,
     visited: &mut Vec<NodeId>,
+    selective_edges: &mut usize,
 ) -> (f64, usize) {
     let deliver = (1.0, 1);
     if depth == 0 {
@@ -78,10 +109,22 @@ fn brute_force(
     }
     let mut best = (f64::NEG_INFINITY, 1);
     for v in candidates {
-        let sigma = histories[from.index()].selectivity(contract.bundle, 0, v);
+        let sigma = histories.selectivity_rescan(from, contract.bundle, PRIORS, v);
+        if sigma > 0.0 {
+            *selective_edges += 1;
+        }
         let q = quality.edge(sigma, fix.availability(from, v));
         visited.push(v);
-        let (tail, edges) = brute_force(fix, contract, quality, histories, v, depth - 1, visited);
+        let (tail, edges) = brute_force(
+            fix,
+            contract,
+            quality,
+            histories,
+            v,
+            depth - 1,
+            visited,
+            selective_edges,
+        );
         visited.pop();
         let cand = (q + tail, edges + 1);
         if cand.0 / cand.1 as f64 > best.0 / best.1 as f64 {
@@ -93,19 +136,19 @@ fn brute_force(
 
 #[test]
 fn continuation_quality_matches_brute_force_enumeration() {
+    let mut selective_edges = 0;
     for seed in 0..10 {
         let fix = Fixture::random(12, 3, seed);
         let contract = Contract::new(BundleId(0), NodeId(11), 50.0, 100.0);
         let quality = EdgeQuality::new(Weights::balanced());
-        let histories: Vec<HistoryProfile> =
-            (0..12).map(|i| HistoryProfile::new(NodeId(i))).collect();
+        let histories = fix.seeded_histories(contract.bundle, seed);
 
         for lookahead in 1..=4u8 {
             for &j in fix.topology.neighbors(NodeId(0)) {
                 if j == contract.responder {
                     continue;
                 }
-                let sigma = histories[0].selectivity(contract.bundle, 0, j);
+                let sigma = histories.selectivity_rescan(NodeId(0), contract.bundle, PRIORS, j);
                 let q_edge = quality.edge(sigma, fix.availability(NodeId(0), j));
 
                 let got = continuation_quality(
@@ -114,7 +157,7 @@ fn continuation_quality_matches_brute_force_enumeration() {
                     q_edge,
                     lookahead,
                     &contract,
-                    0,
+                    PRIORS,
                     &histories,
                     &fix,
                     &quality,
@@ -129,6 +172,7 @@ fn continuation_quality_matches_brute_force_enumeration() {
                     j,
                     lookahead - 1,
                     &mut visited,
+                    &mut selective_edges,
                 );
                 let expect = (q_edge + tail) / (1.0 + edges as f64);
 
@@ -139,6 +183,10 @@ fn continuation_quality_matches_brute_force_enumeration() {
             }
         }
     }
+    assert!(
+        selective_edges > 0,
+        "every visited edge had σ = 0: the histories exercised nothing"
+    );
 }
 
 #[test]
@@ -148,7 +196,7 @@ fn deeper_lookahead_never_reduces_information() {
     let fix = Fixture::random(15, 4, 99);
     let contract = Contract::new(BundleId(0), NodeId(14), 50.0, 100.0);
     let quality = EdgeQuality::new(Weights::balanced());
-    let histories: Vec<HistoryProfile> = (0..15).map(|i| HistoryProfile::new(NodeId(i))).collect();
+    let histories = fix.seeded_histories(contract.bundle, 99);
     for la in 1..=5u8 {
         for &j in fix.topology.neighbors(NodeId(0)) {
             if j == contract.responder {
@@ -160,7 +208,7 @@ fn deeper_lookahead_never_reduces_information() {
                 0.5,
                 la,
                 &contract,
-                0,
+                PRIORS,
                 &histories,
                 &fix,
                 &quality,
@@ -171,7 +219,7 @@ fn deeper_lookahead_never_reduces_information() {
                 0.5,
                 la,
                 &contract,
-                0,
+                PRIORS,
                 &histories,
                 &fix,
                 &quality,

@@ -329,10 +329,10 @@ impl ScenarioConfig {
         )?;
         if self.settlement == SettlementMode::Epoch {
             ensure(
-                self.epoch_length > 0.0,
+                self.epoch_length > 0.0 && self.epoch_length.is_finite(),
                 "epoch_length",
                 format!(
-                    "epoch settlement needs a positive epoch length (got {})",
+                    "epoch settlement needs a positive epoch length, and a finite one (got {})",
                     self.epoch_length
                 ),
             )?;
@@ -855,11 +855,13 @@ mod tests {
         };
         cfg.validate()
             .expect("epoch settlement is a valid scenario");
-        let bad = ScenarioConfig {
-            epoch_length: 0.0,
-            ..cfg
-        };
-        assert_rejected(&bad, "epoch_length", "positive epoch length");
+        for length in [0.0, f64::INFINITY] {
+            let bad = ScenarioConfig {
+                epoch_length: length,
+                ..cfg.clone()
+            };
+            assert_rejected(&bad, "epoch_length", "positive epoch length");
+        }
         // A nonpositive length is fine in per-bundle mode (it is ignored).
         let ignored = ScenarioConfig {
             epoch_length: -1.0,

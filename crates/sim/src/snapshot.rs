@@ -37,7 +37,6 @@
 use idpa_core::adversary::IntersectionAttack;
 use idpa_core::arena::HistoryArena;
 use idpa_core::bundle::{BundleAccounting, BundleId, ForwarderTally};
-use idpa_core::history::HistoryWrite;
 use idpa_core::metrics::{DeliveryTracker, ReformationTracker};
 use idpa_core::reputation::EdgeReputation;
 use idpa_desim::codec::{fnv1a_64, unframe, CodecError, Dec, Enc, MAGIC};

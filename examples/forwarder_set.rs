@@ -49,8 +49,7 @@ fn run(strategy: RoutingStrategy, label: &str) {
             .collect(),
     };
     let contract = Contract::new(BundleId(0), NodeId(9), 50.0, 100.0);
-    let mut histories: Vec<HistoryProfile> =
-        (0..n).map(|i| HistoryProfile::new(NodeId(i))).collect();
+    let mut histories = HistoryArena::with_capacity(None);
     let kinds = vec![NodeKind::Good; n];
     let quality = EdgeQuality::new(Weights::balanced());
     let policy = PathPolicy::new(0.7, 5);

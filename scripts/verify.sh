@@ -30,6 +30,18 @@ cargo test -q --offline --workspace
 stage="e2ebench test (cargo test --manifest-path e2ebench/Cargo.toml)"
 cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 
+# End-to-end benchmark smoke tier: one untimed round of every workload
+# with tracing on. The binary exits non-zero when a check fails: run 0
+# differs from SimulationRun::execute, a traced run differs from its
+# untraced twin, the audit chain breaks, a closed workload forms fewer
+# connections than it scheduled, or, on service_hostile, a free rider
+# earns or the cross-check flags under 90% of the phantom instances.
+stage="e2ebench smoke (each workload, --seconds 0 --trace 1)"
+for workload in paper_closed churn_maint scale_1m service_hostile; do
+    cargo run --release --offline --manifest-path e2ebench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0 --trace 1
+done
+
 stage="lint (cargo clippy --all-targets -- -D warnings)"
 cargo clippy --all-targets --offline -- -D warnings
 

@@ -53,9 +53,9 @@ pub use idpa_sim as sim;
 
 /// The most common imports, one `use` away.
 pub mod prelude {
+    pub use idpa_core::arena::HistoryArena;
     pub use idpa_core::bundle::{BundleAccounting, BundleId};
     pub use idpa_core::contract::Contract;
-    pub use idpa_core::history::HistoryProfile;
     pub use idpa_core::path::{form_connection, PathOutcome};
     pub use idpa_core::quality::{EdgeQuality, Weights};
     pub use idpa_core::reputation::EdgeReputation;

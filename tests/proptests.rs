@@ -5,7 +5,6 @@
 //! a few hundred generated cases and is exactly reproducible.
 
 use idpa::core::bundle::BundleAccounting;
-use idpa::core::history::HistoryProfile;
 use idpa::core::metrics::{anonymity_degree, entropy_bits, ReformationTracker};
 use idpa::crypto::bigint::BigUint;
 use idpa::desim::calendar::Calendar;
@@ -310,14 +309,14 @@ fn selectivity_is_bounded() {
     for _ in 0..CASES {
         let n_records = random_len(&mut r, 0, 30);
         let succs: Vec<usize> = (0..n_records).map(|_| (r.next() % 5) as usize).collect();
-        let mut h = HistoryProfile::new(NodeId(9));
+        let mut h = HistoryArena::with_capacity(None);
         for (conn, &s) in succs.iter().enumerate() {
-            h.record(BundleId(0), conn as u32, NodeId(8), NodeId(s));
+            h.record_hop(NodeId(9), BundleId(0), conn as u32, NodeId(8), NodeId(s));
         }
         let priors = succs.len() as u32;
         let mut total = 0.0;
         for v in 0..5 {
-            let sigma = h.selectivity(BundleId(0), priors, NodeId(v));
+            let sigma = h.selectivity(NodeId(9), BundleId(0), priors, NodeId(v));
             assert!((0.0..=1.0).contains(&sigma));
             total += sigma;
         }
