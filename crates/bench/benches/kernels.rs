@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the substrate kernels: event calendar throughput,
-//! RNG, selectivity lookups (indexed vs rescan), path formation, model II
+//! RNG and position-keyed stream derivation, per-link transmission cost,
+//! selectivity lookups (indexed vs rescan), path formation, model II
 //! lookahead (memoised vs naive recursion), probing, the crypto
 //! primitives, the snapshot frame checksum and game solving.
 
@@ -21,6 +22,7 @@ use idpa_crypto::rsa::RsaKeyPair;
 use idpa_crypto::sha256::Sha256;
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::{Calendar, SimTime};
+use idpa_netmodel::{CostConfig, CostModel};
 use idpa_overlay::{NodeId, NodeKind, ProbeEstimator, Topology};
 use std::hint::black_box;
 
@@ -45,6 +47,54 @@ fn bench_calendar(h: &mut Harness) {
             acc = acc.wrapping_add(rng.next());
         }
         acc
+    });
+}
+
+/// Links whose derived bits the derivation arms pin, `(3, 999_999)` among
+/// them: an N=10⁶ link.
+const PINNED_LINKS: [(u64, u64); 4] = [(0, 1), (3, 999_999), (17, 42), (41, 40)];
+
+/// Position-keyed stream derivation, one `stream_indexed2` and one draw
+/// per call, over the `"bandwidth/edge"` label a link cost reads. The
+/// pinned first draws catch any change to the derivation's bits.
+fn bench_stream_derivation(h: &mut Harness) {
+    const FIRST_DRAWS: [u64; 4] = [
+        0xc24a_a82b_dc17_ac66,
+        0xbbfb_e45b_07f8_7884,
+        0x8f8e_1eef_26cb_7af9,
+        0x3b1c_06db_9d1e_fcd4,
+    ];
+    let f = StreamFactory::new(1);
+    for (&(a, b), &want) in PINNED_LINKS.iter().zip(&FIRST_DRAWS) {
+        let got = f.stream_indexed2("bandwidth/edge", a, b).next();
+        assert_eq!(got, want, "stream_indexed2 bits moved for ({a}, {b})");
+    }
+    let mut k = 0u64;
+    h.bench("rng/stream_indexed2", || {
+        k = k.wrapping_add(1);
+        f.stream_indexed2("bandwidth/edge", black_box(k & 1023), black_box(k >> 10))
+            .next()
+    });
+}
+
+/// `C^t(i, j)` as routing reads it: one link-keyed stream derivation and
+/// one uniform bandwidth draw per call, under the default cost config.
+fn bench_transmission_cost(h: &mut Harness) {
+    const COST_BITS: [u64; 4] = [
+        0x3ff4_6ec8_e288_63b3,
+        0x3ff5_073b_976b_39d3,
+        0x3ffa_75c3_2a7a_330d,
+        0x3ff1_4169_561d_3445,
+    ];
+    let costs = CostModel::new(CostConfig::default(), StreamFactory::new(1));
+    for (&(a, b), &want) in PINNED_LINKS.iter().zip(&COST_BITS) {
+        let got = costs.transmission_cost(a as usize, b as usize).to_bits();
+        assert_eq!(got, want, "transmission_cost bits moved for ({a}, {b})");
+    }
+    let mut k = 0usize;
+    h.bench("cost/transmission_cost", || {
+        k = k.wrapping_add(1);
+        costs.transmission_cost(black_box(k & 1023), black_box(1024 + (k >> 10)))
     });
 }
 
@@ -497,6 +547,8 @@ fn bench_games(h: &mut Harness) {
 fn main() {
     let mut h = Harness::new();
     bench_calendar(&mut h);
+    bench_stream_derivation(&mut h);
+    bench_transmission_cost(&mut h);
     bench_selectivity(&mut h);
     bench_model2_lookahead(&mut h);
     bench_path_formation(&mut h);

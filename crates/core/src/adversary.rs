@@ -10,13 +10,18 @@
 //!   (`idpa_overlay::NodeSource::with_pinned_up`): an attacker's schedule
 //!   is one session spanning the whole horizon.
 //! * **Intersection attack** (§1, §2.1): a passive observer correlates the
-//!   sets of *active* nodes across the recurring connections it can see;
-//!   the initiator must lie in every such set, so the candidate set shrinks
-//!   with each observation — [`IntersectionAttack`].
+//!   sets of *active* nodes across the recurring connections it can see,
+//!   so the candidate set shrinks with each observation —
+//!   [`IntersectionAttack`].
 
 use std::collections::HashSet;
 
+use idpa_desim::rng::Mix64State;
 use idpa_overlay::NodeId;
+
+/// The attacker's candidate-initiator set. Keys are node indices below N,
+/// so the set hashes with [`Mix64State`] rather than SipHash.
+pub type CandidateSet = HashSet<NodeId, Mix64State>;
 
 /// A passive intersection attack on initiator anonymity.
 ///
@@ -24,10 +29,17 @@ use idpa_overlay::NodeId;
 /// connections (i.e. a malicious node sits on the path, or the attacker
 /// taps the responder), it intersects its candidate-initiator set with the
 /// set of nodes active at that moment. `‖candidates‖ = 1` means the
-/// initiator is exposed.
+/// attack has narrowed the set to one node.
+///
+/// Nothing guarantees that node is the true initiator. An observation is
+/// taken whenever a target connection runs, whatever the initiator's own
+/// churn state, so an initiator that is down at that instant drops out of
+/// the set; and a candidate pool of good nodes never contains a malicious
+/// initiator. Either way the set can shrink onto the wrong node, or to
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct IntersectionAttack {
-    candidates: Option<HashSet<NodeId>>,
+    candidates: Option<CandidateSet>,
     observations: u32,
 }
 
@@ -38,14 +50,27 @@ impl IntersectionAttack {
         IntersectionAttack::default()
     }
 
-    /// Incorporates one observation: the set of nodes active while a
-    /// target connection ran. (The true initiator is always active during
-    /// its own connection, so it survives every intersection.)
-    pub fn observe(&mut self, active: &HashSet<NodeId>) {
+    /// Incorporates one observation. `pool` lists every node the attacker
+    /// counts as a possible initiator, and `is_active(n)` says whether
+    /// node `n` was active while the target connection ran.
+    ///
+    /// The first observation keeps the active members of `pool`; every
+    /// later one keeps only the candidates that are still active. Since
+    /// every candidate came from the pool, that is the intersection with
+    /// the pool's active members, and `pool` is read only once per
+    /// attack: later observations cost O(‖candidates‖), not O(‖pool‖).
+    /// Callers must pass the same pool on every observation.
+    pub fn observe<P, A>(&mut self, pool: P, mut is_active: A)
+    where
+        P: IntoIterator<Item = NodeId>,
+        A: FnMut(NodeId) -> bool,
+    {
         self.observations += 1;
         match &mut self.candidates {
-            None => self.candidates = Some(active.clone()),
-            Some(c) => c.retain(|n| active.contains(n)),
+            None => {
+                self.candidates = Some(pool.into_iter().filter(|&n| is_active(n)).collect());
+            }
+            Some(c) => c.retain(|&n| is_active(n)),
         }
     }
 
@@ -64,7 +89,7 @@ impl IntersectionAttack {
 
     /// The candidate set, if any observation happened.
     #[must_use]
-    pub fn candidates(&self) -> Option<&HashSet<NodeId>> {
+    pub fn candidates(&self) -> Option<&CandidateSet> {
         self.candidates.as_ref()
     }
 
@@ -104,32 +129,31 @@ impl IntersectionAttack {
 mod tests {
     use super::*;
 
-    fn set(ids: &[usize]) -> HashSet<NodeId> {
-        ids.iter().map(|&i| NodeId(i)).collect()
+    /// One observation over the pool `0..8` with `active` up.
+    fn observe(atk: &mut IntersectionAttack, active: &[usize]) {
+        atk.observe((0..8).map(NodeId), |n| active.contains(&n.index()));
     }
 
     #[test]
     fn intersection_shrinks_candidates() {
         let mut atk = IntersectionAttack::new();
         assert_eq!(atk.candidate_count(), usize::MAX);
-        atk.observe(&set(&[0, 1, 2, 3]));
+        observe(&mut atk, &[0, 1, 2, 3]);
         assert_eq!(atk.candidate_count(), 4);
-        atk.observe(&set(&[0, 1, 5]));
+        observe(&mut atk, &[0, 1, 5]);
         assert_eq!(atk.candidate_count(), 2);
-        atk.observe(&set(&[1, 7]));
+        observe(&mut atk, &[1, 7]);
         assert!(atk.exposed());
         assert!(atk.candidates().unwrap().contains(&NodeId(1)));
         assert_eq!(atk.observations(), 3);
     }
 
     #[test]
-    fn true_initiator_survives_every_intersection() {
-        // The initiator (node 0) is in every active set by construction.
+    fn node_active_in_every_observation_survives() {
+        // Node 0 is in every active set, so no intersection removes it.
         let mut atk = IntersectionAttack::new();
         for extra in [[1, 2], [3, 4], [5, 6]] {
-            let mut s = set(&extra);
-            s.insert(NodeId(0));
-            atk.observe(&s);
+            observe(&mut atk, &[0, extra[0], extra[1]]);
         }
         assert!(atk.candidates().unwrap().contains(&NodeId(0)));
         assert!(atk.exposed());
@@ -139,18 +163,13 @@ mod tests {
     fn fewer_observations_leave_more_anonymity() {
         // The quantitative point of minimising path reformations: each
         // observation can only shrink the candidate set.
-        let observations = [
-            set(&[0, 1, 2, 3, 4, 5]),
-            set(&[0, 1, 2, 3]),
-            set(&[0, 2, 3]),
-            set(&[0, 3]),
-        ];
+        let observations: [&[usize]; 4] = [&[0, 1, 2, 3, 4, 5], &[0, 1, 2, 3], &[0, 2, 3], &[0, 3]];
         let mut few = IntersectionAttack::new();
-        few.observe(&observations[0]);
-        few.observe(&observations[1]);
+        observe(&mut few, observations[0]);
+        observe(&mut few, observations[1]);
         let mut many = IntersectionAttack::new();
-        for o in &observations {
-            many.observe(o);
+        for o in observations {
+            observe(&mut many, o);
         }
         assert!(few.candidate_count() >= many.candidate_count());
     }
@@ -158,8 +177,8 @@ mod tests {
     #[test]
     fn disjoint_observation_empties_candidates() {
         let mut atk = IntersectionAttack::new();
-        atk.observe(&set(&[1, 2]));
-        atk.observe(&set(&[3, 4]));
+        observe(&mut atk, &[1, 2]);
+        observe(&mut atk, &[3, 4]);
         assert_eq!(atk.candidate_count(), 0);
         assert!(!atk.exposed());
     }

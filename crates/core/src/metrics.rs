@@ -13,6 +13,7 @@
 
 use std::collections::HashSet;
 
+use idpa_desim::rng::Mix64State;
 use idpa_overlay::NodeId;
 
 /// `Q(π) = L / ‖π‖`. Zero when the forwarder set is empty.
@@ -114,7 +115,7 @@ pub fn crowds_min_network_size(c: usize, p_forward: f64) -> f64 {
 /// *new*, i.e. absent from all earlier connections of the bundle).
 #[derive(Debug, Clone, Default)]
 pub struct ReformationTracker {
-    seen_edges: HashSet<(NodeId, NodeId)>,
+    seen_edges: HashSet<(NodeId, NodeId), Mix64State>,
     connections: u32,
     new_edges: u64,
     total_edges: u64,
@@ -150,7 +151,9 @@ impl ReformationTracker {
     }
 
     /// Empirical `E[X]`: fraction of recorded edges that were new at the
-    /// time of recording, over connections after the first.
+    /// time of recording, over every connection including the first. The
+    /// first connection's edges are all new, so a bundle of `c`
+    /// connections over one unchanging path reads `1/c`, not 0.
     #[must_use]
     pub fn new_edge_fraction(&self) -> f64 {
         if self.total_edges == 0 {

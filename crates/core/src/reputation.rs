@@ -16,6 +16,9 @@
 //! updates are driven by deterministic simulation events, so adaptive runs
 //! replay bit-identically from the master seed.
 
+use std::collections::HashMap;
+
+use idpa_desim::rng::Mix64State;
 use idpa_overlay::NodeId;
 
 /// Observed faults after which a relay is suppressed from path formation
@@ -58,10 +61,10 @@ pub type RetiredSnapshot = Vec<(usize, Vec<(u32, u32, bool)>)>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeReputation {
     n_nodes: usize,
-    observed: std::collections::HashMap<usize, RelayFaults>,
+    observed: HashMap<usize, RelayFaults, Mix64State>,
     /// Archived observations of `v`'s shed identities, oldest first.
     /// Empty for every relay until a whitewash is recorded.
-    retired: std::collections::HashMap<usize, Vec<RelayFaults>>,
+    retired: HashMap<usize, Vec<RelayFaults>, Mix64State>,
 }
 
 impl EdgeReputation {
@@ -70,8 +73,8 @@ impl EdgeReputation {
     pub fn new(n_nodes: usize) -> Self {
         EdgeReputation {
             n_nodes,
-            observed: std::collections::HashMap::new(),
-            retired: std::collections::HashMap::new(),
+            observed: HashMap::default(),
+            retired: HashMap::default(),
         }
     }
 

@@ -57,9 +57,11 @@ pub fn splitmix64(x: u64) -> u64 {
 /// [`splitmix64`], so multi-word keys (tuples) mix exactly and hashing
 /// costs a handful of ALU ops instead of SipHash. Collisions are harmless
 /// — `Eq` on the full key decides membership. The history arena, the
-/// probe-cell store and the fault-ledger store key their maps with it;
-/// their keys are node and bundle indices below N, never raw outside
-/// input, so SipHash's resistance to crafted collisions buys nothing.
+/// probe-cell store, the fault-ledger store, each fault ledger's relay
+/// maps, the reformation tracker's edge set and the intersection attack's
+/// candidate set key their maps with it; their keys are node and bundle
+/// indices below N, never raw outside input, so SipHash's resistance to
+/// crafted collisions buys nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mix64State;
 
@@ -251,6 +253,7 @@ impl StreamFactory {
 
     /// A generator for the `index`-th substream of the named stream; use for
     /// per-node or per-replication streams ("node", 17).
+    #[inline]
     #[must_use]
     pub fn stream_indexed(&self, label: &str, index: u64) -> Xoshiro256StarStar {
         let h = fnv1a(label, &[index]);
@@ -265,6 +268,7 @@ impl StreamFactory {
     /// way consume identical bits no matter in which order (or on which
     /// thread) they materialize them, which is what makes lazily-evaluated
     /// state bit-identical to its eagerly-evaluated counterpart.
+    #[inline]
     #[must_use]
     pub fn stream_indexed2(&self, label: &str, a: u64, b: u64) -> Xoshiro256StarStar {
         let h = fnv1a(label, &[a, b]);
@@ -277,6 +281,7 @@ impl StreamFactory {
     /// [`StreamFactory::stream_indexed2`], draws are a pure function of the
     /// key, so components that materialize them lazily, out of order, or on
     /// different threads consume identical bits.
+    #[inline]
     #[must_use]
     pub fn stream_indexed3(&self, label: &str, a: u64, b: u64, c: u64) -> Xoshiro256StarStar {
         let h = fnv1a(label, &[a, b, c]);
@@ -286,6 +291,7 @@ impl StreamFactory {
 }
 
 /// FNV-1a over the label bytes followed by each index's LE bytes.
+#[inline]
 fn fnv1a(label: &str, indices: &[u64]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -30,7 +30,7 @@
 //! position-keyed streams, so a run with every rate zero is bit-identical
 //! to one without the fault runtime.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use idpa_core::adversary::IntersectionAttack;
@@ -842,22 +842,20 @@ impl SimulationRun {
     /// Intersection attack: if any malicious node sat on the path, the
     /// adversary observes the set of currently-live nodes.
     fn observe_attack(&mut self, pair: usize, forwarders: &[NodeId], now: SimTime) {
-        let observed = forwarders
-            .iter()
-            .any(|f| !self.world.kinds[f.index()].is_good());
-        if observed {
+        let kinds = &self.world.kinds;
+        if forwarders.iter().any(|f| !kinds[f.index()].is_good()) {
             // The attacker intersects the active sets it can see. Its own
             // colluders are never initiator candidates (it knows them), so
-            // only good nodes enter the observation. A whole-world scan:
-            // nodes the run never read are derived without being cached.
-            let active: HashSet<NodeId> = (0..self.cfg.n_nodes)
-                .map(NodeId)
-                .filter(|&n| {
-                    self.world.kinds[n.index()].is_good()
-                        && self.probes.is_up_uncached(n, now.minutes())
-                })
-                .collect();
-            self.attacks[pair].observe(&active);
+            // the pool is the good nodes. Only a pair's first observation
+            // scans the whole world; nodes the run never read are derived
+            // without being cached.
+            let probes = &self.probes;
+            self.attacks[pair].observe(
+                (0..self.cfg.n_nodes)
+                    .map(NodeId)
+                    .filter(|n| kinds[n.index()].is_good()),
+                |n| probes.is_up_uncached(n, now.minutes()),
+            );
         }
     }
 

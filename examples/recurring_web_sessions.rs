@@ -15,7 +15,6 @@
 use idpa::core::adversary::IntersectionAttack;
 use idpa::core::metrics::candidate_set_degree;
 use idpa::prelude::*;
-use std::collections::HashSet;
 
 fn attack_outcome(strategy: RoutingStrategy, label: &str) {
     // One pair (the user and the web server), 30 recurring connections,
@@ -77,27 +76,19 @@ fn main() {
     // currently-active nodes; fewer distinct observations leave more
     // candidates.
     println!("--- why reformations matter (toy intersection) ---");
-    let everyone: Vec<usize> = (0..40).collect();
     let mut stable = IntersectionAttack::new();
     let mut churny = IntersectionAttack::new();
     // The stable path is observed twice; the churny one ten times, each
-    // with a different random half of the network online.
-    let actives: Vec<HashSet<NodeId>> = (0..10)
-        .map(|round| {
-            let mut s: HashSet<NodeId> = everyone
-                .iter()
-                .filter(|&&n| (n + round) % 2 == 0)
-                .map(|&n| NodeId(n))
-                .collect();
-            s.insert(NodeId(0)); // the true initiator is always online
-            s
-        })
-        .collect();
-    for a in actives.iter().take(2) {
-        stable.observe(a);
+    // with a different half of the network online. In this toy the user
+    // (node 0) is online for every visit.
+    let online =
+        |round: usize| move |n: NodeId| n.index() == 0 || (n.index() + round).is_multiple_of(2);
+    let everyone = || (0..40).map(NodeId);
+    for round in 0..2 {
+        stable.observe(everyone(), online(round));
     }
-    for a in &actives {
-        churny.observe(a);
+    for round in 0..10 {
+        churny.observe(everyone(), online(round));
     }
     println!(
         "2 observations: {} candidates (degree {:.2})",
