@@ -39,6 +39,6 @@ pub mod topology;
 pub use invalidate::ProbeInvalidation;
 pub use node::{NodeId, NodeKind};
 pub use nodes::{NodeCache, NodeSource};
-pub use probe::{ProbeEstimator, ProbeEstimatorState};
-pub use probe_lazy::{cell_footprint, LazyProbeSet, ProbeCellState, ProbeCellsSnapshot, Residency};
+pub use probe::ProbeEstimator;
+pub use probe_lazy::{cell_footprint, LazyProbeSet, ProbeCellsSnapshot, Residency};
 pub use topology::Topology;

@@ -233,60 +233,6 @@ impl ProbeEstimator {
     pub fn neighbors(&self) -> &[NodeId] {
         &self.neighbors
     }
-
-    /// Snapshot export: the estimator's full mutable state.
-    #[must_use]
-    pub fn snapshot_state(&self) -> ProbeEstimatorState {
-        ProbeEstimatorState {
-            owner: self.owner,
-            period: self.period,
-            neighbors: self.neighbors.clone(),
-            init_time: self.init_time.clone(),
-            live_rounds: self.live_rounds.clone(),
-            ever_seen: self.ever_seen.clone(),
-            last_alive_round: self.last_alive_round.clone(),
-            rounds: self.rounds,
-        }
-    }
-
-    /// Rebuilds an estimator from a [`ProbeEstimator::snapshot_state`]
-    /// export. Callers must have validated the state (positive finite
-    /// period, parallel array lengths) — the snapshot decoder does.
-    #[must_use]
-    pub fn from_snapshot(state: ProbeEstimatorState) -> Self {
-        ProbeEstimator {
-            owner: state.owner,
-            period: state.period,
-            neighbors: state.neighbors,
-            init_time: state.init_time,
-            live_rounds: state.live_rounds,
-            ever_seen: state.ever_seen,
-            last_alive_round: state.last_alive_round,
-            rounds: state.rounds,
-        }
-    }
-}
-
-/// The full mutable state of a [`ProbeEstimator`], as a plain-data value
-/// for snapshot/resume. All vectors are parallel, indexed by neighbor slot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProbeEstimatorState {
-    /// The owning node.
-    pub owner: NodeId,
-    /// The probing period `T` (minutes).
-    pub period: f64,
-    /// The current neighbor set.
-    pub neighbors: Vec<NodeId>,
-    /// Per-slot `rand(0, T)` first-sighting initialisation.
-    pub init_time: Vec<f64>,
-    /// Per-slot live rounds observed after the first sighting.
-    pub live_rounds: Vec<u64>,
-    /// Per-slot whether the neighbor was ever seen alive.
-    pub ever_seen: Vec<bool>,
-    /// Per-slot round of the last live observation.
-    pub last_alive_round: Vec<u64>,
-    /// Probe rounds executed.
-    pub rounds: u64,
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ use idpa_netmodel::NodeSchedule;
 
 use crate::node::NodeId;
 use crate::nodes::{NodeCache, NodeSource};
-use crate::probe::{ProbeEstimator, ProbeEstimatorState};
+use crate::probe::ProbeEstimator;
 
 /// The probe tick index `k` as a simulation time, computed as a product so
 /// that eager scheduling and lazy reconstruction agree to the last bit.
@@ -740,26 +740,18 @@ impl LazyProbeSet {
         self.cells.borrow().stats
     }
 
-    /// Snapshot export of the mutable cell state. Pure caches (the per-slot
-    /// due cache, the tick memo) are *not* captured — they are recomputed
-    /// on demand after [`LazyProbeSet::restore_cells`], and every cached
-    /// value is a pure function of the state that *is* captured.
+    /// Snapshot export of the cell store: each resident cell's key
+    /// (node, synced tick, last-touch tick) plus the residency stats. A
+    /// cell's estimator is a pure function of its node and synced tick —
+    /// the same fact idle eviction relies on — so
+    /// [`LazyProbeSet::restore_cells`] rebuilds it instead of reading it.
     #[must_use]
     pub fn snapshot_cells(&self) -> ProbeCellsSnapshot {
         let store = self.cells.borrow();
-        let mut cells: Vec<(usize, ProbeCellState, u64)> = store
+        let mut cells: Vec<(usize, u64, u64)> = store
             .map
             .iter()
-            .map(|(&i, sc)| {
-                (
-                    i,
-                    ProbeCellState {
-                        est: sc.cell.est.snapshot_state(),
-                        synced_tick: sc.cell.synced_tick,
-                    },
-                    sc.last_touch,
-                )
-            })
+            .map(|(&i, sc)| (i, sc.cell.synced_tick, sc.last_touch))
             .collect();
         cells.sort_unstable_by_key(|&(i, _, _)| i);
         ProbeCellsSnapshot {
@@ -768,116 +760,72 @@ impl LazyProbeSet {
         }
     }
 
-    /// Overwrites the mutable cell state with a
-    /// [`LazyProbeSet::snapshot_cells`] export. The probe set must have
-    /// been freshly constructed with the same configuration (period,
-    /// horizon, schedules, initial neighbor sets, threshold, streams) —
-    /// resume rebuilds those deterministically and only the trajectory
-    /// state comes from the snapshot.
+    /// Replaces the cell store with the one a
+    /// [`LazyProbeSet::snapshot_cells`] export describes. The probe set
+    /// must have been constructed with the same configuration (period,
+    /// horizon, node source, threshold, streams) as the exporting one.
     ///
-    /// Every field of the snapshot is validated *before* any mutation: on
-    /// `Err`, the probe set is untouched. Never panics.
+    /// Each cell is rebuilt through the materialise-and-sync path a read
+    /// takes, so a restored cell costs the same catch-up as re-touching
+    /// it after eviction; its last-touch tick is then installed. The
+    /// residency stats are installed only if they agree with the rebuilt
+    /// cells. On `Err` the probe set is untouched. Never panics.
     ///
     /// # Errors
     ///
-    /// A static description of the first inconsistency found
-    /// (out-of-range or unsorted indices, non-parallel estimator arrays,
-    /// inconsistent residency stats, …).
+    /// A static description of the first inconsistency found: a node out
+    /// of range or out of strict order, a tick beyond the horizon, or
+    /// stats that disagree with the rebuilt cells.
     pub fn restore_cells(&mut self, snap: ProbeCellsSnapshot) -> Result<(), &'static str> {
         let ProbeCellsSnapshot { cells, stats } = snap;
         let ctx = &self.ctx;
-        let mut bytes = 0usize;
         let mut prev: Option<usize> = None;
-        for (node, state, _) in &cells {
-            if *node >= ctx.n_nodes {
+        for &(node, synced_tick, last_touch) in &cells {
+            if node >= ctx.n_nodes {
                 return Err("probe cell node out of range");
             }
-            if prev.is_some_and(|p| p >= *node) {
+            if prev.is_some_and(|p| p >= node) {
                 return Err("probe cells not strictly sorted");
             }
-            prev = Some(*node);
-            check_cell_state(ctx, NodeId(*node), state)?;
-            bytes += cell_footprint(state.est.neighbors.len());
+            prev = Some(node);
+            if synced_tick > ctx.max_tick || last_touch > ctx.max_tick {
+                return Err("probe cell tick beyond horizon");
+            }
         }
-        if stats.materialized != cells.len()
-            || stats.bytes != bytes
+        let store = self.cells.get_mut();
+        let mut rebuilt = SparseCells {
+            map: HashMap::default(),
+            nodes: NodeCache::new(store.nodes.source().clone()),
+            stats: Residency::default(),
+        };
+        for &(node, synced_tick, last_touch) in &cells {
+            rebuilt.touch(NodeId(node), synced_tick, ctx);
+            if let Some(sc) = rebuilt.map.get_mut(&node) {
+                sc.last_touch = last_touch;
+            }
+        }
+        let have = rebuilt.stats;
+        if stats.materialized != have.materialized
+            || stats.bytes != have.bytes
             || stats.peak < stats.materialized
             || stats.peak_bytes < stats.bytes
         {
             return Err("probe residency stats inconsistent");
         }
-        let store = self.cells.get_mut();
-        store.map = cells
-            .into_iter()
-            .map(|(node, state, last_touch)| {
-                let cell = ProbeCell {
-                    est: ProbeEstimator::from_snapshot(state.est),
-                    synced_tick: state.synced_tick,
-                    due_cache: Vec::new(),
-                };
-                (node, SparseCell { cell, last_touch })
-            })
-            .collect();
-        store.stats = stats;
+        rebuilt.stats = stats;
+        *store = rebuilt;
         self.tick_memo = std::cell::Cell::new((f64::NEG_INFINITY, 0));
         Ok(())
     }
 }
 
-/// Validates one cell state against the probe set's immutable context —
-/// everything the sync and due-tick machinery would otherwise trust (and
-/// index arrays or subtract counters with).
-fn check_cell_state(
-    ctx: &LazyCtx,
-    owner: NodeId,
-    state: &ProbeCellState,
-) -> Result<(), &'static str> {
-    let e = &state.est;
-    if e.owner != owner {
-        return Err("probe cell owner mismatch");
-    }
-    if e.period.to_bits() != ctx.period.to_bits() {
-        return Err("probe cell period mismatch");
-    }
-    let n = e.neighbors.len();
-    if e.init_time.len() != n
-        || e.live_rounds.len() != n
-        || e.ever_seen.len() != n
-        || e.last_alive_round.len() != n
-    {
-        return Err("probe estimator arrays not parallel");
-    }
-    if e.neighbors.iter().any(|v| v.index() >= ctx.n_nodes) {
-        return Err("probe neighbor out of range");
-    }
-    if e.init_time.iter().any(|t| !t.is_finite() || *t < 0.0) {
-        return Err("probe init time invalid");
-    }
-    if e.last_alive_round.iter().any(|&r| r > e.rounds) {
-        return Err("probe last-alive round ahead of round counter");
-    }
-    if state.synced_tick > ctx.max_tick {
-        return Err("probe synced tick beyond horizon");
-    }
-    Ok(())
-}
-
-/// Snapshot of one probe cell: the estimator trajectory plus the sync
-/// frontier. Pure caches are excluded by design.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProbeCellState {
-    /// The estimator's full mutable state.
-    pub est: ProbeEstimatorState,
-    /// All ticks `≤ synced_tick` have been applied to the estimator.
-    pub synced_tick: u64,
-}
-
-/// Snapshot export of a [`LazyProbeSet`]'s resident cells.
-#[derive(Debug, Clone, PartialEq)]
+/// Snapshot export of a [`LazyProbeSet`]'s resident cells: keys, not
+/// state.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeCellsSnapshot {
-    /// `(node index, cell state, last-touch tick)`, strictly sorted by
+    /// `(node index, synced tick, last-touch tick)`, strictly sorted by
     /// node index.
-    pub cells: Vec<(usize, ProbeCellState, u64)>,
+    pub cells: Vec<(usize, u64, u64)>,
     /// The residency statistics at snapshot time (peaks and eviction
     /// counts are part of the reported run result, so they must survive a
     /// resume).

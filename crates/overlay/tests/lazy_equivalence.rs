@@ -10,7 +10,9 @@ use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::SimTime;
 use idpa_netmodel::NodeSchedule;
 use idpa_overlay::probe_lazy::tick_time;
-use idpa_overlay::{LazyProbeSet, NodeId, NodeSource, ProbeEstimator, Topology};
+use idpa_overlay::{
+    LazyProbeSet, NodeId, NodeSource, ProbeCellsSnapshot, ProbeEstimator, Topology,
+};
 use rand::RngExt;
 
 struct Case {
@@ -329,13 +331,147 @@ fn lazy_sync_all_matches_per_node_queries() {
         lazy_bulk.sync_all(case.horizon);
         let synced = lazy_bulk.snapshot_cells().cells;
         assert_eq!(synced.len(), case.schedules.len());
-        for (i, state, _) in synced {
-            assert_eq!(state.synced_tick, lazy_bulk.max_tick(), "node={i}");
+        for (i, synced_tick, _) in synced {
+            // `sync_all` alone brought the cell to the last tick, so the
+            // read below has nothing left to catch up.
+            assert_eq!(synced_tick, lazy_bulk.max_tick(), "node={i}");
             assert_eq!(
-                ProbeEstimator::from_snapshot(state.est),
+                lazy_bulk.estimator(NodeId(i), case.horizon),
                 lazy_query.estimator(NodeId(i), case.horizon),
                 "node={i}"
             );
         }
     }
+}
+
+/// One read step of the restore test: query `nodes` at `t`, then sweep
+/// idle cells. A step that reads three nodes first bulk-syncs the
+/// resident cells, which moves their synced tick past their last-touch
+/// tick.
+fn restore_step(set: &mut LazyProbeSet, t: f64, nodes: &[usize]) -> Vec<ProbeEstimator> {
+    if nodes.len() % 3 == 0 {
+        set.sync_all(t);
+    }
+    let ests = nodes.iter().map(|&i| set.estimator(NodeId(i), t)).collect();
+    set.evict_idle(t, 3);
+    ests
+}
+
+/// A probe set exported mid-run (replacement and idle eviction on) and
+/// restored into a fresh set answers every read, and reports the same
+/// residency, as the set that was never interrupted.
+#[test]
+fn restored_probe_set_matches_uninterrupted() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(4242);
+    let (mut evictions, mut replaced) = (0u64, 0usize);
+    for _ in 0..24 {
+        let mut case = random_case(&mut rng);
+        case.threshold = Some(case.threshold.unwrap_or(2));
+        let n = case.schedules.len();
+        let steps: Vec<(f64, Vec<usize>)> = (1..=24)
+            .map(|j| {
+                let t = case.horizon * j as f64 / 24.0;
+                let picks = (0..rng.random_range(1..4usize))
+                    .map(|_| rng.random_range(0..n))
+                    .collect();
+                (t, picks)
+            })
+            .collect();
+        let (before, after) = steps.split_at(12);
+
+        let mut original = case.probe_set();
+        for (t, picks) in before {
+            restore_step(&mut original, *t, picks);
+        }
+        let snap = original.snapshot_cells();
+        let mut restored = case.probe_set();
+        restored.restore_cells(snap.clone()).expect("restore");
+        assert_eq!(restored.snapshot_cells(), snap, "keys and stats survive");
+        assert_eq!(restored.residency(), original.residency());
+
+        let t_mid = before[before.len() - 1].0;
+        for &(i, _, _) in &snap.cells {
+            assert_eq!(
+                restored.estimator(NodeId(i), t_mid),
+                original.estimator(NodeId(i), t_mid),
+                "resident node {i} at the export time"
+            );
+        }
+        for (t, picks) in after {
+            assert_eq!(
+                restore_step(&mut restored, *t, picks),
+                restore_step(&mut original, *t, picks),
+                "reads after the restore at t={t}"
+            );
+            assert_eq!(restored.residency(), original.residency(), "t={t}");
+        }
+        for i in 0..n {
+            let est = original.estimator(NodeId(i), case.horizon);
+            replaced += usize::from(est.neighbors() != case.neighbors[i].as_slice());
+            assert_eq!(restored.estimator(NodeId(i), case.horizon), est, "node {i}");
+        }
+        evictions += original.residency().evictions;
+    }
+    assert!(
+        evictions > 0,
+        "the sweep must evict for this test to mean anything"
+    );
+    assert!(replaced > 0, "some neighbor must be replaced");
+}
+
+/// Keys from outside the program are checked before anything is rebuilt,
+/// and a rejected restore leaves the probe set as it was.
+#[test]
+fn restore_rejects_bad_keys_and_stats() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(99);
+    let case = random_case(&mut rng);
+    let original = case.probe_set();
+    for i in [0, 2, 3] {
+        original.sync_node(NodeId(i), case.horizon / 2.0);
+    }
+    let good = original.snapshot_cells();
+    let max = original.max_tick();
+    let n = case.schedules.len();
+
+    let mut bad: Vec<(&str, ProbeCellsSnapshot)> = Vec::new();
+    let mut s = good.clone();
+    s.cells[2].0 = n;
+    bad.push(("probe cell node out of range", s));
+    let mut s = good.clone();
+    s.cells.swap(0, 1);
+    bad.push(("probe cells not strictly sorted", s));
+    let mut s = good.clone();
+    s.cells[1].0 = s.cells[0].0;
+    bad.push(("probe cells not strictly sorted", s));
+    let mut s = good.clone();
+    s.cells[0].1 = max + 1;
+    bad.push(("probe cell tick beyond horizon", s));
+    let mut s = good.clone();
+    s.cells[0].2 = max + 1;
+    bad.push(("probe cell tick beyond horizon", s));
+    let mut s = good.clone();
+    s.stats.materialized += 1;
+    bad.push(("probe residency stats inconsistent", s));
+    let mut s = good.clone();
+    s.stats.bytes += 1;
+    bad.push(("probe residency stats inconsistent", s));
+    let mut s = good.clone();
+    s.stats.peak = s.stats.materialized - 1;
+    bad.push(("probe residency stats inconsistent", s));
+    let mut s = good.clone();
+    s.stats.peak_bytes = s.stats.bytes - 1;
+    bad.push(("probe residency stats inconsistent", s));
+    let mut s = good.clone();
+    s.cells.pop();
+    bad.push(("probe residency stats inconsistent", s));
+
+    let mut target = case.probe_set();
+    target.sync_node(NodeId(1), case.horizon);
+    let untouched = target.snapshot_cells();
+    for (want, snap) in bad {
+        assert_eq!(target.restore_cells(snap), Err(want));
+        assert_eq!(target.snapshot_cells(), untouched, "{want}: set changed");
+    }
+    target.restore_cells(good.clone()).expect("intact export");
+    assert_eq!(target.snapshot_cells(), good);
 }

@@ -99,7 +99,14 @@ pub struct ConnectionEvidence {
     pub observed_hops: Option<Vec<AccountId>>,
 }
 
-/// Accumulates a bundle's evidence and validates it at settlement.
+/// Holds a bundle's unsettled evidence and validates it at settlement.
+///
+/// Evidence lives only until it settles: [`PathValidator::settle`]
+/// validates every pending entry and drops it, so the validator (and a
+/// snapshot of it) holds only the connections no settlement window has
+/// closed over yet. Each entry is validated independently, so settling in
+/// windows and merging the reports (summing counters, unioning
+/// `paid_counts`/`flagged`) equals one settlement of all the entries.
 #[derive(Debug, Clone)]
 pub struct PathValidator {
     key: Vec<u8>,
@@ -108,7 +115,7 @@ pub struct PathValidator {
     /// every run's set-up.
     prepared: OnceLock<HmacKey>,
     bundle_id: u64,
-    evidence: Vec<ConnectionEvidence>,
+    pending: Vec<ConnectionEvidence>,
 }
 
 impl PathValidator {
@@ -119,7 +126,7 @@ impl PathValidator {
             key: bundle_key.to_vec(),
             prepared: OnceLock::new(),
             bundle_id,
-            evidence: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -130,44 +137,23 @@ impl PathValidator {
         self.prepared.get_or_init(|| HmacKey::new(&self.key))
     }
 
-    /// Records one completed connection's evidence.
+    /// Records one completed connection's evidence as pending.
     pub fn add_connection(&mut self, evidence: ConnectionEvidence) {
-        self.evidence.push(evidence);
+        self.pending.push(evidence);
     }
 
-    /// Completed connections recorded so far.
+    /// The unsettled evidence entries, in insertion order — what a
+    /// snapshot carries (resume re-adds them with
+    /// [`PathValidator::add_connection`]; the key and bundle id are
+    /// re-derived).
     #[must_use]
-    pub fn connections(&self) -> usize {
-        self.evidence.len()
-    }
-
-    /// Snapshot export: the recorded evidence entries, in insertion order.
-    /// (The key and bundle id are not exported — resume re-derives them
-    /// deterministically and rebuilds via [`PathValidator::from_snapshot`].)
-    #[must_use]
-    pub fn evidence(&self) -> &[ConnectionEvidence] {
-        &self.evidence
-    }
-
-    /// Rebuilds a validator from its deterministic identity (key, bundle
-    /// id) plus a [`PathValidator::evidence`] export.
-    #[must_use]
-    pub fn from_snapshot(
-        bundle_key: &[u8],
-        bundle_id: u64,
-        evidence: Vec<ConnectionEvidence>,
-    ) -> Self {
-        PathValidator {
-            key: bundle_key.to_vec(),
-            prepared: OnceLock::new(),
-            bundle_id,
-            evidence,
-        }
+    pub fn pending(&self) -> &[ConnectionEvidence] {
+        &self.pending
     }
 
     /// Replays one evidence entry into `report` — the shared kernel of
-    /// whole-bundle settlement ([`PathValidator::validate`]) and the
-    /// adaptive runner's per-connection check
+    /// settlement ([`PathValidator::settle`]) and the adaptive runner's
+    /// per-connection check
     /// ([`PathValidator::flag_connection`]).
     fn apply_evidence(&self, ev: &ConnectionEvidence, report: &mut ValidationReport) {
         let m = &ev.manifest;
@@ -230,38 +216,23 @@ impl PathValidator {
         }
     }
 
-    /// Replays all evidence: counts payable forwarding instances, measures
-    /// the corruption shortfall, and flags cheaters by the intact-prefix
-    /// rule described in the module docs.
-    #[must_use]
-    pub fn validate(&self) -> ValidationReport {
+    /// Settles the pending evidence: counts payable forwarding instances,
+    /// measures the corruption shortfall, and flags cheaters by the
+    /// intact-prefix rule described in the module docs, then drops the
+    /// entries. A second call with nothing added returns an empty report.
+    pub fn settle(&mut self) -> ValidationReport {
         let mut report = ValidationReport::default();
-        for ev in &self.evidence {
+        for ev in &self.pending {
             self.apply_evidence(ev, &mut report);
         }
+        self.pending.clear();
         report
     }
 
-    /// Replays the evidence entries in `[start, end)` (insertion order) —
-    /// the epoch-settlement kernel. `PathValidator::apply_evidence` is
-    /// per-entry independent, so partitioning a bundle's evidence into
-    /// epoch windows and merging the per-window reports (summing counters,
-    /// unioning `paid_counts`/`flagged`) reproduces the whole-bundle
-    /// [`PathValidator::validate`] exactly; out-of-range indices are
-    /// simply skipped.
-    #[must_use]
-    pub fn validate_range(&self, start: usize, end: usize) -> ValidationReport {
-        let mut report = ValidationReport::default();
-        let end = end.min(self.evidence.len());
-        for ev in self.evidence.get(start..end).unwrap_or(&[]) {
-            self.apply_evidence(ev, &mut report);
-        }
-        report
-    }
-
-    /// Validates a single recorded connection (by insertion order) with
-    /// the same intact-prefix rule as [`PathValidator::validate`] and
-    /// returns the forwarder it pins the corruption on, if any.
+    /// Validates one pending connection (by its index in
+    /// [`PathValidator::pending`]) with the same intact-prefix rule as
+    /// [`PathValidator::settle`] and returns the forwarder it pins the
+    /// corruption on, if any. Nothing is dropped.
     ///
     /// This is the adaptive fault-response feedback hook: instead of
     /// learning about cheaters only at end-of-run settlement, the
@@ -273,7 +244,7 @@ impl PathValidator {
     #[must_use]
     pub fn flag_connection(&self, index: usize) -> Option<AccountId> {
         let mut report = ValidationReport::default();
-        self.apply_evidence(self.evidence.get(index)?, &mut report);
+        self.apply_evidence(self.pending.get(index)?, &mut report);
         report.flagged.into_iter().next()
     }
 }
@@ -370,7 +341,7 @@ mod tests {
         let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         v.add_connection(evidence(0, &[1, 2, 3], None));
         v.add_connection(evidence(1, &[1, 4], None));
-        let r = v.validate();
+        let r = v.settle();
         assert_eq!(r.expected_instances, 5);
         assert_eq!(r.validated_instances, 5);
         assert_eq!(r.shortfall(), 0.0);
@@ -387,7 +358,7 @@ mod tests {
         // the honest victims below it are the ones who lose payment.
         let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         v.add_connection(evidence(0, &[4, 5, 6, 7], Some(2)));
-        let r = v.validate();
+        let r = v.settle();
         assert_eq!(r.flagged.iter().copied().collect::<Vec<_>>(), [account(5)]);
         assert_eq!(r.expected_instances, 4);
         assert_eq!(r.validated_instances, 2);
@@ -408,7 +379,7 @@ mod tests {
         v.add_connection(evidence(0, &[1, 5, 6, 2], Some(2))); // 5 masks 6
         v.add_connection(evidence(1, &[1, 6, 3, 2], Some(2))); // 6 exposed
         v.add_connection(evidence(2, &[7, 4, 1], Some(1))); // 7 exposed
-        let r = v.validate();
+        let r = v.settle();
         let flagged: Vec<u64> = r.flagged.iter().map(|a| a.0).collect();
         assert_eq!(flagged, cheaters, "all cheaters flagged, nobody else");
         assert_eq!(r.unattributed, 0);
@@ -422,7 +393,7 @@ mod tests {
         let mut ev = evidence(0, &[1, 2, 3], None);
         ev.receipts.truncate(1); // hops 2 and 3 never arrived
         v.add_connection(ev);
-        let r = v.validate();
+        let r = v.settle();
         assert_eq!(r.validated_instances, 1);
         assert_eq!(
             r.flagged.iter().copied().collect::<Vec<_>>(),
@@ -435,7 +406,7 @@ mod tests {
     fn fully_corrupted_connection_is_unattributed() {
         let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         v.add_connection(evidence(0, &[1, 2], Some(0)));
-        let r = v.validate();
+        let r = v.settle();
         assert_eq!(r.validated_instances, 0);
         assert!(r.flagged.is_empty(), "no intact prefix, no accusation");
         assert_eq!(r.unattributed, 1);
@@ -448,7 +419,7 @@ mod tests {
         let mut ev = evidence(0, &[1, 2], None);
         ev.manifest.hops[0] = account(9); // forged path statement
         v.add_connection(ev);
-        let r = v.validate();
+        let r = v.settle();
         assert_eq!(r.invalid_manifests, 1);
         assert_eq!(r.expected_instances, 0);
         assert_eq!(r.shortfall(), 0.0);
@@ -465,11 +436,27 @@ mod tests {
         assert_eq!(v.flag_connection(2), None);
         assert_eq!(v.flag_connection(99), None, "out of range is no flag");
         // The per-connection flags are exactly the settlement flags.
-        let settled = v.validate();
+        let settled = v.settle();
         assert_eq!(
             settled.flagged.iter().copied().collect::<Vec<_>>(),
             [account(5)]
         );
+    }
+
+    #[test]
+    fn settle_drops_what_it_settled() {
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
+        v.add_connection(evidence(0, &[1, 2, 3], None));
+        v.add_connection(evidence(1, &[4, 5, 6], Some(1)));
+        let first = v.settle();
+        assert_eq!(first.validated_instances, 4);
+        assert!(v.pending().is_empty(), "settled evidence must not linger");
+        assert_eq!(v.flag_connection(0), None, "nothing left to flag");
+        assert_eq!(v.settle(), ValidationReport::default());
+        // The next window holds only what arrived after the settle.
+        v.add_connection(evidence(2, &[7], None));
+        assert_eq!(v.pending().len(), 1);
+        assert_eq!(v.settle().paid_counts[&account(7)], 1);
     }
 
     /// Clique forgery: the responder pads the manifest with phantom mates
@@ -495,7 +482,7 @@ mod tests {
     fn cross_check_withholds_phantom_payouts_and_names_the_accounts() {
         let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         v.add_connection(forged_evidence(0, &[1, 2], &[8, 9]));
-        let r = v.validate();
+        let r = v.settle();
         // Genuine work is paid in full; the forged MAC-valid suffix is not.
         assert_eq!(r.expected_instances, 2);
         assert_eq!(r.validated_instances, 2);
@@ -520,7 +507,7 @@ mod tests {
         let mut ev = forged_evidence(0, &[1, 2], &[8]);
         ev.observed_hops = None;
         v.add_connection(ev);
-        let r = v.validate();
+        let r = v.settle();
         assert_eq!(r.validated_instances, 3);
         assert_eq!(r.paid_counts[&account(8)], 1);
         assert_eq!(r.phantom_instances, 0);
@@ -535,9 +522,9 @@ mod tests {
         let baseline = {
             let mut vb = PathValidator::new(KEY_BYTES, BUNDLE);
             vb.add_connection(evidence(0, &[1, 2, 3], None));
-            vb.validate()
+            vb.settle()
         };
-        assert_eq!(v.validate(), baseline, "honest evidence is unaffected");
+        assert_eq!(v.settle(), baseline, "honest evidence is unaffected");
     }
 
     #[test]
@@ -554,7 +541,7 @@ mod tests {
             }
         }
         v.add_connection(ev);
-        let r = v.validate();
+        let r = v.settle();
         assert_eq!(r.flagged.iter().copied().collect::<Vec<_>>(), [account(4)]);
         assert_eq!(r.phantom_instances, 1);
         assert_eq!(r.validated_instances, 1);
@@ -568,7 +555,7 @@ mod tests {
         let mut ev = evidence(0, &[1, 2, 3], None);
         ev.receipts[1] = Receipt::issue(&KEY, BUNDLE, 0, 2, account(8));
         v.add_connection(ev);
-        let r = v.validate();
+        let r = v.settle();
         assert_eq!(r.validated_instances, 2);
         assert_eq!(r.flagged.iter().copied().collect::<Vec<_>>(), [account(1)]);
     }

@@ -184,20 +184,31 @@ fn merge(a: &mut ValidationReport, b: ValidationReport) {
 }
 
 /// PathValidator under the full mutation grammar. Invariants: no panic on
-/// any input; payment never exceeds the manifests' claims; windowed
-/// validation partitions losslessly; flags and phantoms only ever name
-/// manifest hops; per-connection flagging agrees with whole-bundle
-/// settlement.
+/// any input; payment never exceeds the manifests' claims; settling in
+/// windows partitions losslessly; flags and phantoms only ever name
+/// manifest hops; per-connection flagging agrees with settlement; a
+/// settle leaves nothing pending.
 #[test]
 fn fuzz_path_validator_invariants() {
     for seed in case_seeds(1, budget(2000)) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
         let n_conns = 1 + (rng.next() % 6) as u32;
-        for c in 0..n_conns {
-            v.add_connection(fuzz_evidence(&mut rng, c));
+        let evidence: Vec<ConnectionEvidence> =
+            (0..n_conns).map(|c| fuzz_evidence(&mut rng, c)).collect();
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
+        for ev in &evidence {
+            v.add_connection(ev.clone());
         }
-        let report = v.validate();
+        let report = v.settle();
+        assert!(
+            v.pending().is_empty(),
+            "seed {seed}: settled evidence still pending"
+        );
+        assert_eq!(
+            v.settle(),
+            ValidationReport::default(),
+            "seed {seed}: a second settle found evidence"
+        );
 
         assert!(
             report.validated_instances <= report.expected_instances,
@@ -213,23 +224,40 @@ fn fuzz_path_validator_invariants() {
             "seed {seed}: shortfall out of range"
         );
 
-        // Windowed settlement partitions losslessly at any split points.
+        // Settling in windows at any split points and merging the reports
+        // equals one settle. Each connection is flagged as it arrives,
+        // like the adaptive runner's in-run check, and the union of those
+        // flags is exactly the settlement's (each connection pins at most
+        // one forwarder).
+        let mut windowed = PathValidator::new(KEY_BYTES, BUNDLE);
         let mut windows = ValidationReport::default();
-        let mut start = 0usize;
-        while start < v.connections() {
-            let end = start + 1 + (rng.next() as usize) % 3;
-            merge(&mut windows, v.validate_range(start, end));
-            start = end;
+        let mut union = std::collections::BTreeSet::new();
+        let mut rest = evidence.iter();
+        loop {
+            let take = 1 + (rng.next() as usize) % 3;
+            let mut added = 0;
+            for ev in rest.by_ref().take(take) {
+                windowed.add_connection(ev.clone());
+                union.extend(windowed.flag_connection(windowed.pending().len() - 1));
+                added += 1;
+            }
+            if added == 0 {
+                break;
+            }
+            merge(&mut windows, windowed.settle());
         }
         assert_eq!(
             windows, report,
-            "seed {seed}: windowed validation diverged from whole-bundle"
+            "seed {seed}: windowed settlement diverged from one settle"
+        );
+        assert_eq!(
+            union, report.flagged,
+            "seed {seed}: per-connection flags diverged from settlement"
         );
 
         // Flags, payments, and phantom reports only ever name accounts
         // some manifest vouched for.
-        let manifest_accounts: std::collections::BTreeSet<AccountId> = v
-            .evidence()
+        let manifest_accounts: std::collections::BTreeSet<AccountId> = evidence
             .iter()
             .flat_map(|e| e.manifest.hops.iter().copied())
             .collect();
@@ -251,17 +279,6 @@ fn fuzz_path_validator_invariants() {
                 "seed {seed}: phantom-reported an account no manifest names"
             );
         }
-
-        // Per-connection flagging is exactly the union of whole-bundle
-        // flags (each connection pins at most one forwarder).
-        let mut union = std::collections::BTreeSet::new();
-        for i in 0..v.connections() {
-            union.extend(v.flag_connection(i));
-        }
-        assert_eq!(
-            union, report.flagged,
-            "seed {seed}: per-connection flags diverged from settlement"
-        );
     }
 }
 
@@ -294,7 +311,7 @@ fn fuzz_cross_check_never_pays_phantoms() {
             receipts,
             observed_hops: Some(genuine),
         });
-        let report = v.validate();
+        let report = v.settle();
         assert_eq!(
             report.validated_instances, n_genuine as u64,
             "seed {seed}: phantom padding changed what gets paid"

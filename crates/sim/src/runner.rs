@@ -324,12 +324,9 @@ pub struct RunResult {
 pub(crate) struct FaultRuntime {
     pub(crate) plan: FaultPlan,
     pub(crate) delivery: DeliveryTracker,
-    /// Per-pair §5 evidence accumulators.
+    /// Per-pair §5 evidence not yet settled, each under the pair's bundle
+    /// key (shared by manifest and receipts).
     pub(crate) validators: Vec<PathValidator>,
-    /// Per-pair raw bundle keys (shared by manifest and receipts). The
-    /// validators prepare them on first use; restore rebuilds validators
-    /// from these.
-    pub(crate) keys: Vec<[u8; 32]>,
     /// Per-pair time of the last completed connection (`< 0` = none).
     pub(crate) last_completion: Vec<f64>,
     /// Per-initiator private fault ledgers (keyed by initiator node).
@@ -372,15 +369,13 @@ pub(crate) struct AdversaryCounters {
     pub(crate) phantom_injected: u64,
 }
 
-/// Running state of settlement: per-pair window cursors plus the totals
-/// of every closed window. Because [`PathValidator::validate_range`]
-/// windows partition each pair's evidence, the totals equal a single
-/// whole-bundle validation however the windows fall — the settlement mode
-/// changes *when* settlement work happens and how many bank operations it
-/// costs, never the economics.
+/// Running state of settlement: the totals of every closed window. A
+/// window settles (and drops) the evidence its pair accrued since the
+/// last close, and each entry is validated on its own, so the totals equal
+/// a single whole-bundle validation however the windows fall — the
+/// settlement mode changes *when* settlement work happens and how many
+/// bank operations it costs, never the economics.
 pub(crate) struct SettlementState {
-    /// Per-pair count of evidence entries settled in closed windows.
-    pub(crate) cursors: Vec<usize>,
     /// Per-pair manifest-attested instances over all closed windows.
     pub(crate) expected: Vec<u64>,
     /// Per-pair receipt-backed (payable) instances over all closed
@@ -408,7 +403,6 @@ pub(crate) struct SettlementState {
 impl SettlementState {
     pub(crate) fn new(n_pairs: usize) -> Self {
         SettlementState {
-            cursors: vec![0; n_pairs],
             expected: vec![0; n_pairs],
             validated: vec![0; n_pairs],
             flagged: BTreeSet::new(),
@@ -426,7 +420,7 @@ impl FaultRuntime {
         self.plan.config().response == FaultResponse::Adaptive
     }
 
-    /// Closes the settlement window of every pair in `pairs`: validates
+    /// Closes the settlement window of every pair in `pairs`: settles
     /// the evidence each accrued since its last close, folds the reports
     /// into the per-pair totals, and settles the paid counts through the
     /// durable bank as one flush. An epoch boundary (`epoch`) also counts
@@ -439,14 +433,12 @@ impl FaultRuntime {
         let mut closed_any = false;
         let mut paid: BTreeMap<u64, u64> = BTreeMap::new();
         for pair in pairs {
-            let validator = &self.validators[pair];
-            let (start, end) = (st.cursors[pair], validator.connections());
-            if start == end {
+            let validator = &mut self.validators[pair];
+            if validator.pending().is_empty() {
                 continue;
             }
             closed_any = true;
-            let report = validator.validate_range(start, end);
-            st.cursors[pair] = end;
+            let report = validator.settle();
             st.expected[pair] += report.expected_instances;
             st.validated[pair] += report.validated_instances;
             st.phantom_flagged += report.phantom_instances;
@@ -646,19 +638,14 @@ impl SimulationRun {
             if cfg.workload == WorkloadMode::Closed {
                 delivery.record_scheduled(cfg.total_transmissions as u64);
             }
-            let keys: Vec<[u8; 32]> = (0..n_pairs)
+            let validators = (0..n_pairs)
                 .map(|p| {
                     let mut key = [0u8; 32];
                     streams
                         .stream_indexed2("payment/bundle-key", p as u64, 0)
                         .fill_bytes(&mut key);
-                    key
+                    PathValidator::new(&key, p as u64)
                 })
-                .collect();
-            let validators = keys
-                .iter()
-                .enumerate()
-                .map(|(p, key)| PathValidator::new(key, p as u64))
                 .collect();
             (
                 vec![0.0; cfg.n_nodes],
@@ -666,7 +653,6 @@ impl SimulationRun {
                     plan,
                     delivery,
                     validators,
-                    keys,
                     last_completion: vec![-1.0; n_pairs],
                     reputation: ReputationStore::new(cfg.n_nodes),
                     probe_invalid: ProbeInvalidation::new(cfg.n_nodes),
@@ -1147,27 +1133,30 @@ impl SimulationRun {
             observed_hops,
         });
 
+        // In-run cheater feedback (adaptive only): when receipts came back
+        // corrupted, replay just this connection's evidence now instead of
+        // waiting for settlement. The §5 intact-prefix rule pins the
+        // corruption on one forwarder; flagging it in the initiator's
+        // ledger suppresses it from this run's subsequent path formations.
+        // It reads the entry just added, so it runs before a per-bundle
+        // window drains it; the two steps write disjoint state (the
+        // reputation ledger here, the settlement totals and bank below).
+        if fr.adaptive() && corrupt_from.is_some() {
+            let initiator = self.world.pairs[pair].initiator;
+            let validator = &fr.validators[pair];
+            if let Some(cheater) = validator.flag_connection(validator.pending().len() - 1) {
+                fr.reputation
+                    .get_mut(initiator.index())
+                    .flag_cheater(NodeId(cheater.0 as usize));
+            }
+        }
+
         // Per-bundle settlement closes the pair's window now: this one
         // connection is validated and, with the durable bank, settled as
         // its own WAL flush. Epoch settlement closes every window at the
         // next boundary instead.
         if self.cfg.settlement == SettlementMode::PerBundle {
             fr.close_windows(pair..pair + 1, false);
-        }
-
-        // In-run cheater feedback (adaptive only): when receipts came back
-        // corrupted, replay just this connection's evidence now instead of
-        // waiting for settlement. The §5 intact-prefix rule pins the
-        // corruption on one forwarder; flagging it in the initiator's
-        // ledger suppresses it from this run's subsequent path formations.
-        if fr.adaptive() && corrupt_from.is_some() {
-            let initiator = self.world.pairs[pair].initiator;
-            let idx = fr.validators[pair].connections() - 1;
-            if let Some(cheater) = fr.validators[pair].flag_connection(idx) {
-                fr.reputation
-                    .get_mut(initiator.index())
-                    .flag_cheater(NodeId(cheater.0 as usize));
-            }
         }
     }
 

@@ -1,27 +1,31 @@
 //! The versioned, checksummed snapshot codec for crash-safe service runs.
 //!
-//! [`encode`] serializes the **complete mutable trajectory state** of a
-//! [`SimulationRun`] plus its [`Engine`] — the calendar with original
-//! sequence numbers, the sequential routing RNG cursor, the history arena, the
-//! bundle/tracker/attack accumulators, the touched nodes' probe cells, the
-//! fault runtime (delivery counters, evidence, fault ledgers, settlement
-//! windows, the durable bank) and the windowed-metrics buckets — into one framed byte
-//! buffer ([`idpa_desim::codec::frame`]: magic, version, length,
-//! word-wise FNV-1a checksum), encoded in place behind the frame header.
-//! [`restore`] rebuilds a run that continues
-//! **bit-identically** to the uninterrupted one.
+//! [`encode`] serializes the mutable trajectory state of a
+//! [`SimulationRun`] plus its [`Engine`] that the run cannot re-derive —
+//! the calendar with original sequence numbers, the sequential routing RNG
+//! cursor, the history arena, the bundle/tracker/attack accumulators, the
+//! keys of the resident probe cells, the fault runtime (delivery counters,
+//! unsettled evidence, fault ledgers, settlement totals, the durable bank)
+//! and the windowed-metrics buckets — into one framed byte buffer
+//! ([`idpa_desim::codec::frame`]: magic, version, length, word-wise FNV-1a
+//! checksum), encoded in place behind the frame header. [`restore`]
+//! rebuilds a run that continues **bit-identically** to the uninterrupted
+//! one.
 //!
 //! What is *not* serialized is exactly the state that is a pure function
-//! of the configuration: the sampled [`World`] (regenerated from the
-//! master seed; only the open workload's live arrival times are
-//! trajectory state and travel in the snapshot), the [`FaultPlan`]
-//! (position-keyed, rebuilt from the fault config), bundle keys, routing
-//! scratch buffers and memo caches (value-invisible by construction) and
-//! the quality weights. The configuration itself travels only as an
-//! FNV-1a fingerprint of its `Debug` rendering: a snapshot is a
-//! *continuation* of one scenario, not a self-describing archive, and
-//! resuming under a different scenario is a typed
-//! [`SimError::SnapshotMismatch`] instead of silent divergence.
+//! of the configuration or of what *is* serialized: the sampled [`World`]
+//! (regenerated from the master seed; only the open workload's live
+//! arrival times are trajectory state and travel in the snapshot), the
+//! [`FaultPlan`] (position-keyed, rebuilt from the fault config), bundle
+//! keys, each probe cell's estimator (rebuilt from its node and synced
+//! tick through the same materialise-and-sync path a read takes),
+//! evidence that a settlement window already folded into the per-pair
+//! totals (dropped when it settled), routing scratch buffers and memo
+//! caches (value-invisible by construction) and the quality weights. The
+//! configuration itself travels only as an FNV-1a fingerprint of its
+//! `Debug` rendering: a snapshot is a *continuation* of one scenario, not
+//! a self-describing archive, and resuming under a different scenario is
+//! a typed [`SimError::SnapshotMismatch`] instead of silent divergence.
 //!
 //! Decoding is hardened end to end: every length is bounds-checked
 //! against the buffer *and* the scenario's dimensions, every float is
@@ -42,12 +46,10 @@ use idpa_core::reputation::EdgeReputation;
 use idpa_desim::codec::{fnv1a_64, unframe, CodecError, Dec, Enc, MAGIC};
 use idpa_desim::rng::Xoshiro256StarStar;
 use idpa_desim::{Calendar, Engine};
-use idpa_overlay::{
-    NodeId, ProbeCellState, ProbeCellsSnapshot, ProbeEstimatorState, ProbeInvalidation, Residency,
-};
+use idpa_overlay::{NodeId, ProbeCellsSnapshot, ProbeInvalidation, Residency};
 use idpa_payment::bank::AccountId;
 use idpa_payment::receipt::Receipt;
-use idpa_payment::validation::{ConnectionEvidence, PathManifest, PathValidator};
+use idpa_payment::validation::{ConnectionEvidence, PathManifest};
 
 use std::collections::BTreeMap;
 
@@ -74,8 +76,11 @@ use crate::world::World;
 /// of one sequential stream, so a version 8 frame would resume over
 /// different costs. Version 10 drops the calendar's cancelled-event list
 /// (the calendar no longer supports cancellation, so the list was always
-/// empty).
-pub const SNAPSHOT_VERSION: u32 = 10;
+/// empty). Version 11 writes each probe cell as its key (node, synced
+/// tick, last-touch tick) instead of its estimator arrays, writes only the
+/// evidence no settlement window has settled yet, and drops the per-pair
+/// settlement cursors.
+pub const SNAPSHOT_VERSION: u32 = 11;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the
@@ -169,79 +174,6 @@ fn dec_ev(d: &mut Dec, n_nodes: usize, n_pairs: usize) -> Result<Ev, SimError> {
         },
         6 => Ev::Whitewash(idx(d.usize().map_err(codec)?, n_nodes, "event node index")?),
         _ => return Err(mismatch("event tag")),
-    })
-}
-
-fn enc_probe_est(e: &mut Enc, s: &ProbeEstimatorState) {
-    e.usize(s.owner.index());
-    e.f64(s.period);
-    e.seq_len(s.neighbors.len());
-    for &n in &s.neighbors {
-        e.usize(n.index());
-    }
-    for &v in &s.init_time {
-        e.f64(v);
-    }
-    for &v in &s.live_rounds {
-        e.u64(v);
-    }
-    for &v in &s.ever_seen {
-        e.bool(v);
-    }
-    for &v in &s.last_alive_round {
-        e.u64(v);
-    }
-    e.u64(s.rounds);
-}
-
-fn dec_probe_est(
-    d: &mut Dec,
-    cfg: &ScenarioConfig,
-    expect_owner: usize,
-) -> Result<ProbeEstimatorState, SimError> {
-    let owner = idx(d.usize().map_err(codec)?, cfg.n_nodes, "probe owner")?;
-    if owner != expect_owner {
-        return Err(mismatch("probe owner order"));
-    }
-    let period = d.f64().map_err(codec)?;
-    if period.to_bits() != cfg.probe_period.to_bits() {
-        return Err(mismatch("probe period"));
-    }
-    let deg = d.seq_len(8).map_err(codec)?;
-    let mut neighbors = Vec::with_capacity(deg);
-    for _ in 0..deg {
-        neighbors.push(NodeId(idx(
-            d.usize().map_err(codec)?,
-            cfg.n_nodes,
-            "probe neighbor",
-        )?));
-    }
-    let mut init_time = Vec::with_capacity(deg);
-    for _ in 0..deg {
-        init_time.push(finite(d.f64().map_err(codec)?, "probe init time")?);
-    }
-    let mut live_rounds = Vec::with_capacity(deg);
-    for _ in 0..deg {
-        live_rounds.push(d.u64().map_err(codec)?);
-    }
-    let mut ever_seen = Vec::with_capacity(deg);
-    for _ in 0..deg {
-        ever_seen.push(d.bool().map_err(codec)?);
-    }
-    let mut last_alive_round = Vec::with_capacity(deg);
-    for _ in 0..deg {
-        last_alive_round.push(d.u64().map_err(codec)?);
-    }
-    let rounds = d.u64().map_err(codec)?;
-    Ok(ProbeEstimatorState {
-        owner: NodeId(owner),
-        period,
-        neighbors,
-        init_time,
-        live_rounds,
-        ever_seen,
-        last_alive_round,
-        rounds,
     })
 }
 
@@ -371,13 +303,14 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
         }
     }
 
+    // Probe cells as keys: restore rebuilds each estimator from its node
+    // and synced tick, the way a re-touch after eviction does.
     let ProbeCellsSnapshot { cells, stats } = run.probes.snapshot_cells();
     e.seq_len(cells.len());
-    for (i, c, touch) in &cells {
-        e.usize(*i);
-        enc_probe_est(&mut e, &c.est);
-        e.u64(c.synced_tick);
-        e.u64(*touch);
+    for &(i, synced_tick, touch) in &cells {
+        e.usize(i);
+        e.u64(synced_tick);
+        e.u64(touch);
     }
     enc_residency(&mut e, &stats);
 
@@ -459,10 +392,12 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
                 e.f64(t);
             }
 
+            // Only the evidence no window has settled yet (always none
+            // under per-bundle settlement).
             for v in &fr.validators {
-                let evidence = v.evidence();
-                e.seq_len(evidence.len());
-                for ev in evidence {
+                let pending = v.pending();
+                e.seq_len(pending.len());
+                for ev in pending {
                     e.u64(ev.manifest.bundle_id);
                     e.u32(ev.manifest.connection);
                     e.seq_len(ev.manifest.hops.len());
@@ -492,9 +427,6 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
             }
 
             let st = &fr.settlement;
-            for &c in &st.cursors {
-                e.usize(c);
-            }
             for &x in &st.expected {
                 e.u64(x);
             }
@@ -724,19 +656,15 @@ pub fn restore(
     }
     run.histories = histories;
 
-    let n = d.seq_len(41).map_err(codec)?;
+    // Probe cell keys; `restore_cells` range- and order-checks them and
+    // rebuilds each cell.
+    let n = d.seq_len(24).map_err(codec)?;
     let mut cells = Vec::with_capacity(n);
-    let mut last: Option<usize> = None;
     for _ in 0..n {
-        let i = idx(d.usize().map_err(codec)?, n_nodes, "probe cell node")?;
-        if last.is_some_and(|prev| prev >= i) {
-            return Err(mismatch("probe cell order"));
-        }
-        last = Some(i);
-        let est = dec_probe_est(&mut d, cfg, i)?;
+        let i = d.usize().map_err(codec)?;
         let synced_tick = d.u64().map_err(codec)?;
         let touch = d.u64().map_err(codec)?;
-        cells.push((i, ProbeCellState { est, synced_tick }, touch));
+        cells.push((i, synced_tick, touch));
     }
     let stats = dec_residency(&mut d)?;
     run.probes
@@ -873,9 +801,14 @@ pub fn restore(
             }
             fr.probe_invalid = ProbeInvalidation::from_snapshot(until);
 
-            for (pair, v) in fr.validators.iter_mut().enumerate() {
+            let per_bundle = cfg.settlement == SettlementMode::PerBundle;
+            for v in &mut fr.validators {
                 let n_evidence = d.seq_len(29).map_err(codec)?;
-                let mut evidence = Vec::with_capacity(n_evidence);
+                // A per-bundle window settles at its connection, so a real
+                // per-bundle frame never carries pending evidence.
+                if per_bundle && n_evidence > 0 {
+                    return Err(mismatch("pending evidence under per-bundle settlement"));
+                }
                 for _ in 0..n_evidence {
                     let bundle_id = d.u64().map_err(codec)?;
                     let connection = d.u32().map_err(codec)?;
@@ -919,23 +852,15 @@ pub fn restore(
                     } else {
                         None
                     };
-                    evidence.push(ConnectionEvidence {
+                    v.add_connection(ConnectionEvidence {
                         manifest,
                         receipts,
                         observed_hops,
                     });
                 }
-                *v = PathValidator::from_snapshot(&fr.keys[pair], pair as u64, evidence);
             }
 
             let st = &mut fr.settlement;
-            for (pair, slot) in st.cursors.iter_mut().enumerate() {
-                let c = d.usize().map_err(codec)?;
-                if c > fr.validators[pair].connections() {
-                    return Err(mismatch("settlement cursor"));
-                }
-                *slot = c;
-            }
             for slot in &mut st.expected {
                 *slot = d.u64().map_err(codec)?;
             }
@@ -1144,6 +1069,25 @@ mod tests {
         }
     }
 
+    /// Runs `c` for `budget` events and encodes the frame bound to
+    /// `bind`'s fingerprint (resealed), so decoding `bind` reaches the
+    /// sections past the fingerprint.
+    fn frame_bound_to(c: ScenarioConfig, budget: u64, bind: &ScenarioConfig) -> Vec<u8> {
+        let world = World::generate(&c);
+        let mut run = SimulationRun::new(c, world);
+        let mut engine = Engine::new();
+        run.schedule_all(&mut engine);
+        engine.set_event_budget(budget);
+        engine.run(&mut run, Some(SimTime::new(c.churn.horizon)));
+        let mut bytes = encode(&run, &engine);
+        let header = idpa_desim::codec::FRAME_HEADER_BYTES;
+        bytes[header..header + 8].copy_from_slice(&config_fingerprint(bind).to_le_bytes());
+        let n = bytes.len();
+        let sum = idpa_desim::codec::frame_checksum(&bytes[header..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn slab_presence_must_match_the_config() {
         // Re-bind each frame to the other config's fingerprint (and reseal
@@ -1157,22 +1101,55 @@ mod tests {
                 evict_idle_ticks: resumed,
                 ..c
             };
-            let world = World::generate(&c);
-            let mut run = SimulationRun::new(c, world);
-            let mut engine = Engine::new();
-            run.schedule_all(&mut engine);
-            engine.set_event_budget(80);
-            engine.run(&mut run, Some(SimTime::new(c.churn.horizon)));
-            let mut bytes = encode(&run, &engine);
-            let header = idpa_desim::codec::FRAME_HEADER_BYTES;
-            bytes[header..header + 8].copy_from_slice(&config_fingerprint(&other).to_le_bytes());
-            let n = bytes.len();
-            let sum = idpa_desim::codec::frame_checksum(&bytes[header..n - 8]);
-            bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+            let bytes = frame_bound_to(c, 80, &other);
             match restore(&other, &bytes) {
                 Ok(_) => panic!("slab presence {taken:?} -> {resumed:?} must be rejected"),
                 Err(err) => assert_eq!(err, mismatch("idle eviction")),
             }
+        }
+    }
+
+    #[test]
+    fn per_bundle_frame_with_pending_evidence_is_rejected() {
+        // An epoch-settled run holds the evidence of its open windows;
+        // rebound to the per-bundle twin of its scenario, that evidence is
+        // something a per-bundle run can never have pending.
+        let epoch = ScenarioConfig {
+            settlement: SettlementMode::Epoch,
+            fault: FaultConfig {
+                drop_rate: 0.1,
+                ..FaultConfig::default()
+            },
+            ..cfg(7)
+        };
+        let per_bundle = ScenarioConfig {
+            settlement: SettlementMode::PerBundle,
+            ..epoch
+        };
+        let bytes = frame_bound_to(epoch, 250, &per_bundle);
+        match restore(&per_bundle, &bytes) {
+            Ok(_) => panic!("pending evidence under per-bundle settlement must be rejected"),
+            Err(err) => assert_eq!(
+                err,
+                mismatch("pending evidence under per-bundle settlement")
+            ),
+        }
+        // The same frame under its own scenario restores.
+        let own = frame_bound_to(epoch, 250, &epoch);
+        assert!(restore(&epoch, &own).is_ok());
+    }
+
+    #[test]
+    fn previous_version_frame_is_unsupported() {
+        let c = cfg(5);
+        let mut bytes = frame_bound_to(c, 80, &c);
+        bytes[8..12].copy_from_slice(&(SNAPSHOT_VERSION - 1).to_le_bytes());
+        match restore(&c, &bytes) {
+            Ok(_) => panic!("a version {} frame must not decode", SNAPSHOT_VERSION - 1),
+            Err(err) => assert_eq!(
+                err,
+                codec(CodecError::UnsupportedVersion(SNAPSHOT_VERSION - 1))
+            ),
         }
     }
 

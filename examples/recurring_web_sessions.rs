@@ -15,6 +15,7 @@
 use idpa::core::adversary::IntersectionAttack;
 use idpa::core::metrics::candidate_set_degree;
 use idpa::prelude::*;
+use rand::RngExt;
 
 fn attack_outcome(strategy: RoutingStrategy, label: &str) {
     // One pair (the user and the web server), 30 recurring connections,
@@ -78,11 +79,20 @@ fn main() {
     println!("--- why reformations matter (toy intersection) ---");
     let mut stable = IntersectionAttack::new();
     let mut churny = IntersectionAttack::new();
-    // The stable path is observed twice; the churny one ten times, each
-    // with a different half of the network online. In this toy the user
-    // (node 0) is online for every visit.
-    let online =
-        |round: usize| move |n: NodeId| n.index() == 0 || (n.index() + round).is_multiple_of(2);
+    // The stable path is observed twice; the churny one ten times. In each
+    // round about 70% of the network is online, drawn from a stream keyed
+    // by (round, node); the user (node 0) is online for every visit.
+    let streams = StreamFactory::new(7);
+    let online = |round: usize| {
+        let streams = streams.clone();
+        move |n: NodeId| {
+            n.index() == 0
+                || streams
+                    .stream_indexed2("toy/online", round as u64, n.index() as u64)
+                    .random_range(0.0..1.0)
+                    < 0.7
+        }
+    };
     let everyone = || (0..40).map(NodeId);
     for round in 0..2 {
         stable.observe(everyone(), online(round));
@@ -99,5 +109,9 @@ fn main() {
         "10 observations: {} candidates (degree {:.2})",
         churny.candidate_count(),
         candidate_set_degree(churny.candidate_count().min(40), 40)
+    );
+    assert!(
+        churny.candidate_count() < stable.candidate_count(),
+        "ten observations must narrow the set further than two"
     );
 }

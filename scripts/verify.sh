@@ -96,8 +96,12 @@ IDPA_SCALE_SMOKE=1 cargo run --release --offline -p idpa-sim -- scale-lifecycle 
 # interrupted at t=0 by a zero wall-clock budget (which writes a final
 # checkpoint), then resumed from that checkpoint — the resumed output must
 # be line-identical to the uninterrupted run's, pinning the
-# snapshot/resume determinism contract end to end. IDPA_SVC_SMOKE=1
-# forces the quick tier inside the binary.
+# snapshot/resume determinism contract end to end. A t=0 frame holds no
+# history, probe cells or evidence, so the run is also checkpointed every
+# 270 simulated minutes and resumed from the last checkpoint it leaves
+# (t=1350 of the 1440-minute horizon; 270 is not a multiple of the
+# 240-minute epoch, so an epoch-settled frame there holds pending
+# evidence). IDPA_SVC_SMOKE=1 forces the quick tier inside the binary.
 stage="service smoke (IDPA_SVC_SMOKE=1 open run -> snapshot -> resume)"
 svc_dir="target/verify-service"
 mkdir -p "$svc_dir"
@@ -111,7 +115,14 @@ IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
 IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
     "${svc_flags[@]}" --resume "$svc_dir/run.snap" > "$svc_dir/resumed.txt"
 diff "$svc_dir/uninterrupted.txt" "$svc_dir/resumed.txt"
-echo "service smoke: resumed run is line-identical to the uninterrupted run"
+IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
+    "${svc_flags[@]}" --snapshot-every 270 \
+    --snapshot-path "$svc_dir/mid.snap" > "$svc_dir/checkpointed.txt"
+IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
+    "${svc_flags[@]}" --resume "$svc_dir/mid.snap" > "$svc_dir/resumed-mid.txt"
+diff "$svc_dir/uninterrupted.txt" "$svc_dir/checkpointed.txt"
+diff "$svc_dir/uninterrupted.txt" "$svc_dir/resumed-mid.txt"
+echo "service smoke: runs resumed at t=0 and mid-run are line-identical to the uninterrupted run"
 
 # Adversary-zoo smoke: every §4 strategy class (free riders, whitewashers,
 # colluding cliques) with its matching defense off and on, at quick scale.
@@ -161,7 +172,17 @@ for settlement in epoch per-bundle; do
         > "$wal_dir/resumed-$settlement.txt"
     diff "$wal_dir/uninterrupted-$settlement.txt" "$wal_dir/resumed-$settlement.txt"
     grep -q "audit chain verified: true" "$wal_dir/resumed-$settlement.txt"
-    echo "WAL smoke ($settlement): durable resumed run is line-identical and the audit chain verifies"
+    # Mid-run checkpoint (see the service smoke for the choice of 270).
+    IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
+        "${wal_flags[@]}" --snapshot-every 270 \
+        --snapshot-path "$wal_dir/mid-$settlement.snap" \
+        > "$wal_dir/checkpointed-$settlement.txt"
+    IDPA_SVC_SMOKE=1 cargo run --release --offline -p idpa-sim -- service \
+        "${wal_flags[@]}" --resume "$wal_dir/mid-$settlement.snap" \
+        > "$wal_dir/resumed-mid-$settlement.txt"
+    diff "$wal_dir/uninterrupted-$settlement.txt" "$wal_dir/checkpointed-$settlement.txt"
+    diff "$wal_dir/uninterrupted-$settlement.txt" "$wal_dir/resumed-mid-$settlement.txt"
+    echo "WAL smoke ($settlement): durable runs resumed at t=0 and mid-run are line-identical and the audit chain verifies"
 done
 
 stage="done"
