@@ -386,11 +386,23 @@ fn bench_probe_tick(h: &mut Harness) {
     }
 }
 
+/// FNV-1a over the `Debug` rendering of every node's estimator at `now`:
+/// the result a catch-up arm must reproduce before it is timed.
+fn estimators_digest(set: &idpa_overlay::LazyProbeSet, n: usize, now: f64) -> u64 {
+    let all: String = (0..n)
+        .map(|i| format!("{:?}", set.estimator(NodeId(i), now)))
+        .collect();
+    idpa_desim::codec::fnv1a_64(all.as_bytes())
+}
+
 /// Lazy catch-up after a long idle gap: nothing read any probe state for
-/// a full day of churn (288 probe ticks at T = 5), then the whole
-/// network's cells are synchronised at once. The lazy set does one
-/// closed-form advance per (node, slot) — O(session intervals) — where
-/// the eager estimator replays every probe of every tick.
+/// a full day of churn (288 probe ticks at T = 5), then every node's cell
+/// is synchronised in turn. The lazy set converts each owner's sessions
+/// to tick runs once and walks each neighbor's sessions once per slot —
+/// O(session intervals) — where the eager estimator replays every probe
+/// of every tick. The `_replace6` twin turns neighbor replacement on
+/// (threshold 6), so each catch-up also replays every replacement that
+/// fell due. Both arms' estimators are pinned before timing.
 fn bench_lazy_catchup(h: &mut Harness) {
     use idpa_netmodel::NodeSchedule;
     use idpa_overlay::LazyProbeSet;
@@ -416,26 +428,37 @@ fn bench_lazy_catchup(h: &mut Harness) {
         })
         .collect();
     let streams = StreamFactory::new(11);
-    let pristine = LazyProbeSet::new_sparse(
-        period,
-        horizon,
-        idpa_overlay::NodeSource::from_tables(
-            schedules.clone(),
-            idpa_overlay::Topology::from_lists(sets.clone()),
-        ),
-        None,
-        streams.clone(),
-    );
-    // Every cell resident and synced to tick 0, so the timed closure does
-    // only the catch-up.
-    for i in 0..n {
-        pristine.sync_node(NodeId(i), 0.0);
+    for (tag, threshold, pin) in [
+        ("", None, 0x5857_1561_6973_71a1),
+        ("_replace6", Some(6), 0x18ef_312f_e3aa_67fd),
+    ] {
+        let pristine = LazyProbeSet::new_sparse(
+            period,
+            horizon,
+            idpa_overlay::NodeSource::from_tables(
+                schedules.clone(),
+                idpa_overlay::Topology::from_lists(sets.clone()),
+            ),
+            threshold,
+            streams.clone(),
+        );
+        // Every cell resident and synced to tick 0, so the timed closure
+        // does only the catch-up.
+        for i in 0..n {
+            pristine.sync_node(NodeId(i), 0.0);
+        }
+        let name = format!("overlay/lazy_catchup_all_288_ticks{tag}");
+        // The speed must not come from computing something different.
+        let digest = estimators_digest(&pristine.clone(), n, horizon);
+        assert_eq!(digest, pin, "{name}: catch-up drifted ({digest:#018x})");
+        h.bench(&name, || {
+            let set = pristine.clone();
+            for i in 0..n {
+                set.sync_node(NodeId(i), horizon);
+            }
+            set.estimator(NodeId(0), horizon).rounds()
+        });
     }
-    h.bench("overlay/lazy_catchup_all_288_ticks", || {
-        let mut set = pristine.clone();
-        set.sync_all(horizon);
-        set.session_time(NodeId(0), sets[0][0], horizon)
-    });
     h.bench("overlay/eager_replay_all_288_ticks", || {
         let mut ests: Vec<ProbeEstimator> = sets
             .iter()

@@ -11,9 +11,10 @@
 //! behavioral drift.
 //!
 //! Replacement-saturated churn is the hardest regime for lazy probing, yet
-//! it pays only for the cells transmissions read: about 27 ms a run at
-//! N = 500 on a 2-core Xeon, where stepping every node at every tick took
-//! 215 ms. The per-tick cost of that reference stays timed by the
+//! it pays only for the cells transmissions read: about 16 ms a run at
+//! N = 500 on a 2-core Xeon (20 ms before the catch-up moved to tick
+//! runs, measured interleaved), where stepping every node at every tick
+//! took 215 ms. The per-tick cost of that reference stays timed by the
 //! `overlay/probe_tick_eager_*` and `overlay/eager_replay_all_288_ticks`
 //! kernels.
 //!

@@ -40,5 +40,7 @@ pub use invalidate::ProbeInvalidation;
 pub use node::{NodeId, NodeKind};
 pub use nodes::{NodeCache, NodeSource};
 pub use probe::ProbeEstimator;
-pub use probe_lazy::{cell_footprint, LazyProbeSet, ProbeCellsSnapshot, Residency};
+pub use probe_lazy::{
+    cell_footprint, probe_ticks_fit, LazyProbeSet, ProbeCellsSnapshot, Residency,
+};
 pub use topology::Topology;

@@ -15,9 +15,21 @@
 //! when it is *read* (a transmission queries availability or live
 //! neighbors). A cell materializes on its first read and can be evicted
 //! again when idle. The catch-up replays every neighbor replacement that
-//! fell due in between, so nothing has to keep cells warm. Catch-up is
-//! O(sessions) per neighbor slot and per replacement, amortized
-//! O(churn + queries) overall, instead of O(N·d·horizon/T).
+//! fell due in between, so nothing has to keep cells warm.
+//!
+//! # Catch-up cost
+//!
+//! A catch-up over more than a few ticks works in tick space. It converts
+//! the owner's sessions in its window to runs of up ticks once, each with
+//! the number of up ticks before it, so "owner rounds in `(a, x]`" and
+//! "the owner's p-th up tick" are binary searches and prefix differences
+//! for the rest of the catch-up. Each slot's advance and each due-tick
+//! search then walks that neighbor's sessions once, converting them as it
+//! goes, and merges them with the owner runs. A catch-up costs
+//! O(owner sessions) once, plus O(neighbor sessions) per slot advance and
+//! per replaced slot — amortized O(churn + queries) over a run, instead of
+//! O(N·d·horizon/T). The runs live in one buffer reused across cells, not
+//! per cell.
 //!
 //! # Equivalence to the eager estimator
 //!
@@ -57,13 +69,25 @@ pub fn tick_time(k: u64, period: f64) -> f64 {
     k as f64 * period
 }
 
-/// Smallest `k ≥ 0` with `k·period ≥ t`.
+/// The most probe ticks a horizon may hold. Tick indices then stay far
+/// from `u64` overflow in the tick helpers, and a tick-by-tick walk over
+/// the horizon stays finite.
+const MAX_PROBE_TICKS: u64 = 1 << 32;
+
+/// Whether probing every `period` puts at most 2³² ticks before `horizon`
+/// (false for a NaN ratio).
+#[must_use]
+pub fn probe_ticks_fit(period: f64, horizon: f64) -> bool {
+    horizon / period <= MAX_PROBE_TICKS as f64
+}
+
+/// Smallest `k ≥ 0` with `k·period ≥ t` (saturating at `u64::MAX`).
 fn first_tick_at_or_after(t: f64, period: f64) -> u64 {
     if t <= 0.0 {
         return 0;
     }
     let mut k = (t / period) as u64;
-    while tick_time(k, period) < t {
+    while k < u64::MAX && tick_time(k, period) < t {
         k += 1;
     }
     while k > 0 && tick_time(k - 1, period) >= t {
@@ -72,135 +96,204 @@ fn first_tick_at_or_after(t: f64, period: f64) -> u64 {
     k
 }
 
-/// Largest `k ≥ 0` with `k·period < t` (`None` if `t ≤ 0`).
+/// Largest `k ≥ 0` with `k·period < t` (`None` if `t ≤ 0`; saturating at
+/// `u64::MAX`).
 fn last_tick_before(t: f64, period: f64) -> Option<u64> {
     if t <= 0.0 {
         return None;
     }
-    let mut k = (t / period).ceil() as u64 + 1;
+    let mut k = ((t / period).ceil() as u64).saturating_add(1);
     while k > 0 && tick_time(k, period) >= t {
         k -= 1;
     }
-    while tick_time(k + 1, period) < t {
+    while k < u64::MAX && tick_time(k + 1, period) < t {
         k += 1;
     }
     (tick_time(k, period) < t).then_some(k)
 }
 
-/// Largest `k ≥ 0` with `k·period ≤ t` (0 if `t < 0`).
+/// Largest `k ≥ 0` with `k·period ≤ t` (0 if `t < 0`; saturating at
+/// `u64::MAX`).
 fn last_tick_at_or_before(t: f64, period: f64) -> u64 {
     if t < 0.0 {
         return 0;
     }
-    let mut k = (t / period).ceil() as u64 + 1;
+    let mut k = ((t / period).ceil() as u64).saturating_add(1);
     while k > 0 && tick_time(k, period) > t {
         k -= 1;
     }
-    while tick_time(k + 1, period) <= t {
+    while k < u64::MAX && tick_time(k + 1, period) <= t {
         k += 1;
     }
     k
 }
 
-/// Ticks `k` with `start ≤ k·period < end` — i.e. the ticks at which a node
-/// with session `[start, end)` is up, matching `NodeSchedule::is_up`
-/// exactly — intersected with `(after, upto]`. Inclusive range, or `None`
-/// if empty.
-fn session_tick_range(
-    start: f64,
-    end: f64,
+/// The probe ticks `(after, upto]`, with the times of both bounds.
+#[derive(Debug, Clone, Copy)]
+struct TickWindow {
     period: f64,
     after: u64,
     upto: u64,
-) -> Option<(u64, u64)> {
-    let lo = first_tick_at_or_after(start, period).max(after + 1);
-    let hi = last_tick_before(end, period)?.min(upto);
-    (lo <= hi).then_some((lo, hi))
+    after_time: f64,
+    upto_time: f64,
 }
 
-/// Index of the first session that can still contain a tick `> after`.
-/// Sessions are sorted and disjoint, so ends are increasing; a session
-/// ending at or before `after·T` cannot contain any tick `k·T` with
-/// `k > after` (its ticks satisfy `k·T < e ≤ after·T`).
-fn first_live_session(sessions: &[(f64, f64)], period: f64, after: u64) -> usize {
-    let frontier = tick_time(after, period);
-    sessions.partition_point(|&(_, e)| e <= frontier)
-}
-
-/// Number of ticks in `(after, upto]` at which `sessions` is up.
-fn count_up_ticks(sessions: &[(f64, f64)], period: f64, after: u64, upto: u64) -> u64 {
-    let upto_time = tick_time(upto, period);
-    let mut n = 0;
-    for &(s, e) in &sessions[first_live_session(sessions, period, after)..] {
-        if s > upto_time {
-            // Starts are sorted: no later session can contain a tick ≤ upto.
-            break;
-        }
-        if let Some((lo, hi)) = session_tick_range(s, e, period, after, upto) {
-            n += hi - lo + 1;
+impl TickWindow {
+    fn new(period: f64, after: u64, upto: u64) -> Self {
+        TickWindow {
+            period,
+            after,
+            upto,
+            after_time: tick_time(after, period),
+            upto_time: tick_time(upto, period),
         }
     }
-    n
-}
 
-/// The `p`-th (1-indexed) up tick of `sessions` in `(after, upto]`.
-fn up_tick_at_position(
-    sessions: &[(f64, f64)],
-    period: f64,
-    after: u64,
-    upto: u64,
-    p: u64,
-) -> Option<u64> {
-    debug_assert!(p >= 1);
-    let upto_time = tick_time(upto, period);
-    let mut remaining = p;
-    for &(s, e) in &sessions[first_live_session(sessions, period, after)..] {
-        if s > upto_time {
-            break;
-        }
-        if let Some((lo, hi)) = session_tick_range(s, e, period, after, upto) {
-            let c = hi - lo + 1;
-            if remaining <= c {
-                return Some(lo + remaining - 1);
-            }
-            remaining -= c;
-        }
-    }
-    None
-}
-
-/// Visits every maximal run of ticks in `(after, upto]` at which *both*
-/// schedules are up, as inclusive tick ranges in increasing order.
-fn for_each_joint_range(
-    own: &[(f64, f64)],
-    nbr: &[(f64, f64)],
-    period: f64,
-    after: u64,
-    upto: u64,
-    mut f: impl FnMut(u64, u64),
-) {
-    let upto_time = tick_time(upto, period);
-    let mut i = first_live_session(own, period, after);
-    let mut j = first_live_session(nbr, period, after);
-    while i < own.len() && j < nbr.len() {
-        let (s1, e1) = own[i];
-        let (s2, e2) = nbr[j];
-        let lo_t = s1.max(s2);
-        let hi_t = e1.min(e2);
-        if lo_t > upto_time {
-            // Starts are sorted, so max(s1, s2) only grows from here: no
-            // later pair can intersect at a tick ≤ upto.
-            break;
-        }
-        if lo_t < hi_t {
-            if let Some((lo, hi)) = session_tick_range(lo_t, hi_t, period, after, upto) {
-                f(lo, hi);
-            }
-        }
-        if e1 <= e2 {
-            i += 1;
+    /// Ticks `k` of the window with `start ≤ k·period < end` — i.e. the
+    /// ticks at which a node with session `[start, end)` is up, matching
+    /// `NodeSchedule::is_up` exactly. Inclusive range, or `None` if empty.
+    /// The one conversion from session time to tick space; a bound outside
+    /// the window costs no division.
+    fn session_tick_range(&self, start: f64, end: f64) -> Option<(u64, u64)> {
+        let lo = if start <= self.after_time {
+            self.after + 1
         } else {
-            j += 1;
+            first_tick_at_or_after(start, self.period)
+        };
+        let hi = if end > self.upto_time {
+            self.upto
+        } else {
+            last_tick_before(end, self.period)?
+        };
+        (lo <= hi).then_some((lo, hi))
+    }
+
+    /// The sessions that can have a tick in the window: they start at or
+    /// before `upto·T` and end after `after·T`. Sessions are sorted and
+    /// disjoint, so ends are increasing; a session ending at or before
+    /// `after·T` has no tick `k·T` with `k > after` (its ticks satisfy
+    /// `k·T < e ≤ after·T`).
+    fn live<'a>(&self, sessions: &'a [(f64, f64)]) -> &'a [(f64, f64)] {
+        let from = sessions.partition_point(|&(_, e)| e <= self.after_time);
+        let to = from + sessions[from..].partition_point(|&(s, _)| s <= self.upto_time);
+        &sessions[from..to]
+    }
+}
+
+/// The ticks `lo..=hi`, all up, preceded by `before` up ticks of the
+/// window they were counted in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TickRun {
+    lo: u64,
+    hi: u64,
+    before: u64,
+}
+
+impl TickRun {
+    /// Up ticks of the window through `hi`.
+    fn through(&self) -> u64 {
+        self.before + (self.hi - self.lo + 1)
+    }
+}
+
+/// The owner's up ticks in a window `(base, upto]`, one run per session
+/// that has any, built once per catch-up. The window's `p`-th up tick has
+/// position `p`, so counts over any `(after, x]` with `after ≥ base` are
+/// prefix differences, and both counts and positions are binary searches.
+#[derive(Debug, Clone, Default)]
+struct OwnerTicks {
+    runs: Vec<TickRun>,
+    /// The window `(base, upto]` the runs were built over, if built.
+    window: Option<(u64, u64)>,
+}
+
+impl OwnerTicks {
+    /// Forgets the runs; the next [`OwnerTicks::get`] rebuilds them.
+    fn clear(&mut self) {
+        self.window = None;
+    }
+
+    /// The runs of `sessions` over `(after, upto]`, built on first use
+    /// since the last [`OwnerTicks::clear`]. Later calls of the same
+    /// catch-up may ask for a later `after` and must ask for the same
+    /// `upto`: they reuse the runs.
+    fn get(&mut self, sessions: &[(f64, f64)], period: f64, after: u64, upto: u64) -> &Self {
+        if self.window.is_none() {
+            self.runs.clear();
+            let window = TickWindow::new(period, after, upto);
+            let mut n = 0;
+            for &(s, e) in window.live(sessions) {
+                if let Some((lo, hi)) = window.session_tick_range(s, e) {
+                    self.runs.push(TickRun { lo, hi, before: n });
+                    n += hi - lo + 1;
+                }
+            }
+            self.window = Some((after, upto));
+        }
+        debug_assert!(
+            self.window
+                .is_some_and(|(base, end)| after >= base && upto == end),
+            "window moved"
+        );
+        self
+    }
+
+    /// Up ticks in `(base, x]`, for `x ≥ base`.
+    fn through(&self, x: u64) -> u64 {
+        match self.runs.partition_point(|r| r.lo <= x) {
+            0 => 0,
+            i => {
+                let r = &self.runs[i - 1];
+                r.before + (x.min(r.hi) - r.lo + 1)
+            }
+        }
+    }
+
+    /// The up tick at position `p ≥ 1`, or `None` past the window.
+    fn at(&self, p: u64) -> Option<u64> {
+        let r = self
+            .runs
+            .get(self.runs.partition_point(|r| r.through() < p))?;
+        Some(r.lo + (p - r.before - 1))
+    }
+
+    /// Calls `f` on each run of ticks in `(after, upto]` at which both the
+    /// owner and a neighbor with sessions `nbr` are up, in increasing
+    /// order, each with the owner's up ticks before it, until `f` returns
+    /// `false`. Walks `nbr` once, converting each session on the fly, and
+    /// merges it with the owner runs. A tick lies in both sessions exactly
+    /// when it lies in both tick sets, so the runs are those of the
+    /// session intersections.
+    fn for_each_joint(
+        &self,
+        nbr: &[(f64, f64)],
+        period: f64,
+        after: u64,
+        upto: u64,
+        mut f: impl FnMut(TickRun) -> bool,
+    ) {
+        debug_assert!(self
+            .window
+            .is_some_and(|(base, end)| after >= base && upto <= end));
+        let window = TickWindow::new(period, after, upto);
+        let mut own = &self.runs[..];
+        for &(s, e) in window.live(nbr) {
+            let Some((lo, hi)) = window.session_tick_range(s, e) else {
+                continue;
+            };
+            // Runs ending before this session cannot meet a later one.
+            own = &own[own.partition_point(|r| r.hi < lo)..];
+            for run in own.iter().take_while(|r| r.lo <= hi) {
+                let lo = lo.max(run.lo);
+                let joint = TickRun {
+                    lo,
+                    hi: hi.min(run.hi),
+                    before: run.before + (lo - run.lo),
+                };
+                if !f(joint) {
+                    return;
+                }
+            }
         }
     }
 }
@@ -241,9 +334,9 @@ struct ProbeCell {
 }
 
 /// Below this many ticks, catching up by replaying the probe rounds
-/// directly is cheaper than the closed-form interval arithmetic (whose
-/// per-slot session-range scans have a fixed cost worth paying only for
-/// long idle gaps).
+/// directly is cheaper than the closed form, whose owner runs and
+/// per-slot neighbor walks have a fixed cost worth paying only for long
+/// idle gaps.
 const REPLAY_WINDOW: u64 = 8;
 
 /// Derives (or re-stamps) the schedules a sync of `cell` reads: the
@@ -257,8 +350,9 @@ fn touch_cell_nodes(cell: &ProbeCell, nodes: &mut NodeCache, tick: u64) {
 
 /// Applies all probe rounds in ticks `(synced_tick, to]` to the cell in
 /// closed form. Must not cross a replacement-due tick (callers segment at
-/// those via [`next_due_tick`]), and the cell's nodes must be touched.
-fn advance(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &NodeCache, to: u64) {
+/// those via [`next_due_tick`]), the cell's nodes must be touched, and
+/// `own` must be cleared or hold this catch-up's owner runs.
+fn advance(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &NodeCache, own: &mut OwnerTicks, to: u64) {
     let after = cell.synced_tick;
     if to <= after {
         return;
@@ -277,32 +371,38 @@ fn advance(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &NodeCache, to: u64) {
         cell.synced_tick = to;
         return;
     }
-    let own = nodes.schedule(cell.est.owner).sessions();
-    let new_rounds = count_up_ticks(own, ctx.period, after, to);
+    // With replacement on, the due-tick searches of the same catch-up read
+    // the runs up to the horizon.
+    let end = ctx.threshold.map_or(to, |_| ctx.max_tick);
+    let own = own.get(
+        nodes.schedule(cell.est.owner).sessions(),
+        ctx.period,
+        after,
+        end,
+    );
+    let at_after = own.through(after);
+    let new_rounds = own.through(to) - at_after;
     if new_rounds > 0 {
         for i in 0..cell.est.neighbors.len() {
             let nbr = nodes.schedule(cell.est.neighbors[i]).sessions();
             let mut live = 0u64;
             let mut first = None;
-            let mut last = 0u64;
-            for_each_joint_range(own, nbr, ctx.period, after, to, |lo, hi| {
-                live += hi - lo + 1;
-                if first.is_none() {
-                    first = Some(lo);
-                }
-                last = hi;
+            let mut last = None;
+            own.for_each_joint(nbr, ctx.period, after, to, |r| {
+                live += r.hi - r.lo + 1;
+                first.get_or_insert(r);
+                last = Some(r);
+                true
             });
-            if live == 0 {
+            let (Some(first), Some(last)) = (first, last) else {
                 continue;
-            }
+            };
             // Owner round numbers at the first/last joint tick.
-            let r_last = cell.est.rounds + count_up_ticks(own, ctx.period, after, last);
-            cell.est.last_alive_round[i] = r_last;
+            cell.est.last_alive_round[i] = cell.est.rounds + (last.through() - at_after);
             if cell.est.ever_seen[i] {
                 cell.est.live_rounds[i] += live;
             } else {
-                let first = first.expect("live > 0 implies a first joint tick");
-                let r_first = cell.est.rounds + count_up_ticks(own, ctx.period, after, first);
+                let r_first = cell.est.rounds + (first.before + 1 - at_after);
                 cell.est.ever_seen[i] = true;
                 cell.est.init_time[i] = crate::probe::init_session_draw(
                     &ctx.streams,
@@ -319,70 +419,57 @@ fn advance(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &NodeCache, to: u64) {
     cell.synced_tick = to;
 }
 
-/// First tick in `(synced_tick, upper]` at which slot `i` will be
+/// First tick in `(synced_tick, max_tick]` at which slot `i` will be
 /// replacement-due: the owner is up, and after probing, the slot's silence
 /// `rounds − last_alive_round` reaches `thr`. `None` if no such tick.
+/// `own` holds the owner runs up to `max_tick`.
 fn slot_due(
     est: &ProbeEstimator,
     synced_tick: u64,
     ctx: &LazyCtx,
     nodes: &NodeCache,
+    own: &OwnerTicks,
     i: usize,
     thr: u64,
-    upper: u64,
 ) -> Option<u64> {
     debug_assert!(thr >= 1, "lazy maintenance needs threshold >= 1");
     let after = synced_tick;
-    let own = nodes.schedule(est.owner).sessions();
     let nbr = nodes.schedule(est.neighbors[i]).sessions();
     let gap0 = est.rounds - est.last_alive_round[i];
+    let at_after = own.through(after);
     // The slot falls due at the `due_pos`-th owner-up tick after the sync
     // frontier, unless a joint-live tick resets the silence gap first. A
     // tick that is itself joint-live is never due (the probe runs before
-    // maintenance and clears the gap). The two-pointer walk below visits
-    // the joint-live ranges in increasing order (the same order
-    // [`for_each_joint_range`] produces) and stops at the first range
-    // starting after the candidate due position, so a near due tick never
-    // pays for the schedule's full tail.
+    // maintenance and clears the gap). The joint runs come in increasing
+    // order, so the walk stops at the first one starting after the
+    // candidate due position, and a near due tick never pays for the
+    // neighbor schedule's full tail.
     let mut due_pos = if gap0 >= thr { 1 } else { thr - gap0 };
-    let upper_time = tick_time(upper, ctx.period);
-    let mut oi = first_live_session(own, ctx.period, after);
-    let mut ni = first_live_session(nbr, ctx.period, after);
-    while oi < own.len() && ni < nbr.len() {
-        let (s1, e1) = own[oi];
-        let (s2, e2) = nbr[ni];
-        let lo_t = s1.max(s2);
-        let hi_t = e1.min(e2);
-        if lo_t > upper_time {
-            break;
+    own.for_each_joint(nbr, ctx.period, after, ctx.max_tick, |r| {
+        // Ticks lo..=hi are consecutive owner-up ticks (they lie inside
+        // one owner run), all joint-live.
+        let p_start = r.before + 1 - at_after;
+        if due_pos < p_start {
+            return false;
         }
-        if lo_t < hi_t {
-            if let Some((lo, hi)) = session_tick_range(lo_t, hi_t, ctx.period, after, upper) {
-                // Ticks lo..=hi are consecutive owner-up ticks (they lie
-                // inside one owner session), all joint-live.
-                let p_start = count_up_ticks(own, ctx.period, after, lo);
-                let p_end = p_start + (hi - lo);
-                if due_pos < p_start {
-                    return up_tick_at_position(own, ctx.period, after, upper, due_pos);
-                }
-                due_pos = p_end + thr;
-            }
-        }
-        if e1 <= e2 {
-            oi += 1;
-        } else {
-            ni += 1;
-        }
-    }
-    up_tick_at_position(own, ctx.period, after, upper, due_pos)
+        due_pos = (r.through() - at_after).saturating_add(thr);
+        true
+    });
+    own.at(at_after.saturating_add(due_pos))
 }
 
 /// Earliest replacement-due tick over all slots strictly after the sync
 /// frontier, up to the horizon. Served from the cell's per-slot due cache;
 /// only the slots the last maintenance replaced are recomputed, so each
 /// step of [`sync_cell_slow`]'s advance/maintain loop costs a `min` over
-/// ≤ degree cached values plus one closed-form scan per replaced slot.
-fn next_due_tick(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &NodeCache, thr: u64) -> Option<u64> {
+/// ≤ degree cached values plus one neighbor walk per replaced slot.
+fn next_due_tick(
+    cell: &mut ProbeCell,
+    ctx: &LazyCtx,
+    nodes: &NodeCache,
+    own: &mut OwnerTicks,
+    thr: u64,
+) -> Option<u64> {
     let ProbeCell {
         est,
         synced_tick,
@@ -392,7 +479,9 @@ fn next_due_tick(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &NodeCache, thr: u6
     let mut min = DUE_NEVER;
     for (i, slot) in due_cache.iter_mut().enumerate() {
         if *slot == DUE_UNKNOWN {
-            *slot = slot_due(est, *synced_tick, ctx, nodes, i, thr, ctx.max_tick)
+            let sessions = nodes.schedule(est.owner).sessions();
+            let own = own.get(sessions, ctx.period, *synced_tick, ctx.max_tick);
+            *slot = slot_due(est, *synced_tick, ctx, nodes, own, i, thr)
                 .map_or(DUE_NEVER, |k| k.min(DUE_NEVER - 1));
         }
         min = min.min(*slot);
@@ -403,24 +492,39 @@ fn next_due_tick(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &NodeCache, thr: u6
 /// Syncs the cell through tick `target`, replaying maintenance at exactly
 /// the due ticks in between. The common case — the cell is already at the
 /// target, because reads cluster at one simulation time — stays inline;
-/// actual catch-up is the out-of-line slow path.
+/// actual catch-up is the out-of-line slow path. `own` is scratch space
+/// for the owner runs, reused across cells.
 #[inline]
-fn sync_cell(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &mut NodeCache, target: u64) {
+fn sync_cell(
+    cell: &mut ProbeCell,
+    ctx: &LazyCtx,
+    nodes: &mut NodeCache,
+    own: &mut OwnerTicks,
+    target: u64,
+) {
     if cell.synced_tick < target {
-        sync_cell_slow(cell, ctx, nodes, target);
+        sync_cell_slow(cell, ctx, nodes, own, target);
     }
 }
 
-fn sync_cell_slow(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &mut NodeCache, target: u64) {
+fn sync_cell_slow(
+    cell: &mut ProbeCell,
+    ctx: &LazyCtx,
+    nodes: &mut NodeCache,
+    own: &mut OwnerTicks,
+    target: u64,
+) {
     touch_cell_nodes(cell, nodes, target);
+    // The owner runs are built at most once per catch-up, on first use.
+    own.clear();
     let Some(thr) = ctx.threshold else {
-        advance(cell, ctx, nodes, target);
+        advance(cell, ctx, nodes, own, target);
         return;
     };
     while cell.synced_tick < target {
-        match next_due_tick(cell, ctx, nodes, thr) {
+        match next_due_tick(cell, ctx, nodes, own, thr) {
             Some(k) if k <= target => {
-                advance(cell, ctx, nodes, k);
+                advance(cell, ctx, nodes, own, k);
                 cell.est.maintain_seeded(&ctx.streams, thr, ctx.n_nodes);
                 // Maintenance touched exactly the slots whose silence
                 // reached the threshold, i.e. those due at `k`; their
@@ -436,7 +540,7 @@ fn sync_cell_slow(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &mut NodeCache, ta
             }
             // Next due tick beyond the target (or never): plain advance,
             // cached dues stay valid for the next sync or query.
-            _ => advance(cell, ctx, nodes, target),
+            _ => advance(cell, ctx, nodes, own, target),
         }
     }
 }
@@ -469,24 +573,20 @@ pub fn cell_footprint(degree: usize) -> usize {
     std::mem::size_of::<ProbeCell>() + degree * (5 * std::mem::size_of::<u64>() + 1)
 }
 
-/// One store entry: the cell plus the tick it was last touched at (the
-/// eviction clock).
-#[derive(Debug, Clone)]
-struct SparseCell {
-    cell: ProbeCell,
-    last_touch: u64,
-}
-
 /// The cell store: cells exist only for touched nodes and can be dropped
 /// again — the analytic schedule plus the position-keyed streams *are* the
 /// compact summary, so a re-touch reconstructs the exact state the cell
 /// would have held had it never been evicted.
 #[derive(Debug, Clone)]
 struct SparseCells {
-    map: HashMap<usize, SparseCell, Mix64State>,
+    /// Each cell's synced tick doubles as its eviction clock: every read
+    /// syncs the cell to the tick it reads at.
+    map: HashMap<usize, ProbeCell, Mix64State>,
     /// The derived schedules the cells read, over the source of the
     /// initial neighbor sets every (re-)materialization starts from.
     nodes: NodeCache,
+    /// Scratch owner runs of the cell being caught up.
+    own: OwnerTicks,
     stats: Residency,
 }
 
@@ -503,8 +603,13 @@ impl SparseCells {
         target: u64,
         ctx: &LazyCtx,
     ) -> (&mut ProbeCell, &mut NodeCache) {
-        let SparseCells { map, nodes, stats } = self;
-        let sc = map.entry(s.index()).or_insert_with(|| {
+        let SparseCells {
+            map,
+            nodes,
+            own,
+            stats,
+        } = self;
+        let cell = map.entry(s.index()).or_insert_with(|| {
             // The cell's estimator keeps the node's current neighbor set,
             // so the initial one is derived straight into it, not cached.
             let nbrs = nodes.source().neighbors(s);
@@ -512,26 +617,21 @@ impl SparseCells {
             stats.peak = stats.peak.max(stats.materialized);
             stats.bytes += cell_footprint(nbrs.len());
             stats.peak_bytes = stats.peak_bytes.max(stats.bytes);
-            SparseCell {
-                cell: ProbeCell {
-                    est: ProbeEstimator::new(s, ctx.period, nbrs),
-                    synced_tick: 0,
-                    due_cache: Vec::new(),
-                },
-                last_touch: target,
+            ProbeCell {
+                est: ProbeEstimator::new(s, ctx.period, nbrs),
+                synced_tick: 0,
+                due_cache: Vec::new(),
             }
         });
-        sc.last_touch = sc.last_touch.max(target);
-        sync_cell(&mut sc.cell, ctx, nodes, target);
-        (&mut sc.cell, nodes)
+        sync_cell(cell, ctx, nodes, own, target);
+        (cell, nodes)
     }
 }
 
 /// Lazily-synced probe state for every node in the system.
 ///
 /// Reads (`availability`, `live_neighbors_into`, …) sync the queried node's cell
-/// on demand through interior mutability; [`LazyProbeSet::sync_all`] bulk-
-/// syncs every resident cell.
+/// on demand through interior mutability.
 ///
 /// A cell is allocated the first time its node is touched and can be
 /// evicted again when idle ([`LazyProbeSet::evict_idle`]). Because a
@@ -571,6 +671,10 @@ impl LazyProbeSet {
         streams: StreamFactory,
     ) -> Self {
         assert!(period > 0.0, "probing period must be positive");
+        assert!(
+            probe_ticks_fit(period, horizon),
+            "probing period puts more than 2^32 ticks in the horizon"
+        );
         if let Some(t) = threshold {
             assert!(t >= 1, "replacement threshold must be >= 1");
         }
@@ -585,6 +689,7 @@ impl LazyProbeSet {
             cells: RefCell::new(SparseCells {
                 map: HashMap::default(),
                 nodes: NodeCache::new(nodes),
+                own: OwnerTicks::default(),
                 stats: Residency::default(),
             }),
             tick_memo: std::cell::Cell::new((f64::NEG_INFINITY, 0)),
@@ -617,7 +722,7 @@ impl LazyProbeSet {
 
     /// Syncs node `s`'s cell through `now` and hands it to `f`. This is
     /// the touch point: the cell materializes here if absent, and its
-    /// eviction clock advances to the queried tick.
+    /// synced tick — the eviction clock — advances to the queried tick.
     fn with_cell<R>(&self, s: NodeId, now: f64, f: impl FnOnce(&ProbeCell) -> R) -> R {
         let target = self.target_tick(now);
         f(self.cells.borrow_mut().touch(s, target, &self.ctx))
@@ -690,20 +795,10 @@ impl LazyProbeSet {
         self.with_cell(s, now, |cell| cell.est.clone())
     }
 
-    /// Syncs every *resident* cell through `now` without materializing
-    /// any. Each sync is a pure function of (cell, schedules, target), so
-    /// the result does not depend on the store's iteration order.
-    pub fn sync_all(&mut self, now: f64) {
-        let target = self.target_tick(now);
-        let SparseCells { map, nodes, .. } = self.cells.get_mut();
-        for sc in map.values_mut() {
-            sync_cell(&mut sc.cell, &self.ctx, nodes, target);
-        }
-    }
-
-    /// Evicts cells last touched more than `idle_ticks` probe ticks before
-    /// `now` back to their analytic summary, and the derived schedules last
-    /// read before the same cutoff. Returns the number of cells evicted.
+    /// Evicts cells last read more than `idle_ticks` probe ticks before
+    /// `now` (by their synced tick) back to their analytic summary, and
+    /// the derived schedules last read before the same cutoff. Returns the
+    /// number of cells evicted.
     ///
     /// Eviction is **value-invisible**: which cells and nodes are resident
     /// never affects any query result (a later touch reconstructs the
@@ -712,13 +807,15 @@ impl LazyProbeSet {
     pub fn evict_idle(&self, now: f64, idle_ticks: u64) -> usize {
         let cutoff = self.target_tick(now).saturating_sub(idle_ticks);
         let mut store = self.cells.borrow_mut();
-        let SparseCells { map, nodes, stats } = &mut *store;
+        let SparseCells {
+            map, nodes, stats, ..
+        } = &mut *store;
         nodes.evict_idle(cutoff);
         let before = map.len();
-        map.retain(|_, sc| {
-            let keep = sc.last_touch >= cutoff;
+        map.retain(|_, cell| {
+            let keep = cell.synced_tick >= cutoff;
             if !keep {
-                stats.bytes -= cell_footprint(sc.cell.est.neighbors.len());
+                stats.bytes -= cell_footprint(cell.est.neighbors.len());
             }
             keep
         });
@@ -741,19 +838,19 @@ impl LazyProbeSet {
     }
 
     /// Snapshot export of the cell store: each resident cell's key
-    /// (node, synced tick, last-touch tick) plus the residency stats. A
-    /// cell's estimator is a pure function of its node and synced tick —
-    /// the same fact idle eviction relies on — so
-    /// [`LazyProbeSet::restore_cells`] rebuilds it instead of reading it.
+    /// (node, synced tick) plus the residency stats. A cell's estimator is
+    /// a pure function of its node and synced tick — the same fact idle
+    /// eviction relies on — so [`LazyProbeSet::restore_cells`] rebuilds it
+    /// instead of reading it.
     #[must_use]
     pub fn snapshot_cells(&self) -> ProbeCellsSnapshot {
         let store = self.cells.borrow();
-        let mut cells: Vec<(usize, u64, u64)> = store
+        let mut cells: Vec<(usize, u64)> = store
             .map
             .iter()
-            .map(|(&i, sc)| (i, sc.cell.synced_tick, sc.last_touch))
+            .map(|(&i, cell)| (i, cell.synced_tick))
             .collect();
-        cells.sort_unstable_by_key(|&(i, _, _)| i);
+        cells.sort_unstable_by_key(|&(i, _)| i);
         ProbeCellsSnapshot {
             cells,
             stats: store.stats,
@@ -767,9 +864,9 @@ impl LazyProbeSet {
     ///
     /// Each cell is rebuilt through the materialise-and-sync path a read
     /// takes, so a restored cell costs the same catch-up as re-touching
-    /// it after eviction; its last-touch tick is then installed. The
-    /// residency stats are installed only if they agree with the rebuilt
-    /// cells. On `Err` the probe set is untouched. Never panics.
+    /// it after eviction. The residency stats are installed only if they
+    /// agree with the rebuilt cells. On `Err` the probe set is untouched.
+    /// Never panics.
     ///
     /// # Errors
     ///
@@ -780,7 +877,7 @@ impl LazyProbeSet {
         let ProbeCellsSnapshot { cells, stats } = snap;
         let ctx = &self.ctx;
         let mut prev: Option<usize> = None;
-        for &(node, synced_tick, last_touch) in &cells {
+        for &(node, synced_tick) in &cells {
             if node >= ctx.n_nodes {
                 return Err("probe cell node out of range");
             }
@@ -788,7 +885,7 @@ impl LazyProbeSet {
                 return Err("probe cells not strictly sorted");
             }
             prev = Some(node);
-            if synced_tick > ctx.max_tick || last_touch > ctx.max_tick {
+            if synced_tick > ctx.max_tick {
                 return Err("probe cell tick beyond horizon");
             }
         }
@@ -796,13 +893,11 @@ impl LazyProbeSet {
         let mut rebuilt = SparseCells {
             map: HashMap::default(),
             nodes: NodeCache::new(store.nodes.source().clone()),
+            own: OwnerTicks::default(),
             stats: Residency::default(),
         };
-        for &(node, synced_tick, last_touch) in &cells {
+        for &(node, synced_tick) in &cells {
             rebuilt.touch(NodeId(node), synced_tick, ctx);
-            if let Some(sc) = rebuilt.map.get_mut(&node) {
-                sc.last_touch = last_touch;
-            }
         }
         let have = rebuilt.stats;
         if stats.materialized != have.materialized
@@ -823,9 +918,8 @@ impl LazyProbeSet {
 /// state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeCellsSnapshot {
-    /// `(node index, synced tick, last-touch tick)`, strictly sorted by
-    /// node index.
-    pub cells: Vec<(usize, u64, u64)>,
+    /// `(node index, synced tick)`, strictly sorted by node index.
+    pub cells: Vec<(usize, u64)>,
     /// The residency statistics at snapshot time (peaks and eviction
     /// counts are part of the reported run result, so they must survive a
     /// resume).
@@ -835,6 +929,9 @@ pub struct ProbeCellsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use idpa_desim::rng::Xoshiro256StarStar;
+    use rand::RngExt;
 
     use crate::topology::Topology;
 
@@ -856,14 +953,21 @@ mod tests {
         )
     }
 
+    /// Owner runs of `sched` over `(after, upto]`.
+    fn owner_ticks(sched: &NodeSchedule, period: f64, after: u64, upto: u64) -> OwnerTicks {
+        let mut own = OwnerTicks::default();
+        own.get(sched.sessions(), period, after, upto);
+        own
+    }
+
     #[test]
     fn tick_helpers_agree_with_is_up_semantics() {
-        use idpa_desim::SimTime;
         let sched = NodeSchedule::from_sessions(vec![(2.5, 10.0), (12.0, 13.0)]);
         let period = 2.5;
+        let own = owner_ticks(&sched, period, 0, 8);
         for k in 1..8u64 {
             let t = tick_time(k, period);
-            let counted = count_up_ticks(sched.sessions(), period, k - 1, k) == 1;
+            let counted = own.through(k) - own.through(k - 1) == 1;
             assert_eq!(sched.is_up(SimTime::new(t)), counted, "tick {k} at t={t}");
         }
     }
@@ -873,9 +977,126 @@ mod tests {
         // A session starting exactly on a tick includes it; one ending
         // exactly on a tick excludes it ([start, end) semantics).
         let period = 5.0;
-        let sessions = [(5.0, 20.0)];
-        assert_eq!(session_tick_range(5.0, 20.0, period, 0, 100), Some((1, 3)));
-        assert_eq!(count_up_ticks(&sessions, period, 0, 100), 3);
+        let sched = NodeSchedule::from_sessions(vec![(5.0, 20.0)]);
+        let window = TickWindow::new(period, 0, 100);
+        assert_eq!(window.session_tick_range(5.0, 20.0), Some((1, 3)));
+        assert_eq!(window.session_tick_range(4.0, 20.5), Some((1, 4)));
+        // Bounds outside the window clip to it.
+        let window = TickWindow::new(period, 2, 3);
+        assert_eq!(window.session_tick_range(0.0, 100.0), Some((3, 3)));
+        assert_eq!(window.session_tick_range(0.0, 15.0), None);
+        assert_eq!(owner_ticks(&sched, period, 0, 100).through(100), 3);
+    }
+
+    /// The up ticks of `sched` in `(after, upto]`, one `is_up` call a tick.
+    fn up_ticks(sched: &NodeSchedule, period: f64, after: u64, upto: u64) -> Vec<u64> {
+        ((after + 1)..=upto)
+            .filter(|&k| sched.is_up(SimTime::new(tick_time(k, period))))
+            .collect()
+    }
+
+    /// A random schedule over `[0, horizon)` whose session bounds often sit
+    /// exactly on a tick, and whose sessions sometimes touch.
+    fn random_schedule(rng: &mut Xoshiro256StarStar, period: f64, horizon: f64) -> NodeSchedule {
+        // The next session bound at or after `t`: one of the next few
+        // ticks (possibly `t` itself), or an arbitrary time.
+        let next = |rng: &mut Xoshiro256StarStar, t: f64| match rng.random_range(0..2u32) {
+            0 => tick_time(
+                first_tick_at_or_after(t, period) + rng.random_range(0..3u64),
+                period,
+            ),
+            _ => t + rng.random_range(0.01..4.0 * period),
+        };
+        let mut sessions = Vec::new();
+        let mut t = 0.0;
+        loop {
+            let start = next(rng, t);
+            let end = next(rng, start + period / 8.0);
+            if end >= horizon {
+                break;
+            }
+            sessions.push((start, end));
+            t = end;
+        }
+        NodeSchedule::from_sessions(sessions)
+    }
+
+    /// Seeded oracle: the owner runs' counts and positions, and the joint
+    /// runs with a neighbor, equal a per-tick `is_up` walk, also for
+    /// windows whose `after` lies past the build base and for empty ones.
+    #[test]
+    fn tick_runs_match_a_per_tick_walk() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(2525);
+        let (mut joint_seen, mut empty_seen) = (0, 0);
+        for case in 0..300 {
+            let period = [1.0, 2.5, 0.7, 5.0][case % 4];
+            let horizon = tick_time(rng.random_range(2..60u64), period) + 0.3;
+            let max_tick = last_tick_before(horizon, period).unwrap_or(0);
+            let owner = random_schedule(&mut rng, period, horizon);
+            let nbr = random_schedule(&mut rng, period, horizon);
+            let base = rng.random_range(0..=max_tick);
+            let upto = rng.random_range(base..=max_tick);
+            let own = owner_ticks(&owner, period, base, upto);
+            let ups = up_ticks(&owner, period, base, upto);
+            for after in base..=upto {
+                let at_after = own.through(after);
+                assert_eq!(
+                    at_after as usize,
+                    ups.iter().filter(|&&k| k <= after).count(),
+                    "case {case}: ups in ({base}, {after}]"
+                );
+                for x in after..=upto {
+                    let want = ups.iter().filter(|&&k| k > after && k <= x).count();
+                    assert_eq!((own.through(x) - at_after) as usize, want, "case {case}");
+                }
+                let later: Vec<u64> = ups.iter().copied().filter(|&k| k > after).collect();
+                for p in 1..=later.len() as u64 + 2 {
+                    assert_eq!(
+                        own.at(at_after + p),
+                        later.get(p as usize - 1).copied(),
+                        "case {case}: position {p} after {after}"
+                    );
+                }
+                for to in after..=upto {
+                    let both: Vec<u64> = up_ticks(&nbr, period, after, to)
+                        .into_iter()
+                        .filter(|&k| owner.is_up(SimTime::new(tick_time(k, period))))
+                        .collect();
+                    let mut runs = Vec::new();
+                    own.for_each_joint(nbr.sessions(), period, after, to, |r| {
+                        runs.push(r);
+                        true
+                    });
+                    let walked: Vec<u64> = runs.iter().flat_map(|r| r.lo..=r.hi).collect();
+                    assert_eq!(walked, both, "case {case}: joint ticks in ({after}, {to}]");
+                    for r in &runs {
+                        assert_eq!(own.through(r.lo), r.before + 1, "case {case}: run {r:?}");
+                        assert_eq!(own.through(r.hi), r.through(), "case {case}: run {r:?}");
+                    }
+                    joint_seen += runs.len();
+                    empty_seen += usize::from(to == after);
+                }
+            }
+        }
+        assert!(
+            joint_seen > 1000 && empty_seen > 0,
+            "{joint_seen} {empty_seen}"
+        );
+    }
+
+    #[test]
+    fn probe_tick_bound_rejects_tiny_periods() {
+        assert!(probe_ticks_fit(0.5, 14.0 * 1440.0));
+        assert!(probe_ticks_fit(f64::INFINITY, 1440.0));
+        assert!(probe_ticks_fit(1e-9, 1.0));
+        assert!(!probe_ticks_fit(1e-300, 1440.0));
+        assert!(!probe_ticks_fit(
+            1440.0 / (MAX_PROBE_TICKS as f64 * 2.0),
+            1440.0
+        ));
+        // The helpers saturate instead of wrapping.
+        assert_eq!(last_tick_before(1440.0, 1e-300), Some(u64::MAX));
+        assert_eq!(first_tick_at_or_after(1440.0, 1e-300), u64::MAX);
     }
 
     #[test]
@@ -1022,32 +1243,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_all_only_syncs_residents() {
-        let streams = StreamFactory::new(7);
-        let (schedules, neighbors) = staggered_world(8);
-        let mut set = probe_set(
-            1.0,
-            100.0,
-            schedules.clone(),
-            neighbors.clone(),
-            None,
-            streams.clone(),
-        );
-        let _ = set.availability(NodeId(2), NodeId(3), 20.0);
-        set.sync_all(80.0);
-        assert_eq!(
-            set.residency().materialized,
-            1,
-            "sync_all must not materialize"
-        );
-        let fresh = probe_set(1.0, 100.0, schedules, neighbors, None, streams);
-        assert_eq!(
-            fresh.estimator(NodeId(2), 80.0),
-            set.estimator(NodeId(2), 80.0)
-        );
-    }
-
-    #[test]
     fn replacement_lands_at_threshold_tick() {
         let streams = StreamFactory::new(40);
         // Owner always up; the only neighbor is never up, so it falls due
@@ -1092,6 +1287,7 @@ mod tests {
             schedules.clone(),
             Topology::from_lists(neighbors.clone()),
         ));
+        let mut own = OwnerTicks::default();
         let mut replacements = 0;
         for (i, nbrs) in neighbors.into_iter().enumerate() {
             let mut eager = ProbeEstimator::new(NodeId(i), ctx.period, nbrs.clone());
@@ -1101,7 +1297,7 @@ mod tests {
                 due_cache: Vec::new(),
             };
             let mut jump = fresh();
-            sync_cell(&mut jump, ctx, &mut nodes, k_end);
+            sync_cell(&mut jump, ctx, &mut nodes, &mut own, k_end);
             let mut step = fresh();
             for k in 1..=k_end {
                 let t = idpa_desim::SimTime::new(tick_time(k, ctx.period));
@@ -1115,21 +1311,24 @@ mod tests {
                         .filter(|(a, b)| a != b)
                         .count();
                 }
-                sync_cell(&mut step, ctx, &mut nodes, k);
+                sync_cell(&mut step, ctx, &mut nodes, &mut own, k);
                 assert_eq!(step.est, eager, "node {i} at tick {k}");
                 // The due ticks kept across maintenances equal a full
                 // recompute from the current frontier.
                 touch_cell_nodes(&step, &mut nodes, k);
-                next_due_tick(&mut step, ctx, &nodes, thr);
+                own.clear();
+                next_due_tick(&mut step, ctx, &nodes, &mut own, thr);
                 let mut recomputed = step.clone();
                 recomputed.due_cache.fill(DUE_UNKNOWN);
-                next_due_tick(&mut recomputed, ctx, &nodes, thr);
+                own.clear();
+                next_due_tick(&mut recomputed, ctx, &nodes, &mut own, thr);
                 assert_eq!(recomputed, step, "node {i} at tick {k}");
             }
             // One jump over every replacement lands on the same estimator,
             // frontier and cached due ticks.
             touch_cell_nodes(&jump, &mut nodes, k_end);
-            next_due_tick(&mut jump, ctx, &nodes, thr);
+            own.clear();
+            next_due_tick(&mut jump, ctx, &nodes, &mut own, thr);
             assert_eq!(jump, step, "node {i}");
         }
         assert!(replacements > 0, "the fixture must exercise replacements");

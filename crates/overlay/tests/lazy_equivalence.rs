@@ -318,21 +318,23 @@ fn eviction_is_invisible_under_adaptive_fault_response() {
 }
 
 #[test]
-fn lazy_sync_all_matches_per_node_queries() {
+fn lazy_sync_node_matches_per_node_queries() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(777);
     for _ in 0..16 {
         let case = random_case(&mut rng);
         let lazy_query = case.probe_set();
-        let mut lazy_bulk = case.probe_set();
-        // Materialize every cell at t = 0, then catch them all up at once.
+        let lazy_bulk = case.probe_set();
+        // Materialize every cell at t = 0, then catch each up in one sync.
         for i in 0..case.schedules.len() {
             lazy_bulk.sync_node(NodeId(i), 0.0);
         }
-        lazy_bulk.sync_all(case.horizon);
+        for i in 0..case.schedules.len() {
+            lazy_bulk.sync_node(NodeId(i), case.horizon);
+        }
         let synced = lazy_bulk.snapshot_cells().cells;
         assert_eq!(synced.len(), case.schedules.len());
-        for (i, synced_tick, _) in synced {
-            // `sync_all` alone brought the cell to the last tick, so the
+        for (i, synced_tick) in synced {
+            // `sync_node` alone brought the cell to the last tick, so the
             // read below has nothing left to catch up.
             assert_eq!(synced_tick, lazy_bulk.max_tick(), "node={i}");
             assert_eq!(
@@ -345,13 +347,8 @@ fn lazy_sync_all_matches_per_node_queries() {
 }
 
 /// One read step of the restore test: query `nodes` at `t`, then sweep
-/// idle cells. A step that reads three nodes first bulk-syncs the
-/// resident cells, which moves their synced tick past their last-touch
-/// tick.
-fn restore_step(set: &mut LazyProbeSet, t: f64, nodes: &[usize]) -> Vec<ProbeEstimator> {
-    if nodes.len() % 3 == 0 {
-        set.sync_all(t);
-    }
+/// idle cells.
+fn restore_step(set: &LazyProbeSet, t: f64, nodes: &[usize]) -> Vec<ProbeEstimator> {
     let ests = nodes.iter().map(|&i| set.estimator(NodeId(i), t)).collect();
     set.evict_idle(t, 3);
     ests
@@ -379,9 +376,9 @@ fn restored_probe_set_matches_uninterrupted() {
             .collect();
         let (before, after) = steps.split_at(12);
 
-        let mut original = case.probe_set();
+        let original = case.probe_set();
         for (t, picks) in before {
-            restore_step(&mut original, *t, picks);
+            restore_step(&original, *t, picks);
         }
         let snap = original.snapshot_cells();
         let mut restored = case.probe_set();
@@ -390,7 +387,7 @@ fn restored_probe_set_matches_uninterrupted() {
         assert_eq!(restored.residency(), original.residency());
 
         let t_mid = before[before.len() - 1].0;
-        for &(i, _, _) in &snap.cells {
+        for &(i, _) in &snap.cells {
             assert_eq!(
                 restored.estimator(NodeId(i), t_mid),
                 original.estimator(NodeId(i), t_mid),
@@ -399,8 +396,8 @@ fn restored_probe_set_matches_uninterrupted() {
         }
         for (t, picks) in after {
             assert_eq!(
-                restore_step(&mut restored, *t, picks),
-                restore_step(&mut original, *t, picks),
+                restore_step(&restored, *t, picks),
+                restore_step(&original, *t, picks),
                 "reads after the restore at t={t}"
             );
             assert_eq!(restored.residency(), original.residency(), "t={t}");
@@ -445,9 +442,6 @@ fn restore_rejects_bad_keys_and_stats() {
     bad.push(("probe cells not strictly sorted", s));
     let mut s = good.clone();
     s.cells[0].1 = max + 1;
-    bad.push(("probe cell tick beyond horizon", s));
-    let mut s = good.clone();
-    s.cells[0].2 = max + 1;
     bad.push(("probe cell tick beyond horizon", s));
     let mut s = good.clone();
     s.stats.materialized += 1;

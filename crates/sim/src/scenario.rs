@@ -12,6 +12,7 @@ use idpa_core::routing::{AdversaryStrategy, PathPolicy, RoutingStrategy};
 use idpa_core::utility::UtilityModel;
 use idpa_desim::{AdversaryConfig, FaultConfig};
 use idpa_netmodel::{ChurnConfig, CostConfig};
+use idpa_overlay::probe_ticks_fit;
 
 use crate::error::SimError;
 
@@ -387,6 +388,15 @@ impl ScenarioConfig {
                 field: "churn",
                 message,
             })?;
+        // Checked once the horizon is known to be finite.
+        ensure(
+            probe_ticks_fit(self.probe_period, self.churn.horizon),
+            "probe_period",
+            format!(
+                "probe period {} puts more than 2^32 probe ticks in the horizon {}",
+                self.probe_period, self.churn.horizon
+            ),
+        )?;
         self.cost
             .validate()
             .map_err(|message| SimError::InvalidConfig {
@@ -626,6 +636,33 @@ mod tests {
                 ..ScenarioConfig::quick_test(1)
             };
             assert_rejected(&cfg, "tau", "finite and nonnegative");
+        }
+    }
+
+    #[test]
+    fn probe_period_too_fine_for_the_horizon_rejected() {
+        // 1e-300 once validated and then hung the run: the tick helpers
+        // wrapped and counted up ~1e303 ticks. Never run such a config.
+        for probe_period in [1e-300, 1e-9, f64::MIN_POSITIVE] {
+            let cfg = ScenarioConfig {
+                probe_period,
+                ..ScenarioConfig::quick_test(1)
+            };
+            assert_rejected(&cfg, "probe_period", "more than 2^32 probe ticks");
+        }
+        // The bound sits at 2^32 ticks in the horizon.
+        let mut cfg = ScenarioConfig::quick_test(1);
+        cfg.probe_period = cfg.churn.horizon / (1u64 << 32) as f64;
+        assert!(cfg.validate().is_ok());
+        cfg.probe_period = cfg.churn.horizon / ((1u64 << 32) as f64 * 1.5);
+        assert_rejected(&cfg, "probe_period", "more than 2^32 probe ticks");
+        // Coarse periods, up to disabling probing, stay valid.
+        for probe_period in [0.5, 5.0, f64::INFINITY] {
+            let cfg = ScenarioConfig {
+                probe_period,
+                ..ScenarioConfig::quick_test(1)
+            };
+            assert!(cfg.validate().is_ok(), "period {probe_period}");
         }
     }
 

@@ -79,8 +79,10 @@ use crate::world::World;
 /// empty). Version 11 writes each probe cell as its key (node, synced
 /// tick, last-touch tick) instead of its estimator arrays, writes only the
 /// evidence no settlement window has settled yet, and drops the per-pair
-/// settlement cursors.
-pub const SNAPSHOT_VERSION: u32 = 11;
+/// settlement cursors. Version 12 writes each probe cell as (node, synced
+/// tick): every read syncs a cell to the tick it reads at, so the
+/// last-touch tick always equalled the synced tick and is no longer kept.
+pub const SNAPSHOT_VERSION: u32 = 12;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the
@@ -307,10 +309,9 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
     // and synced tick, the way a re-touch after eviction does.
     let ProbeCellsSnapshot { cells, stats } = run.probes.snapshot_cells();
     e.seq_len(cells.len());
-    for &(i, synced_tick, touch) in &cells {
+    for &(i, synced_tick) in &cells {
         e.usize(i);
         e.u64(synced_tick);
-        e.u64(touch);
     }
     enc_residency(&mut e, &stats);
 
@@ -658,13 +659,12 @@ pub fn restore(
 
     // Probe cell keys; `restore_cells` range- and order-checks them and
     // rebuilds each cell.
-    let n = d.seq_len(24).map_err(codec)?;
+    let n = d.seq_len(16).map_err(codec)?;
     let mut cells = Vec::with_capacity(n);
     for _ in 0..n {
         let i = d.usize().map_err(codec)?;
         let synced_tick = d.u64().map_err(codec)?;
-        let touch = d.u64().map_err(codec)?;
-        cells.push((i, synced_tick, touch));
+        cells.push((i, synced_tick));
     }
     let stats = dec_residency(&mut d)?;
     run.probes

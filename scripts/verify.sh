@@ -36,11 +36,22 @@ cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 # untraced twin, the audit chain breaks, a closed workload forms fewer
 # connections than it scheduled, or, on service_hostile, a free rider
 # earns or the cross-check flags under 90% of the phantom instances.
-stage="e2ebench smoke (each workload, --seconds 0 --trace 1)"
-for workload in paper_closed churn_maint scale_1m service_hostile; do
-    cargo run --release --offline --manifest-path e2ebench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 0 --trace 1
-done
+# The run-0 and round digests it prints must equal the ones committed in
+# scripts/e2e_digests.txt, so "no result moved" is checked, not claimed.
+stage="e2ebench smoke (each workload, --seconds 0 --trace 1, digests vs scripts/e2e_digests.txt)"
+while read -r -u 3 workload want_run0 want_round; do
+    case "$workload" in "" | "#"*) continue ;; esac
+    out=$(cargo run --release --offline --manifest-path e2ebench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0 --trace 1 < /dev/null)
+    echo "$out"
+    run0=$(sed -n "s/^$workload: run 0 equals execute, digest \([0-9a-f]*\)$/\1/p" <<< "$out")
+    round=$(sed -n "s/^$workload: [0-9]* traced runs in .*, digest \([0-9a-f]*\)$/\1/p" <<< "$out")
+    if [ "$run0 $round" != "$want_run0 $want_round" ]; then
+        echo "e2ebench smoke: $workload digests '$run0 $round' differ from" \
+            "'$want_run0 $want_round' in scripts/e2e_digests.txt" >&2
+        exit 1
+    fi
+done 3< scripts/e2e_digests.txt
 
 stage="lint (cargo clippy --all-targets -- -D warnings)"
 cargo clippy --all-targets --offline -- -D warnings
