@@ -1,7 +1,7 @@
 //! The lazy node lifecycle at scale: per-tick cost and resident memory
 //! must track active traffic, not N.
 //!
-//! Three guards run before timing:
+//! Four guards run before timing:
 //!
 //! 1. **Value identity** — at N = 2000 the scale scenario's `RunResult`
 //!    with idle eviction (`evict_idle_ticks: Some(64)`) equals the one
@@ -14,12 +14,16 @@
 //!    by the in-tree [`CountingAllocator`], stays under a ceiling. A node's
 //!    churn schedule and neighbor set are derived on first touch, so what
 //!    grows with N is a handful of flat arrays: one join time (8 B), one
-//!    cache slot (4 B) and one role (1 B) per node, the role shuffle's
-//!    transient permutation (8 B) and the final per-node payoff totals
-//!    (8 B). The O(active) working set — probe cells, cached nodes,
-//!    history — adds ~12 MiB at every N. The measured peaks are ~34 MiB
-//!    at N = 10⁶ and ~15 MiB at N = 100k; the ceilings, ~1.5× those, are
-//!    50 MiB and 22 MiB.
+//!    cache slot (4 B) and one role (1 B) per node, and the final per-node
+//!    payoff totals (8 B). The O(active) working set — probe cells, cached
+//!    nodes, history — adds ~12 MiB at every N. The measured peaks are
+//!    ~34 MiB at N = 10⁶ and ~15 MiB at N = 100k; the ceilings, ~1.5×
+//!    those, are 50 MiB and 22 MiB.
+//! 4. **Set-up without O(N) transients** — `World::generate` at N = 10⁶
+//!    peaks at ≤ 12 MiB: the join times (8 MB, collected straight into
+//!    their shared slice) and the roles (1 MB) are all it holds, 8.65 MiB
+//!    measured. A second join-time buffer or a dense id permutation for
+//!    the role draw at f = 0 would each push it past the ceiling.
 //!
 //! Timed arms run the scale scenario at N = 100k and at N = 10⁶. The
 //! N = 10⁷ arm — a bounded run under a ceiling sized from its O(N) arrays,
@@ -30,7 +34,7 @@
 use idpa_bench::alloc_counter::CountingAllocator;
 use idpa_bench::harness::{smoke_mode, Harness};
 use idpa_bench::without_residency;
-use idpa_sim::{RunResult, ScenarioConfig, SimulationRun};
+use idpa_sim::{RunResult, ScenarioConfig, SimulationRun, World};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -86,6 +90,22 @@ fn main() {
         "idle eviction changed the run at N=2000"
     );
     println!("node_lifecycle: evicting == never-evicting at N=2000 (normalized resident metrics)");
+
+    // Guard 4 — the set-up peak, in every tier (it takes ~20 ms).
+    let cfg = scale_cfg(1_000_000);
+    ALLOC.reset_peak();
+    let base = ALLOC.current_bytes();
+    let world = World::generate(&cfg);
+    let setup_peak = ALLOC.peak_bytes() - base;
+    drop(world);
+    println!(
+        "node_lifecycle: World::generate at N=10^6 peaks at {:.2} MiB",
+        setup_peak as f64 / (1024.0 * 1024.0)
+    );
+    assert!(
+        setup_peak <= 12 << 20,
+        "World::generate at N=10^6 peaked at {setup_peak} B, over the 12 MiB ceiling"
+    );
 
     // Guards 2 + 3 — bounded residency and heap. The working set is
     // ~3.3k nodes at every N; the node ceiling leaves ~15x headroom and

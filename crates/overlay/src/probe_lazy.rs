@@ -742,7 +742,7 @@ impl LazyProbeSet {
     #[must_use]
     pub fn is_up_uncached(&self, v: NodeId, now: f64) -> bool {
         self.cells
-            .borrow()
+            .borrow_mut()
             .nodes
             .is_up_uncached(v, SimTime::new(now))
     }

@@ -8,6 +8,7 @@
 //! is a markdown table (shape comparison against the paper) plus a CSV per
 //! experiment under the output directory.
 
+use std::io;
 use std::path::PathBuf;
 
 use idpa_core::routing::{AdversaryStrategy, RoutingStrategy};
@@ -125,7 +126,11 @@ const F_SWEEP: [f64; 10] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
 
 /// Figs. 3 and 4: average payoff of a non-malicious node vs `f`, with 95%
 /// confidence intervals, for the given utility model.
-pub fn fig_payoff_vs_f(opts: &Options, strategy: RoutingStrategy, name: &str) -> String {
+pub fn fig_payoff_vs_f(
+    opts: &Options,
+    strategy: RoutingStrategy,
+    name: &str,
+) -> io::Result<String> {
     let mut table = Table::new(&["f", "avg good payoff", "95% CI half-width"]);
     let mut points = Vec::new();
     for f in F_SWEEP {
@@ -143,21 +148,21 @@ pub fn fig_payoff_vs_f(opts: &Options, strategy: RoutingStrategy, name: &str) ->
             format!("{:.1}", ci.half_width),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, name);
+    table.write_csv(&opts.out_dir, name)?;
     let chart = line_chart(
         "avg good-node payoff vs f",
         &[Series::new("payoff", points)],
         60,
         12,
     );
-    format!(
+    Ok(format!(
         "## {name}: average payoff for a non-malicious node\n\n{}\n```text\n{chart}```\n",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Fig. 5: average forwarder-set size vs `f` for Random / Model I / Model II.
-pub fn fig5(opts: &Options) -> String {
+pub fn fig5(opts: &Options) -> io::Result<String> {
     let strategies: [(&str, RoutingStrategy); 3] = [
         ("random", RoutingStrategy::Random),
         ("model-1", model_one()),
@@ -179,22 +184,22 @@ pub fn fig5(opts: &Options) -> String {
         }
         table.row(cells);
     }
-    let _ = table.write_csv(&opts.out_dir, "fig5_forwarder_set");
+    table.write_csv(&opts.out_dir, "fig5_forwarder_set")?;
     let series: Vec<Series> = strategies
         .iter()
         .zip(&curves)
         .map(|((label, _), pts)| Series::new(*label, pts.clone()))
         .collect();
     let chart = line_chart("forwarder set ‖π‖ vs f", &series, 60, 12);
-    format!(
+    Ok(format!(
         "## fig5: average forwarder-set size ‖π‖ by routing strategy\n\n{}\n```text\n{chart}```\n",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Figs. 6–7: CDF of good-node payoffs at a fixed `f`, per strategy.
 /// Reports deciles in the markdown table; full curves go to CSV.
-pub fn fig_payoff_cdf(opts: &Options, f: f64, name: &str) -> String {
+pub fn fig_payoff_cdf(opts: &Options, f: f64, name: &str) -> io::Result<String> {
     let strategies: [(&str, RoutingStrategy); 3] = [
         ("random", RoutingStrategy::Random),
         ("model-1", model_one()),
@@ -233,7 +238,7 @@ pub fn fig_payoff_cdf(opts: &Options, f: f64, name: &str) -> String {
             csv.row(vec![(*label).into(), format!("{x:.3}"), format!("{p:.5}")]);
         }
     }
-    let _ = csv.write_csv(&opts.out_dir, name);
+    csv.write_csv(&opts.out_dir, name)?;
 
     // Variance summary (the paper's observation: model I has the largest
     // spread, random the smallest).
@@ -265,16 +270,16 @@ pub fn fig_payoff_cdf(opts: &Options, f: f64, name: &str) -> String {
         })
         .collect();
     let chart = cdf_chart("payoff CDF (x = payoff, y = F(x))", &series, 64, 14);
-    format!(
+    Ok(format!(
         "## {name}: CDF of good-node payoff at f={f}\n\n### Payoff deciles\n\n{}\n### Distribution summary\n\n{}\n```text\n{chart}```\n",
         table.to_markdown(),
         summary.to_markdown()
-    )
+    ))
 }
 
 /// Table 2: routing efficiency (avg payoff / avg #forwarders) for utility
 /// model I over `f × τ`.
-pub fn table2(opts: &Options) -> String {
+pub fn table2(opts: &Options) -> io::Result<String> {
     let taus = [0.5, 1.0, 2.0, 4.0];
     let fs = [0.1, 0.5, 0.9];
     let mut table = Table::new(&["", "tau=0.5", "tau=1", "tau=2", "tau=4"]);
@@ -299,16 +304,16 @@ pub fn table2(opts: &Options) -> String {
         mean_row.push(format!("{:.0}", c.mean()));
     }
     table.row(mean_row);
-    let _ = table.write_csv(&opts.out_dir, "table2_routing_efficiency");
-    format!(
+    table.write_csv(&opts.out_dir, "table2_routing_efficiency")?;
+    Ok(format!(
         "## table2: routing efficiency, utility model I\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Prop. 1: new-edge fraction (`E[X]`) and reformation rate, utility vs
 /// random routing.
-pub fn prop1(opts: &Options) -> String {
+pub fn prop1(opts: &Options) -> io::Result<String> {
     let strategies: [(&str, RoutingStrategy); 3] = [
         ("random", RoutingStrategy::Random),
         ("model-1", model_one()),
@@ -328,11 +333,11 @@ pub fn prop1(opts: &Options) -> String {
             fmt_ci(rr.mean(), rr.ci95().half_width),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "prop1_reformations");
-    format!(
+    table.write_csv(&opts.out_dir, "prop1_reformations")?;
+    Ok(format!(
         "## prop1: path reformations, utility vs random routing\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Props. 2–3: numeric verification of the participation and dominance
@@ -383,7 +388,7 @@ pub fn props23(_opts: &Options) -> String {
 }
 
 /// Ablation: `w_s`/`w_a` weighting.
-pub fn ablation_weights(opts: &Options) -> String {
+pub fn ablation_weights(opts: &Options) -> io::Result<String> {
     let mut table = Table::new(&["w_s", "w_a", "‖π‖", "avg good payoff", "E[X]"]);
     for ws in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let results = replicate(opts, |seed| ScenarioConfig {
@@ -403,15 +408,15 @@ pub fn ablation_weights(opts: &Options) -> String {
             format!("{:.3}", ex.mean()),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "ablation_weights");
-    format!(
+    table.write_csv(&opts.out_dir, "ablation_weights")?;
+    Ok(format!(
         "## ablation-weights: selectivity vs availability weighting\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Ablation: τ continuum.
-pub fn ablation_tau(opts: &Options) -> String {
+pub fn ablation_tau(opts: &Options) -> io::Result<String> {
     let mut table = Table::new(&["tau", "routing efficiency", "‖π‖", "avg good payoff"]);
     for tau in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0] {
         let results = replicate(opts, |seed| ScenarioConfig {
@@ -430,15 +435,15 @@ pub fn ablation_tau(opts: &Options) -> String {
             format!("{:.0}", pay.mean()),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "ablation_tau");
-    format!(
+    table.write_csv(&opts.out_dir, "ablation_tau")?;
+    Ok(format!(
         "## ablation-tau: routing-to-forwarding benefit ratio\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Ablation: neighbor degree `d`.
-pub fn ablation_degree(opts: &Options) -> String {
+pub fn ablation_degree(opts: &Options) -> io::Result<String> {
     let mut table = Table::new(&["d", "‖π‖", "path length L", "Q(π)"]);
     for d in [3usize, 5, 8, 12] {
         let results = replicate(opts, |seed| ScenarioConfig {
@@ -457,15 +462,15 @@ pub fn ablation_degree(opts: &Options) -> String {
             format!("{:.3}", q.mean()),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "ablation_degree");
-    format!(
+    table.write_csv(&opts.out_dir, "ablation_degree")?;
+    Ok(format!(
         "## ablation-degree: neighbor-set size d\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Ablation: probing period `T`.
-pub fn ablation_probe(opts: &Options) -> String {
+pub fn ablation_probe(opts: &Options) -> io::Result<String> {
     let mut table = Table::new(&["T (min)", "‖π‖", "avg good payoff"]);
     for t in [1.0, 5.0, 15.0, 60.0] {
         let results = replicate(opts, |seed| ScenarioConfig {
@@ -482,15 +487,15 @@ pub fn ablation_probe(opts: &Options) -> String {
             format!("{:.0}", pay.mean()),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "ablation_probe");
-    format!(
+    table.write_csv(&opts.out_dir, "ablation_probe")?;
+    Ok(format!(
         "## ablation-probe: probing period sensitivity\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Ablation: bounded history retention.
-pub fn ablation_history(opts: &Options) -> String {
+pub fn ablation_history(opts: &Options) -> io::Result<String> {
     let mut table = Table::new(&["history capacity", "‖π‖", "E[X]"]);
     for cap in [Some(1usize), Some(2), Some(5), Some(20), None] {
         let results = replicate(opts, |seed| ScenarioConfig {
@@ -507,16 +512,16 @@ pub fn ablation_history(opts: &Options) -> String {
             format!("{:.3}", ex.mean()),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "ablation_history");
-    format!(
+    table.write_csv(&opts.out_dir, "ablation_history")?;
+    Ok(format!(
         "## ablation-history: history retention bound\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Ablation: model II lookahead horizon (depth of the §2.4.3 backward
 /// induction). Depth 1 degenerates to model I.
-pub fn ablation_lookahead(opts: &Options) -> String {
+pub fn ablation_lookahead(opts: &Options) -> io::Result<String> {
     let mut table = Table::new(&["lookahead", "‖π‖", "avg good payoff", "E[X]"]);
     for la in [1u8, 2, 3, 4] {
         let results = replicate(opts, |seed| ScenarioConfig {
@@ -534,17 +539,17 @@ pub fn ablation_lookahead(opts: &Options) -> String {
             format!("{:.3}", ex.mean()),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "ablation_lookahead");
-    format!(
+    table.write_csv(&opts.out_dir, "ablation_lookahead")?;
+    Ok(format!(
         "## ablation-lookahead: model II backward-induction horizon\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Ablation: recurring-connection count (`max-connections` in §3) vs the
 /// intersection attack — more rounds per pair give the attacker more
 /// observations.
-pub fn ablation_rounds(opts: &Options) -> String {
+pub fn ablation_rounds(opts: &Options) -> io::Result<String> {
     let mut table = Table::new(&[
         "avg rounds/pair",
         "exposure rate",
@@ -570,16 +575,16 @@ pub fn ablation_rounds(opts: &Options) -> String {
             format!("{:.2}", set.mean()),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "ablation_rounds");
-    format!(
+    table.write_csv(&opts.out_dir, "ablation_rounds")?;
+    Ok(format!(
         "## ablation-rounds: recurring connections vs intersection attack\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Ablation: termination mode — Crowds coin vs hop-distance forwarding
 /// (the two §2.2 variants), at matched expected path length.
-pub fn ablation_termination(opts: &Options) -> String {
+pub fn ablation_termination(opts: &Options) -> io::Result<String> {
     use idpa_core::routing::PathPolicy;
     let modes: [(&str, PathPolicy); 4] = [
         ("crowds p=0.67 (E[L]=3)", PathPolicy::new(2.0 / 3.0, 8)),
@@ -607,17 +612,17 @@ pub fn ablation_termination(opts: &Options) -> String {
             format!("{:.0}", pay.mean()),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "ablation_termination");
-    format!(
+    table.write_csv(&opts.out_dir, "ablation_termination")?;
+    Ok(format!(
         "## ablation-termination: Crowds coin vs hop-distance forwarding\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Ablation: dynamic neighbor replacement (replace a neighbor after N
 /// silent probe rounds; §2.3's "new neighbor found" rule re-initialises
 /// the replacement).
-pub fn ablation_replacement(opts: &Options) -> String {
+pub fn ablation_replacement(opts: &Options) -> io::Result<String> {
     let mut table = Table::new(&["replace after", "‖π‖", "avg good payoff", "E[X]"]);
     for rounds in [None, Some(3u64), Some(10), Some(30)] {
         let results = replicate(opts, |seed| ScenarioConfig {
@@ -636,15 +641,15 @@ pub fn ablation_replacement(opts: &Options) -> String {
             format!("{:.3}", ex.mean()),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "ablation_replacement");
-    format!(
+    table.write_csv(&opts.out_dir, "ablation_replacement")?;
+    Ok(format!(
         "## ablation-replacement: dynamic neighbor maintenance\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// §5 availability attack: attacker payoff share and anonymity impact.
-pub fn attack_availability(opts: &Options) -> String {
+pub fn attack_availability(opts: &Options) -> io::Result<String> {
     let mut table = Table::new(&[
         "f",
         "attack",
@@ -679,17 +684,17 @@ pub fn attack_availability(opts: &Options) -> String {
             ]);
         }
     }
-    let _ = table.write_csv(&opts.out_dir, "attack_availability");
-    format!(
+    table.write_csv(&opts.out_dir, "attack_availability")?;
+    Ok(format!(
         "## attack-availability: §5 availability attack\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// §4-motivated collusion attack: malicious nodes steer traffic to each
 /// other instead of routing uniformly. Measures how much payment they
 /// capture and what it costs good nodes and anonymity.
-pub fn attack_collusion(opts: &Options) -> String {
+pub fn attack_collusion(opts: &Options) -> io::Result<String> {
     let mut table = Table::new(&[
         "f",
         "adversary",
@@ -729,19 +734,19 @@ pub fn attack_collusion(opts: &Options) -> String {
             ]);
         }
     }
-    let _ = table.write_csv(&opts.out_dir, "attack_collusion");
-    format!(
+    table.write_csv(&opts.out_dir, "attack_collusion")?;
+    Ok(format!(
         "## attack-collusion: colluding vs random adversaries
 
 {}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Timeline: how the system's metrics evolve over the simulated day —
 /// run the same seeded world to increasing horizons (common random
 /// numbers make the prefixes identical) and snapshot payoff and anonymity.
-pub fn timeline(opts: &Options) -> String {
+pub fn timeline(opts: &Options) -> io::Result<String> {
     let fractions = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
     let mut table = Table::new(&[
         "horizon (min)",
@@ -782,21 +787,21 @@ pub fn timeline(opts: &Options) -> String {
             format!("{:.3}", anon.mean()),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "timeline");
+    table.write_csv(&opts.out_dir, "timeline")?;
     let chart = line_chart(
         "anonymity degree left to the attacker vs horizon (f=0.3)",
         &[Series::new("anonymity", anon_pts)],
         60,
         12,
     );
-    format!(
+    Ok(format!(
         "## timeline: metric evolution over the simulated day\n\n{}\n```text\n{chart}```\n",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Intersection-attack resistance by routing strategy.
-pub fn attack_intersection(opts: &Options) -> String {
+pub fn attack_intersection(opts: &Options) -> io::Result<String> {
     let strategies: [(&str, RoutingStrategy); 3] = [
         ("random", RoutingStrategy::Random),
         ("model-1", model_one()),
@@ -820,17 +825,17 @@ pub fn attack_intersection(opts: &Options) -> String {
             ]);
         }
     }
-    let _ = table.write_csv(&opts.out_dir, "attack_intersection");
-    format!(
+    table.write_csv(&opts.out_dir, "attack_intersection")?;
+    Ok(format!(
         "## attack-intersection: passive intersection attack vs strategy\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Crowds predecessor analysis (closed form): how far the substrate
 /// protocol's own probable-innocence guarantee stretches at the paper's
 /// scale — the theoretical backdrop for the intersection-attack results.
-pub fn crowds_analysis(opts: &Options) -> String {
+pub fn crowds_analysis(opts: &Options) -> io::Result<String> {
     use idpa_core::metrics::{
         crowds_min_network_size, crowds_predecessor_probability, crowds_probable_innocence,
     };
@@ -853,17 +858,17 @@ pub fn crowds_analysis(opts: &Options) -> String {
             format!("{:.0}", crowds_min_network_size(c, p_f)),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "crowds_analysis");
+    table.write_csv(&opts.out_dir, "crowds_analysis")?;
     let chart = line_chart(
         "P(first collaborator's predecessor = initiator), N=40, p_f=0.75",
         &[Series::new("P", points)],
         60,
         12,
     );
-    format!(
+    Ok(format!(
         "## crowds-analysis: Reiter-Rubin predecessor bound at paper scale\n\n{}\n```text\n{chart}```\n",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Robustness sweep: delivery ratio, retries per message, reformation
@@ -872,7 +877,7 @@ pub fn crowds_analysis(opts: &Options) -> String {
 /// (crashes, cheaters, bank outages) on top of the swept drop rate, so the
 /// same experiment renders both the clean-degradation curve and the
 /// compound-fault one.
-pub fn fault_degradation(opts: &Options) -> String {
+pub fn fault_degradation(opts: &Options) -> io::Result<String> {
     let strategies: [(&str, RoutingStrategy); 3] = [
         ("random", RoutingStrategy::Random),
         ("model-1", model_one()),
@@ -914,17 +919,17 @@ pub fn fault_degradation(opts: &Options) -> String {
             ]);
         }
     }
-    let _ = table.write_csv(&opts.out_dir, "fault_degradation");
+    table.write_csv(&opts.out_dir, "fault_degradation")?;
     let series: Vec<Series> = strategies
         .iter()
         .zip(&curves)
         .map(|((label, _), pts)| Series::new(*label, pts.clone()))
         .collect();
     let chart = line_chart("delivery ratio vs per-edge drop rate", &series, 60, 12);
-    format!(
+    Ok(format!(
         "## fault-degradation: retry-protocol resilience under injected faults\n\n{}\n```text\n{chart}```\n",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Adaptive-vs-static fault response under a compound fault load. Sweeps
@@ -935,7 +940,7 @@ pub fn fault_degradation(opts: &Options) -> String {
 /// three-term quality model with `w_r` from `--reputation-weight`
 /// (defaulting to 0.2 when unset); the static arm is the exact PR 4
 /// baseline. Any `--fault-*` options replace the default background.
-pub fn fault_adaptation(opts: &Options) -> String {
+pub fn fault_adaptation(opts: &Options) -> io::Result<String> {
     let background = if opts.scenario.fault.is_active() {
         opts.scenario.fault
     } else {
@@ -990,17 +995,17 @@ pub fn fault_adaptation(opts: &Options) -> String {
             ]);
         }
     }
-    let _ = table.write_csv(&opts.out_dir, "fault_adaptation");
+    table.write_csv(&opts.out_dir, "fault_adaptation")?;
     let series: Vec<Series> = arms
         .iter()
         .zip(&curves)
         .map(|((label, _, _), pts)| Series::new(*label, pts.clone()))
         .collect();
     let chart = line_chart("delivery ratio vs cheat fraction", &series, 60, 12);
-    format!(
+    Ok(format!(
         "## fault-adaptation: reputation-driven response vs the static retry protocol\n\n{}\n```text\n{chart}```\n",
         table.to_markdown()
-    )
+    ))
 }
 
 /// Scale study: lazily materialized per-node state, evicted after 64 idle
@@ -1011,7 +1016,7 @@ pub fn fault_adaptation(opts: &Options) -> String {
 /// count, idle evictions, and the slab's byte estimate — the `RunResult`
 /// resident-state metrics. Peak residency tracks the fixed 512-pair
 /// workload, so the `peak/N` column falls as N grows.
-pub fn scale_lifecycle(opts: &Options) -> String {
+pub fn scale_lifecycle(opts: &Options) -> io::Result<String> {
     // IDPA_SCALE_SMOKE=1 (the verify.sh stage) caps the sweep at the
     // quick tier even without --quick.
     let smoke = std::env::var("IDPA_SCALE_SMOKE").is_ok_and(|v| v == "1");
@@ -1042,11 +1047,11 @@ pub fn scale_lifecycle(opts: &Options) -> String {
             format!("{:.0}", r.avg_good_payoff),
         ]);
     }
-    let _ = table.write_csv(&opts.out_dir, "scale_lifecycle");
-    format!(
+    table.write_csv(&opts.out_dir, "scale_lifecycle")?;
+    Ok(format!(
         "## scale-lifecycle: resident state under the lazy node lifecycle\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
 /// The adversary zoo: each §4 strategy class run with its matching defense
@@ -1064,7 +1069,7 @@ pub fn scale_lifecycle(opts: &Options) -> String {
 ///   phantom clique-mate hops and mints them genuine receipts) — defense =
 ///   the initiator's cross-confirmation check of manifest hops against the
 ///   hops it actually observed forwarding.
-pub fn adversary_zoo(opts: &Options) -> String {
+pub fn adversary_zoo(opts: &Options) -> io::Result<String> {
     // IDPA_AZ_SMOKE=1 (the verify.sh stage) caps the matrix at the quick
     // tier even without --quick.
     let smoke = std::env::var("IDPA_AZ_SMOKE").is_ok_and(|v| v == "1");
@@ -1190,15 +1195,16 @@ pub fn adversary_zoo(opts: &Options) -> String {
         ]);
     }
 
-    let _ = table.write_csv(&opts.out_dir, "adversary_zoo");
-    format!(
+    table.write_csv(&opts.out_dir, "adversary_zoo")?;
+    Ok(format!(
         "## adversary-zoo: strategy classes vs their defenses\n\n{}",
         table.to_markdown()
-    )
+    ))
 }
 
-/// An experiment: renders its figure/table from the shared options.
-pub type Experiment = fn(&Options) -> String;
+/// An experiment: renders its figure/table from the shared options and
+/// writes its CSVs; a failed write is an error.
+pub type Experiment = fn(&Options) -> io::Result<String>;
 
 /// Every experiment by name, in DESIGN.md order.
 #[must_use]
@@ -1216,7 +1222,7 @@ pub fn registry() -> Vec<(&'static str, Experiment)> {
         ("fig7", |o| fig_payoff_cdf(o, 0.5, "fig7_payoff_cdf_f05")),
         ("table2", table2),
         ("prop1", prop1),
-        ("props23", props23),
+        ("props23", |o| Ok(props23(o))),
         ("ablation-weights", ablation_weights),
         ("ablation-tau", ablation_tau),
         ("ablation-degree", ablation_degree),
@@ -1296,7 +1302,7 @@ mod tests {
 
     #[test]
     fn table2_emits_all_rows() {
-        let out = table2(&quick_opts());
+        let out = table2(&quick_opts()).expect("write CSV");
         assert!(out.contains("f=0.1"));
         assert!(out.contains("f=0.9"));
         assert!(out.contains("mean"));
@@ -1307,7 +1313,8 @@ mod tests {
         let out = fault_degradation(&Options {
             reps: 1,
             ..quick_opts()
-        });
+        })
+        .expect("write CSV");
         assert!(out.contains("0.40"), "largest swept drop rate missing");
         assert!(out.contains("model-2") || out.contains("model II"));
         assert!(out.contains("delivery ratio"));
@@ -1318,7 +1325,8 @@ mod tests {
         let out = fault_adaptation(&Options {
             reps: 1,
             ..quick_opts()
-        });
+        })
+        .expect("write CSV");
         assert!(out.contains("static"));
         assert!(out.contains("adaptive"));
         assert!(out.contains("0.40"), "largest swept cheat fraction missing");
@@ -1327,7 +1335,7 @@ mod tests {
 
     #[test]
     fn scale_lifecycle_runs_quick_with_bounded_residency() {
-        let out = scale_lifecycle(&quick_opts());
+        let out = scale_lifecycle(&quick_opts()).expect("write CSV");
         assert!(out.contains("peak materialized"));
         assert!(out.contains("2000"), "largest quick size missing");
     }
@@ -1337,7 +1345,8 @@ mod tests {
         let out = fig5(&Options {
             reps: 1,
             ..quick_opts()
-        });
+        })
+        .expect("write CSV");
         assert!(out.contains("model II"));
         assert!(out.lines().count() > 10);
     }

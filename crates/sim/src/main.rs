@@ -9,7 +9,8 @@
 //!
 //! With no experiment names, runs everything in the registry. Markdown
 //! goes to stdout; per-experiment CSVs to the output directory
-//! (`target/results` unless `--out` says otherwise).
+//! (`target/results` unless `--out` says otherwise). A CSV that cannot be
+//! written fails the command.
 //!
 //! `idpa-sim service [FLAGS]` runs one scenario as a crash-safe service
 //! instead: open or closed workload, periodic checkpoints, deterministic
@@ -198,7 +199,13 @@ fn main() -> ExitCode {
     for (name, run) in to_run {
         eprintln!("[running {name} ...]");
         let started = std::time::Instant::now();
-        let output = run(&opts);
+        let output = match run(&opts) {
+            Ok(output) => output,
+            Err(e) => {
+                eprintln!("{name}: writing CSV under {}: {e}", opts.out_dir.display());
+                return ExitCode::FAILURE;
+            }
+        };
         eprintln!("[{name} done in {:.1?}]", started.elapsed());
         println!("{output}");
     }

@@ -677,7 +677,8 @@ mod tests {
     fn non_finite_churn_and_cost_rejected_through_scenario() {
         // Each of these validated and then panicked the run (churn clock,
         // exponential sampler) or produced non-finite costs.
-        let cases: [(fn(&mut ScenarioConfig), &str, &str); 6] = [
+        type Case = (fn(&mut ScenarioConfig), &'static str, &'static str);
+        let cases: [Case; 6] = [
             (|c| c.churn.horizon = f64::INFINITY, "churn", "horizon"),
             (|c| c.churn.join_rate = f64::INFINITY, "churn", "join_rate"),
             (
@@ -895,7 +896,7 @@ mod tests {
         for length in [0.0, f64::INFINITY] {
             let bad = ScenarioConfig {
                 epoch_length: length,
-                ..cfg.clone()
+                ..cfg
             };
             assert_rejected(&bad, "epoch_length", "positive epoch length");
         }

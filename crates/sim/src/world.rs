@@ -3,8 +3,11 @@
 //! Everything stochastic that is *not* a routing decision comes from named
 //! substreams of the master seed: the topology, the churn trace, the link
 //! bandwidths, the role assignment and the (I, R) workload. The
-//! sequential parts — the Poisson join times, the role shuffle and the
-//! workload — are sampled here, up front. Each node's sessions and
+//! sequential parts — the Poisson join times, the roles and the workload —
+//! are sampled here, up front. The join times are one O(N) pass into one
+//! shared slice. The malicious nodes are the last `⌊f·N⌉` ids of a
+//! shuffle of which only those tail steps run, so the roles cost O(f·N)
+//! draws ([`assign_roles`]). Each node's sessions and
 //! neighbor set are not: they are derived when a run first reads them,
 //! from streams keyed by the node's position ([`NodeSource`]). Each link's
 //! bandwidth likewise comes from a stream keyed by the link
@@ -75,15 +78,13 @@ impl World {
 
         let costs = CostModel::new(cfg.cost, streams.clone());
 
-        // Roles: shuffle ids once, take the tail as malicious. Using a
+        // Roles: the tail of a shuffle of the ids is malicious. Using a
         // dedicated stream keeps the workload identical across f values.
-        let mut role_rng = streams.stream("roles");
-        let mut perm: Vec<usize> = (0..cfg.n_nodes).collect();
-        for i in (1..perm.len()).rev() {
-            let j = role_rng.random_range(0..=i);
-            perm.swap(i, j);
-        }
-        let kinds = assign_roles(&perm, cfg.adversary_fraction);
+        let kinds = assign_roles(
+            cfg.n_nodes,
+            cfg.adversary_fraction,
+            &mut streams.stream("roles"),
+        );
 
         // §5 availability attack: malicious nodes stay up all run.
         if cfg.availability_attack {

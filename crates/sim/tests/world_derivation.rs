@@ -117,10 +117,11 @@ fn the_whole_world_helpers_are_loops_over_the_per_node_functions() {
             Topology::random(cfg.n_nodes, cfg.degree, &streams),
             "case {case}"
         );
-        for (v, join) in model.join_times(&streams).into_iter().enumerate() {
+        let mut buf = Vec::new();
+        for (v, &join) in model.join_times(&streams).iter().enumerate() {
             assert_eq!(
                 world.nodes.schedule(NodeId(v)),
-                model.node_schedule(&streams, v, join)
+                model.node_schedule(&streams, v, join, &mut buf)
             );
             assert_eq!(
                 world.nodes.neighbors(NodeId(v)),
@@ -139,7 +140,7 @@ fn uncached_liveness_matches_the_derived_schedule() {
         let cfg = world_cfg(case);
         let world = World::generate(&cfg);
         let schedules = world.nodes.schedules();
-        let cache = NodeCache::new(world.nodes.clone());
+        let mut cache = NodeCache::new(world.nodes.clone());
         for (v, sched) in schedules.iter().enumerate() {
             let mut times: Vec<f64> = sched.sessions().iter().flat_map(|&(s, e)| [s, e]).collect();
             times.extend((0..48).map(|k| f64::from(k) * 30.0));

@@ -18,9 +18,9 @@ trap 'status=$?; if [ "$status" -ne 0 ]; then
 stage="build (cargo build --release --offline)"
 cargo build --release --offline
 
-# --workspace matters: the root is itself a package (the idpa facade), so
-# a bare `cargo test` would run only its 48 tests and skip every member
-# crate's suite.
+# The root is itself a package (the idpa facade); its default-members
+# list every crate, so a bare `cargo test` runs every member's suite too.
+# --workspace says the same explicitly.
 stage="test (cargo test -q --offline --workspace)"
 cargo test -q --offline --workspace
 
