@@ -2,21 +2,23 @@
 //! (tight replacement threshold, short probe period, wide neighbor sets)
 //! where nearly every probe tick makes some node replace a neighbor. Lazy
 //! cells schedule nothing; a read catches its cell up through every
-//! replacement since the last read. The per-slot due-tick cache keeps
-//! that catch-up cheap: a maintenance at tick `k` recomputes only the
-//! slots it replaced (those due at `k`), not all `d`.
+//! replacement since the last read. The catch-up works slot by slot: a
+//! maintenance at tick `k` advances, maintains and re-searches only the
+//! slots due at `k`, each from its own frontier, and every slot advances
+//! once more at the end, so no tick walks all `d` neighbors.
 //!
 //! Before timing, each run's [`result_fingerprint`] must equal the pin
 //! below, so the timing measures the maintenance bookkeeping, never
 //! behavioral drift.
 //!
 //! Replacement-saturated churn is the hardest regime for lazy probing, yet
-//! it pays only for the cells transmissions read: about 16 ms a run at
-//! N = 500 on a 2-core Xeon (20 ms before the catch-up moved to tick
-//! runs, measured interleaved), where stepping every node at every tick
-//! took 215 ms. The per-tick cost of that reference stays timed by the
-//! `overlay/probe_tick_eager_*` and `overlay/eager_replay_all_288_ticks`
-//! kernels.
+//! it pays only for the cells transmissions read: about 9 ms a run at
+//! N = 500 on a 2-core Xeon, against 17 ms when every due tick advanced
+//! all `d` slots and 20 ms before the catch-up moved to tick runs (each
+//! measured as interleaved pairs), where stepping every node at every
+//! tick took 215 ms. The per-tick cost of that reference stays timed by
+//! the `overlay/probe_tick_eager_*` and
+//! `overlay/eager_replay_all_288_ticks` kernels.
 //!
 //! `IDPA_PM_QUICK=1` restricts the run to the N = 500 scale — the CI bench
 //! gate uses this for its short timed pass.

@@ -39,7 +39,7 @@ pub mod topology;
 pub use invalidate::ProbeInvalidation;
 pub use node::{NodeId, NodeKind};
 pub use nodes::{NodeCache, NodeSource};
-pub use probe::ProbeEstimator;
+pub use probe::{ProbeEstimator, MAX_NEIGHBOR_SLOTS};
 pub use probe_lazy::{
     cell_footprint, probe_ticks_fit, LazyProbeSet, ProbeCellsSnapshot, Residency,
 };

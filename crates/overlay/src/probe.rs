@@ -17,6 +17,11 @@ use rand::RngExt;
 
 use crate::node::NodeId;
 
+/// The most neighbor slots an estimator may hold: the first-sighting draw
+/// packs the slot index into 16 bits of its stream key, so a larger degree
+/// would make two slots share one draw.
+pub const MAX_NEIGHBOR_SLOTS: usize = 1 << 16;
+
 /// Stream label for the `rand(0, T)` first-sighting initialisation draw.
 pub(crate) const PROBE_INIT_LABEL: &str = "probe-init";
 /// Stream label for neighbor-replacement candidate draws.
@@ -33,7 +38,10 @@ pub(crate) fn init_session_draw(
     round: u64,
     period: f64,
 ) -> f64 {
-    debug_assert!(slot < (1 << 16), "neighbor slot index exceeds key space");
+    debug_assert!(
+        slot < MAX_NEIGHBOR_SLOTS,
+        "neighbor slot index exceeds key space"
+    );
     let key = (round << 16) | slot as u64;
     let mut rng = streams.stream_indexed2(PROBE_INIT_LABEL, owner.index() as u64, key);
     rng.random_range(0.0..period)
@@ -149,9 +157,25 @@ impl ProbeEstimator {
     /// replacement restarts the paper's "new neighbor found" state: session
     /// time is zero until the next sighting draws `rand(0, T)`.
     pub fn maintain_seeded(&mut self, streams: &StreamFactory, threshold: u64, n_nodes: usize) {
+        self.maintain_slots(streams, n_nodes, |est, i| {
+            est.rounds - est.last_alive_round[i] >= threshold
+        });
+    }
+
+    /// The maintenance pass itself: replaces the neighbor of every slot
+    /// `i` for which `due(self, i)` holds, in slot order, at round
+    /// `self.rounds`. [`ProbeEstimator::maintain_seeded`] tests the
+    /// silence threshold; a lazy catch-up passes the slots it knows are
+    /// due, because its lagging slots hold a stale `last_alive_round`.
+    pub(crate) fn maintain_slots(
+        &mut self,
+        streams: &StreamFactory,
+        n_nodes: usize,
+        mut due: impl FnMut(&Self, usize) -> bool,
+    ) {
         let mut rng: Option<Xoshiro256StarStar> = None;
         for i in 0..self.neighbors.len() {
-            if self.rounds - self.last_alive_round[i] < threshold {
+            if !due(self, i) {
                 continue;
             }
             let rng =

@@ -23,13 +23,21 @@
 //! the owner's sessions in its window to runs of up ticks once, each with
 //! the number of up ticks before it, so "owner rounds in `(a, x]`" and
 //! "the owner's p-th up tick" are binary searches and prefix differences
-//! for the rest of the catch-up. Each slot's advance and each due-tick
+//! for the rest of the catch-up. Each slot advance and each due-tick
 //! search then walks that neighbor's sessions once, converting them as it
-//! goes, and merges them with the owner runs. A catch-up costs
-//! O(owner sessions) once, plus O(neighbor sessions) per slot advance and
-//! per replaced slot — amortized O(churn + queries) over a run, instead of
-//! O(N·d·horizon/T). The runs live in one buffer reused across cells, not
-//! per cell.
+//! goes, and merges them with the owner runs.
+//!
+//! With neighbor replacement on, the catch-up works slot by slot. Each
+//! slot keeps its own frontier tick; a due tick advances only the slots
+//! due there, from their own frontiers, and maintains only them, while
+//! the others lag with a stale silence gap that nothing reads. The end of
+//! the catch-up advances every slot once, from its frontier to the
+//! target. So a catch-up costs O(owner sessions) once, plus one neighbor
+//! walk per slot and two each time a slot falls due (its advance and its
+//! next due-tick search), not a walk of all `d` slots at every due tick —
+//! amortized O(churn + queries) over a run, instead of O(N·d·horizon/T).
+//! The runs and the slot frontiers live in buffers reused across cells,
+//! not per cell.
 //!
 //! # Equivalence to the eager estimator
 //!
@@ -47,8 +55,9 @@
 //!   the rounds in between cannot shift them;
 //! * replacement decisions are replayed at exactly the ticks where a slot
 //!   crosses the silence threshold (computed in closed form from the
-//!   schedule intersections), in slot order, via the *same*
-//!   `maintain_seeded` code path.
+//!   schedule intersections), in slot order, via the *same* maintenance
+//!   pass `maintain_seeded` runs, with the due set in place of its
+//!   threshold test.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -205,12 +214,17 @@ struct OwnerTicks {
     runs: Vec<TickRun>,
     /// The window `(base, upto]` the runs were built over, if built.
     window: Option<(u64, u64)>,
+    /// Probe rounds the owner had run at the base: the window's `p`-th up
+    /// tick is its round `rounds + p`.
+    rounds: u64,
 }
 
 impl OwnerTicks {
-    /// Forgets the runs; the next [`OwnerTicks::get`] rebuilds them.
-    fn clear(&mut self) {
+    /// Forgets the runs; the next [`OwnerTicks::get`] rebuilds them, for
+    /// an owner that had run `rounds` probe rounds at the window base.
+    fn clear(&mut self, rounds: u64) {
         self.window = None;
+        self.rounds = rounds;
     }
 
     /// The runs of `sessions` over `(after, upto]`, built on first use
@@ -247,6 +261,11 @@ impl OwnerTicks {
                 r.before + (x.min(r.hi) - r.lo + 1)
             }
         }
+    }
+
+    /// The owner's probe round count after tick `x ≥ base`.
+    fn rounds_through(&self, x: u64) -> u64 {
+        self.rounds + self.through(x)
     }
 
     /// The up tick at position `p ≥ 1`, or `None` past the window.
@@ -348,10 +367,55 @@ fn touch_cell_nodes(cell: &ProbeCell, nodes: &mut NodeCache, tick: u64) {
     }
 }
 
-/// Applies all probe rounds in ticks `(synced_tick, to]` to the cell in
-/// closed form. Must not cross a replacement-due tick (callers segment at
-/// those via [`next_due_tick`]), the cell's nodes must be touched, and
-/// `own` must be cleared or hold this catch-up's owner runs.
+/// Applies the probe rounds of ticks `(from, to]` to slot `i` alone, in
+/// closed form: the ticks at which both the owner and the slot's neighbor
+/// are up. Joint-live counts add over any split of a window, so a slot
+/// may be advanced from its own frontier while the others lag or lead.
+/// `own` holds this catch-up's owner runs from a base at or before
+/// `from`, which give each tick's round number.
+fn advance_slot(
+    est: &mut ProbeEstimator,
+    i: usize,
+    ctx: &LazyCtx,
+    nodes: &NodeCache,
+    own: &OwnerTicks,
+    from: u64,
+    to: u64,
+) {
+    let nbr = nodes.schedule(est.neighbors[i]).sessions();
+    let mut live = 0u64;
+    let mut first = None;
+    let mut last = None;
+    own.for_each_joint(nbr, ctx.period, from, to, |r| {
+        live += r.hi - r.lo + 1;
+        first.get_or_insert(r);
+        last = Some(r);
+        true
+    });
+    let (Some(first), Some(last)) = (first, last) else {
+        return;
+    };
+    // Owner round numbers at the first/last joint tick.
+    est.last_alive_round[i] = own.rounds + last.through();
+    if est.ever_seen[i] {
+        est.live_rounds[i] += live;
+    } else {
+        est.ever_seen[i] = true;
+        est.init_time[i] = crate::probe::init_session_draw(
+            &ctx.streams,
+            est.owner,
+            i,
+            own.rounds + first.before + 1,
+            ctx.period,
+        );
+        est.live_rounds[i] = live - 1;
+    }
+}
+
+/// Applies all probe rounds in ticks `(synced_tick, to]` to the cell.
+/// Must not cross a replacement-due tick, the cell's nodes must be
+/// touched, and `own` must be cleared at the cell's round count or hold
+/// this catch-up's owner runs.
 fn advance(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &NodeCache, own: &mut OwnerTicks, to: u64) {
     let after = cell.synced_tick;
     if to <= after {
@@ -380,52 +444,22 @@ fn advance(cell: &mut ProbeCell, ctx: &LazyCtx, nodes: &NodeCache, own: &mut Own
         after,
         end,
     );
-    let at_after = own.through(after);
-    let new_rounds = own.through(to) - at_after;
-    if new_rounds > 0 {
+    if own.through(to) > own.through(after) {
         for i in 0..cell.est.neighbors.len() {
-            let nbr = nodes.schedule(cell.est.neighbors[i]).sessions();
-            let mut live = 0u64;
-            let mut first = None;
-            let mut last = None;
-            own.for_each_joint(nbr, ctx.period, after, to, |r| {
-                live += r.hi - r.lo + 1;
-                first.get_or_insert(r);
-                last = Some(r);
-                true
-            });
-            let (Some(first), Some(last)) = (first, last) else {
-                continue;
-            };
-            // Owner round numbers at the first/last joint tick.
-            cell.est.last_alive_round[i] = cell.est.rounds + (last.through() - at_after);
-            if cell.est.ever_seen[i] {
-                cell.est.live_rounds[i] += live;
-            } else {
-                let r_first = cell.est.rounds + (first.before + 1 - at_after);
-                cell.est.ever_seen[i] = true;
-                cell.est.init_time[i] = crate::probe::init_session_draw(
-                    &ctx.streams,
-                    cell.est.owner,
-                    i,
-                    r_first,
-                    ctx.period,
-                );
-                cell.est.live_rounds[i] = live - 1;
-            }
+            advance_slot(&mut cell.est, i, ctx, nodes, own, after, to);
         }
-        cell.est.rounds += new_rounds;
+        cell.est.rounds = own.rounds_through(to);
     }
     cell.synced_tick = to;
 }
 
-/// First tick in `(synced_tick, max_tick]` at which slot `i` will be
-/// replacement-due: the owner is up, and after probing, the slot's silence
-/// `rounds − last_alive_round` reaches `thr`. `None` if no such tick.
-/// `own` holds the owner runs up to `max_tick`.
+/// First tick in `(after, max_tick]` at which slot `i`, synced through
+/// `after`, will be replacement-due: the owner is up, and after probing,
+/// the slot's silence `rounds − last_alive_round` reaches `thr`. `None` if
+/// no such tick. `own` holds the owner runs up to `max_tick`.
 fn slot_due(
     est: &ProbeEstimator,
-    synced_tick: u64,
+    after: u64,
     ctx: &LazyCtx,
     nodes: &NodeCache,
     own: &OwnerTicks,
@@ -433,11 +467,10 @@ fn slot_due(
     thr: u64,
 ) -> Option<u64> {
     debug_assert!(thr >= 1, "lazy maintenance needs threshold >= 1");
-    let after = synced_tick;
     let nbr = nodes.schedule(est.neighbors[i]).sessions();
-    let gap0 = est.rounds - est.last_alive_round[i];
     let at_after = own.through(after);
-    // The slot falls due at the `due_pos`-th owner-up tick after the sync
+    let gap0 = own.rounds + at_after - est.last_alive_round[i];
+    // The slot falls due at the `due_pos`-th owner-up tick after its
     // frontier, unless a joint-live tick resets the silence gap first. A
     // tick that is itself joint-live is never due (the probe runs before
     // maintenance and clears the gap). The joint runs come in increasing
@@ -458,16 +491,17 @@ fn slot_due(
     own.at(at_after.saturating_add(due_pos))
 }
 
-/// Earliest replacement-due tick over all slots strictly after the sync
-/// frontier, up to the horizon. Served from the cell's per-slot due cache;
-/// only the slots the last maintenance replaced are recomputed, so each
-/// step of [`sync_cell_slow`]'s advance/maintain loop costs a `min` over
-/// ≤ degree cached values plus one neighbor walk per replaced slot.
+/// Earliest replacement-due tick over all slots, each searched from its
+/// own `frontier`, up to the horizon. Served from the cell's per-slot due
+/// cache; only the slots the last maintenance replaced are recomputed, so
+/// each step of [`sync_cell_slow`]'s loop costs a `min` over ≤ degree
+/// cached values plus one neighbor walk per replaced slot.
 fn next_due_tick(
     cell: &mut ProbeCell,
     ctx: &LazyCtx,
     nodes: &NodeCache,
     own: &mut OwnerTicks,
+    frontier: &[u64],
     thr: u64,
 ) -> Option<u64> {
     let ProbeCell {
@@ -481,7 +515,7 @@ fn next_due_tick(
         if *slot == DUE_UNKNOWN {
             let sessions = nodes.schedule(est.owner).sessions();
             let own = own.get(sessions, ctx.period, *synced_tick, ctx.max_tick);
-            *slot = slot_due(est, *synced_tick, ctx, nodes, own, i, thr)
+            *slot = slot_due(est, frontier[i], ctx, nodes, own, i, thr)
                 .map_or(DUE_NEVER, |k| k.min(DUE_NEVER - 1));
         }
         min = min.min(*slot);
@@ -492,18 +526,20 @@ fn next_due_tick(
 /// Syncs the cell through tick `target`, replaying maintenance at exactly
 /// the due ticks in between. The common case — the cell is already at the
 /// target, because reads cluster at one simulation time — stays inline;
-/// actual catch-up is the out-of-line slow path. `own` is scratch space
-/// for the owner runs, reused across cells.
+/// actual catch-up is the out-of-line slow path. `own` and `frontier` are
+/// scratch space for the owner runs and the slot frontiers, reused across
+/// cells.
 #[inline]
 fn sync_cell(
     cell: &mut ProbeCell,
     ctx: &LazyCtx,
     nodes: &mut NodeCache,
     own: &mut OwnerTicks,
+    frontier: &mut Vec<u64>,
     target: u64,
 ) {
     if cell.synced_tick < target {
-        sync_cell_slow(cell, ctx, nodes, own, target);
+        sync_cell_slow(cell, ctx, nodes, own, frontier, target);
     }
 }
 
@@ -512,37 +548,73 @@ fn sync_cell_slow(
     ctx: &LazyCtx,
     nodes: &mut NodeCache,
     own: &mut OwnerTicks,
+    frontier: &mut Vec<u64>,
     target: u64,
 ) {
     touch_cell_nodes(cell, nodes, target);
     // The owner runs are built at most once per catch-up, on first use.
-    own.clear();
+    own.clear(cell.est.rounds);
     let Some(thr) = ctx.threshold else {
         advance(cell, ctx, nodes, own, target);
         return;
     };
-    while cell.synced_tick < target {
-        match next_due_tick(cell, ctx, nodes, own, thr) {
-            Some(k) if k <= target => {
-                advance(cell, ctx, nodes, own, k);
-                cell.est.maintain_seeded(&ctx.streams, thr, ctx.n_nodes);
-                // Maintenance touched exactly the slots whose silence
-                // reached the threshold, i.e. those due at `k`; their
-                // trajectories (and hence due ticks) are new, and a
-                // replacement's schedule is derived only now that it holds
-                // the slot. Every other slot's cached due tick still holds.
-                for (slot, &v) in cell.due_cache.iter_mut().zip(&cell.est.neighbors) {
-                    if *slot <= k {
-                        *slot = DUE_UNKNOWN;
-                        let _ = nodes.touch(v, target);
-                    }
-                }
+    // Slot by slot: each slot keeps its own frontier and moves only when
+    // it falls due, so a catch-up walks each neighbor's sessions once to
+    // the target plus twice each time its slot falls due, however many
+    // other slots fall due in between.
+    frontier.clear();
+    frontier.resize(cell.est.neighbors.len(), cell.synced_tick);
+    let mut maintained = false;
+    while let Some(k) = next_due_tick(cell, ctx, nodes, own, frontier, thr) {
+        if k > target {
+            break;
+        }
+        let ProbeCell {
+            est,
+            synced_tick,
+            due_cache,
+        } = &mut *cell;
+        let owner = nodes.schedule(est.owner).sessions();
+        let own = own.get(owner, ctx.period, *synced_tick, ctx.max_tick);
+        for (i, at) in frontier.iter_mut().enumerate() {
+            if due_cache[i] == k {
+                advance_slot(est, i, ctx, nodes, own, *at, k);
+                *at = k;
             }
-            // Next due tick beyond the target (or never): plain advance,
-            // cached dues stay valid for the next sync or query.
-            _ => advance(cell, ctx, nodes, own, target),
+        }
+        // Maintenance touches exactly the slots due at `k`: the others
+        // lag, and their stale silence gaps must not be read.
+        est.rounds = own.rounds_through(k);
+        est.maintain_slots(&ctx.streams, ctx.n_nodes, |_, i| due_cache[i] == k);
+        // The maintained slots' trajectories (and hence due ticks) are
+        // new, and a replacement's schedule is derived only now that it
+        // holds the slot. Every other slot's cached due tick still holds.
+        for (slot, &v) in due_cache.iter_mut().zip(&est.neighbors) {
+            if *slot == k {
+                *slot = DUE_UNKNOWN;
+                let _ = nodes.touch(v, target);
+            }
+        }
+        maintained = true;
+    }
+    // No due tick up to the target (or ever): one plain advance, and the
+    // cached dues stay valid for the next sync or query.
+    if !maintained {
+        advance(cell, ctx, nodes, own, target);
+        return;
+    }
+    let ProbeCell {
+        est, synced_tick, ..
+    } = cell;
+    let owner = nodes.schedule(est.owner).sessions();
+    let own = own.get(owner, ctx.period, *synced_tick, ctx.max_tick);
+    for (i, &at) in frontier.iter().enumerate() {
+        if at < target {
+            advance_slot(est, i, ctx, nodes, own, at, target);
         }
     }
+    est.rounds = own.rounds_through(target);
+    *synced_tick = target;
 }
 
 /// Residency statistics of a probe-cell store: how much per-node state is
@@ -587,6 +659,8 @@ struct SparseCells {
     nodes: NodeCache,
     /// Scratch owner runs of the cell being caught up.
     own: OwnerTicks,
+    /// Scratch slot frontiers of the cell being caught up.
+    frontier: Vec<u64>,
     stats: Residency,
 }
 
@@ -607,6 +681,7 @@ impl SparseCells {
             map,
             nodes,
             own,
+            frontier,
             stats,
         } = self;
         let cell = map.entry(s.index()).or_insert_with(|| {
@@ -623,7 +698,7 @@ impl SparseCells {
                 due_cache: Vec::new(),
             }
         });
-        sync_cell(cell, ctx, nodes, own, target);
+        sync_cell(cell, ctx, nodes, own, frontier, target);
         (cell, nodes)
     }
 }
@@ -690,6 +765,7 @@ impl LazyProbeSet {
                 map: HashMap::default(),
                 nodes: NodeCache::new(nodes),
                 own: OwnerTicks::default(),
+                frontier: Vec::new(),
                 stats: Residency::default(),
             }),
             tick_memo: std::cell::Cell::new((f64::NEG_INFINITY, 0)),
@@ -894,6 +970,7 @@ impl LazyProbeSet {
             map: HashMap::default(),
             nodes: NodeCache::new(store.nodes.source().clone()),
             own: OwnerTicks::default(),
+            frontier: Vec::new(),
             stats: Residency::default(),
         };
         for &(node, synced_tick) in &cells {
@@ -1268,6 +1345,20 @@ mod tests {
         assert_eq!(lazy.estimator(NodeId(0), 30.0).neighbors(), [NodeId(2)]);
     }
 
+    /// Computes every unknown due tick of a synced cell from its frontier.
+    fn fill_dues(
+        cell: &mut ProbeCell,
+        ctx: &LazyCtx,
+        nodes: &mut NodeCache,
+        own: &mut OwnerTicks,
+        thr: u64,
+    ) {
+        touch_cell_nodes(cell, nodes, cell.synced_tick);
+        own.clear(cell.est.rounds);
+        let frontier = vec![cell.synced_tick; cell.est.neighbors.len()];
+        next_due_tick(cell, ctx, nodes, own, &frontier, thr);
+    }
+
     #[test]
     fn one_long_catch_up_equals_tick_by_tick_sync() {
         let (schedules, neighbors) = staggered_world(12);
@@ -1288,6 +1379,7 @@ mod tests {
             Topology::from_lists(neighbors.clone()),
         ));
         let mut own = OwnerTicks::default();
+        let mut frontier = Vec::new();
         let mut replacements = 0;
         for (i, nbrs) in neighbors.into_iter().enumerate() {
             let mut eager = ProbeEstimator::new(NodeId(i), ctx.period, nbrs.clone());
@@ -1297,7 +1389,7 @@ mod tests {
                 due_cache: Vec::new(),
             };
             let mut jump = fresh();
-            sync_cell(&mut jump, ctx, &mut nodes, &mut own, k_end);
+            sync_cell(&mut jump, ctx, &mut nodes, &mut own, &mut frontier, k_end);
             let mut step = fresh();
             for k in 1..=k_end {
                 let t = idpa_desim::SimTime::new(tick_time(k, ctx.period));
@@ -1311,26 +1403,136 @@ mod tests {
                         .filter(|(a, b)| a != b)
                         .count();
                 }
-                sync_cell(&mut step, ctx, &mut nodes, &mut own, k);
+                sync_cell(&mut step, ctx, &mut nodes, &mut own, &mut frontier, k);
                 assert_eq!(step.est, eager, "node {i} at tick {k}");
                 // The due ticks kept across maintenances equal a full
                 // recompute from the current frontier.
-                touch_cell_nodes(&step, &mut nodes, k);
-                own.clear();
-                next_due_tick(&mut step, ctx, &nodes, &mut own, thr);
+                fill_dues(&mut step, ctx, &mut nodes, &mut own, thr);
                 let mut recomputed = step.clone();
                 recomputed.due_cache.fill(DUE_UNKNOWN);
-                own.clear();
-                next_due_tick(&mut recomputed, ctx, &nodes, &mut own, thr);
+                fill_dues(&mut recomputed, ctx, &mut nodes, &mut own, thr);
                 assert_eq!(recomputed, step, "node {i} at tick {k}");
             }
             // One jump over every replacement lands on the same estimator,
             // frontier and cached due ticks.
-            touch_cell_nodes(&jump, &mut nodes, k_end);
-            own.clear();
-            next_due_tick(&mut jump, ctx, &nodes, &mut own, thr);
+            fill_dues(&mut jump, ctx, &mut nodes, &mut own, thr);
             assert_eq!(jump, step, "node {i}");
         }
         assert!(replacements > 0, "the fixture must exercise replacements");
+    }
+
+    /// Seeded oracle for the slot-by-slot catch-up with replacement on:
+    /// one catch-up over dozens of due ticks lands every estimator where
+    /// an eager `probe_round_seeded` + `maintain_seeded` run stepped tick
+    /// by tick does. Nodes share schedules, so several slots of one owner
+    /// fall due at the same tick; a third of the worlds hold `degree + 2`
+    /// nodes, where a replacement's 16 draws can all fail; a quarter run
+    /// threshold 1; and half the cases first sync mid-horizon, so the long
+    /// catch-up starts from a warm due cache.
+    #[test]
+    fn replacement_catch_up_matches_eager_ticks() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(2727);
+        // Ticks with two or more slots due, maintenances that left a due
+        // slot unreplaced, threshold-1 cases, and warm-started catch-ups
+        // that replayed a maintenance.
+        let (mut shared, mut failed, mut thr_one, mut warm) = (0, 0, 0, 0);
+        for case in 0..256 {
+            let period = [1.0, 2.5, 0.7, 5.0][case % 4];
+            let max_tick = rng.random_range(40..160u64);
+            let horizon = tick_time(max_tick, period) + period / 2.0;
+            let degree = rng.random_range(2..9usize);
+            let n = if case % 3 == 0 {
+                degree + 2
+            } else {
+                degree + rng.random_range(3..20usize)
+            };
+            let thr = if case % 4 == 1 {
+                1
+            } else {
+                rng.random_range(1..8u64)
+            };
+            thr_one += usize::from(thr == 1);
+            let pool: Vec<NodeSchedule> = (0..3)
+                .map(|_| random_schedule(&mut rng, period, horizon))
+                .collect();
+            let schedules: Vec<NodeSchedule> = (0..n)
+                .map(|_| match rng.random_range(0..5usize) {
+                    i @ 0..=2 => pool[i].clone(),
+                    _ => random_schedule(&mut rng, period, horizon),
+                })
+                .collect();
+            let neighbors: Vec<Vec<NodeId>> = (0..n)
+                .map(|i| {
+                    let mut set = Vec::new();
+                    while set.len() < degree {
+                        let v = NodeId(rng.random_range(0..n));
+                        if v.index() != i && !set.contains(&v) {
+                            set.push(v);
+                        }
+                    }
+                    set
+                })
+                .collect();
+            let streams = StreamFactory::new(rng.random_range(0..u64::MAX));
+            let lazy = probe_set(
+                period,
+                horizon,
+                schedules.clone(),
+                neighbors.clone(),
+                Some(thr),
+                streams.clone(),
+            );
+            assert_eq!(lazy.max_tick(), max_tick);
+            let mid = (case % 2 == 0).then(|| rng.random_range(max_tick / 4..=max_tick / 2));
+
+            let mut eager: Vec<ProbeEstimator> = (0..n)
+                .map(|i| ProbeEstimator::new(NodeId(i), period, neighbors[i].clone()))
+                .collect();
+            let mut at_mid = None;
+            let mut due_after_mid = false;
+            for k in 1..=max_tick {
+                let t = SimTime::new(tick_time(k, period));
+                for est in eager
+                    .iter_mut()
+                    .filter(|e| schedules[e.owner.index()].is_up(t))
+                {
+                    est.probe_round_seeded(&streams, |v| schedules[v.index()].is_up(t));
+                    let due = |e: &ProbeEstimator| {
+                        (0..degree)
+                            .filter(|&i| e.rounds - e.last_alive_round[i] >= thr)
+                            .count()
+                    };
+                    let before = due(est);
+                    est.maintain_seeded(&streams, thr, n);
+                    shared += usize::from(before >= 2);
+                    failed += usize::from(due(est) > 0);
+                    due_after_mid |= before > 0 && mid.is_some_and(|m| k > m);
+                }
+                if Some(k) == mid {
+                    at_mid = Some(eager.clone());
+                }
+            }
+            warm += usize::from(due_after_mid);
+
+            for i in 0..n {
+                if let (Some(m), Some(at_mid)) = (mid, &at_mid) {
+                    let t = tick_time(m, period);
+                    assert_eq!(
+                        lazy.estimator(NodeId(i), t),
+                        at_mid[i],
+                        "case {case} node {i} at {m}"
+                    );
+                }
+                assert_eq!(
+                    lazy.estimator(NodeId(i), horizon),
+                    eager[i],
+                    "case {case} node {i}: n={n} d={degree} thr={thr} mid={mid:?}"
+                );
+            }
+        }
+        assert!(
+            shared > 10_000 && failed > 500 && thr_one >= 64 && warm > 100,
+            "shared={shared} failed={failed} thr_one={thr_one} warm={warm}"
+        );
     }
 }

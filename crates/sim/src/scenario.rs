@@ -12,7 +12,7 @@ use idpa_core::routing::{AdversaryStrategy, PathPolicy, RoutingStrategy};
 use idpa_core::utility::UtilityModel;
 use idpa_desim::{AdversaryConfig, FaultConfig};
 use idpa_netmodel::{ChurnConfig, CostConfig};
-use idpa_overlay::probe_ticks_fit;
+use idpa_overlay::{probe_ticks_fit, MAX_NEIGHBOR_SLOTS};
 
 use crate::error::SimError;
 
@@ -262,6 +262,14 @@ impl ScenarioConfig {
             format!(
                 "degree must be in 1..n_nodes (got {} with n_nodes {})",
                 self.degree, self.n_nodes
+            ),
+        )?;
+        ensure(
+            self.degree <= MAX_NEIGHBOR_SLOTS,
+            "degree",
+            format!(
+                "degree {} exceeds the {MAX_NEIGHBOR_SLOTS} neighbor slots a probe estimator keys",
+                self.degree
             ),
         )?;
         ensure(
@@ -592,6 +600,24 @@ mod tests {
             ..ScenarioConfig::default()
         };
         assert_rejected(&cfg, "degree", "40 with n_nodes 40");
+    }
+
+    #[test]
+    fn degree_beyond_probe_slot_keys_rejected() {
+        // Validation only: a world this size is never built here.
+        let at = |degree| {
+            ScenarioConfig {
+                degree,
+                ..ScenarioConfig::default()
+            }
+            .with_nodes(MAX_NEIGHBOR_SLOTS + 2)
+        };
+        assert_eq!(at(MAX_NEIGHBOR_SLOTS).validate(), Ok(()));
+        assert_rejected(
+            &at(MAX_NEIGHBOR_SLOTS + 1),
+            "degree",
+            "degree 65537 exceeds the 65536 neighbor slots",
+        );
     }
 
     #[test]
