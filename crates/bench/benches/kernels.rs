@@ -19,7 +19,7 @@ use idpa_crypto::blind::BlindingFactor;
 use idpa_crypto::chacha20::ChaCha20;
 use idpa_crypto::hmac::HmacKey;
 use idpa_crypto::rsa::RsaKeyPair;
-use idpa_crypto::sha256::Sha256;
+use idpa_crypto::sha256::{hex, Sha256};
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::{Calendar, SimTime};
 use idpa_netmodel::{CostConfig, CostModel};
@@ -533,13 +533,25 @@ fn bench_crypto(h: &mut Harness) {
         let sig = keys.raw_sign(&blinded);
         bf.unblind(keys.public(), &sig)
     });
+    // Pinned digests (an independent SHA-256 gives the same) catch a
+    // wrong compression kernel or MAC path before either is timed.
     let data = vec![0xabu8; 4096];
+    assert_eq!(
+        hex(&Sha256::digest(&data)),
+        "8166470a6833d390ca63c4171241090ea15de8a28fd47551b01af9602d136934",
+        "sha256_4k digest moved"
+    );
     h.bench("crypto/sha256_4k", || Sha256::digest(&data));
     {
         // One receipt MAC under a bundle's prepared key: the 24-byte
         // `bundle ‖ connection ‖ hop ‖ forwarder` message of settlement.
         let bundle_key = HmacKey::new(&[9u8; 32]);
         let msg = [0x5au8; 24];
+        assert_eq!(
+            hex(&bundle_key.mac(&msg)),
+            "0e2f338da39c4f80a7fec503e65a506edb9d93f2508f0d7df028a13adeffefeb",
+            "hmac_receipt MAC moved"
+        );
         h.bench("crypto/hmac_receipt", || bundle_key.mac(black_box(&msg)));
     }
     let key = [7u8; 32];

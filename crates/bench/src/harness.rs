@@ -11,6 +11,11 @@
 //! Setting `IDPA_BENCH_SMOKE=1` turns every kernel into a single
 //! un-timed iteration and suppresses the report merge — CI uses this to
 //! prove each bench binary still runs without paying for measurement.
+//!
+//! As with libtest, the bench binary's first free argument filters the
+//! kernels by name substring: `cargo bench -p idpa-bench --bench kernels
+//! -- crypto/` times only the `crypto/*` kernels, and the report keeps
+//! every other entry as it was.
 
 use std::collections::BTreeMap;
 use std::ffi::OsStr;
@@ -48,16 +53,30 @@ pub struct Measurement {
 #[derive(Debug, Default)]
 pub struct Harness {
     measurements: Vec<Measurement>,
+    /// Only kernels whose names contain this are run.
+    filter: Option<String>,
 }
 
 impl Harness {
-    /// An empty harness.
+    /// An empty harness, filtered by the process's first free argument
+    /// (one not starting with `-`; cargo passes `--bench`).
     #[must_use]
     pub fn new() -> Self {
-        Harness::default()
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+        Harness::with_filter(filter.as_deref())
     }
 
-    /// Times `f` and records the measurement under `name`.
+    /// An empty harness that runs only the kernels whose names contain
+    /// `filter` (every kernel for `None`).
+    fn with_filter(filter: Option<&str>) -> Self {
+        Harness {
+            measurements: Vec::new(),
+            filter: filter.map(str::to_string),
+        }
+    }
+
+    /// Times `f` and records the measurement under `name`; a kernel the
+    /// filter leaves out is neither run nor recorded.
     ///
     /// Calibration: the iteration count doubles until one batch takes at
     /// least `TARGET_BATCH_NS`; kernels whose single iteration already
@@ -65,6 +84,13 @@ impl Harness {
     /// samples. The reported figure is the median batch, divided by the
     /// batch iteration count.
     pub fn bench<R, F: FnMut() -> R>(&mut self, name: &str, mut f: F) {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|want| !name.contains(want))
+        {
+            return;
+        }
         // Warm-up + calibration probe.
         let probe_start = Instant::now();
         black_box(f());
@@ -245,7 +271,7 @@ mod tests {
 
     #[test]
     fn measures_a_cheap_kernel() {
-        let mut h = Harness::new();
+        let mut h = Harness::with_filter(None);
         let mut acc = 0u64;
         h.bench("test/add", || {
             acc = acc.wrapping_add(1);
@@ -264,17 +290,39 @@ mod tests {
         let path = path.to_str().unwrap();
         let _ = std::fs::remove_file(path);
 
-        let mut h = Harness::new();
+        let mut h = Harness::with_filter(None);
         h.bench("a/one", || 1u64);
         h.write_json(path).unwrap();
         let first = parse_flat_json(&std::fs::read_to_string(path).unwrap());
         assert!(first.contains_key("a/one"));
 
-        let mut h2 = Harness::new();
+        let mut h2 = Harness::with_filter(None);
         h2.bench("b/two", || 2u64);
         h2.write_json(path).unwrap();
         let merged = parse_flat_json(&std::fs::read_to_string(path).unwrap());
         assert!(merged.contains_key("a/one") && merged.contains_key("b/two"));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn filter_skips_and_keeps_other_report_entries() {
+        let dir = std::env::temp_dir().join("idpa_bench_filter_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("report.json");
+        let path = path.to_str().unwrap();
+        std::fs::write(path, "{\n  \"a/one\": 7.0,\n  \"b/two\": 9.0\n}\n").unwrap();
+
+        let mut h = Harness::with_filter(Some("b/"));
+        let mut ran = Vec::new();
+        h.bench("a/one", || ran.push("a"));
+        h.bench("b/two", || 2u64);
+        assert!(ran.is_empty(), "a filtered-out kernel ran");
+        let names: Vec<&str> = h.measurements().iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["b/two"]);
+        h.write_json(path).unwrap();
+        let merged = parse_flat_json(&std::fs::read_to_string(path).unwrap());
+        assert_eq!(merged["a/one"], 7.0, "an unmeasured entry changed");
+        assert_ne!(merged["b/two"], 9.0);
         let _ = std::fs::remove_file(path);
     }
 

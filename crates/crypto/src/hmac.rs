@@ -4,19 +4,26 @@
 //! [`HmacKey`] is the one kernel: it absorbs the key's ipad and opad
 //! blocks once, so each MAC under a reused key (every receipt and manifest
 //! of a bundle) costs two SHA-256 compressions for a message of up to 55
-//! bytes instead of four. [`hmac_sha256`] and [`verify_hmac`] are one-shot
-//! wrappers over it.
+//! bytes instead of four. Such a message, its padding and its length fill
+//! one block, which [`HmacKey::mac`] builds directly and compresses from
+//! the ipad state; the 32-byte inner digest then fills one block after the
+//! opad state the same way. [`hmac_sha256`] and [`verify_hmac`] are
+//! one-shot wrappers over it.
 
-use crate::sha256::Sha256;
+use crate::sha256::{self, Sha256, H0};
 
 const BLOCK: usize = 64;
+
+/// The longest tail that still fits one block with its `0x80` marker and
+/// 8-byte length.
+const ONE_BLOCK_TAIL: usize = BLOCK - 9;
 
 /// A prepared HMAC-SHA-256 key: the hash states after the ipad and opad
 /// blocks.
 #[derive(Clone)]
 pub struct HmacKey {
-    inner: Sha256,
-    outer: Sha256,
+    inner: [u32; 8],
+    outer: [u32; 8],
 }
 
 impl std::fmt::Debug for HmacKey {
@@ -44,21 +51,23 @@ impl HmacKey {
             opad[i] ^= key_block[i];
         }
 
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        let mut outer = Sha256::new();
-        outer.update(&opad);
+        let (mut inner, mut outer) = (H0, H0);
+        Sha256::compress(&mut inner, &ipad);
+        Sha256::compress(&mut outer, &opad);
         HmacKey { inner, outer }
     }
 
     /// Computes `HMAC-SHA256(key, message)`.
     #[must_use]
     pub fn mac(&self, message: &[u8]) -> [u8; 32] {
-        let mut inner = self.inner.clone();
-        inner.update(message);
-        let mut outer = self.outer.clone();
-        outer.update(&inner.finalize());
-        outer.finalize()
+        let inner = if message.len() <= ONE_BLOCK_TAIL {
+            last_block(self.inner, message)
+        } else {
+            let mut h = Sha256::after_block(self.inner);
+            h.update(message);
+            h.finalize()
+        };
+        last_block(self.outer, &inner)
     }
 
     /// Constant-shape comparison of `mac` against the MAC of `message`
@@ -77,6 +86,19 @@ impl HmacKey {
     }
 }
 
+/// The digest of one absorbed pad block (leaving `state`) followed by
+/// `tail`, which is at most [`ONE_BLOCK_TAIL`] bytes: `tail`, the `0x80`
+/// marker, zeros and the bit length fill one block.
+fn last_block(mut state: [u32; 8], tail: &[u8]) -> [u8; 32] {
+    let mut block = [0u8; BLOCK];
+    block[..tail.len()].copy_from_slice(tail);
+    block[tail.len()] = 0x80;
+    let bits = (BLOCK + tail.len()) as u64 * 8;
+    block[BLOCK - 8..].copy_from_slice(&bits.to_be_bytes());
+    Sha256::compress(&mut state, &block);
+    sha256::digest_bytes(&state)
+}
+
 /// Computes `HMAC-SHA256(key, message)` under a one-off key.
 #[must_use]
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
@@ -93,14 +115,62 @@ pub fn verify_hmac(key: &[u8], message: &[u8], mac: &[u8]) -> bool {
 mod tests {
     use super::*;
     use crate::sha256::hex;
+    use crate::sha256::kernels::{self, Kernel};
 
-    /// Checks an RFC 4231 vector through the one-shot wrapper and through
-    /// a prepared key used twice (the clone must leave the key intact).
+    /// RFC 2104 written out over whole messages: `H(K ⊕ opad ‖ H(K ⊕ ipad
+    /// ‖ m))`, every block through `kernel`.
+    fn textbook(kernel: Kernel, key: &[u8], message: &[u8]) -> [u8; 32] {
+        let mut k = if key.len() > BLOCK {
+            kernels::digest_with(kernel, key).to_vec()
+        } else {
+            key.to_vec()
+        };
+        k.resize(BLOCK, 0);
+        let mut inner: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
+        inner.extend_from_slice(message);
+        let mut outer: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
+        outer.extend_from_slice(&kernels::digest_with(kernel, &inner));
+        kernels::digest_with(kernel, &outer)
+    }
+
+    /// The MAC through the hasher's buffered `update`/`finalize` from the
+    /// prepared pad states, at any message length.
+    fn buffered(key: &HmacKey, message: &[u8]) -> [u8; 32] {
+        let mut inner = Sha256::after_block(key.inner);
+        inner.update(message);
+        let mut outer = Sha256::after_block(key.outer);
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+
+    /// Checks an RFC 4231 vector through the one-shot wrapper, through a
+    /// prepared key used twice (a MAC must leave the key intact), and
+    /// through RFC 2104 written out on each compression kernel.
     fn rfc4231(key: &[u8], data: &[u8], expect: &str) {
         assert_eq!(hex(&hmac_sha256(key, data)), expect);
         let prepared = HmacKey::new(key);
         assert_eq!(hex(&prepared.mac(data)), expect);
         assert_eq!(hex(&prepared.mac(data)), expect, "key reuse");
+        for (name, kernel) in kernels::all("rfc4231") {
+            assert_eq!(hex(&textbook(kernel, key, data)), expect, "{name} kernel");
+        }
+    }
+
+    /// The one-block path (messages up to 55 bytes) against the buffered
+    /// path at every length from 0 to 120, across the 55/56 boundary where
+    /// `mac` switches between them, under a short and a hashed long key.
+    #[test]
+    fn one_block_mac_matches_buffered_path() {
+        let message: Vec<u8> = (0u8..=120).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+        for key in [&b"bundle key"[..], &[0x3cu8; 100][..]] {
+            let prepared = HmacKey::new(key);
+            for len in 0..=120 {
+                let msg = &message[..len];
+                let want = buffered(&prepared, msg);
+                assert_eq!(prepared.mac(msg), want, "key {} len {len}", key.len());
+                assert_eq!(textbook(Sha256::compress, key, msg), want);
+            }
+        }
     }
 
     // RFC 4231 test vectors.

@@ -21,8 +21,16 @@
 //!
 //! **This code is for simulation and study, not production use**: it makes
 //! no attempt at constant-time execution or side-channel hygiene.
+//!
+//! SHA-256 compression picks its kernel at run time: the x86-64 SHA
+//! extensions where the CPU has them, the portable scalar rounds
+//! elsewhere, with identical bits. Entering the hardware kernel after the
+//! CPU check is the crate's one `unsafe` block (safe code has no other way
+//! to reach those instructions); every other item is safe code, and
+//! `deny(unsafe_code)` keeps it that way.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]
 

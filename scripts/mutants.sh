@@ -83,6 +83,20 @@ mutant routing-share-undivided crates/core/src/bundle.rs \
 mutant audit-last-link-unchecked crates/payment/src/audit.rs \
     'if expect != entry.hash {' \
     'if expect != entry.hash && i + 1 < self.entries.len() {'
+# SHA-256's scalar σ0 rotates by 7. On a CPU with the SHA extensions the
+# scalar kernel runs only in the kernel-differential tests.
+mutant sha256-scalar-sigma0 crates/crypto/src/sha256.rs \
+    'w[i - 15].rotate_right(7)' \
+    'w[i - 15].rotate_right(6)'
+# The hardware kernel adds the input state back into a, b, e, f.
+mutant sha256-hw-no-feed-forward crates/crypto/src/sha256.rs \
+    'abef = _mm_add_epi32(abef, abef_save);' \
+    ''
+# A receipt pays its hop only if it names the forwarder the manifest
+# places there.
+mutant receipt-forwarder-unchecked crates/payment/src/validation.rs \
+    'r.bundle_id == self.bundle_id && r.forwarder == account && r.verify(key)' \
+    'r.bundle_id == self.bundle_id && r.verify(key)'
 
 if [ "${1:-}" = "--list" ]; then
     for i in "${!names[@]}"; do
