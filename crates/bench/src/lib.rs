@@ -15,8 +15,11 @@ pub mod alloc_counter;
 pub mod harness;
 
 use idpa_core::routing::RoutingStrategy;
-use idpa_core::utility::UtilityModel;
 use idpa_sim::{RunResult, ScenarioConfig, SimulationRun};
+
+/// The experiments' strategy constructors: model I, and model II at the
+/// experiment-default lookahead.
+pub use idpa_sim::experiments::{model_one, model_two};
 
 /// The bench-scale scenario: the paper's topology parameters with a
 /// quarter-size workload.
@@ -58,18 +61,6 @@ pub fn without_residency(mut r: RunResult) -> RunResult {
 #[must_use]
 pub fn result_fingerprint(r: &RunResult) -> u64 {
     idpa_desim::codec::fnv1a_64(format!("{:?}", without_residency(r.clone())).as_bytes())
-}
-
-/// Utility model I strategy.
-#[must_use]
-pub fn model_one() -> RoutingStrategy {
-    RoutingStrategy::Utility(UtilityModel::ModelI)
-}
-
-/// Utility model II strategy (experiment-default lookahead).
-#[must_use]
-pub fn model_two() -> RoutingStrategy {
-    RoutingStrategy::Utility(UtilityModel::ModelII { lookahead: 2 })
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //!   roles, workload);
 //! * [`runner`] — the event-driven run (transmissions reading lazily
 //!   synced probe state);
-//! * [`experiments`] — one driver per paper table/figure plus ablations;
+//! * [`experiments`] — the paper's tables/figures and ablations as data;
 //! * [`report`] — markdown/CSV table emission;
 //! * [`chart`] — terminal line/CDF charts so regenerated figures are
 //!   visually comparable to the paper's;
