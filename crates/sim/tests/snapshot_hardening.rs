@@ -25,7 +25,7 @@
 //! subsequent restore of the intact snapshot still reproduces the
 //! uninterrupted run exactly.
 
-use idpa_desim::codec::{frame_checksum, FRAME_HEADER_BYTES};
+use idpa_desim::codec::{fnv1a_64, frame_checksum, FRAME_HEADER_BYTES};
 use idpa_desim::rng::StreamFactory;
 use idpa_desim::{Engine, FaultConfig, FaultResponse, SimTime};
 use idpa_sim::snapshot::{encode, restore};
@@ -78,6 +78,16 @@ fn scenarios() -> Vec<ScenarioConfig> {
         durable(base, SettlementMode::Epoch),
     ]
 }
+
+/// `fnv1a_64` of `mid_run_snapshot` for each of [`scenarios`], in order.
+const FRAME_PINS: [u64; 6] = [
+    0xbc48_4cf4_a43a_1c05,
+    0x8581_f5b0_dd37_9749,
+    0x3ae6_a484_2366_dbf6,
+    0x9af2_8d3f_e79f_a4c2,
+    0x6e8e_b5ca_3456_4ddb,
+    0x8a02_3d6b_f4c7_c631,
+];
 
 /// `base` with the durable bank on, real settlement traffic and seeded
 /// bank crashes.
@@ -199,6 +209,18 @@ fn flips_truncations_and_resealed_tampering_never_panic() {
     }
 
     assert!(cases >= 256, "hardening sweep shrank to {cases} cases");
+}
+
+/// The frame bytes of each scenario's mid-run snapshot, pinned by their
+/// FNV-1a-64 digest: any layout change (a field added, dropped, reordered
+/// or re-encoded) moves a pin and must come with a `SNAPSHOT_VERSION` bump.
+#[test]
+fn frame_bytes_are_pinned() {
+    let digests: Vec<u64> = scenarios()
+        .iter()
+        .map(|cfg| fnv1a_64(&mid_run_snapshot(cfg)))
+        .collect();
+    assert_eq!(digests, FRAME_PINS);
 }
 
 /// Deterministic header attacks hit their dedicated frame checks.
