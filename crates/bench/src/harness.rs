@@ -30,11 +30,6 @@ pub use std::hint::black_box as bb;
 const TARGET_BATCH_NS: f64 = 20_000_000.0; // 20 ms
 /// Batches sampled per kernel (median taken).
 const DEFAULT_SAMPLES: usize = 11;
-/// Samples for heavyweight kernels (single-iteration batches).
-const HEAVY_SAMPLES: usize = 5;
-/// A single iteration longer than this skips calibration (one iter per
-/// batch, fewer samples).
-const HEAVY_ITER_NS: f64 = 10_000_000.0; // 10 ms
 
 /// One measured kernel: `ns_per_iter` is the median-of-samples estimate.
 #[derive(Debug, Clone)]
@@ -78,11 +73,10 @@ impl Harness {
     /// Times `f` and records the measurement under `name`; a kernel the
     /// filter leaves out is neither run nor recorded.
     ///
-    /// Calibration: the iteration count doubles until one batch takes at
-    /// least `TARGET_BATCH_NS`; kernels whose single iteration already
-    /// exceeds `HEAVY_ITER_NS` run one iteration per batch with fewer
-    /// samples. The reported figure is the median batch, divided by the
-    /// batch iteration count.
+    /// Calibration: a batch runs as many iterations as the first (warm-up)
+    /// iteration says fill `TARGET_BATCH_NS`, and at least one; every
+    /// kernel, however slow, takes `DEFAULT_SAMPLES` batches. The reported
+    /// figure is the median batch, divided by the batch iteration count.
     pub fn bench<R, F: FnMut() -> R>(&mut self, name: &str, mut f: F) {
         if self
             .filter
@@ -107,17 +101,9 @@ impl Harness {
             return;
         }
 
-        let (iters, samples) = if probe_ns >= HEAVY_ITER_NS {
-            (1u64, HEAVY_SAMPLES)
-        } else {
-            let per_iter = probe_ns.max(1.0);
-            let mut iters = (TARGET_BATCH_NS / per_iter).ceil() as u64;
-            iters = iters.clamp(1, 100_000_000);
-            (iters, DEFAULT_SAMPLES)
-        };
-
-        let mut batch_ns: Vec<f64> = Vec::with_capacity(samples);
-        for _ in 0..samples {
+        let iters = ((TARGET_BATCH_NS / probe_ns.max(1.0)).ceil() as u64).clamp(1, 100_000_000);
+        let mut batch_ns: Vec<f64> = Vec::with_capacity(DEFAULT_SAMPLES);
+        for _ in 0..DEFAULT_SAMPLES {
             let start = Instant::now();
             for _ in 0..iters {
                 black_box(f());
@@ -130,7 +116,7 @@ impl Harness {
             name: name.to_string(),
             ns_per_iter: median / iters as f64,
             iters_per_batch: iters,
-            samples,
+            samples: DEFAULT_SAMPLES,
         };
         println!(
             "bench {:<44} {:>14} ns/iter  (x{} iters, {} samples)",
@@ -280,6 +266,17 @@ mod tests {
         assert_eq!(h.measurements().len(), 1);
         assert!(h.measurements()[0].ns_per_iter > 0.0);
         assert!(h.measurements()[0].iters_per_batch > 1);
+    }
+
+    #[test]
+    fn a_slow_kernel_takes_every_sample() {
+        let mut h = Harness::with_filter(None);
+        h.bench("test/sleep_11ms", || {
+            std::thread::sleep(std::time::Duration::from_millis(11));
+        });
+        let m = &h.measurements()[0];
+        assert_eq!(m.samples, DEFAULT_SAMPLES);
+        assert!(m.ns_per_iter >= 11e6, "{} ns/iter", m.ns_per_iter);
     }
 
     #[test]

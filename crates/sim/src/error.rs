@@ -88,6 +88,14 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+impl From<idpa_desim::CodecError> for SimError {
+    fn from(e: idpa_desim::CodecError) -> Self {
+        SimError::SnapshotCodec {
+            detail: e.to_string(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -546,9 +546,10 @@ fn crowds_analysis(opts: &Options) -> io::Result<String> {
 }
 
 /// Scale study: lazily materialized per-node state, evicted after 64 idle
-/// ticks, at growing N under proportionally scaled paper churn
-/// ([`ScenarioConfig::scale`]). One run
-/// per point (the object of study is the resident-state footprint, not a
+/// ticks, at growing N under proportionally scaled paper churn: each
+/// point is the scenario flags' configuration with the overrides of
+/// [`ScenarioConfig::scale`]. One run per point, so `--reps` does not
+/// apply (the object of study is the resident-state footprint, not a
 /// CI): reports the run's throughput next to the peak materialized node
 /// count, idle evictions, and the slab's byte estimate — the `RunResult`
 /// resident-state metrics. Peak residency tracks the fixed 512-pair
@@ -569,7 +570,12 @@ fn scale_lifecycle(opts: &Options) -> io::Result<String> {
         "avg good payoff",
     ]);
     for (i, &n) in sizes.iter().enumerate() {
-        let cfg = ScenarioConfig::scale(n, 1000 + i as u64);
+        let seed = 1000 + i as u64;
+        let cfg = ScenarioConfig {
+            seed,
+            ..opts.scenario
+        }
+        .scaled(n);
         let r = SimulationRun::execute(cfg);
         table.row(vec![
             n.to_string(),
@@ -1080,6 +1086,24 @@ mod tests {
         let out = run_quick("scale-lifecycle", 2);
         assert!(out.contains("peak materialized"));
         assert!(out.contains("2000"), "largest quick size missing");
+    }
+
+    #[test]
+    fn scale_lifecycle_applies_the_scenario_flags() {
+        let table = |flags: &str| {
+            let args: Vec<String> = flags.split_whitespace().map(String::from).collect();
+            let parsed = crate::cli::parse_experiment_args(&args).expect("flags parse");
+            let (_, run) = registry()
+                .into_iter()
+                .find(|(n, _)| *n == "scale-lifecycle")
+                .expect("registered");
+            run(&Options {
+                out_dir: std::env::temp_dir().join("idpa_exp_test_scale_flags"),
+                ..parsed.opts
+            })
+            .expect("write CSV")
+        };
+        assert_ne!(table("--quick"), table("--quick --fault-drop 0.5"));
     }
 
     #[test]

@@ -496,13 +496,23 @@ impl ScenarioConfig {
     /// scenario does not measure.
     #[must_use]
     pub fn scale(n: usize, seed: u64) -> Self {
+        ScenarioConfig {
+            seed,
+            ..ScenarioConfig::default()
+        }
+        .scaled(n)
+    }
+
+    /// `self` at N = `n` with the workload, eviction and churn of
+    /// [`ScenarioConfig::scale`]; every other field is kept.
+    #[must_use]
+    pub(crate) fn scaled(self, n: usize) -> Self {
         let mut cfg = ScenarioConfig {
             n_pairs: 512,
             total_transmissions: 4096,
             max_connections: 64,
             evict_idle_ticks: Some(64),
-            seed,
-            ..ScenarioConfig::default()
+            ..self
         }
         .with_nodes(n);
         cfg.churn.join_rate = n as f64 / 20.0;

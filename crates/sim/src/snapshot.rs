@@ -12,6 +12,13 @@
 //! rebuilds a run that continues **bit-identically** to the uninterrupted
 //! one.
 //!
+//! Each section's layout is stated once, by its type: a `Wire` value
+//! `put`s itself and `take`s itself back, and a sequence checks its
+//! declared length against its element type's `MIN_BYTES`. [`encode`] is
+//! one `put` per section and [`restore`] one `take`, in the same order;
+//! what stays explicit in [`restore`] are the checks that relate a section
+//! to the scenario or to another section.
+//!
 //! What is *not* serialized is exactly the state that is a pure function
 //! of the configuration or of what *is* serialized: the sampled [`World`]
 //! (regenerated from the master seed; only the open workload's live
@@ -30,58 +37,42 @@
 //! Decoding is hardened end to end: every length is bounds-checked
 //! against the buffer *and* the scenario's dimensions, every float is
 //! validated (no NaN time, no negative crash horizon), every index is
-//! range-checked, and the outer checksum rejects byte flips before
-//! structural decoding even starts. A corrupted snapshot returns a typed
-//! [`SimError`] and never panics — and because [`restore`] builds the
-//! run locally and returns it only on success, a failed restore mutates
-//! nothing.
+//! range-checked, every sorted export must be strictly ascending, and the
+//! outer checksum rejects byte flips before structural decoding even
+//! starts. A corrupted snapshot returns a typed [`SimError`] and never
+//! panics — and because [`restore`] builds the run locally and returns it
+//! only on success, a failed restore mutates nothing.
 //!
 //! [`FaultPlan`]: idpa_desim::FaultPlan
 
 use idpa_core::adversary::IntersectionAttack;
-use idpa_core::arena::HistoryArena;
 use idpa_core::bundle::{BundleAccounting, BundleId, ForwarderTally};
+use idpa_core::history::HistoryRecord;
 use idpa_core::metrics::{DeliveryTracker, ReformationTracker};
 use idpa_core::reputation::EdgeReputation;
-use idpa_desim::codec::{fnv1a_64, unframe, CodecError, Dec, Enc, MAGIC};
+use idpa_desim::codec::{fnv1a_64, unframe, Dec, Enc, MAGIC};
 use idpa_desim::rng::Xoshiro256StarStar;
-use idpa_desim::{Calendar, Engine};
+use idpa_desim::{Calendar, Engine, SimTime};
 use idpa_overlay::{NodeId, ProbeCellsSnapshot, ProbeInvalidation, Residency};
 use idpa_payment::bank::AccountId;
 use idpa_payment::receipt::Receipt;
 use idpa_payment::validation::{ConnectionEvidence, PathManifest};
 
-use std::collections::BTreeMap;
-
 use crate::durability::{BankDurabilityState, DurabilityCounters};
 use crate::error::SimError;
-use crate::runner::{Ev, SimulationRun};
+use crate::runner::{AdversaryCounters, Ev, SimulationRun};
 use crate::scenario::{ScenarioConfig, SettlementMode};
+use crate::slab::{LedgerEntries, NodeSlab, RetiredEntries};
 use crate::window::WindowCollector;
 use crate::world::World;
 
-/// Snapshot format version; bumped on any layout change so a stale
-/// snapshot fails with [`CodecError::UnsupportedVersion`] instead of
-/// misdecoding. Version 5 switched the frame to the word-wise
-/// [`idpa_desim::codec::frame_checksum`]; version 6 dropped the probe-store
-/// tag (one cell store remains) and writes only materialized fault
-/// ledgers. Version 7 keeps the layout but not the world: a restore
-/// regenerates the world from the config, and each node's churn schedule
-/// and neighbor set now come from position-keyed streams, so a version 6
-/// frame would resume over a different world. Version 8 writes the
-/// settlement windows of every fault runtime without an epoch-presence
-/// tag, flags them per pair, and drops the durable bank's epoch counter
-/// (the windows carry it). Version 9 keeps the layout but not the world:
-/// each link's bandwidth now comes from a stream keyed by the link instead
-/// of one sequential stream, so a version 8 frame would resume over
-/// different costs. Version 10 drops the calendar's cancelled-event list
-/// (the calendar no longer supports cancellation, so the list was always
-/// empty). Version 11 writes each probe cell as its key (node, synced
-/// tick, last-touch tick) instead of its estimator arrays, writes only the
-/// evidence no settlement window has settled yet, and drops the per-pair
-/// settlement cursors. Version 12 writes each probe cell as (node, synced
-/// tick): every read syncs a cell to the tick it reads at, so the
-/// last-touch tick always equalled the synced tick and is no longer kept.
+/// Snapshot format version, bumped on any change to the layout or to
+/// what a restore regenerates, so a stale snapshot fails with
+/// [`idpa_desim::CodecError::UnsupportedVersion`] instead of misdecoding
+/// or resuming over a different world (versions 7 and 9 kept every byte
+/// of the layout but changed how the world derives). The frame pins in
+/// `tests/snapshot_hardening.rs` fail on any layout change. Version 12
+/// writes each probe cell as (node, synced tick).
 pub const SNAPSHOT_VERSION: u32 = 12;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
@@ -95,393 +86,356 @@ pub fn config_fingerprint(cfg: &ScenarioConfig) -> u64 {
     fnv1a_64(format!("{cfg:?}").as_bytes())
 }
 
-fn codec(e: CodecError) -> SimError {
-    SimError::SnapshotCodec {
-        detail: e.to_string(),
-    }
-}
-
 fn mismatch(what: &'static str) -> SimError {
     SimError::SnapshotMismatch { what }
 }
 
-/// A range-checked index.
-fn idx(v: usize, n: usize, what: &'static str) -> Result<usize, SimError> {
-    if v < n {
+/// `Ok` if `ok` holds, else the mismatch `what`.
+fn check(ok: bool, what: &'static str) -> Result<(), SimError> {
+    ok.then_some(()).ok_or(mismatch(what))
+}
+
+/// Checks that `keys` ascend strictly and stay below `end`: every sorted
+/// export has exactly one encoding, and its indices are in range.
+fn ascending<K: PartialOrd>(
+    keys: impl IntoIterator<Item = K>,
+    end: K,
+    what: &'static str,
+) -> Result<(), SimError> {
+    check(
+        keys.into_iter().chain([end]).is_sorted_by(|a, b| a < b),
+        what,
+    )
+}
+
+/// A `usize` index that must lie below `end`.
+fn index(d: &mut Dec, end: usize, what: &'static str) -> Result<usize, SimError> {
+    let v = d.usize()?;
+    check(v < end, what).map(|()| v)
+}
+
+/// The scenario's dimensions, which bound every decoded index.
+struct Bounds {
+    nodes: usize,
+    pairs: usize,
+}
+
+/// A value with one wire layout, written by `put` and read back by `take`.
+trait Wire: Sized {
+    /// The fewest bytes any encoding takes; a sequence length is checked
+    /// against it before anything is allocated.
+    const MIN_BYTES: usize;
+    fn put(&self, e: &mut Enc);
+    fn take(d: &mut Dec, b: &Bounds) -> Result<Self, SimError>;
+}
+
+fn take<T: Wire>(d: &mut Dec, b: &Bounds) -> Result<T, SimError> {
+    T::take(d, b)
+}
+
+/// A length prefix, then each item.
+fn put_seq<'a, T: Wire + 'a>(e: &mut Enc, items: impl ExactSizeIterator<Item = &'a T>) {
+    e.seq_len(items.len());
+    items.for_each(|x| x.put(e));
+}
+
+macro_rules! wire_primitive {
+    ($($t:ty: $n:expr, $put:ident, $take:ident;)+) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = $n;
+            fn put(&self, e: &mut Enc) {
+                e.$put(*self);
+            }
+            fn take(d: &mut Dec, _: &Bounds) -> Result<Self, SimError> {
+                Ok(d.$take()?)
+            }
+        }
+    )+};
+}
+wire_primitive! {
+    u8: 1, u8, u8;
+    u32: 4, u32, u32;
+    u64: 8, u64, u64;
+    usize: 8, usize, usize;
+    bool: 1, bool, bool;
+    SimTime: 8, time, time;
+}
+
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, e: &mut Enc) {
+        e.f64(*self);
+    }
+    fn take(d: &mut Dec, _: &Bounds) -> Result<Self, SimError> {
+        let v = d.f64()?;
+        check(v.is_finite(), "non-finite float")?;
         Ok(v)
-    } else {
-        Err(mismatch(what))
     }
 }
 
-/// A validated finite float.
-fn finite(v: f64, what: &'static str) -> Result<f64, SimError> {
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(mismatch(what))
+/// Byte arrays (MACs) travel as raw bytes.
+impl<const N: usize> Wire for [u8; N] {
+    const MIN_BYTES: usize = N;
+    fn put(&self, e: &mut Enc) {
+        e.raw(self);
+    }
+    fn take(d: &mut Dec, _: &Bounds) -> Result<Self, SimError> {
+        let mut out = [0; N];
+        out.copy_from_slice(d.raw(N)?);
+        Ok(out)
     }
 }
 
-fn enc_ev(e: &mut Enc, ev: &Ev) {
-    match *ev {
-        Ev::Probe => e.u8(0),
-        Ev::Maintain(node) => {
-            e.u8(1);
-            e.usize(node);
-        }
-        Ev::Transmit { pair, conn } => {
-            e.u8(2);
-            e.usize(pair);
-            e.u32(conn);
-        }
-        Ev::Retry {
-            pair,
-            conn,
-            attempt,
-        } => {
-            e.u8(3);
-            e.usize(pair);
-            e.u32(conn);
-            e.u32(attempt);
-        }
-        Ev::EpochSettle => e.u8(4),
-        Ev::Arrival { pair } => {
-            e.u8(5);
-            e.usize(pair);
-        }
-        Ev::Whitewash(node) => {
-            e.u8(6);
-            e.usize(node);
-        }
+impl Wire for [u64; 4] {
+    const MIN_BYTES: usize = 32;
+    fn put(&self, e: &mut Enc) {
+        self.iter().for_each(|w| w.put(e));
+    }
+    fn take(d: &mut Dec, _: &Bounds) -> Result<Self, SimError> {
+        Ok([d.u64()?, d.u64()?, d.u64()?, d.u64()?])
     }
 }
 
-fn dec_ev(d: &mut Dec, n_nodes: usize, n_pairs: usize) -> Result<Ev, SimError> {
-    Ok(match d.u8().map_err(codec)? {
-        0 => Ev::Probe,
-        1 => Ev::Maintain(idx(d.usize().map_err(codec)?, n_nodes, "event node index")?),
-        2 => Ev::Transmit {
-            pair: idx(d.usize().map_err(codec)?, n_pairs, "event pair index")?,
-            conn: d.u32().map_err(codec)?,
-        },
-        3 => Ev::Retry {
-            pair: idx(d.usize().map_err(codec)?, n_pairs, "event pair index")?,
-            conn: d.u32().map_err(codec)?,
-            attempt: d.u32().map_err(codec)?,
-        },
-        4 => Ev::EpochSettle,
-        5 => Ev::Arrival {
-            pair: idx(d.usize().map_err(codec)?, n_pairs, "event pair index")?,
-        },
-        6 => Ev::Whitewash(idx(d.usize().map_err(codec)?, n_nodes, "event node index")?),
-        _ => return Err(mismatch("event tag")),
-    })
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, e: &mut Enc) {
+        put_seq(e, self.iter());
+    }
+    fn take(d: &mut Dec, b: &Bounds) -> Result<Self, SimError> {
+        let n = d.seq_len(T::MIN_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::take(d, b)?);
+        }
+        Ok(out)
+    }
 }
 
-fn enc_residency(e: &mut Enc, r: &Residency) {
-    e.usize(r.materialized);
-    e.usize(r.peak);
-    e.u64(r.evictions);
-    e.usize(r.bytes);
-    e.usize(r.peak_bytes);
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, e: &mut Enc) {
+        e.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(e);
+        }
+    }
+    fn take(d: &mut Dec, b: &Bounds) -> Result<Self, SimError> {
+        d.bool()?.then(|| T::take(d, b)).transpose()
+    }
 }
 
-fn dec_residency(d: &mut Dec) -> Result<Residency, SimError> {
-    Ok(Residency {
-        materialized: d.usize().map_err(codec)?,
-        peak: d.usize().map_err(codec)?,
-        evictions: d.u64().map_err(codec)?,
-        bytes: d.usize().map_err(codec)?,
-        peak_bytes: d.usize().map_err(codec)?,
-    })
+macro_rules! wire_tuple {
+    ($(($($t:ident . $i:tt),+))+) => {$(
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)+;
+            fn put(&self, e: &mut Enc) {
+                $(self.$i.put(e);)+
+            }
+            fn take(d: &mut Dec, b: &Bounds) -> Result<Self, SimError> {
+                Ok(($($t::take(d, b)?,)+))
+            }
+        }
+    )+};
+}
+wire_tuple! {
+    (A.0, B.1)
+    (A.0, B.1, C.2)
+    (A.0, B.1, C.2, D.3)
+    (A.0, B.1, C.2, D.3, E.4)
+    (A.0, B.1, C.2, D.3, E.4, F.5)
+}
+
+/// Structs laid out as their listed fields, in order (`0` names a
+/// newtype's field).
+macro_rules! wire_struct {
+    ($($ty:ident { $($f:tt: $ft:ty),+ })+) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$ft as Wire>::MIN_BYTES)+;
+            fn put(&self, e: &mut Enc) {
+                $(self.$f.put(e);)+
+            }
+            fn take(d: &mut Dec, b: &Bounds) -> Result<Self, SimError> {
+                Ok($ty { $($f: <$ft as Wire>::take(d, b)?),+ })
+            }
+        }
+    )+};
+}
+wire_struct! {
+    AccountId { 0: u64 }
+    ForwarderTally { instances: u64, transmission_cost: f64, participated: bool }
+    HistoryRecord { connection: u32, predecessor: NodeId, successor: NodeId }
+    Residency { materialized: usize, peak: usize, evictions: u64, bytes: usize, peak_bytes: usize }
+    ProbeCellsSnapshot { cells: Vec<(usize, u64)>, stats: Residency }
+    Receipt { bundle_id: u64, connection: u32, hop: u32, forwarder: AccountId, mac: [u8; 32] }
+    PathManifest { bundle_id: u64, connection: u32, hops: Vec<AccountId>, mac: [u8; 32] }
+    ConnectionEvidence {
+        manifest: PathManifest,
+        receipts: Vec<Receipt>,
+        observed_hops: Option<Vec<AccountId>>
+    }
+    AdversaryCounters {
+        whitewash_events: u64,
+        whitewash_evasions: u64,
+        whitewash_archived: u64,
+        free_rider_refusals: u64,
+        phantom_injected: u64
+    }
+    DurabilityCounters {
+        crashes: u64,
+        torn_tails: u64,
+        records_replayed: u64,
+        monitor_checks: u64,
+        monitor_violations: u64
+    }
+}
+
+impl Wire for NodeId {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, e: &mut Enc) {
+        e.usize(self.0);
+    }
+    fn take(d: &mut Dec, b: &Bounds) -> Result<Self, SimError> {
+        index(d, b.nodes, "node index").map(NodeId)
+    }
+}
+
+impl Wire for BundleId {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, e: &mut Enc) {
+        e.u64(self.0);
+    }
+    fn take(d: &mut Dec, b: &Bounds) -> Result<Self, SimError> {
+        Ok(BundleId(index(d, b.pairs, "bundle index")? as u64))
+    }
+}
+
+impl Wire for Ev {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, e: &mut Enc) {
+        match *self {
+            Ev::Probe => e.u8(0),
+            Ev::Maintain(node) => (1u8, node).put(e),
+            Ev::Transmit { pair, conn } => (2u8, pair, conn).put(e),
+            Ev::Retry {
+                pair,
+                conn,
+                attempt,
+            } => (3u8, pair, conn, attempt).put(e),
+            Ev::EpochSettle => e.u8(4),
+            Ev::Arrival { pair } => (5u8, pair).put(e),
+            Ev::Whitewash(node) => (6u8, node).put(e),
+        }
+    }
+    fn take(d: &mut Dec, b: &Bounds) -> Result<Self, SimError> {
+        let pair = |d: &mut Dec| index(d, b.pairs, "event pair index");
+        Ok(match d.u8()? {
+            0 => Ev::Probe,
+            1 => Ev::Maintain(NodeId::take(d, b)?.0),
+            2 => Ev::Transmit {
+                pair: pair(d)?,
+                conn: d.u32()?,
+            },
+            3 => Ev::Retry {
+                pair: pair(d)?,
+                conn: d.u32()?,
+                attempt: d.u32()?,
+            },
+            4 => Ev::EpochSettle,
+            5 => Ev::Arrival { pair: pair(d)? },
+            6 => Ev::Whitewash(NodeId::take(d, b)?.0),
+            _ => return Err(mismatch("event tag")),
+        })
+    }
 }
 
 /// Serializes the full mutable state of `run` + `engine` into a framed,
 /// checksummed snapshot buffer.
 #[must_use]
 pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
-    let mut e = Enc::framed(MAGIC, SNAPSHOT_VERSION);
-    e.u64(config_fingerprint(&run.cfg));
+    let mut frame = Enc::framed(MAGIC, SNAPSHOT_VERSION);
+    let e = &mut frame;
+    config_fingerprint(&run.cfg).put(e);
 
     // Engine clock and calendar (original sequence numbers preserved, so
     // same-time event ordering survives the resume).
-    e.time(engine.now());
-    e.u64(engine.events_handled());
     let cal = engine.calendar();
-    e.u64(cal.next_seq());
-    let entries = cal.snapshot_entries();
-    e.seq_len(entries.len());
-    for (t, seq, ev) in &entries {
-        e.time(*t);
-        e.u64(*seq);
-        enc_ev(&mut e, ev);
-    }
+    (engine.now(), engine.events_handled()).put(e);
+    (cal.next_seq(), cal.snapshot_entries()).put(e);
 
     // The sequential routing RNG cursor (every other draw is
-    // position-keyed and needs no state).
-    for w in run.routing_rng.state() {
-        e.u64(w);
-    }
-
-    e.u64(run.connections);
-
-    // Crash overlay (empty when faults are off).
-    e.seq_len(run.crashed_until.len());
-    for &t in &run.crashed_until {
-        e.f64(t);
-    }
-
-    e.seq_len(run.initiator_costs.len());
-    for &c in &run.initiator_costs {
-        e.f64(c);
-    }
+    // position-keyed and needs no state), the crash overlay (empty when
+    // faults are off) and the initiator costs.
+    (run.routing_rng.state(), run.connections).put(e);
+    run.crashed_until.put(e);
+    run.initiator_costs.put(e);
 
     // Per-pair transmission times. Closed mode regenerates these
     // identically from the seed, but the open workload appends each live
     // arrival — they are trajectory state, so they travel uniformly.
-    e.seq_len(run.world.pairs.len());
-    for p in &run.world.pairs {
-        e.seq_len(p.times.len());
-        for &t in &p.times {
-            e.f64(t);
-        }
-    }
+    put_seq(e, run.world.pairs.iter().map(|p| &p.times));
 
-    for b in &run.bundles {
-        let (tallies, connections, total_hops) = b.snapshot_state();
-        e.seq_len(tallies.len());
-        for (node, t) in &tallies {
-            e.usize(node.index());
-            e.u64(t.instances);
-            e.f64(t.transmission_cost);
-            e.bool(t.participated);
-        }
-        e.u32(connections);
-        e.u64(total_hops);
-    }
-
-    for tr in &run.trackers {
-        let (edges, connections, new_edges, total_edges, reformed) = tr.snapshot_state();
-        e.seq_len(edges.len());
-        for (a, b) in &edges {
-            e.usize(a.index());
-            e.usize(b.index());
-        }
-        e.u32(connections);
-        e.u64(new_edges);
-        e.u64(total_edges);
-        e.u32(reformed);
-    }
-
-    for at in &run.attacks {
-        let (observations, candidates) = at.snapshot_state();
-        e.u32(observations);
-        match candidates {
-            None => e.bool(false),
-            Some(c) => {
-                e.bool(true);
-                e.seq_len(c.len());
-                for n in &c {
-                    e.usize(n.index());
-                }
-            }
-        }
-    }
+    run.bundles.iter().for_each(|b| b.snapshot_state().put(e));
+    run.trackers.iter().for_each(|t| t.snapshot_state().put(e));
+    run.attacks.iter().for_each(|a| a.snapshot_state().put(e));
 
     // History arena cells, restored by replaying `record_hop` — that
     // reconstructs the per-cell connection multisets and the membership
     // filter exactly.
-    let cells = run.histories.snapshot_cells();
-    e.seq_len(cells.len());
-    for (node, bundle, records) in &cells {
-        e.u64(*node);
-        e.u64(*bundle);
-        e.seq_len(records.len());
-        for r in records {
-            e.u32(r.connection);
-            e.usize(r.predecessor.index());
-            e.usize(r.successor.index());
-        }
-    }
+    run.histories.snapshot_cells().put(e);
 
     // Probe cells as keys: restore rebuilds each estimator from its node
     // and synced tick, the way a re-touch after eviction does.
-    let ProbeCellsSnapshot { cells, stats } = run.probes.snapshot_cells();
-    e.seq_len(cells.len());
-    for &(i, synced_tick) in &cells {
-        e.usize(i);
-        e.u64(synced_tick);
+    run.probes.snapshot_cells().put(e);
+    run.slab.as_ref().map(NodeSlab::last_sweep_tick).put(e);
+    let windows = run.windows.as_ref().map(WindowCollector::snapshot_state);
+    windows.put(e);
+
+    run.fault.is_some().put(e);
+    let Some(fr) = &run.fault else {
+        return frame.seal_frame();
+    };
+    fr.delivery.snapshot_state().put(e);
+    fr.last_completion.put(e);
+    // Fault ledgers, then the retired (whitewashed) archives — dynamic
+    // evidence that must survive a resume bit-identically.
+    fr.reputation.snapshot_ledgers().put(e);
+    fr.reputation.snapshot_retired().put(e);
+    fr.probe_invalid.snapshot_state().put(e);
+
+    // Only the evidence no window has settled yet (always none under
+    // per-bundle settlement).
+    fr.validators
+        .iter()
+        .for_each(|v| put_seq(e, v.pending().iter()));
+
+    let st = &fr.settlement;
+    st.expected
+        .iter()
+        .chain(&st.validated)
+        .for_each(|x| x.put(e));
+    put_seq(e, st.flagged.iter());
+    (st.epochs_settled, st.payout_ops, st.batch_ops).put(e);
+    (st.receipts_netted, st.phantom_flagged).put(e);
+
+    // Adversary counters: the layer's only mutable state (the plan is a
+    // pure precomputed schedule, rebuilt from the config).
+    fr.adv.put(e);
+
+    // Durable-bank block. The WAL image is the source of truth for ledger
+    // state: restore replays it through the same crash-recovery path a
+    // real restart would use. Alongside it, only the state the log cannot
+    // reproduce: the node-to-account map, the flush position key, and the
+    // counters.
+    fr.bank.is_some().put(e);
+    if let Some(bank) = &fr.bank {
+        let (wal, accounts, flushes, counters) = bank.snapshot_parts();
+        e.seq_len(wal.len());
+        e.raw(wal);
+        e.seq_len(accounts.len());
+        accounts.iter().for_each(|(&n, &a)| (n, a).put(e));
+        (flushes, counters).put(e);
     }
-    enc_residency(&mut e, &stats);
-
-    match &run.slab {
-        None => e.bool(false),
-        Some(slab) => {
-            e.bool(true);
-            e.u64(slab.last_sweep_tick());
-        }
-    }
-
-    match &run.windows {
-        None => e.bool(false),
-        Some(w) => {
-            e.bool(true);
-            let rows = w.snapshot_state();
-            e.seq_len(rows.len());
-            for (scheduled, delivered, retries, payoff) in rows {
-                e.u64(scheduled);
-                e.u64(delivered);
-                e.u64(retries);
-                e.u64(payoff);
-            }
-        }
-    }
-
-    match &run.fault {
-        None => e.bool(false),
-        Some(fr) => {
-            e.bool(true);
-            let (scheduled, delivered, abandoned, retries, latency_bits, latency_count) =
-                fr.delivery.snapshot_state();
-            e.u64(scheduled);
-            e.u64(delivered);
-            e.u64(abandoned);
-            e.u64(retries);
-            e.u64(latency_bits);
-            e.u64(latency_count);
-
-            e.seq_len(fr.last_completion.len());
-            for &t in &fr.last_completion {
-                e.f64(t);
-            }
-
-            let ledgers = fr.reputation.snapshot_ledgers();
-            e.seq_len(ledgers.len());
-            for (initiator, entries) in &ledgers {
-                e.usize(*initiator);
-                e.seq_len(entries.len());
-                for (relay, drops, timeouts, flagged) in entries {
-                    e.usize(*relay);
-                    e.u32(*drops);
-                    e.u32(*timeouts);
-                    e.bool(*flagged);
-                }
-            }
-
-            // Retired (whitewashed) ledger archives — dynamic evidence
-            // that must survive a resume bit-identically.
-            let retired = fr.reputation.snapshot_retired();
-            e.seq_len(retired.len());
-            for (initiator, relays) in &retired {
-                e.usize(*initiator);
-                e.seq_len(relays.len());
-                for (relay, gens) in relays {
-                    e.usize(*relay);
-                    e.seq_len(gens.len());
-                    for (drops, timeouts, flagged) in gens {
-                        e.u32(*drops);
-                        e.u32(*timeouts);
-                        e.bool(*flagged);
-                    }
-                }
-            }
-
-            let until = fr.probe_invalid.snapshot_state();
-            e.seq_len(until.len());
-            for &t in &until {
-                e.f64(t);
-            }
-
-            // Only the evidence no window has settled yet (always none
-            // under per-bundle settlement).
-            for v in &fr.validators {
-                let pending = v.pending();
-                e.seq_len(pending.len());
-                for ev in pending {
-                    e.u64(ev.manifest.bundle_id);
-                    e.u32(ev.manifest.connection);
-                    e.seq_len(ev.manifest.hops.len());
-                    for h in &ev.manifest.hops {
-                        e.u64(h.0);
-                    }
-                    e.raw(&ev.manifest.mac);
-                    e.seq_len(ev.receipts.len());
-                    for r in &ev.receipts {
-                        e.u64(r.bundle_id);
-                        e.u32(r.connection);
-                        e.u32(r.hop);
-                        e.u64(r.forwarder.0);
-                        e.raw(&r.mac);
-                    }
-                    match &ev.observed_hops {
-                        None => e.bool(false),
-                        Some(obs) => {
-                            e.bool(true);
-                            e.seq_len(obs.len());
-                            for h in obs {
-                                e.u64(h.0);
-                            }
-                        }
-                    }
-                }
-            }
-
-            let st = &fr.settlement;
-            for &x in &st.expected {
-                e.u64(x);
-            }
-            for &x in &st.validated {
-                e.u64(x);
-            }
-            e.seq_len(st.flagged.len());
-            for &(pair, f) in &st.flagged {
-                e.usize(pair);
-                e.usize(f);
-            }
-            e.u64(st.epochs_settled);
-            e.u64(st.payout_ops);
-            e.u64(st.batch_ops);
-            e.u64(st.receipts_netted);
-            e.u64(st.phantom_flagged);
-
-            // Adversary counters: the layer's only mutable state (the plan
-            // is a pure precomputed schedule, rebuilt from the config).
-            e.u64(fr.adv.whitewash_events);
-            e.u64(fr.adv.whitewash_evasions);
-            e.u64(fr.adv.whitewash_archived);
-            e.u64(fr.adv.free_rider_refusals);
-            e.u64(fr.adv.phantom_injected);
-
-            // Durable-bank block (v3). The WAL image is the source of
-            // truth for ledger state: restore replays it through the same
-            // crash-recovery path a real restart would use. Alongside it,
-            // only the state the log cannot reproduce: the node-to-account
-            // map, the flush/epoch position keys, and the counters.
-            match &fr.bank {
-                None => e.bool(false),
-                Some(bank) => {
-                    e.bool(true);
-                    let (wal, accounts, flushes, counters) = bank.snapshot_parts();
-                    e.seq_len(wal.len());
-                    e.raw(wal);
-                    e.seq_len(accounts.len());
-                    for (&node, acct) in accounts {
-                        e.u64(node);
-                        e.u64(acct.0);
-                    }
-                    e.u64(flushes);
-                    e.u64(counters.crashes);
-                    e.u64(counters.torn_tails);
-                    e.u64(counters.records_replayed);
-                    e.u64(counters.monitor_checks);
-                    e.u64(counters.monitor_violations);
-                }
-            }
-        }
-    }
-
-    e.seal_frame()
+    frame.seal_frame()
 }
 
 /// Rebuilds a run + engine pair from a snapshot taken under the same
@@ -490,455 +444,158 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
 /// The world is regenerated from the seed, a fresh run is built locally,
 /// and only then is the serialized trajectory state swapped in — so a
 /// decode failure at any depth returns a typed [`SimError`] with no
-/// partial mutation anywhere.
+/// partial mutation anywhere. The history records and the pending
+/// evidence go straight into the run as they decode.
 pub fn restore(
     cfg: &ScenarioConfig,
     bytes: &[u8],
 ) -> Result<(SimulationRun, Engine<Ev>), SimError> {
-    let payload = unframe(bytes, MAGIC, SNAPSHOT_VERSION).map_err(codec)?;
-    let mut d = Dec::new(payload);
+    let d = &mut Dec::new(unframe(bytes, MAGIC, SNAPSHOT_VERSION)?);
+    let ok = d.u64()? == config_fingerprint(cfg);
+    check(ok, "configuration fingerprint")?;
 
-    if d.u64().map_err(codec)? != config_fingerprint(cfg) {
-        return Err(mismatch("configuration fingerprint"));
-    }
+    let mut run = SimulationRun::new(*cfg, World::try_generate(cfg)?);
+    let b = &Bounds {
+        nodes: cfg.n_nodes,
+        pairs: run.world.pairs.len(),
+    };
 
-    let world = World::try_generate(cfg)?;
-    let mut run = SimulationRun::new(*cfg, world);
-    let n_nodes = cfg.n_nodes;
-    let n_pairs = run.world.pairs.len();
+    let (now, events_handled): (SimTime, u64) = take(d, b)?;
+    let (next_seq, entries): (u64, Vec<(SimTime, u64, Ev)>) = take(d, b)?;
+    let ok = entries.iter().all(|e| e.0 >= now);
+    check(ok, "calendar entry before now")?;
+    let ok = entries.iter().all(|e| e.1 < next_seq);
+    check(ok, "calendar sequence number")?;
 
-    // Engine clock and calendar.
-    let now = d.time().map_err(codec)?;
-    let events_handled = d.u64().map_err(codec)?;
-    let next_seq = d.u64().map_err(codec)?;
-    let n_entries = d.seq_len(17).map_err(codec)?;
-    let mut entries = Vec::with_capacity(n_entries);
-    for _ in 0..n_entries {
-        let t = d.time().map_err(codec)?;
-        if t < now {
-            return Err(mismatch("calendar entry before now"));
-        }
-        let seq = d.u64().map_err(codec)?;
-        if seq >= next_seq {
-            return Err(mismatch("calendar sequence number"));
-        }
-        entries.push((t, seq, dec_ev(&mut d, n_nodes, n_pairs)?));
-    }
+    run.routing_rng = Xoshiro256StarStar::from_state(take(d, b)?);
+    run.connections = take(d, b)?;
+    let n_crashed = run.crashed_until.len();
+    run.crashed_until = take(d, b)?;
+    check(run.crashed_until.len() == n_crashed, "crash overlay length")?;
+    check(run.crashed_until.iter().all(|&t| t >= 0.0), "crash horizon")?;
+    run.initiator_costs = take(d, b)?;
+    let ok = run.initiator_costs.len() == b.pairs;
+    check(ok, "initiator cost length")?;
 
-    let mut routing_state = [0u64; 4];
-    for w in &mut routing_state {
-        *w = d.u64().map_err(codec)?;
-    }
-    run.routing_rng = Xoshiro256StarStar::from_state(routing_state);
-
-    run.connections = d.u64().map_err(codec)?;
-
-    let n_crashed = d.seq_len(8).map_err(codec)?;
-    if n_crashed != run.crashed_until.len() {
-        return Err(mismatch("crash overlay length"));
-    }
-    for slot in &mut run.crashed_until {
-        let t = finite(d.f64().map_err(codec)?, "crash horizon")?;
-        if t < 0.0 {
-            return Err(mismatch("crash horizon"));
-        }
-        *slot = t;
-    }
-
-    let n_costs = d.seq_len(8).map_err(codec)?;
-    if n_costs != n_pairs {
-        return Err(mismatch("initiator cost length"));
-    }
-    for slot in &mut run.initiator_costs {
-        *slot = finite(d.f64().map_err(codec)?, "initiator cost")?;
-    }
-
-    let n_time_pairs = d.seq_len(8).map_err(codec)?;
-    if n_time_pairs != n_pairs {
-        return Err(mismatch("workload pair count"));
-    }
+    let n_pairs = d.seq_len(<Vec<f64>>::MIN_BYTES)?;
+    check(n_pairs == b.pairs, "workload pair count")?;
     for p in &mut run.world.pairs {
-        let n_times = d.seq_len(8).map_err(codec)?;
-        if n_times > cfg.max_connections as usize {
-            return Err(mismatch("pair connection count"));
-        }
-        let mut times = Vec::with_capacity(n_times);
-        for _ in 0..n_times {
-            let t = finite(d.f64().map_err(codec)?, "transmission time")?;
-            if t < 0.0 || times.last().is_some_and(|&prev| t < prev) {
-                return Err(mismatch("transmission time order"));
-            }
-            times.push(t);
-        }
-        p.times = times;
+        p.times = take(d, b)?;
+        let n = p.times.len();
+        check(n <= cfg.max_connections as usize, "pair connection count")?;
+        let ok = p.times.first().is_none_or(|&t| t >= 0.0) && p.times.is_sorted();
+        check(ok, "transmission time order")?;
     }
 
-    for b in &mut run.bundles {
-        let n_tallies = d.seq_len(21).map_err(codec)?;
-        let mut tallies: Vec<(NodeId, ForwarderTally)> = Vec::with_capacity(n_tallies);
-        for _ in 0..n_tallies {
-            let node = idx(d.usize().map_err(codec)?, n_nodes, "tally node")?;
-            if tallies.last().is_some_and(|(prev, _)| prev.index() >= node) {
-                return Err(mismatch("tally node order"));
-            }
-            let instances = d.u64().map_err(codec)?;
-            let transmission_cost = finite(d.f64().map_err(codec)?, "transmission cost")?;
-            let participated = d.bool().map_err(codec)?;
-            tallies.push((
-                NodeId(node),
-                ForwarderTally {
-                    instances,
-                    transmission_cost,
-                    participated,
-                },
-            ));
-        }
-        let connections = d.u32().map_err(codec)?;
-        let total_hops = d.u64().map_err(codec)?;
-        *b = BundleAccounting::from_snapshot(tallies, connections, total_hops);
+    for acc in &mut run.bundles {
+        let (tallies, connections, total_hops): (Vec<(NodeId, _)>, _, _) = take(d, b)?;
+        let nodes = tallies.iter().map(|t| t.0);
+        ascending(nodes, NodeId(b.nodes), "tally node order")?;
+        *acc = BundleAccounting::from_snapshot(tallies, connections, total_hops);
     }
-
     for tr in &mut run.trackers {
-        let n_edges = d.seq_len(16).map_err(codec)?;
-        let mut edges = Vec::with_capacity(n_edges);
-        for _ in 0..n_edges {
-            let a = idx(d.usize().map_err(codec)?, n_nodes, "tracker edge")?;
-            let b = idx(d.usize().map_err(codec)?, n_nodes, "tracker edge")?;
-            edges.push((NodeId(a), NodeId(b)));
-        }
-        let connections = d.u32().map_err(codec)?;
-        let new_edges = d.u64().map_err(codec)?;
-        let total_edges = d.u64().map_err(codec)?;
-        let reformed = d.u32().map_err(codec)?;
-        *tr =
-            ReformationTracker::from_snapshot(edges, connections, new_edges, total_edges, reformed);
+        let (edges, c, new, total, reformed) = take(d, b)?;
+        *tr = ReformationTracker::from_snapshot(edges, c, new, total, reformed);
     }
-
     for at in &mut run.attacks {
-        let observations = d.u32().map_err(codec)?;
-        let candidates = if d.bool().map_err(codec)? {
-            let n = d.seq_len(8).map_err(codec)?;
-            let mut c = Vec::with_capacity(n);
-            for _ in 0..n {
-                c.push(NodeId(idx(
-                    d.usize().map_err(codec)?,
-                    n_nodes,
-                    "attack candidate",
-                )?));
-            }
-            Some(c)
-        } else {
-            None
-        };
+        let (observations, candidates) = take(d, b)?;
         *at = IntersectionAttack::from_snapshot(observations, candidates);
     }
 
     // History arena: replay every record through the write path.
-    let mut histories = HistoryArena::with_capacity(cfg.history_capacity);
-    let n_cells = d.seq_len(27).map_err(codec)?;
-    for _ in 0..n_cells {
-        let node = d.u64().map_err(codec)?;
-        idx(node as usize, n_nodes, "history node")?;
-        let bundle = d.u64().map_err(codec)?;
-        idx(bundle as usize, n_pairs, "history bundle")?;
-        let n_records = d.seq_len(20).map_err(codec)?;
-        for _ in 0..n_records {
-            let connection = d.u32().map_err(codec)?;
-            let pred = idx(d.usize().map_err(codec)?, n_nodes, "history predecessor")?;
-            let succ = idx(d.usize().map_err(codec)?, n_nodes, "history successor")?;
-            histories.record_hop(
-                NodeId(node as usize),
-                BundleId(bundle),
-                connection,
-                NodeId(pred),
-                NodeId(succ),
-            );
+    let h = &mut run.histories;
+    for _ in 0..d.seq_len(<(u64, u64, Vec<HistoryRecord>)>::MIN_BYTES)? {
+        let (node, bundle) = take(d, b)?;
+        for _ in 0..d.seq_len(HistoryRecord::MIN_BYTES)? {
+            let r: HistoryRecord = take(d, b)?;
+            h.record_hop(node, bundle, r.connection, r.predecessor, r.successor);
         }
     }
-    run.histories = histories;
 
-    // Probe cell keys; `restore_cells` range- and order-checks them and
+    // `restore_cells` range- and order-checks the probe cell keys and
     // rebuilds each cell.
-    let n = d.seq_len(16).map_err(codec)?;
-    let mut cells = Vec::with_capacity(n);
-    for _ in 0..n {
-        let i = d.usize().map_err(codec)?;
-        let synced_tick = d.u64().map_err(codec)?;
-        cells.push((i, synced_tick));
-    }
-    let stats = dec_residency(&mut d)?;
-    run.probes
-        .restore_cells(ProbeCellsSnapshot { cells, stats })
-        .map_err(mismatch)?;
-
-    let slab_present = d.bool().map_err(codec)?;
-    match (&mut run.slab, slab_present) {
-        (None, false) => {}
-        (Some(slab), true) => slab.set_last_sweep_tick(d.u64().map_err(codec)?),
+    run.probes.restore_cells(take(d, b)?).map_err(mismatch)?;
+    match (&mut run.slab, take(d, b)?) {
+        (None, None) => {}
+        (Some(slab), Some(tick)) => slab.set_last_sweep_tick(tick),
         _ => return Err(mismatch("idle eviction")),
     }
+    let rows: Option<Vec<(u64, u64, u64, u64)>> = take(d, b)?;
+    check(rows.is_some() == run.windows.is_some(), "windowed metrics")?;
+    for r in rows.iter().flatten() {
+        check(f64::from_bits(r.3).is_finite(), "window payoff")?;
+    }
+    let (len, warmup) = (cfg.window_len, cfg.window_warmup);
+    run.windows = rows.map(|rows| WindowCollector::from_snapshot(len, warmup, &rows));
 
-    let windows_present = d.bool().map_err(codec)?;
-    match (run.windows.is_some(), windows_present) {
-        (false, false) => {}
-        (true, true) => {
-            let n = d.seq_len(32).map_err(codec)?;
-            let mut rows = Vec::with_capacity(n);
+    check(d.bool()? == run.fault.is_some(), "fault block presence")?;
+    if let Some(fr) = &mut run.fault {
+        let delivery: (u64, u64, u64, u64, u64, u64) = take(d, b)?;
+        check(f64::from_bits(delivery.4).is_finite(), "latency sum")?;
+        fr.delivery = DeliveryTracker::from_snapshot(delivery);
+        fr.last_completion = take(d, b)?;
+        let ok = fr.last_completion.len() == b.pairs;
+        check(ok, "completion time length")?;
+
+        let ledgers: Vec<(usize, LedgerEntries)> = take(d, b)?;
+        ascending(ledgers.iter().map(|l| l.0), b.nodes, "ledger order")?;
+        for (initiator, entries) in ledgers {
+            ascending(entries.iter().map(|e| e.0), b.nodes, "ledger relay order")?;
+            *fr.reputation.get_mut(initiator) = EdgeReputation::from_snapshot(b.nodes, &entries);
+        }
+        let retired: Vec<(usize, RetiredEntries)> = take(d, b)?;
+        ascending(retired.iter().map(|r| r.0), b.nodes, "retired order")?;
+        for (_, relays) in &retired {
+            ascending(relays.iter().map(|r| r.0), b.nodes, "retired relay order")?;
+        }
+        fr.reputation.restore_retired(&retired);
+
+        let until: Vec<f64> = take(d, b)?;
+        check(until.len() == b.nodes, "probe invalidation length")?;
+        check(until.iter().all(|&t| t >= 0.0), "invalidation horizon")?;
+        fr.probe_invalid = ProbeInvalidation::from_snapshot(until);
+
+        // A per-bundle window settles at its connection, so a real
+        // per-bundle frame never carries pending evidence.
+        let per_bundle = cfg.settlement == SettlementMode::PerBundle;
+        for v in &mut fr.validators {
+            let n = d.seq_len(ConnectionEvidence::MIN_BYTES)?;
+            let what = "pending evidence under per-bundle settlement";
+            check(!per_bundle || n == 0, what)?;
             for _ in 0..n {
-                let scheduled = d.u64().map_err(codec)?;
-                let delivered = d.u64().map_err(codec)?;
-                let retries = d.u64().map_err(codec)?;
-                let payoff = d.u64().map_err(codec)?;
-                finite(f64::from_bits(payoff), "window payoff")?;
-                rows.push((scheduled, delivered, retries, payoff));
-            }
-            run.windows = Some(WindowCollector::from_snapshot(
-                cfg.window_len,
-                cfg.window_warmup,
-                &rows,
-            ));
-        }
-        _ => return Err(mismatch("windowed metrics")),
-    }
-
-    let fault_present = d.bool().map_err(codec)?;
-    match (&mut run.fault, fault_present) {
-        (None, false) => {}
-        (Some(fr), true) => {
-            let scheduled = d.u64().map_err(codec)?;
-            let delivered = d.u64().map_err(codec)?;
-            let abandoned = d.u64().map_err(codec)?;
-            let retries = d.u64().map_err(codec)?;
-            let latency_bits = d.u64().map_err(codec)?;
-            finite(f64::from_bits(latency_bits), "latency sum")?;
-            let latency_count = d.u64().map_err(codec)?;
-            fr.delivery = DeliveryTracker::from_snapshot((
-                scheduled,
-                delivered,
-                abandoned,
-                retries,
-                latency_bits,
-                latency_count,
-            ));
-
-            let n = d.seq_len(8).map_err(codec)?;
-            if n != n_pairs {
-                return Err(mismatch("completion time length"));
-            }
-            for slot in &mut fr.last_completion {
-                *slot = finite(d.f64().map_err(codec)?, "completion time")?;
-            }
-
-            let n_ledgers = d.seq_len(16).map_err(codec)?;
-            let mut last: Option<usize> = None;
-            for _ in 0..n_ledgers {
-                let initiator = idx(d.usize().map_err(codec)?, n_nodes, "ledger initiator")?;
-                if last.is_some_and(|prev| prev >= initiator) {
-                    return Err(mismatch("ledger order"));
-                }
-                last = Some(initiator);
-                let n_entries = d.seq_len(18).map_err(codec)?;
-                let mut entries = Vec::with_capacity(n_entries);
-                let mut last_relay: Option<usize> = None;
-                for _ in 0..n_entries {
-                    let relay = idx(d.usize().map_err(codec)?, n_nodes, "ledger relay")?;
-                    if last_relay.is_some_and(|prev| prev >= relay) {
-                        return Err(mismatch("ledger relay order"));
-                    }
-                    last_relay = Some(relay);
-                    let drops = d.u32().map_err(codec)?;
-                    let timeouts = d.u32().map_err(codec)?;
-                    let flagged = d.bool().map_err(codec)?;
-                    entries.push((relay, drops, timeouts, flagged));
-                }
-                *fr.reputation.get_mut(initiator) =
-                    EdgeReputation::from_snapshot(n_nodes, &entries);
-            }
-
-            let n_retired = d.seq_len(9).map_err(codec)?;
-            let mut retired = Vec::with_capacity(n_retired);
-            let mut last_init: Option<usize> = None;
-            for _ in 0..n_retired {
-                let initiator = idx(d.usize().map_err(codec)?, n_nodes, "retired initiator")?;
-                if last_init.is_some_and(|prev| prev >= initiator) {
-                    return Err(mismatch("retired initiator order"));
-                }
-                last_init = Some(initiator);
-                let n_relays = d.seq_len(9).map_err(codec)?;
-                let mut relays = Vec::with_capacity(n_relays);
-                let mut last_relay: Option<usize> = None;
-                for _ in 0..n_relays {
-                    let relay = idx(d.usize().map_err(codec)?, n_nodes, "retired relay")?;
-                    if last_relay.is_some_and(|prev| prev >= relay) {
-                        return Err(mismatch("retired relay order"));
-                    }
-                    last_relay = Some(relay);
-                    let n_gens = d.seq_len(9).map_err(codec)?;
-                    let mut gens = Vec::with_capacity(n_gens);
-                    for _ in 0..n_gens {
-                        let drops = d.u32().map_err(codec)?;
-                        let timeouts = d.u32().map_err(codec)?;
-                        let flagged = d.bool().map_err(codec)?;
-                        gens.push((drops, timeouts, flagged));
-                    }
-                    relays.push((relay, gens));
-                }
-                retired.push((initiator, relays));
-            }
-            fr.reputation.restore_retired(&retired);
-
-            let n_until = d.seq_len(8).map_err(codec)?;
-            if n_until != n_nodes {
-                return Err(mismatch("probe invalidation length"));
-            }
-            let mut until = Vec::with_capacity(n_until);
-            for _ in 0..n_until {
-                let t = finite(d.f64().map_err(codec)?, "invalidation horizon")?;
-                if t < 0.0 {
-                    return Err(mismatch("invalidation horizon"));
-                }
-                until.push(t);
-            }
-            fr.probe_invalid = ProbeInvalidation::from_snapshot(until);
-
-            let per_bundle = cfg.settlement == SettlementMode::PerBundle;
-            for v in &mut fr.validators {
-                let n_evidence = d.seq_len(29).map_err(codec)?;
-                // A per-bundle window settles at its connection, so a real
-                // per-bundle frame never carries pending evidence.
-                if per_bundle && n_evidence > 0 {
-                    return Err(mismatch("pending evidence under per-bundle settlement"));
-                }
-                for _ in 0..n_evidence {
-                    let bundle_id = d.u64().map_err(codec)?;
-                    let connection = d.u32().map_err(codec)?;
-                    let n_hops = d.seq_len(8).map_err(codec)?;
-                    let mut hops = Vec::with_capacity(n_hops);
-                    for _ in 0..n_hops {
-                        hops.push(AccountId(d.u64().map_err(codec)?));
-                    }
-                    let mut mac = [0u8; 32];
-                    mac.copy_from_slice(d.raw(32).map_err(codec)?);
-                    let manifest = PathManifest {
-                        bundle_id,
-                        connection,
-                        hops,
-                        mac,
-                    };
-                    let n_receipts = d.seq_len(52).map_err(codec)?;
-                    let mut receipts = Vec::with_capacity(n_receipts);
-                    for _ in 0..n_receipts {
-                        let bundle_id = d.u64().map_err(codec)?;
-                        let connection = d.u32().map_err(codec)?;
-                        let hop = d.u32().map_err(codec)?;
-                        let forwarder = AccountId(d.u64().map_err(codec)?);
-                        let mut mac = [0u8; 32];
-                        mac.copy_from_slice(d.raw(32).map_err(codec)?);
-                        receipts.push(Receipt {
-                            bundle_id,
-                            connection,
-                            hop,
-                            forwarder,
-                            mac,
-                        });
-                    }
-                    let observed_hops = if d.bool().map_err(codec)? {
-                        let n_obs = d.seq_len(8).map_err(codec)?;
-                        let mut obs = Vec::with_capacity(n_obs);
-                        for _ in 0..n_obs {
-                            obs.push(AccountId(d.u64().map_err(codec)?));
-                        }
-                        Some(obs)
-                    } else {
-                        None
-                    };
-                    v.add_connection(ConnectionEvidence {
-                        manifest,
-                        receipts,
-                        observed_hops,
-                    });
-                }
-            }
-
-            let st = &mut fr.settlement;
-            for slot in &mut st.expected {
-                *slot = d.u64().map_err(codec)?;
-            }
-            for slot in &mut st.validated {
-                *slot = d.u64().map_err(codec)?;
-            }
-            let n_flagged = d.seq_len(16).map_err(codec)?;
-            let mut last: Option<(usize, usize)> = None;
-            for _ in 0..n_flagged {
-                let pair = idx(d.usize().map_err(codec)?, n_pairs, "flagged pair")?;
-                let f = idx(d.usize().map_err(codec)?, n_nodes, "flagged forwarder")?;
-                if last.is_some_and(|prev| prev >= (pair, f)) {
-                    return Err(mismatch("flagged order"));
-                }
-                last = Some((pair, f));
-                st.flagged.insert((pair, f));
-            }
-            st.epochs_settled = d.u64().map_err(codec)?;
-            st.payout_ops = d.u64().map_err(codec)?;
-            st.batch_ops = d.u64().map_err(codec)?;
-            st.receipts_netted = d.u64().map_err(codec)?;
-            st.phantom_flagged = d.u64().map_err(codec)?;
-
-            fr.adv.whitewash_events = d.u64().map_err(codec)?;
-            fr.adv.whitewash_evasions = d.u64().map_err(codec)?;
-            fr.adv.whitewash_archived = d.u64().map_err(codec)?;
-            fr.adv.free_rider_refusals = d.u64().map_err(codec)?;
-            fr.adv.phantom_injected = d.u64().map_err(codec)?;
-
-            let bank_present = d.bool().map_err(codec)?;
-            match (fr.bank.is_some(), bank_present) {
-                (false, false) => {}
-                (true, true) => {
-                    let wal_len = d.seq_len(1).map_err(codec)?;
-                    let wal = d.raw(wal_len).map_err(codec)?.to_vec();
-                    let n_accounts = d.seq_len(16).map_err(codec)?;
-                    let mut accounts: BTreeMap<u64, AccountId> = BTreeMap::new();
-                    let mut last: Option<u64> = None;
-                    for _ in 0..n_accounts {
-                        let node = d.u64().map_err(codec)?;
-                        if last.is_some_and(|prev| prev >= node) {
-                            return Err(mismatch("bank account node order"));
-                        }
-                        idx(node as usize, n_nodes, "bank account node")?;
-                        last = Some(node);
-                        let acct = AccountId(d.u64().map_err(codec)?);
-                        accounts.insert(node, acct);
-                    }
-                    let flushes = d.u64().map_err(codec)?;
-                    let counters = DurabilityCounters {
-                        crashes: d.u64().map_err(codec)?,
-                        torn_tails: d.u64().map_err(codec)?,
-                        records_replayed: d.u64().map_err(codec)?,
-                        monitor_checks: d.u64().map_err(codec)?,
-                        monitor_violations: d.u64().map_err(codec)?,
-                    };
-                    fr.bank = Some(BankDurabilityState::restore(
-                        &wal,
-                        accounts,
-                        cfg.settlement == SettlementMode::Epoch,
-                        flushes,
-                        counters,
-                    )?);
-                }
-                _ => return Err(mismatch("bank durability presence")),
+                v.add_connection(take(d, b)?);
             }
         }
-        _ => return Err(mismatch("fault block presence")),
+
+        let st = &mut fr.settlement;
+        for slot in st.expected.iter_mut().chain(&mut st.validated) {
+            *slot = take(d, b)?;
+        }
+        let flagged: Vec<(usize, usize)> = take(d, b)?;
+        ascending(flagged.iter().copied(), (b.pairs, 0), "flagged order")?;
+        check(flagged.iter().all(|f| f.1 < b.nodes), "flagged forwarder")?;
+        st.flagged = flagged.into_iter().collect();
+        (st.epochs_settled, st.payout_ops, st.batch_ops) = take(d, b)?;
+        (st.receipts_netted, st.phantom_flagged) = take(d, b)?;
+        fr.adv = take(d, b)?;
+
+        check(d.bool()? == fr.bank.is_some(), "bank durability presence")?;
+        if let Some(bank) = &mut fr.bank {
+            let wal_len = d.seq_len(1)?;
+            let wal = d.raw(wal_len)?;
+            let accounts: Vec<(u64, AccountId)> = take(d, b)?;
+            let nodes = accounts.iter().map(|a| a.0);
+            ascending(nodes, b.nodes as u64, "bank account order")?;
+            let (flushes, counters) = take(d, b)?;
+            let epoch = cfg.settlement == SettlementMode::Epoch;
+            let accounts = accounts.into_iter().collect();
+            *bank = BankDurabilityState::restore(wal, accounts, epoch, flushes, counters)?;
+        }
     }
+    d.finish()?;
 
-    d.finish().map_err(codec)?;
-
-    let engine = Engine::from_parts(
-        Calendar::from_snapshot(entries, next_seq),
-        now,
-        events_handled,
-    );
-    Ok((run, engine))
+    let calendar = Calendar::from_snapshot(entries, next_seq);
+    Ok((run, Engine::from_parts(calendar, now, events_handled)))
 }
 
 #[cfg(test)]
@@ -946,7 +603,7 @@ pub fn restore(
 mod tests {
     use super::*;
     use crate::scenario::{BankDurability, WorkloadMode};
-    use idpa_desim::{FaultConfig, SimTime, StopReason};
+    use idpa_desim::{CodecError, FaultConfig, StopReason};
 
     fn cfg(seed: u64) -> ScenarioConfig {
         ScenarioConfig::quick_test(seed)
@@ -1148,8 +805,140 @@ mod tests {
             Ok(_) => panic!("a version {} frame must not decode", SNAPSHOT_VERSION - 1),
             Err(err) => assert_eq!(
                 err,
-                codec(CodecError::UnsupportedVersion(SNAPSHOT_VERSION - 1))
+                SimError::from(CodecError::UnsupportedVersion(SNAPSHOT_VERSION - 1))
             ),
+        }
+    }
+
+    /// The sections in front of the initiator costs: fingerprint, clock,
+    /// calendar, routing RNG and connection count, crash overlay.
+    type BeforeCosts = (
+        u64,
+        (SimTime, u64),
+        (u64, Vec<(SimTime, u64, Ev)>),
+        ([u64; 4], u64),
+        Vec<f64>,
+    );
+    /// One bundle's accounting section.
+    type Bundle = (Vec<(NodeId, ForwarderTally)>, u32, u64);
+
+    /// Skips one `T` section.
+    fn skip<T: Wire>(d: &mut Dec, b: &Bounds) {
+        take::<T>(d, b).unwrap();
+    }
+
+    /// `frame` with the `T` section that starts where `before` stops
+    /// decoded, edited and put back, then resealed: a real frame with one
+    /// bad value.
+    fn retake<T: Wire>(
+        frame: &[u8],
+        b: &Bounds,
+        before: impl FnOnce(&mut Dec, &Bounds),
+        edit: impl FnOnce(&mut T),
+    ) -> Vec<u8> {
+        let header = idpa_desim::codec::FRAME_HEADER_BYTES;
+        let payload = &frame[header..frame.len() - 8];
+        let d = &mut Dec::new(payload);
+        before(d, b);
+        let at = d.offset();
+        let mut section: T = take(d, b).unwrap();
+        edit(&mut section);
+        let mut e = Enc::framed(MAGIC, SNAPSHOT_VERSION);
+        e.raw(&payload[..at]);
+        section.put(&mut e);
+        e.raw(&payload[d.offset()..]);
+        e.seal_frame()
+    }
+
+    #[test]
+    fn each_validator_rejects_its_field() {
+        let c = ScenarioConfig {
+            settlement: SettlementMode::Epoch,
+            fault: FaultConfig {
+                drop_rate: 0.1,
+                ..FaultConfig::default()
+            },
+            ..cfg(7)
+        };
+        let world = World::generate(&c);
+        let mut run = SimulationRun::new(c, world);
+        let mut engine = Engine::new();
+        run.schedule_all(&mut engine);
+        engine.set_event_budget(250);
+        engine.run(&mut run, Some(SimTime::new(c.churn.horizon)));
+        assert!(engine.now() > SimTime::ZERO && !engine.calendar().is_empty());
+        let frame = encode(&run, &engine);
+        let b = &Bounds {
+            nodes: c.n_nodes,
+            pairs: run.world.pairs.len(),
+        };
+        let (n_pairs, n_trackers, n_attacks) =
+            (run.bundles.len(), run.trackers.len(), run.attacks.len());
+        let before_bundles =
+            |d: &mut Dec, b: &Bounds| skip::<(BeforeCosts, Vec<f64>, Vec<Vec<f64>>)>(d, b);
+        let before_slab = |d: &mut Dec, b: &Bounds| {
+            before_bundles(d, b);
+            (0..n_pairs).for_each(|_| skip::<Bundle>(d, b));
+            (0..n_trackers).for_each(|_| skip::<(Vec<(NodeId, NodeId)>, u32, u64, u64, u32)>(d, b));
+            (0..n_attacks).for_each(|_| skip::<(u32, Option<Vec<NodeId>>)>(d, b));
+            skip::<(Vec<(u64, u64, Vec<HistoryRecord>)>, ProbeCellsSnapshot)>(d, b);
+        };
+
+        // The walk lands on section boundaries: an unedited section
+        // re-encodes to the same frame.
+        assert_eq!(retake::<Bundle>(&frame, b, before_bundles, |_| {}), frame);
+        assert_eq!(retake::<Option<u64>>(&frame, b, before_slab, |_| {}), frame);
+
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "calendar entry before now",
+                retake(
+                    &frame,
+                    b,
+                    skip::<(u64, (SimTime, u64))>,
+                    |cal: &mut (u64, Vec<(SimTime, u64, Ev)>)| {
+                        cal.1[0].0 = SimTime::ZERO;
+                    },
+                ),
+            ),
+            (
+                "non-finite float",
+                retake(&frame, b, skip::<BeforeCosts>, |costs: &mut Vec<f64>| {
+                    costs[0] = f64::NAN
+                }),
+            ),
+            (
+                "initiator cost length",
+                retake(&frame, b, skip::<BeforeCosts>, |costs: &mut Vec<f64>| {
+                    costs.push(1.0)
+                }),
+            ),
+            (
+                "node index",
+                retake(&frame, b, before_bundles, |acc: &mut Bundle| {
+                    acc.0[0].0 = NodeId(c.n_nodes)
+                }),
+            ),
+            (
+                "tally node order",
+                retake(&frame, b, before_bundles, |acc: &mut Bundle| {
+                    assert!(acc.0.len() >= 2, "bundle 0 needs two forwarders");
+                    acc.0[1].0 = acc.0[0].0;
+                }),
+            ),
+            (
+                "idle eviction",
+                retake(&frame, b, before_slab, |slab: &mut Option<u64>| {
+                    assert!(slab.is_none(), "the scenario runs without a slab");
+                    *slab = Some(0);
+                }),
+            ),
+        ];
+        for (what, bad) in cases {
+            match restore(&c, &bad) {
+                Ok(_) => panic!("{what}: the bad value decoded"),
+                Err(err) => assert_eq!(err, mismatch(what)),
+            }
         }
     }
 

@@ -97,6 +97,31 @@ mutant sha256-hw-no-feed-forward crates/crypto/src/sha256.rs \
 mutant receipt-forwarder-unchecked crates/payment/src/validation.rs \
     'r.bundle_id == self.bundle_id && r.forwarder == account && r.verify(key)' \
     'r.bundle_id == self.bundle_id && r.verify(key)'
+# Snapshot decoding: a sorted export must ascend strictly, ...
+mutant snapshot-keys-not-strict crates/sim/src/snapshot.rs \
+    'is_sorted_by(|a, b| a < b)' \
+    'is_sorted_by(|a, b| a <= b)'
+# ... a node index must lie below N, ...
+mutant snapshot-node-unchecked crates/sim/src/snapshot.rs \
+    'index(d, b.nodes, "node index").map(NodeId)' \
+    'Ok(NodeId(d.usize()?))'
+# ... a float must be finite, ...
+mutant snapshot-nan-accepted crates/sim/src/snapshot.rs \
+    'check(v.is_finite(), "non-finite float")?;' \
+    ''
+# ... a per-node or per-pair sequence must have exactly that length, ...
+mutant snapshot-length-unchecked crates/sim/src/snapshot.rs \
+    'let ok = run.initiator_costs.len() == b.pairs;' \
+    'let ok = true;'
+# ... no calendar entry may lie before the clock, ...
+mutant snapshot-calendar-past crates/sim/src/snapshot.rs \
+    'let ok = entries.iter().all(|e| e.0 >= now);' \
+    'let ok = entries.iter().all(|e| e.0 >= SimTime::ZERO);'
+# ... and an optional section must be present exactly when the scenario
+# has it.
+mutant snapshot-presence-ignored crates/sim/src/snapshot.rs \
+    '_ => return Err(mismatch("idle eviction")),' \
+    '_ => {}'
 
 if [ "${1:-}" = "--list" ]; then
     for i in "${!names[@]}"; do
