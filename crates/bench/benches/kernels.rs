@@ -16,7 +16,6 @@ use idpa_core::utility::UtilityModel;
 use idpa_core::HistoryArena;
 use idpa_crypto::bigint::BigUint;
 use idpa_crypto::blind::BlindingFactor;
-use idpa_crypto::chacha20::ChaCha20;
 use idpa_crypto::hmac::HmacKey;
 use idpa_crypto::rsa::RsaKeyPair;
 use idpa_crypto::sha256::{hex, Sha256};
@@ -554,12 +553,6 @@ fn bench_crypto(h: &mut Harness) {
         );
         h.bench("crypto/hmac_receipt", || bundle_key.mac(black_box(&msg)));
     }
-    let key = [7u8; 32];
-    let nonce = [1u8; 12];
-    let zeros = vec![0u8; 4096];
-    h.bench("crypto/chacha20_4k", || {
-        ChaCha20::encrypt(&key, &nonce, &zeros)
-    });
 }
 
 fn bench_codec(h: &mut Harness) {

@@ -10,9 +10,6 @@
 //!
 //! * [`contract`] — the `(P_f, P_r)` contract an initiator commits to and
 //!   propagates along the path (§2.2);
-//! * [`envelope`] — the route-formation cryptography: onion-sealed
-//!   contract propagation and the MAC-chained path-validation records the
-//!   initiator checks before paying (§2.2, §5);
 //! * [`history`] — the connection history record `H^k(s)` (Table 1) and
 //!   the per-successor index behind the *selectivity* `σ(s,v)` (§2.3);
 //! * [`arena`] — every node's history in one owner-keyed store, which
@@ -45,7 +42,6 @@ pub mod adversary;
 pub mod arena;
 pub mod bundle;
 pub mod contract;
-pub mod envelope;
 pub mod history;
 pub mod metrics;
 pub mod path;

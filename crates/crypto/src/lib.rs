@@ -11,9 +11,7 @@
 //!   pay forwarders without the bank linking payments to connections;
 //! * **SHA-256 / HMAC-SHA-256** — token serials, receipt digests, and the
 //!   path-validation MACs the initiator checks when it "recreates the path
-//!   and validates it" from the confirmations on the reverse path;
-//! * **ChaCha20** — layered sealing of contract and confirmation records so
-//!   intermediate forwarders do not learn the initiator's identity.
+//!   and validates it" from the confirmations on the reverse path.
 //!
 //! Everything is built here from first principles on an arbitrary-precision
 //! integer ([`bigint::BigUint`]): Miller–Rabin primality, RSA key
@@ -36,7 +34,6 @@
 
 pub mod bigint;
 pub mod blind;
-pub mod chacha20;
 pub mod hmac;
 pub mod montgomery;
 pub mod prime;
@@ -45,7 +42,6 @@ pub mod sha256;
 
 pub use bigint::BigUint;
 pub use blind::BlindingFactor;
-pub use chacha20::ChaCha20;
 pub use montgomery::MontgomeryCtx;
 pub use rsa::{RsaKeyPair, RsaPublicKey};
 pub use sha256::Sha256;

@@ -5,7 +5,6 @@
 //! a few hundred generated cases and is exactly reproducible.
 
 use idpa_crypto::bigint::BigUint;
-use idpa_crypto::chacha20::ChaCha20;
 use idpa_crypto::hmac::{hmac_sha256, verify_hmac, HmacKey};
 use idpa_crypto::sha256::Sha256;
 use idpa_desim::rng::Xoshiro256StarStar;
@@ -198,20 +197,5 @@ fn montgomery_agrees_with_plain() {
         let exp = BigUint::from_u64(r.next());
         let ctx = MontgomeryCtx::new(&modulus);
         assert_eq!(ctx.modpow(&base, &exp), base.modpow(&exp, &modulus));
-    }
-}
-
-/// ChaCha20 decryption inverts encryption for any key/nonce/payload.
-#[test]
-fn chacha_round_trip() {
-    let mut r = rng(0x1008);
-    for _ in 0..CASES {
-        let key: [u8; 32] = random_bytes(&mut r, 32).try_into().unwrap();
-        let nonce: [u8; 12] = random_bytes(&mut r, 12).try_into().unwrap();
-        let msg_len = random_len(&mut r, 0, 500);
-        let msg = random_bytes(&mut r, msg_len);
-        let ct = ChaCha20::encrypt(&key, &nonce, &msg);
-        assert_eq!(ct.len(), msg.len());
-        assert_eq!(ChaCha20::decrypt(&key, &nonce, &ct), msg);
     }
 }

@@ -27,4 +27,4 @@ pub mod trace;
 pub use churn::{ChurnConfig, ChurnModel, NodeSchedule};
 pub use cost::{CostConfig, CostModel};
 pub use dist::{Exponential, Pareto};
-pub use trace::{from_csv as trace_from_csv, to_csv as trace_to_csv};
+pub use trace::to_csv as trace_to_csv;

@@ -38,7 +38,7 @@ enum Schedules {
         joins: Arc<[f64]>,
         pinned_up: Option<Arc<[bool]>>,
     },
-    /// An explicit table: a replayed trace or a hand-built world.
+    /// An explicit table, one schedule per node: a hand-built world.
     Table(Arc<[NodeSchedule]>),
 }
 
@@ -95,15 +95,6 @@ impl NodeSource {
             schedules: Schedules::Table(schedules.into()),
             neighbors: Neighbors::Table(Arc::new(topology)),
         }
-    }
-
-    /// The same world over an explicit schedule table — trace replay. The
-    /// neighbor sets are kept.
-    #[must_use]
-    pub fn with_schedules(mut self, schedules: Vec<NodeSchedule>) -> Self {
-        assert_eq!(schedules.len(), self.n, "one schedule per node");
-        self.schedules = Schedules::Table(schedules.into());
-        self
     }
 
     /// The §5 availability attack as a per-node rule: every node `v` with
@@ -392,16 +383,5 @@ mod tests {
         assert_eq!(src.schedule(NodeId(4)).sessions(), &[(0.0, horizon)]);
         assert!(src.schedule(NodeId(4)).is_up(SimTime::new(0.0)));
         assert_eq!(src.schedule(NodeId(5)), source(20, 1).schedule(NodeId(5)));
-    }
-
-    #[test]
-    fn a_schedule_table_replaces_only_the_churn() {
-        let src = source(10, 2);
-        let table: Vec<NodeSchedule> = (0..10)
-            .map(|i| NodeSchedule::from_sessions(vec![(f64::from(i), 50.0)]))
-            .collect();
-        let replay = src.clone().with_schedules(table.clone());
-        assert_eq!(replay.schedules(), table);
-        assert_eq!(replay.topology(), src.topology());
     }
 }

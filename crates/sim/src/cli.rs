@@ -267,19 +267,16 @@ pub fn parse_experiment_args(args: &[String]) -> Result<ExperimentArgs, String> 
 }
 
 /// Parses `idpa-sim service [FLAGS]` (`--help` is the caller's) into the
-/// scenario to run and the service knobs. `quick` is the tier before any
-/// `--quick` flag is seen.
+/// scenario to run and the service knobs. `--quick` applies the quick tier
+/// after every other flag, wherever it appears.
 ///
 /// # Errors
 ///
 /// A diagnostic for an unknown flag, a malformed value or an invalid
 /// scenario.
-pub fn parse_service_args(
-    args: &[String],
-    quick: bool,
-) -> Result<(ScenarioConfig, ServiceOptions), String> {
+pub fn parse_service_args(args: &[String]) -> Result<(ScenarioConfig, ServiceOptions), String> {
     let mut cfg = ScenarioConfig::default();
-    let mut quick = quick;
+    let mut quick = false;
     let mut svc = ServiceOptions::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -322,7 +319,7 @@ mod tests {
     }
 
     fn service(s: &str) -> Result<ScenarioConfig, String> {
-        parse_service_args(&args(s), false).map(|(cfg, _)| cfg)
+        parse_service_args(&args(s)).map(|(cfg, _)| cfg)
     }
 
     #[test]
@@ -368,8 +365,8 @@ mod tests {
         assert_eq!(before, after);
         assert_eq!(before.n_nodes, 20);
         assert_eq!(before.fault.drop_rate, 0.1);
-        let forced = parse_service_args(&args("--fault-drop 0.1 --adversary-cliques 2"), true);
-        assert_eq!(forced.unwrap().0, before, "a forced quick tier is the same");
+        let between = service("--fault-drop 0.1 --quick --adversary-cliques 2").unwrap();
+        assert_eq!(between, before, "--quick between other flags is the same");
     }
 
     #[test]
@@ -392,10 +389,9 @@ mod tests {
         assert!(service("--reps 3")
             .unwrap_err()
             .contains("unknown service flag"));
-        let (_, svc) = parse_service_args(
-            &args("--snapshot-every 60 --snapshot-path s.snap --resume r.snap --max-wall-secs 5"),
-            false,
-        )
+        let (_, svc) = parse_service_args(&args(
+            "--snapshot-every 60 --snapshot-path s.snap --resume r.snap --max-wall-secs 5",
+        ))
         .unwrap();
         assert_eq!(svc.snapshot_every, Some(60.0));
         assert_eq!(svc.snapshot_path, Some(PathBuf::from("s.snap")));

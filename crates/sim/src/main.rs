@@ -47,11 +47,7 @@ fn service_main(args: &[String]) -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    // `IDPA_SVC_SMOKE=1` forces the quick tier — the verify.sh service
-    // smoke stage sets it so CI can't accidentally launch a paper-scale
-    // service run.
-    let smoke = std::env::var("IDPA_SVC_SMOKE").is_ok_and(|v| v == "1");
-    let (cfg, svc) = match parse_service_args(args, smoke) {
+    let (cfg, svc) = match parse_service_args(args) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{e}");
@@ -104,25 +100,43 @@ fn service_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `idpa-sim trace-export [SEED]`: the synthetic churn trace of the
+/// paper-scale scenario as CSV on stdout (seed 1 when none is given).
+fn trace_export(args: &[String]) -> ExitCode {
+    let seed = match args {
+        [] => 1,
+        [seed] => match seed.parse() {
+            Ok(seed) => seed,
+            Err(_) => {
+                eprintln!("trace-export: SEED must be a non-negative integer, got '{seed}'");
+                return ExitCode::FAILURE;
+            }
+        },
+        [_, extra, ..] => {
+            eprintln!(
+                "trace-export: unexpected argument '{extra}'; usage: idpa-sim trace-export [SEED]"
+            );
+            return ExitCode::FAILURE;
+        }
+    };
+    let cfg = idpa_sim::ScenarioConfig {
+        seed,
+        ..idpa_sim::ScenarioConfig::default()
+    };
+    let world = idpa_sim::World::generate(&cfg);
+    // Each schedule is derived, written and dropped.
+    print!(
+        "{}",
+        idpa_netmodel::trace::to_csv(world.nodes.iter_schedules())
+    );
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    // Trace tooling: `idpa-sim trace-export [SEED]` dumps the synthetic
-    // churn trace of the paper-scale scenario as CSV (stdout), in the
-    // format `idpa_netmodel::trace` re-imports for measured-trace replay.
     if args.first().map(String::as_str) == Some("trace-export") {
-        let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
-        let cfg = idpa_sim::ScenarioConfig {
-            seed,
-            ..idpa_sim::ScenarioConfig::default()
-        };
-        let world = idpa_sim::World::generate(&cfg);
-        // Each schedule is derived, written and dropped.
-        print!(
-            "{}",
-            idpa_netmodel::trace::to_csv(world.nodes.iter_schedules())
-        );
-        return ExitCode::SUCCESS;
+        return trace_export(&args[1..]);
     }
 
     // Service mode: `idpa-sim service [FLAGS]` — one scenario, run as a

@@ -1,6 +1,6 @@
 //! Integration pins for the deterministic fault-injection layer.
 //!
-//! The two load-bearing guarantees:
+//! The load-bearing guarantees:
 //!
 //! 1. **Zero-fault bit-identicality** — with every fault rate zero, a run is
 //!    bit-identical to the fault-free code path: it reproduces the pinned
@@ -12,9 +12,13 @@
 //!    bit-identically across idle-eviction windows and repeated
 //!    executions, and degradation responds monotonically to the injected
 //!    rates.
+//! 3. **The adaptive response pays** — under the same faults it delivers
+//!    no less than the static protocol, and its in-run cheater feedback
+//!    cuts the payment that corrupting cheaters destroy.
 
+use idpa_core::{RoutingStrategy, UtilityModel};
 use idpa_desim::FaultConfig;
-use idpa_sim::ScenarioConfig;
+use idpa_sim::{FaultResponse, RunResult, ScenarioConfig};
 
 mod common;
 use common::{base, fingerprint, run, BASELINE};
@@ -174,4 +178,88 @@ fn bank_outages_delay_settlement_without_touching_routing() {
     assert_eq!(faulty.delivery_ratio, 1.0);
     assert_eq!(faulty.connections, clean.connections);
     assert_eq!(faulty.avg_good_payoff, clean.avg_good_payoff);
+}
+
+/// An inactive fault plan reports a perfectly clean run under every
+/// routing strategy, not only the Model I runs the pins above cover.
+#[test]
+fn zero_fault_runs_are_clean_under_every_routing_strategy() {
+    for strategy in [
+        RoutingStrategy::Random,
+        RoutingStrategy::Utility(UtilityModel::ModelI),
+        RoutingStrategy::Utility(UtilityModel::ModelII { lookahead: 2 }),
+    ] {
+        let r = run(ScenarioConfig {
+            good_strategy: strategy,
+            ..base(11, None)
+        });
+        assert_eq!(r.delivery_ratio, 1.0, "{strategy:?}");
+        assert_eq!(r.retries_per_message, 0.0, "{strategy:?}");
+        assert!(r.flagged_cheaters.is_empty(), "{strategy:?}");
+    }
+}
+
+/// `cfg` under the static protocol and under the adaptive response —
+/// reputation suppression, in-run cheater feedback, probe invalidation,
+/// escalated reformation — at `w_r = 0.2`.
+fn static_and_adaptive(cfg: ScenarioConfig) -> [RunResult; 2] {
+    [(FaultResponse::Static, 0.0), (FaultResponse::Adaptive, 0.2)].map(|(response, wr)| {
+        run(ScenarioConfig {
+            fault: FaultConfig {
+                response,
+                ..cfg.fault
+            },
+            weights: ((1.0 - wr) / 2.0, (1.0 - wr) / 2.0),
+            reputation_weight: wr,
+            ..cfg
+        })
+    })
+}
+
+/// Under compound faults (crashes, drops and confirmation-swallowing
+/// cheaters) the adaptive response delivers at least as much as the
+/// static protocol.
+#[test]
+fn adaptive_response_delivers_at_least_as_much_as_static_under_compound_faults() {
+    let [static_run, adaptive_run] = static_and_adaptive(ScenarioConfig {
+        good_strategy: RoutingStrategy::Utility(UtilityModel::ModelII { lookahead: 2 }),
+        fault: FaultConfig {
+            crash_rate: 0.05,
+            drop_rate: 0.10,
+            cheat_fraction: 0.25,
+            ..FaultConfig::default()
+        },
+        ..base(11, None)
+    });
+    assert!(
+        adaptive_run.delivery_ratio >= static_run.delivery_ratio,
+        "adaptive delivered {} < static {}",
+        adaptive_run.delivery_ratio,
+        static_run.delivery_ratio
+    );
+}
+
+/// In-run cheater feedback: the adaptive initiator flags a receipt
+/// corrupter as soon as the corrupted evidence comes back and routes
+/// around it for the rest of the run, so corrupt-only cheaters destroy
+/// well under three quarters of the payment they destroy under the static
+/// protocol, which learns of them only at settlement.
+#[test]
+fn in_run_flagging_cuts_the_shortfall_of_corrupting_cheaters() {
+    for seed in [1u64, 3, 7, 11, 42] {
+        let [static_run, adaptive_run] = static_and_adaptive(ScenarioConfig {
+            fault: FaultConfig {
+                cheat_fraction: 0.35,
+                cheat_corrupt_share: 1.0,
+                ..FaultConfig::default()
+            },
+            ..base(seed, None)
+        });
+        assert!(
+            adaptive_run.payment_shortfall < 0.75 * static_run.payment_shortfall,
+            "seed {seed}: adaptive shortfall {} vs static {}",
+            adaptive_run.payment_shortfall,
+            static_run.payment_shortfall
+        );
+    }
 }

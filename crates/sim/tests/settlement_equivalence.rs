@@ -11,6 +11,7 @@
 //! compared against its per-bundle reference, or a replay) and asserts
 //! the count, so shrinking the sweep by accident fails loudly.
 
+use idpa_core::{RoutingStrategy, UtilityModel};
 use idpa_desim::FaultConfig;
 use idpa_sim::{FaultResponse, RunResult, ScenarioConfig, SettlementMode, SimulationRun};
 
@@ -127,6 +128,45 @@ fn epoch_settlement_is_economically_identical_to_per_bundle() {
         cases >= 256,
         "property sweep shrank to {cases} cases (< 256)"
     );
+}
+
+/// The same identity under Model II lookahead routing, one fault class at
+/// a time: crashes, drops with delays, confirmation cheating and bank
+/// outages each leave the economics mode-invariant.
+#[test]
+fn epoch_settlement_is_identical_under_model_two_for_each_fault_class() {
+    let none = FaultConfig::default();
+    for fault in [
+        FaultConfig {
+            crash_rate: 0.05,
+            ..none
+        },
+        FaultConfig {
+            drop_rate: 0.1,
+            delay_rate: 0.3,
+            ..none
+        },
+        FaultConfig {
+            cheat_fraction: 0.25,
+            ..none
+        },
+        FaultConfig {
+            bank_downtime: 0.3,
+            ..none
+        },
+    ] {
+        let cfg = ScenarioConfig {
+            good_strategy: RoutingStrategy::Utility(UtilityModel::ModelII { lookahead: 2 }),
+            ..base(11, fault)
+        };
+        let epoch = run(ScenarioConfig {
+            settlement: SettlementMode::Epoch,
+            epoch_length: 240.0,
+            ..cfg
+        });
+        assert!(epoch.epochs_settled > 0, "{fault:?}: nothing settled");
+        assert_eq!(normalized(run(cfg)), normalized(epoch), "{fault:?}");
+    }
 }
 
 /// The batching machinery actually amortizes: with short epochs every

@@ -97,6 +97,15 @@ mutant sha256-hw-no-feed-forward crates/crypto/src/sha256.rs \
 mutant receipt-forwarder-unchecked crates/payment/src/validation.rs \
     'r.bundle_id == self.bundle_id && r.forwarder == account && r.verify(key)' \
     'r.bundle_id == self.bundle_id && r.verify(key)'
+# The adaptive response retries a failed attempt like the static one.
+mutant adaptive-never-retries crates/sim/src/runner.rs \
+    'if attempt < fr.plan.config().max_retries {' \
+    'if attempt < fr.plan.config().max_retries && !adaptive {'
+# Adaptive initiators flag a receipt corrupter as soon as its evidence
+# comes back, not only at settlement.
+mutant adaptive-cheater-feedback-off crates/sim/src/runner.rs \
+    'if fr.adaptive() && corrupt_from.is_some() {' \
+    'if false && corrupt_from.is_some() {'
 # Snapshot decoding: a sorted export must ascend strictly, ...
 mutant snapshot-keys-not-strict crates/sim/src/snapshot.rs \
     'is_sorted_by(|a, b| a < b)' \

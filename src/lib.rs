@@ -36,7 +36,7 @@ pub use idpa_netmodel as netmodel;
 /// P2P overlay (nodes, topology, active-probing availability estimation).
 pub use idpa_overlay as overlay;
 
-/// From-scratch crypto (bignum, RSA blind signatures, SHA-256, ChaCha20).
+/// From-scratch crypto (bignum, RSA blind signatures, SHA-256, HMAC).
 pub use idpa_crypto as crypto;
 
 /// Anonymity-preserving payment system (bank, tokens, receipts, escrow).

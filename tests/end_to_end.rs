@@ -105,39 +105,6 @@ fn run_result_metrics_are_internally_consistent() {
 }
 
 #[test]
-fn measured_trace_replay_round_trips() {
-    // Export the synthetic churn trace, re-import it (as one would a
-    // measured trace), and run the identical simulation on it.
-    use idpa::netmodel::{trace_from_csv, trace_to_csv};
-
-    let cfg = ScenarioConfig::quick_test(55);
-    let world = World::generate(&cfg);
-    let csv = trace_to_csv(world.nodes.schedules());
-    let replayed = trace_from_csv(&csv, cfg.n_nodes).expect("trace parses");
-    assert_eq!(replayed, world.nodes.schedules());
-
-    let mut replay_world = world.clone();
-    replay_world.nodes = replay_world.nodes.with_schedules(replayed);
-
-    let a = {
-        let mut run = SimulationRun::new(cfg, world);
-        let mut engine = Engine::new();
-        run.schedule_all(&mut engine);
-        engine.run(&mut run, Some(SimTime::new(cfg.churn.horizon)));
-        run.finish()
-    };
-    let b = {
-        let mut run = SimulationRun::new(cfg, replay_world);
-        let mut engine = Engine::new();
-        run.schedule_all(&mut engine);
-        engine.run(&mut run, Some(SimTime::new(cfg.churn.horizon)));
-        run.finish()
-    };
-    assert_eq!(a.avg_good_payoff, b.avg_good_payoff);
-    assert_eq!(a.good_payoffs, b.good_payoffs);
-}
-
-#[test]
 fn common_random_numbers_isolate_the_strategy_axis() {
     // Same seed, different strategy: the world (churn, workload, costs)
     // must be identical, so metric differences are attributable to routing.
