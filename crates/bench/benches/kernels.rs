@@ -510,8 +510,8 @@ fn bench_crypto(h: &mut Harness) {
         h.bench("crypto/rsa512_verify_plain_modpow", || sig.modpow(&e, &n));
     }
     {
-        // Strict individual verification of one settlement-sized batch —
-        // what `Bank::deposit_batch` does per token.
+        // Strict individual verification of one settlement-sized batch of
+        // tokens — what `Bank::deposit` does once per token.
         let items: Vec<(BigUint, BigUint)> = (0..256u64)
             .map(|i| {
                 let m = BigUint::from_bytes_be(&Sha256::digest(&i.to_be_bytes()))

@@ -6,11 +6,10 @@
 //! bearer-token deposit per connection bundle (`D = R / 256` tokens). The
 //! per-receipt arm settles the way the per-bundle bank does: one ledger
 //! transfer — with its hash-chained audit entry — per receipt, and one
-//! individually verified [`Bank::deposit`] per token. The epoch arm accrues
-//! every receipt into an [`EpochLedger`] and settles once at the boundary:
-//! token deposits submitted in one strictly verified batch call
-//! ([`Bank::deposit_batch`]), transfers collapsed into one net delta per
-//! account ([`Bank::apply_epoch_net`]).
+//! individually verified [`Bank::deposit`] per token. The epoch arm nets
+//! every receipt into one signed delta per account as it arrives and
+//! settles once at the boundary: the same individually verified deposit
+//! per token, then the net applied in one [`Bank::apply_epoch_net`].
 //!
 //! Honesty notes:
 //!
@@ -32,9 +31,11 @@
 //! gate; the quick and full tiers use distinct kernel names so their points
 //! never gate against each other.
 
+use std::collections::BTreeMap;
+
 use idpa_bench::harness::{smoke_mode, Harness};
 use idpa_desim::rng::Xoshiro256StarStar;
-use idpa_payment::{AccountId, Bank, EpochLedger, EpochSettlement, Token, Wallet};
+use idpa_payment::{AccountId, Bank, Token, Wallet};
 
 /// One epoch of settlement work, pre-generated outside the timed region.
 struct Workload {
@@ -104,18 +105,23 @@ fn settle_per_receipt(w: &Workload) -> Bank {
     bank
 }
 
-/// The epoch path: accrue everything, settle once at the boundary.
-fn settle_epoch(w: &Workload) -> (Bank, EpochSettlement) {
+/// The epoch path: net every receipt, settle once at the boundary.
+/// Returns the bank and the number of accounts the net touched.
+fn settle_epoch(w: &Workload) -> (Bank, usize) {
     let mut bank = w.bank.clone();
-    let mut ledger = EpochLedger::new();
+    let mut net: BTreeMap<AccountId, i128> = BTreeMap::new();
     for &(payer, forwarder) in &w.receipts {
-        ledger.accrue_transfer(payer, forwarder, 1);
+        *net.entry(payer).or_insert(0) -= 1;
+        *net.entry(forwarder).or_insert(0) += 1;
     }
     for (account, token) in &w.deposits {
-        ledger.queue_deposit(*account, token.clone());
+        bank.deposit(*account, token)
+            .expect("token is valid and unspent");
     }
-    let report = ledger.settle(&mut bank).expect("netted debits are covered");
-    (bank, report)
+    bank.apply_epoch_net(0, &net)
+        .expect("netted debits are covered");
+    let accounts_netted = net.values().filter(|&&d| d != 0).count();
+    (bank, accounts_netted)
 }
 
 fn main() {
@@ -133,11 +139,9 @@ fn main() {
 
     // Equivalence guard before any timing: both arms must produce the same
     // ledger, token liability and serial state.
-    let per_receipt = settle_per_receipt(&w);
-    let (epoch, report) = settle_epoch(&w);
-    assert_eq!(report.transfers_netted, n_receipts as u64);
-    assert_eq!(report.deposits_settled, n_tokens as u64);
-    assert!(report.deposit_results.iter().all(Result::is_ok));
+    let per_receipt_bank = settle_per_receipt(&w);
+    let (epoch_bank, accounts_netted) = settle_epoch(&w);
+    let (per_receipt, epoch) = (per_receipt_bank.ledger(), epoch_bank.ledger());
     for &account in &w.accounts {
         assert_eq!(
             per_receipt.balance(account),
@@ -148,19 +152,19 @@ fn main() {
     assert_eq!(per_receipt.total_deposits(), epoch.total_deposits());
     assert_eq!(per_receipt.outstanding(), epoch.outstanding());
     assert_eq!(per_receipt.spent_serials(), epoch.spent_serials());
+    assert_eq!(epoch.spent_serials(), n_tokens);
     println!(
         "settlement/{tag}: {n_receipts} receipts + {n_tokens} token deposits -> \
-         {} netted accounts (netting ratio {:.0})",
-        report.accounts_netted,
-        report.transfers_netted as f64 / report.accounts_netted as f64
+         {accounts_netted} netted accounts (netting ratio {:.0})",
+        n_receipts as f64 / accounts_netted as f64
     );
 
     let mut h = Harness::new();
     h.bench(&format!("settlement/per_receipt_{tag}"), || {
-        settle_per_receipt(&w).total_deposits()
+        settle_per_receipt(&w).ledger().total_deposits()
     });
     h.bench(&format!("settlement/epoch_{tag}"), || {
-        settle_epoch(&w).0.total_deposits()
+        settle_epoch(&w).0.ledger().total_deposits()
     });
 
     if !smoke_mode() {

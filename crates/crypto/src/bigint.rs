@@ -39,18 +39,6 @@ impl BigUint {
         }
     }
 
-    /// From a 128-bit value.
-    #[must_use]
-    pub fn from_u128(x: u128) -> Self {
-        let lo = x as u64;
-        let hi = (x >> 64) as u64;
-        let mut n = BigUint {
-            limbs: vec![lo, hi],
-        };
-        n.normalize();
-        n
-    }
-
     /// From big-endian bytes (the conventional wire format for RSA values).
     #[must_use]
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
@@ -524,7 +512,7 @@ mod tests {
     use super::*;
 
     fn big(x: u128) -> BigUint {
-        BigUint::from_u128(x)
+        BigUint::from_bytes_be(&x.to_be_bytes())
     }
 
     #[test]
@@ -532,7 +520,7 @@ mod tests {
         assert!(BigUint::zero().is_zero());
         assert!(BigUint::one().is_one());
         assert!(BigUint::from_u64(0).is_zero());
-        assert_eq!(BigUint::from_u128(u128::from(u64::MAX) + 1).bits(), 65);
+        assert_eq!(big(u128::from(u64::MAX) + 1).bits(), 65);
     }
 
     #[test]

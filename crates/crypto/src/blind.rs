@@ -17,7 +17,7 @@ use idpa_desim::rng::Xoshiro256StarStar;
 
 use crate::bigint::BigUint;
 use crate::prime::random_below;
-use crate::rsa::{RsaKeyPair, RsaPublicKey};
+use crate::rsa::RsaPublicKey;
 
 /// A blinding factor `r` and its precomputed inverse.
 #[derive(Debug, Clone)]
@@ -58,17 +58,10 @@ impl BlindingFactor {
     }
 }
 
-/// Signs a blinded message — what the bank executes. Split out as a free
-/// function to make the trust boundary explicit at call sites: the bank
-/// sees only the blinded representative.
-#[must_use]
-pub fn bank_sign_blinded(bank_key: &RsaKeyPair, blinded: &BigUint) -> BigUint {
-    bank_key.raw_sign(blinded)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rsa::RsaKeyPair;
     use crate::sha256::Sha256;
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
@@ -92,7 +85,7 @@ mod tests {
 
         let bf = BlindingFactor::random(bank.public(), &mut r);
         let blinded = bf.blind(bank.public(), &m);
-        let blind_sig = bank_sign_blinded(&bank, &blinded);
+        let blind_sig = bank.raw_sign(&blinded);
         let sig = bf.unblind(bank.public(), &blind_sig);
 
         // The unblinded signature equals a direct signature on m.
@@ -121,7 +114,7 @@ mod tests {
         let m = digest_of(b"serial-x", bank.public().modulus());
         let bf = BlindingFactor::random(bank.public(), &mut r);
         let wrong = BlindingFactor::random(bank.public(), &mut r);
-        let blind_sig = bank_sign_blinded(&bank, &bf.blind(bank.public(), &m));
+        let blind_sig = bank.raw_sign(&bf.blind(bank.public(), &m));
         let sig = wrong.unblind(bank.public(), &blind_sig);
         assert_ne!(bank.public().raw_verify(&sig), m);
     }
@@ -141,10 +134,7 @@ mod tests {
             let serial = format!("token-{i}");
             let m = digest_of(serial.as_bytes(), bank.public().modulus());
             let bf = BlindingFactor::random(bank.public(), &mut r);
-            let sig = bf.unblind(
-                bank.public(),
-                &bank_sign_blinded(&bank, &bf.blind(bank.public(), &m)),
-            );
+            let sig = bf.unblind(bank.public(), &bank.raw_sign(&bf.blind(bank.public(), &m)));
             assert_eq!(bank.public().raw_verify(&sig), m, "token {i}");
         }
     }

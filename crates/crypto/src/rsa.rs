@@ -13,7 +13,6 @@ use idpa_desim::rng::Xoshiro256StarStar;
 use crate::bigint::BigUint;
 use crate::montgomery::MontgomeryCtx;
 use crate::prime::generate_prime;
-use crate::sha256::Sha256;
 
 /// An RSA public key `(n, e)`.
 ///
@@ -60,14 +59,6 @@ impl RsaPublicKey {
     #[must_use]
     pub fn raw_verify(&self, sig: &BigUint) -> BigUint {
         self.mont().modpow(sig, &self.e)
-    }
-
-    /// Verifies a signature over `message` produced by
-    /// [`RsaKeyPair::sign_message`].
-    #[must_use]
-    pub fn verify_message(&self, message: &[u8], sig: &BigUint) -> bool {
-        let digest = BigUint::from_bytes_be(&Sha256::digest(message)).rem(&self.n);
-        self.raw_verify(sig) == digest
     }
 }
 
@@ -135,18 +126,12 @@ impl RsaKeyPair {
     pub fn raw_sign(&self, m: &BigUint) -> BigUint {
         self.public.mont().modpow_window(m, &self.d)
     }
-
-    /// Signs SHA-256(message) interpreted as an integer mod n.
-    #[must_use]
-    pub fn sign_message(&self, message: &[u8]) -> BigUint {
-        let digest = BigUint::from_bytes_be(&Sha256::digest(message)).rem(self.public.modulus());
-        self.raw_sign(&digest)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::Sha256;
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)
@@ -163,28 +148,32 @@ mod tests {
         assert_eq!(kp.public().modulus().bits(), 256);
     }
 
+    /// SHA-256 of `message` as an integer mod n — how a token's digest
+    /// is signed.
+    fn digest(kp: &RsaKeyPair, message: &[u8]) -> BigUint {
+        BigUint::from_bytes_be(&Sha256::digest(message)).rem(kp.public().modulus())
+    }
+
     #[test]
     fn sign_verify_round_trip() {
         let kp = test_keys(2);
-        let sig = kp.sign_message(b"pay the forwarder 50 units");
-        assert!(kp
-            .public()
-            .verify_message(b"pay the forwarder 50 units", &sig));
+        let m = digest(&kp, b"pay the forwarder 50 units");
+        assert_eq!(kp.public().raw_verify(&kp.raw_sign(&m)), m);
     }
 
     #[test]
     fn verification_rejects_wrong_message() {
         let kp = test_keys(3);
-        let sig = kp.sign_message(b"original");
-        assert!(!kp.public().verify_message(b"tampered", &sig));
+        let sig = kp.raw_sign(&digest(&kp, b"original"));
+        assert_ne!(kp.public().raw_verify(&sig), digest(&kp, b"tampered"));
     }
 
     #[test]
     fn verification_rejects_wrong_key() {
         let kp1 = test_keys(4);
         let kp2 = test_keys(5);
-        let sig = kp1.sign_message(b"msg");
-        assert!(!kp2.public().verify_message(b"msg", &sig));
+        let sig = kp1.raw_sign(&digest(&kp1, b"msg"));
+        assert_ne!(kp2.public().raw_verify(&sig), digest(&kp2, b"msg"));
     }
 
     #[test]

@@ -36,13 +36,6 @@ impl SimTime {
     pub fn minutes(self) -> f64 {
         self.0
     }
-
-    /// Saturating subtraction: returns the elapsed time from `earlier` to
-    /// `self`, or zero if `earlier` is later than `self`.
-    #[must_use]
-    pub fn saturating_since(self, earlier: SimTime) -> f64 {
-        (self.0 - earlier.0).max(0.0)
-    }
 }
 
 impl Eq for SimTime {}
@@ -126,12 +119,6 @@ mod tests {
     #[test]
     fn sub_gives_elapsed() {
         assert_eq!(SimTime::new(7.0) - SimTime::new(3.0), 4.0);
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        assert_eq!(SimTime::new(3.0).saturating_since(SimTime::new(7.0)), 0.0);
-        assert_eq!(SimTime::new(7.0).saturating_since(SimTime::new(3.0)), 4.0);
     }
 
     #[test]

@@ -133,30 +133,6 @@ impl NormalFormGame {
         })
     }
 
-    /// Whether strategy `s` of `player` is **strictly dominant**: against
-    /// every opponent profile it does strictly better than every
-    /// alternative.
-    #[must_use]
-    pub fn is_strictly_dominant(&self, player: usize, s: usize) -> bool {
-        if self.n_strategies[player] == 1 {
-            return true;
-        }
-        self.for_all_opponent_profiles(player, |probe| {
-            let mut probe = probe.to_vec();
-            probe[player] = s;
-            let u_s = self.payoff(&probe, player);
-            (0..self.n_strategies[player]).all(|alt| {
-                if alt == s {
-                    return true;
-                }
-                probe[player] = alt;
-                self.payoff(&probe, player) < u_s - 1e-12
-            })
-        })
-    }
-
-    /// Runs `pred` over every joint strategy choice of the opponents of
-    /// `player` (the player's own slot left at 0); true if all hold.
     fn for_all_opponent_profiles(
         &self,
         player: usize,
@@ -241,34 +217,6 @@ impl NormalFormGame {
         }
     }
 
-    /// Best-response dynamics from `start`: players revise in round-robin
-    /// order, each switching to its (lowest-index) best response. Returns
-    /// `Some(profile)` on convergence to a pure Nash equilibrium within
-    /// `max_rounds` full revision rounds, `None` if the dynamics cycle.
-    ///
-    /// For potential-like games (including the forwarding stage game,
-    /// where the coupling is monotone) this converges; matching-pennies
-    /// style games cycle and return `None`.
-    #[must_use]
-    pub fn best_response_dynamics(&self, start: &[usize], max_rounds: usize) -> Option<Vec<usize>> {
-        assert_eq!(start.len(), self.n_players(), "profile arity");
-        let mut profile = start.to_vec();
-        for _ in 0..max_rounds {
-            let mut changed = false;
-            for player in 0..self.n_players() {
-                let best = self.best_responses(&profile, player);
-                if !best.contains(&profile[player]) {
-                    profile[player] = best[0];
-                    changed = true;
-                }
-            }
-            if !changed {
-                return Some(profile);
-            }
-        }
-        None
-    }
-
     fn all_alive_opponent_profiles(
         &self,
         alive: &[Vec<usize>],
@@ -346,11 +294,17 @@ mod tests {
 
     #[test]
     fn defect_is_strictly_dominant_in_pd() {
+        // Strict dominance: defect is the unique best response to every
+        // opponent strategy.
         let g = prisoners_dilemma();
         for player in 0..2 {
-            assert!(g.is_strictly_dominant(player, 1));
-            assert!(!g.is_strictly_dominant(player, 0));
+            for other in 0..2 {
+                let mut profile = [other; 2];
+                profile[player] = 0;
+                assert_eq!(g.best_responses(&profile, player), vec![1]);
+            }
             assert!(g.is_weakly_dominant(player, 1));
+            assert!(!g.is_weakly_dominant(player, 0));
         }
     }
 
@@ -366,9 +320,8 @@ mod tests {
         let eqs = g.pure_nash_equilibria();
         assert_eq!(eqs, vec![vec![0, 0], vec![1, 1]]);
         // Neither strategy is dominant.
-        assert!(!g.is_weakly_dominant(0, 0) || !g.is_weakly_dominant(0, 1));
-        assert!(!g.is_strictly_dominant(0, 0));
-        assert!(!g.is_strictly_dominant(0, 1));
+        assert!(!g.is_weakly_dominant(0, 0));
+        assert!(!g.is_weakly_dominant(0, 1));
     }
 
     #[test]
@@ -448,41 +401,5 @@ mod tests {
     #[should_panic(expected = "at least one player")]
     fn empty_game_rejected() {
         let _ = NormalFormGame::from_fn(vec![], |_| vec![]);
-    }
-
-    #[test]
-    fn best_response_dynamics_converges_in_pd() {
-        let g = prisoners_dilemma();
-        let end = g.best_response_dynamics(&[0, 0], 10).unwrap();
-        assert_eq!(end, vec![1, 1]);
-    }
-
-    #[test]
-    fn best_response_dynamics_converges_in_coordination() {
-        let g = coordination();
-        // Starting miscoordinated, round-robin revision coordinates.
-        let end = g.best_response_dynamics(&[0, 1], 10).unwrap();
-        assert!(end == vec![0, 0] || end == vec![1, 1]);
-        // The fixed point is a Nash equilibrium.
-        assert!(g.pure_nash_equilibria().contains(&end));
-    }
-
-    #[test]
-    fn best_response_dynamics_detects_cycles() {
-        let g = matching_pennies();
-        assert_eq!(g.best_response_dynamics(&[0, 0], 100), None);
-    }
-
-    #[test]
-    fn best_response_dynamics_fixed_point_is_nash() {
-        // Any convergent endpoint must be in the pure Nash set.
-        let g = NormalFormGame::from_fn(vec![3, 3], |p| {
-            vec![
-                -((p[0] as f64) - (p[1] as f64)).abs(),
-                -((p[0] as f64) - (p[1] as f64)).abs(),
-            ]
-        });
-        let end = g.best_response_dynamics(&[2, 0], 20).unwrap();
-        assert!(g.pure_nash_equilibria().contains(&end), "{end:?}");
     }
 }

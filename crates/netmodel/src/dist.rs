@@ -133,29 +133,6 @@ impl Pareto {
     }
 }
 
-/// Draws a Poisson-distributed count with the given mean, by counting
-/// exponential inter-arrivals (Knuth's method; fine for the small means used
-/// in the workload generator).
-pub fn poisson_count(mean: f64, rng: &mut Xoshiro256StarStar) -> u64 {
-    assert!(
-        mean >= 0.0 && mean.is_finite(),
-        "invalid Poisson mean {mean}"
-    );
-    if mean == 0.0 {
-        return 0;
-    }
-    let limit = (-mean).exp();
-    let mut product = 1.0;
-    let mut count = 0u64;
-    loop {
-        product *= uniform_open01(rng);
-        if product <= limit {
-            return count;
-        }
-        count += 1;
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)] // test-only assertions may panic freely
 mod tests {
@@ -258,20 +235,5 @@ mod tests {
             p_tail > 5 * e_tail.max(1),
             "p_tail={p_tail}, e_tail={e_tail}"
         );
-    }
-
-    #[test]
-    fn poisson_count_mean_matches() {
-        let mut r = rng(7);
-        let n = 50_000;
-        let total: u64 = (0..n).map(|_| poisson_count(3.0, &mut r)).sum();
-        let mean = total as f64 / f64::from(n);
-        assert!((mean - 3.0).abs() < 0.05, "mean={mean}");
-    }
-
-    #[test]
-    fn poisson_count_zero_mean() {
-        let mut r = rng(8);
-        assert_eq!(poisson_count(0.0, &mut r), 0);
     }
 }

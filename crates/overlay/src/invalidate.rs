@@ -70,12 +70,6 @@ impl ProbeInvalidation {
         self.until[v]
     }
 
-    /// Number of nodes with any distrust window ever recorded.
-    #[must_use]
-    pub fn invalidated_nodes(&self) -> usize {
-        self.until.iter().filter(|&&t| t > 0.0).count()
-    }
-
     /// Snapshot export: the per-node distrust horizons.
     #[must_use]
     pub fn snapshot_state(&self) -> Vec<f64> {
@@ -100,7 +94,7 @@ mod tests {
         let inv = ProbeInvalidation::new(3);
         assert!(!inv.masked(0, 0.0));
         assert!(!inv.masked(2, 1e9));
-        assert_eq!(inv.invalidated_nodes(), 0);
+        assert!(inv.snapshot_state().iter().all(|&t| t == 0.0));
     }
 
     #[test]
@@ -111,7 +105,7 @@ mod tests {
         assert!(inv.masked(1, 29.999));
         assert!(!inv.masked(1, 30.0), "horizon itself is trusted again");
         assert!(!inv.masked(0, 0.0), "other nodes unaffected");
-        assert_eq!(inv.invalidated_nodes(), 1);
+        assert_eq!(inv.snapshot_state(), [0.0, 30.0]);
     }
 
     #[test]
@@ -130,8 +124,7 @@ mod tests {
         inv.invalidate(0, 50.0);
         inv.forgive(0);
         assert!(!inv.masked(0, 0.0));
-        assert_eq!(inv.horizon(0), 0.0);
-        assert_eq!(inv.invalidated_nodes(), 0);
+        assert_eq!(inv.snapshot_state(), [0.0, 0.0]);
         // The fresh identity can earn distrust again from scratch.
         inv.invalidate(0, 10.0);
         assert!((inv.horizon(0) - 10.0).abs() < f64::EPSILON);

@@ -243,15 +243,6 @@ impl ProbeEstimator {
             .collect()
     }
 
-    /// Consecutive probe rounds since `v` was last seen alive (`None` for
-    /// non-neighbors; `rounds()` for a neighbor never seen). Drives the
-    /// neighbor-replacement policy.
-    #[must_use]
-    pub fn rounds_since_alive(&self, v: NodeId) -> Option<u64> {
-        let i = self.neighbors.iter().position(|&u| u == v)?;
-        Some(self.rounds - self.last_alive_round[i])
-    }
-
     /// The current neighbor set (it changes under replacement).
     #[must_use]
     pub fn neighbors(&self) -> &[NodeId] {
@@ -377,19 +368,24 @@ mod tests {
         let _ = ProbeEstimator::new(NodeId(0), 0.0, vec![]);
     }
 
+    /// Consecutive probe rounds since neighbor slot `i` was last seen
+    /// alive — the silence the replacement threshold reads.
+    fn silence(est: &ProbeEstimator, i: usize) -> u64 {
+        est.rounds - est.last_alive_round[i]
+    }
+
     #[test]
     fn rounds_since_alive_tracks_silence() {
         let mut est = estimator();
         let s = StreamFactory::new(9);
+        let (one, three) = (0, 2); // the slots of NodeId(1) and NodeId(3)
         est.probe_round_seeded(&s, |v| v == NodeId(1));
-        assert_eq!(est.rounds_since_alive(NodeId(1)), Some(0));
+        assert_eq!(silence(&est, one), 0);
         est.probe_round_seeded(&s, |_| false);
         est.probe_round_seeded(&s, |_| false);
-        assert_eq!(est.rounds_since_alive(NodeId(1)), Some(2));
+        assert_eq!(silence(&est, one), 2);
         // Never-seen neighbor: silence equals total rounds.
-        assert_eq!(est.rounds_since_alive(NodeId(3)), Some(3));
-        // Non-neighbor.
-        assert_eq!(est.rounds_since_alive(NodeId(42)), None);
+        assert_eq!(silence(&est, three), 3);
     }
 
     #[test]
@@ -411,7 +407,7 @@ mod tests {
         );
         assert_eq!(est.session_time(new), 0.0);
         assert_eq!(est.session_time(NodeId(1)), 0.0, "old neighbor forgotten");
-        assert_eq!(est.rounds_since_alive(new), Some(0));
+        assert_eq!(silence(&est, 0), 0);
         // Next sighting re-initialises with the rand(0, T) rule.
         est.probe_round_seeded(&s, |v| v == new);
         let t = est.session_time(new);

@@ -65,20 +65,6 @@ pub enum AuditEvent {
         /// applied without narrowing (encoded as 16 big-endian bytes).
         delta: i128,
     },
-    /// Detected-versus-paid discrepancy from §5 reconstructed-path
-    /// validation: a bundle whose manifests claim `expected` forwarding
-    /// instances but whose surviving receipts validate only `validated`.
-    /// Balance-neutral (nothing moves), but on the record for disputes.
-    Discrepancy {
-        /// The connection bundle the shortfall was detected in.
-        bundle: u64,
-        /// Forwarding instances the path manifests attest to.
-        expected: u64,
-        /// Instances backed by a valid receipt (what was actually paid).
-        validated: u64,
-        /// Forwarders flagged as confirmation cheaters for this bundle.
-        flagged: u64,
-    },
 }
 
 impl AuditEvent {
@@ -116,22 +102,12 @@ impl AuditEvent {
                 account,
                 delta,
             } => {
+                // Tag 4 is retired (a balance-neutral discrepancy record
+                // the ledger never wrote); it is not reused.
                 out.push(5);
                 out.extend_from_slice(&epoch.to_be_bytes());
                 out.extend_from_slice(&account.0.to_be_bytes());
                 out.extend_from_slice(&delta.to_be_bytes());
-            }
-            AuditEvent::Discrepancy {
-                bundle,
-                expected,
-                validated,
-                flagged,
-            } => {
-                out.push(4);
-                out.extend_from_slice(&bundle.to_be_bytes());
-                out.extend_from_slice(&expected.to_be_bytes());
-                out.extend_from_slice(&validated.to_be_bytes());
-                out.extend_from_slice(&flagged.to_be_bytes());
             }
         }
         out
@@ -368,25 +344,6 @@ mod tests {
         assert_eq!(log.replay_balance(AccountId(0)), 80);
         assert_eq!(log.replay_balance(AccountId(1)), 20);
         assert_eq!(log.replay_balance(AccountId(42)), 0);
-    }
-
-    #[test]
-    fn discrepancy_entries_chain_and_are_balance_neutral() {
-        let mut log = sample_log();
-        let before = log.replay_balance(AccountId(0));
-        log.append(AuditEvent::Discrepancy {
-            bundle: 7,
-            expected: 12,
-            validated: 9,
-            flagged: 1,
-        });
-        assert_eq!(log.verify(), Ok(()));
-        assert_eq!(log.replay_balance(AccountId(0)), before);
-        let mut t = log.clone();
-        if let AuditEvent::Discrepancy { validated, .. } = &mut t.entries[4].event {
-            *validated = 12; // cover up the shortfall
-        }
-        assert_eq!(t.verify(), Err(4));
     }
 
     #[test]

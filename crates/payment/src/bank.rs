@@ -19,7 +19,6 @@ use idpa_crypto::bigint::BigUint;
 use idpa_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use idpa_desim::rng::Xoshiro256StarStar;
 
-use crate::audit::AuditLog;
 use crate::ledger::{Ledger, RecoveryReport};
 use crate::token::{denominations, PendingWithdrawal, Token, Wallet, WithdrawError};
 use crate::wal::Wal;
@@ -95,7 +94,8 @@ impl Bank {
         &self.keys
     }
 
-    /// The underlying crypto-free ledger (invariant monitor input).
+    /// The underlying crypto-free ledger: balances, totals, spent serials
+    /// and the audit chain are read here.
     #[must_use]
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
@@ -110,12 +110,6 @@ impl Bank {
     /// Opens an account with an initial balance, returning its id.
     pub fn open_account(&mut self, initial_balance: u64) -> AccountId {
         self.ledger.open_account(initial_balance)
-    }
-
-    /// Balance of an account, or `None` if unknown.
-    #[must_use]
-    pub fn balance(&self, account: AccountId) -> Option<u64> {
-        self.ledger.balance(account)
     }
 
     /// Executes the bank side of a withdrawal: debits the account by the
@@ -159,7 +153,12 @@ impl Bank {
     }
 
     /// Deposits a bearer token into an account: verifies the signature,
-    /// rejects double spends, credits the face value.
+    /// rejects double spends, credits the face value. The only way a token
+    /// enters the ledger. Each signature is verified on its own, through
+    /// the key's cached Montgomery context: a combined batch equation over
+    /// `(Z/n)*` is unsound (Boyd–Pavlovski: negating an even number of
+    /// valid signatures passes it while every negated token fails
+    /// [`Token::verify`]), and at `e = 65537` it was slower besides.
     pub fn deposit(&mut self, account: AccountId, token: &Token) -> Result<(), DepositError> {
         if !self.ledger.has_account(account) {
             return Err(DepositError::UnknownAccount);
@@ -170,30 +169,6 @@ impl Bank {
         self.ledger.deposit_serial(account, token.id, token.value)
     }
 
-    /// Deposits a whole epoch's tokens in one call: each token is
-    /// verified **individually and strictly** through the cached per-key
-    /// Montgomery context, in submission order.
-    ///
-    /// Exactly equivalent to calling [`Bank::deposit`] once per item —
-    /// same per-item results, same final balances, serials, outstanding
-    /// liability, and audit entries — *by construction*, not up to a
-    /// probabilistic bound. An earlier revision checked signatures with
-    /// the small-exponents combined equation; over `(Z/n)*` that test is
-    /// unsound (Boyd–Pavlovski: negating an even number of valid
-    /// signatures passes it with probability 1 while every negated token
-    /// fails [`Token::verify`]), and at `e = 65537` it was also slower
-    /// than cached individual verification. The epoch-settlement win is transfer
-    /// netting ([`Bank::apply_epoch_net`]), not the signature check.
-    pub fn deposit_batch(
-        &mut self,
-        deposits: &[(AccountId, Token)],
-    ) -> Vec<Result<(), DepositError>> {
-        deposits
-            .iter()
-            .map(|(account, token)| self.deposit(*account, token))
-            .collect()
-    }
-
     /// Applies one net balance delta per account for a settled epoch,
     /// atomically: every delta applies (one [`crate::AuditEvent::EpochNet`]
     /// entry per nonzero delta, ascending account order) or none does — a
@@ -201,8 +176,7 @@ impl Bank {
     /// overflowing `u64`) leaves every balance untouched. Deltas are
     /// `i128`, so any sum of `u64` transfer amounts is representable
     /// without wrapping. For transfer netting the deltas sum to zero, so
-    /// `total_deposits` is unchanged — [`crate::EpochLedger`] constructs
-    /// exactly such nets.
+    /// `total_deposits` is unchanged.
     pub fn apply_epoch_net(
         &mut self,
         epoch: u64,
@@ -221,30 +195,6 @@ impl Bank {
         amount: u64,
     ) -> Result<(), WithdrawError> {
         self.ledger.transfer(from, to, amount)
-    }
-
-    /// Sum of all account balances.
-    #[must_use]
-    pub fn total_deposits(&self) -> u64 {
-        self.ledger.total_deposits()
-    }
-
-    /// Outstanding bearer-token liability (withdrawn, not yet deposited).
-    #[must_use]
-    pub fn outstanding(&self) -> u64 {
-        self.ledger.outstanding()
-    }
-
-    /// Number of serials seen (telemetry / tests).
-    #[must_use]
-    pub fn spent_serials(&self) -> usize {
-        self.ledger.spent_serials()
-    }
-
-    /// The tamper-evident audit log.
-    #[must_use]
-    pub fn audit(&self) -> &AuditLog {
-        self.ledger.audit()
     }
 }
 
@@ -266,8 +216,8 @@ mod tests {
     fn open_account_and_balance() {
         let mut b = bank(1);
         let acct = b.open_account(100);
-        assert_eq!(b.balance(acct), Some(100));
-        assert_eq!(b.balance(AccountId(999)), None);
+        assert_eq!(b.ledger().balance(acct), Some(100));
+        assert_eq!(b.ledger().balance(AccountId(999)), None);
     }
 
     #[test]
@@ -280,15 +230,15 @@ mod tests {
         let mut wallet = Wallet::new();
         b.withdraw_into_wallet(alice, 37, &mut wallet, &mut r)
             .unwrap();
-        assert_eq!(b.balance(alice), Some(63));
+        assert_eq!(b.ledger().balance(alice), Some(63));
         assert_eq!(wallet.balance(), 37);
-        assert_eq!(b.outstanding(), 37);
+        assert_eq!(b.ledger().outstanding(), 37);
 
         for token in wallet.take_exact(37).unwrap() {
             b.deposit(bob, &token).unwrap();
         }
-        assert_eq!(b.balance(bob), Some(37));
-        assert_eq!(b.outstanding(), 0);
+        assert_eq!(b.ledger().balance(bob), Some(37));
+        assert_eq!(b.ledger().outstanding(), 0);
     }
 
     #[test]
@@ -297,17 +247,20 @@ mod tests {
         let mut r = rng(5);
         let alice = b.open_account(1000);
         let bob = b.open_account(500);
-        let total_before = b.total_deposits();
+        let total_before = b.ledger().total_deposits();
 
         let mut wallet = Wallet::new();
         b.withdraw_into_wallet(alice, 123, &mut wallet, &mut r)
             .unwrap();
-        assert_eq!(b.total_deposits() + b.outstanding(), total_before);
+        assert_eq!(
+            b.ledger().total_deposits() + b.ledger().outstanding(),
+            total_before
+        );
 
         for token in wallet.take_exact(123).unwrap() {
             b.deposit(bob, &token).unwrap();
         }
-        assert_eq!(b.total_deposits(), total_before);
+        assert_eq!(b.ledger().total_deposits(), total_before);
     }
 
     #[test]
@@ -318,7 +271,7 @@ mod tests {
         let mut wallet = Wallet::new();
         let err = b.withdraw_into_wallet(alice, 11, &mut wallet, &mut r);
         assert_eq!(err, Err(WithdrawError::InsufficientFunds));
-        assert_eq!(b.balance(alice), Some(10), "no partial debit");
+        assert_eq!(b.ledger().balance(alice), Some(10), "no partial debit");
         assert!(wallet.is_empty());
     }
 
@@ -337,7 +290,7 @@ mod tests {
 
         b.deposit(bob, &token).unwrap();
         assert_eq!(b.deposit(carol, &token), Err(DepositError::DoubleSpend));
-        assert_eq!(b.balance(carol), Some(0));
+        assert_eq!(b.ledger().balance(carol), Some(0));
     }
 
     #[test]
@@ -368,47 +321,34 @@ mod tests {
         assert_eq!(b.deposit(bob, &token), Err(DepositError::InvalidSignature));
     }
 
-    /// Regression for the Boyd–Pavlovski sign attack on batched deposits:
-    /// a negated signature (`sig → n - sig`) fails strict verification,
-    /// and `deposit_batch` must reject it exactly like `deposit` — even
-    /// when an even number of negated tokens share one batch (the case
-    /// the old combined-equation check accepted with probability 1).
+    /// Regression for the Boyd–Pavlovski sign attack: a negated signature
+    /// (`sig → n - sig`) fails strict verification, so `deposit` rejects
+    /// it even when an even number of negated tokens arrive together (the
+    /// case a combined batch equation accepts with probability 1), and the
+    /// rejection burns no serial.
     #[test]
-    fn negated_signatures_rejected_by_batch_exactly_like_deposit() {
-        let (mut seq, mut batch) = (bank(30), bank(30));
-        let alice = seq.open_account(100);
-        batch.open_account(100);
-        let bob = seq.open_account(0);
-        batch.open_account(0);
-
-        // Four one-credit withdrawals, so the batch holds four tokens.
-        let mint = |bank: &mut Bank| {
-            let mut r = rng(32);
-            let mut wallet = Wallet::new();
-            let mut tokens = Vec::with_capacity(4);
-            for _ in 0..4 {
-                bank.withdraw_into_wallet(alice, 1, &mut wallet, &mut r)
-                    .unwrap();
-                tokens.extend(wallet.take_exact(1).unwrap());
-            }
-            tokens
-        };
-        let mut tokens = mint(&mut seq);
-        assert_eq!(tokens, mint(&mut batch), "twin mints agree");
-        assert_eq!(tokens.len(), 4);
+    fn negated_signatures_rejected_by_deposit() {
+        let mut b = bank(30);
+        let mut r = rng(32);
+        let alice = b.open_account(100);
+        let bob = b.open_account(0);
+        let mut wallet = Wallet::new();
+        let mut tokens = Vec::with_capacity(4);
+        for _ in 0..4 {
+            b.withdraw_into_wallet(alice, 1, &mut wallet, &mut r)
+                .unwrap();
+            tokens.extend(wallet.take_exact(1).unwrap());
+        }
+        let genuine = tokens.clone();
 
         // Negate an even number of signatures (indices 1 and 3).
-        let n = seq.public_key().modulus().clone();
+        let n = b.public_key().modulus().clone();
         for i in [1, 3] {
             tokens[i].signature = n.sub(&tokens[i].signature);
         }
-        let entries: Vec<(AccountId, Token)> = tokens.iter().map(|t| (bob, t.clone())).collect();
-
-        let sequential: Vec<_> = entries.iter().map(|(a, t)| seq.deposit(*a, t)).collect();
-        let batched = batch.deposit_batch(&entries);
-        assert_eq!(sequential, batched);
+        let verdicts: Vec<_> = tokens.iter().map(|t| b.deposit(bob, t)).collect();
         assert_eq!(
-            batched,
+            verdicts,
             vec![
                 Ok(()),
                 Err(DepositError::InvalidSignature),
@@ -416,8 +356,14 @@ mod tests {
                 Err(DepositError::InvalidSignature),
             ]
         );
-        assert_eq!(seq.balance(bob), batch.balance(bob));
-        assert_eq!(seq.audit().head(), batch.audit().head());
+        assert_eq!(b.ledger().balance(bob), Some(2));
+        assert_eq!(b.ledger().spent_serials(), 2);
+        // The genuine originals of the rejected tokens still deposit.
+        for i in [1, 3] {
+            assert_eq!(b.deposit(bob, &genuine[i]), Ok(()));
+        }
+        assert_eq!(b.ledger().balance(bob), Some(4));
+        assert_eq!(b.ledger().outstanding(), 0);
     }
 
     #[test]
@@ -432,8 +378,12 @@ mod tests {
             b.apply_epoch_net(0, &net),
             Err(EpochNetError::BalanceOverflow(rich))
         );
-        assert_eq!(b.balance(rich), Some(u64::MAX - 5), "nothing applied");
-        assert_eq!(b.balance(poor), Some(100), "nothing applied");
+        assert_eq!(
+            b.ledger().balance(rich),
+            Some(u64::MAX - 5),
+            "nothing applied"
+        );
+        assert_eq!(b.ledger().balance(poor), Some(100), "nothing applied");
     }
 
     #[test]
@@ -452,8 +402,8 @@ mod tests {
             b.apply_epoch_net(0, &net),
             Err(EpochNetError::InsufficientFunds(a))
         );
-        assert_eq!(b.balance(a), Some(7));
-        assert_eq!(b.balance(c), Some(0));
+        assert_eq!(b.ledger().balance(a), Some(7));
+        assert_eq!(b.ledger().balance(c), Some(0));
     }
 
     #[test]
@@ -513,14 +463,14 @@ mod tests {
         b.transfer(bob, alice, 2).unwrap();
 
         // The chain verifies, and replaying it reconstructs every balance.
-        assert_eq!(b.audit().verify(), Ok(()));
+        assert_eq!(b.ledger().audit().verify(), Ok(()));
         assert_eq!(
-            b.audit().replay_balance(alice),
-            i128::from(b.balance(alice).unwrap())
+            b.ledger().audit().replay_balance(alice),
+            i128::from(b.ledger().balance(alice).unwrap())
         );
         assert_eq!(
-            b.audit().replay_balance(bob),
-            i128::from(b.balance(bob).unwrap())
+            b.ledger().audit().replay_balance(bob),
+            i128::from(b.ledger().balance(bob).unwrap())
         );
     }
 
@@ -529,11 +479,15 @@ mod tests {
         let mut b = bank(21);
         let mut r = rng(22);
         let alice = b.open_account(1);
-        let before = b.audit().len();
+        let before = b.ledger().audit().len();
         let mut w = Wallet::new();
         let _ = b.withdraw_into_wallet(alice, 100, &mut w, &mut r); // fails
         let _ = b.transfer(alice, AccountId(404), 1); // fails
-        assert_eq!(b.audit().len(), before, "failures must not be logged");
+        assert_eq!(
+            b.ledger().audit().len(),
+            before,
+            "failures must not be logged"
+        );
     }
 
     #[test]
@@ -559,10 +513,10 @@ mod tests {
             stripped.take_wal();
             stripped.digest()
         });
-        assert_eq!(recovered.balance(alice), b.balance(alice));
-        assert_eq!(recovered.balance(bob), b.balance(bob));
-        assert_eq!(recovered.audit().head(), b.audit().head());
-        assert!(recovered.audit().verify_chain());
+        assert_eq!(recovered.ledger().balance(alice), b.ledger().balance(alice));
+        assert_eq!(recovered.ledger().balance(bob), b.ledger().balance(bob));
+        assert_eq!(recovered.ledger().audit().head(), b.ledger().audit().head());
+        assert!(recovered.ledger().audit().verify_chain());
         // The recovered bank keeps its keys: round-trip a fresh token.
         let mut b2 = recovered;
         let mut w2 = Wallet::new();

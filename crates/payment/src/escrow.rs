@@ -6,16 +6,17 @@
 //! closes that hole: the initiator funds the escrow with bearer tokens
 //! *before* the bundle runs (committing `k·L̂·P_f + P_r` where `L̂` is the
 //! per-connection hop budget), and settlement after completion pays each
-//! forwarder `m·P_f + P_r/‖π‖` from the escrow against validated receipts.
+//! forwarder `m·P_f + P_r/‖π‖` from the escrow, where `m` is its count in
+//! the bundle's [`PathValidator`] report (`paid_counts`) — the §5
+//! reconstructed-path validation every simulated run settles through.
 //! Leftover escrow value is refunded to the (still anonymous) initiator as
 //! change tokens.
 
-use idpa_crypto::hmac::HmacKey;
 use idpa_desim::rng::Xoshiro256StarStar;
 
 use crate::bank::{AccountId, Bank, DepositError};
-use crate::receipt::ReceiptBook;
 use crate::token::{denominations, PendingWithdrawal, Token, Wallet};
+use crate::validation::PathValidator;
 
 /// Errors during settlement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,27 +25,31 @@ pub enum SettlementError {
     BadFunding(DepositError),
     /// The validated claims exceed the escrowed amount.
     OverClaim {
-        /// Amount owed according to validated receipts.
+        /// Amount owed according to the validation report.
         owed: u64,
         /// Amount actually escrowed.
         escrowed: u64,
     },
-    /// No valid receipts — nothing to settle.
+    /// No validated forwarding instance — nothing to settle.
     EmptyBundle,
-    /// The escrow was already settled.
+    /// The escrow was already settled (or its forwarders already paid by
+    /// a timeout claim).
     AlreadySettled,
+    /// The validator holds evidence for another bundle (its id).
+    WrongBundle(u64),
 }
 
 /// Outcome of a successful settlement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SettlementReport {
     /// Per-forwarder payout `m·P_f + P_r/‖π‖` (integer division remainder
     /// of the routing pool stays in the refund).
     pub payouts: Vec<(AccountId, u64)>,
     /// The forwarder-set size `‖π‖`.
     pub forwarder_set_size: usize,
-    /// Receipts dropped as invalid/duplicate/foreign.
-    pub rejected_receipts: usize,
+    /// Forwarding instances the manifests attest to that no valid receipt
+    /// backs (forged, diverted or missing receipts): not paid.
+    pub unpaid_instances: u64,
     /// Change returned to the initiator (as fresh bearer tokens).
     pub refund: u64,
 }
@@ -57,6 +62,10 @@ pub struct Escrow {
     funded: u64,
     pf: u64,
     pr: u64,
+    /// Forwarders were paid (by [`Escrow::settle`] or a timeout claim).
+    forwarders_paid: bool,
+    /// The residual was refunded; nothing is left to settle. Implies
+    /// `forwarders_paid`.
     settled: bool,
 }
 
@@ -85,6 +94,7 @@ impl Escrow {
             funded,
             pf,
             pr,
+            forwarders_paid: false,
             settled: false,
         })
     }
@@ -101,6 +111,13 @@ impl Escrow {
         self.funded
     }
 
+    /// Value still held: the whole funding before settlement, what a
+    /// timeout claim left, and 0 once settled.
+    #[must_use]
+    pub fn residual(&self) -> u64 {
+        self.funded
+    }
+
     /// The escrow budget needed for `k` connections with at most
     /// `max_hops` forwarding instances each: `k·max_hops·P_f + P_r`.
     #[must_use]
@@ -108,123 +125,93 @@ impl Escrow {
         u64::from(k) * u64::from(max_hops) * pf + pr
     }
 
-    /// Settles the bundle: validates `receipts` under `bundle_key`, pays
-    /// each forwarder `m·P_f + P_r/‖π‖`, and returns the change to the
-    /// initiator as fresh blind-signed tokens in `refund_wallet`.
+    /// Timeout settlement: after the bundle deadline passes without the
+    /// initiator submitting a settlement, any forwarder can present the
+    /// bundle's validator and the bank pays each forwarder in its report
+    /// `m·P_f + P_r/‖π‖` from the escrow — the mechanism that makes
+    /// initiator non-payment harmless. Unlike [`Escrow::settle`], no
+    /// refund tokens are minted (the anonymous initiator is not present to
+    /// receive them); the [`Escrow::residual`] stays in the escrow account
+    /// until a later [`Escrow::settle`] refunds it. On error nothing moves.
+    pub fn settle_by_timeout(
+        &mut self,
+        bank: &mut Bank,
+        validator: &PathValidator,
+    ) -> Result<SettlementReport, SettlementError> {
+        if self.forwarders_paid {
+            return Err(SettlementError::AlreadySettled);
+        }
+        if validator.bundle_id() != self.bundle_id {
+            return Err(SettlementError::WrongBundle(validator.bundle_id()));
+        }
+        let report = validator.report();
+        let counts = &report.paid_counts;
+        if counts.is_empty() {
+            return Err(SettlementError::EmptyBundle);
+        }
+        let routing_share = self.pr / counts.len() as u64;
+        let payouts: Vec<(AccountId, u64)> = counts
+            .iter()
+            .map(|(&acct, &m)| (acct, m * self.pf + routing_share))
+            .collect();
+        let owed: u64 = payouts.iter().map(|&(_, v)| v).sum();
+        if owed > self.funded {
+            return Err(SettlementError::OverClaim {
+                owed,
+                escrowed: self.funded,
+            });
+        }
+        for &(acct, amount) in &payouts {
+            bank.transfer(self.account, acct, amount)
+                .expect("escrow balance was checked against owed");
+        }
+        self.funded -= owed;
+        self.forwarders_paid = true;
+        Ok(SettlementReport {
+            payouts,
+            forwarder_set_size: counts.len(),
+            unpaid_instances: report.expected_instances - report.validated_instances,
+            refund: 0,
+        })
+    }
+
+    /// Settles the bundle: pays each forwarder `m·P_f + P_r/‖π‖` from
+    /// `validator`'s report, and returns the rest to the initiator as
+    /// fresh blind-signed tokens in `refund_wallet`. After a timeout claim
+    /// ([`Escrow::settle_by_timeout`]) the forwarders are already paid, so
+    /// this only refunds the residual.
     ///
     /// On error nothing is paid and the escrow remains open (a later
     /// corrected settlement, or a timeout claim, can still run).
     pub fn settle(
         &mut self,
         bank: &mut Bank,
-        bundle_key: &HmacKey,
-        receipts: &ReceiptBook,
+        validator: &PathValidator,
         refund_wallet: &mut Wallet,
         rng: &mut Xoshiro256StarStar,
     ) -> Result<SettlementReport, SettlementError> {
         if self.settled {
             return Err(SettlementError::AlreadySettled);
         }
-        let (counts, rejected) = receipts.validated_counts(bundle_key, self.bundle_id);
-        if counts.is_empty() {
-            return Err(SettlementError::EmptyBundle);
+        // The forwarders are paid exactly as a timeout claim pays them.
+        let mut report = if self.forwarders_paid {
+            SettlementReport::default()
+        } else {
+            self.settle_by_timeout(bank, validator)?
+        };
+        report.refund = self.funded;
+        // Refund as fresh bearer tokens (a blind withdrawal from the
+        // escrow account), so the initiator stays unlinked.
+        for value in denominations(report.refund) {
+            let pending = PendingWithdrawal::prepare(value, bank.public_key(), rng);
+            let blind_sig = bank
+                .withdraw_blinded(self.account, value, pending.blinded())
+                .expect("refund is covered by the escrow balance");
+            refund_wallet.put(pending.complete(&bank.public_key().clone(), &blind_sig));
         }
-        let set_size = counts.len() as u64;
-        let routing_share = self.pr / set_size;
-
-        let payouts: Vec<(AccountId, u64)> = counts
-            .iter()
-            .map(|(&acct, &m)| (acct, m * self.pf + routing_share))
-            .collect();
-        let owed: u64 = payouts.iter().map(|&(_, v)| v).sum();
-        if owed > self.funded {
-            return Err(SettlementError::OverClaim {
-                owed,
-                escrowed: self.funded,
-            });
-        }
-
-        // Execute transfers from the escrow account.
-        for &(acct, amount) in &payouts {
-            bank.transfer(self.account, acct, amount)
-                .expect("escrow balance was checked against owed");
-        }
-        let refund = self.funded - owed;
-        if refund > 0 {
-            // Refund as fresh bearer tokens (a blind withdrawal from the
-            // escrow account), so the initiator stays unlinked.
-            for value in denominations(refund) {
-                let pending = PendingWithdrawal::prepare(value, bank.public_key(), rng);
-                let blind_sig = bank
-                    .withdraw_blinded(self.account, value, pending.blinded())
-                    .expect("refund is covered by the escrow balance");
-                refund_wallet.put(pending.complete(&bank.public_key().clone(), &blind_sig));
-            }
-        }
-        self.settled = true;
         self.funded = 0;
-        Ok(SettlementReport {
-            payouts,
-            forwarder_set_size: counts.len(),
-            rejected_receipts: rejected,
-            refund,
-        })
-    }
-}
-
-impl Escrow {
-    /// Timeout settlement: after the bundle deadline passes without the
-    /// initiator submitting a settlement, any forwarder can present the
-    /// receipt book and the bank pays out from the escrow — the mechanism
-    /// that makes initiator non-payment harmless. Unlike
-    /// [`Escrow::settle`], no refund tokens are minted (the anonymous
-    /// initiator is not present to receive them); the residual stays in
-    /// the escrow account and remains claimable by a later
-    /// initiator-driven settlement of the remainder.
-    pub fn settle_by_timeout(
-        &mut self,
-        bank: &mut Bank,
-        bundle_key: &HmacKey,
-        receipts: &ReceiptBook,
-    ) -> Result<SettlementReport, SettlementError> {
-        if self.settled {
-            return Err(SettlementError::AlreadySettled);
-        }
-        let (counts, rejected) = receipts.validated_counts(bundle_key, self.bundle_id);
-        if counts.is_empty() {
-            return Err(SettlementError::EmptyBundle);
-        }
-        let set_size = counts.len() as u64;
-        let routing_share = self.pr / set_size;
-        let payouts: Vec<(AccountId, u64)> = counts
-            .iter()
-            .map(|(&acct, &m)| (acct, m * self.pf + routing_share))
-            .collect();
-        let owed: u64 = payouts.iter().map(|&(_, v)| v).sum();
-        if owed > self.funded {
-            return Err(SettlementError::OverClaim {
-                owed,
-                escrowed: self.funded,
-            });
-        }
-        for &(acct, amount) in &payouts {
-            bank.transfer(self.account, acct, amount)
-                .expect("escrow balance checked against owed");
-        }
-        self.funded -= owed;
         self.settled = true;
-        Ok(SettlementReport {
-            payouts,
-            forwarder_set_size: counts.len(),
-            rejected_receipts: rejected,
-            refund: 0,
-        })
-    }
-
-    /// Residual value still held after a timeout settlement.
-    #[must_use]
-    pub fn residual(&self) -> u64 {
-        self.funded
+        Ok(report)
     }
 }
 
@@ -233,9 +220,9 @@ impl Escrow {
 mod tests {
     use super::*;
     use crate::receipt::Receipt;
-    use std::sync::LazyLock;
+    use crate::validation::{ConnectionEvidence, PathManifest};
 
-    static KEY: LazyLock<HmacKey> = LazyLock::new(|| HmacKey::new(b"bundle key"));
+    const KEY: &[u8] = b"bundle key";
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)
@@ -261,6 +248,35 @@ mod tests {
         }
     }
 
+    fn balance(w: &World, account: AccountId) -> Option<u64> {
+        w.bank.ledger().balance(account)
+    }
+
+    /// Evidence for one completed connection over `path`: the responder's
+    /// manifest and one genuine receipt per hop.
+    fn evidence(bundle_id: u64, connection: u32, path: &[AccountId]) -> ConnectionEvidence {
+        let v = PathValidator::new(KEY, bundle_id);
+        let key = v.bundle_key();
+        ConnectionEvidence {
+            manifest: PathManifest::issue(key, bundle_id, connection, path.to_vec()),
+            receipts: path
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| Receipt::issue(key, bundle_id, connection, i as u32 + 1, a))
+                .collect(),
+            observed_hops: None,
+        }
+    }
+
+    /// A validator for `bundle_id` holding one connection per path.
+    fn validator(bundle_id: u64, paths: &[&[AccountId]]) -> PathValidator {
+        let mut v = PathValidator::new(KEY, bundle_id);
+        for (c, path) in paths.iter().enumerate() {
+            v.add_connection(evidence(bundle_id, c as u32, path));
+        }
+        v
+    }
+
     /// Funds an escrow from the initiator's account through bearer tokens.
     fn fund_escrow(w: &mut World, bundle_id: u64, pf: u64, pr: u64, budget: u64) -> Escrow {
         let mut wallet = Wallet::new();
@@ -271,6 +287,10 @@ mod tests {
         Escrow::open(&mut w.bank, bundle_id, pf, pr, tokens).unwrap()
     }
 
+    fn conserved_total(w: &World) -> u64 {
+        w.bank.ledger().total_deposits() + w.bank.ledger().outstanding()
+    }
+
     #[test]
     fn happy_path_settlement() {
         let mut w = world(1);
@@ -279,20 +299,18 @@ mod tests {
         assert_eq!(escrow.funded(), 400);
 
         // Two connections; forwarder 0 on both, forwarder 1 on the second.
-        let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
-        book.add(Receipt::issue(&KEY, 1, 1, 0, w.forwarders[0]));
-        book.add(Receipt::issue(&KEY, 1, 1, 1, w.forwarders[1]));
+        let f = w.forwarders.clone();
+        let v = validator(1, &[&[f[0]], &[f[0], f[1]]]);
 
         let mut refund = Wallet::new();
         let report = escrow
-            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &v, &mut refund, &mut w.rng)
             .unwrap();
 
         assert_eq!(report.forwarder_set_size, 2);
         // f0: 2*50 + 100/2 = 150 ; f1: 1*50 + 50 = 100
-        assert_eq!(w.bank.balance(w.forwarders[0]), Some(150));
-        assert_eq!(w.bank.balance(w.forwarders[1]), Some(100));
+        assert_eq!(balance(&w, f[0]), Some(150));
+        assert_eq!(balance(&w, f[1]), Some(100));
         assert_eq!(report.refund, 400 - 250);
         assert_eq!(refund.balance(), 150);
     }
@@ -301,11 +319,10 @@ mod tests {
     fn refund_tokens_are_spendable_and_anonymous() {
         let mut w = world(2);
         let mut escrow = fund_escrow(&mut w, 1, 10, 10, 100);
-        let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
+        let v = validator(1, &[&[w.forwarders[0]]]);
         let mut refund = Wallet::new();
         let report = escrow
-            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &v, &mut refund, &mut w.rng)
             .unwrap();
         assert_eq!(report.refund, 100 - 20);
         // The refunded tokens deposit cleanly into any account.
@@ -313,22 +330,21 @@ mod tests {
         for t in refund.take_exact(80).unwrap() {
             w.bank.deposit(stash, &t).unwrap();
         }
-        assert_eq!(w.bank.balance(stash), Some(80));
+        assert_eq!(balance(&w, stash), Some(80));
     }
 
     #[test]
     fn conservation_across_whole_flow() {
         let mut w = world(3);
-        let total_before = w.bank.total_deposits() + w.bank.outstanding();
+        let total_before = conserved_total(&w);
         let mut escrow = fund_escrow(&mut w, 1, 50, 100, 400);
-        let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
+        let v = validator(1, &[&[w.forwarders[0]]]);
         let mut refund = Wallet::new();
         escrow
-            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &v, &mut refund, &mut w.rng)
             .unwrap();
         assert_eq!(
-            w.bank.total_deposits() + w.bank.outstanding(),
+            conserved_total(&w),
             total_before,
             "value is conserved through fund->settle->refund"
         );
@@ -337,80 +353,112 @@ mod tests {
     #[test]
     fn non_payment_impossible_funds_precommitted() {
         // The "initiator walks away" scenario: funds are already in escrow,
-        // so settlement can proceed from receipts alone.
+        // so settlement can proceed from the evidence alone.
         let mut w = world(4);
-        let initiator_before = w.bank.balance(w.initiator).unwrap();
+        let initiator_before = balance(&w, w.initiator).unwrap();
         let mut escrow = fund_escrow(&mut w, 1, 50, 100, 400);
         assert_eq!(
-            w.bank.balance(w.initiator),
+            balance(&w, w.initiator),
             Some(initiator_before - 400),
             "funds leave the initiator before any connection runs"
         );
-        let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
+        let v = validator(1, &[&[w.forwarders[0]]]);
         let mut refund = Wallet::new();
         let report = escrow
-            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &v, &mut refund, &mut w.rng)
             .unwrap();
-        assert_eq!(w.bank.balance(w.forwarders[0]), Some(report.payouts[0].1));
+        assert_eq!(balance(&w, w.forwarders[0]), Some(report.payouts[0].1));
     }
 
     #[test]
     fn over_claim_rejected() {
         let mut w = world(5);
-        // Tiny escrow, many claimed instances.
+        // Tiny escrow, many validated instances.
         let mut escrow = fund_escrow(&mut w, 1, 50, 100, 120);
-        let mut book = ReceiptBook::new();
-        for c in 0..5 {
-            book.add(Receipt::issue(&KEY, 1, c, 0, w.forwarders[0]));
-        }
+        let f0: &[AccountId] = &[w.forwarders[0]];
+        let v = validator(1, &[f0; 5]);
         let mut refund = Wallet::new();
-        let err = escrow.settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng);
-        assert!(matches!(err, Err(SettlementError::OverClaim { .. })));
-        // Nothing was paid.
-        assert_eq!(w.bank.balance(w.forwarders[0]), Some(0));
+        let err = escrow.settle(&mut w.bank, &v, &mut refund, &mut w.rng);
+        assert_eq!(
+            err,
+            Err(SettlementError::OverClaim {
+                owed: 5 * 50 + 100,
+                escrowed: 120
+            })
+        );
+        // Nothing was paid, and a timeout claim hits the same check.
+        assert_eq!(balance(&w, w.forwarders[0]), Some(0));
         assert_eq!(escrow.funded(), 120);
+        assert!(matches!(
+            escrow.settle_by_timeout(&mut w.bank, &v),
+            Err(SettlementError::OverClaim { .. })
+        ));
+        assert_eq!(balance(&w, w.forwarders[0]), Some(0));
     }
 
     #[test]
     fn forged_receipts_do_not_get_paid() {
         let mut w = world(6);
         let mut escrow = fund_escrow(&mut w, 1, 50, 100, 400);
-        let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
-        let mut forged = Receipt::issue(&KEY, 1, 1, 0, w.forwarders[0]);
-        forged.forwarder = w.forwarders[2]; // divert to another account
-        book.add(forged);
+        let f = w.forwarders.clone();
+        let mut v = validator(1, &[&[f[0]]]);
+        // Hop 1 of connection 1 belongs to f0; its receipt is diverted to
+        // f2, so the MAC no longer verifies.
+        let mut ev = evidence(1, 1, &[f[0]]);
+        ev.receipts[0].forwarder = f[2];
+        v.add_connection(ev);
         let mut refund = Wallet::new();
         let report = escrow
-            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &v, &mut refund, &mut w.rng)
             .unwrap();
-        assert_eq!(report.rejected_receipts, 1);
-        assert_eq!(w.bank.balance(w.forwarders[2]), Some(0));
+        assert_eq!(report.unpaid_instances, 1);
+        assert_eq!(report.payouts, vec![(f[0], 50 + 100)]);
+        assert_eq!(balance(&w, f[2]), Some(0));
     }
 
     #[test]
     fn double_settlement_rejected() {
         let mut w = world(7);
         let mut escrow = fund_escrow(&mut w, 1, 10, 10, 100);
-        let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
+        let v = validator(1, &[&[w.forwarders[0]]]);
         let mut refund = Wallet::new();
         escrow
-            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &v, &mut refund, &mut w.rng)
             .unwrap();
-        let again = escrow.settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng);
+        let again = escrow.settle(&mut w.bank, &v, &mut refund, &mut w.rng);
         assert_eq!(again.unwrap_err(), SettlementError::AlreadySettled);
+        assert_eq!(
+            escrow.settle_by_timeout(&mut w.bank, &v),
+            Err(SettlementError::AlreadySettled)
+        );
     }
 
     #[test]
     fn empty_bundle_rejected() {
         let mut w = world(8);
         let mut escrow = fund_escrow(&mut w, 1, 10, 10, 100);
-        let book = ReceiptBook::new();
+        let v = PathValidator::new(KEY, 1);
         let mut refund = Wallet::new();
-        let err = escrow.settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng);
+        let err = escrow.settle(&mut w.bank, &v, &mut refund, &mut w.rng);
         assert_eq!(err.unwrap_err(), SettlementError::EmptyBundle);
+    }
+
+    #[test]
+    fn validator_for_another_bundle_rejected() {
+        let mut w = world(13);
+        let mut escrow = fund_escrow(&mut w, 1, 10, 10, 100);
+        let v = validator(2, &[&[w.forwarders[0]]]);
+        let mut refund = Wallet::new();
+        assert_eq!(
+            escrow.settle(&mut w.bank, &v, &mut refund, &mut w.rng),
+            Err(SettlementError::WrongBundle(2))
+        );
+        assert_eq!(
+            escrow.settle_by_timeout(&mut w.bank, &v),
+            Err(SettlementError::WrongBundle(2))
+        );
+        assert_eq!(balance(&w, w.forwarders[0]), Some(0));
+        assert_eq!(escrow.funded(), 100);
     }
 
     #[test]
@@ -441,33 +489,58 @@ mod tests {
     fn timeout_settlement_pays_without_initiator() {
         let mut w = world(11);
         let mut escrow = fund_escrow(&mut w, 1, 50, 100, 400);
-        // The initiator vanishes; a forwarder presents the receipts.
-        let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
-        book.add(Receipt::issue(&KEY, 1, 1, 0, w.forwarders[0]));
-        let report = escrow.settle_by_timeout(&mut w.bank, &KEY, &book).unwrap();
+        // The initiator vanishes; a forwarder presents the evidence.
+        let f0: &[AccountId] = &[w.forwarders[0]];
+        let v = validator(1, &[f0, f0]);
+        let report = escrow.settle_by_timeout(&mut w.bank, &v).unwrap();
         // 2*50 + 100/1 = 200 paid; 200 residual held.
-        assert_eq!(w.bank.balance(w.forwarders[0]), Some(200));
+        assert_eq!(balance(&w, w.forwarders[0]), Some(200));
         assert_eq!(report.refund, 0);
         assert_eq!(escrow.residual(), 200);
         // No double settlement afterwards.
         assert_eq!(
-            escrow.settle_by_timeout(&mut w.bank, &KEY, &book),
+            escrow.settle_by_timeout(&mut w.bank, &v),
             Err(SettlementError::AlreadySettled)
         );
+    }
+
+    #[test]
+    fn settle_after_timeout_refunds_the_residual_once() {
+        let mut w = world(14);
+        let total_before = conserved_total(&w);
+        let mut escrow = fund_escrow(&mut w, 1, 50, 100, 400);
+        let f0: &[AccountId] = &[w.forwarders[0]];
+        let v = validator(1, &[f0, f0]);
+        escrow.settle_by_timeout(&mut w.bank, &v).unwrap();
+        assert_eq!(escrow.residual(), 200);
+
+        let mut refund = Wallet::new();
+        let report = escrow
+            .settle(&mut w.bank, &v, &mut refund, &mut w.rng)
+            .unwrap();
+        assert_eq!(report.refund, 200, "exactly the residual comes back");
+        assert!(report.payouts.is_empty(), "no forwarder is paid twice");
+        assert_eq!(refund.balance(), 200);
+        assert_eq!(balance(&w, w.forwarders[0]), Some(200));
+        assert_eq!(escrow.residual(), 0);
+        assert_eq!(
+            escrow.settle(&mut w.bank, &v, &mut refund, &mut w.rng),
+            Err(SettlementError::AlreadySettled)
+        );
+        assert_eq!(conserved_total(&w), total_before);
     }
 
     #[test]
     fn timeout_settlement_still_rejects_forgeries() {
         let mut w = world(12);
         let mut escrow = fund_escrow(&mut w, 1, 50, 100, 400);
-        let mut book = ReceiptBook::new();
-        let mut forged = Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]);
-        forged.forwarder = w.forwarders[1];
-        book.add(forged);
-        let err = escrow.settle_by_timeout(&mut w.bank, &KEY, &book);
+        let mut ev = evidence(1, 0, &[w.forwarders[0]]);
+        ev.receipts[0].forwarder = w.forwarders[1];
+        let mut v = PathValidator::new(KEY, 1);
+        v.add_connection(ev);
+        let err = escrow.settle_by_timeout(&mut w.bank, &v);
         assert_eq!(err, Err(SettlementError::EmptyBundle));
-        assert_eq!(w.bank.balance(w.forwarders[1]), Some(0));
+        assert_eq!(balance(&w, w.forwarders[1]), Some(0));
     }
 
     #[test]
@@ -475,14 +548,13 @@ mod tests {
         // 3 forwarders, Pr = 100 => 33 each; remainder 1 goes to refund.
         let mut w = world(10);
         let mut escrow = fund_escrow(&mut w, 1, 10, 100, 400);
-        let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(&KEY, 1, 0, 0, w.forwarders[0]));
-        book.add(Receipt::issue(&KEY, 1, 0, 1, w.forwarders[1]));
-        book.add(Receipt::issue(&KEY, 1, 0, 2, w.forwarders[2]));
+        let f = w.forwarders.clone();
+        let v = validator(1, &[&[f[0], f[1], f[2]]]);
         let mut refund = Wallet::new();
         let report = escrow
-            .settle(&mut w.bank, &KEY, &book, &mut refund, &mut w.rng)
+            .settle(&mut w.bank, &v, &mut refund, &mut w.rng)
             .unwrap();
+        assert_eq!(report.forwarder_set_size, 3);
         for &(_, amount) in &report.payouts {
             assert_eq!(amount, 10 + 33);
         }

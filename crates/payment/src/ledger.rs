@@ -345,8 +345,8 @@ impl Ledger {
         (ledger, report)
     }
 
-    /// Sum of all account balances (u64 view, matching
-    /// [`crate::Bank::total_deposits`]).
+    /// Sum of all account balances (u64 view; see
+    /// [`Ledger::total_balance`] for the exact sum).
     #[must_use]
     pub fn total_deposits(&self) -> u64 {
         self.accounts.values().sum()

@@ -19,8 +19,8 @@
 //! * **A central bank** ([`bank`]): accounts, withdrawal (debit + blind
 //!   sign), deposit (verify + double-spend check + credit).
 //! * **Receipts** ([`receipt`]): per-forwarding-instance records MAC'd
-//!   with a per-bundle key, which is what lets the initiator validate the
-//!   reconstructed path and lets forwarders prove their participation.
+//!   with a per-bundle key, which is what lets forwarders prove their
+//!   participation.
 //! * **Reconstructed-path validation** ([`validation`]): the initiator
 //!   replays each connection's MAC'd path manifest against the surviving
 //!   receipts, pays only validated instances, and flags the most-upstream
@@ -29,7 +29,10 @@
 //! * **Escrow settlement** ([`escrow`]): the initiator funds an escrow with
 //!   bearer tokens *before* the connection bundle runs (no non-payment
 //!   cheating), and after the bundle completes each forwarder is paid
-//!   `m·P_f + P_r/‖π‖` against validated receipts (no over-claiming).
+//!   `m·P_f + P_r/‖π‖` from the [`PathValidator`] report (no
+//!   over-claiming). A simulated run validates through the same
+//!   [`PathValidator`]; its durable bank nets an epoch's payouts into one
+//!   [`LedgerOp::EpochNet`] on the [`Ledger`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +40,6 @@
 
 pub mod audit;
 pub mod bank;
-pub mod epoch;
 pub mod escrow;
 pub mod ledger;
 pub mod monitor;
@@ -48,11 +50,10 @@ pub mod wal;
 
 pub use audit::{AuditEvent, AuditLog};
 pub use bank::{AccountId, Bank, DepositError, EpochNetError};
-pub use epoch::{EpochLedger, EpochSettleError, EpochSettlement};
 pub use escrow::{Escrow, SettlementError, SettlementReport};
 pub use ledger::{ApplyError, BankReplica, Ledger, RecoveryReport};
 pub use monitor::{InvariantKind, InvariantMonitor, InvariantViolation};
-pub use receipt::{Receipt, ReceiptBook};
+pub use receipt::Receipt;
 pub use token::{Token, TokenId, Wallet, WithdrawError};
 pub use validation::{ConnectionEvidence, PathManifest, PathValidator, ValidationReport};
 pub use wal::{LedgerOp, Wal, WalScan};

@@ -159,9 +159,8 @@ impl InvariantMonitor {
                     let slot = epoch_sums.entry(epoch).or_insert((0, entry.seq));
                     slot.0 += delta;
                 }
-                // Transfers move value between accounts (total-neutral);
-                // discrepancies move nothing at all.
-                AuditEvent::Transfer { .. } | AuditEvent::Discrepancy { .. } => {}
+                // Transfers move value between accounts (total-neutral).
+                AuditEvent::Transfer { .. } => {}
             }
         }
         // Cross-check: the ledger's spent set and the log's deposit events

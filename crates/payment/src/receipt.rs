@@ -9,7 +9,8 @@
 //! passes through it on the reverse path, so the initiator can verify that
 //! a claimed `(forwarder, connection)` participation really lies on the
 //! path the responder confirmed, and a forwarder cannot inflate its count
-//! of forwarding instances.
+//! of forwarding instances. [`crate::validation::PathValidator`] replays
+//! the receipts against the responder's path manifests.
 
 use idpa_crypto::hmac::HmacKey;
 
@@ -22,7 +23,8 @@ pub struct Receipt {
     pub bundle_id: u64,
     /// Index of the connection within the bundle (`π^k`).
     pub connection: u32,
-    /// Position of the forwarder on the path (hop index from the initiator).
+    /// Position of the forwarder on the path (1-based hop index from the
+    /// initiator, as in [`crate::validation::PathManifest::hops`]).
     pub hop: u32,
     /// The forwarder's payment account (its payee identity — the paper's
     /// design hides the *initiator*, not the forwarders, from the bank).
@@ -71,80 +73,10 @@ impl Receipt {
     }
 }
 
-/// The initiator's collection of receipts for one bundle, with validation.
-#[derive(Debug, Default)]
-pub struct ReceiptBook {
-    receipts: Vec<Receipt>,
-}
-
-impl ReceiptBook {
-    /// An empty book.
-    #[must_use]
-    pub fn new() -> Self {
-        ReceiptBook::default()
-    }
-
-    /// Adds a receipt collected from the reverse path.
-    pub fn add(&mut self, receipt: Receipt) {
-        self.receipts.push(receipt);
-    }
-
-    /// Number of receipts collected.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.receipts.len()
-    }
-
-    /// Whether the book is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.receipts.is_empty()
-    }
-
-    /// Validates every receipt against the bundle key and `bundle_id`,
-    /// deduplicates `(connection, hop)` slots (a forwarder cannot claim the
-    /// same slot twice), and returns per-forwarder forwarding-instance
-    /// counts `m` — the input to settlement.
-    ///
-    /// Invalid or duplicate receipts are dropped (and counted in the
-    /// second return value) rather than failing the whole bundle: a
-    /// malicious forwarder must not be able to block everyone's payment.
-    #[must_use]
-    pub fn validated_counts(
-        &self,
-        bundle_key: &HmacKey,
-        bundle_id: u64,
-    ) -> (std::collections::BTreeMap<AccountId, u64>, usize) {
-        let mut seen_slots = std::collections::HashSet::new();
-        let mut counts = std::collections::BTreeMap::new();
-        let mut rejected = 0usize;
-        for r in &self.receipts {
-            let valid = r.bundle_id == bundle_id
-                && r.verify(bundle_key)
-                && seen_slots.insert((r.connection, r.hop));
-            if valid {
-                *counts.entry(r.forwarder).or_insert(0) += 1;
-            } else {
-                rejected += 1;
-            }
-        }
-        (counts, rejected)
-    }
-
-    /// The distinct forwarders appearing in **valid** receipts — the
-    /// forwarder set `π` whose size divides the routing benefit.
-    #[must_use]
-    pub fn forwarder_set(&self, bundle_key: &HmacKey, bundle_id: u64) -> Vec<AccountId> {
-        self.validated_counts(bundle_key, bundle_id)
-            .0
-            .into_keys()
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validation::{ConnectionEvidence, PathManifest, PathValidator, ValidationReport};
     use std::sync::LazyLock;
 
     const KEY_BYTES: &[u8] = b"per-bundle shared key";
@@ -187,61 +119,59 @@ mod tests {
         assert!(!t.verify(&KEY));
     }
 
-    #[test]
-    fn validated_counts_aggregate_per_forwarder() {
-        let mut book = ReceiptBook::new();
-        // Forwarder 1 on two connections, forwarder 2 on one.
-        book.add(Receipt::issue(&KEY, 9, 0, 0, AccountId(1)));
-        book.add(Receipt::issue(&KEY, 9, 1, 0, AccountId(1)));
-        book.add(Receipt::issue(&KEY, 9, 0, 1, AccountId(2)));
-        let (counts, rejected) = book.validated_counts(&KEY, 9);
-        assert_eq!(rejected, 0);
-        assert_eq!(counts[&AccountId(1)], 2);
-        assert_eq!(counts[&AccountId(2)], 1);
+    /// Evidence for connection 0 of bundle 9 over `path`, one genuine
+    /// receipt per hop.
+    fn evidence(path: &[u64]) -> ConnectionEvidence {
+        let hops: Vec<AccountId> = path.iter().map(|&a| AccountId(a)).collect();
+        ConnectionEvidence {
+            manifest: PathManifest::issue(&KEY, 9, 0, hops.clone()),
+            receipts: hops
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| Receipt::issue(&KEY, 9, 0, i as u32 + 1, a))
+                .collect(),
+            observed_hops: None,
+        }
+    }
+
+    fn validate(ev: ConnectionEvidence) -> ValidationReport {
+        let mut v = PathValidator::new(KEY_BYTES, 9);
+        v.add_connection(ev);
+        v.settle()
     }
 
     #[test]
     fn duplicate_slot_claims_are_rejected() {
-        let mut book = ReceiptBook::new();
-        let r = Receipt::issue(&KEY, 9, 0, 0, AccountId(1));
-        book.add(r.clone());
-        book.add(r); // replay the same receipt
-        let (counts, rejected) = book.validated_counts(&KEY, 9);
-        assert_eq!(counts[&AccountId(1)], 1, "replay must not double-count");
-        assert_eq!(rejected, 1);
+        let mut ev = evidence(&[1, 2]);
+        ev.receipts.push(ev.receipts[0].clone()); // replay hop 1's receipt
+        let r = validate(ev);
+        assert_eq!(
+            r.paid_counts[&AccountId(1)],
+            1,
+            "replay must not double-count"
+        );
+        assert_eq!(r.validated_instances, 2);
     }
 
     #[test]
     fn forged_receipt_rejected_without_blocking_others() {
-        let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(&KEY, 9, 0, 0, AccountId(1)));
-        let mut forged = Receipt::issue(&KEY, 9, 1, 0, AccountId(2));
-        forged.forwarder = AccountId(3);
-        book.add(forged);
-        let (counts, rejected) = book.validated_counts(&KEY, 9);
-        assert_eq!(rejected, 1);
-        assert_eq!(counts.len(), 1);
-        assert!(counts.contains_key(&AccountId(1)));
+        let mut ev = evidence(&[1, 2]);
+        ev.receipts[1].forwarder = AccountId(3); // divert hop 2's payment
+        let r = validate(ev);
+        assert_eq!(r.expected_instances, 2);
+        assert_eq!(r.validated_instances, 1);
+        assert_eq!(
+            r.paid_counts.keys().copied().collect::<Vec<_>>(),
+            [AccountId(1)]
+        );
     }
 
     #[test]
     fn receipts_from_other_bundle_rejected() {
-        let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(&KEY, 8, 0, 0, AccountId(1))); // bundle 8
-        let (counts, rejected) = book.validated_counts(&KEY, 9);
-        assert!(counts.is_empty());
-        assert_eq!(rejected, 1);
-    }
-
-    #[test]
-    fn forwarder_set_is_distinct_accounts() {
-        let mut book = ReceiptBook::new();
-        book.add(Receipt::issue(&KEY, 9, 0, 0, AccountId(5)));
-        book.add(Receipt::issue(&KEY, 9, 1, 0, AccountId(5)));
-        book.add(Receipt::issue(&KEY, 9, 1, 1, AccountId(6)));
-        assert_eq!(
-            book.forwarder_set(&KEY, 9),
-            vec![AccountId(5), AccountId(6)]
-        );
+        let mut ev = evidence(&[1]);
+        ev.receipts[0] = Receipt::issue(&KEY, 8, 0, 1, AccountId(1)); // bundle 8
+        let r = validate(ev);
+        assert!(r.paid_counts.is_empty());
+        assert_eq!(r.expected_instances, 1);
     }
 }

@@ -17,9 +17,10 @@
 //! most-upstream node that handled every corrupted receipt. Flagging it
 //! never accuses an honest forwarder; a cheater masked by another cheater
 //! upstream of it on one connection is exposed on any connection where it
-//! acts as the most-upstream corrupter. Detected-versus-paid discrepancies
-//! are recorded in the bank's [`crate::audit::AuditLog`] as
-//! [`crate::audit::AuditEvent::Discrepancy`] entries.
+//! acts as the most-upstream corrupter. The [`ValidationReport`] carries
+//! both sides of a shortfall (`expected_instances` against
+//! `validated_instances`); the escrow ([`crate::escrow`]) pays from its
+//! `paid_counts`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -130,6 +131,12 @@ impl PathValidator {
         }
     }
 
+    /// The bundle this validator holds evidence for.
+    #[must_use]
+    pub fn bundle_id(&self) -> u64 {
+        self.bundle_id
+    }
+
     /// The bundle key, prepared for MACs — what the responder issues the
     /// bundle's manifests and receipts under.
     #[must_use]
@@ -152,9 +159,8 @@ impl PathValidator {
     }
 
     /// Replays one evidence entry into `report` — the shared kernel of
-    /// settlement ([`PathValidator::settle`]) and the adaptive runner's
-    /// per-connection check
-    /// ([`PathValidator::flag_connection`]).
+    /// [`PathValidator::report`] and the adaptive runner's per-connection
+    /// check ([`PathValidator::flag_connection`]).
     fn apply_evidence(&self, ev: &ConnectionEvidence, report: &mut ValidationReport) {
         let m = &ev.manifest;
         let key = self.bundle_key();
@@ -216,15 +222,22 @@ impl PathValidator {
         }
     }
 
-    /// Settles the pending evidence: counts payable forwarding instances,
-    /// measures the corruption shortfall, and flags cheaters by the
-    /// intact-prefix rule described in the module docs, then drops the
-    /// entries. A second call with nothing added returns an empty report.
-    pub fn settle(&mut self) -> ValidationReport {
+    /// Validates the pending evidence without dropping it: counts payable
+    /// forwarding instances, measures the corruption shortfall, and flags
+    /// cheaters by the intact-prefix rule described in the module docs.
+    #[must_use]
+    pub fn report(&self) -> ValidationReport {
         let mut report = ValidationReport::default();
         for ev in &self.pending {
             self.apply_evidence(ev, &mut report);
         }
+        report
+    }
+
+    /// [`PathValidator::report`], then drops the entries it covered. A
+    /// second call with nothing added returns an empty report.
+    pub fn settle(&mut self) -> ValidationReport {
+        let report = self.report();
         self.pending.clear();
         report
     }

@@ -1,8 +1,8 @@
 //! Deterministic structured fuzzing of the settlement-critical surfaces:
 //! [`PathValidator`] under adversarial receipt interleavings and
-//! byte-mutated manifests, [`Bank::deposit_batch`] under forged and
-//! double-spent tokens, and [`EpochLedger`] under arbitrary
-//! queue/accrue/settle interleavings.
+//! byte-mutated manifests, [`Bank::deposit`] against a reference model
+//! under forged, mutated and double-spent tokens, and
+//! [`Bank::apply_epoch_net`] against the same transfers applied one by one.
 //!
 //! No external fuzzer: each case is generated from a seed by an in-tree
 //! mutation grammar, so every failure is a one-u64 reproducer. Seeds of
@@ -23,8 +23,8 @@ use std::sync::LazyLock;
 use idpa_crypto::hmac::HmacKey;
 use idpa_desim::rng::Xoshiro256StarStar;
 use idpa_payment::{
-    AccountId, Bank, ConnectionEvidence, EpochLedger, PathManifest, PathValidator, Receipt, Token,
-    ValidationReport, Wallet,
+    AccountId, Bank, ConnectionEvidence, DepositError, EpochNetError, PathManifest, PathValidator,
+    Receipt, Token, TokenId, ValidationReport, Wallet,
 };
 
 const KEY_BYTES: &[u8] = b"fuzz bundle key";
@@ -329,177 +329,202 @@ fn fuzz_cross_check_never_pays_phantoms() {
     }
 }
 
-/// `Bank::deposit_batch` under forged, mutated and double-spent tokens:
-/// verdicts and end state must match the sequential `deposit` path on a
-/// twin bank exactly, for every interleaving.
+/// `Bank::deposit` under forged, mutated and double-spent tokens against
+/// a reference model: a token is genuine iff it is exactly as minted, the
+/// first deposit of a genuine serial into a known account credits its
+/// value, and every other deposit is rejected with the reason the bank
+/// checks first (unknown account, then signature, then serial) and moves
+/// nothing.
 #[test]
-fn fuzz_deposit_batch_matches_sequential() {
-    // Key generation dominates; one bank pair serves all cases.
-    let mut seq = Bank::new(256, &mut Xoshiro256StarStar::seed_from_u64(9));
-    let mut bat = Bank::new(256, &mut Xoshiro256StarStar::seed_from_u64(9));
-    let alice = seq.open_account(1_000_000);
-    bat.open_account(1_000_000);
-    let bob = seq.open_account(0);
-    bat.open_account(0);
+fn fuzz_deposit_matches_reference_model() {
+    use std::collections::{BTreeMap, HashSet};
+    // Key generation dominates; one bank serves all cases.
+    let mut bank = Bank::new(256, &mut Xoshiro256StarStar::seed_from_u64(9));
+    let alice = bank.open_account(1_000_000);
+    let payees = [alice, bank.open_account(0), bank.open_account(0)];
+    let modulus = bank.public_key().modulus().clone();
+    let unknown = AccountId(9_999);
+
+    // The model: genuine tokens minted so far, serials spent, balances.
+    let mut genuine: Vec<Token> = Vec::new();
+    let mut spent: HashSet<TokenId> = HashSet::new();
+    let mut balances: BTreeMap<AccountId, u64> = payees
+        .iter()
+        .map(|&a| (a, bank.ledger().balance(a).expect("opened")))
+        .collect();
+    let mut outstanding = 0u64;
+    // Verdicts seen: accepted, unknown account, bad signature, double spend.
+    let mut seen = [0u64; 4];
 
     for seed in case_seeds(3, budget(24)) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        // Mint a small batch of genuine tokens on both banks (the twin
-        // mints consume identical RNG streams, so the tokens agree).
-        let mint = |bank: &mut Bank, seed: u64| -> Vec<Token> {
-            let mut r = Xoshiro256StarStar::seed_from_u64(seed);
-            let mut w = Wallet::new();
-            let mut tokens = Vec::new();
-            for _ in 0..4 {
-                bank.withdraw_into_wallet(alice, 1, &mut w, &mut r)
-                    .expect("withdraw");
-                tokens.extend(w.take_exact(1).expect("exact"));
-            }
-            tokens
-        };
-        let tokens_seq = mint(&mut seq, seed);
-        let tokens_bat = mint(&mut bat, seed);
-        assert_eq!(tokens_seq, tokens_bat, "seed {seed}: twin mints diverged");
+        let mut wallet = Wallet::new();
+        let mut fresh = Vec::new();
+        for _ in 0..4 {
+            let value = 1 + rng.next() % 3;
+            bank.withdraw_into_wallet(alice, value, &mut wallet, &mut rng)
+                .expect("withdraw");
+            *balances.get_mut(&alice).expect("alice") -= value;
+            outstanding += value;
+            fresh.extend(wallet.take_exact(value).expect("exact"));
+        }
+        genuine.extend(fresh.iter().cloned());
 
-        // Mutate: forge values, flip serial bytes, duplicate for a
-        // double-spend — identically on both sides.
-        let mutate = |tokens: &[Token], rng: &mut Xoshiro256StarStar| -> Vec<(AccountId, Token)> {
-            let mut out = Vec::new();
-            for t in tokens {
-                let mut t = t.clone();
-                match rng.next() % 5 {
-                    0 => t.value = 1 + rng.next() % 500,
-                    1 => t.id.0[(rng.next() % 32) as usize] ^= 1 << (rng.next() % 8),
-                    2 => out.push((bob, t.clone())), // duplicate → 2nd is a double-spend
-                    _ => {}
+        // Mutate: inflate values, flip serial bits, perturb or negate
+        // signatures, aim at an unknown account, replay a token deposited
+        // in this case or an earlier one.
+        let mut deposits: Vec<(AccountId, Token)> = Vec::new();
+        for t in fresh {
+            let mut t = t;
+            let mut to = payees[(rng.next() % 3) as usize];
+            match rng.next() % 8 {
+                0 => t.value = 1 + rng.next() % 500,
+                1 => t.id.0[(rng.next() % 32) as usize] ^= 1 << (rng.next() % 8),
+                2 => t.signature = t.signature.add(&idpa_crypto::BigUint::one()).rem(&modulus),
+                3 => t.signature = modulus.sub(&t.signature),
+                4 => to = unknown,
+                5 => deposits.push((to, t.clone())), // the 2nd is a double spend
+                6 => {
+                    let old = &genuine[(rng.next() % genuine.len() as u64) as usize];
+                    deposits.push((to, old.clone()));
                 }
-                out.push((bob, t));
+                _ => {}
             }
-            out
-        };
-        let rng_state = rng.next();
-        let deposits = mutate(
-            &tokens_seq,
-            &mut Xoshiro256StarStar::seed_from_u64(rng_state),
-        );
-        let deposits_b = mutate(
-            &tokens_bat,
-            &mut Xoshiro256StarStar::seed_from_u64(rng_state),
-        );
+            deposits.push((to, t));
+        }
 
-        let sequential: Vec<_> = deposits.iter().map(|(a, t)| seq.deposit(*a, t)).collect();
-        let batched = bat.deposit_batch(&deposits_b);
+        for (to, t) in &deposits {
+            let expect = if !balances.contains_key(to) {
+                Err(DepositError::UnknownAccount)
+            } else if !genuine.contains(t) {
+                Err(DepositError::InvalidSignature)
+            } else if !spent.insert(t.id) {
+                Err(DepositError::DoubleSpend)
+            } else {
+                *balances.get_mut(to).expect("known") += t.value;
+                outstanding -= t.value;
+                Ok(())
+            };
+            assert_eq!(bank.deposit(*to, t), expect, "seed {seed}: verdict");
+            seen[match expect {
+                Ok(()) => 0,
+                Err(DepositError::UnknownAccount) => 1,
+                Err(DepositError::InvalidSignature) => 2,
+                Err(DepositError::DoubleSpend) => 3,
+            }] += 1;
+        }
+        let ledger = bank.ledger();
+        for (&a, &b) in &balances {
+            assert_eq!(ledger.balance(a), Some(b), "seed {seed}: balance of {a:?}");
+        }
         assert_eq!(
-            sequential, batched,
-            "seed {seed}: batch verdicts diverged from sequential deposits"
+            ledger.balance(unknown),
+            None,
+            "seed {seed}: phantom account"
         );
-        assert_eq!(seq.balance(bob), bat.balance(bob), "seed {seed}: balances");
+        assert_eq!(ledger.spent_serials(), spent.len(), "seed {seed}: serials");
         assert_eq!(
-            seq.total_deposits(),
-            bat.total_deposits(),
-            "seed {seed}: totals"
-        );
-        assert_eq!(
-            seq.spent_serials(),
-            bat.spent_serials(),
-            "seed {seed}: serial sets"
+            ledger.outstanding(),
+            outstanding,
+            "seed {seed}: outstanding"
         );
     }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "sweep must hit every verdict: {seen:?}"
+    );
 }
 
-/// `EpochLedger` under arbitrary queue/accrue/settle interleavings against
-/// a sequential twin: successful settles reproduce the sequential end
-/// state; failed settles (uncovered debits) keep the net for retry, apply
-/// only the deposits, and never advance the epoch.
+/// `Bank::apply_epoch_net` under random transfer programs (some debits
+/// uncoverable, some credits past `u64::MAX`) against the same transfers
+/// applied one by one. When every sequential transfer succeeds the net
+/// succeeds with the same balances; a rejected net names an account whose
+/// balance plus net leaves `u64` and leaves every balance untouched; an
+/// accepted net lands each account on its balance plus net.
 #[test]
 fn fuzz_epoch_ledger_interleavings() {
-    let mut seq = Bank::new(256, &mut Xoshiro256StarStar::seed_from_u64(21));
-    let mut epo = Bank::new(256, &mut Xoshiro256StarStar::seed_from_u64(21));
-    let accounts: Vec<AccountId> = (0..4).map(|i| seq.open_account(50 + i * 10)).collect();
-    for i in 0..4u64 {
-        epo.open_account(50 + i * 10);
-    }
+    use std::collections::BTreeMap;
+    let mut bank = Bank::new(256, &mut Xoshiro256StarStar::seed_from_u64(21));
+    let mut accounts: Vec<AccountId> = (0..4).map(|i| bank.open_account(50 + i * 10)).collect();
+    // One account near the top of `u64`, so a credit can overflow.
+    accounts.push(bank.open_account(u64::MAX - 100));
+    let (mut accepted, mut rejected) = (0u64, 0u64);
 
-    for seed in case_seeds(4, budget(48)) {
+    for (epoch, seed) in (0u64..).zip(case_seeds(4, budget(48))) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mut ledger = EpochLedger::new();
-        let epoch_before = ledger.epoch();
-
-        // A random program of transfers (some deliberately uncoverable).
-        let mut pending: Vec<(AccountId, AccountId, u64)> = Vec::new();
+        let mut transfers: Vec<(AccountId, AccountId, u64)> = Vec::new();
+        let mut net: BTreeMap<AccountId, i128> = BTreeMap::new();
         for _ in 0..(1 + rng.next() % 8) {
             let from = accounts[(rng.next() as usize) % accounts.len()];
             let to = accounts[(rng.next() as usize) % accounts.len()];
             let amount = rng.next() % 120; // can exceed a balance
-            ledger.accrue_transfer(from, to, amount);
-            pending.push((from, to, amount));
+            transfers.push((from, to, amount));
+            *net.entry(from).or_insert(0) -= i128::from(amount);
+            *net.entry(to).or_insert(0) += i128::from(amount);
         }
 
-        let before: Vec<_> = accounts.iter().map(|&a| epo.balance(a)).collect();
-        match ledger.settle(&mut epo) {
-            Ok(s) => {
-                assert_eq!(s.epoch, epoch_before, "seed {seed}: settled wrong epoch");
-                assert_eq!(ledger.epoch(), epoch_before + 1);
-                assert!(ledger.is_empty(), "seed {seed}: settle left state behind");
-                assert_eq!(
-                    s.transfers_netted,
-                    pending.len() as u64,
-                    "seed {seed}: transfer count"
-                );
-                // Replay on the twin. Sequential transfer ordering can
-                // bounce where the net covers it, so the twin applies the
-                // *net* — the semantics the ledger defines.
-                let mut net: std::collections::BTreeMap<AccountId, i128> = Default::default();
-                for &(from, to, amount) in &pending {
-                    *net.entry(from).or_insert(0) -= i128::from(amount);
-                    *net.entry(to).or_insert(0) += i128::from(amount);
-                }
-                seq.apply_epoch_net(s.epoch, &net).expect(
-                    "seed: the twin must accept the same net the ledger settled successfully",
-                );
-                for &a in &accounts {
+        let before: Vec<Option<u64>> = accounts.iter().map(|&a| bank.ledger().balance(a)).collect();
+        let mut sequential = bank.clone();
+        let all_applied = transfers
+            .iter()
+            .all(|&(from, to, amount)| sequential.transfer(from, to, amount).is_ok());
+        let mut netted = bank.clone();
+        let result = netted.apply_epoch_net(epoch, &net);
+        let target = |a: AccountId, b: Option<u64>| -> i128 {
+            i128::from(b.expect("opened")) + net.get(&a).copied().unwrap_or(0)
+        };
+        let after: Vec<Option<u64>> = accounts
+            .iter()
+            .map(|&a| netted.ledger().balance(a))
+            .collect();
+
+        match result {
+            Ok(()) => {
+                accepted += 1;
+                for ((&a, &b), &got) in accounts.iter().zip(&before).zip(&after) {
                     assert_eq!(
-                        seq.balance(a),
-                        epo.balance(a),
-                        "seed {seed}: balances diverged after settle"
+                        got.map(i128::from),
+                        Some(target(a, b)),
+                        "seed {seed}: netted balance of {a:?}"
                     );
                 }
+                if all_applied {
+                    for &a in &accounts {
+                        assert_eq!(
+                            netted.ledger().balance(a),
+                            sequential.ledger().balance(a),
+                            "seed {seed}: net diverged from the sequential transfers"
+                        );
+                    }
+                }
+                assert_eq!(
+                    netted.ledger().total_balance(),
+                    bank.ledger().total_balance(),
+                    "seed {seed}: a zero-sum net moved the total"
+                );
+                bank = netted;
             }
             Err(e) => {
-                assert_eq!(e.epoch, epoch_before);
-                assert_eq!(
-                    ledger.epoch(),
-                    epoch_before,
-                    "seed {seed}: failed settle advanced the epoch"
-                );
+                rejected += 1;
+                assert!(!all_applied, "seed {seed}: net rejected what transfers did");
+                assert_eq!(before, after, "seed {seed}: failed net moved balances");
+                let (a, out_of_range): (AccountId, fn(i128) -> bool) = match e {
+                    EpochNetError::InsufficientFunds(a) => (a, |t| t < 0),
+                    EpochNetError::BalanceOverflow(a) => (a, |t| t > i128::from(u64::MAX)),
+                    EpochNetError::UnknownAccount(a) => panic!("seed {seed}: unknown {a:?}"),
+                };
+                let i = accounts
+                    .iter()
+                    .position(|&x| x == a)
+                    .expect("netted account");
                 assert!(
-                    !ledger.is_empty(),
-                    "seed {seed}: failed settle must keep the net for retry"
+                    out_of_range(target(a, before[i])),
+                    "seed {seed}: {e:?} for an account the net keeps in range"
                 );
-                // A failed net leaves every balance untouched.
-                let after: Vec<_> = accounts.iter().map(|&a| epo.balance(a)).collect();
-                assert_eq!(before, after, "seed {seed}: failed settle moved balances");
-                // Keep the twins in lockstep for the next case.
-                let retry = ledger.settle(&mut epo);
-                if retry.is_err() {
-                    // Unrecoverable program (net debits exceed balances):
-                    // drop the ledger; both banks are untouched.
-                    continue;
-                }
-                let mut net: std::collections::BTreeMap<AccountId, i128> = Default::default();
-                for &(from, to, amount) in &pending {
-                    *net.entry(from).or_insert(0) -= i128::from(amount);
-                    *net.entry(to).or_insert(0) += i128::from(amount);
-                }
-                seq.apply_epoch_net(epoch_before, &net)
-                    .expect("twin retry must succeed when the ledger's did");
             }
         }
     }
-    // The twins must still agree at the end of the whole sweep.
-    for &a in &accounts {
-        assert_eq!(seq.balance(a), epo.balance(a), "final balances diverged");
-    }
+    assert!(accepted > 0 && rejected > 0, "sweep must hit both outcomes");
 }
 
 /// WAL decode/recovery under a seeded corruption grammar: build a valid
@@ -514,7 +539,6 @@ fn fuzz_epoch_ledger_interleavings() {
 fn fuzz_wal_decode_and_recovery() {
     use idpa_payment::ledger::Ledger;
     use idpa_payment::wal::{scan, Wal};
-    use idpa_payment::TokenId;
 
     for seed in case_seeds(5, budget(2000)) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);

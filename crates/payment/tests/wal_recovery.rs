@@ -250,9 +250,18 @@ fn bank_recover_pairs_keys_with_the_replayed_ledger() {
     torn.extend_from_slice(&image[..13]);
     let (recovered, report) = Bank::recover(bank.keys().clone(), &torn);
     assert!(!report.is_clean());
-    assert_eq!(recovered.balance(alice), bank.balance(alice));
-    assert_eq!(recovered.balance(bob), bank.balance(bob));
-    assert_eq!(recovered.outstanding(), bank.outstanding());
-    assert_eq!(recovered.audit().head(), bank.audit().head());
-    assert!(recovered.audit().verify_chain());
+    assert_eq!(
+        recovered.ledger().balance(alice),
+        bank.ledger().balance(alice)
+    );
+    assert_eq!(recovered.ledger().balance(bob), bank.ledger().balance(bob));
+    assert_eq!(
+        recovered.ledger().outstanding(),
+        bank.ledger().outstanding()
+    );
+    assert_eq!(
+        recovered.ledger().audit().head(),
+        bank.ledger().audit().head()
+    );
+    assert!(recovered.ledger().audit().verify_chain());
 }

@@ -1,20 +1,21 @@
 //! End-to-end anonymous payment walkthrough (the §2.2/§5 payment system).
 //!
 //! An initiator funds an escrow with blind-signed bearer tokens, a bundle
-//! of connections completes, forwarders present receipts, the bank settles
-//! `m·P_f + P_r/‖π‖` per forwarder — and every cheating attempt on the way
-//! is shown to be rejected.
+//! of connections completes, the responder seals each path in a manifest,
+//! forwarders' receipts come back on the reverse path, and the bank pays
+//! `m·P_f + P_r/‖π‖` per forwarder from the [`PathValidator`] report —
+//! and every cheating attempt on the way is shown to be rejected.
 //!
 //! ```text
 //! cargo run --release --example anonymous_payment
 //! ```
 
 use idpa::crypto::bigint::BigUint;
-use idpa::crypto::hmac::HmacKey;
-use idpa::payment::bank::Bank;
+use idpa::payment::bank::{AccountId, Bank};
 use idpa::payment::escrow::Escrow;
-use idpa::payment::receipt::{Receipt, ReceiptBook};
+use idpa::payment::receipt::Receipt;
 use idpa::payment::token::Wallet;
+use idpa::payment::validation::{ConnectionEvidence, PathManifest, PathValidator};
 use idpa::payment::DepositError;
 use idpa::prelude::{StreamFactory, Token};
 
@@ -57,47 +58,50 @@ fn main() {
     );
     println!("    (non-payment by the initiator is now impossible)");
 
-    // --- the bundle runs: receipts accumulate -----------------------------
+    // --- the bundle runs: evidence accumulates ---------------------------
     // 4 connections; forwarder 0 on all of them, forwarder 1 on two,
-    // forwarder 2 on one. The bundle key is shared between I and R.
-    let bundle_key = &HmacKey::new(b"bundle-1-shared-key");
-    let mut book = ReceiptBook::new();
-    for conn in 0..4u32 {
-        book.add(Receipt::issue(
-            bundle_key,
-            bundle_id,
-            conn,
-            0,
-            forwarders[0],
-        ));
-    }
-    for conn in 0..2u32 {
-        book.add(Receipt::issue(
-            bundle_key,
-            bundle_id,
-            conn,
-            1,
-            forwarders[1],
-        ));
-    }
-    book.add(Receipt::issue(bundle_key, bundle_id, 3, 1, forwarders[2]));
+    // forwarder 2 on one. The bundle key is shared between I and R: R
+    // seals each connection's path in a manifest, and each forwarder's
+    // receipt is MAC'd as the confirmation passes it.
+    let mut validator = PathValidator::new(b"bundle-1-shared-key", bundle_id);
+    let key = validator.bundle_key().clone();
+    let [f0, f1, f2] = forwarders;
+    let paths: [&[AccountId]; 4] = [&[f0, f1], &[f0, f1], &[f0], &[f0, f2]];
+    let mut evidence: Vec<ConnectionEvidence> = paths
+        .iter()
+        .zip(0u32..)
+        .map(|(path, conn)| ConnectionEvidence {
+            manifest: PathManifest::issue(&key, bundle_id, conn, path.to_vec()),
+            receipts: path
+                .iter()
+                .zip(1u32..)
+                .map(|(&f, hop)| Receipt::issue(&key, bundle_id, conn, hop, f))
+                .collect(),
+            observed_hops: None,
+        })
+        .collect();
     println!(
-        "[4] bundle complete: {} receipts collected on the reverse path",
-        book.len()
+        "[4] bundle complete: {} connections, {} receipts on the reverse path",
+        evidence.len(),
+        evidence.iter().map(|e| e.receipts.len()).sum::<usize>()
     );
 
     // --- cheating attempts -------------------------------------------------
     println!("[5] cheating attempts:");
 
-    // (a) A forwarder forges a receipt to inflate its count.
-    let mut forged = Receipt::issue(bundle_key, bundle_id, 2, 1, forwarders[1]);
-    forged.forwarder = forwarders[2]; // divert someone else's slot
-    book.add(forged);
-    println!("    (a) forged receipt added (diverted payee) — will be dropped at settlement");
+    // (a) Forwarder 2 diverts forwarder 0's receipt on connection 2 to
+    // itself: the MAC no longer verifies, so the slot goes unpaid.
+    evidence[2].receipts[0].forwarder = f2;
+    println!("    (a) forged receipt (diverted payee) — the manifest check drops it");
 
-    // (b) A replayed receipt (same connection+hop claimed twice).
-    book.add(Receipt::issue(bundle_key, bundle_id, 0, 0, forwarders[0]));
-    println!("    (b) replayed receipt added — will be dropped at settlement");
+    // (b) Forwarder 0 replays its connection-0 receipt to be paid twice:
+    // the manifest pays each hop at most once.
+    let replay = evidence[0].receipts[0].clone();
+    evidence[0].receipts.push(replay);
+    println!("    (b) replayed receipt — each manifest hop is paid once");
+    for ev in evidence {
+        validator.add_connection(ev);
+    }
 
     // (c) A forged bearer token is rejected at deposit.
     let fake = Token {
@@ -112,15 +116,23 @@ fn main() {
     // --- settlement --------------------------------------------------------
     let mut refund_wallet = Wallet::new();
     let report = escrow
-        .settle(&mut bank, bundle_key, &book, &mut refund_wallet, &mut rng)
-        .expect("valid receipts settle");
+        .settle(&mut bank, &validator, &mut refund_wallet, &mut rng)
+        .expect("validated evidence settles");
     println!(
-        "[6] settlement: ‖π‖ = {}, {} receipts rejected",
-        report.forwarder_set_size, report.rejected_receipts
+        "[6] settlement: ‖π‖ = {}, {} attested instance(s) unpaid",
+        report.forwarder_set_size, report.unpaid_instances
     );
     for (acct, amount) in &report.payouts {
         println!("    account {acct:?} paid {amount} credits (= m*P_f + P_r/‖π‖)");
     }
+    // f0 validates on connections 0, 1 and 3 (its connection-2 receipt
+    // was diverted), f1 on 0 and 1, f2 on 3; P_r/‖π‖ = 100/3.
+    let share = pr / 3;
+    assert_eq!(report.unpaid_instances, 1);
+    assert_eq!(
+        report.payouts,
+        vec![(f0, 3 * pf + share), (f1, 2 * pf + share), (f2, pf + share)]
+    );
     println!(
         "    refund to initiator: {} credits as fresh blind tokens",
         report.refund
@@ -140,19 +152,15 @@ fn main() {
 
     // --- conservation -------------------------------------------------------
     println!("[8] conservation: total deposits + outstanding tokens is constant");
-    println!(
-        "    total now: {} (started with 10000)",
-        bank.total_deposits() + bank.outstanding()
-    );
-    assert_eq!(bank.total_deposits() + bank.outstanding(), 10_000);
+    let ledger = bank.ledger();
+    let total = ledger.total_deposits() + ledger.outstanding();
+    println!("    total now: {total} (started with 10000)");
+    assert_eq!(total, 10_000);
 
     // --- audit chain --------------------------------------------------------
     println!("[9] audit: the hash-chained audit log verifies end-to-end");
-    assert!(bank.ledger().audit().verify_chain());
-    println!(
-        "    {} chained entries, chain intact",
-        bank.ledger().audit().len()
-    );
+    assert!(ledger.audit().verify_chain());
+    println!("    {} chained entries, chain intact", ledger.audit().len());
 
     println!("\nAll cheating scenarios rejected; payments settled; initiator");
     println!("anonymity preserved (the bank never linked tokens to the withdrawal).");

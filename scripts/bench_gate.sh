@@ -23,7 +23,8 @@ pct="${IDPA_BENCH_GATE_PCT:-20}"
 #   probe_maintenance run result equals its pinned fingerprint
 #   node_lifecycle    idle eviction leaves the N = 2000 result unchanged;
 #                     peak residency and heap stay under their ceilings
-#   settlement        epoch-vs-per-receipt speedup floor
+#   settlement        netted and per-receipt arms end in the same ledger;
+#                     epoch-vs-per-receipt speedup floor
 #   service_mode      chunked loop within 25% of the straight-line runner;
 #                     checkpointed + resumed runs equal the uninterrupted one
 #   adversary_zoo     cross-confirmation costs <= 10% and flags >= 90% of

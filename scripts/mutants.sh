@@ -97,6 +97,14 @@ mutant sha256-hw-no-feed-forward crates/crypto/src/sha256.rs \
 mutant receipt-forwarder-unchecked crates/payment/src/validation.rs \
     'r.bundle_id == self.bundle_id && r.forwarder == account && r.verify(key)' \
     'r.bundle_id == self.bundle_id && r.verify(key)'
+# An escrow never pays out more than it holds.
+mutant escrow-overclaim-unchecked crates/payment/src/escrow.rs \
+    'if owed > self.funded {' \
+    'if false {'
+# A deposit verifies the token's bank signature.
+mutant deposit-signature-unchecked crates/payment/src/bank.rs \
+    'if !token.verify(self.keys.public()) {' \
+    'if false {'
 # The adaptive response retries a failed attempt like the static one.
 mutant adaptive-never-retries crates/sim/src/runner.rs \
     'if attempt < fr.plan.config().max_retries {' \

@@ -67,7 +67,7 @@ pub mod prelude {
         AdversaryConfig, AdversaryPlan, Engine, FaultConfig, FaultResponse, Process, SimTime,
     };
     pub use idpa_overlay::{NodeId, NodeKind, ProbeEstimator, ProbeInvalidation, Topology};
-    pub use idpa_payment::{Bank, Escrow, Receipt, ReceiptBook, Token, Wallet};
+    pub use idpa_payment::{Bank, Escrow, PathValidator, Receipt, Token, Wallet};
     pub use idpa_sim::{
         BankDurability, RunResult, ScenarioConfig, SettlementMode, SimulationRun, World,
     };

@@ -3,14 +3,15 @@
 //!
 //! A full scenario runs under the incentive mechanism; one bundle's
 //! accounting is then settled through the actual bank — blind-signed
-//! bearer tokens, escrow, MAC'd receipts — and the credited amounts must
-//! equal the simulator's own `m·P_f + P_r/‖π‖` accounting.
+//! bearer tokens, escrow, MAC'd manifests and receipts replayed by the
+//! `PathValidator` — and the credited amounts must equal the simulator's
+//! own `m·P_f + P_r/‖π‖` accounting.
 
-use idpa::crypto::hmac::HmacKey;
 use idpa::payment::bank::Bank;
 use idpa::payment::escrow::Escrow;
-use idpa::payment::receipt::{Receipt, ReceiptBook};
+use idpa::payment::receipt::Receipt;
 use idpa::payment::token::Wallet;
+use idpa::payment::validation::{ConnectionEvidence, PathManifest};
 use idpa::prelude::*;
 
 #[test]
@@ -38,7 +39,7 @@ fn simulation_bundle_settles_through_real_bank() {
     let f1 = bank.open_account(0);
     let f2 = bank.open_account(0);
 
-    // Bundle: 3 connections; f1 forwards on all 3, f2 on 1.
+    // Bundle: 3 connections; f1 forwards on all 3, f2 on the second.
     let k = 3u32;
     let max_hops = 8u32;
     let budget = Escrow::required_budget(pf, pr, k, max_hops);
@@ -48,27 +49,46 @@ fn simulation_bundle_settles_through_real_bank() {
     let mut escrow =
         Escrow::open(&mut bank, 7, pf, pr, wallet.take_exact(budget).unwrap()).unwrap();
 
-    let key = &HmacKey::new(b"e2e bundle key");
-    let mut book = ReceiptBook::new();
+    let mut validator = PathValidator::new(b"e2e bundle key", 7);
+    let key = validator.bundle_key().clone();
+    let forger = PathValidator::new(b"not the bundle key", 7);
     for conn in 0..k {
-        book.add(Receipt::issue(key, 7, conn, 0, f1));
+        let hops = if conn == 1 { vec![f1, f2] } else { vec![f1] };
+        let mut receipts: Vec<Receipt> = hops
+            .iter()
+            .zip(1u32..)
+            .map(|(&f, hop)| Receipt::issue(&key, 7, conn, hop, f))
+            .collect();
+        match conn {
+            // f1 replays its receipt to be paid twice for one hop.
+            0 => receipts.push(receipts[0].clone()),
+            // f2 forges a receipt for a hop it never held.
+            2 => receipts.push(Receipt::issue(forger.bundle_key(), 7, conn, 1, f2)),
+            _ => {}
+        }
+        validator.add_connection(ConnectionEvidence {
+            manifest: PathManifest::issue(&key, 7, conn, hops),
+            receipts,
+            observed_hops: None,
+        });
     }
-    book.add(Receipt::issue(key, 7, 1, 1, f2));
 
     let mut refund = Wallet::new();
     let report = escrow
-        .settle(&mut bank, key, &book, &mut refund, &mut rng)
+        .settle(&mut bank, &validator, &mut refund, &mut rng)
         .unwrap();
 
     // -- the bank's credits equal the paper's formula --------------------
     assert_eq!(report.forwarder_set_size, 2);
+    assert_eq!(report.unpaid_instances, 0);
     let share = pr / 2;
-    assert_eq!(bank.balance(f1), Some(3 * pf + share));
-    assert_eq!(bank.balance(f2), Some(pf + share));
+    let ledger = bank.ledger();
+    assert_eq!(ledger.balance(f1), Some(3 * pf + share));
+    assert_eq!(ledger.balance(f2), Some(pf + share));
 
     // Value conservation across the whole flow.
     assert_eq!(
-        bank.total_deposits() + bank.outstanding(),
+        ledger.total_deposits() + ledger.outstanding(),
         1_000_000,
         "no credits created or destroyed"
     );
