@@ -178,6 +178,16 @@ impl Enc {
         Enc::default()
     }
 
+    /// Creates an encoder that appends after `buf`'s current contents, so
+    /// a caller can reuse one buffer (and its capacity) across encodings.
+    #[must_use]
+    pub fn onto(buf: Vec<u8>) -> Self {
+        Enc {
+            buf,
+            frame_at: None,
+        }
+    }
+
     /// Starts a frame in a fresh buffer: the buffer opens with the frame
     /// header (its length field left zero) and everything encoded next is
     /// the payload. [`Enc::seal_frame`] finishes it in place.

@@ -5,123 +5,27 @@
 //! append-only log of every balance-affecting operation, hash-chained
 //! (each entry commits to its predecessor via SHA-256), so after the fact
 //! any party holding the log can verify that no entry was altered,
-//! reordered or dropped. The log stores *account-level* events only: token
-//! serials appear at deposit (where the bank legitimately sees them), and
-//! withdrawals record only amounts — the unlinkability of blind signatures
-//! is preserved.
+//! reordered or dropped. An entry holds the [`LedgerOp`] the ledger
+//! applied, and its hash covers the op's WAL payload — the bytes the
+//! write-ahead log frames — so one encoding of each op feeds both logs.
+//! Token serials appear at deposit (where the bank legitimately sees
+//! them), and withdrawals record only amounts — the unlinkability of
+//! blind signatures is preserved.
 
 use idpa_crypto::sha256::Sha256;
 
 use crate::bank::AccountId;
-
-/// One balance-affecting operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AuditEvent {
-    /// Account opened with an initial balance.
-    Open {
-        /// The new account.
-        account: AccountId,
-        /// Opening balance.
-        balance: u64,
-    },
-    /// Blind withdrawal (serial unknown to the bank by design).
-    Withdraw {
-        /// Debited account.
-        account: AccountId,
-        /// Face value withdrawn.
-        value: u64,
-    },
-    /// Token deposit (the serial becomes public at spend time).
-    Deposit {
-        /// Credited account.
-        account: AccountId,
-        /// Face value deposited.
-        value: u64,
-        /// First 8 bytes of the token serial (enough to match disputes
-        /// without reproducing the full serial in every log copy).
-        serial_prefix: [u8; 8],
-    },
-    /// Ledger transfer (escrow payouts).
-    Transfer {
-        /// Source account.
-        from: AccountId,
-        /// Destination account.
-        to: AccountId,
-        /// Amount moved.
-        amount: u64,
-    },
-    /// Net balance delta applied at an epoch boundary: the one entry that
-    /// replaces the per-bundle `Transfer` entries an account accumulated
-    /// during the epoch under epoch-batched settlement. Deltas of one
-    /// epoch's settlement sum to zero across accounts (transfers only move
-    /// value), so conservation survives netting.
-    EpochNet {
-        /// The settled epoch (0-based).
-        epoch: u64,
-        /// The account whose epoch activity is being netted.
-        account: AccountId,
-        /// Net signed delta applied to the balance. `i128` end to end: the
-        /// ledger accrues nets in `i128`, so the log must record what was
-        /// applied without narrowing (encoded as 16 big-endian bytes).
-        delta: i128,
-    },
-}
-
-impl AuditEvent {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40);
-        match self {
-            AuditEvent::Open { account, balance } => {
-                out.push(0);
-                out.extend_from_slice(&account.0.to_be_bytes());
-                out.extend_from_slice(&balance.to_be_bytes());
-            }
-            AuditEvent::Withdraw { account, value } => {
-                out.push(1);
-                out.extend_from_slice(&account.0.to_be_bytes());
-                out.extend_from_slice(&value.to_be_bytes());
-            }
-            AuditEvent::Deposit {
-                account,
-                value,
-                serial_prefix,
-            } => {
-                out.push(2);
-                out.extend_from_slice(&account.0.to_be_bytes());
-                out.extend_from_slice(&value.to_be_bytes());
-                out.extend_from_slice(serial_prefix);
-            }
-            AuditEvent::Transfer { from, to, amount } => {
-                out.push(3);
-                out.extend_from_slice(&from.0.to_be_bytes());
-                out.extend_from_slice(&to.0.to_be_bytes());
-                out.extend_from_slice(&amount.to_be_bytes());
-            }
-            AuditEvent::EpochNet {
-                epoch,
-                account,
-                delta,
-            } => {
-                // Tag 4 is retired (a balance-neutral discrepancy record
-                // the ledger never wrote); it is not reused.
-                out.push(5);
-                out.extend_from_slice(&epoch.to_be_bytes());
-                out.extend_from_slice(&account.0.to_be_bytes());
-                out.extend_from_slice(&delta.to_be_bytes());
-            }
-        }
-        out
-    }
-}
+use crate::wal::LedgerOp;
 
 /// One chained log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditEntry {
-    /// Sequence number (0-based).
+    /// Sequence number (0-based); on a ledger whose WAL was attached from
+    /// the start it is also the op's WAL record index.
     pub seq: u64,
-    /// The event.
-    pub event: AuditEvent,
-    /// `SHA-256(prev_hash ‖ seq ‖ encode(event))`.
+    /// The applied operation.
+    pub op: LedgerOp,
+    /// `SHA-256(prev_hash ‖ seq ‖ op payload)`.
     pub hash: [u8; 32],
 }
 
@@ -129,16 +33,18 @@ pub struct AuditEntry {
 #[derive(Debug, Clone, Default)]
 pub struct AuditLog {
     entries: Vec<AuditEntry>,
+    /// Encoding buffer reused by [`AuditLog::append`].
+    scratch: Vec<u8>,
 }
 
 /// The genesis "previous hash" of an empty chain.
 const GENESIS: [u8; 32] = [0u8; 32];
 
-fn chain_hash(prev: &[u8; 32], seq: u64, event: &AuditEvent) -> [u8; 32] {
+fn chain_hash(prev: &[u8; 32], seq: u64, payload: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(prev);
     h.update(&seq.to_be_bytes());
-    h.update(&event.encode());
+    h.update(payload);
     h.finalize()
 }
 
@@ -155,15 +61,26 @@ impl AuditLog {
     /// property tests) can load a possibly tampered log and interrogate it.
     #[must_use]
     pub fn from_entries(entries: Vec<AuditEntry>) -> Self {
-        AuditLog { entries }
+        AuditLog {
+            entries,
+            scratch: Vec::new(),
+        }
     }
 
-    /// Appends an event, extending the hash chain.
-    pub fn append(&mut self, event: AuditEvent) {
+    /// Appends an op, extending the hash chain.
+    pub fn append(&mut self, op: LedgerOp) {
+        let mut payload = std::mem::take(&mut self.scratch);
+        op.encode_payload_onto(&mut payload);
+        self.push(op, &payload);
+        self.scratch = payload;
+    }
+
+    /// [`AuditLog::append`] for an op whose payload is already encoded
+    /// (the ledger hashes the bytes it just framed into the WAL).
+    pub(crate) fn push(&mut self, op: LedgerOp, payload: &[u8]) {
         let seq = self.entries.len() as u64;
-        let prev = self.entries.last().map_or(GENESIS, |e| e.hash);
-        let hash = chain_hash(&prev, seq, &event);
-        self.entries.push(AuditEntry { seq, event, hash });
+        let hash = chain_hash(&self.head(), seq, payload);
+        self.entries.push(AuditEntry { seq, op, hash });
     }
 
     /// The entries, oldest first.
@@ -194,11 +111,13 @@ impl AuditLog {
     /// entry, or `Ok(())`.
     pub fn verify(&self) -> Result<(), usize> {
         let mut prev = GENESIS;
+        let mut payload = Vec::new();
         for (i, entry) in self.entries.iter().enumerate() {
             if entry.seq != i as u64 {
                 return Err(i);
             }
-            let expect = chain_hash(&prev, entry.seq, &entry.event);
+            entry.op.encode_payload_onto(&mut payload);
+            let expect = chain_hash(&prev, entry.seq, &payload);
             if expect != entry.hash {
                 return Err(i);
             }
@@ -217,38 +136,38 @@ impl AuditLog {
     }
 
     /// Net balance delta of `account` according to the log — the replay
-    /// check used to audit the ledger.
+    /// check used to audit the ledger. An `Open` carries no id: ids are
+    /// sequential, so the k-th `Open` in the log opened account k.
     #[must_use]
     pub fn replay_balance(&self, account: AccountId) -> i128 {
         let mut bal: i128 = 0;
+        let mut opened = 0u64;
         for e in &self.entries {
-            match e.event {
-                AuditEvent::Open {
-                    account: a,
-                    balance,
-                } if a == account => {
-                    bal += i128::from(balance);
+            match &e.op {
+                LedgerOp::Open { balance } => {
+                    if AccountId(opened) == account {
+                        bal += i128::from(*balance);
+                    }
+                    opened += 1;
                 }
-                AuditEvent::Withdraw { account: a, value } if a == account => {
-                    bal -= i128::from(value);
+                LedgerOp::Withdraw { account: a, value } if *a == account => {
+                    bal -= i128::from(*value);
                 }
-                AuditEvent::Deposit {
+                LedgerOp::Deposit {
                     account: a, value, ..
-                } if a == account => {
-                    bal += i128::from(value);
+                } if *a == account => {
+                    bal += i128::from(*value);
                 }
-                AuditEvent::Transfer { from, to, amount } => {
-                    if from == account {
-                        bal -= i128::from(amount);
+                LedgerOp::Transfer { from, to, amount } => {
+                    if *from == account {
+                        bal -= i128::from(*amount);
                     }
-                    if to == account {
-                        bal += i128::from(amount);
+                    if *to == account {
+                        bal += i128::from(*amount);
                     }
                 }
-                AuditEvent::EpochNet {
-                    account: a, delta, ..
-                } if a == account => {
-                    bal += delta;
+                LedgerOp::EpochNet { deltas, .. } => {
+                    bal += deltas.get(&account).copied().unwrap_or(0);
                 }
                 _ => {}
             }
@@ -260,23 +179,22 @@ impl AuditLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::TokenId;
+    use std::collections::BTreeMap;
 
     fn sample_log() -> AuditLog {
         let mut log = AuditLog::new();
-        log.append(AuditEvent::Open {
-            account: AccountId(0),
-            balance: 100,
-        });
-        log.append(AuditEvent::Withdraw {
+        log.append(LedgerOp::Open { balance: 100 });
+        log.append(LedgerOp::Withdraw {
             account: AccountId(0),
             value: 30,
         });
-        log.append(AuditEvent::Deposit {
+        log.append(LedgerOp::Deposit {
             account: AccountId(1),
+            serial: TokenId(*b"serial00serial00serial00serial00"),
             value: 30,
-            serial_prefix: *b"serial00",
         });
-        log.append(AuditEvent::Transfer {
+        log.append(LedgerOp::Transfer {
             from: AccountId(1),
             to: AccountId(0),
             amount: 10,
@@ -292,7 +210,7 @@ mod tests {
     #[test]
     fn tampered_event_detected() {
         let mut log = sample_log();
-        if let AuditEvent::Withdraw { value, .. } = &mut log.entries[1].event {
+        if let LedgerOp::Withdraw { value, .. } = &mut log.entries[1].op {
             *value = 3; // shave the withdrawal
         }
         assert_eq!(log.verify(), Err(1));
@@ -314,14 +232,16 @@ mod tests {
 
     #[test]
     fn recomputed_hash_after_tamper_still_detected_downstream() {
-        // An attacker who rewrites an event AND its hash breaks the link
-        // to the next entry.
+        // An attacker who rewrites an op AND its hash breaks the link to
+        // the next entry.
         let mut log = sample_log();
-        if let AuditEvent::Withdraw { value, .. } = &mut log.entries[1].event {
+        if let LedgerOp::Withdraw { value, .. } = &mut log.entries[1].op {
             *value = 3;
         }
         let prev = log.entries[0].hash;
-        log.entries[1].hash = chain_hash(&prev, 1, &log.entries[1].event);
+        let mut payload = Vec::new();
+        log.entries[1].op.encode_payload_onto(&mut payload);
+        log.entries[1].hash = chain_hash(&prev, 1, &payload);
         assert_eq!(log.verify(), Err(2), "next link must fail");
     }
 
@@ -330,10 +250,7 @@ mod tests {
         let a = sample_log();
         let mut b = sample_log();
         assert_eq!(a.head(), b.head());
-        b.append(AuditEvent::Open {
-            account: AccountId(9),
-            balance: 0,
-        });
+        b.append(LedgerOp::Open { balance: 0 });
         assert_ne!(a.head(), b.head());
     }
 
@@ -349,23 +266,17 @@ mod tests {
     #[test]
     fn epoch_net_entries_chain_and_replay_as_signed_deltas() {
         let mut log = sample_log();
-        log.append(AuditEvent::EpochNet {
-            epoch: 3,
-            account: AccountId(0),
-            delta: -25,
-        });
-        log.append(AuditEvent::EpochNet {
-            epoch: 3,
-            account: AccountId(1),
-            delta: 25,
-        });
+        let mut deltas = BTreeMap::new();
+        deltas.insert(AccountId(0), -25i128);
+        deltas.insert(AccountId(1), 25i128);
+        log.append(LedgerOp::EpochNet { epoch: 3, deltas });
         assert_eq!(log.verify(), Ok(()));
         // Account 0: 80 - 25 = 55 ; account 1: 20 + 25 = 45.
         assert_eq!(log.replay_balance(AccountId(0)), 55);
         assert_eq!(log.replay_balance(AccountId(1)), 45);
         let mut t = log.clone();
-        if let AuditEvent::EpochNet { delta, .. } = &mut t.entries[4].event {
-            *delta = -5; // understate the debit
+        if let LedgerOp::EpochNet { deltas, .. } = &mut t.entries[4].op {
+            deltas.insert(AccountId(0), -5); // understate the debit
         }
         assert_eq!(t.verify(), Err(4));
     }

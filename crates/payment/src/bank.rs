@@ -170,10 +170,10 @@ impl Bank {
     }
 
     /// Applies one net balance delta per account for a settled epoch,
-    /// atomically: every delta applies (one [`crate::AuditEvent::EpochNet`]
-    /// entry per nonzero delta, ascending account order) or none does — a
-    /// failed validation (unknown account, uncovered debit, or a credit
-    /// overflowing `u64`) leaves every balance untouched. Deltas are
+    /// atomically: every delta applies (one [`crate::LedgerOp::EpochNet`]
+    /// audit entry for the whole net) or none does — a failed validation
+    /// (unknown account, uncovered debit, or a credit overflowing `u64`)
+    /// leaves every balance untouched. Deltas are
     /// `i128`, so any sum of `u64` transfer amounts is representable
     /// without wrapping. For transfer netting the deltas sum to zero, so
     /// `total_deposits` is unchanged.

@@ -8,17 +8,18 @@
 //! shadow bank uses it directly on the crypto-free hot path.
 //!
 //! Durability contract (enforced by every mutating method): validate
-//! (read-only) → append the [`LedgerOp`] to the attached [`Wal`] → mutate.
-//! Only validated operations reach the log, so replaying any intact log
-//! prefix succeeds and reproduces the exact state that prefix describes —
-//! the property [`Ledger::recover`] relies on and the crash-anywhere suite
-//! in `tests/wal_recovery.rs` proves byte by byte.
+//! (read-only) → record the [`LedgerOp`] (its payload is encoded once,
+//! framed into the attached [`Wal`] and hashed onto the audit chain) →
+//! mutate. Only validated operations reach either log, so replaying any
+//! intact log prefix succeeds and reproduces the exact state that prefix
+//! describes — the property [`Ledger::recover`] relies on and the
+//! crash-anywhere suite in `tests/wal_recovery.rs` proves byte by byte.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use idpa_desim::codec::{fnv1a_64, Enc};
 
-use crate::audit::{AuditEvent, AuditLog};
+use crate::audit::AuditLog;
 use crate::bank::{AccountId, DepositError, EpochNetError};
 use crate::token::{TokenId, WithdrawError};
 use crate::wal::{scan, LedgerOp, Wal};
@@ -77,11 +78,11 @@ pub struct Ledger {
     /// Sum of all balances, maintained incrementally so the conservation
     /// invariant is O(1) to check on the hot path.
     total_balance: u128,
-    /// Tamper-evident log of every balance-affecting operation.
+    /// Tamper-evident chain of every applied operation.
     audit: AuditLog,
     /// The write-ahead log; `None` runs the exact non-durable path.
     wal: Option<Wal>,
-    /// Whether `log` stages records for group commit instead of appending
+    /// Whether `record` stages records for group commit instead of appending
     /// them durably one by one.
     group_commit: bool,
 }
@@ -123,22 +124,26 @@ impl Ledger {
         self.wal.as_mut().map_or(0, Wal::commit)
     }
 
-    /// Appends a validated op to the WAL (stage or commit per the mode).
+    /// Records a validated op on the WAL (stage or commit per the mode)
+    /// and the audit chain, which hashes the payload the WAL just framed.
     /// Called *before* the mutation it describes.
-    fn log(&mut self, op: &LedgerOp) {
-        if let Some(wal) = self.wal.as_mut() {
-            if self.group_commit {
-                wal.stage(op);
-            } else {
-                wal.append(op);
-            }
-        }
+    fn record(&mut self, op: LedgerOp) {
+        let Some(wal) = self.wal.as_mut() else {
+            self.audit.append(op);
+            return;
+        };
+        let payload = if self.group_commit {
+            wal.stage(&op)
+        } else {
+            wal.append(&op)
+        };
+        self.audit.push(op, payload);
     }
 
     /// Opens an account with an initial balance, returning its id.
     /// Ids are sequential, so log replay re-assigns them identically.
     pub fn open_account(&mut self, initial_balance: u64) -> AccountId {
-        self.log(&LedgerOp::Open {
+        self.record(LedgerOp::Open {
             balance: initial_balance,
         });
         let id = AccountId(self.next_account);
@@ -146,10 +151,6 @@ impl Ledger {
         self.accounts.insert(id, initial_balance);
         self.minted += u128::from(initial_balance);
         self.total_balance += u128::from(initial_balance);
-        self.audit.append(AuditEvent::Open {
-            account: id,
-            balance: initial_balance,
-        });
         id
     }
 
@@ -174,11 +175,10 @@ impl Ledger {
         if balance < value {
             return Err(WithdrawError::InsufficientFunds);
         }
-        self.log(&LedgerOp::Withdraw { account, value });
+        self.record(LedgerOp::Withdraw { account, value });
         *self.accounts.get_mut(&account).expect("checked above") = balance - value;
         self.total_balance -= u128::from(value);
         self.outstanding += value;
-        self.audit.append(AuditEvent::Withdraw { account, value });
         Ok(())
     }
 
@@ -196,7 +196,7 @@ impl Ledger {
         if self.spent.contains(&serial) {
             return Err(DepositError::DoubleSpend);
         }
-        self.log(&LedgerOp::Deposit {
+        self.record(LedgerOp::Deposit {
             account,
             serial,
             value,
@@ -205,13 +205,6 @@ impl Ledger {
         self.outstanding = self.outstanding.saturating_sub(value);
         *self.accounts.get_mut(&account).expect("checked above") += value;
         self.total_balance += u128::from(value);
-        let mut serial_prefix = [0u8; 8];
-        serial_prefix.copy_from_slice(&serial.0[..8]);
-        self.audit.append(AuditEvent::Deposit {
-            account,
-            value,
-            serial_prefix,
-        });
         Ok(())
     }
 
@@ -232,17 +225,16 @@ impl Ledger {
         if src < amount {
             return Err(WithdrawError::InsufficientFunds);
         }
-        self.log(&LedgerOp::Transfer { from, to, amount });
+        self.record(LedgerOp::Transfer { from, to, amount });
         *self.accounts.get_mut(&from).expect("checked above") = src - amount;
         *self.accounts.get_mut(&to).expect("checked above") += amount;
-        self.audit.append(AuditEvent::Transfer { from, to, amount });
         Ok(())
     }
 
     /// Applies one net balance delta per account for a settled epoch,
     /// atomically: every delta is validated before any applies, and the
-    /// whole net is one WAL record — the epoch-boundary group the log
-    /// commits together.
+    /// whole net is one WAL record and one audit entry — the
+    /// epoch-boundary group the log commits together.
     pub fn apply_epoch_net(
         &mut self,
         epoch: u64,
@@ -260,23 +252,15 @@ impl Ledger {
                 return Err(EpochNetError::BalanceOverflow(account));
             }
         }
-        self.log(&LedgerOp::EpochNet {
+        self.record(LedgerOp::EpochNet {
             epoch,
             deltas: net.clone(),
         });
         for (&account, &delta) in net {
-            if delta == 0 {
-                continue;
-            }
             let balance = self.accounts.get_mut(&account).expect("validated above");
             let old = u128::from(*balance);
             *balance = u64::try_from(i128::from(*balance) + delta).expect("validated above");
             self.total_balance = self.total_balance - old + u128::from(*balance);
-            self.audit.append(AuditEvent::EpochNet {
-                epoch,
-                account,
-                delta,
-            });
         }
         Ok(())
     }
@@ -310,31 +294,20 @@ impl Ledger {
         }
     }
 
-    /// Rebuilds a ledger from a WAL byte image: replays the longest intact
-    /// record prefix, discards the torn/corrupt tail, and re-attaches a
-    /// WAL holding exactly the replayed prefix — so the recovered ledger
-    /// continues the same log where the intact history ends.
+    /// Rebuilds a ledger from a WAL byte image: a cold [`BankReplica`]
+    /// replays the longest intact record prefix and is promoted, the
+    /// torn/corrupt tail is discarded, and a WAL holding exactly the
+    /// replayed prefix is re-attached — so the recovered ledger continues
+    /// the same log where the intact history ends.
     ///
     /// Never fails: corruption of any kind (torn frame, flipped byte,
     /// spliced record that no longer applies) just shortens the accepted
     /// prefix, reported in the [`RecoveryReport`].
     #[must_use]
     pub fn recover(bytes: &[u8]) -> (Ledger, RecoveryReport) {
-        let s = scan(bytes);
-        let mut ledger = Ledger::new();
-        let mut accepted = s.intact_len;
-        let mut records = 0u64;
-        let mut defect = s.defect.as_ref().map(ToString::to_string);
-        for (i, op) in s.ops.iter().enumerate() {
-            if let Err(e) = ledger.apply(op) {
-                // The frame was intact but the op contradicts the replayed
-                // state: cut the accepted prefix at this record's start.
-                accepted = if i == 0 { 0 } else { s.boundaries[i - 1] };
-                defect = Some(format!("record {i} failed to apply: {e:?}"));
-                break;
-            }
-            records += 1;
-        }
+        let mut replica = BankReplica::new();
+        let (records, defect) = replica.advance(bytes);
+        let (mut ledger, accepted) = replica.promote();
         ledger.attach_wal(Wal::from_recovered(bytes[..accepted].to_vec(), records));
         let report = RecoveryReport {
             records_replayed: records,
@@ -510,23 +483,25 @@ impl BankReplica {
     /// good boundary; feeding again after the primary repairs or extends
     /// the log resumes from there.
     pub fn feed(&mut self, wal_bytes: &[u8]) -> u64 {
-        if self.cursor >= wal_bytes.len() {
-            return 0;
-        }
-        let s = scan(&wal_bytes[self.cursor..]);
+        self.advance(wal_bytes).0
+    }
+
+    /// [`BankReplica::feed`], also returning why it stopped short of the
+    /// end of `wal_bytes` (`None` = everything past the cursor applied):
+    /// a frame defect, or an intact record (numbered from the cursor)
+    /// that contradicts the replayed state.
+    fn advance(&mut self, wal_bytes: &[u8]) -> (u64, Option<String>) {
+        let s = scan(&wal_bytes[self.cursor.min(wal_bytes.len())..]);
+        let start = self.cursor;
         let mut applied = 0u64;
         for (i, op) in s.ops.iter().enumerate() {
-            if self.ledger.apply(op).is_err() {
-                break;
+            if let Err(e) = self.ledger.apply(op) {
+                return (applied, Some(format!("record {i} failed to apply: {e:?}")));
             }
-            self.cursor += if i == 0 {
-                s.boundaries[0]
-            } else {
-                s.boundaries[i] - s.boundaries[i - 1]
-            };
+            self.cursor = start + s.boundaries[i];
             applied += 1;
         }
-        applied
+        (applied, s.defect.as_ref().map(ToString::to_string))
     }
 
     /// Byte offset of the log prefix the replica reflects.

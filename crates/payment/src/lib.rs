@@ -33,6 +33,11 @@
 //!   over-claiming). A simulated run validates through the same
 //!   [`PathValidator`]; its durable bank nets an epoch's payouts into one
 //!   [`LedgerOp::EpochNet`] on the [`Ledger`].
+//! * **One record per ledger operation** ([`wal`], [`audit`]): every
+//!   [`Ledger`] mutation is one [`LedgerOp`], encoded once; the
+//!   write-ahead log frames that payload and the SHA-256 audit chain
+//!   hashes it, so crash recovery and the [`InvariantMonitor`] read the
+//!   same record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +53,7 @@ pub mod token;
 pub mod validation;
 pub mod wal;
 
-pub use audit::{AuditEvent, AuditLog};
+pub use audit::AuditLog;
 pub use bank::{AccountId, Bank, DepositError, EpochNetError};
 pub use escrow::{Escrow, SettlementError, SettlementReport};
 pub use ledger::{ApplyError, BankReplica, Ledger, RecoveryReport};

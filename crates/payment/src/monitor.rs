@@ -6,10 +6,13 @@
 //! [`crate::ledger::Ledger`] + [`crate::AuditLog`] pair, and a violation
 //! pinpoints the first audit sequence number at which the books diverge —
 //! so seeded corruption is attributed to an operation, not just detected.
+//! The chain holds the applied [`LedgerOp`]s themselves, so the walk reads
+//! exactly what the WAL holds: full serials and whole epoch nets.
 //!
 //! Invariants (see DESIGN.md §12 for why each holds on the clean path):
 //! 1. **Conservation** — `Σ balances + outstanding == minted`.
-//! 2. **No double deposit** — every deposited serial is unique.
+//! 2. **No double deposit** — every deposited serial is unique (compared
+//!    whole), and the spent set is as large as the chain's deposits.
 //! 3. **Audit chain intact** — the SHA-256 hash chain verifies end to end.
 //! 4. **Epoch nets sum to zero** — per epoch, the logged deltas cancel.
 //! 5. **Replay agreement** — the audit log's replayed balance total
@@ -17,15 +20,16 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use crate::audit::AuditEvent;
 use crate::ledger::Ledger;
+use crate::token::TokenId;
+use crate::wal::LedgerOp;
 
 /// Which invariant a violation breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvariantKind {
     /// Balances + outstanding liability drifted from minted value.
     Conservation,
-    /// A serial appears in two deposit events.
+    /// A serial appears in two deposit ops.
     DoubleDeposit,
     /// The audit hash chain fails to verify.
     AuditChainBroken,
@@ -40,8 +44,8 @@ pub enum InvariantKind {
 pub struct InvariantViolation {
     /// The broken invariant.
     pub kind: InvariantKind,
-    /// Audit sequence number of the first offending entry, when the
-    /// violation is attributable to a specific operation.
+    /// Audit sequence number of the first offending op (its index in the
+    /// chain), when the violation is attributable to a specific operation.
     pub audit_seq: Option<u64>,
     /// Human-readable detail for logs and test output.
     pub detail: String,
@@ -129,41 +133,38 @@ impl InvariantMonitor {
         }
 
         // 2 + 4 + 5 in one log walk.
-        let mut seen_serials: HashSet<[u8; 8]> = HashSet::new();
+        let mut seen_serials: HashSet<TokenId> = HashSet::new();
         let mut epoch_sums: BTreeMap<u64, (i128, u64)> = BTreeMap::new();
         let mut replay_total: i128 = 0;
         for entry in ledger.audit().entries() {
-            match entry.event {
-                AuditEvent::Open { balance, .. } => {
-                    replay_total += i128::from(balance);
+            match &entry.op {
+                LedgerOp::Open { balance } => {
+                    replay_total += i128::from(*balance);
                 }
-                AuditEvent::Withdraw { value, .. } => {
-                    replay_total -= i128::from(value);
+                LedgerOp::Withdraw { value, .. } => {
+                    replay_total -= i128::from(*value);
                 }
-                AuditEvent::Deposit {
-                    serial_prefix,
-                    value,
-                    ..
-                } => {
-                    replay_total += i128::from(value);
-                    if !seen_serials.insert(serial_prefix) {
+                LedgerOp::Deposit { serial, value, .. } => {
+                    replay_total += i128::from(*value);
+                    if !seen_serials.insert(*serial) {
                         out.push(InvariantViolation {
                             kind: InvariantKind::DoubleDeposit,
                             audit_seq: Some(entry.seq),
-                            detail: format!("serial prefix {serial_prefix:02x?} deposited twice"),
+                            detail: format!("serial {:02x?} deposited twice", serial.0),
                         });
                     }
                 }
-                AuditEvent::EpochNet { epoch, delta, .. } => {
-                    replay_total += delta;
-                    let slot = epoch_sums.entry(epoch).or_insert((0, entry.seq));
-                    slot.0 += delta;
+                LedgerOp::EpochNet { epoch, deltas } => {
+                    let sum: i128 = deltas.values().sum();
+                    replay_total += sum;
+                    let slot = epoch_sums.entry(*epoch).or_insert((0, entry.seq));
+                    slot.0 += sum;
                 }
                 // Transfers move value between accounts (total-neutral).
-                AuditEvent::Transfer { .. } => {}
+                LedgerOp::Transfer { .. } => {}
             }
         }
-        // Cross-check: the ledger's spent set and the log's deposit events
+        // Cross-check: the ledger's spent set and the log's deposit ops
         // must agree in count (a deposit that skipped the log, or a log
         // entry without a spent serial, shows up here).
         if seen_serials.len() != ledger.spent_serials() {
@@ -208,8 +209,8 @@ impl InvariantMonitor {
 #[allow(clippy::unwrap_used)] // test-only assertions may panic freely
 mod tests {
     use super::*;
+    use crate::audit::{AuditEntry, AuditLog};
     use crate::bank::AccountId;
-    use crate::token::TokenId;
     use std::collections::BTreeMap as Net;
 
     fn clean_ledger() -> Ledger {
@@ -241,11 +242,11 @@ mod tests {
         // Flip the withdraw (seq 2) into a different value: the chain
         // breaks exactly there and the monitor must say so.
         let mut entries = l.audit().entries().to_vec();
-        entries[2].event = AuditEvent::Withdraw {
+        entries[2].op = LedgerOp::Withdraw {
             account: AccountId(0),
             value: 999,
         };
-        *l.audit_mut() = crate::audit::AuditLog::from_entries(entries);
+        *l.audit_mut() = AuditLog::from_entries(entries);
         let mut m = InvariantMonitor::new();
         let violations = m.check_full(&l);
         let chain = violations
@@ -259,15 +260,15 @@ mod tests {
     fn double_deposit_in_log_is_flagged_at_its_seq() {
         let mut l = clean_ledger();
         let mut entries = l.audit().entries().to_vec();
-        // Splice a duplicate of the deposit event (seq 3) at the tail.
-        let dup = entries[3].event.clone();
+        // Splice a duplicate of the deposit op (seq 3) at the tail.
+        let dup = entries[3].op.clone();
         let seq = entries.len() as u64;
-        entries.push(crate::audit::AuditEntry {
+        entries.push(AuditEntry {
             seq,
-            event: dup,
+            op: dup,
             hash: [0; 32],
         });
-        *l.audit_mut() = crate::audit::AuditLog::from_entries(entries);
+        *l.audit_mut() = AuditLog::from_entries(entries);
         let mut m = InvariantMonitor::new();
         let violations = m.check_full(&l);
         assert!(violations
@@ -280,21 +281,35 @@ mod tests {
         let mut l = clean_ledger();
         let mut entries = l.audit().entries().to_vec();
         let seq = entries.len() as u64;
-        entries.push(crate::audit::AuditEntry {
+        entries.push(AuditEntry {
             seq,
-            event: AuditEvent::EpochNet {
+            op: LedgerOp::EpochNet {
                 epoch: 9,
-                account: AccountId(0),
-                delta: 17,
+                deltas: Net::from([(AccountId(0), 17)]),
             },
             hash: [0; 32],
         });
-        *l.audit_mut() = crate::audit::AuditLog::from_entries(entries);
+        *l.audit_mut() = AuditLog::from_entries(entries);
         let mut m = InvariantMonitor::new();
         let violations = m.check_full(&l);
         assert!(violations
             .iter()
             .any(|v| v.kind == InvariantKind::EpochNetNonZero && v.audit_seq == Some(seq)));
+    }
+
+    #[test]
+    fn serials_sharing_a_prefix_are_distinct_deposits() {
+        // Two tokens whose serials agree in their first 8 bytes are still
+        // two tokens: the monitor compares whole serials.
+        let mut l = Ledger::new();
+        let a = l.open_account(100);
+        l.withdraw(a, 20).unwrap();
+        let mut second = [7; 32];
+        second[31] = 8;
+        l.deposit_serial(a, TokenId([7; 32]), 10).unwrap();
+        l.deposit_serial(a, TokenId(second), 10).unwrap();
+        let mut m = InvariantMonitor::new();
+        assert_eq!(m.check_full(&l), Vec::new());
     }
 
     #[test]

@@ -168,42 +168,37 @@ impl PathValidator {
             report.invalid_manifests += 1;
             return;
         }
-        // Receipt for hop h (1-based): must exist, MAC-verify, and name
-        // the forwarder the manifest places there. With observed hops on
-        // record, a manifest entry that disagrees with the initiator's own
-        // observation is a *phantom*: its (valid!) receipt is withheld
-        // from payment and the vouched-for account is reported, without
-        // perturbing the intact-prefix walk over the genuine hops.
+        // A receipt pays hop h (1-based) when it is for that slot of this
+        // connection, carries this bundle, MAC-verifies and names the
+        // forwarder the manifest places there. Any such receipt counts, so
+        // a forged copy beside the genuine one takes nothing away.
+        let vouched = |hop: u32, account: AccountId| {
+            let slot = |r: &&Receipt| r.connection == m.connection && r.hop == hop;
+            ev.receipts
+                .iter()
+                .filter(slot)
+                .any(|r| r.bundle_id == self.bundle_id && r.forwarder == account && r.verify(key))
+        };
+        // With observed hops on record, a manifest entry that disagrees
+        // with the initiator's own observation is a *phantom*: its (valid!)
+        // receipt is withheld from payment and the vouched-for account is
+        // reported, without perturbing the intact-prefix walk over the
+        // genuine hops.
         let mut prefix_valid = 0usize; // deepest intact prefix
         let mut broken = false;
         for (i, &account) in m.hops.iter().enumerate() {
+            let hop = (i + 1) as u32;
             if let Some(obs) = &ev.observed_hops {
                 if obs.get(i) != Some(&account) {
                     report.phantom_accounts.insert(account);
-                    let hop = (i + 1) as u32;
-                    let vouched = ev.receipts.iter().any(|r| {
-                        r.connection == m.connection
-                            && r.hop == hop
-                            && r.bundle_id == self.bundle_id
-                            && r.forwarder == account
-                            && r.verify(key)
-                    });
-                    if vouched {
+                    if vouched(hop, account) {
                         report.phantom_instances += 1;
                     }
                     continue;
                 }
             }
             report.expected_instances += 1;
-            let hop = (i + 1) as u32;
-            let receipt = ev
-                .receipts
-                .iter()
-                .find(|r| r.connection == m.connection && r.hop == hop);
-            let valid = receipt.is_some_and(|r| {
-                r.bundle_id == self.bundle_id && r.forwarder == account && r.verify(key)
-            });
-            if valid {
+            if vouched(hop, account) {
                 report.validated_instances += 1;
                 *report.paid_counts.entry(account).or_insert(0) += 1;
                 if !broken {
@@ -571,5 +566,21 @@ mod tests {
         let r = v.settle();
         assert_eq!(r.validated_instances, 2);
         assert_eq!(r.flagged.iter().copied().collect::<Vec<_>>(), [account(1)]);
+    }
+
+    #[test]
+    fn forged_copy_before_the_genuine_receipt_takes_nothing_away() {
+        // Receipts [forged hop 1, genuine hop 1, genuine hop 2]: the
+        // genuine receipt pays hop 1 wherever it sits in the list.
+        let mut v = PathValidator::new(KEY_BYTES, BUNDLE);
+        let mut ev = evidence(0, &[1, 2], None);
+        let mut forged = ev.receipts[0].clone();
+        forged.mac[0] ^= 0x55;
+        ev.receipts.insert(0, forged);
+        v.add_connection(ev);
+        let r = v.settle();
+        assert_eq!((r.validated_instances, r.expected_instances), (2, 2));
+        assert!(r.flagged.is_empty());
+        assert_eq!(r.unattributed, 0);
     }
 }

@@ -20,8 +20,9 @@
 //! intact prefix.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
-use idpa_desim::codec::{unframe_prefix, CodecError, Dec, Enc};
+use idpa_desim::codec::{unframe_prefix, CodecError, Dec, Enc, FRAME_HEADER_BYTES};
 
 use crate::bank::AccountId;
 use crate::token::TokenId;
@@ -34,7 +35,9 @@ const WAL_MAGIC: [u8; 8] = *b"IDPAWAL\0";
 /// word-wise checksum.
 const WAL_VERSION: u32 = 2;
 
-/// One state-mutating ledger operation, as logged.
+/// One state-mutating ledger operation, as logged — the one description
+/// of a ledger mutation: the WAL frames its payload and the audit chain
+/// ([`crate::AuditLog`]) hashes the same bytes.
 ///
 /// `Open` carries no account id: replay re-assigns ids from the ledger's
 /// sequential counter, which reproduces the original assignment exactly
@@ -122,6 +125,16 @@ impl LedgerOp {
         }
     }
 
+    /// Replaces `buf`'s contents with the record payload — what the audit
+    /// chain hashes for an op that was not framed into a WAL. The caller
+    /// reuses `buf`, so a steady stream of ops allocates nothing.
+    pub(crate) fn encode_payload_onto(&self, buf: &mut Vec<u8>) {
+        buf.clear();
+        let mut e = Enc::onto(std::mem::take(buf));
+        self.encode_payload_into(&mut e);
+        *buf = e.into_bytes();
+    }
+
     /// Decodes a record payload; any malformation maps to a typed
     /// [`CodecError`] (never a panic).
     fn decode_payload(payload: &[u8]) -> Result<LedgerOp, CodecError> {
@@ -187,12 +200,16 @@ impl LedgerOp {
     }
 
     /// Appends the framed record directly onto `out` — the append hot
-    /// path. The frame is written in place at the end of `out`, so a
-    /// settlement-rate append costs no intermediate allocation or copy.
-    fn encode_record_onto(&self, out: &mut Vec<u8>) {
+    /// path — and returns where its payload landed in `out`. The frame is
+    /// written in place at the end of `out`, so a settlement-rate append
+    /// costs no intermediate allocation or copy.
+    fn encode_record_onto(&self, out: &mut Vec<u8>) -> Range<usize> {
+        let start = out.len() + FRAME_HEADER_BYTES;
         let mut e = Enc::framed_onto(std::mem::take(out), WAL_MAGIC, WAL_VERSION);
         self.encode_payload_into(&mut e);
+        let end = e.len();
         *out = e.seal_frame();
+        start..end
     }
 }
 
@@ -281,17 +298,19 @@ impl Wal {
         }
     }
 
-    /// Appends one record durably (per-op commit).
-    pub fn append(&mut self, op: &LedgerOp) {
-        op.encode_record_onto(&mut self.committed);
+    /// Appends one record durably (per-op commit); returns its payload.
+    pub fn append(&mut self, op: &LedgerOp) -> &[u8] {
+        let payload = op.encode_record_onto(&mut self.committed);
         self.committed_records += 1;
+        &self.committed[payload]
     }
 
     /// Appends one record to the staging buffer (group commit: durable
-    /// only after [`Wal::commit`]).
-    pub fn stage(&mut self, op: &LedgerOp) {
-        op.encode_record_onto(&mut self.staged);
+    /// only after [`Wal::commit`]); returns its payload.
+    pub fn stage(&mut self, op: &LedgerOp) -> &[u8] {
+        let payload = op.encode_record_onto(&mut self.staged);
         self.staged_records += 1;
+        &self.staged[payload]
     }
 
     /// Makes all staged records durable as one group. Returns how many
@@ -485,11 +504,16 @@ mod tests {
 
     #[test]
     fn records_use_the_codec_frame_and_reject_other_versions() {
-        use idpa_desim::codec::{frame, frame_checksum, FRAME_HEADER_BYTES};
+        use idpa_desim::codec::{frame, frame_checksum};
         let op = LedgerOp::Open { balance: 9 };
         let payload = encode_payload(&op);
         let rec = op.encode_record();
         assert_eq!(rec, frame(WAL_MAGIC, WAL_VERSION, &payload));
+        assert_eq!(
+            Wal::new().append(&op),
+            payload,
+            "append returns the payload"
+        );
         assert_eq!(rec.len(), FRAME_HEADER_BYTES + payload.len() + 8);
         // A version 1 record (same layout, byte-wise checksum) is rejected
         // by version before its checksum is read.

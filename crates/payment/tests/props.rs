@@ -5,10 +5,13 @@
 //! each property runs hundreds of generated operation sequences and is
 //! exactly reproducible.
 
+use std::collections::BTreeMap;
+
 use idpa_desim::rng::Xoshiro256StarStar;
-use idpa_payment::audit::{AuditEntry, AuditEvent, AuditLog};
+use idpa_payment::audit::{AuditEntry, AuditLog};
 use idpa_payment::bank::{AccountId, Bank};
-use idpa_payment::token::{Token, Wallet};
+use idpa_payment::token::{Token, TokenId, Wallet};
+use idpa_payment::wal::LedgerOp;
 
 const CASES: usize = 256;
 
@@ -152,35 +155,36 @@ fn no_account_exceeds_total_supply() {
     }
 }
 
-/// A random balance-affecting audit event over a small account universe.
-fn random_audit_event(rng: &mut Xoshiro256StarStar) -> AuditEvent {
+/// A random balance-affecting ledger op over a small account universe.
+fn random_ledger_op(rng: &mut Xoshiro256StarStar) -> LedgerOp {
     let acct = |rng: &mut Xoshiro256StarStar| AccountId(rng.next() % 4);
     match rng.next() % 5 {
-        4 => AuditEvent::EpochNet {
-            epoch: rng.next() % 8,
-            account: acct(rng),
-            delta: i128::from(rng.next() % 99) - 49,
-        },
-        0 => AuditEvent::Open {
-            account: acct(rng),
+        4 => {
+            let epoch = rng.next() % 8;
+            let deltas = (0..1 + rng.next() % 2)
+                .map(|_| (acct(rng), i128::from(rng.next() % 99) - 49))
+                .collect();
+            LedgerOp::EpochNet { epoch, deltas }
+        }
+        0 => LedgerOp::Open {
             balance: rng.next() % 200,
         },
-        1 => AuditEvent::Withdraw {
+        1 => LedgerOp::Withdraw {
             account: acct(rng),
             value: 1 + rng.next() % 49,
         },
         2 => {
-            let mut serial_prefix = [0u8; 8];
-            for b in &mut serial_prefix {
+            let mut serial = [0u8; 32];
+            for b in &mut serial {
                 *b = (rng.next() % 256) as u8;
             }
-            AuditEvent::Deposit {
+            LedgerOp::Deposit {
                 account: acct(rng),
+                serial: TokenId(serial),
                 value: 1 + rng.next() % 49,
-                serial_prefix,
             }
         }
-        _ => AuditEvent::Transfer {
+        _ => LedgerOp::Transfer {
             from: acct(rng),
             to: acct(rng),
             amount: 1 + rng.next() % 49,
@@ -189,7 +193,7 @@ fn random_audit_event(rng: &mut Xoshiro256StarStar) -> AuditEvent {
 }
 
 /// XORs one nonzero byte into some field of the entry: the sequence
-/// number, the chain hash, or any field of the event payload.
+/// number, the chain hash, or any field of the op.
 fn flip_entry_byte(entry: &mut AuditEntry, rng: &mut Xoshiro256StarStar) {
     let m = 1 + (rng.next() % 255) as u8;
     let word = u64::from(m) << (8 * (rng.next() % 8));
@@ -199,45 +203,50 @@ fn flip_entry_byte(entry: &mut AuditEntry, rng: &mut Xoshiro256StarStar) {
             let i = (rng.next() % 32) as usize;
             entry.hash[i] ^= m;
         }
-        _ => match &mut entry.event {
-            AuditEvent::Open { account, balance } => match rng.next() % 2 {
-                0 => account.0 ^= word,
-                _ => *balance ^= word,
-            },
-            AuditEvent::Withdraw { account, value } => match rng.next() % 2 {
+        _ => match &mut entry.op {
+            LedgerOp::Open { balance } => *balance ^= word,
+            LedgerOp::Withdraw { account, value } => match rng.next() % 2 {
                 0 => account.0 ^= word,
                 _ => *value ^= word,
             },
-            AuditEvent::Deposit {
+            LedgerOp::Deposit {
                 account,
+                serial,
                 value,
-                serial_prefix,
             } => match rng.next() % 3 {
                 0 => account.0 ^= word,
                 1 => *value ^= word,
-                _ => serial_prefix[(rng.next() % 8) as usize] ^= m,
+                _ => serial.0[(rng.next() % 32) as usize] ^= m,
             },
-            AuditEvent::Transfer { from, to, amount } => match rng.next() % 3 {
+            LedgerOp::Transfer { from, to, amount } => match rng.next() % 3 {
                 0 => from.0 ^= word,
                 1 => to.0 ^= word,
                 _ => *amount ^= word,
             },
-            AuditEvent::EpochNet {
-                epoch,
-                account,
-                delta,
-            } => match rng.next() % 3 {
-                0 => *epoch ^= word,
-                1 => account.0 ^= word,
-                // XOR into a random byte of the 16-byte encoding.
-                _ => *delta ^= i128::from(word) << (64 * (rng.next() % 2)),
-            },
+            LedgerOp::EpochNet { epoch, deltas } => {
+                let i = (rng.next() % deltas.len() as u64) as usize;
+                let (&account, &delta) = deltas.iter().nth(i).expect("i < len");
+                match rng.next() % 3 {
+                    0 => *epoch ^= word,
+                    1 => {
+                        // Move the delta to another account (a collision
+                        // with the other entry shrinks the net instead).
+                        deltas.remove(&account);
+                        deltas.insert(AccountId(account.0 ^ word), delta);
+                    }
+                    // XOR into a random byte of the 16-byte encoding.
+                    _ => {
+                        *deltas.get_mut(&account).expect("drawn above") ^=
+                            i128::from(word) << (64 * (rng.next() % 2));
+                    }
+                }
+            }
         },
     }
 }
 
 /// Tamper-evidence is byte-exact: flipping ANY byte of ANY entry — seq,
-/// hash, or any event field of any variant — makes `verify()` report that
+/// hash, or any op field of any variant — makes `verify()` report that
 /// entry's index, never a different one and never `Ok`.
 #[test]
 fn any_single_byte_flip_is_detected_at_the_exact_entry() {
@@ -247,7 +256,7 @@ fn any_single_byte_flip_is_detected_at_the_exact_entry() {
         let n = 1 + (rng.next() % 12) as usize;
         let mut log = AuditLog::new();
         for _ in 0..n {
-            log.append(random_audit_event(&mut rng));
+            log.append(random_ledger_op(&mut rng));
         }
         assert_eq!(log.verify(), Ok(()));
 
@@ -271,26 +280,28 @@ fn shuffle<T>(items: &mut [T], rng: &mut Xoshiro256StarStar) {
     }
 }
 
-/// `replay_balance` is a pure function of the event *multiset*: any two
-/// interleavings of the same events reconstruct identical per-account
+/// `replay_balance` is a pure function of the op *multiset*: any two
+/// interleavings of the same ops reconstruct identical per-account
 /// balances, and both orderings form valid chains when appended honestly.
+/// An `Open`'s account is its place among the opens (ids are sequential),
+/// so the opens lead in drawn order and every other op is shuffled.
 #[test]
 fn replay_balance_is_invariant_under_event_interleaving() {
     let mut gen = Xoshiro256StarStar::seed_from_u64(0x2004);
     for case in 0..CASES {
         let mut rng = Xoshiro256StarStar::seed_from_u64(gen.next());
         let n = 1 + (rng.next() % 16) as usize;
-        let events: Vec<AuditEvent> = (0..n).map(|_| random_audit_event(&mut rng)).collect();
-
-        let mut first = events.clone();
-        let mut second = events;
+        let (opens, mut first): (Vec<LedgerOp>, Vec<LedgerOp>) = (0..n)
+            .map(|_| random_ledger_op(&mut rng))
+            .partition(|op| matches!(op, LedgerOp::Open { .. }));
+        let mut second = first.clone();
         shuffle(&mut first, &mut rng);
         shuffle(&mut second, &mut rng);
 
-        let build = |evs: Vec<AuditEvent>| {
+        let build = |ops: Vec<LedgerOp>| {
             let mut log = AuditLog::new();
-            for e in evs {
-                log.append(e);
+            for op in opens.iter().cloned().chain(ops) {
+                log.append(op);
             }
             log
         };
@@ -343,7 +354,6 @@ fn twin_banks_with_tokens(
 /// spent-serial count as applying each transfer immediately.
 #[test]
 fn epoch_ledger_settlement_matches_sequential_economics() {
-    use std::collections::BTreeMap;
     let mut gen = Xoshiro256StarStar::seed_from_u64(0x2006);
     for case in 0..CASES {
         let seed = gen.next();

@@ -23,9 +23,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use idpa_desim::fault::{BankCrashDraw, FaultPlan};
-use idpa_payment::{
-    AccountId, AuditEvent, BankReplica, InvariantMonitor, Ledger, LedgerOp, TokenId, Wal,
-};
+use idpa_payment::{AccountId, BankReplica, InvariantMonitor, Ledger, LedgerOp, TokenId, Wal};
 
 use crate::error::SimError;
 
@@ -143,8 +141,8 @@ impl BankDurabilityState {
             }
         }
         let cleared = primary.audit().entries().iter().any(|entry| {
-            matches!(entry.event, AuditEvent::Deposit { serial_prefix, .. }
-                if clearing_flush(serial_prefix) >= flushes)
+            matches!(&entry.op, LedgerOp::Deposit { serial, .. }
+                if clearing_flush(serial) >= flushes)
         });
         if cleared || flushes >= MAX_FLUSHES {
             return invalid("bank flush counter");
@@ -375,10 +373,10 @@ impl BankDurabilityState {
 }
 
 /// Deterministic serial for a clearing deposit, tagged so it can never
-/// collide with protocol token serials. The invariant monitor tells
-/// deposits apart by their first 8 bytes, so those carry the whole
+/// collide with protocol token serials. Its first 8 bytes carry the
 /// (flush, chunk) position as `flush << 24 | chunk`: unique while one
 /// flush clears fewer than 2^24 chunks and a run stays under 2^40 flushes.
+/// The layout is part of every pinned WAL byte, so it stays as it is.
 fn clearing_serial(flush: u64, chunk: u64) -> TokenId {
     debug_assert!(
         chunk < 1 << 24 && flush < MAX_FLUSHES,
@@ -391,9 +389,11 @@ fn clearing_serial(flush: u64, chunk: u64) -> TokenId {
 }
 
 /// The flush a [`clearing_serial`] was issued in, read from the serial's
-/// first 8 bytes (the prefix the audit log keeps).
-fn clearing_flush(prefix: [u8; 8]) -> u64 {
-    u64::from_le_bytes(prefix) >> 24
+/// first 8 bytes.
+fn clearing_flush(serial: &TokenId) -> u64 {
+    let mut position = [0u8; 8];
+    position.copy_from_slice(&serial.0[..8]);
+    u64::from_le_bytes(position) >> 24
 }
 
 #[cfg(test)]
@@ -448,17 +448,14 @@ mod tests {
     }
 
     #[test]
-    fn clearing_serials_differ_in_the_monitored_prefix() {
-        let prefix = |flush, chunk| {
-            let TokenId(id) = clearing_serial(flush, chunk);
-            assert_eq!(id[16], 0xEE, "tag kept");
-            <[u8; 8]>::try_from(&id[..8]).unwrap()
-        };
+    fn clearing_serials_are_distinct_and_name_their_flush() {
         let mut seen = std::collections::HashSet::new();
         for flush in [0u64, 1, 2, 1 << 20] {
             for chunk in [0u64, 1, 2, 1 << 20] {
-                assert!(seen.insert(prefix(flush, chunk)), "({flush}, {chunk})");
-                assert_eq!(clearing_flush(prefix(flush, chunk)), flush);
+                let serial = clearing_serial(flush, chunk);
+                assert_eq!(serial.0[16], 0xEE, "tag kept");
+                assert!(seen.insert(serial.0[..8].to_vec()), "({flush}, {chunk})");
+                assert_eq!(clearing_flush(&serial), flush);
             }
         }
     }
@@ -541,17 +538,14 @@ mod tests {
                 "{bad:?}"
             );
         }
-        // A log that replays cleanly but deposits two serials sharing the
-        // monitored prefix fails the full sweep as a double deposit.
+        // A log that replays cleanly but nets an epoch to nonzero (value
+        // from nowhere) fails the full sweep.
         let mut ledger = Ledger::new();
         ledger.attach_wal(Wal::new());
         let escrow = ledger.open_account(100);
-        let (a, mut b) = (TokenId([0; 32]), TokenId([0; 32]));
-        b.0[20] = 2;
-        for serial in [a, b] {
-            ledger.withdraw(escrow, 10).unwrap();
-            ledger.deposit_serial(escrow, serial, 10).unwrap();
-        }
+        ledger
+            .apply_epoch_net(0, &BTreeMap::from([(escrow, 5)]))
+            .unwrap();
         let image = ledger.wal().unwrap().committed_bytes();
         assert_eq!(
             restore(image, BTreeMap::new()),

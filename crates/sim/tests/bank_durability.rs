@@ -179,20 +179,20 @@ fn durable_runs_replicate_bit_identically() {
 /// zero, per-bundle settlement first, then epoch settlement.
 const ZERO_RATE_DURABLE: [[(u64, u64, u64); 6]; 2] = [
     [
-        (996, 55668, 0xe136afcc9a569a32),
-        (850, 47914, 0x6ce95be84f19e460),
-        (1072, 59680, 0x3958b8d7d7f5c17c),
-        (884, 49732, 0x2dfcd3f788ceaf1c),
-        (913, 51237, 0x0fb51f47ce361c1f),
-        (915, 51343, 0x44b7ff3a09c4f9a5),
+        (996, 55668, 0xf2172f222fe614e8),
+        (850, 47914, 0xecb31690dea084d3),
+        (1072, 59680, 0x1514a8d5f726de33),
+        (884, 49732, 0x76e037cf1966a35a),
+        (913, 51237, 0xb9a55a1bda2164fc),
+        (915, 51343, 0x5bf1ba1af180195d),
     ],
     [
-        (38, 4406, 0x8be2c3bd77d21452),
-        (39, 3651, 0x8a06aa07b47682bd),
-        (39, 4419, 0xa8a4b5a72580fbe2),
-        (38, 3374, 0xdd9b85d4c66d2fdd),
-        (38, 4238, 0xd0cf5cfc47b13424),
-        (39, 3771, 0x1e7444b61b2633b2),
+        (38, 4406, 0x9cccc56ccb88ba7a),
+        (39, 3651, 0x65436528a4b3a68d),
+        (39, 4419, 0x6ed7c375aebd89ac),
+        (38, 3374, 0x6ba7236597e7de22),
+        (38, 4238, 0x9b8ac9485225e5a8),
+        (39, 3771, 0x7ebd3208ec4d3d69),
     ],
 ];
 

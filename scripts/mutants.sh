@@ -83,6 +83,10 @@ mutant routing-share-undivided crates/core/src/bundle.rs \
 mutant audit-last-link-unchecked crates/payment/src/audit.rs \
     'if expect != entry.hash {' \
     'if expect != entry.hash && i + 1 < self.entries.len() {'
+# Every recorded op reaches the audit chain, not only the WAL.
+mutant audit-record-skipped crates/payment/src/ledger.rs \
+    'self.audit.push(op, payload);' \
+    'let _ = (op, payload);'
 # SHA-256's scalar σ0 rotates by 7. On a CPU with the SHA extensions the
 # scalar kernel runs only in the kernel-differential tests.
 mutant sha256-scalar-sigma0 crates/crypto/src/sha256.rs \
