@@ -1,6 +1,6 @@
 //! Props. 2-3 regeneration: stage-game dominance checks and threshold
-//! evaluation across the P_f sweep, plus the SPNE subgame-memoization
-//! speedup on a path-formation-shaped extensive game.
+//! evaluation across the P_f sweep, plus backward induction on a
+//! path-formation-shaped extensive game.
 
 use idpa_bench::harness::Harness;
 use idpa_game::forwarding::{
@@ -12,10 +12,7 @@ use std::hint::black_box;
 /// A full `branching`-ary two-player tree of the given depth whose leaf
 /// payoffs depend only on the parity of the move-index sum — the
 /// extensive-form shape path formation produces, where the branching
-/// factor is the neighbor degree and many histories reach structurally
-/// identical residual subgames. Memoized backward induction collapses
-/// each level to a handful of interned classes, skipping the per-node
-/// action scan and value materialization the unmemoized solver pays.
+/// factor is the neighbor degree.
 fn parity_tree(depth: u32, branching: usize) -> GameTree {
     let mut t = GameTree::new(2);
     let leaves = branching.pow(depth);
@@ -94,16 +91,6 @@ fn main() {
     });
 
     let tree = parity_tree(5, 8); // degree-8 path game, 37449 nodes
-    let (_, stats) = tree.solve_counting();
-    println!(
-        "props23: SPNE interning on {} nodes: {} solved, {} memo hits",
-        tree.len(),
-        stats.solved,
-        stats.memo_hits
-    );
-    h.bench("props23/spne_solve_memoized_d8", || tree.solve());
-    h.bench("props23/spne_solve_unmemoized_d8", || {
-        tree.solve_unmemoized()
-    });
+    h.bench("props23/spne_solve_d8", || tree.solve());
     h.write_json_default().expect("write bench report");
 }

@@ -440,43 +440,13 @@ pub fn choose_next_hop_colluding_with(
 /// `[0, 1]`.
 ///
 /// Evaluated by depth-limited backward induction over the live neighbor
-/// graph (the §2.4.3 L-stage game under full information): the value of
-/// standing at `j` with `depth` stages to go is the best of delivering now
-/// (the responder edge, quality 1) or forwarding over the best-quality edge
-/// and continuing. The total is divided by the number of edges it contains,
-/// keeping model II's quality on the same `[0, 1]` scale as model I's.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn continuation_quality(
-    s: NodeId,
-    j: NodeId,
-    q_first_edge: f64,
-    lookahead: u8,
-    contract: &Contract,
-    priors: u32,
-    histories: &HistoryArena,
-    view: &impl RoutingView,
-    quality: &EdgeQuality,
-) -> f64 {
-    let mut scratch = RouteScratch::new();
-    continuation_quality_with(
-        &mut scratch,
-        s,
-        j,
-        q_first_edge,
-        lookahead,
-        contract,
-        priors,
-        histories,
-        view,
-        quality,
-    )
-}
-
-/// Memoised, buffer-reusing variant of [`continuation_quality`]: the
-/// continuation values and edge qualities computed during the backward
-/// induction are cached in `scratch` and shared across all hops of one
-/// transmission.
+/// graph (the §2.4.3 L-stage game under full information): each later
+/// mover forwards to the neighbor whose continuation maximises its own
+/// suffix quality, and delivery to R happens at the lookahead horizon or
+/// at a dead end. The total is divided by the number of edges it
+/// contains, keeping model II's quality on the same `[0, 1]` scale as
+/// model I's. Continuation values and edge qualities are cached in
+/// `scratch` and shared across all hops of one transmission.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn continuation_quality_with(
@@ -886,7 +856,8 @@ mod tests {
         let h = histories();
         let c = contract();
         for lookahead in 1..=5 {
-            let q = continuation_quality(
+            let q = continuation_quality_with(
+                &mut RouteScratch::new(),
                 NodeId(0),
                 NodeId(1),
                 0.5,

@@ -25,7 +25,8 @@
 //! touched and simulations are bit-identical to a build without this
 //! module.
 
-use crate::rng::{StreamFactory, Xoshiro256StarStar};
+use crate::fault::exp_sample;
+use crate::rng::StreamFactory;
 use rand::RngExt;
 
 /// Adversary strategy rates and the defense toggles.
@@ -324,13 +325,6 @@ impl AdversaryPlan {
             rng.random_range(0.0..1.0) < self.cfg.clique_forge_rate
         }
     }
-}
-
-/// Inverse-CDF exponential sample with the given mean (`u` uniform in
-/// `[0, 1)` makes `1 - u` strictly positive, so the log is finite).
-fn exp_sample(rng: &mut Xoshiro256StarStar, mean: f64) -> f64 {
-    let u: f64 = rng.random_range(0.0..1.0);
-    -mean * (1.0 - u).ln()
 }
 
 #[cfg(test)]

@@ -413,7 +413,7 @@ pub struct BankCrashDraw {
 
 /// Inverse-CDF exponential sample with the given mean (`u` uniform in
 /// `[0, 1)` makes `1 - u` strictly positive, so the log is finite).
-fn exp_sample(rng: &mut Xoshiro256StarStar, mean: f64) -> f64 {
+pub(crate) fn exp_sample(rng: &mut Xoshiro256StarStar, mean: f64) -> f64 {
     let u: f64 = rng.random_range(0.0..1.0);
     -mean * (1.0 - u).ln()
 }

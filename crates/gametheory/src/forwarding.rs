@@ -273,9 +273,13 @@ mod tests {
     #[test]
     fn nonrandom_weakly_dominates_random() {
         let g = game(10.0).to_normal_form(2);
-        // For each player: nonrandom is weakly dominant among the three.
+        // For each player: nonrandom is weakly dominant among the three,
+        // i.e. a best response to every opponent profile.
+        let nr = StageAction::ForwardNonRandom.index();
         for p in 0..2 {
-            assert!(g.is_weakly_dominant(p, StageAction::ForwardNonRandom.index()));
+            for profile in g.profiles() {
+                assert!(g.best_responses(&profile, p).contains(&nr), "{profile:?}");
+            }
         }
     }
 

@@ -9,11 +9,12 @@
 //!
 //! This crate provides the general machinery —
 //!
-//! * [`normal::NormalFormGame`]: n-player one-shot games with dominance
-//!   checks, iterated elimination of strictly dominated strategies and pure
-//!   Nash enumeration;
-//! * [`extensive::GameTree`]: finite extensive-form games solved by backward
-//!   induction, yielding subgame perfect equilibria;
+//! * [`normal::NormalFormGame`]: n-player one-shot games with best
+//!   responses, iterated elimination of strictly dominated strategies and
+//!   pure Nash enumeration;
+//! * [`extensive::GameTree`]: finite extensive-form games solved by one
+//!   backward induction, yielding subgame perfect equilibria — the oracle
+//!   the Model II router is tested against;
 //! * [`forwarding`]: the paper's forwarding/routing stage game expressed in
 //!   that machinery, with numeric verification of the Prop. 2 and Prop. 3
 //!   thresholds.
@@ -26,6 +27,6 @@ pub mod extensive;
 pub mod forwarding;
 pub mod normal;
 
-pub use extensive::{GameTree, NodeRef, SolveStats, SpneSolution};
+pub use extensive::{GameTree, NodeRef, SpneSolution};
 pub use forwarding::{ForwardingStageGame, StageAction};
 pub use normal::NormalFormGame;

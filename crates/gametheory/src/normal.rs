@@ -117,49 +117,6 @@ impl NormalFormGame {
         arg
     }
 
-    /// Whether strategy `s` of `player` is **weakly dominant**: against
-    /// every opponent profile it is a best response, i.e. no alternative
-    /// ever does strictly better.
-    #[must_use]
-    pub fn is_weakly_dominant(&self, player: usize, s: usize) -> bool {
-        self.for_all_opponent_profiles(player, |probe| {
-            let mut probe = probe.to_vec();
-            probe[player] = s;
-            let u_s = self.payoff(&probe, player);
-            (0..self.n_strategies[player]).all(|alt| {
-                probe[player] = alt;
-                self.payoff(&probe, player) <= u_s + 1e-12
-            })
-        })
-    }
-
-    fn for_all_opponent_profiles(
-        &self,
-        player: usize,
-        mut pred: impl FnMut(&[usize]) -> bool,
-    ) -> bool {
-        let others: Vec<usize> = (0..self.n_players()).filter(|&p| p != player).collect();
-        let total: usize = others.iter().map(|&p| self.n_strategies[p]).product();
-        let mut digits = vec![0usize; others.len()];
-        let mut profile = vec![0usize; self.n_players()];
-        for _ in 0..total.max(1) {
-            for (k, &p) in others.iter().enumerate() {
-                profile[p] = digits[k];
-            }
-            if !pred(&profile) {
-                return false;
-            }
-            for k in 0..digits.len() {
-                digits[k] += 1;
-                if digits[k] < self.n_strategies[others[k]] {
-                    break;
-                }
-                digits[k] = 0;
-            }
-        }
-        true
-    }
-
     /// All pure-strategy Nash equilibria (profiles where each strategy is a
     /// best response to the others).
     #[must_use]
@@ -303,8 +260,6 @@ mod tests {
                 profile[player] = 0;
                 assert_eq!(g.best_responses(&profile, player), vec![1]);
             }
-            assert!(g.is_weakly_dominant(player, 1));
-            assert!(!g.is_weakly_dominant(player, 0));
         }
     }
 
@@ -319,9 +274,10 @@ mod tests {
         let g = coordination();
         let eqs = g.pure_nash_equilibria();
         assert_eq!(eqs, vec![vec![0, 0], vec![1, 1]]);
-        // Neither strategy is dominant.
-        assert!(!g.is_weakly_dominant(0, 0));
-        assert!(!g.is_weakly_dominant(0, 1));
+        // Neither strategy is dominant: each is the unique best response
+        // to one opponent strategy only.
+        assert_eq!(g.best_responses(&[0, 0], 0), vec![0]);
+        assert_eq!(g.best_responses(&[0, 1], 0), vec![1]);
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub enum EpochNetError {
     InsufficientFunds(AccountId),
     /// A net credit would push the account's balance past `u64::MAX`.
     BalanceOverflow(AccountId),
+    /// The deltas do not sum to zero (a sum overflowing `i128` counts as
+    /// nonzero): the net would create or destroy value.
+    NotZeroSum,
 }
 
 /// The central bank.
@@ -172,11 +175,12 @@ impl Bank {
     /// Applies one net balance delta per account for a settled epoch,
     /// atomically: every delta applies (one [`crate::LedgerOp::EpochNet`]
     /// audit entry for the whole net) or none does — a failed validation
-    /// (unknown account, uncovered debit, or a credit overflowing `u64`)
+    /// (a nonzero sum, an unknown account, an uncovered debit, or a credit
+    /// overflowing `u64`)
     /// leaves every balance untouched. Deltas are
     /// `i128`, so any sum of `u64` transfer amounts is representable
-    /// without wrapping. For transfer netting the deltas sum to zero, so
-    /// `total_deposits` is unchanged.
+    /// without wrapping. The deltas must sum to zero, so a net only moves
+    /// value between accounts.
     pub fn apply_epoch_net(
         &mut self,
         epoch: u64,

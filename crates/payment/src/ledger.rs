@@ -38,6 +38,8 @@ pub enum ApplyError {
     DoubleSpend,
     /// A credit would overflow a balance.
     BalanceOverflow,
+    /// An epoch net's deltas do not sum to zero.
+    NotZeroSum,
 }
 
 /// What recovery found in a WAL byte image.
@@ -232,14 +234,18 @@ impl Ledger {
     }
 
     /// Applies one net balance delta per account for a settled epoch,
-    /// atomically: every delta is validated before any applies, and the
-    /// whole net is one WAL record and one audit entry — the
-    /// epoch-boundary group the log commits together.
+    /// atomically: the net must sum to zero and every delta is validated
+    /// before any applies, and the whole net is one WAL record and one
+    /// audit entry — the epoch-boundary group the log commits together.
     pub fn apply_epoch_net(
         &mut self,
         epoch: u64,
         net: &BTreeMap<AccountId, i128>,
     ) -> Result<(), EpochNetError> {
+        let sum = net.values().try_fold(0i128, |acc, &d| acc.checked_add(d));
+        if sum != Some(0) {
+            return Err(EpochNetError::NotZeroSum);
+        }
         for (&account, &delta) in net {
             let Some(&balance) = self.accounts.get(&account) else {
                 return Err(EpochNetError::UnknownAccount(account));
@@ -443,6 +449,7 @@ impl From<EpochNetError> for ApplyError {
             EpochNetError::UnknownAccount(_) => ApplyError::UnknownAccount,
             EpochNetError::InsufficientFunds(_) => ApplyError::InsufficientFunds,
             EpochNetError::BalanceOverflow(_) => ApplyError::BalanceOverflow,
+            EpochNetError::NotZeroSum => ApplyError::NotZeroSum,
         }
     }
 }
@@ -660,6 +667,40 @@ mod tests {
             before,
             "validate → log → mutate: failures must leave no record"
         );
+    }
+
+    #[test]
+    fn an_epoch_net_must_sum_to_zero() {
+        let mut l = Ledger::new();
+        l.attach_wal(Wal::new());
+        let a = l.open_account(100);
+        let b = l.open_account(0);
+        let c = l.open_account(0);
+        let before = l.digest();
+        for net in [
+            BTreeMap::from([(a, 5i128)]),
+            BTreeMap::from([(a, -5), (b, 4)]),
+            // Wraps to zero in two's complement; a checked sum overflows.
+            BTreeMap::from([(a, i128::MAX), (b, i128::MAX), (c, 2)]),
+        ] {
+            assert_eq!(l.apply_epoch_net(0, &net), Err(EpochNetError::NotZeroSum));
+        }
+        assert_eq!(l.digest(), before, "a rejected net leaves no trace");
+
+        // Replay applies the same check: a log that nets value from
+        // nowhere stops before that record.
+        let mut wal = Wal::new();
+        wal.append(&LedgerOp::Open { balance: 100 });
+        wal.append(&LedgerOp::EpochNet {
+            epoch: 0,
+            deltas: BTreeMap::from([(AccountId(0), 5)]),
+        });
+        let (r, report) = Ledger::recover(wal.committed_bytes());
+        assert!(!report.is_clean(), "{report:?}");
+        assert_eq!(report.records_replayed, 1);
+        assert!(report.defect.unwrap().contains("NotZeroSum"));
+        assert_eq!(r.balance(AccountId(0)), Some(100));
+        assert!(r.conservation_holds());
     }
 
     #[test]

@@ -512,6 +512,7 @@ fn fuzz_epoch_ledger_interleavings() {
                     EpochNetError::InsufficientFunds(a) => (a, |t| t < 0),
                     EpochNetError::BalanceOverflow(a) => (a, |t| t > i128::from(u64::MAX)),
                     EpochNetError::UnknownAccount(a) => panic!("seed {seed}: unknown {a:?}"),
+                    EpochNetError::NotZeroSum => panic!("seed {seed}: nonzero net"),
                 };
                 let i = accounts
                     .iter()

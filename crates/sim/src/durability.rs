@@ -538,13 +538,13 @@ mod tests {
                 "{bad:?}"
             );
         }
-        // A log that replays cleanly but nets an epoch to nonzero (value
-        // from nowhere) fails the full sweep.
+        // A log that replays cleanly but deposits a token nobody withdrew
+        // (value from nowhere) fails the full sweep.
         let mut ledger = Ledger::new();
         ledger.attach_wal(Wal::new());
         let escrow = ledger.open_account(100);
         ledger
-            .apply_epoch_net(0, &BTreeMap::from([(escrow, 5)]))
+            .deposit_serial(escrow, clearing_serial(0, 0), 5)
             .unwrap();
         let image = ledger.wal().unwrap().committed_bytes();
         assert_eq!(

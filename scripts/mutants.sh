@@ -75,6 +75,10 @@ mutant transmission-cost-dropped crates/core/src/utility.rs \
 mutant continuation-dropped crates/core/src/routing.rs \
     '(q_first_edge + total) / (1.0 + edges as f64)' \
     'q_first_edge'
+# Backward induction keeps the first maximiser, not the last.
+mutant spne-tiebreak-last crates/gametheory/src/extensive.rs \
+    'if u > best_u + 1e-12 {' \
+    'if u >= best_u - 1e-12 {'
 # Each forwarder gets P_r/‖π‖, not all of P_r.
 mutant routing-share-undivided crates/core/src/bundle.rs \
     'let routing_share = pr / set as f64;' \
@@ -87,6 +91,10 @@ mutant audit-last-link-unchecked crates/payment/src/audit.rs \
 mutant audit-record-skipped crates/payment/src/ledger.rs \
     'self.audit.push(op, payload);' \
     'let _ = (op, payload);'
+# An epoch net must sum to zero, not only stay clear of overflow.
+mutant epoch-net-sum-unchecked crates/payment/src/ledger.rs \
+    'if sum != Some(0) {' \
+    'if sum.is_none() {'
 # SHA-256's scalar σ0 rotates by 7. On a CPU with the SHA extensions the
 # scalar kernel runs only in the kernel-differential tests.
 mutant sha256-scalar-sigma0 crates/crypto/src/sha256.rs \
