@@ -73,8 +73,11 @@ impl Harness {
     /// Times `f` and records the measurement under `name`; a kernel the
     /// filter leaves out is neither run nor recorded.
     ///
-    /// Calibration: a batch runs as many iterations as the first (warm-up)
-    /// iteration says fill `TARGET_BATCH_NS`, and at least one; every
+    /// Warm-up: `f` runs at least once and for at least `TARGET_BATCH_NS`
+    /// of wall time, so a penalty the first calls of a process pay stays
+    /// out of the figure. Calibration: a batch runs as many iterations as
+    /// the last warm-up call says fill `TARGET_BATCH_NS`, and at least
+    /// one; every
     /// kernel, however slow, takes `DEFAULT_SAMPLES` batches. The reported
     /// figure is the median batch, divided by the batch iteration count.
     pub fn bench<R, F: FnMut() -> R>(&mut self, name: &str, mut f: F) {
@@ -85,10 +88,17 @@ impl Harness {
         {
             return;
         }
-        // Warm-up + calibration probe.
-        let probe_start = Instant::now();
-        black_box(f());
-        let probe_ns = probe_start.elapsed().as_nanos() as f64;
+        // Warm-up; its last call is the calibration probe. A smoke run
+        // makes one call.
+        let warm_start = Instant::now();
+        let probe_ns = loop {
+            let call_start = Instant::now();
+            black_box(f());
+            let call_ns = call_start.elapsed().as_nanos() as f64;
+            if smoke_mode() || warm_start.elapsed().as_nanos() as f64 >= TARGET_BATCH_NS {
+                break call_ns;
+            }
+        };
 
         if smoke_mode() {
             println!("bench {name:<44} smoke: 1 iter, not timed");

@@ -21,8 +21,6 @@ pub struct ForwarderTally {
     pub instances: u64,
     /// Sum of transmission costs incurred.
     pub transmission_cost: f64,
-    /// Whether the participation cost was charged.
-    pub participated: bool,
 }
 
 /// Accounting for one bundle: connections recorded hop by hop, payoffs
@@ -57,7 +55,6 @@ impl BundleAccounting {
             let t = self.tallies.entry(f).or_default();
             t.instances += 1;
             t.transmission_cost += cost;
-            t.participated = true;
         }
     }
 

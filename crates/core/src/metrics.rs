@@ -225,7 +225,6 @@ impl ReformationTracker {
 pub struct DeliveryTracker {
     scheduled: u64,
     delivered: u64,
-    abandoned: u64,
     retries: u64,
     latency_sum: f64,
     latency_count: u64,
@@ -246,11 +245,6 @@ impl DeliveryTracker {
     /// Registers one retry (a failed attempt with budget remaining).
     pub fn record_retry(&mut self) {
         self.retries += 1;
-    }
-
-    /// Registers a message whose retry budget ran out.
-    pub fn record_abandoned(&mut self) {
-        self.abandoned += 1;
     }
 
     /// Registers an end-to-end confirmed delivery. `latency` is the time
@@ -293,12 +287,6 @@ impl DeliveryTracker {
         self.latency_sum / self.latency_count as f64
     }
 
-    /// Messages that exhausted their retry budget.
-    #[must_use]
-    pub fn abandoned(&self) -> u64 {
-        self.abandoned
-    }
-
     /// Total retries across all messages.
     #[must_use]
     pub fn retries(&self) -> u64 {
@@ -311,15 +299,14 @@ impl DeliveryTracker {
         self.delivered
     }
 
-    /// Snapshot export: `(scheduled, delivered, abandoned, retries,
-    /// latency_sum bits, latency_count)` — the latency sum travels as its
+    /// Snapshot export: `(scheduled, delivered, retries, latency_sum bits,
+    /// latency_count)` — the latency sum travels as its
     /// bit pattern so the restored mean is bit-identical.
     #[must_use]
-    pub fn snapshot_state(&self) -> (u64, u64, u64, u64, u64, u64) {
+    pub fn snapshot_state(&self) -> (u64, u64, u64, u64, u64) {
         (
             self.scheduled,
             self.delivered,
-            self.abandoned,
             self.retries,
             self.latency_sum.to_bits(),
             self.latency_count,
@@ -328,14 +315,13 @@ impl DeliveryTracker {
 
     /// Rebuilds a tracker from a [`DeliveryTracker::snapshot_state`] export.
     #[must_use]
-    pub fn from_snapshot(state: (u64, u64, u64, u64, u64, u64)) -> Self {
+    pub fn from_snapshot(state: (u64, u64, u64, u64, u64)) -> Self {
         DeliveryTracker {
             scheduled: state.0,
             delivered: state.1,
-            abandoned: state.2,
-            retries: state.3,
-            latency_sum: f64::from_bits(state.4),
-            latency_count: state.5,
+            retries: state.2,
+            latency_sum: f64::from_bits(state.3),
+            latency_count: state.4,
         }
     }
 }
@@ -486,7 +472,6 @@ mod tests {
         assert_eq!(t.delivery_ratio(), 1.0);
         assert_eq!(t.retries_per_message(), 0.0);
         assert_eq!(t.reformation_latency(), 0.0);
-        assert_eq!(t.abandoned(), 0);
     }
 
     #[test]
@@ -499,12 +484,10 @@ mod tests {
         t.record_retry();
         t.record_retry();
         t.record_delivered(10.0, true); // two retries, 10 min late
-        t.record_retry();
-        t.record_abandoned(); // budget exhausted
+        t.record_retry(); // then the budget ran out
         assert_eq!(t.delivery_ratio(), 0.75);
         assert_eq!(t.retries_per_message(), 1.0);
         assert_eq!(t.reformation_latency(), 8.0);
-        assert_eq!(t.abandoned(), 1);
         assert_eq!(t.delivered(), 3);
         assert_eq!(t.retries(), 4);
     }

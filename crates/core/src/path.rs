@@ -30,9 +30,6 @@ pub struct PathOutcome {
     /// Transmission cost paid by each forwarder to its successor
     /// (`f_i → f_{i+1}` or `f_n → R`), parallel to `forwarders`.
     pub hop_costs: Vec<f64>,
-    /// Transmission cost the initiator paid for its own first hop
-    /// (`I → f_1`, or `I → R` on a direct connection).
-    pub initiator_cost: f64,
 }
 
 impl PathOutcome {
@@ -251,12 +248,8 @@ pub fn form_connection_pending(
     // Final delivery edge: current → R.
     hop_records.push((current, predecessor, contract.responder));
 
-    // Cost accounting: each path node pays the transmission cost of its
-    // outgoing edge; the first entry is the initiator's own cost.
-    let initiator_cost = {
-        let first_succ = forwarders.first().copied().unwrap_or(contract.responder);
-        view.transmission_cost(initiator, first_succ)
-    };
+    // Cost accounting: each forwarder pays the transmission cost of its
+    // outgoing edge.
     let hop_costs = forwarders
         .iter()
         .enumerate()
@@ -270,7 +263,6 @@ pub fn form_connection_pending(
         outcome: PathOutcome {
             forwarders,
             hop_costs,
-            initiator_cost,
         },
         hop_records,
     }
@@ -597,7 +589,6 @@ mod tests {
         let out = PathOutcome {
             forwarders: vec![NodeId(1), NodeId(2)],
             hop_costs: vec![1.0, 1.0],
-            initiator_cost: 1.0,
         };
         assert_eq!(
             out.edges(NodeId(0), NodeId(9)),
@@ -636,7 +627,7 @@ mod tests {
             &mut rng(5),
         );
         assert!(out.is_empty());
-        assert_eq!(out.initiator_cost, 1.0);
+        assert!(out.hop_costs.is_empty());
     }
 
     #[test]

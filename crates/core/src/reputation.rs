@@ -33,12 +33,6 @@ struct RelayFaults {
     flagged: bool,
 }
 
-/// Retired-archive snapshot rows, the shape
-/// [`EdgeReputation::snapshot_retired`] exports: `(relay, [(drops,
-/// timeouts, flagged) per shed identity, oldest first])`, sorted by relay
-/// index.
-pub type RetiredSnapshot = Vec<(usize, Vec<(u32, u32, bool)>)>;
-
 /// One initiator's private fault ledger over all potential relays.
 ///
 /// Scores decay harmonically with the observed fault count — one strike
@@ -53,18 +47,14 @@ pub type RetiredSnapshot = Vec<(usize, Vec<(u32, u32, bool)>)>;
 /// size. Entries appear only on a recorded fault or flag, so equality over
 /// the sparse map coincides with value equality of the dense ledger it
 /// replaced.
+///
 /// Whitewash semantics: when a relay sheds its identity and rejoins
-/// fresh, the ledger's *active* entry for it is archived into a retired
-/// list, not destroyed — the new identity reads clean (ρ = 1, nothing
-/// suppressed), but the evicted identity's evidence survives for audit
-/// and is carried bit-identically through snapshot/resume.
+/// fresh, the ledger drops its entry for it, so the new identity reads
+/// clean (ρ = 1, nothing suppressed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeReputation {
     n_nodes: usize,
     observed: HashMap<usize, RelayFaults, Mix64State>,
-    /// Archived observations of `v`'s shed identities, oldest first.
-    /// Empty for every relay until a whitewash is recorded.
-    retired: HashMap<usize, Vec<RelayFaults>, Mix64State>,
 }
 
 impl EdgeReputation {
@@ -74,7 +64,6 @@ impl EdgeReputation {
         EdgeReputation {
             n_nodes,
             observed: HashMap::default(),
-            retired: HashMap::default(),
         }
     }
 
@@ -139,47 +128,25 @@ impl EdgeReputation {
         f.flagged || f.drops + f.timeouts >= SUPPRESSION_FAULTS
     }
 
-    /// Archives the active entry for `v` — the whitewash: `v` rejoined
-    /// under a fresh identity, so its live reputation resets to clean while
-    /// the shed identity's evidence moves to the retired list. Returns
-    /// whether an entry was actually archived (a relay this initiator
-    /// never observed has nothing to shed). A no-op on a clean entry, so
-    /// sparse ledgers never materialize state for it.
-    pub fn whitewash(&mut self, v: NodeId) -> bool {
+    /// Drops the entry for `v` — the whitewash: `v` rejoined under a
+    /// fresh identity, so its reputation resets to clean. A no-op on a
+    /// clean entry, so sparse ledgers never materialize state for it.
+    pub fn whitewash(&mut self, v: NodeId) {
         assert!(v.index() < self.n_nodes, "relay {v} out of range");
-        match self.observed.remove(&v.index()) {
-            Some(entry) => {
-                self.retired.entry(v.index()).or_default().push(entry);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Total faults (drops + timeouts) across `v`'s shed identities.
-    #[must_use]
-    pub fn retired_fault_count(&self, v: NodeId) -> u32 {
-        self.retired
-            .get(&v.index())
-            .map_or(0, |gens| gens.iter().map(|f| f.drops + f.timeouts).sum())
+        self.observed.remove(&v.index());
     }
 
     /// Approximate heap footprint of the ledger, in bytes (sparse entries
     /// only — a clean ledger reports zero).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        // Entries and retired generations are counted by length, not
-        // allocated capacity: the estimate must be a pure function of the
-        // ledger's *value* so it survives snapshot/resume bit-identically.
-        // Capacity is not value-pure once whitewashing can remove active
-        // entries — a live map that grew past its current population and a
-        // freshly restored one hold the same value at different capacities.
+        // Entries are counted by length, not allocated capacity: the
+        // estimate must be a pure function of the ledger's *value* so it
+        // survives snapshot/resume bit-identically. Capacity is not
+        // value-pure once whitewashing can remove entries — a live map that
+        // grew past its current population and a freshly restored one hold
+        // the same value at different capacities.
         self.observed.len() * (std::mem::size_of::<RelayFaults>() + std::mem::size_of::<usize>())
-            + self
-                .retired
-                .values()
-                .map(|gens| gens.len() * std::mem::size_of::<RelayFaults>())
-                .sum::<usize>()
     }
 
     /// Snapshot export: `(relay, drops, timeouts, flagged)` for every relay
@@ -194,45 +161,6 @@ impl EdgeReputation {
             .collect();
         entries.sort_unstable_by_key(|e| e.0);
         entries
-    }
-
-    /// Snapshot export of the retired archive:
-    /// `(relay, [(drops, timeouts, flagged) per shed identity, oldest
-    /// first])`, sorted by relay index.
-    #[must_use]
-    pub fn snapshot_retired(&self) -> RetiredSnapshot {
-        let mut entries: RetiredSnapshot = self
-            .retired
-            .iter()
-            .map(|(&v, gens)| {
-                (
-                    v,
-                    gens.iter()
-                        .map(|f| (f.drops, f.timeouts, f.flagged))
-                        .collect(),
-                )
-            })
-            .collect();
-        entries.sort_unstable_by_key(|e| e.0);
-        entries
-    }
-
-    /// Restores the retired archive from a
-    /// [`EdgeReputation::snapshot_retired`] export. Callers must have
-    /// validated `v < n_nodes` for every entry (the snapshot decoder does).
-    pub fn restore_retired(&mut self, entries: &RetiredSnapshot) {
-        for (v, gens) in entries {
-            self.retired.insert(
-                *v,
-                gens.iter()
-                    .map(|&(drops, timeouts, flagged)| RelayFaults {
-                        drops,
-                        timeouts,
-                        flagged,
-                    })
-                    .collect(),
-            );
-        }
     }
 
     /// Rebuilds a ledger from a [`EdgeReputation::snapshot_entries`] export.
@@ -285,54 +213,24 @@ mod tests {
     }
 
     #[test]
-    fn whitewash_resets_active_entry_but_archives_evidence() {
+    fn whitewash_drops_the_entry_so_the_relay_reads_clean() {
         let mut rep = EdgeReputation::new(4);
         rep.record_drop(NodeId(1));
         rep.record_timeout(NodeId(1));
         rep.flag_cheater(NodeId(1));
+        rep.record_drop(NodeId(3));
         assert!(rep.is_suppressed(NodeId(1)));
 
-        assert!(rep.whitewash(NodeId(1)), "an observed entry is archived");
-        // The fresh identity reads clean…
+        rep.whitewash(NodeId(1));
+        // The fresh identity reads clean; other relays keep their entries.
         assert_eq!(rep.score(NodeId(1)), 1.0);
         assert!(!rep.is_suppressed(NodeId(1)));
-        assert!(rep.snapshot_entries().is_empty());
-        // …but the shed identity's evidence survives.
-        assert_eq!(rep.snapshot_retired(), vec![(1, vec![(1, 1, true)])]);
-        assert_eq!(rep.retired_fault_count(NodeId(1)), 2);
+        assert_eq!(rep.snapshot_entries(), vec![(3, 1, 0, false)]);
+        assert_eq!(rep, EdgeReputation::from_snapshot(4, &[(3, 1, 0, false)]));
 
-        // Whitewashing a never-observed relay archives nothing.
-        assert!(!rep.whitewash(NodeId(2)));
-        assert_eq!(rep.retired_fault_count(NodeId(2)), 0);
-        assert_eq!(rep.snapshot_retired().len(), 1);
-
-        // A second strike-and-wash stacks a second generation.
-        rep.record_drop(NodeId(1));
-        assert!(rep.whitewash(NodeId(1)));
-        assert_eq!(
-            rep.snapshot_retired(),
-            vec![(1, vec![(1, 1, true), (1, 0, false)])]
-        );
-        assert_eq!(rep.retired_fault_count(NodeId(1)), 3);
-    }
-
-    #[test]
-    fn retired_archive_round_trips_through_snapshot() {
-        let mut rep = EdgeReputation::new(5);
-        rep.record_drop(NodeId(3));
-        rep.whitewash(NodeId(3));
-        rep.record_timeout(NodeId(3));
-        rep.flag_cheater(NodeId(0));
-        rep.whitewash(NodeId(0));
-
-        let mut restored = EdgeReputation::from_snapshot(5, &rep.snapshot_entries());
-        restored.restore_retired(&rep.snapshot_retired());
-        assert_eq!(rep, restored);
-        assert_eq!(restored.retired_fault_count(NodeId(3)), 1);
-        assert_eq!(
-            restored.snapshot_retired(),
-            vec![(0, vec![(0, 0, true)]), (3, vec![(1, 0, false)])]
-        );
+        // Whitewashing a never-observed relay changes nothing.
+        rep.whitewash(NodeId(2));
+        assert_eq!(rep.snapshot_entries(), vec![(3, 1, 0, false)]);
     }
 
     #[test]

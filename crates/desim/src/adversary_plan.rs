@@ -39,8 +39,7 @@ pub struct AdversaryConfig {
     pub free_rider_fraction: f64,
     /// Fraction of nodes that whitewash: on a seeded renewal schedule they
     /// rejoin as a fresh identity, clearing every reputation ledger's
-    /// active entry for them (the evicted identity's evidence is archived,
-    /// not destroyed).
+    /// entry for them.
     pub whitewash_fraction: f64,
     /// Mean minutes between one whitewasher's identity rejoins.
     pub whitewash_interval: f64,

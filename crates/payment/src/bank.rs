@@ -36,6 +36,9 @@ pub enum DepositError {
     DoubleSpend,
     /// The target account does not exist.
     UnknownAccount,
+    /// The deposit exceeds the outstanding bearer liability: it would
+    /// credit value no withdrawal put into circulation.
+    ExceedsOutstanding,
 }
 
 /// Error applying an epoch's netted balance deltas.

@@ -36,6 +36,8 @@ pub enum ApplyError {
     InsufficientFunds,
     /// The deposit's serial is already in the replayed spent set.
     DoubleSpend,
+    /// A deposit exceeds the replayed outstanding bearer liability.
+    ExceedsOutstanding,
     /// A credit would overflow a balance.
     BalanceOverflow,
     /// An epoch net's deltas do not sum to zero.
@@ -184,8 +186,9 @@ impl Ledger {
         Ok(())
     }
 
-    /// Credits a deposited serial's face value: rejects unknown accounts
-    /// and double spends (the signature check lives in [`crate::Bank`]).
+    /// Credits a deposited serial's face value: rejects unknown accounts,
+    /// double spends and a value above the outstanding liability (the
+    /// signature check lives in [`crate::Bank`]).
     pub fn deposit_serial(
         &mut self,
         account: AccountId,
@@ -198,13 +201,16 @@ impl Ledger {
         if self.spent.contains(&serial) {
             return Err(DepositError::DoubleSpend);
         }
+        let Some(outstanding) = self.outstanding.checked_sub(value) else {
+            return Err(DepositError::ExceedsOutstanding);
+        };
         self.record(LedgerOp::Deposit {
             account,
             serial,
             value,
         });
         self.spent.insert(serial);
-        self.outstanding = self.outstanding.saturating_sub(value);
+        self.outstanding = outstanding;
         *self.accounts.get_mut(&account).expect("checked above") += value;
         self.total_balance += u128::from(value);
         Ok(())
@@ -436,6 +442,7 @@ impl From<DepositError> for ApplyError {
         match e {
             DepositError::UnknownAccount => ApplyError::UnknownAccount,
             DepositError::DoubleSpend => ApplyError::DoubleSpend,
+            DepositError::ExceedsOutstanding => ApplyError::ExceedsOutstanding,
             // The ledger never checks signatures; unreachable by
             // construction, mapped defensively.
             DepositError::InvalidSignature => ApplyError::UnknownAccount,
@@ -699,6 +706,38 @@ mod tests {
         assert!(!report.is_clean(), "{report:?}");
         assert_eq!(report.records_replayed, 1);
         assert!(report.defect.unwrap().contains("NotZeroSum"));
+        assert_eq!(r.balance(AccountId(0)), Some(100));
+        assert!(r.conservation_holds());
+    }
+
+    #[test]
+    fn a_deposit_must_be_backed_by_a_withdrawal() {
+        let mut l = Ledger::new();
+        l.attach_wal(Wal::new());
+        let a = l.open_account(100);
+        l.withdraw(a, 3).unwrap();
+        let before = l.digest();
+        assert_eq!(
+            l.deposit_serial(a, serial(5), 5),
+            Err(DepositError::ExceedsOutstanding)
+        );
+        assert_eq!(l.digest(), before, "a rejected deposit leaves no trace");
+        l.deposit_serial(a, serial(5), 3).unwrap();
+        assert_eq!(l.outstanding(), 0);
+
+        // Replay applies the same check: a log that deposits a token no
+        // one withdrew stops before that record.
+        let mut wal = Wal::new();
+        wal.append(&LedgerOp::Open { balance: 100 });
+        wal.append(&LedgerOp::Deposit {
+            account: AccountId(0),
+            serial: serial(5),
+            value: 5,
+        });
+        let (r, report) = Ledger::recover(wal.committed_bytes());
+        assert!(!report.is_clean(), "{report:?}");
+        assert_eq!(report.records_replayed, 1);
+        assert!(report.defect.unwrap().contains("ExceedsOutstanding"));
         assert_eq!(r.balance(AccountId(0)), Some(100));
         assert!(r.conservation_holds());
     }

@@ -69,8 +69,8 @@ fn service_main(args: &[String]) -> ExitCode {
     println!("- delivery ratio: {:.4}", result.delivery_ratio);
     println!("- avg good payoff: {:.3}", result.avg_good_payoff);
     println!("- interrupted: {}", result.interrupted);
-    println!("- audit chain verified: {}", result.audit_chain_verified);
     if result.bank_wal_records > 0 {
+        println!("- audit chain verified: {}", result.audit_chain_verified);
         println!(
             "- bank WAL: {} records / {} bytes, {} crashes ({} torn), {} records replayed",
             result.bank_wal_records,
@@ -83,6 +83,8 @@ fn service_main(args: &[String]) -> ExitCode {
             "- bank invariants: {} checks, {} violations, ledger digest {:#018x}",
             result.bank_monitor_checks, result.bank_monitor_violations, result.bank_ledger_digest
         );
+    } else {
+        println!("- audit chain: none kept (no --bank-durability wal)");
     }
     if !result.windowed_delivery_ratio.is_empty() {
         println!("\nwindow,delivery_ratio,payoff_rate,retry_rate");

@@ -96,8 +96,8 @@ pub enum Ev {
     },
     /// A whitewash rejoin (`--adversary-whitewash`): this node sheds its
     /// accumulated reputation by rejoining under a fresh identity — every
-    /// active ledger entry against it is archived (the evidence survives),
-    /// and its probe-distrust mask is cleared.
+    /// ledger entry against it is dropped, and its probe-distrust mask is
+    /// cleared.
     Whitewash(usize),
 }
 
@@ -363,8 +363,6 @@ pub(crate) struct AdversaryCounters {
     pub(crate) whitewash_events: u64,
     /// Rejoins that escaped at least one active suppression.
     pub(crate) whitewash_evasions: u64,
-    /// Ledger entries archived by whitewashes.
-    pub(crate) whitewash_archived: u64,
     /// Transmission attempts ghosted by free-riding forwarders.
     pub(crate) free_rider_refusals: u64,
     /// Phantom forwarding instances injected by clique forgery.
@@ -383,9 +381,8 @@ pub(crate) struct SettlementState {
     /// Per-pair receipt-backed (payable) instances over all closed
     /// windows.
     pub(crate) validated: Vec<u64>,
-    /// `(pair, forwarder)` for every forwarder a closed window of that
-    /// pair flagged.
-    pub(crate) flagged: BTreeSet<(usize, usize)>,
+    /// Every forwarder a closed window flagged.
+    pub(crate) flagged: BTreeSet<usize>,
     /// Phantom instances withheld by the cross-confirmation check across
     /// all closed windows.
     pub(crate) phantom_flagged: u64,
@@ -445,7 +442,7 @@ impl FaultRuntime {
             st.validated[pair] += report.validated_instances;
             st.phantom_flagged += report.phantom_instances;
             st.flagged
-                .extend(report.flagged.iter().map(|a| (pair, a.0 as usize)));
+                .extend(report.flagged.iter().map(|a| a.0 as usize));
             for (a, c) in &report.paid_counts {
                 *paid.entry(a.0).or_insert(0) += c;
             }
@@ -500,7 +497,6 @@ impl FaultRuntime {
                 self.plan.next_bank_up(paid_at) - t
             })
             .collect();
-        let flagged: BTreeSet<usize> = st.flagged.iter().map(|&(_, f)| f).collect();
         SettlementSummary {
             shortfall: if expected == 0 {
                 0.0
@@ -512,7 +508,7 @@ impl FaultRuntime {
             } else {
                 delays.iter().sum::<f64>() / delays.len() as f64
             },
-            flagged: flagged.into_iter().collect(),
+            flagged: st.flagged.iter().copied().collect(),
             discrepancies,
             phantom_flagged: st.phantom_flagged,
             epochs_settled: st.epochs_settled,
@@ -574,7 +570,6 @@ pub struct SimulationRun {
     pub(crate) bundles: Vec<BundleAccounting>,
     pub(crate) trackers: Vec<ReformationTracker>,
     pub(crate) attacks: Vec<IntersectionAttack>,
-    pub(crate) initiator_costs: Vec<f64>,
     quality: EdgeQuality,
     pub(crate) routing_rng: Xoshiro256StarStar,
     /// Source of position-keyed draws: probe first sightings and
@@ -670,7 +665,6 @@ impl SimulationRun {
             bundles: vec![BundleAccounting::new(); n_pairs],
             trackers: vec![ReformationTracker::new(); n_pairs],
             attacks: vec![IntersectionAttack::new(); n_pairs],
-            initiator_costs: vec![0.0; n_pairs],
             routing_rng: streams.stream("routing"),
             streams,
             connections: 0,
@@ -1031,8 +1025,6 @@ impl SimulationRun {
                             attempt: attempt + 1,
                         },
                     );
-                } else {
-                    fr.delivery.record_abandoned();
                 }
             }
         }
@@ -1059,7 +1051,6 @@ impl SimulationRun {
         pending.commit(bundle, conn, &mut self.histories);
         let outcome = pending.into_outcome();
         self.connections += 1;
-        self.initiator_costs[pair] += outcome.initiator_cost;
         self.trackers[pair].record(&outcome.edges(wl.initiator, responder));
         if let Some(w) = self.windows.as_mut() {
             w.record_delivered(now.minutes());
@@ -1387,10 +1378,9 @@ impl SimulationRun {
         }
     }
 
-    /// A whitewash rejoin: archives every active ledger entry against the
-    /// node (the fresh identity reads clean; the evidence survives in the
-    /// retired archives) and clears its probe-distrust mask — the distrust
-    /// was earned by the shed identity. Counted as an evasion when at
+    /// A whitewash rejoin: drops every ledger entry against the node (the
+    /// fresh identity reads clean) and clears its probe-distrust mask — the
+    /// distrust was earned by the shed identity. Counted as an evasion when at
     /// least one ledger was actively suppressing the node.
     fn handle_whitewash(&mut self, node: usize) {
         let Some(fr) = self.fault.as_mut() else {
@@ -1399,9 +1389,8 @@ impl SimulationRun {
         if fr.adversary.is_none() {
             return;
         }
-        let (archived, evaded) = fr.reputation.whitewash_node(NodeId(node));
+        let evaded = fr.reputation.whitewash_node(NodeId(node));
         fr.adv.whitewash_events += 1;
-        fr.adv.whitewash_archived += archived as u64;
         if evaded > 0 {
             fr.adv.whitewash_evasions += 1;
         }

@@ -77,30 +77,22 @@ impl ReputationStore {
             .sum()
     }
 
-    /// Whitewashes relay `v` across every materialized ledger: each
-    /// active entry for `v` is archived into its ledger's retired store
-    /// (see [`EdgeReputation::whitewash`]) so the fresh identity reads
-    /// clean while the evidence survives. An absent ledger is the clean
-    /// ledger and holds nothing for `v`, so skipping it changes nothing.
+    /// Whitewashes relay `v` across every materialized ledger: each drops
+    /// its entry for `v` (see [`EdgeReputation::whitewash`]), so the fresh
+    /// identity reads clean. An absent ledger is the clean ledger and holds
+    /// nothing for `v`, so skipping it changes nothing.
     ///
-    /// Returns `(archived, evaded)`: how many ledgers held an active
-    /// entry for `v`, and in how many of those `v` was suppressed at the
-    /// moment of the wash — the suppression the fresh identity escapes.
-    /// Both are order-independent sums, and the wash of one ledger never
-    /// reads another, so the map's iteration order cannot show.
-    pub fn whitewash_node(&mut self, v: idpa_overlay::NodeId) -> (usize, usize) {
-        let mut archived = 0usize;
-        let mut evaded = 0usize;
+    /// Returns in how many ledgers `v` was suppressed at the moment of the
+    /// wash — the suppression the fresh identity escapes. The count is an
+    /// order-independent sum, and the wash of one ledger never reads
+    /// another, so the map's iteration order cannot show.
+    pub fn whitewash_node(&mut self, v: idpa_overlay::NodeId) -> usize {
+        let mut evaded = 0;
         for ledger in self.ledgers.values_mut() {
-            let suppressed = ledger.is_suppressed(v);
-            if ledger.whitewash(v) {
-                archived += 1;
-                if suppressed {
-                    evaded += 1;
-                }
-            }
+            evaded += usize::from(ledger.is_suppressed(v));
+            ledger.whitewash(v);
         }
-        (archived, evaded)
+        evaded
     }
 
     /// Snapshot export: `(initiator, ledger entries)` for every
@@ -116,43 +108,11 @@ impl ReputationStore {
         out.sort_unstable_by_key(|e| e.0);
         out
     }
-
-    /// Snapshot export of the retired (whitewashed) archives:
-    /// `(initiator, retired rows)` for every ledger holding at least one
-    /// retired generation, sorted by initiator index.
-    #[must_use]
-    pub fn snapshot_retired(&self) -> Vec<(usize, RetiredEntries)> {
-        let mut out: Vec<(usize, RetiredEntries)> = self
-            .ledgers
-            .iter()
-            .map(|(&i, l)| (i, l.snapshot_retired()))
-            .filter(|(_, r)| !r.is_empty())
-            .collect();
-        out.sort_unstable_by_key(|e| e.0);
-        out
-    }
-
-    /// Restores retired archives exported by
-    /// [`ReputationStore::snapshot_retired`]. Every initiator in the
-    /// export had a materialized ledger at snapshot time (an archive is
-    /// only ever created by washing a materialized active entry), so
-    /// materializing through `get_mut` reproduces the interrupted run's
-    /// residency exactly.
-    pub fn restore_retired(&mut self, entries: &[(usize, RetiredEntries)]) {
-        for (i, rows) in entries {
-            self.get_mut(*i).restore_retired(rows);
-        }
-    }
 }
 
 /// One ledger's snapshot rows: `(relay, drops, timeouts, flagged)` per
 /// recorded relay — the shape [`EdgeReputation::snapshot_entries`] exports.
 pub type LedgerEntries = Vec<(usize, u32, u32, bool)>;
-
-/// One ledger's retired archive rows: per relay, the
-/// `(drops, timeouts, flagged)` of each whitewashed generation in wash
-/// order — the shape [`EdgeReputation::snapshot_retired`] exports.
-pub type RetiredEntries = Vec<(usize, Vec<(u32, u32, bool)>)>;
 
 /// The idle-eviction sweeper (present only when
 /// [`crate::ScenarioConfig::evict_idle_ticks`] is set).
@@ -253,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn whitewash_node_archives_and_counts_evasions() {
+    fn whitewash_node_clears_the_relay_and_counts_evasions() {
         let mut store = ReputationStore::new(5);
         // Suppress node 4 in ledger 2, record-but-not-suppress it in
         // ledger 0, and leave ledger 1 untouched.
@@ -261,19 +221,21 @@ mod tests {
             store.get_mut(2).record_drop(NodeId(4));
         }
         store.get_mut(0).record_timeout(NodeId(4));
-        assert_eq!(store.whitewash_node(NodeId(4)), (2, 1));
-        // Second wash: nothing active remains anywhere.
-        assert_eq!(store.whitewash_node(NodeId(4)), (0, 0));
-        assert_eq!(store.snapshot_retired().len(), 2);
+        store.get_mut(0).record_drop(NodeId(1));
+        assert_eq!(store.whitewash_node(NodeId(4)), 1);
+        // Second wash: nothing remains to escape.
+        assert_eq!(store.whitewash_node(NodeId(4)), 0);
         assert_eq!(store.materialized(), 2, "washing never materializes");
-        // Fresh identity reads clean; the evidence survived.
-        assert!(!store.get(2).is_suppressed(NodeId(4)));
-        assert_eq!(store.get(2).score(NodeId(4)), 1.0);
-        assert_eq!(store.get(2).retired_fault_count(NodeId(4)), 3);
-        // Round trip through a fresh store.
-        let mut restored = ReputationStore::new(5);
-        restored.restore_retired(&store.snapshot_retired());
-        assert_eq!(restored.snapshot_retired(), store.snapshot_retired());
+        // The fresh identity reads clean everywhere; other relays keep
+        // their entries.
+        for i in 0..5 {
+            assert!(!store.get(i).is_suppressed(NodeId(4)));
+            assert_eq!(store.get(i).score(NodeId(4)), 1.0);
+        }
+        assert_eq!(
+            store.snapshot_ledgers(),
+            vec![(0, vec![(1, 1, 0, false)]), (2, vec![])]
+        );
     }
 
     #[test]

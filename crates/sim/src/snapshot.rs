@@ -1,16 +1,29 @@
 //! The versioned, checksummed snapshot codec for crash-safe service runs.
 //!
 //! [`encode`] serializes the mutable trajectory state of a
-//! [`SimulationRun`] plus its [`Engine`] that the run cannot re-derive —
-//! the calendar with original sequence numbers, the sequential routing RNG
-//! cursor, the history arena, the bundle/tracker/attack accumulators, the
-//! keys of the resident probe cells, the fault runtime (delivery counters,
-//! unsettled evidence, fault ledgers, settlement totals, the durable bank)
-//! and the windowed-metrics buckets — into one framed byte buffer
-//! ([`idpa_desim::codec::frame`]: magic, version, length, word-wise FNV-1a
-//! checksum), encoded in place behind the frame header. [`restore`]
-//! rebuilds a run that continues **bit-identically** to the uninterrupted
-//! one.
+//! [`SimulationRun`] plus its [`Engine`] that the run cannot re-derive
+//! into one framed byte buffer ([`idpa_desim::codec::frame`]: magic,
+//! version, length, word-wise FNV-1a checksum), encoded in place behind
+//! the frame header. The sections, in order:
+//!
+//! 1. the scenario fingerprint;
+//! 2. the engine clock and event count, and the calendar with its
+//!    original sequence numbers;
+//! 3. the sequential routing RNG cursor and the connection count;
+//! 4. the crash overlay;
+//! 5. the per-pair transmission times;
+//! 6. per pair, the bundle tallies, the reformation tracker and the
+//!    intersection attack;
+//! 7. the history arena cells;
+//! 8. the keys of the resident probe cells and their residency counters;
+//! 9. the idle-eviction sweep tick and the windowed-metrics buckets;
+//! 10. under a fault runtime: delivery counters, per-pair completion
+//!     times, fault ledgers, probe-invalidation horizons, unsettled
+//!     evidence, settlement totals and flagged forwarders, adversary
+//!     counters and the durable bank.
+//!
+//! [`restore`] rebuilds a run that continues **bit-identically** to the
+//! uninterrupted one.
 //!
 //! Each section's layout is stated once, by its type: a `Wire` value
 //! `put`s itself and `take`s itself back, and a sequence checks its
@@ -62,7 +75,7 @@ use crate::durability::{BankDurabilityState, DurabilityCounters};
 use crate::error::SimError;
 use crate::runner::{AdversaryCounters, Ev, SimulationRun};
 use crate::scenario::{ScenarioConfig, SettlementMode};
-use crate::slab::{LedgerEntries, NodeSlab, RetiredEntries};
+use crate::slab::{LedgerEntries, NodeSlab};
 use crate::window::WindowCollector;
 use crate::world::World;
 
@@ -71,9 +84,11 @@ use crate::world::World;
 /// [`idpa_desim::CodecError::UnsupportedVersion`] instead of misdecoding
 /// or resuming over a different world (versions 7 and 9 kept every byte
 /// of the layout but changed how the world derives). The frame pins in
-/// `tests/snapshot_hardening.rs` fail on any layout change. Version 12
-/// writes each probe cell as (node, synced tick).
-pub const SNAPSHOT_VERSION: u32 = 12;
+/// `tests/snapshot_hardening.rs` fail on any layout change. Version 13
+/// drops the initiator costs, the retired reputation archives, the
+/// abandoned-message and archived-entry counters, the tally participation
+/// flag and the pair of each flagged forwarder.
+pub const SNAPSHOT_VERSION: u32 = 13;
 
 /// The scenario fingerprint a snapshot is bound to: FNV-1a over the
 /// config's `Debug` rendering. Every field participates, including the
@@ -262,7 +277,7 @@ macro_rules! wire_struct {
 }
 wire_struct! {
     AccountId { 0: u64 }
-    ForwarderTally { instances: u64, transmission_cost: f64, participated: bool }
+    ForwarderTally { instances: u64, transmission_cost: f64 }
     HistoryRecord { connection: u32, predecessor: NodeId, successor: NodeId }
     Residency { materialized: usize, peak: usize, evictions: u64, bytes: usize, peak_bytes: usize }
     ProbeCellsSnapshot { cells: Vec<(usize, u64)>, stats: Residency }
@@ -276,7 +291,6 @@ wire_struct! {
     AdversaryCounters {
         whitewash_events: u64,
         whitewash_evasions: u64,
-        whitewash_archived: u64,
         free_rider_refusals: u64,
         phantom_injected: u64
     }
@@ -363,11 +377,10 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
     (cal.next_seq(), cal.snapshot_entries()).put(e);
 
     // The sequential routing RNG cursor (every other draw is
-    // position-keyed and needs no state), the crash overlay (empty when
-    // faults are off) and the initiator costs.
+    // position-keyed and needs no state) and the crash overlay (empty when
+    // faults are off).
     (run.routing_rng.state(), run.connections).put(e);
     run.crashed_until.put(e);
-    run.initiator_costs.put(e);
 
     // Per-pair transmission times. Closed mode regenerates these
     // identically from the seed, but the open workload appends each live
@@ -396,10 +409,7 @@ pub fn encode(run: &SimulationRun, engine: &Engine<Ev>) -> Vec<u8> {
     };
     fr.delivery.snapshot_state().put(e);
     fr.last_completion.put(e);
-    // Fault ledgers, then the retired (whitewashed) archives — dynamic
-    // evidence that must survive a resume bit-identically.
     fr.reputation.snapshot_ledgers().put(e);
-    fr.reputation.snapshot_retired().put(e);
     fr.probe_invalid.snapshot_state().put(e);
 
     // Only the evidence no window has settled yet (always none under
@@ -473,9 +483,6 @@ pub fn restore(
     run.crashed_until = take(d, b)?;
     check(run.crashed_until.len() == n_crashed, "crash overlay length")?;
     check(run.crashed_until.iter().all(|&t| t >= 0.0), "crash horizon")?;
-    run.initiator_costs = take(d, b)?;
-    let ok = run.initiator_costs.len() == b.pairs;
-    check(ok, "initiator cost length")?;
 
     let n_pairs = d.seq_len(<Vec<f64>>::MIN_BYTES)?;
     check(n_pairs == b.pairs, "workload pair count")?;
@@ -530,8 +537,8 @@ pub fn restore(
 
     check(d.bool()? == run.fault.is_some(), "fault block presence")?;
     if let Some(fr) = &mut run.fault {
-        let delivery: (u64, u64, u64, u64, u64, u64) = take(d, b)?;
-        check(f64::from_bits(delivery.4).is_finite(), "latency sum")?;
+        let delivery: (u64, u64, u64, u64, u64) = take(d, b)?;
+        check(f64::from_bits(delivery.3).is_finite(), "latency sum")?;
         fr.delivery = DeliveryTracker::from_snapshot(delivery);
         fr.last_completion = take(d, b)?;
         let ok = fr.last_completion.len() == b.pairs;
@@ -543,12 +550,6 @@ pub fn restore(
             ascending(entries.iter().map(|e| e.0), b.nodes, "ledger relay order")?;
             *fr.reputation.get_mut(initiator) = EdgeReputation::from_snapshot(b.nodes, &entries);
         }
-        let retired: Vec<(usize, RetiredEntries)> = take(d, b)?;
-        ascending(retired.iter().map(|r| r.0), b.nodes, "retired order")?;
-        for (_, relays) in &retired {
-            ascending(relays.iter().map(|r| r.0), b.nodes, "retired relay order")?;
-        }
-        fr.reputation.restore_retired(&retired);
 
         let until: Vec<f64> = take(d, b)?;
         check(until.len() == b.nodes, "probe invalidation length")?;
@@ -571,9 +572,8 @@ pub fn restore(
         for slot in st.expected.iter_mut().chain(&mut st.validated) {
             *slot = take(d, b)?;
         }
-        let flagged: Vec<(usize, usize)> = take(d, b)?;
-        ascending(flagged.iter().copied(), (b.pairs, 0), "flagged order")?;
-        check(flagged.iter().all(|f| f.1 < b.nodes), "flagged forwarder")?;
+        let flagged: Vec<usize> = take(d, b)?;
+        ascending(flagged.iter().copied(), b.nodes, "flagged order")?;
         st.flagged = flagged.into_iter().collect();
         (st.epochs_settled, st.payout_ops, st.batch_ops) = take(d, b)?;
         (st.receipts_netted, st.phantom_flagged) = take(d, b)?;
@@ -810,14 +810,13 @@ mod tests {
         }
     }
 
-    /// The sections in front of the initiator costs: fingerprint, clock,
-    /// calendar, routing RNG and connection count, crash overlay.
-    type BeforeCosts = (
+    /// The sections in front of the crash overlay: fingerprint, clock,
+    /// calendar, routing RNG and connection count.
+    type BeforeCrashes = (
         u64,
         (SimTime, u64),
         (u64, Vec<(SimTime, u64, Ev)>),
         ([u64; 4], u64),
-        Vec<f64>,
     );
     /// One bundle's accounting section.
     type Bundle = (Vec<(NodeId, ForwarderTally)>, u32, u64);
@@ -875,7 +874,7 @@ mod tests {
         let (n_pairs, n_trackers, n_attacks) =
             (run.bundles.len(), run.trackers.len(), run.attacks.len());
         let before_bundles =
-            |d: &mut Dec, b: &Bounds| skip::<(BeforeCosts, Vec<f64>, Vec<Vec<f64>>)>(d, b);
+            |d: &mut Dec, b: &Bounds| skip::<(BeforeCrashes, Vec<f64>, Vec<Vec<f64>>)>(d, b);
         let before_slab = |d: &mut Dec, b: &Bounds| {
             before_bundles(d, b);
             (0..n_pairs).for_each(|_| skip::<Bundle>(d, b));
@@ -903,15 +902,21 @@ mod tests {
             ),
             (
                 "non-finite float",
-                retake(&frame, b, skip::<BeforeCosts>, |costs: &mut Vec<f64>| {
-                    costs[0] = f64::NAN
-                }),
+                retake(
+                    &frame,
+                    b,
+                    skip::<BeforeCrashes>,
+                    |crashed: &mut Vec<f64>| crashed[0] = f64::NAN,
+                ),
             ),
             (
-                "initiator cost length",
-                retake(&frame, b, skip::<BeforeCosts>, |costs: &mut Vec<f64>| {
-                    costs.push(1.0)
-                }),
+                "crash overlay length",
+                retake(
+                    &frame,
+                    b,
+                    skip::<BeforeCrashes>,
+                    |crashed: &mut Vec<f64>| crashed.push(0.0),
+                ),
             ),
             (
                 "node index",

@@ -7,11 +7,11 @@
 //!    run is bit-identical to the pre-adversary-layer build: the pinned
 //!    fingerprints of `common::BASELINE` must keep reproducing across
 //!    idle-eviction windows.
-//! 2. **Whitewash rejoin properties** — a rejoin archives the shed
-//!    identity's evidence (it is never destroyed) and the fresh identity's
-//!    ledger starts clean; the archives survive snapshot/resume
-//!    bit-identically at arbitrary interrupt points, composing with the
-//!    full service-mode matrix (≥ 256 cases, count asserted).
+//! 2. **Whitewash rejoin properties** — a rejoin drops every ledger entry
+//!    against the shed identity, so the fresh identity starts clean; the
+//!    ledgers and counters survive snapshot/resume bit-identically at
+//!    arbitrary interrupt points, composing with the full service-mode
+//!    matrix (≥ 256 cases, count asserted).
 //! 3. **Clique detection** — at paper scale the cross-confirmation check
 //!    flags at least 90% of phantom-forwarding payouts; without it every
 //!    phantom is paid.
@@ -91,9 +91,9 @@ fn interrupt_resume_matches(cfg: &ScenarioConfig, budget: u64, baseline: &RunRes
 /// live whitewashers (and the background drop faults that give their shed
 /// ledgers something to escape) is deterministic, fires its rejoin
 /// schedule, and survives snapshot/resume at arbitrary interrupt points
-/// bit-identically — the archived evidence of every evicted identity
-/// included, since any archive drift would desynchronize the resumed
-/// suppression decisions and fail the result equality.
+/// bit-identically — the ledgers included, since any ledger drift would
+/// desynchronize the resumed suppression decisions and fail the result
+/// equality.
 #[test]
 fn whitewash_rejoins_survive_snapshot_resume_across_the_matrix() {
     let mut cases = 0usize;
@@ -128,7 +128,7 @@ fn whitewash_rejoins_survive_snapshot_resume_across_the_matrix() {
                         );
                         // Determinism: re-execution is bit-identical.
                         assert_eq!(baseline, SimulationRun::execute(cfg));
-                        // Crash anywhere, resume, same result — archives
+                        // Crash anywhere, resume, same result — ledgers
                         // and counters included.
                         let budget = 40 + (cases as u64 * 53) % 500;
                         interrupt_resume_matches(&cfg, budget, &baseline);

@@ -81,12 +81,12 @@ fn scenarios() -> Vec<ScenarioConfig> {
 
 /// `fnv1a_64` of `mid_run_snapshot` for each of [`scenarios`], in order.
 const FRAME_PINS: [u64; 6] = [
-    0xbc48_4cf4_a43a_1c05,
-    0x8581_f5b0_dd37_9749,
-    0x3ae6_a484_2366_dbf6,
-    0x9af2_8d3f_e79f_a4c2,
-    0x6e8e_b5ca_3456_4ddb,
-    0x8a02_3d6b_f4c7_c631,
+    0x9750_283a_e05b_4800,
+    0xbf31_4669_300e_205c,
+    0x2e8a_655a_92fe_c842,
+    0xc18e_e1f0_a9e5_e829,
+    0xc73b_a833_2955_f6f0,
+    0x3a2f_976e_7cfa_e9d6,
 ];
 
 /// `base` with the durable bank on, real settlement traffic and seeded

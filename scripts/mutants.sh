@@ -113,6 +113,10 @@ mutant receipt-forwarder-unchecked crates/payment/src/validation.rs \
 mutant escrow-overclaim-unchecked crates/payment/src/escrow.rs \
     'if owed > self.funded {' \
     'if false {'
+# A deposit never credits more than the outstanding bearer liability.
+mutant deposit-outstanding-unchecked crates/payment/src/ledger.rs \
+    'let Some(outstanding) = self.outstanding.checked_sub(value) else {' \
+    'let Some(outstanding) = Some(self.outstanding.saturating_sub(value)) else {'
 # A deposit verifies the token's bank signature.
 mutant deposit-signature-unchecked crates/payment/src/bank.rs \
     'if !token.verify(self.keys.public()) {' \
@@ -126,6 +130,11 @@ mutant adaptive-never-retries crates/sim/src/runner.rs \
 mutant adaptive-cheater-feedback-off crates/sim/src/runner.rs \
     'if fr.adaptive() && corrupt_from.is_some() {' \
     'if false && corrupt_from.is_some() {'
+# A whitewash drops the relay's ledger entry, so the fresh identity
+# reads clean.
+mutant whitewash-keeps-entry crates/core/src/reputation.rs \
+    'self.observed.remove(&v.index());' \
+    ''
 # Snapshot decoding: a sorted export must ascend strictly, ...
 mutant snapshot-keys-not-strict crates/sim/src/snapshot.rs \
     'is_sorted_by(|a, b| a < b)' \
@@ -140,8 +149,8 @@ mutant snapshot-nan-accepted crates/sim/src/snapshot.rs \
     ''
 # ... a per-node or per-pair sequence must have exactly that length, ...
 mutant snapshot-length-unchecked crates/sim/src/snapshot.rs \
-    'let ok = run.initiator_costs.len() == b.pairs;' \
-    'let ok = true;'
+    'check(run.crashed_until.len() == n_crashed, "crash overlay length")?;' \
+    ''
 # ... no calendar entry may lie before the clock, ...
 mutant snapshot-calendar-past crates/sim/src/snapshot.rs \
     'let ok = entries.iter().all(|e| e.0 >= now);' \
