@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the substrate kernels: event calendar throughput,
 //! RNG and position-keyed stream derivation, per-link transmission cost,
 //! selectivity lookups (indexed vs rescan), path formation, model II
-//! lookahead (memoised vs naive recursion), probing, the crypto
-//! primitives, the snapshot frame checksum and game solving.
+//! lookahead (memoised vs naive recursion), probing and its lazy
+//! catch-up, churn schedule derivation, the crypto primitives, the
+//! snapshot frame checksum and game solving.
 
 use idpa_bench::harness::Harness;
 use idpa_core::bundle::BundleId;
@@ -21,7 +22,7 @@ use idpa_crypto::rsa::RsaKeyPair;
 use idpa_crypto::sha256::{hex, Sha256};
 use idpa_desim::rng::{StreamFactory, Xoshiro256StarStar};
 use idpa_desim::{Calendar, SimTime};
-use idpa_netmodel::{CostConfig, CostModel};
+use idpa_netmodel::{ChurnConfig, ChurnModel, CostConfig, CostModel};
 use idpa_overlay::{NodeId, NodeKind, ProbeEstimator, Topology};
 use std::hint::black_box;
 
@@ -481,6 +482,88 @@ fn bench_lazy_catchup(h: &mut Harness) {
     });
 }
 
+/// FNV-1a over the session bounds' bits of every schedule.
+fn schedules_digest(schedules: &[idpa_netmodel::NodeSchedule]) -> u64 {
+    let mut e = idpa_desim::codec::Enc::new();
+    for s in schedules {
+        e.seq_len(s.sessions().len());
+        for &(start, end) in s.sessions() {
+            e.f64(start);
+            e.f64(end);
+        }
+    }
+    idpa_desim::codec::fnv1a_64(&e.into_bytes())
+}
+
+/// The §3 churn defaults (Poisson joins, Pareto sessions with a 60-minute
+/// median, one-day horizon) at `n` nodes.
+fn default_churn(n: usize) -> ChurnModel {
+    ChurnModel::new(ChurnConfig {
+        n_nodes: n,
+        ..ChurnConfig::default()
+    })
+}
+
+/// A fresh cell caught up over a whole day: at the §3 defaults (d = 5,
+/// T = 5, 288 probe ticks, Pareto churn schedules, no replacement), every
+/// node's cell materializes on its first read at the horizon and replays
+/// the day from tick 0. Each session bound converts to its tick there, so
+/// this is the kernel of the tick helpers. 256 cells per iteration; the
+/// schedules are tables, so no derivation is timed.
+fn bench_catch_up_fresh(h: &mut Harness) {
+    use idpa_overlay::{LazyProbeSet, NodeSource};
+
+    let n = 256usize;
+    let (d, period) = (5, 5.0);
+    let model = default_churn(n);
+    let horizon = model.config().horizon;
+    let streams = StreamFactory::new(36);
+    let schedules = model.generate(&streams);
+    let mut topo_rng = Xoshiro256StarStar::seed_from_u64(36);
+    let sets = random_neighbor_sets(n, d, &mut topo_rng);
+    let pristine = LazyProbeSet::new_sparse(
+        period,
+        horizon,
+        NodeSource::from_tables(schedules, Topology::from_lists(sets)),
+        None,
+        streams,
+    );
+    let digest = estimators_digest(&pristine.clone(), n, horizon);
+    assert_eq!(
+        digest, 0xaa91_c3ee_7753_e66a,
+        "overlay/catch_up_fresh_d5: catch-up drifted ({digest:#018x})"
+    );
+    h.bench("overlay/catch_up_fresh_d5", || {
+        let set = pristine.clone();
+        for i in 0..n {
+            set.sync_node(NodeId(i), horizon);
+        }
+        set.estimator(NodeId(0), horizon).rounds()
+    });
+}
+
+/// One node's schedule over the whole one-day horizon, derived from its
+/// position-keyed stream as a lazy world does on first touch: Pareto
+/// session and exponential downtime draws until the horizon, copied out
+/// in one allocation. Cycles over 1024 nodes' join times.
+fn bench_node_schedule(h: &mut Harness) {
+    let n = 1024usize;
+    let model = default_churn(n);
+    let streams = StreamFactory::new(1);
+    let joins = model.join_times(&streams);
+    let digest = schedules_digest(&model.generate(&streams));
+    assert_eq!(
+        digest, 0x2bdf_a4d9_43f7_b3e6,
+        "churn/node_schedule: schedules drifted ({digest:#018x})"
+    );
+    let mut buf = Vec::new();
+    let mut v = 0usize;
+    h.bench("churn/node_schedule", || {
+        v = (v + 1) % n;
+        model.node_schedule(&streams, black_box(v), joins[v], &mut buf)
+    });
+}
+
 fn bench_crypto(h: &mut Harness) {
     let mut rng = Xoshiro256StarStar::seed_from_u64(5);
     let keys = RsaKeyPair::generate(512, &mut rng);
@@ -583,6 +666,8 @@ fn main() {
     bench_probing(&mut h);
     bench_probe_tick(&mut h);
     bench_lazy_catchup(&mut h);
+    bench_catch_up_fresh(&mut h);
+    bench_node_schedule(&mut h);
     bench_crypto(&mut h);
     bench_codec(&mut h);
     bench_games(&mut h);

@@ -178,6 +178,10 @@ const SESSION_STREAM: &str = "churn";
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnModel {
     config: ChurnConfig,
+    /// Session lengths, built once from the config.
+    session: Pareto,
+    /// Downtime lengths, built once from the config.
+    downtime: Exponential,
 }
 
 impl ChurnModel {
@@ -188,7 +192,11 @@ impl ChurnModel {
         if let Err(e) = config.validate() {
             panic!("invalid churn config: {e}");
         }
-        ChurnModel { config }
+        ChurnModel {
+            config,
+            session: Pareto::from_median(config.session_median, config.session_shape),
+            downtime: Exponential::from_mean(config.downtime_mean),
+        }
     }
 
     /// The configuration.
@@ -219,13 +227,12 @@ impl ChurnModel {
     /// position-keyed stream.
     #[must_use]
     pub fn sessions(&self, streams: &StreamFactory, v: usize, join: f64) -> Sessions {
-        let cfg = &self.config;
         Sessions {
             rng: streams.stream_indexed(SESSION_STREAM, v as u64),
             t: join,
-            horizon: cfg.horizon,
-            session: Pareto::from_median(cfg.session_median, cfg.session_shape),
-            downtime: Exponential::from_mean(cfg.downtime_mean),
+            horizon: self.config.horizon,
+            session: self.session,
+            downtime: self.downtime,
         }
     }
 

@@ -73,6 +73,8 @@ impl Exponential {
 pub struct Pareto {
     scale: f64,
     shape: f64,
+    /// `1 / shape`, the exponent every draw takes.
+    inv_shape: f64,
 }
 
 impl Pareto {
@@ -82,7 +84,11 @@ impl Pareto {
     pub fn new(scale: f64, shape: f64) -> Self {
         assert!(scale > 0.0, "Pareto scale must be positive, got {scale}");
         assert!(shape > 0.0, "Pareto shape must be positive, got {shape}");
-        Pareto { scale, shape }
+        Pareto {
+            scale,
+            shape,
+            inv_shape: 1.0 / shape,
+        }
     }
 
     /// Creates a Pareto distribution with the given median and shape.
@@ -129,7 +135,7 @@ impl Pareto {
 
     /// Draws one variate via inversion: `x_m / u^{1/alpha}` for `u ∈ (0,1]`.
     pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> f64 {
-        self.scale / uniform_open01(rng).powf(1.0 / self.shape)
+        self.scale / uniform_open01(rng).powf(self.inv_shape)
     }
 }
 

@@ -27,6 +27,12 @@
 //! search then walks that neighbor's sessions once, converting them as it
 //! goes, and merges them with the owner runs.
 //!
+//! A session converts to ticks in O(1): one division estimates each
+//! bound's tick, and a bracket check of the tick's definition at the
+//! estimate and its neighbours proves the answer. Only inputs the check
+//! cannot prove (NaN, a tick index at or past 2⁵², a saturating period)
+//! take the search that walks from the estimate.
+//!
 //! With neighbor replacement on, the catch-up works slot by slot. Each
 //! slot keeps its own frontier tick; a due tick advances only the slots
 //! due there, from their own frontiers, and maintains only them, while
@@ -90,8 +96,43 @@ pub fn probe_ticks_fit(period: f64, horizon: f64) -> bool {
     horizon / period <= MAX_PROBE_TICKS as f64
 }
 
+/// Tick indices below this are exact as `f64`, and so are their
+/// neighbours `k ± 1`: `tick_time` is then a rounded product of exact
+/// operands, monotone in `k` for a positive period.
+const EXACT_TICKS: u64 = 1 << 52;
+
+// The three tick helpers below are O(1): each takes the estimate
+// `k = ⌊t / period⌋`, checks its own definition at `k − 1`, `k` and
+// `k + 1`, and returns the answer that check proves. The estimate is off
+// by at most one rounding of the quotient, so the check nearly always
+// holds; when it does not (a NaN, a non-positive or infinite period, a
+// quotient at or past 2⁵² or saturating `u64`), the helper falls back to
+// the walk beside it, which defines it.
+
 /// Smallest `k ≥ 0` with `k·period ≥ t` (saturating at `u64::MAX`).
+#[inline]
 fn first_tick_at_or_after(t: f64, period: f64) -> u64 {
+    if t <= 0.0 {
+        return 0;
+    }
+    let k = (t / period) as u64;
+    if k < EXACT_TICKS {
+        let at = tick_time(k, period);
+        // Exactly the walk's first steps when it stops at once.
+        if at >= t && (k == 0 || tick_time(k - 1, period) < t) {
+            return k;
+        }
+        if at < t && tick_time(k + 1, period) >= t {
+            return k + 1;
+        }
+    }
+    first_tick_at_or_after_walk(t, period)
+}
+
+/// [`first_tick_at_or_after`] by walking from the estimate.
+#[cold]
+#[inline(never)]
+fn first_tick_at_or_after_walk(t: f64, period: f64) -> u64 {
     if t <= 0.0 {
         return 0;
     }
@@ -107,7 +148,31 @@ fn first_tick_at_or_after(t: f64, period: f64) -> u64 {
 
 /// Largest `k ≥ 0` with `k·period < t` (`None` if `t ≤ 0`; saturating at
 /// `u64::MAX`).
+#[inline]
 fn last_tick_before(t: f64, period: f64) -> Option<u64> {
+    if t <= 0.0 {
+        return None;
+    }
+    let k = (t / period) as u64;
+    if k < EXACT_TICKS {
+        // Ticks are monotone through the walk's start `⌈t / period⌉ + 1
+        // ≤ k + 2`, so a bracket `tick(j) < t ≤ tick(j + 1)` is where the
+        // walk stops.
+        let at = tick_time(k, period);
+        if at < t && tick_time(k + 1, period) >= t {
+            return Some(k);
+        }
+        if at >= t && k > 0 && tick_time(k - 1, period) < t {
+            return Some(k - 1);
+        }
+    }
+    last_tick_before_walk(t, period)
+}
+
+/// [`last_tick_before`] by walking down from past the estimate.
+#[cold]
+#[inline(never)]
+fn last_tick_before_walk(t: f64, period: f64) -> Option<u64> {
     if t <= 0.0 {
         return None;
     }
@@ -123,7 +188,29 @@ fn last_tick_before(t: f64, period: f64) -> Option<u64> {
 
 /// Largest `k ≥ 0` with `k·period ≤ t` (0 if `t < 0`; saturating at
 /// `u64::MAX`).
+#[inline]
 fn last_tick_at_or_before(t: f64, period: f64) -> u64 {
+    if t < 0.0 {
+        return 0;
+    }
+    let k = (t / period) as u64;
+    if k < EXACT_TICKS {
+        // As in `last_tick_before`, with `≤` for `<`.
+        let at = tick_time(k, period);
+        if at <= t && tick_time(k + 1, period) > t {
+            return k;
+        }
+        if at > t && k > 0 && tick_time(k - 1, period) <= t {
+            return k - 1;
+        }
+    }
+    last_tick_at_or_before_walk(t, period)
+}
+
+/// [`last_tick_at_or_before`] by walking down from past the estimate.
+#[cold]
+#[inline(never)]
+fn last_tick_at_or_before_walk(t: f64, period: f64) -> u64 {
     if t < 0.0 {
         return 0;
     }
@@ -1183,6 +1270,73 @@ mod tests {
         assert_eq!(last_tick_before(0.0, 5.0), None);
         assert_eq!(last_tick_at_or_before(10.0, 5.0), 2);
         assert_eq!(last_tick_at_or_before(9.9, 5.0), 1);
+    }
+
+    /// Checks each O(1) tick helper against its walk at `(t, period)`.
+    fn assert_helpers_equal_walks(t: f64, period: f64) {
+        assert_eq!(
+            first_tick_at_or_after(t, period),
+            first_tick_at_or_after_walk(t, period),
+            "first_tick_at_or_after({t:e}, {period:e})"
+        );
+        assert_eq!(
+            last_tick_before(t, period),
+            last_tick_before_walk(t, period),
+            "last_tick_before({t:e}, {period:e})"
+        );
+        assert_eq!(
+            last_tick_at_or_before(t, period),
+            last_tick_at_or_before_walk(t, period),
+            "last_tick_at_or_before({t:e}, {period:e})"
+        );
+    }
+
+    /// The bracket-checked helpers return what their walks return: over
+    /// seeded pairs, on and one ulp around exact tick times, and at the
+    /// inputs only the walks serve (non-positive and NaN times, periods
+    /// that saturate the tick index or are not positive and finite).
+    #[test]
+    fn tick_helpers_equal_their_walks() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(3636);
+        for _ in 0..1_000_000 {
+            let period = 10f64.powf(rng.random_range(-3.0..3.0));
+            let t = match rng.random_range(0..3u32) {
+                0 => rng.random_range(0.0..1e6),
+                1 => rng.random_range(0.0..1.0) * period,
+                // A few ulps from a tick time.
+                _ => {
+                    let t = tick_time(rng.random_range(1..1u64 << 40), period);
+                    let ulps = rng.random_range(0..7u64) as i64 - 3;
+                    f64::from_bits(t.to_bits().wrapping_add_signed(ulps))
+                }
+            };
+            assert_helpers_equal_walks(t, period);
+        }
+        for period in [1e-3, 0.1, 0.3, 1.0, 7.0 / 3.0, 5.0] {
+            let ks = (0..20_000u64).chain((0..40).map(|i| (1u64 << 52) - 20 + i));
+            for k in ks {
+                let t = tick_time(k, period);
+                for t in [t.next_down(), t, t.next_up()] {
+                    assert_helpers_equal_walks(t, period);
+                }
+            }
+        }
+        let times = [
+            0.0,
+            -0.0,
+            -1.0,
+            -5e-324,
+            5e-324,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1.0,
+            1e300,
+        ];
+        for t in times {
+            for period in [1e-300, 5e-324, f64::INFINITY, f64::NAN, 5.0] {
+                assert_helpers_equal_walks(t, period);
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,8 @@ pub enum DepositError {
     /// The deposit exceeds the outstanding bearer liability: it would
     /// credit value no withdrawal put into circulation.
     ExceedsOutstanding,
+    /// The credit would push the account's balance past `u64::MAX`.
+    BalanceOverflow,
 }
 
 /// Error applying an epoch's netted balance deltas.
@@ -140,13 +142,17 @@ impl Bank {
         wallet: &mut Wallet,
         rng: &mut Xoshiro256StarStar,
     ) -> Result<(), WithdrawError> {
-        // Check funds up-front so a partial failure cannot strand value.
+        // Check funds and liability up-front so a partial failure cannot
+        // strand value.
         let balance = self
             .ledger
             .balance(account)
             .ok_or(WithdrawError::UnknownAccount)?;
         if balance < amount {
             return Err(WithdrawError::InsufficientFunds);
+        }
+        if self.ledger.outstanding().checked_add(amount).is_none() {
+            return Err(WithdrawError::BalanceOverflow);
         }
         for value in denominations(amount) {
             let pending = PendingWithdrawal::prepare(value, self.public_key(), rng);

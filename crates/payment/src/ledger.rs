@@ -179,30 +179,36 @@ impl Ledger {
         if balance < value {
             return Err(WithdrawError::InsufficientFunds);
         }
+        let Some(outstanding) = self.outstanding.checked_add(value) else {
+            return Err(WithdrawError::BalanceOverflow);
+        };
         self.record(LedgerOp::Withdraw { account, value });
         *self.accounts.get_mut(&account).expect("checked above") = balance - value;
         self.total_balance -= u128::from(value);
-        self.outstanding += value;
+        self.outstanding = outstanding;
         Ok(())
     }
 
     /// Credits a deposited serial's face value: rejects unknown accounts,
-    /// double spends and a value above the outstanding liability (the
-    /// signature check lives in [`crate::Bank`]).
+    /// double spends, a value above the outstanding liability and a credit
+    /// past `u64::MAX` (the signature check lives in [`crate::Bank`]).
     pub fn deposit_serial(
         &mut self,
         account: AccountId,
         serial: TokenId,
         value: u64,
     ) -> Result<(), DepositError> {
-        if !self.accounts.contains_key(&account) {
+        let Some(&balance) = self.accounts.get(&account) else {
             return Err(DepositError::UnknownAccount);
-        }
+        };
         if self.spent.contains(&serial) {
             return Err(DepositError::DoubleSpend);
         }
         let Some(outstanding) = self.outstanding.checked_sub(value) else {
             return Err(DepositError::ExceedsOutstanding);
+        };
+        let Some(credited) = balance.checked_add(value) else {
+            return Err(DepositError::BalanceOverflow);
         };
         self.record(LedgerOp::Deposit {
             account,
@@ -211,7 +217,7 @@ impl Ledger {
         });
         self.spent.insert(serial);
         self.outstanding = outstanding;
-        *self.accounts.get_mut(&account).expect("checked above") += value;
+        *self.accounts.get_mut(&account).expect("checked above") = credited;
         self.total_balance += u128::from(value);
         Ok(())
     }
@@ -224,14 +230,18 @@ impl Ledger {
         to: AccountId,
         amount: u64,
     ) -> Result<(), WithdrawError> {
-        if !self.accounts.contains_key(&to) {
+        let Some(&dst) = self.accounts.get(&to) else {
             return Err(WithdrawError::UnknownAccount);
-        }
+        };
         let Some(&src) = self.accounts.get(&from) else {
             return Err(WithdrawError::UnknownAccount);
         };
         if src < amount {
             return Err(WithdrawError::InsufficientFunds);
+        }
+        // A self-transfer leaves the balance as it is, so cannot overflow.
+        if from != to && dst.checked_add(amount).is_none() {
+            return Err(WithdrawError::BalanceOverflow);
         }
         self.record(LedgerOp::Transfer { from, to, amount });
         *self.accounts.get_mut(&from).expect("checked above") = src - amount;
@@ -433,6 +443,7 @@ impl From<WithdrawError> for ApplyError {
         match e {
             WithdrawError::UnknownAccount => ApplyError::UnknownAccount,
             WithdrawError::InsufficientFunds => ApplyError::InsufficientFunds,
+            WithdrawError::BalanceOverflow => ApplyError::BalanceOverflow,
         }
     }
 }
@@ -443,6 +454,7 @@ impl From<DepositError> for ApplyError {
             DepositError::UnknownAccount => ApplyError::UnknownAccount,
             DepositError::DoubleSpend => ApplyError::DoubleSpend,
             DepositError::ExceedsOutstanding => ApplyError::ExceedsOutstanding,
+            DepositError::BalanceOverflow => ApplyError::BalanceOverflow,
             // The ledger never checks signatures; unreachable by
             // construction, mapped defensively.
             DepositError::InvalidSignature => ApplyError::UnknownAccount,
@@ -740,6 +752,74 @@ mod tests {
         assert!(report.defect.unwrap().contains("ExceedsOutstanding"));
         assert_eq!(r.balance(AccountId(0)), Some(100));
         assert!(r.conservation_holds());
+    }
+
+    #[test]
+    fn a_credit_must_not_overflow() {
+        let full = u64::MAX;
+        let mut l = Ledger::new();
+        l.attach_wal(Wal::new());
+        let a = l.open_account(full);
+        let b = l.open_account(full);
+        l.withdraw(a, 10).unwrap();
+        let before = l.digest();
+        assert_eq!(
+            l.deposit_serial(b, serial(1), 10),
+            Err(DepositError::BalanceOverflow)
+        );
+        assert_eq!(l.transfer(a, b, 1), Err(WithdrawError::BalanceOverflow));
+        assert_eq!(l.withdraw(b, full), Err(WithdrawError::BalanceOverflow));
+        assert_eq!(l.digest(), before, "a rejected credit leaves no trace");
+        // A full account may still pay itself.
+        l.transfer(b, b, full).unwrap();
+        assert_eq!(l.balance(b), Some(full));
+
+        // Replay applies the same checks: a log whose credit would wrap
+        // stops before that record, with a typed error, not a panic or a
+        // wrapped balance.
+        let prefix = [
+            LedgerOp::Open { balance: full },
+            LedgerOp::Open { balance: full },
+            LedgerOp::Withdraw {
+                account: AccountId(0),
+                value: 10,
+            },
+        ];
+        for overflowing in [
+            LedgerOp::Deposit {
+                account: AccountId(1),
+                serial: serial(1),
+                value: 10,
+            },
+            LedgerOp::Transfer {
+                from: AccountId(0),
+                to: AccountId(1),
+                amount: 1,
+            },
+            LedgerOp::Withdraw {
+                account: AccountId(1),
+                value: full,
+            },
+        ] {
+            let mut wal = Wal::new();
+            let mut replayed = Ledger::new();
+            for op in &prefix {
+                wal.append(op);
+                replayed.apply(op).unwrap();
+            }
+            wal.append(&overflowing);
+            assert_eq!(
+                replayed.apply(&overflowing),
+                Err(ApplyError::BalanceOverflow),
+                "{overflowing:?}"
+            );
+            let (r, report) = Ledger::recover(wal.committed_bytes());
+            assert!(!report.is_clean(), "{report:?}");
+            assert_eq!(report.records_replayed, 3);
+            assert!(report.defect.unwrap().contains("BalanceOverflow"));
+            assert_eq!(r.balance(AccountId(1)), Some(full));
+            assert!(r.conservation_holds());
+        }
     }
 
     #[test]

@@ -115,6 +115,9 @@ pub enum WithdrawError {
     InsufficientFunds,
     /// The account does not exist.
     UnknownAccount,
+    /// A credit would push a balance, or the outstanding bearer
+    /// liability, past `u64::MAX`.
+    BalanceOverflow,
 }
 
 /// A client-side purse of bearer tokens.

@@ -411,7 +411,9 @@ fn fuzz_deposit_matches_reference_model() {
                 Err(DepositError::UnknownAccount) => 1,
                 Err(DepositError::InvalidSignature) => 2,
                 Err(DepositError::DoubleSpend) => 3,
-                Err(DepositError::ExceedsOutstanding) => unreachable!("the model never expects it"),
+                Err(DepositError::ExceedsOutstanding | DepositError::BalanceOverflow) => {
+                    unreachable!("the model never expects it")
+                }
             }] += 1;
         }
         let ledger = bank.ledger();

@@ -50,6 +50,14 @@ mutant catchup-threshold-test crates/overlay/src/probe_lazy.rs \
 mutant tick-range-off-by-one crates/overlay/src/probe_lazy.rs \
     '            self.after + 1' \
     '            self.after'
+# The O(1) tick search returns the estimate only once the next tick is
+# checked to lie past t. The same check in the other two helpers
+# (`tick(k + 1) >= t` after `tick(k) < t`) cannot fail for a positive
+# period, so dropping it there is an equivalent mutant: `t > tick(k + 1)`
+# would put `t / period` past `k + 1`, and its rounding at or past it.
+mutant tick-bracket-unchecked crates/overlay/src/probe_lazy.rs \
+    'if at <= t && tick_time(k + 1, period) > t {' \
+    'if at <= t {'
 # Crowds forwards again with probability p_f, not 1 - p_f.
 mutant crowds-coin-inverted crates/core/src/routing.rs \
     'hops_so_far == 0 || coin < p_forward' \
@@ -117,6 +125,10 @@ mutant escrow-overclaim-unchecked crates/payment/src/escrow.rs \
 mutant deposit-outstanding-unchecked crates/payment/src/ledger.rs \
     'let Some(outstanding) = self.outstanding.checked_sub(value) else {' \
     'let Some(outstanding) = Some(self.outstanding.saturating_sub(value)) else {'
+# A deposit never credits a balance past u64::MAX.
+mutant credit-overflow-unchecked crates/payment/src/ledger.rs \
+    'let Some(credited) = balance.checked_add(value) else {' \
+    'let Some(credited) = Some(balance.wrapping_add(value)) else {'
 # A deposit verifies the token's bank signature.
 mutant deposit-signature-unchecked crates/payment/src/bank.rs \
     'if !token.verify(self.keys.public()) {' \
